@@ -2,9 +2,9 @@
 //!
 //! 1. **Zero-fault transparency** — a server spawned with
 //!    [`FaultPlan::none`] delivers outcomes byte-identical to a direct
-//!    [`QueryEngine::run`], across every TNN algorithm, k ∈ {2, 3, 4}
-//!    channels, and both candidate-queue backends. The fault machinery
-//!    may exist; it must not be observable.
+//!    [`QueryEngine::run`], across every TNN algorithm and k ∈ {2, 3, 4}
+//!    channels. The fault machinery may exist; it must not be
+//!    observable.
 //! 2. **Replay determinism** — the same `(seed, plan)` over the same
 //!    admission sequence produces *bit-identical* [`FaultStats`]
 //!    regardless of worker count, because every fault decision is a pure
@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
-use tnn_core::{Algorithm, ArrivalHeap, CandidateQueue, LinearQueue, Query, QueryEngine, TnnError};
+use tnn_core::{Algorithm, Query, QueryEngine, TnnError};
 use tnn_geom::Point;
 use tnn_rtree::{PackingAlgorithm, RTree};
 use tnn_serve::{
@@ -62,12 +62,8 @@ fn query_mix(p: Point, phases: &[u64], issued_at: u64) -> Vec<Query> {
 
 /// Serve `queries` through a zero-fault-plan server and assert outcome
 /// byte-identity with direct engine runs, plus clean fault tallies.
-fn assert_zero_plan_transparent<Q: CandidateQueue + 'static>(
-    env: &MultiChannelEnv,
-    queries: &[Query],
-    workers: usize,
-) {
-    let engine = QueryEngine::<Q>::with_queue_backend(env.clone());
+fn assert_zero_plan_transparent(env: &MultiChannelEnv, queries: &[Query], workers: usize) {
+    let engine = QueryEngine::new(env.clone());
     let expect: Vec<Result<_, TnnError>> = queries.iter().map(|q| engine.run(q)).collect();
     let server = Server::spawn_engine_with_faults(
         engine,
@@ -102,7 +98,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Zero-fault plans are transparent across k ∈ {2, 3, 4}, every
-    /// algorithm, workers ∈ {1, 4}, and both queue backends.
+    /// algorithm, and workers ∈ {1, 4}.
     #[test]
     fn zero_fault_plan_is_byte_transparent(
         k in prop::sample::select(vec![2usize, 3, 4]),
@@ -125,9 +121,8 @@ proptest! {
         let query_phases: Vec<u64> = (0..k as u64).map(|i| phase_base + i * 997).collect();
         let queries = query_mix(Point::new(qx, qy), &query_phases, issued_at);
         for workers in [1usize, 4] {
-            assert_zero_plan_transparent::<ArrivalHeap>(&env, &queries, workers);
+            assert_zero_plan_transparent(&env, &queries, workers);
         }
-        assert_zero_plan_transparent::<LinearQueue>(&env, &queries, 2);
     }
 
     /// One fixed `(seed, plan)` over one admission sequence yields

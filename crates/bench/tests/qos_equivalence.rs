@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
-use tnn_core::{Algorithm, AnnMode, LinearQueue, Query, QueryEngine};
+use tnn_core::{Algorithm, AnnMode, Query, QueryEngine};
 use tnn_geom::Point;
 use tnn_rtree::{PackingAlgorithm, RTree};
 use tnn_serve::{CacheConfig, Qos, ServeConfig, Server, ShutdownMode};
@@ -64,14 +64,9 @@ fn query_mix(p: Point, k: usize, phases: &[u64], ann_factor: f64, issued_at: u64
 /// Primes a caching server with `queries`, repeats them, and asserts
 /// every repeat (a) was served from the cache and (b) is byte-identical
 /// to a fresh, uncached engine run.
-fn assert_cache_hits_equal_engine<QB: tnn_core::CandidateQueue + 'static>(
-    env: &MultiChannelEnv,
-    queries: &[Query],
-    workers: usize,
-) {
-    let engine = QueryEngine::<QB>::with_queue_backend(env.clone());
-    let server = Server::spawn_engine(
-        engine,
+fn assert_cache_hits_equal_engine(env: &MultiChannelEnv, queries: &[Query], workers: usize) {
+    let server = Server::spawn(
+        env.clone(),
         ServeConfig::new()
             .workers(workers)
             .queue_capacity(queries.len().max(1))
@@ -87,7 +82,7 @@ fn assert_cache_hits_equal_engine<QB: tnn_core::CandidateQueue + 'static>(
     assert_eq!(primed.cache_hits, 0, "pass 1 cannot hit a cold cache");
     // Repeat: every query must now be answered from the cache, with
     // bytes identical to an uncached engine run of the same query.
-    let fresh_engine = QueryEngine::<QB>::with_queue_backend(env.clone());
+    let fresh_engine = QueryEngine::new(env.clone());
     let tickets = server.submit_batch(queries.to_vec());
     for (ticket, query) in tickets.into_iter().zip(queries) {
         let got = ticket.expect("capacity covers the batch").wait();
@@ -109,9 +104,8 @@ fn assert_cache_hits_equal_engine<QB: tnn_core::CandidateQueue + 'static>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Cache-hit byte-identity over the full matrix on the production
-    /// backend (k ∈ {2, 3, 4} × workers ∈ {1, 4}), plus a paper-literal
-    /// `LinearQueue` spot check — the cache is backend-oblivious.
+    /// Cache-hit byte-identity over the full matrix (k ∈ {2, 3, 4} ×
+    /// workers ∈ {1, 4}).
     #[test]
     fn cache_hits_are_byte_identical_to_fresh_engine_runs(
         k in prop::sample::select(vec![2usize, 3, 4]),
@@ -135,9 +129,8 @@ proptest! {
         let query_phases: Vec<u64> = (0..k as u64).map(|i| phase_base + i * 997).collect();
         let queries = query_mix(Point::new(qx, qy), k, &query_phases, ann_factor, issued_at);
         for workers in [1usize, 4] {
-            assert_cache_hits_equal_engine::<tnn_core::ArrivalHeap>(&env, &queries, workers);
+            assert_cache_hits_equal_engine(&env, &queries, workers);
         }
-        assert_cache_hits_equal_engine::<LinearQueue>(&env, &queries, 2);
     }
 }
 

@@ -5,19 +5,16 @@
 //! backpressure policies, every outcome delivered through a
 //! [`Server`] ticket must be byte-identical to a direct
 //! [`QueryEngine::run`] of the same [`Query`] — concurrency may reorder
-//! *completion*, never *answers*. Both candidate-queue backends are
-//! covered (the production [`ArrivalHeap`] across the full matrix, the
-//! paper-literal [`LinearQueue`] on a spot-check combo), as is the
-//! cached k! permutation table of order-free queries under concurrent
-//! server workers.
+//! *completion*, never *answers*. The cached k! permutation table of
+//! order-free queries under concurrent server workers is covered too.
+//! Serving runs the production engine only; the paper-literal queue
+//! backend is compared against it at the engine level
+//! (`engine_equivalence.rs`, `linear_equivalence.rs`).
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
-use tnn_core::{
-    Algorithm, AnnMode, ArrivalHeap, CandidateQueue, LinearQueue, Query, QueryEngine, QueryScratch,
-    TnnError,
-};
+use tnn_core::{Algorithm, AnnMode, Query, QueryEngine, QueryScratch, TnnError};
 use tnn_geom::Point;
 use tnn_rtree::{PackingAlgorithm, RTree};
 use tnn_serve::{Backpressure, ServeConfig, Server, ShutdownMode};
@@ -68,13 +65,13 @@ fn query_mix(p: Point, k: usize, phases: &[u64], ann_factor: f64, issued_at: u64
 /// given worker count and policy, asserting byte-identity per query.
 /// The queue capacity covers the whole batch, so `Reject`/`Shed` never
 /// fire and every policy must deliver identical answers.
-fn assert_serve_equals_engine<Q: CandidateQueue + 'static>(
+fn assert_serve_equals_engine(
     env: &MultiChannelEnv,
     queries: &[Query],
     workers: usize,
     policy: Backpressure,
 ) {
-    let engine = QueryEngine::<Q>::with_queue_backend(env.clone());
+    let engine = QueryEngine::new(env.clone());
     let expect: Vec<Result<_, TnnError>> = queries.iter().map(|q| engine.run(q)).collect();
     let server = Server::spawn_engine(
         engine,
@@ -100,7 +97,7 @@ fn assert_serve_equals_engine<Q: CandidateQueue + 'static>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The full matrix on the production backend: k ∈ {2, 3, 4} ×
+    /// The full matrix: k ∈ {2, 3, 4} ×
     /// workers ∈ {1, 2, 4} × {Block, Reject, Shed}, over a generated
     /// environment, query points, phases, and ANN factor.
     #[test]
@@ -130,12 +127,9 @@ proptest! {
         queries.extend(query_mix(Point::new(qx2, qy2), k, &query_phases, ann_factor, 0));
         for workers in [1usize, 2, 4] {
             for policy in [Backpressure::Block, Backpressure::Reject, Backpressure::Shed] {
-                assert_serve_equals_engine::<ArrivalHeap>(&env, &queries, workers, policy);
+                assert_serve_equals_engine(&env, &queries, workers, policy);
             }
         }
-        // Paper-literal backend spot check: the server is backend-generic,
-        // answers must not depend on the queue discipline either.
-        assert_serve_equals_engine::<LinearQueue>(&env, &queries, 2, Backpressure::Block);
     }
 }
 
@@ -173,7 +167,7 @@ fn order_free_permutation_cache_is_stable_under_concurrency() {
 
     // Single-threaded reference: one scratch reused across every query,
     // so the permutation table is built once and recycled 63 times.
-    let mut scratch = QueryScratch::<ArrivalHeap>::default();
+    let mut scratch = QueryScratch::default();
     let expect: Vec<_> = queries
         .iter()
         .map(|q| engine.run_with(q, &mut scratch).unwrap())

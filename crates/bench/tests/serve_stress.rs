@@ -14,11 +14,10 @@
 //! * **clean shutdown with in-flight work** — `shutdown` returns with
 //!   queue and in-flight counts at zero.
 //!
-//! The whole drill repeats over the paper-literal `LinearQueue` backend,
-//! and again as a **mixed-priority storm** (`hammer_qos`): submitters
-//! spread over all three service classes with a mix of tight, generous,
-//! and absent deadlines, reconciling the per-class conservation
-//! invariant against per-class client tallies. A **chaos storm**
+//! The drill repeats as a **mixed-priority storm** (`hammer_qos`):
+//! submitters spread over all three service classes with a mix of tight,
+//! generous, and absent deadlines, reconciling the per-class
+//! conservation invariant against per-class client tallies. A **chaos storm**
 //! (`hammer_chaos`) reruns the drill under an aggressive [`FaultPlan`] —
 //! drops, jitter, outages, engine panics, and scheduled worker kills —
 //! asserting the server keeps serving across respawns with zero lost
@@ -33,7 +32,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
-use tnn_core::{ArrivalHeap, CandidateQueue, LinearQueue, Query, QueryEngine, TnnError};
+use tnn_core::{Query, TnnError};
 use tnn_geom::Point;
 use tnn_rtree::{PackingAlgorithm, RTree};
 use tnn_serve::{
@@ -79,9 +78,9 @@ struct ClientTally {
 /// Hammers one server configuration for `secs`, shuts down `mode`-wise
 /// while submitters are still firing, and checks conservation from both
 /// sides of the API.
-fn hammer<Q: CandidateQueue + 'static>(policy: Backpressure, mode: ShutdownMode, secs: f64) {
-    let server = Server::spawn_engine(
-        QueryEngine::<Q>::with_queue_backend(small_env()),
+fn hammer(policy: Backpressure, mode: ShutdownMode, secs: f64) {
+    let server = Server::spawn(
+        small_env(),
         ServeConfig::new()
             .workers(2)
             .queue_capacity(4)
@@ -193,34 +192,25 @@ fn hammer<Q: CandidateQueue + 'static>(policy: Backpressure, mode: ShutdownMode,
 #[test]
 #[ignore = "stress/soak — run by the stress CI job"]
 fn soak_block_policy_drain_shutdown() {
-    hammer::<ArrivalHeap>(Backpressure::Block, ShutdownMode::Drain, stress_secs());
+    hammer(Backpressure::Block, ShutdownMode::Drain, stress_secs());
 }
 
 #[test]
 #[ignore = "stress/soak — run by the stress CI job"]
 fn soak_block_policy_cancel_shutdown() {
-    hammer::<ArrivalHeap>(Backpressure::Block, ShutdownMode::Cancel, stress_secs());
+    hammer(Backpressure::Block, ShutdownMode::Cancel, stress_secs());
 }
 
 #[test]
 #[ignore = "stress/soak — run by the stress CI job"]
 fn soak_reject_policy() {
-    hammer::<ArrivalHeap>(Backpressure::Reject, ShutdownMode::Cancel, stress_secs());
+    hammer(Backpressure::Reject, ShutdownMode::Cancel, stress_secs());
 }
 
 #[test]
 #[ignore = "stress/soak — run by the stress CI job"]
 fn soak_shed_policy() {
-    hammer::<ArrivalHeap>(Backpressure::Shed, ShutdownMode::Drain, stress_secs());
-}
-
-#[test]
-#[ignore = "stress/soak — run by the stress CI job"]
-fn soak_linear_reference_backend_all_policies() {
-    let secs = (stress_secs() / 3.0).max(0.3);
-    hammer::<LinearQueue>(Backpressure::Block, ShutdownMode::Drain, secs);
-    hammer::<LinearQueue>(Backpressure::Reject, ShutdownMode::Cancel, secs);
-    hammer::<LinearQueue>(Backpressure::Shed, ShutdownMode::Cancel, secs);
+    hammer(Backpressure::Shed, ShutdownMode::Drain, stress_secs());
 }
 
 /// Per-submitter tallies of the mixed-priority storm, one row per class.
@@ -238,8 +228,8 @@ struct ClassTally {
 /// class's client-side tally — on top of the global invariant, which now
 /// also folds the cache classification of every completion.
 fn hammer_qos(policy: Backpressure, mode: ShutdownMode, secs: f64) {
-    let server = Server::spawn_engine(
-        QueryEngine::<ArrivalHeap>::with_queue_backend(small_env()),
+    let server = Server::spawn(
+        small_env(),
         ServeConfig::new()
             .workers(2)
             .queue_capacity(4)
@@ -640,10 +630,7 @@ fn chaos_smoke_bounded_storm_survives_kills_and_outages() {
 #[test]
 fn no_priority_inversion_at_drain_or_cancel() {
     for mode in [ShutdownMode::Drain, ShutdownMode::Cancel] {
-        let server = Server::spawn_engine(
-            QueryEngine::<ArrivalHeap>::with_queue_backend(small_env()),
-            ServeConfig::new().workers(1).batch_window(1),
-        );
+        let server = Server::spawn(small_env(), ServeConfig::new().workers(1).batch_window(1));
         let class_of = |i: usize| match i / 20 {
             0 => Qos::interactive(),
             1 => Qos::batch(),

@@ -3,7 +3,7 @@
 //! For arbitrary query sets × shard counts {1, 2, 4, 8} × replication
 //! factors {1, 2} × all four algorithms (plus the chained, order-free,
 //! and round-trip kinds) × k ∈ {2, 3, 4} channels × both partitioning
-//! schemes × both queue backends, every route and total a
+//! schemes, every route and total a
 //! [`ShardRouter`] merges from its scatter-gather phases must be
 //! **byte-identical** to an unsharded [`QueryEngine::run`] of the same
 //! [`Query`] — sharding may redistribute *work*, never change
@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
-use tnn_core::{Algorithm, AnnMode, CandidateQueue, LinearQueue, Query, QueryEngine, TnnError};
+use tnn_core::{Algorithm, AnnMode, Query, QueryEngine, TnnError};
 use tnn_geom::Point;
 use tnn_rtree::{PackingAlgorithm, RTree};
 use tnn_serve::{ServeConfig, ShutdownMode};
@@ -59,14 +59,14 @@ fn query_mix(p: Point, k: usize, ann_factor: f64, issued_at: u64) -> Vec<Query> 
 
 /// Runs `queries` through a fresh router under `config` and asserts
 /// every merged route and total is byte-identical to the engine's.
-fn assert_sharded_equals_engine<QB: CandidateQueue + 'static>(
+fn assert_sharded_equals_engine(
     env: &MultiChannelEnv,
     queries: &[Query],
     config: ShardConfig,
     label: &str,
 ) {
-    let engine = QueryEngine::<QB>::with_queue_backend(env.clone());
-    let router = ShardRouter::<QB>::spawn_with_backend(env.clone(), config);
+    let engine = QueryEngine::new(env.clone());
+    let router = ShardRouter::spawn(env.clone(), config);
     for query in queries {
         let got = router.run(query).expect("validated queries run");
         let want = engine.run(query).expect("validated queries run");
@@ -86,11 +86,9 @@ fn assert_sharded_equals_engine<QB: CandidateQueue + 'static>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The full grid on the production backend — shard counts
-    /// {1, 2, 4, 8} × replication {1, 2} × the whole query mix — plus a
-    /// paper-literal `LinearQueue` spot check and a data-adaptive
-    /// top-level-split spot check (the merge is partition- and
-    /// backend-oblivious).
+    /// The full grid — shard counts {1, 2, 4, 8} × replication {1, 2} ×
+    /// the whole query mix — plus a data-adaptive top-level-split spot
+    /// check (the merge is partition-oblivious).
     #[test]
     fn sharded_answers_are_byte_identical_to_the_engine(
         k in prop::sample::select(vec![2usize, 3, 4]),
@@ -119,7 +117,7 @@ proptest! {
                     .replication(replication)
                     .replication_warmup(4)
                     .serve(serve);
-                assert_sharded_equals_engine::<tnn_core::ArrivalHeap>(
+                assert_sharded_equals_engine(
                     &env,
                     &queries,
                     config,
@@ -127,13 +125,7 @@ proptest! {
                 );
             }
         }
-        assert_sharded_equals_engine::<LinearQueue>(
-            &env,
-            &queries,
-            ShardConfig::new().shards(4).serve(serve),
-            &format!("k={k} linear-reference"),
-        );
-        assert_sharded_equals_engine::<tnn_core::ArrivalHeap>(
+        assert_sharded_equals_engine(
             &env,
             &queries,
             ShardConfig::new().partition(Partition::TopLevel).serve(serve),

@@ -1,8 +1,8 @@
 //! The observability acceptance gate: **tracing is byte-transparent**.
 //!
 //! For arbitrary query sets over all four TNN algorithms (plus the
-//! variant kinds) × k ∈ {2, 3, 4} channels × worker counts × both
-//! candidate-queue backends, a server spawned with
+//! variant kinds) × k ∈ {2, 3, 4} channels × worker counts, a server
+//! spawned with
 //! [`TraceConfig::on()`] must deliver outcomes **byte-identical** to an
 //! identically configured server with tracing off, and every counter
 //! field of the final [`ServeStats`] must match — spans, the flight
@@ -16,9 +16,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
-use tnn_core::{
-    Algorithm, AnnMode, ArrivalHeap, CandidateQueue, LinearQueue, Query, QueryEngine, TnnError,
-};
+use tnn_core::{Algorithm, AnnMode, Query, TnnError};
 use tnn_geom::Point;
 use tnn_rtree::{PackingAlgorithm, RTree};
 use tnn_serve::{
@@ -126,7 +124,7 @@ fn assert_counters_eq(off: &ServeStats, on: &ServeStats) {
 /// Runs `queries` through an untraced and a traced server (identical
 /// configs otherwise), asserting byte-identical outcomes, equal
 /// counters, and flight-recorder conservation.
-fn assert_trace_transparent<Q: CandidateQueue + 'static>(
+fn assert_trace_transparent(
     env: &MultiChannelEnv,
     queries: &[Query],
     workers: usize,
@@ -140,11 +138,8 @@ fn assert_trace_transparent<Q: CandidateQueue + 'static>(
             .cache(cache)
             .batch_window(3)
     };
-    let off = Server::spawn_engine(QueryEngine::<Q>::with_queue_backend(env.clone()), config());
-    let on = Server::spawn_engine(
-        QueryEngine::<Q>::with_queue_backend(env.clone()),
-        config().trace(TraceConfig::on()),
-    );
+    let off = Server::spawn(env.clone(), config());
+    let on = Server::spawn(env.clone(), config().trace(TraceConfig::on()));
     assert!(off.recorder().is_none(), "Off must not build a recorder");
     let off_tickets = off.submit_batch(queries.to_vec());
     let on_tickets = on.submit_batch(queries.to_vec());
@@ -196,8 +191,7 @@ proptest! {
     /// The transparency matrix: k ∈ {2, 3, 4}, workers ∈ {1, 2, 4}
     /// (single-worker runs keep the cache on — its hit/miss/coalesce
     /// classification is deterministic there; multi-worker runs disable
-    /// it so the classification cannot race), production and
-    /// paper-literal queue backends.
+    /// it so the classification cannot race).
     #[test]
     fn tracing_never_changes_outcomes_or_counters(
         k in prop::sample::select(vec![2usize, 3, 4]),
@@ -224,12 +218,10 @@ proptest! {
         // Repeats so the cached single-worker run exercises hits too.
         let repeats: Vec<Query> = queries.iter().take(4).cloned().collect();
         queries.extend(repeats);
-        assert_trace_transparent::<ArrivalHeap>(&env, &queries, 1, CacheConfig::new().capacity(64));
+        assert_trace_transparent(&env, &queries, 1, CacheConfig::new().capacity(64));
         for workers in [2usize, 4] {
-            assert_trace_transparent::<ArrivalHeap>(&env, &queries, workers, CacheConfig::disabled());
+            assert_trace_transparent(&env, &queries, workers, CacheConfig::disabled());
         }
-        assert_trace_transparent::<LinearQueue>(&env, &queries, 1, CacheConfig::new().capacity(64));
-        assert_trace_transparent::<LinearQueue>(&env, &queries, 2, CacheConfig::disabled());
     }
 }
 

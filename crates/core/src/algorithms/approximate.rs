@@ -167,7 +167,7 @@ mod tests {
             &mut QueryScratch::<crate::ArrivalHeap>::default(),
         )
         .unwrap();
-        let got = run.answer().expect("uniform data should succeed");
+        let got = run.tnn_pair().expect("uniform data should succeed");
         let oracle = crate::exact_tnn(p, e.channel(0).tree(), e.channel(1).tree());
         assert!((got.dist - oracle.dist).abs() < 1e-9);
     }

@@ -186,7 +186,7 @@ mod tests {
                 &mut fresh(),
             )
             .unwrap();
-            let got = run.answer().expect("double-NN never fails");
+            let got = run.tnn_pair().expect("double-NN never fails");
             let oracle = crate::exact_tnn(p, e.channel(0).tree(), e.channel(1).tree());
             assert!(
                 (got.dist - oracle.dist).abs() < 1e-9,

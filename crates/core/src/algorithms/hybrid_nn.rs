@@ -88,7 +88,7 @@ mod tests {
         PhaseOverlay::identity(env)
     }
 
-    fn rq(env: &MultiChannelEnv, p: Point, t: u64, cfg: &TnnConfig) -> crate::TnnRun {
+    fn rq(env: &MultiChannelEnv, p: Point, t: u64, cfg: &TnnConfig) -> crate::QueryOutcome {
         crate::run_query_impl(env, p, t, cfg, &mut fresh()).unwrap()
     }
 
@@ -130,7 +130,7 @@ mod tests {
         for (px, py) in [(20.0, 20.0), (150.0, 100.0), (80.0, 210.0)] {
             let p = Point::new(px, py);
             let run = rq(&e, p, 2, &TnnConfig::exact(Algorithm::HybridNn));
-            let got = run.answer().expect("hybrid never fails");
+            let got = run.tnn_pair().expect("hybrid never fails");
             let oracle = crate::exact_tnn(p, e.channel(0).tree(), e.channel(1).tree());
             assert!(
                 (got.dist - oracle.dist).abs() < 1e-9,
@@ -150,7 +150,7 @@ mod tests {
         for (px, py) in [(10.0, 190.0), (130.0, 60.0)] {
             let p = Point::new(px, py);
             let run = rq(&e, p, 7, &TnnConfig::exact(Algorithm::HybridNn));
-            let got = run.answer().expect("hybrid never fails");
+            let got = run.tnn_pair().expect("hybrid never fails");
             let oracle = crate::exact_tnn(p, e.channel(0).tree(), e.channel(1).tree());
             assert!(
                 (got.dist - oracle.dist).abs() < 1e-9,
@@ -285,7 +285,7 @@ mod tests {
             }; 2],
         );
         let run = rq(&e, p, 0, &cfg);
-        let got = run.answer().unwrap();
+        let got = run.tnn_pair().unwrap();
         let oracle = crate::exact_tnn(p, e.channel(0).tree(), e.channel(1).tree());
         assert!((got.dist - oracle.dist).abs() < 1e-9);
     }

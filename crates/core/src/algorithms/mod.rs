@@ -11,10 +11,13 @@
 //!
 //! Every step is generic over the candidate-queue backend of the NN
 //! search tasks (see [`crate::task::queue`]): the default backend is the
-//! heap-ordered production queue, while the feature-gated
-//! `run_query_linear` drives the identical algorithm code over the
-//! paper-literal linear-scan reference for A/B benchmarking. Driven
-//! through [`crate::QueryEngine::run_with`] with a reused
+//! heap-ordered production queue, while a [`QueryScratch`] over the
+//! feature-gated `LinearQueue` drives the identical algorithm code over
+//! the paper-literal linear-scan reference for A/B benchmarking. Every
+//! pipeline returns a [`QueryOutcome`] built straight from the merged
+//! route's stops.
+//!
+//! Driven through [`crate::QueryEngine::run_with`] with a reused
 //! [`QueryScratch`], every growth-prone buffer (NN queues and parked
 //! lists, window queues and hit lists, join order/sweep/DP tables,
 //! order-free permutation table) is recycled across queries; what
@@ -30,21 +33,16 @@ mod variants;
 mod window_based;
 
 pub use approximate::{approximate_radius, approximate_radius_for_env};
-pub use variants::{
-    order_free_tnn_overlay, round_trip_join, round_trip_tnn_overlay, VariantRun, VisitOrder,
-};
+pub use variants::{order_free_tnn_overlay, round_trip_join, round_trip_tnn_overlay, VisitOrder};
 
 use crate::join::JoinScratch;
 use crate::task::queue::{ArrivalHeap, CandidateQueue};
 use crate::task::{BroadcastNnSearch, NnScratch, WindowQueryTask, WindowScratch};
 use crate::SearchMode;
-use crate::{Algorithm, ChannelCost, TnnConfig, TnnError, TnnRun};
+use crate::{Algorithm, ChannelCost, QueryKind, QueryOutcome, TnnConfig, TnnError};
 use tnn_broadcast::{InlineVec, MultiChannelEnv, PhaseOverlay, Tuner};
 use tnn_geom::{Circle, Point};
 use tnn_rtree::ObjectId;
-
-#[cfg(feature = "linear-reference")]
-use crate::task::queue::LinearQueue;
 
 /// Per-channel estimate-phase tuners, inline up to four channels (the
 /// evaluation's workloads never spill).
@@ -144,40 +142,8 @@ pub fn run_query_impl<Q: CandidateQueue>(
     issued_at: u64,
     cfg: &TnnConfig,
     scratch: &mut QueryScratch<Q>,
-) -> Result<TnnRun, TnnError> {
+) -> Result<QueryOutcome, TnnError> {
     run_query_overlay(&PhaseOverlay::identity(env), p, issued_at, cfg, scratch)
-}
-
-/// [`run_query_impl`] over the paper-literal linear-scan candidate
-/// queues — identical algorithm code, O(n) queue operations. Only for
-/// benchmarks and equivalence tests (the engine equivalent is
-/// `QueryEngine::<LinearQueue>::with_queue_backend`).
-#[cfg(feature = "linear-reference")]
-pub fn run_query_linear(
-    env: &MultiChannelEnv,
-    p: Point,
-    issued_at: u64,
-    cfg: &TnnConfig,
-) -> Result<TnnRun, TnnError> {
-    run_query_impl(
-        env,
-        p,
-        issued_at,
-        cfg,
-        &mut QueryScratch::<LinearQueue>::default(),
-    )
-}
-
-/// [`run_query_linear`] with caller-provided scratch buffers.
-#[cfg(feature = "linear-reference")]
-pub fn run_query_linear_with(
-    env: &MultiChannelEnv,
-    p: Point,
-    issued_at: u64,
-    cfg: &TnnConfig,
-    scratch: &mut QueryScratch<LinearQueue>,
-) -> Result<TnnRun, TnnError> {
-    run_query_impl(env, p, issued_at, cfg, scratch)
 }
 
 /// The queue-generic query pipeline behind every TNN entry point, over a
@@ -200,7 +166,7 @@ pub fn run_query_overlay<Q: CandidateQueue>(
     issued_at: u64,
     cfg: &TnnConfig,
     scratch: &mut QueryScratch<Q>,
-) -> Result<TnnRun, TnnError> {
+) -> Result<QueryOutcome, TnnError> {
     let k = overlay.len();
     if k < 2 {
         return Err(TnnError::WrongChannelCount {
@@ -269,7 +235,7 @@ pub(crate) fn filter_and_finish<Q: CandidateQueue>(
     est: Estimate,
     cfg: &TnnConfig,
     scratch: &mut QueryScratch<Q>,
-) -> TnnRun {
+) -> QueryOutcome {
     let k = overlay.len();
     // The search range is mathematically *closed*: the feasible chain that
     // produced the radius lies exactly on its boundary. Pad by a few ULPs
@@ -294,22 +260,15 @@ pub(crate) fn filter_and_finish<Q: CandidateQueue>(
     // identical to the paper pipeline; k > 2 routes go through the
     // layered sweep join).
     let layers: Vec<&[(Point, ObjectId)]> = windows.iter().map(|w| w.hits()).collect();
-    let (route, total_dist) = match crate::merge::merge_route_layers(
+    let (total_dist, route) = match crate::merge::merge_route_layers(
         join,
         crate::merge::RouteObjective::Chain,
         p,
         &layers,
         None,
     ) {
-        Some(merged) => (
-            merged
-                .stops
-                .into_iter()
-                .map(|(pt, object, _)| (pt, object))
-                .collect(),
-            Some(merged.total_dist),
-        ),
-        None => (Vec::new(), None),
+        Some(merged) => (Some(merged.total_dist), merged.into_route()),
+        None => (None, Vec::new()),
     };
 
     let mut channels: Vec<ChannelCost> = windows
@@ -332,10 +291,13 @@ pub(crate) fn filter_and_finish<Q: CandidateQueue>(
     // air. The join is local computation, which the paper neglects, so
     // retrieval starts as soon as every candidate stream is complete.
     if cfg.retrieve_answer_objects {
-        for (i, &(_, object)) in route.iter().enumerate() {
-            let (done, pages) = overlay.view(i).retrieve_object(object, filter_end);
-            channels[i].retrieve_pages = pages;
-            channels[i].finish_time = channels[i].finish_time.max(done);
+        for stop in &route {
+            let (done, pages) = overlay
+                .view(stop.channel)
+                .retrieve_object(stop.object, filter_end);
+            let cost = &mut channels[stop.channel];
+            cost.retrieve_pages = pages;
+            cost.finish_time = cost.finish_time.max(done);
         }
     }
 
@@ -346,15 +308,17 @@ pub(crate) fn filter_and_finish<Q: CandidateQueue>(
         .unwrap_or(est.end)
         .max(est.end);
 
-    TnnRun {
+    QueryOutcome {
+        kind: QueryKind::Tnn(cfg.algorithm),
         route,
         total_dist,
         search_radius: est.radius,
         issued_at,
-        estimate_end: est.end,
+        estimate_end: Some(est.end),
         completed_at,
         candidates,
         channels,
+        degraded: false,
     }
 }
 
@@ -459,9 +423,10 @@ pub(crate) fn harvest_searches<Q: CandidateQueue>(
 
 /// Property tests asserting the heap-ordered production queue and the
 /// paper-literal linear-scan reference produce **byte-identical**
-/// [`TnnRun`]s — same pages, same finish times, same answers — across all
-/// four algorithms, random datasets, phases, ANN modes, channel counts,
-/// and the arrival-tie / mid-flight-switch cases Hybrid-NN exercises.
+/// [`QueryOutcome`]s — same pages, same finish times, same answers —
+/// across all four algorithms, random datasets, phases, ANN modes,
+/// channel counts, and the arrival-tie / mid-flight-switch cases
+/// Hybrid-NN exercises.
 #[cfg(test)]
 mod equivalence_tests {
     use super::*;
@@ -687,7 +652,7 @@ mod equivalence_tests {
                     &mut QueryScratch::<ArrivalHeap>::default(),
                 )
                 .unwrap();
-                let pair = run.answer().expect("single-point channels still answer");
+                let pair = run.tnn_pair().expect("single-point channels still answer");
                 let expect = Point::new(0.0, 0.0).dist(Point::new(10.0, 10.0)) + 10.0;
                 assert!((pair.dist - expect).abs() < 1e-9, "{}", alg.name());
             }

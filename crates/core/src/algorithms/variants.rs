@@ -33,7 +33,7 @@ use super::{
 use crate::merge::{merge_route_layers, MergedRoute, RouteObjective};
 use crate::task::queue::CandidateQueue;
 use crate::task::{WindowQueryTask, WindowScratch};
-use crate::{AnnSpec, ChannelCost, TnnError, TnnPair};
+use crate::{AnnSpec, ChannelCost, QueryKind, QueryOutcome, TnnError, TnnPair};
 use serde::{Deserialize, Serialize};
 use tnn_broadcast::{PhaseOverlay, Tuner};
 use tnn_geom::{Circle, Point};
@@ -46,48 +46,6 @@ pub enum VisitOrder {
     SFirst,
     /// `p → r → s` (the reversed order).
     RFirst,
-}
-
-/// Outcome of an order-free or round-trip TNN query over `k ≥ 2`
-/// channels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct VariantRun {
-    /// The route stops in **visit order**: `(point, object, channel)`.
-    /// Order-free routes may visit channels in any order; round-trip
-    /// routes visit them in channel order (the tour closes back at `p`).
-    pub stops: Vec<(Point, ObjectId, usize)>,
-    /// Total length of the route (one-way for order-free, full tour for
-    /// round-trip).
-    pub total_dist: f64,
-    /// Filter radius used.
-    pub search_radius: f64,
-    /// Slot at which the query was issued.
-    pub issued_at: u64,
-    /// Slot at which the query finished.
-    pub completed_at: u64,
-    /// Per-channel costs, in channel order.
-    pub channels: Vec<ChannelCost>,
-}
-
-impl VariantRun {
-    /// Access time in slots.
-    pub fn access_time(&self) -> u64 {
-        self.completed_at - self.issued_at
-    }
-
-    /// Tune-in time in pages (all channels).
-    pub fn tune_in(&self) -> u64 {
-        self.channels.iter().map(|c| c.total_pages()).sum()
-    }
-
-    /// The visit order (which channel is first).
-    pub fn order(&self) -> VisitOrder {
-        if self.stops.first().is_some_and(|s| s.2 == 0) {
-            VisitOrder::SFirst
-        } else {
-            VisitOrder::RFirst
-        }
-    }
 }
 
 fn validate(overlay: &PhaseOverlay<'_>, p: Point, ann: &AnnSpec) -> Result<(), TnnError> {
@@ -145,6 +103,7 @@ fn filter<'a>(
 /// final retrieval of the answer objects' data pages.
 #[allow(clippy::too_many_arguments)] // plain accounting glue, one value per field
 fn assemble(
+    kind: QueryKind,
     overlay: &PhaseOverlay<'_>,
     issued_at: u64,
     est_tuners: &TunerVec,
@@ -152,11 +111,10 @@ fn assemble(
     est_hops: &HopStatsVec,
     filter_tuners: &[Tuner],
     filter_end: u64,
-    stops: Vec<(Point, ObjectId, usize)>,
-    total_dist: f64,
+    merged: MergedRoute,
     search_radius: f64,
     retrieve: bool,
-) -> VariantRun {
+) -> QueryOutcome {
     let k = overlay.len();
     let mut channels = vec![ChannelCost::default(); k];
     for i in 0..k {
@@ -170,11 +128,16 @@ fn assemble(
             .max(filter_tuners[i].finish_time.unwrap_or(issued_at))
             .max(est_end);
     }
+    let total_dist = Some(merged.total_dist);
+    let route = merged.into_route();
     if retrieve {
-        for &(_, object, ch) in &stops {
-            let (done, pages) = overlay.view(ch).retrieve_object(object, filter_end);
-            channels[ch].retrieve_pages += pages;
-            channels[ch].finish_time = channels[ch].finish_time.max(done);
+        for stop in &route {
+            let (done, pages) = overlay
+                .view(stop.channel)
+                .retrieve_object(stop.object, filter_end);
+            let cost = &mut channels[stop.channel];
+            cost.retrieve_pages += pages;
+            cost.finish_time = cost.finish_time.max(done);
         }
     }
     let completed_at = channels
@@ -183,13 +146,17 @@ fn assemble(
         .max()
         .unwrap_or(filter_end)
         .max(filter_end);
-    VariantRun {
-        stops,
+    QueryOutcome {
+        kind,
+        route,
         total_dist,
         search_radius,
         issued_at,
+        estimate_end: None,
         completed_at,
+        candidates: Vec::new(),
         channels,
+        degraded: false,
     }
 }
 
@@ -213,7 +180,7 @@ pub fn order_free_tnn_overlay<Q: CandidateQueue>(
     ann: &AnnSpec,
     retrieve_answer_objects: bool,
     scratch: &mut QueryScratch<Q>,
-) -> Result<VariantRun, TnnError> {
+) -> Result<QueryOutcome, TnnError> {
     validate(overlay, p, ann)?;
     let k = overlay.len();
     let (nns, est_tuners, est_end, est_hops) =
@@ -243,7 +210,7 @@ pub fn order_free_tnn_overlay<Q: CandidateQueue>(
     let filter_tuners: Vec<Tuner> = windows.iter().map(|w| *w.tuner()).collect();
 
     let layers: Vec<&[(Point, ObjectId)]> = windows.iter().map(|w| w.hits()).collect();
-    let MergedRoute { stops, total_dist } = merge_route_layers(
+    let merged = merge_route_layers(
         join,
         RouteObjective::OrderFree,
         p,
@@ -255,6 +222,7 @@ pub fn order_free_tnn_overlay<Q: CandidateQueue>(
         w.recycle(w_scratch);
     }
     Ok(assemble(
+        QueryKind::OrderFree,
         overlay,
         issued_at,
         &est_tuners,
@@ -262,8 +230,7 @@ pub fn order_free_tnn_overlay<Q: CandidateQueue>(
         &est_hops,
         &filter_tuners,
         filter_end,
-        stops,
-        total_dist,
+        merged,
         radius,
         retrieve_answer_objects,
     ))
@@ -291,7 +258,7 @@ pub fn round_trip_tnn_overlay<Q: CandidateQueue>(
     ann: &AnnSpec,
     retrieve_answer_objects: bool,
     scratch: &mut QueryScratch<Q>,
-) -> Result<VariantRun, TnnError> {
+) -> Result<QueryOutcome, TnnError> {
     validate(overlay, p, ann)?;
     let (nns, est_tuners, est_end, est_hops) =
         parallel_estimate(overlay, p, issued_at, ann, scratch)?;
@@ -304,13 +271,13 @@ pub fn round_trip_tnn_overlay<Q: CandidateQueue>(
     let filter_tuners: Vec<Tuner> = windows.iter().map(|w| *w.tuner()).collect();
 
     let layers: Vec<&[(Point, ObjectId)]> = windows.iter().map(|w| w.hits()).collect();
-    let MergedRoute { stops, total_dist } =
-        merge_route_layers(join, RouteObjective::RoundTrip, p, &layers, None)
-            .expect("the estimate tour lies inside the half-radius range");
+    let merged = merge_route_layers(join, RouteObjective::RoundTrip, p, &layers, None)
+        .expect("the estimate tour lies inside the half-radius range");
     for (w, w_scratch) in windows.into_iter().zip(window.iter_mut()) {
         w.recycle(w_scratch);
     }
     Ok(assemble(
+        QueryKind::RoundTrip,
         overlay,
         issued_at,
         &est_tuners,
@@ -318,8 +285,7 @@ pub fn round_trip_tnn_overlay<Q: CandidateQueue>(
         &est_hops,
         &filter_tuners,
         filter_end,
-        stops,
-        total_dist,
+        merged,
         d_loop * 0.5,
         retrieve_answer_objects,
     ))
@@ -368,7 +334,6 @@ pub fn round_trip_join(
 mod tests {
     use super::*;
     use crate::algorithms::permutations;
-    use crate::merge::route_length;
     use crate::task::queue::ArrivalHeap;
     use crate::AnnMode;
     use std::sync::Arc;
@@ -381,7 +346,7 @@ mod tests {
         issued_at: u64,
         ann: AnnMode,
         retrieve: bool,
-    ) -> Result<VariantRun, TnnError> {
+    ) -> Result<QueryOutcome, TnnError> {
         order_free_tnn_overlay(
             &PhaseOverlay::identity(env),
             p,
@@ -398,7 +363,7 @@ mod tests {
         issued_at: u64,
         ann: AnnMode,
         retrieve: bool,
-    ) -> Result<VariantRun, TnnError> {
+    ) -> Result<QueryOutcome, TnnError> {
         round_trip_tnn_overlay(
             &PhaseOverlay::identity(env),
             p,
@@ -407,6 +372,11 @@ mod tests {
             retrieve,
             &mut QueryScratch::<ArrivalHeap>::default(),
         )
+    }
+
+    /// Forward length `p → stop₁ → … → stop_k` of an outcome's route.
+    fn one_way(p: Point, run: &QueryOutcome) -> f64 {
+        chain_length(p, run.route.iter().map(|s| s.point))
     }
 
     fn env_k(layers: &[Vec<Point>], phases: &[u64]) -> MultiChannelEnv {
@@ -460,7 +430,7 @@ mod tests {
                         .min(p.dist(rp) + rp.dist(sp));
                 }
             }
-            assert!((run.total_dist - best).abs() < 1e-9, "query {p:?}");
+            assert!((run.total_dist.unwrap() - best).abs() < 1e-9, "query {p:?}");
         }
     }
 
@@ -482,18 +452,18 @@ mod tests {
                     }
                 }
             }
+            let total = run.total_dist.unwrap();
             assert!(
-                (run.total_dist - best).abs() < 1e-9,
-                "query {p:?}: got {} expected {best}",
-                run.total_dist
+                (total - best).abs() < 1e-9,
+                "query {p:?}: got {total} expected {best}"
             );
-            assert_eq!(run.stops.len(), 3);
+            assert_eq!(run.route.len(), 3);
             // The stops visit each channel exactly once.
-            let mut seen: Vec<usize> = run.stops.iter().map(|s| s.2).collect();
+            let mut seen: Vec<usize> = run.route.iter().map(|s| s.channel).collect();
             seen.sort_unstable();
             assert_eq!(seen, vec![0, 1, 2]);
             // The reported total is realized by the reported stops.
-            assert!((route_length(p, &run.stops) - run.total_dist).abs() < 1e-9);
+            assert!((one_way(p, &run) - total).abs() < 1e-9);
         }
     }
 
@@ -505,7 +475,7 @@ mod tests {
         let p = Point::new(77.0, 99.0);
         let free = order_free(&e, p, 0, AnnMode::Exact, false).unwrap();
         let fixed = crate::exact_tnn(p, e.channel(0).tree(), e.channel(1).tree());
-        assert!(free.total_dist <= fixed.dist + 1e-9);
+        assert!(free.total_dist.unwrap() <= fixed.dist + 1e-9);
     }
 
     #[test]
@@ -518,9 +488,9 @@ mod tests {
         let e = env(&s, &r);
         let p = Point::new(0.0, 0.0);
         let run = order_free(&e, p, 0, AnnMode::Exact, false).unwrap();
-        assert_eq!(run.order(), VisitOrder::RFirst);
-        assert_eq!(run.stops[0].2, 1);
-        assert_eq!(run.stops[1].2, 0);
+        assert_eq!(run.visit_order(), Some(VisitOrder::RFirst));
+        assert_eq!(run.route[0].channel, 1);
+        assert_eq!(run.route[1].channel, 0);
     }
 
     #[test]
@@ -537,7 +507,7 @@ mod tests {
                     best = best.min(p.dist(sp) + sp.dist(rp) + rp.dist(p));
                 }
             }
-            assert!((run.total_dist - best).abs() < 1e-9, "query {p:?}");
+            assert!((run.total_dist.unwrap() - best).abs() < 1e-9, "query {p:?}");
         }
     }
 
@@ -556,19 +526,18 @@ mod tests {
                     }
                 }
             }
+            let total = run.total_dist.unwrap();
             assert!(
-                (run.total_dist - best).abs() < 1e-9,
-                "query {p:?}: got {} expected {best}",
-                run.total_dist
+                (total - best).abs() < 1e-9,
+                "query {p:?}: got {total} expected {best}"
             );
             // Channel order, closed at p.
             assert_eq!(
-                run.stops.iter().map(|s| s.2).collect::<Vec<_>>(),
+                run.route.iter().map(|s| s.channel).collect::<Vec<_>>(),
                 vec![0, 1, 2]
             );
-            let one_way = route_length(p, &run.stops);
-            let back = run.stops.last().unwrap().0.dist(p);
-            assert!((one_way + back - run.total_dist).abs() < 1e-9);
+            let back = run.route.last().unwrap().point.dist(p);
+            assert!((one_way(p, &run) + back - total).abs() < 1e-9);
         }
     }
 
@@ -579,7 +548,7 @@ mod tests {
         let p = Point::new(111.0, 55.0);
         let run_sr = round_trip(&env(&s, &r), p, 0, AnnMode::Exact, false).unwrap();
         let run_rs = round_trip(&env(&r, &s), p, 0, AnnMode::Exact, false).unwrap();
-        assert!((run_sr.total_dist - run_rs.total_dist).abs() < 1e-9);
+        assert!((run_sr.total_dist.unwrap() - run_rs.total_dist.unwrap()).abs() < 1e-9);
     }
 
     #[test]
@@ -590,7 +559,7 @@ mod tests {
         let p = Point::new(60.0, 60.0);
         let rt = round_trip(&e, p, 0, AnnMode::Exact, false).unwrap();
         let ow = crate::exact_tnn(p, e.channel(0).tree(), e.channel(1).tree());
-        assert!(rt.total_dist >= ow.dist - 1e-9);
+        assert!(rt.total_dist.unwrap() >= ow.dist - 1e-9);
     }
 
     #[test]

@@ -212,7 +212,7 @@ mod tests {
             &mut fresh(),
         )
         .unwrap();
-        let got = run.answer().expect("window-based never fails");
+        let got = run.tnn_pair().expect("window-based never fails");
         let oracle = crate::exact_tnn(p, e.channel(0).tree(), e.channel(1).tree());
         assert!((got.dist - oracle.dist).abs() < 1e-9);
     }

@@ -42,11 +42,10 @@
 //! batch runners that own one scratch per worker.
 
 use crate::algorithms::{
-    order_free_tnn_overlay, round_trip_tnn_overlay, run_query_overlay, QueryScratch, VariantRun,
-    VisitOrder,
+    order_free_tnn_overlay, round_trip_tnn_overlay, run_query_overlay, QueryScratch, VisitOrder,
 };
 use crate::task::queue::{ArrivalHeap, CandidateQueue};
-use crate::{Algorithm, AnnMode, AnnSpec, ChannelCost, TnnConfig, TnnError, TnnPair, TnnRun};
+use crate::{Algorithm, AnnMode, AnnSpec, ChannelCost, TnnConfig, TnnError, TnnPair};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, RwLock};
 use tnn_broadcast::{MultiChannelEnv, PhaseOverlay, PhaseVec};
@@ -246,13 +245,14 @@ pub struct RouteStop {
     pub channel: usize,
 }
 
-/// The unified result of any engine query — subsumes the pipeline-level
-/// [`TnnRun`] and [`VariantRun`] shapes, with per-hop channel costs.
+/// The one result shape of every query pipeline and of the engine, with
+/// per-hop channel costs.
 ///
-/// Converting a pipeline result into a `QueryOutcome` (via `From`) is
-/// lossless for every metric the evaluation uses; the equivalence gate in
-/// `crates/bench/tests` asserts the engine's two-channel outcomes are
-/// byte-identical to a frozen copy of the paper's pipeline.
+/// The TNN pipeline ([`crate::run_query_overlay`]) and the order-free
+/// and round-trip pipelines build it directly from the merged route; the
+/// equivalence gate in `crates/bench/tests` asserts the engine's
+/// two-channel outcomes are byte-identical to a frozen copy of the
+/// paper's pipeline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueryOutcome {
     /// What was asked.
@@ -378,64 +378,6 @@ impl QueryOutcome {
                 VisitOrder::RFirst
             }
         })
-    }
-}
-
-impl From<TnnRun> for QueryOutcome {
-    fn from(run: TnnRun) -> Self {
-        QueryOutcome {
-            // The algorithm is not recorded in a TnnRun; Hybrid-NN is the
-            // default request kind. Engine-produced outcomes overwrite
-            // this with the actual request kind.
-            kind: QueryKind::Tnn(Algorithm::HybridNn),
-            route: run
-                .route
-                .into_iter()
-                .enumerate()
-                .map(|(channel, (point, object))| RouteStop {
-                    point,
-                    object,
-                    channel,
-                })
-                .collect(),
-            total_dist: run.total_dist,
-            search_radius: run.search_radius,
-            issued_at: run.issued_at,
-            estimate_end: Some(run.estimate_end),
-            completed_at: run.completed_at,
-            candidates: run.candidates,
-            channels: run.channels,
-            degraded: false,
-        }
-    }
-}
-
-impl From<VariantRun> for QueryOutcome {
-    fn from(run: VariantRun) -> Self {
-        QueryOutcome {
-            // A VariantRun does not record which variant produced it;
-            // order-free is the kind that exposes both stop orders.
-            // Engine-produced outcomes overwrite this with the actual
-            // request kind.
-            kind: QueryKind::OrderFree,
-            route: run
-                .stops
-                .into_iter()
-                .map(|(point, object, channel)| RouteStop {
-                    point,
-                    object,
-                    channel,
-                })
-                .collect(),
-            total_dist: Some(run.total_dist),
-            search_radius: run.search_radius,
-            issued_at: run.issued_at,
-            estimate_end: None,
-            completed_at: run.completed_at,
-            candidates: Vec::new(),
-            channels: run.channels,
-            degraded: false,
-        }
     }
 }
 
@@ -621,7 +563,7 @@ impl<Q: CandidateQueue> QueryEngine<Q> {
                     ann: query.ann.modes(k),
                     retrieve_answer_objects: query.retrieve_answer_objects,
                 };
-                run_query_overlay(&overlay, query.point, query.issued_at, &cfg, scratch)?.into()
+                run_query_overlay(&overlay, query.point, query.issued_at, &cfg, scratch)?
             }
             QueryKind::OrderFree => order_free_tnn_overlay(
                 &overlay,
@@ -630,8 +572,7 @@ impl<Q: CandidateQueue> QueryEngine<Q> {
                 &query.ann,
                 query.retrieve_answer_objects,
                 scratch,
-            )?
-            .into(),
+            )?,
             QueryKind::RoundTrip => round_trip_tnn_overlay(
                 &overlay,
                 query.point,
@@ -639,9 +580,10 @@ impl<Q: CandidateQueue> QueryEngine<Q> {
                 &query.ann,
                 query.retrieve_answer_objects,
                 scratch,
-            )?
-            .into(),
+            )?,
         };
+        // The pipelines tag their own kind; a chained query ran the
+        // Double-NN pipeline and reports as `Chain`.
         outcome.kind = query.kind;
         Ok(outcome)
     }
@@ -735,9 +677,7 @@ mod tests {
             let got = engine
                 .run(&Query::tnn(p).algorithm(alg).issued_at(5))
                 .unwrap();
-            let mut expect = QueryOutcome::from(core);
-            expect.kind = QueryKind::Tnn(alg);
-            assert_eq!(got, expect, "{}", alg.name());
+            assert_eq!(got, core, "{}", alg.name());
             assert_eq!(got.kind, QueryKind::Tnn(alg));
         }
     }
@@ -847,7 +787,7 @@ mod tests {
                     .ann_modes(&modes),
             )
             .unwrap();
-        assert_eq!(got.tnn_pair(), core.answer());
+        assert_eq!(got.tnn_pair(), core.tnn_pair());
         assert_eq!(got.tune_in(), core.tune_in());
         // The uniform spec materializes to the same modes at any k.
         assert_eq!(
@@ -1111,36 +1051,128 @@ mod tests {
         let _ = engine.run(&Query::tnn(Point::ORIGIN).ann_modes(&[AnnMode::Exact; 3]));
     }
 
+    /// The accessors of a real engine outcome agree with its raw
+    /// per-channel fields.
     #[test]
     fn outcome_metrics_match_core_run_accessors() {
-        let env = two_channel();
-        let engine = QueryEngine::new(env.clone());
-        let p = Point::new(33.0, 44.0);
-        let core = run_query_impl(
-            &env,
-            p,
-            9,
-            &TnnConfig::default(),
-            &mut QueryScratch::<ArrivalHeap>::default(),
-        )
-        .unwrap();
-        let got = engine.run(&Query::tnn(p).issued_at(9)).unwrap();
-        assert_eq!(got.access_time(), core.access_time());
-        assert_eq!(got.tune_in(), core.tune_in());
-        assert_eq!(got.tune_in_estimate(), core.tune_in_estimate());
-        assert_eq!(got.tune_in_filter(), core.tune_in_filter());
+        let engine = QueryEngine::new(two_channel());
+        let got = engine
+            .run(&Query::tnn(Point::new(33.0, 44.0)).issued_at(9))
+            .unwrap();
+        let c = &got.channels;
+        assert_eq!(got.access_time(), got.completed_at - 9);
+        assert_eq!(got.tune_in(), c[0].total_pages() + c[1].total_pages());
+        assert_eq!(
+            got.tune_in_estimate(),
+            c[0].estimate_pages + c[1].estimate_pages
+        );
+        assert_eq!(got.tune_in_filter(), c[0].filter_pages + c[1].filter_pages);
         assert_eq!(
             got.total_candidates(),
-            core.candidates[0] + core.candidates[1]
+            got.candidates[0] + got.candidates[1]
         );
-        assert_eq!(got.failed(), core.failed());
-        assert_eq!(got.estimate_end, Some(core.estimate_end));
-        assert_eq!(got.peak_queue(), core.peak_queue());
-        assert_eq!(got.prune_hits(), core.prune_hits());
+        assert!(!got.failed());
+        let estimate_end = got.estimate_end.expect("TNN outcomes record it");
+        assert!((9..=got.completed_at).contains(&estimate_end));
+        assert_eq!(got.peak_queue(), c[0].peak_queue.max(c[1].peak_queue));
+        assert_eq!(got.prune_hits(), c[0].prune_hits + c[1].prune_hits);
         assert_eq!(
             got.node_visits(),
-            core.tune_in_estimate() + core.tune_in_filter()
+            got.tune_in() - c[0].retrieve_pages - c[1].retrieve_pages
         );
+    }
+
+    /// A hand-built two-channel outcome with no route (a failed query).
+    fn sample_outcome() -> QueryOutcome {
+        QueryOutcome {
+            kind: QueryKind::Tnn(Algorithm::HybridNn),
+            route: Vec::new(),
+            total_dist: None,
+            search_radius: 10.0,
+            issued_at: 100,
+            estimate_end: Some(150),
+            completed_at: 260,
+            candidates: vec![3, 4],
+            channels: vec![
+                ChannelCost {
+                    estimate_pages: 5,
+                    filter_pages: 7,
+                    retrieve_pages: 16,
+                    finish_time: 260,
+                    peak_queue: 9,
+                    prune_hits: 4,
+                },
+                ChannelCost {
+                    estimate_pages: 2,
+                    filter_pages: 3,
+                    retrieve_pages: 16,
+                    finish_time: 250,
+                    peak_queue: 11,
+                    prune_hits: 1,
+                },
+            ],
+            degraded: false,
+        }
+    }
+
+    fn stop(x: f64, object: u32, channel: usize) -> RouteStop {
+        RouteStop {
+            point: Point::new(x, 0.0),
+            object: ObjectId(object),
+            channel,
+        }
+    }
+
+    #[test]
+    fn metric_arithmetic() {
+        let run = sample_outcome();
+        assert_eq!(run.access_time(), 160);
+        assert_eq!(run.tune_in(), 5 + 7 + 16 + 2 + 3 + 16);
+        assert_eq!(run.tune_in_estimate(), 7);
+        assert_eq!(run.tune_in_filter(), 10);
+        assert_eq!(run.node_visits(), 17);
+        assert_eq!(run.peak_queue(), 11, "max over channels");
+        assert_eq!(run.prune_hits(), 5, "sum over channels");
+        assert_eq!(run.total_candidates(), 7);
+        assert!(run.failed());
+        assert!(run.tnn_pair().is_none());
+        assert!(run.visit_order().is_none(), "no route, no order");
+        assert_eq!(run.channels[0].total_pages(), 28);
+    }
+
+    #[test]
+    fn answer_pair_only_for_two_stop_routes() {
+        let mut run = sample_outcome();
+        run.route = vec![stop(1.0, 4, 0), stop(2.0, 9, 1)];
+        run.total_dist = Some(2.0);
+        let pair = run.tnn_pair().expect("two stops form a pair");
+        assert_eq!(pair.s, (Point::new(1.0, 0.0), ObjectId(4)));
+        assert_eq!(pair.r, (Point::new(2.0, 0.0), ObjectId(9)));
+        assert_eq!(pair.dist, 2.0);
+        run.route.push(stop(3.0, 1, 2));
+        assert!(run.tnn_pair().is_none(), "3-hop routes do not fit a pair");
+        assert!(!run.failed());
+    }
+
+    #[test]
+    fn tnn_pair_is_none_for_non_tnn_kinds() {
+        let mut run = sample_outcome();
+        run.route = vec![stop(1.0, 4, 0), stop(2.0, 9, 1)];
+        run.total_dist = Some(2.0);
+        assert!(run.tnn_pair().is_some());
+        for kind in [QueryKind::Chain, QueryKind::OrderFree, QueryKind::RoundTrip] {
+            run.kind = kind;
+            assert!(run.tnn_pair().is_none(), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn visit_order_follows_the_first_stop() {
+        let mut run = sample_outcome();
+        run.route = vec![stop(1.0, 4, 0), stop(2.0, 9, 1)];
+        assert_eq!(run.visit_order(), Some(VisitOrder::SFirst));
+        run.route.reverse();
+        assert_eq!(run.visit_order(), Some(VisitOrder::RFirst));
     }
 
     /// The paper's §4.2.4 client-memory bound `(H−1)(M−1)`, observed

@@ -90,17 +90,14 @@ pub use join::{chain_join, chain_loop_join, tnn_join};
 pub use key::QueryKey;
 pub use merge::{merge_route_layers, MergedRoute, RouteObjective};
 pub use mode::SearchMode;
-pub use result::{ChannelCost, Phase, TnnPair, TnnRun};
+pub use result::{ChannelCost, TnnPair};
 
 pub use algorithms::{
     approximate_radius, approximate_radius_for_env, order_free_tnn_overlay, round_trip_join,
-    round_trip_tnn_overlay, run_query_impl, run_query_overlay, QueryScratch, VariantRun,
-    VisitOrder,
+    round_trip_tnn_overlay, run_query_impl, run_query_overlay, QueryScratch, VisitOrder,
 };
 pub use join::{chain_join_with, chain_loop_join_with, tnn_join_with, JoinScratch};
 pub use task::{ArrivalHeap, CandidateQueue};
 
-#[cfg(feature = "linear-reference")]
-pub use algorithms::{run_query_linear, run_query_linear_with};
 #[cfg(feature = "linear-reference")]
 pub use task::LinearQueue;

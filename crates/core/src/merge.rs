@@ -35,7 +35,7 @@
 
 use crate::algorithms::permutations;
 use crate::join::{chain_join_with, chain_loop_join_with, tnn_join_with, JoinScratch};
-use crate::round_trip_join;
+use crate::{round_trip_join, RouteStop};
 use tnn_geom::Point;
 use tnn_rtree::ObjectId;
 
@@ -66,6 +66,21 @@ pub struct MergedRoute {
     /// The objective value of `stops` (for `RoundTrip` including the
     /// return leg to `p`).
     pub total_dist: f64,
+}
+
+impl MergedRoute {
+    /// The stops as [`RouteStop`]s in visit order — the route of a
+    /// [`crate::QueryOutcome`].
+    pub fn into_route(self) -> Vec<RouteStop> {
+        self.stops
+            .into_iter()
+            .map(|(point, object, channel)| RouteStop {
+                point,
+                object,
+                channel,
+            })
+            .collect()
+    }
 }
 
 /// Merges per-layer candidate lists into the minimum-objective route —

@@ -16,17 +16,6 @@ pub struct TnnPair {
     pub dist: f64,
 }
 
-/// The phases of the estimate–filter paradigm, for cost breakdowns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Phase {
-    /// Search-range estimation (the NN searches).
-    Estimate,
-    /// Candidate retrieval (the window queries).
-    Filter,
-    /// Final download of the two answer objects' data pages.
-    Retrieve,
-}
-
 /// Per-channel cost accounting for one query.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChannelCost {
@@ -51,159 +40,5 @@ impl ChannelCost {
     /// Total pages downloaded on this channel (its tune-in time).
     pub fn total_pages(&self) -> u64 {
         self.estimate_pages + self.filter_pages + self.retrieve_pages
-    }
-}
-
-/// The outcome of one TNN query execution over `k ≥ 2` channels.
-///
-/// The paper's two-channel special case (`p → s → r`) is `k = 2`; the
-/// generalized core runs the same estimate–filter–join pipeline over a
-/// `k`-hop route `p → s₁ → … → s_k` with `sᵢ` drawn from channel `i`'s
-/// dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TnnRun {
-    /// The answer route, one stop per channel in channel (= visit) order;
-    /// empty when the algorithm failed to produce one (only possible for
-    /// Approximate-TNN on unlucky ranges).
-    pub route: Vec<(Point, ObjectId)>,
-    /// Total route length `dis(p, s₁) + Σ dis(sᵢ, sᵢ₊₁)`, or `None` when
-    /// the query failed.
-    pub total_dist: Option<f64>,
-    /// The search radius `d` used by the filter phase.
-    pub search_radius: f64,
-    /// Slot at which the query was issued.
-    pub issued_at: u64,
-    /// Slot at which the estimate phase finished (equals `issued_at` for
-    /// Approximate-TNN, which computes its radius locally).
-    pub estimate_end: u64,
-    /// Slot at which the whole query finished (max over channels).
-    pub completed_at: u64,
-    /// Number of candidates retrieved by the filter phase from each
-    /// channel.
-    pub candidates: Vec<usize>,
-    /// Per-channel cost breakdown.
-    pub channels: Vec<ChannelCost>,
-}
-
-impl TnnRun {
-    /// **Access time** (paper metric): elapsed slots from query issue to
-    /// completion — "the larger of the access times in both channels".
-    pub fn access_time(&self) -> u64 {
-        self.completed_at - self.issued_at
-    }
-
-    /// **Tune-in time** (paper metric): total pages downloaded — "the sum
-    /// of two tune-in times in both channels".
-    pub fn tune_in(&self) -> u64 {
-        self.channels.iter().map(|c| c.total_pages()).sum()
-    }
-
-    /// Tune-in time of the estimate phase only (all channels).
-    pub fn tune_in_estimate(&self) -> u64 {
-        self.channels.iter().map(|c| c.estimate_pages).sum()
-    }
-
-    /// Tune-in time of the filter phase only (all channels).
-    pub fn tune_in_filter(&self) -> u64 {
-        self.channels.iter().map(|c| c.filter_pages).sum()
-    }
-
-    /// Peak client-queue occupancy over all channels — the paper's
-    /// `(H−1)(M−1)`-bounded client-memory metric for the whole query.
-    pub fn peak_queue(&self) -> u64 {
-        self.channels
-            .iter()
-            .map(|c| c.peak_queue)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Total delayed-pruning hits across channels (§4.2.4).
-    pub fn prune_hits(&self) -> u64 {
-        self.channels.iter().map(|c| c.prune_hits).sum()
-    }
-
-    /// `true` when the algorithm produced no answer at all.
-    pub fn failed(&self) -> bool {
-        self.route.is_empty()
-    }
-
-    /// The answer as a classic two-channel [`TnnPair`]; `None` for failed
-    /// queries and for `k > 2` routes (read [`TnnRun::route`] instead).
-    pub fn answer(&self) -> Option<TnnPair> {
-        match self.route.as_slice() {
-            [s, r] => Some(TnnPair {
-                s: *s,
-                r: *r,
-                dist: self.total_dist?,
-            }),
-            _ => None,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_run() -> TnnRun {
-        TnnRun {
-            route: Vec::new(),
-            total_dist: None,
-            search_radius: 10.0,
-            issued_at: 100,
-            estimate_end: 150,
-            completed_at: 260,
-            candidates: vec![3, 4],
-            channels: vec![
-                ChannelCost {
-                    estimate_pages: 5,
-                    filter_pages: 7,
-                    retrieve_pages: 16,
-                    finish_time: 260,
-                    peak_queue: 9,
-                    prune_hits: 4,
-                },
-                ChannelCost {
-                    estimate_pages: 2,
-                    filter_pages: 3,
-                    retrieve_pages: 16,
-                    finish_time: 250,
-                    peak_queue: 11,
-                    prune_hits: 1,
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn metric_arithmetic() {
-        let run = sample_run();
-        assert_eq!(run.access_time(), 160);
-        assert_eq!(run.tune_in(), 5 + 7 + 16 + 2 + 3 + 16);
-        assert_eq!(run.tune_in_estimate(), 7);
-        assert_eq!(run.tune_in_filter(), 10);
-        assert_eq!(run.peak_queue(), 11, "max over channels");
-        assert_eq!(run.prune_hits(), 5, "sum over channels");
-        assert!(run.failed());
-        assert!(run.answer().is_none());
-        assert_eq!(run.channels[0].total_pages(), 28);
-    }
-
-    #[test]
-    fn answer_pair_only_for_two_stop_routes() {
-        let mut run = sample_run();
-        run.route = vec![
-            (Point::new(1.0, 0.0), ObjectId(4)),
-            (Point::new(2.0, 0.0), ObjectId(9)),
-        ];
-        run.total_dist = Some(2.0);
-        let pair = run.answer().expect("two stops form a pair");
-        assert_eq!(pair.s.1, ObjectId(4));
-        assert_eq!(pair.r.1, ObjectId(9));
-        assert_eq!(pair.dist, 2.0);
-        run.route.push((Point::new(3.0, 0.0), ObjectId(1)));
-        assert!(run.answer().is_none(), "3-hop routes do not fit a pair");
-        assert!(!run.failed());
     }
 }

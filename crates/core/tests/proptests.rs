@@ -13,7 +13,7 @@ use std::sync::Arc;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
 use tnn_core::{
     exact_chain_tnn, exact_tnn, run_query_impl, Algorithm, AnnMode, Query, QueryEngine,
-    QueryScratch, TnnConfig, TnnRun,
+    QueryOutcome, QueryScratch, TnnConfig,
 };
 use tnn_geom::Point;
 use tnn_rtree::{PackingAlgorithm, RTree};
@@ -71,7 +71,7 @@ fn build_env_k(layers: &[Vec<Point>], phases: &[u64], page: usize) -> MultiChann
     MultiChannelEnv::new(trees, params, phases)
 }
 
-fn run(env: &MultiChannelEnv, p: Point, issued_at: u64, cfg: &TnnConfig) -> TnnRun {
+fn run(env: &MultiChannelEnv, p: Point, issued_at: u64, cfg: &TnnConfig) -> QueryOutcome {
     let mut scratch: QueryScratch = QueryScratch::default();
     run_query_impl(env, p, issued_at, cfg, &mut scratch).unwrap()
 }
@@ -86,7 +86,7 @@ proptest! {
         let oracle = exact_tnn(sc.query, env.channel(0).tree(), env.channel(1).tree());
         for alg in [Algorithm::WindowBased, Algorithm::DoubleNn, Algorithm::HybridNn] {
             let run = run(&env, sc.query, sc.issued_at, &TnnConfig::exact(alg));
-            let got = run.answer().unwrap_or_else(|| panic!("{} failed", alg.name()));
+            let got = run.tnn_pair().unwrap_or_else(|| panic!("{} failed", alg.name()));
             prop_assert!(
                 (got.dist - oracle.dist).abs() < 1e-9,
                 "{}: got {} expected {}",
@@ -104,7 +104,7 @@ proptest! {
         for alg in [Algorithm::WindowBased, Algorithm::DoubleNn, Algorithm::HybridNn] {
             let cfg = TnnConfig::exact(alg)
                 .with_ann_modes(&[AnnMode::Dynamic { factor }; 2]);
-            let got = run(&env, sc.query, sc.issued_at, &cfg).answer().unwrap();
+            let got = run(&env, sc.query, sc.issued_at, &cfg).tnn_pair().unwrap();
             prop_assert!(
                 (got.dist - oracle.dist).abs() < 1e-9,
                 "{} + ANN({factor}): got {} expected {}",
@@ -122,7 +122,7 @@ proptest! {
         let env = build_env(&sc);
         for alg in Algorithm::ALL {
             let run = run(&env, sc.query, sc.issued_at, &TnnConfig::exact(alg));
-            if let Some(pair) = run.answer() {
+            if let Some(pair) = run.tnn_pair() {
                 let recomputed = sc.query.dist(pair.s.0) + pair.s.0.dist(pair.r.0);
                 prop_assert!((recomputed - pair.dist).abs() < 1e-9);
                 // Theorem 1: candidates are drawn from circle(p, d).
@@ -145,11 +145,12 @@ proptest! {
         for alg in Algorithm::ALL {
             let run = run(&env, sc.query, sc.issued_at, &TnnConfig::exact(alg));
             prop_assert!(run.issued_at == sc.issued_at);
-            prop_assert!(run.estimate_end >= run.issued_at);
-            prop_assert!(run.completed_at >= run.estimate_end);
+            let estimate_end = run.estimate_end.unwrap();
+            prop_assert!(estimate_end >= run.issued_at);
+            prop_assert!(run.completed_at >= estimate_end);
             let per_channel: u64 = run.channels.iter().map(|c| c.total_pages()).sum();
             prop_assert_eq!(per_channel, run.tune_in());
-            prop_assert!(run.access_time() >= run.estimate_end - run.issued_at);
+            prop_assert!(run.access_time() >= estimate_end - run.issued_at);
             // Exact algorithms always answer.
             if alg.is_exact() {
                 prop_assert!(!run.failed());
@@ -170,7 +171,7 @@ proptest! {
         for alg in [Algorithm::WindowBased, Algorithm::DoubleNn] {
             let run_a = run(&env_a, sc.query, sc.issued_at, &TnnConfig::exact(alg));
             let run_b = run(&env_b, sc.query, sc.issued_at, &TnnConfig::exact(alg));
-            let (a, b) = (run_a.answer().unwrap(), run_b.answer().unwrap());
+            let (a, b) = (run_a.tnn_pair().unwrap(), run_b.tnn_pair().unwrap());
             prop_assert!((a.dist - b.dist).abs() < 1e-9, "{}", alg.name());
         }
     }
@@ -184,8 +185,8 @@ proptest! {
         let run = run(&env, sc.query, sc.issued_at,
             &TnnConfig::exact(Algorithm::ApproximateTnn));
         prop_assert_eq!(run.tune_in_estimate(), 0);
-        prop_assert_eq!(run.estimate_end, sc.issued_at);
-        if let Some(pair) = run.answer() {
+        prop_assert_eq!(run.estimate_end, Some(sc.issued_at));
+        if let Some(pair) = run.tnn_pair() {
             prop_assert!(sc.query.dist(pair.s.0) <= run.search_radius + 1e-9);
             prop_assert!(sc.query.dist(pair.r.0) <= run.search_radius + 1e-9);
         }
@@ -248,8 +249,8 @@ proptest! {
             );
             // Every stop lies inside the filter circle (Theorem 1,
             // generalized).
-            for &(pt, _) in &run.route {
-                prop_assert!(p.dist(pt) <= run.search_radius + 1e-9);
+            for stop in &run.route {
+                prop_assert!(p.dist(stop.point) <= run.search_radius + 1e-9);
             }
         }
     }
@@ -293,9 +294,9 @@ proptest! {
             // The route realizes the total.
             let mut recomputed = 0.0;
             let mut prev = p;
-            for &(pt, _) in &run.route {
-                recomputed += prev.dist(pt);
-                prev = pt;
+            for stop in &run.route {
+                recomputed += prev.dist(stop.point);
+                prev = stop.point;
             }
             prop_assert!((recomputed - got).abs() < 1e-9);
         }

@@ -15,10 +15,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tnn_broadcast::MultiChannelEnv;
-use tnn_core::{
-    Algorithm, ArrivalHeap, CandidateQueue, Query, QueryEngine, QueryKey, QueryOutcome,
-    QueryScratch, TnnError,
-};
+use tnn_core::{Algorithm, Query, QueryEngine, QueryKey, QueryOutcome, QueryScratch, TnnError};
 use tnn_faults::{FaultInjector, FaultPlan, FaultStats};
 use tnn_qos::{
     Deadline, FlightOutcome, FlightTable, Lookup, MultiLevelQueue, Priority, Qos, ResultCache,
@@ -546,15 +543,15 @@ struct Inner {
 /// assert!(stats.conserved());
 /// assert_eq!(stats.cache_hits, 1);
 /// ```
-pub struct Server<Q: CandidateQueue + 'static = ArrivalHeap> {
+pub struct Server {
     inner: Arc<Inner>,
-    engine: QueryEngine<Q>,
+    engine: QueryEngine,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl Server<ArrivalHeap> {
-    /// Spawns a server over `env` with the production heap-ordered queue
-    /// backend. See [`Server::spawn_engine`] for the full contract.
+impl Server {
+    /// Spawns a server over `env`. See [`Server::spawn_engine`] for the
+    /// full contract.
     pub fn spawn(env: MultiChannelEnv, config: ServeConfig) -> Self {
         Server::spawn_engine(QueryEngine::new(env), config)
     }
@@ -565,9 +562,7 @@ impl Server<ArrivalHeap> {
     pub fn spawn_with_faults(env: MultiChannelEnv, config: ServeConfig, plan: FaultPlan) -> Self {
         Server::spawn_engine_with_faults(QueryEngine::new(env), config, plan)
     }
-}
 
-impl<Q: CandidateQueue + 'static> Server<Q> {
     /// Spawns `config.workers` worker threads over (clones of) `engine`.
     ///
     /// `config.workers = 0` is allowed and means a *paused* server:
@@ -575,7 +570,7 @@ impl<Q: CandidateQueue + 'static> Server<Q> {
     /// executes; [`Server::shutdown`] then resolves the backlog as
     /// cancelled regardless of mode. `queue_capacity` and `batch_window`
     /// are clamped to at least 1.
-    pub fn spawn_engine(engine: QueryEngine<Q>, config: ServeConfig) -> Self {
+    pub fn spawn_engine(engine: QueryEngine, config: ServeConfig) -> Self {
         Server::spawn_engine_faulted(engine, config, None)
     }
 
@@ -592,7 +587,7 @@ impl<Q: CandidateQueue + 'static> Server<Q> {
     /// (gated by `crates/bench/tests/fault_equivalence.rs`). Read the
     /// injected-fault tallies back with [`Server::fault_stats`].
     pub fn spawn_engine_with_faults(
-        engine: QueryEngine<Q>,
+        engine: QueryEngine,
         config: ServeConfig,
         plan: FaultPlan,
     ) -> Self {
@@ -600,7 +595,7 @@ impl<Q: CandidateQueue + 'static> Server<Q> {
     }
 
     fn spawn_engine_faulted(
-        engine: QueryEngine<Q>,
+        engine: QueryEngine,
         config: ServeConfig,
         faults: Option<FaultInjector>,
     ) -> Self {
@@ -658,7 +653,7 @@ impl<Q: CandidateQueue + 'static> Server<Q> {
 
     /// The engine the workers execute against (workers hold O(1) clones
     /// sharing this environment).
-    pub fn engine(&self) -> &QueryEngine<Q> {
+    pub fn engine(&self) -> &QueryEngine {
         &self.engine
     }
 
@@ -1169,7 +1164,7 @@ impl<Q: CandidateQueue + 'static> Server<Q> {
     }
 }
 
-impl<Q: CandidateQueue + 'static> Drop for Server<Q> {
+impl Drop for Server {
     fn drop(&mut self) {
         let live = !self
             .workers
@@ -1263,7 +1258,7 @@ enum Executed {
 /// pool-wide. Beyond the bound the server assumes a crash loop and fails
 /// closed: emergency [`ShutdownMode::Cancel`] so submitters fail fast
 /// instead of feeding a dying pool.
-fn worker_loop<Q: CandidateQueue>(inner: &Inner, engine: &QueryEngine<Q>) {
+fn worker_loop(inner: &Inner, engine: &QueryEngine) {
     loop {
         if catch_unwind(AssertUnwindSafe(|| worker_rounds(inner, engine))).is_ok() {
             return; // clean shutdown
@@ -1294,7 +1289,7 @@ fn worker_loop<Q: CandidateQueue>(inner: &Inner, engine: &QueryEngine<Q>) {
 /// non-degraded outcomes), resolve each ticket, repeat until shutdown.
 /// May unwind mid-batch under an injected worker kill; [`worker_loop`]
 /// catches and respawns.
-fn worker_rounds<Q: CandidateQueue>(inner: &Inner, engine: &QueryEngine<Q>) {
+fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
     let mut scratch = engine.scratch();
     let mut local: Vec<Job> = Vec::with_capacity(inner.config.batch_window);
     'serve: loop {
@@ -1574,12 +1569,12 @@ struct LadderTimings {
 /// [`RetryBudget`], and the job's deadline — a retry never outlives the
 /// submitter's deadline), and exhausting the ladder falls through to the
 /// configured [`Degradation`].
-fn run_job<Q: CandidateQueue>(
+fn run_job(
     inner: &Inner,
-    engine: &QueryEngine<Q>,
+    engine: &QueryEngine,
     env: &MultiChannelEnv,
     job: &Job,
-    scratch: &mut QueryScratch<Q>,
+    scratch: &mut QueryScratch,
     timings: &mut LadderTimings,
 ) -> Executed {
     let Some(faults) = &inner.faults else {
@@ -1634,11 +1629,11 @@ fn run_job<Q: CandidateQueue>(
 /// [`TnnError::Internal`] instead of killing the worker, and the scratch
 /// — which may hold arbitrary partial state after an unwind — is
 /// replaced before reuse.
-fn run_isolated<Q: CandidateQueue>(
-    engine: &QueryEngine<Q>,
+fn run_isolated(
+    engine: &QueryEngine,
     env: &MultiChannelEnv,
     query: &Query,
-    scratch: &mut QueryScratch<Q>,
+    scratch: &mut QueryScratch,
     inject_panic: bool,
 ) -> Result<QueryOutcome, TnnError> {
     let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -1663,12 +1658,12 @@ fn run_isolated<Q: CandidateQueue>(
 /// model a replica or a cheaper code path that does not contend for the
 /// faulty channels), and any outcome they produce is tagged
 /// [`QueryOutcome::degraded`] — delivered to the client, never cached.
-fn degrade<Q: CandidateQueue>(
+fn degrade(
     inner: &Inner,
-    engine: &QueryEngine<Q>,
+    engine: &QueryEngine,
     env: &MultiChannelEnv,
     job: &Job,
-    scratch: &mut QueryScratch<Q>,
+    scratch: &mut QueryScratch,
     err: TnnError,
 ) -> Result<QueryOutcome, TnnError> {
     let fallback = match inner.config.degradation {

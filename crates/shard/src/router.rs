@@ -35,8 +35,8 @@ use std::sync::{Mutex, RwLock};
 use std::time::Duration;
 use tnn_broadcast::MultiChannelEnv;
 use tnn_core::{
-    approximate_radius_for_env, merge_route_layers, Algorithm, ArrivalHeap, CandidateQueue,
-    JoinScratch, Query, QueryEngine, QueryKind, RouteObjective, RouteStop, TnnError,
+    approximate_radius_for_env, merge_route_layers, Algorithm, JoinScratch, Query, QueryKind,
+    RouteObjective, RouteStop, TnnError,
 };
 use tnn_geom::{Circle, Point};
 use tnn_qos::Qos;
@@ -96,11 +96,11 @@ struct Counters {
     routed: AtomicU64,
 }
 
-struct ShardHandle<Q: CandidateQueue + 'static> {
+struct ShardHandle {
     /// The shard's live replicas — starts at one for eligible shards,
     /// grows (under the write lock) up to [`ShardConfig::replication`]
     /// when the shard runs hot. Ineligible shards serve nothing.
-    replicas: RwLock<Vec<Server<Q>>>,
+    replicas: RwLock<Vec<Server>>,
     /// Sub-query attempts routed to this shard — the numerator of the
     /// hotness share.
     routed: AtomicU64,
@@ -111,21 +111,18 @@ struct ShardHandle<Q: CandidateQueue + 'static> {
 /// by [`ShardRouter::swap_env`] — queries hold a read guard on the
 /// current topology for their whole scatter-gather pass, so a swap
 /// (which takes the write side) never tears a query between epochs.
-struct Topology<Q: CandidateQueue + 'static> {
+struct Topology {
     env: MultiChannelEnv,
     plan: ShardPlan,
-    shards: Vec<ShardHandle<Q>>,
+    shards: Vec<ShardHandle>,
 }
 
-fn build_topology<Q: CandidateQueue + 'static>(
-    env: MultiChannelEnv,
-    config: &ShardConfig,
-) -> Topology<Q> {
+fn build_topology(env: MultiChannelEnv, config: &ShardConfig) -> Topology {
     let plan = ShardPlan::build(&env, config);
     let shards = (0..plan.num_shards())
         .map(|i| {
             let replicas = if plan.is_eligible(i) {
-                vec![spawn_replica::<Q>(plan.shard_env(i), config)]
+                vec![spawn_replica(plan.shard_env(i), config)]
             } else {
                 Vec::new()
             };
@@ -185,12 +182,12 @@ fn build_topology<Q: CandidateQueue + 'static>(
 /// assert_eq!(outcome.route.len(), 2);
 /// router.shutdown(ShutdownMode::Drain);
 /// ```
-pub struct ShardRouter<Q: CandidateQueue + 'static = ArrivalHeap> {
+pub struct ShardRouter {
     /// The current serving topology (environment + plan + shard
     /// servers). Queries read-lock it for their whole scatter-gather
     /// pass; [`ShardRouter::swap_env`] write-locks it to publish the
     /// next environment epoch atomically.
-    topology: RwLock<Topology<Q>>,
+    topology: RwLock<Topology>,
     config: ShardConfig,
     counters: Counters,
     /// Folded replica stats frozen at shutdown, so [`ShardRouter::stats`]
@@ -209,22 +206,12 @@ pub struct ShardRouter<Q: CandidateQueue + 'static = ArrivalHeap> {
     recorder: Option<FlightRecorder>,
 }
 
-impl ShardRouter<ArrivalHeap> {
-    /// Spawns a router over `env` with the production heap-ordered
-    /// candidate-queue backend.
+impl ShardRouter {
+    /// Spawns a router over `env`.
     pub fn spawn(env: MultiChannelEnv, config: ShardConfig) -> Self {
-        ShardRouter::spawn_with_backend(env, config)
-    }
-}
-
-impl<Q: CandidateQueue + 'static> ShardRouter<Q> {
-    /// [`ShardRouter::spawn`] generic over the candidate-queue backend,
-    /// mirroring [`QueryEngine::with_queue_backend`] — benchmarks
-    /// instantiate the paper-literal linear reference through this.
-    pub fn spawn_with_backend(env: MultiChannelEnv, config: ShardConfig) -> Self {
         let recorder = config.serve.trace.recorder().map(FlightRecorder::new);
         ShardRouter {
-            topology: RwLock::new(build_topology::<Q>(env, &config)),
+            topology: RwLock::new(build_topology(env, &config)),
             config,
             counters: Counters::default(),
             final_serve: Mutex::new(None),
@@ -308,7 +295,7 @@ impl<Q: CandidateQueue + 'static> ShardRouter<Q> {
         // queries keep flowing on the old topology while the new one
         // warms up, and the swap itself is just a pointer exchange (plus
         // waiting out in-flight read guards).
-        let fresh = build_topology::<Q>(env, &self.config);
+        let fresh = build_topology(env, &self.config);
         let old = {
             let mut topology = self.topology.write().unwrap_or_else(|e| e.into_inner());
             std::mem::replace(&mut *topology, fresh)
@@ -339,7 +326,7 @@ impl<Q: CandidateQueue + 'static> ShardRouter<Q> {
     /// Runs `query` under default QoS terms (batch class, no deadline).
     ///
     /// # Errors
-    /// Exactly the validation errors of [`QueryEngine::run`]:
+    /// Exactly the validation errors of [`tnn_core::QueryEngine::run`]:
     /// [`TnnError::WrongChannelCount`], [`TnnError::NonFiniteQuery`],
     /// [`TnnError::EmptyChannel`] — with identical precedence, so the
     /// equivalence gates compare errors too. Scatter-phase refusals or
@@ -347,8 +334,8 @@ impl<Q: CandidateQueue + 'static> ShardRouter<Q> {
     /// gather bound.
     ///
     /// # Panics
-    /// As [`QueryEngine::run`]: per-channel phase or ANN-mode lists that
-    /// do not match the environment's channel count.
+    /// As [`tnn_core::QueryEngine::run`]: per-channel phase or ANN-mode
+    /// lists that do not match the environment's channel count.
     pub fn run(&self, query: &Query) -> Result<ShardOutcome, TnnError> {
         self.run_with(query, Qos::default())
     }
@@ -658,7 +645,7 @@ impl<Q: CandidateQueue + 'static> ShardRouter<Q> {
     /// index — `min_by_key` keeps the first minimum).
     fn submit_to_shard(
         &self,
-        topology: &Topology<Q>,
+        topology: &Topology,
         shard: usize,
         query: &Query,
         qos: Qos,
@@ -687,7 +674,7 @@ impl<Q: CandidateQueue + 'static> ShardRouter<Q> {
     /// quiet during the warmup window.
     fn maybe_replicate(
         &self,
-        topology: &Topology<Q>,
+        topology: &Topology,
         shard: usize,
         shard_routed: u64,
         total_routed: u64,
@@ -712,10 +699,7 @@ impl<Q: CandidateQueue + 'static> ShardRouter<Q> {
         if replicas.len() >= self.config.replication {
             return;
         }
-        replicas.push(spawn_replica::<Q>(
-            topology.plan.shard_env(shard),
-            &self.config,
-        ));
+        replicas.push(spawn_replica(topology.plan.shard_env(shard), &self.config));
         self.counters
             .replicas_spawned
             .fetch_add(1, Ordering::Relaxed);
@@ -726,7 +710,7 @@ impl<Q: CandidateQueue + 'static> ShardRouter<Q> {
     /// when their root MBR lies entirely outside the circle — the same
     /// test [`tnn_rtree::RTree::range_circle`] applies at its root, so
     /// pruning skips only provably hit-free searches.
-    fn gather(&self, topology: &Topology<Q>, p: Point, radius: f64) -> Vec<Vec<(Point, ObjectId)>> {
+    fn gather(&self, topology: &Topology, p: Point, radius: f64) -> Vec<Vec<(Point, ObjectId)>> {
         let r_sq = radius * radius;
         let circle = Circle::new(p, radius);
         let mut layers: Vec<Vec<(Point, ObjectId)>> = vec![Vec::new(); topology.env.len()];
@@ -767,16 +751,8 @@ impl<Q: CandidateQueue + 'static> ShardRouter<Q> {
     ) -> ShardOutcome {
         ShardOutcome {
             kind,
-            route: merged
-                .stops
-                .into_iter()
-                .map(|(point, object, channel)| RouteStop {
-                    point,
-                    object,
-                    channel,
-                })
-                .collect(),
             total_dist: Some(merged.total_dist),
+            route: merged.into_route(),
             search_radius: radius,
             shards_scattered: scattered,
             shards_pruned: pruned,
@@ -785,17 +761,11 @@ impl<Q: CandidateQueue + 'static> ShardRouter<Q> {
     }
 }
 
-fn spawn_replica<Q: CandidateQueue + 'static>(
-    env: &MultiChannelEnv,
-    config: &ShardConfig,
-) -> Server<Q> {
-    Server::spawn_engine(
-        QueryEngine::<Q>::with_queue_backend(env.clone()),
-        config.serve,
-    )
+fn spawn_replica(env: &MultiChannelEnv, config: &ShardConfig) -> Server {
+    Server::spawn(env.clone(), config.serve)
 }
 
-/// Mirrors [`QueryEngine::run_with`]'s validation, with identical
+/// Mirrors [`tnn_core::QueryEngine::run_with`]'s validation, with identical
 /// error/panic precedence (phase-arity assert, then the recoverable
 /// channel-count error, then — in kind order — the ANN-arity assert
 /// and the non-finite check, then the first empty channel).
@@ -884,6 +854,7 @@ mod tests {
     use crate::config::Partition;
     use std::sync::Arc;
     use tnn_broadcast::BroadcastParams;
+    use tnn_core::QueryEngine;
     use tnn_datasets::uniform_points;
     use tnn_geom::Rect;
     use tnn_rtree::{PackingAlgorithm, RTree};

@@ -39,4 +39,4 @@ pub use workload::{Catalog, DatasetSpec};
 pub use zipf::ZipfSampler;
 
 #[cfg(feature = "linear-reference")]
-pub use runner::{run_batch_linear, run_tnn_batch_linear};
+pub use runner::run_batch_linear;

@@ -144,12 +144,6 @@ pub fn run_batch_linear(
     )
 }
 
-/// [`run_tnn_batch`] over the linear-scan reference backend.
-#[cfg(feature = "linear-reference")]
-pub fn run_tnn_batch_linear(trees: &[Arc<RTree>], region: &Rect, cfg: &BatchConfig) -> BatchStats {
-    run_tnn_batch_impl::<tnn_core::LinearQueue>(trees, region, cfg)
-}
-
 fn run_tnn_batch_impl<Q: CandidateQueue>(
     trees: &[Arc<RTree>],
     region: &Rect,

@@ -89,7 +89,7 @@ pub mod prelude {
     };
     pub use tnn_core::{
         exact_chain_tnn, exact_tnn, Algorithm, AnnMode, AnnModes, Query, QueryEngine, QueryKey,
-        QueryKind, QueryOutcome, RouteStop, TnnConfig, TnnError, TnnPair, TnnRun,
+        QueryKind, QueryOutcome, RouteStop, TnnConfig, TnnError, TnnPair,
     };
     pub use tnn_faults::{ChannelFaults, FaultPlan, FaultStats, TuneIn};
     pub use tnn_geom::{transitive_dist, Circle, Ellipse, Point, Rect};
