@@ -186,8 +186,6 @@ pub struct Config {
     pub r2_allow: Allowlist,
     /// R3: lock-site keys `path:line`.
     pub r3_allow: Allowlist,
-    /// R4: field keys `Struct.field@function`.
-    pub r4_allow: Allowlist,
     /// R5: path prefixes of crates exempt from forbid(unsafe_code).
     pub r5_allow: Allowlist,
     /// R2 scope: path prefixes of crates whose non-test code must be
@@ -195,21 +193,6 @@ pub struct Config {
     pub r2_scopes: Vec<String>,
     /// R3: declared locks, outermost first.
     pub locks: Vec<LockDecl>,
-    /// R4: conservation declarations.
-    pub conserved: Vec<ConservedDecl>,
-}
-
-/// One `[[conserved]]` declaration: a stats struct in a file whose
-/// numeric fields must all be mentioned in each named function body.
-#[derive(Debug, Clone)]
-pub struct ConservedDecl {
-    /// The struct name, e.g. `ServeStats`.
-    pub strukt: String,
-    /// The file (repo-relative) declaring the struct.
-    pub file: String,
-    /// Function names (optionally `Type::name`) whose bodies must
-    /// mention every numeric field.
-    pub functions: Vec<String>,
 }
 
 impl Config {
@@ -239,39 +222,13 @@ impl Config {
             });
         }
 
-        let mut conserved = Vec::new();
-        for (idx, table) in main.array("conserved").iter().enumerate() {
-            let strukt = table
-                .get("struct")
-                .ok_or_else(|| {
-                    format!(
-                        "check/config.toml: [[conserved]] #{} missing struct",
-                        idx + 1
-                    )
-                })?
-                .to_string();
-            let file = table
-                .get("file")
-                .ok_or_else(|| {
-                    format!("check/config.toml: [[conserved]] #{} missing file", idx + 1)
-                })?
-                .to_string();
-            conserved.push(ConservedDecl {
-                strukt,
-                file,
-                functions: table.list("functions").to_vec(),
-            });
-        }
-
         Ok(Config {
             r1_allow: Allowlist::parse(&read_opt("check/r1.allow")),
             r2_allow: Allowlist::parse(&read_opt("check/r2.allow")),
             r3_allow: Allowlist::parse(&read_opt("check/r3.allow")),
-            r4_allow: Allowlist::parse(&read_opt("check/r4.allow")),
             r5_allow: Allowlist::parse(&read_opt("check/r5.allow")),
             r2_scopes: main.table("r2").list("scopes").to_vec(),
             locks,
-            conserved,
         })
     }
 

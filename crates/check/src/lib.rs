@@ -1,23 +1,24 @@
 //! `tnn-check` — the workspace invariant linter.
 //!
 //! The repo's load-bearing guarantees (bit-identical fault replay,
-//! fail-closed serving, conserved stats accounting) are enforced
+//! fail-closed serving, a declared lock order) are enforced
 //! dynamically by equivalence gates; this crate enforces them
-//! *statically*, so a violation is caught at the PR that introduces it
-//! rather than at the test that happens to exercise it. Five rules:
+//! *statically*, so a violation is caught at the change that introduces
+//! it rather than at the test that happens to exercise it. Four live
+//! rules:
 //!
 //! | rule | invariant |
 //! |------|-----------|
 //! | R1   | no wall-clock reads (`Instant::now`, `SystemTime::now`, `thread::sleep`) outside approved timing modules |
 //! | R2   | no `.unwrap()` / `.expect(` / `panic!` in non-test serving code |
 //! | R3   | every `.lock()` names a declared lock; nested acquisitions respect the docs/locks.toml order |
-//! | R4   | every numeric stats field appears in its `conserved()`/`merge` accounting |
+//! | R4   | retired: stats conservation is now compile-checked (`tnn_trace::stats!` generates `merge`; each `conserved()` destructures its struct exhaustively) |
 //! | R5   | every crate root carries `#![forbid(unsafe_code)]` |
 //!
 //! Deliberately dependency-free: [`lexer`] hand-rolls a total Rust
-//! lexer (no `syn`), [`scope`] annotates test-cfg/function/impl scope,
+//! lexer (no `syn`), [`scope`] annotates test-cfg and function scope,
 //! [`config`] parses the TOML subset the config files use, and
-//! [`rules`] runs R1–R5 over the annotated streams. See
+//! [`rules`] runs the rules over the annotated streams. See
 //! `docs/ANALYSIS.md` for the rule catalog and escape hatches.
 
 #![forbid(unsafe_code)]

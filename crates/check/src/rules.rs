@@ -1,4 +1,4 @@
-//! The rule implementations (R1–R5) plus allowlist/pragma hygiene.
+//! The rule implementations (R1–R3, R5) plus allowlist/pragma hygiene.
 //!
 //! Every rule reports [`Finding`]s; a finding is suppressed by a
 //! `// check:allow(RULE, reason)` pragma on the same line or the line
@@ -15,7 +15,7 @@ use crate::scope::Annotated;
 /// One rule violation (or, in [`Report::warnings`], a hygiene issue).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// `R1`..`R5`, or `hygiene` for warnings.
+    /// `R1`, `R2`, `R3` or `R5`, or `hygiene` for warnings.
     pub rule: String,
     /// Repo-relative path (forward slashes).
     pub path: String,
@@ -61,8 +61,8 @@ struct Usage {
     /// `pragma_used[unit][pragma_idx]`.
     pragma_used: Vec<Vec<bool>>,
     /// Allowlist keys that suppressed at least one finding, per rule
-    /// (index 0 = R1 … 4 = R5).
-    allow_used: [BTreeSet<String>; 5],
+    /// (index 0 = R1, 1 = R2, 2 = R3, 3 = R5).
+    allow_used: [BTreeSet<String>; 4],
 }
 
 /// Index into [`Usage::allow_used`] for a rule id.
@@ -71,8 +71,7 @@ fn rule_slot(rule: &str) -> usize {
         "R1" => 0,
         "R2" => 1,
         "R3" => 2,
-        "R4" => 3,
-        _ => 4,
+        _ => 3,
     }
 }
 
@@ -99,7 +98,6 @@ pub fn check_files(units: &[FileUnit], config: &Config) -> Report {
         r3_lock_order(unit, idx, config, &mut usage, &mut report);
         r5_forbid_unsafe(unit, config, &mut usage, &mut report);
     }
-    r4_conservation(units, config, &mut usage, &mut report);
     hygiene(units, config, &usage, &mut report);
     report
 }
@@ -410,135 +408,6 @@ fn receiver_of(toks: &[crate::lexer::Token], dot: usize) -> Option<String> {
     None
 }
 
-// ---------------------------------------------------------------- R4
-
-/// R4 conservation: every numeric field of a declared stats struct must
-/// be mentioned in each declared accounting function (`conserved`,
-/// `merge`, …). A counter the conservation law never folds is a counter
-/// the equivalence gates silently stop checking.
-fn r4_conservation(units: &[FileUnit], config: &Config, usage: &mut Usage, report: &mut Report) {
-    for decl in &config.conserved {
-        let Some(unit) = units.iter().find(|u| u.path == decl.file) else {
-            report.findings.push(Finding {
-                rule: "R4".into(),
-                path: decl.file.clone(),
-                line: 0,
-                message: format!(
-                    "[[conserved]] declares `{}` in this file, but the file was not \
-                     found in the walk",
-                    decl.strukt
-                ),
-                allow_key: format!("{}@missing", decl.strukt),
-            });
-            continue;
-        };
-        let Some(fields) = numeric_fields(&unit.annotated, &decl.strukt) else {
-            report.findings.push(Finding {
-                rule: "R4".into(),
-                path: decl.file.clone(),
-                line: 0,
-                message: format!("struct `{}` not found in file", decl.strukt),
-                allow_key: format!("{}@missing", decl.strukt),
-            });
-            continue;
-        };
-        for spec in &decl.functions {
-            let (owner, fn_name) = match spec.split_once("::") {
-                Some((owner, name)) => (owner.to_string(), name),
-                None => (decl.strukt.clone(), spec.as_str()),
-            };
-            let ann = &unit.annotated;
-            let Some(target) = ann
-                .fns
-                .iter()
-                .position(|f| f.name == fn_name && f.owner.as_deref() == Some(&owner))
-            else {
-                report.findings.push(Finding {
-                    rule: "R4".into(),
-                    path: decl.file.clone(),
-                    line: 0,
-                    message: format!(
-                        "[[conserved]] names `{owner}::{fn_name}`, but no such function \
-                         exists in the file"
-                    ),
-                    allow_key: format!("{}@{spec}", decl.strukt),
-                });
-                continue;
-            };
-            let body: BTreeSet<&str> = ann
-                .tokens
-                .iter()
-                .zip(&ann.fn_id)
-                .filter(|(_, id)| **id == target)
-                .filter_map(|(t, _)| t.ident())
-                .collect();
-            for (field, field_line) in &fields {
-                if body.contains(field.as_str()) {
-                    continue;
-                }
-                let key = format!("{}.{field}@{spec}", decl.strukt);
-                if config.r4_allow.lookup(&key).is_some() {
-                    usage.mark_allow("R4", &key);
-                    continue;
-                }
-                report.findings.push(Finding {
-                    rule: "R4".into(),
-                    path: decl.file.clone(),
-                    line: *field_line,
-                    message: format!(
-                        "numeric field `{}.{field}` is never mentioned in `{spec}` — \
-                         fold it into the accounting or allowlist `{key}` with a reason",
-                        decl.strukt
-                    ),
-                    allow_key: key,
-                });
-            }
-        }
-    }
-}
-
-/// The numeric-typed fields of `struct name` in an annotated file:
-/// `(field, declaration line)` pairs, or `None` when the struct is
-/// absent.
-fn numeric_fields(ann: &Annotated, name: &str) -> Option<Vec<(String, u32)>> {
-    const NUMERIC: &[&str] = &[
-        "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-        "f32", "f64",
-    ];
-    let toks = &ann.tokens;
-    let start = (0..toks.len()).find(|&i| {
-        toks[i].ident() == Some("struct") && toks.get(i + 1).and_then(|t| t.ident()) == Some(name)
-    })?;
-    let open = (start..toks.len()).find(|&i| toks[i].is_punct('{'))?;
-    let mut fields = Vec::new();
-    let mut depth = 0u32;
-    let mut i = open;
-    while i < toks.len() {
-        if toks[i].is_punct('{') {
-            depth += 1;
-        } else if toks[i].is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        } else if depth == 1
-            && toks[i].is_punct(':')
-            && toks
-                .get(i + 1)
-                .and_then(|t| t.ident())
-                .is_some_and(|t| NUMERIC.contains(&t))
-        {
-            // `name : numeric_type` — the ident before the colon is the
-            // field (skipping nothing: `pub` sits two back).
-            if let Some(field) = i.checked_sub(1).and_then(|j| toks[j].ident()) {
-                fields.push((field.to_string(), toks[i - 1].line));
-            }
-        }
-        i += 1;
-    }
-    Some(fields)
-}
-
 // ---------------------------------------------------------------- R5
 
 /// R5: every crate root (`src/lib.rs`, `src/main.rs`, `src/bin/*.rs`)
@@ -620,7 +489,6 @@ fn hygiene(units: &[FileUnit], config: &Config, usage: &Usage, report: &mut Repo
         ("R1", "check/r1.allow", &config.r1_allow),
         ("R2", "check/r2.allow", &config.r2_allow),
         ("R3", "check/r3.allow", &config.r3_allow),
-        ("R4", "check/r4.allow", &config.r4_allow),
         ("R5", "check/r5.allow", &config.r5_allow),
     ];
     for (rule, file, allow) in lists {

@@ -1,13 +1,12 @@
 //! The annotation pass over a lexed token stream: which tokens sit in
-//! `#[cfg(test)]` / `#[test]` scope, which function (and `impl` block)
-//! encloses each token, and which `// check:allow(RULE, reason)`
-//! pragmas the file declares.
+//! `#[cfg(test)]` / `#[test]` scope, which function encloses each
+//! token, and which `// check:allow(RULE, reason)` pragmas the file
+//! declares.
 //!
 //! The pass is a single linear walk tracking brace structure. It is
-//! deliberately approximate where full parsing would be required (e.g.
-//! an `impl` header containing a function-pointer generic would confuse
-//! the owner-type capture) — the linter's job is to catch the 99% case
-//! cheaply and loudly, with pragmas as the escape hatch for the rest.
+//! deliberately approximate where full parsing would be required — the
+//! linter's job is to catch the 99% case cheaply and loudly, with
+//! pragmas as the escape hatch for the rest.
 
 use crate::lexer::{Token, TokenKind};
 
@@ -16,10 +15,6 @@ use crate::lexer::{Token, TokenKind};
 pub struct FnInfo {
     /// The identifier after `fn`.
     pub name: String,
-    /// The `impl` block's self type, when the function sits in one
-    /// (`impl Foo { fn bar … }` → `Some("Foo")`; trait impls record the
-    /// implementing type, i.e. the ident after `for`).
-    pub owner: Option<String>,
     /// Line of the `fn` keyword.
     pub line: u32,
 }
@@ -55,7 +50,6 @@ pub struct Annotated {
 struct Scope {
     test: bool,
     fn_id: usize,
-    owner: Option<String>,
 }
 
 /// Runs the annotation pass.
@@ -67,12 +61,11 @@ pub fn annotate(tokens: Vec<Token>) -> Annotated {
 
     let mut stack: Vec<Scope> = Vec::new();
     // Attributes arm the *next* item: `#[cfg(test)]`/`#[test]` arm test
-    // scope, `fn name` arms a function body, `impl … {` arms an owner.
+    // scope, `fn name` arms a function body.
     // Arms are consumed by the next `{` (the item body) and cleared by
     // a `;` outside parentheses (a body-less item).
     let mut armed_test = false;
     let mut armed_fn: Option<FnInfo> = None;
-    let mut armed_owner: Option<String> = None;
     let mut paren_depth = 0usize;
 
     let mut i = 0;
@@ -112,15 +105,10 @@ pub fn annotate(tokens: Vec<Token>) -> Annotated {
             TokenKind::Punct(';') if paren_depth == 0 => {
                 armed_test = false;
                 armed_fn = None;
-                armed_owner = None;
             }
             TokenKind::Punct('{') => {
-                let owner = armed_owner
-                    .take()
-                    .or_else(|| stack.last().and_then(|s| s.owner.clone()));
                 let id = match armed_fn.take() {
-                    Some(mut info) => {
-                        info.owner = owner.clone();
+                    Some(info) => {
                         fns.push(info);
                         fns.len() - 1
                     }
@@ -129,7 +117,6 @@ pub fn annotate(tokens: Vec<Token>) -> Annotated {
                 stack.push(Scope {
                     test: cur_test || std::mem::take(&mut armed_test),
                     fn_id: id,
-                    owner,
                 });
             }
             TokenKind::Punct('}') => {
@@ -139,13 +126,9 @@ pub fn annotate(tokens: Vec<Token>) -> Annotated {
                 if let Some(TokenKind::Ident(name)) = tokens.get(i + 1).map(|t| &t.kind) {
                     armed_fn = Some(FnInfo {
                         name: name.clone(),
-                        owner: None,
                         line: tokens[i].line,
                     });
                 }
-            }
-            TokenKind::Ident(word) if word == "impl" && paren_depth == 0 => {
-                armed_owner = impl_owner(&tokens[i + 1..]);
             }
             _ => {}
         }
@@ -195,47 +178,6 @@ fn attr_is_test(body: &[Token]) -> bool {
         }
     }
     false
-}
-
-/// The self type of an `impl` header whose tokens follow the `impl`
-/// keyword: skips one balanced `<…>` generics run, then takes the next
-/// identifier — unless a `for` appears before the body `{`, in which
-/// case the identifier after `for` (the implementing type) wins.
-fn impl_owner(rest: &[Token]) -> Option<String> {
-    let mut i = 0;
-    // Generic parameter list directly after `impl`.
-    if rest.first().is_some_and(|t| t.is_punct('<')) {
-        let mut depth = 0i32;
-        while i < rest.len() {
-            if rest[i].is_punct('<') {
-                depth += 1;
-            } else if rest[i].is_punct('>') {
-                depth -= 1;
-                if depth <= 0 {
-                    i += 1;
-                    break;
-                }
-            }
-            i += 1;
-        }
-    }
-    let mut first_ident = None;
-    while i < rest.len() && !rest[i].is_punct('{') && !rest[i].is_punct(';') {
-        match rest[i].ident() {
-            Some("for") => {
-                return rest[i + 1..]
-                    .iter()
-                    .find_map(|t| t.ident())
-                    .map(str::to_string);
-            }
-            Some(word) if first_ident.is_none() && word != "dyn" => {
-                first_ident = Some(word.to_string());
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    first_ident
 }
 
 /// Parses `check:allow(RULE, reason…)` out of a comment's text. The

@@ -150,10 +150,17 @@ fn fn_and_impl_owners_are_tracked() {
         fn free() { run(); }
     ";
     let ann = annotate(lex(src));
-    let by_name = |name: &str| ann.fns.iter().find(|f| f.name == name).unwrap();
-    assert_eq!(by_name("probe").owner.as_deref(), Some("Cache"));
-    assert_eq!(by_name("fmt").owner.as_deref(), Some("Wrapper"));
-    assert_eq!(by_name("free").owner, None);
+    let names: Vec<&str> = ann.fns.iter().map(|f| f.name.as_str()).collect();
+    assert_eq!(names, ["probe", "fmt", "free"]);
+    // Each body token belongs to its own function, impl blocks or not.
+    for (call, owner) in [("hit", "probe"), ("go", "fmt"), ("run", "free")] {
+        let at = ann
+            .tokens
+            .iter()
+            .position(|t| t.ident() == Some(call))
+            .unwrap();
+        assert_eq!(ann.fns[ann.fn_id[at]].name, owner);
+    }
 }
 
 proptest! {

@@ -1,8 +1,8 @@
-//! Fixture tests for rules R1–R5: each rule has at least one fixture
+//! Fixture tests for rules R1–R3 and R5: each rule has at least one fixture
 //! proving it fires and one proving the pragma/allowlist suppresses
 //! it, plus hygiene coverage for unused or unexplained exemptions.
 
-use tnn_check::config::{Allowlist, Config, ConservedDecl, LockDecl};
+use tnn_check::config::{Allowlist, Config, LockDecl};
 use tnn_check::rules::{check_files, FileUnit, Report};
 use tnn_check::unit_from_source;
 
@@ -328,92 +328,6 @@ fn r3_allowlist_suppresses() {
     );
     assert!(report.findings.is_empty());
     assert!(report.warnings.is_empty());
-}
-
-// ---------------------------------------------------------------- R4
-
-const R4_SRC: &str = "
-    pub struct Stats {
-        pub hits: u64,
-        pub misses: u64,
-        pub label: String,
-    }
-    impl Stats {
-        pub fn conserved(&self) -> bool {
-            self.hits <= self.hits + self.misses
-        }
-        pub fn merge(&mut self, other: &Stats) {
-            self.hits += other.hits;
-        }
-    }
-";
-
-fn r4_config() -> Config {
-    Config {
-        conserved: vec![ConservedDecl {
-            strukt: "Stats".into(),
-            file: "crates/x/src/stats.rs".into(),
-            functions: vec!["conserved".into(), "merge".into()],
-        }],
-        ..Config::default()
-    }
-}
-
-#[test]
-fn r4_fires_on_field_missing_from_accounting() {
-    let report = run(&r4_config(), &[("crates/x/src/stats.rs", R4_SRC)]);
-    // `misses` is in conserved but not merge; `label` is not numeric.
-    assert_eq!(rules_of(&report), ["R4"]);
-    assert_eq!(report.findings[0].allow_key, "Stats.misses@merge");
-}
-
-#[test]
-fn r4_allowlist_suppresses() {
-    let config = Config {
-        r4_allow: Allowlist::parse(
-            "Stats.misses@merge  gauge not a counter; re-sampled after merge",
-        ),
-        ..r4_config()
-    };
-    let report = run(&config, &[("crates/x/src/stats.rs", R4_SRC)]);
-    assert!(report.findings.is_empty());
-    assert!(report.warnings.is_empty());
-}
-
-#[test]
-fn r4_fires_when_declared_function_is_missing() {
-    let config = Config {
-        conserved: vec![ConservedDecl {
-            strukt: "Stats".into(),
-            file: "crates/x/src/stats.rs".into(),
-            functions: vec!["fold".into()],
-        }],
-        ..Config::default()
-    };
-    let report = run(&config, &[("crates/x/src/stats.rs", R4_SRC)]);
-    assert_eq!(rules_of(&report), ["R4"]);
-    assert!(report.findings[0].message.contains("fold"));
-}
-
-#[test]
-fn r4_resolves_owner_qualified_functions() {
-    let src = "
-        pub struct CacheStats { pub hits: u64 }
-        pub struct Cache;
-        impl Cache {
-            pub fn stats(&self) -> CacheStats { CacheStats { hits: self.hits } }
-        }
-    ";
-    let config = Config {
-        conserved: vec![ConservedDecl {
-            strukt: "CacheStats".into(),
-            file: "crates/x/src/cache.rs".into(),
-            functions: vec!["Cache::stats".into()],
-        }],
-        ..Config::default()
-    };
-    let report = run(&config, &[("crates/x/src/cache.rs", src)]);
-    assert!(report.findings.is_empty(), "{:?}", report.findings);
 }
 
 // ---------------------------------------------------------------- R5

@@ -7,28 +7,35 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use tnn_broadcast::MultiChannelEnv;
 use tnn_core::TnnError;
 
-/// Exact counts of every fault decision an injector has handed out.
-///
-/// For plans without worker kills, the counts are a pure function of
-/// `(seed, plan, admission sequence)` — bit-identical across worker
-/// counts and reruns (a killed worker abandons the rest of its
-/// micro-batch before those jobs are ever probed, which is why kills
-/// break replay-exactness; see [`FaultPlan::worker_kill`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub struct FaultStats {
-    /// Tune-in attempts that lost their packet ([`TuneIn::Dropped`]).
-    pub drops: u64,
-    /// Tune-in attempts that found a channel dark ([`TuneIn::Outage`]).
-    pub outages: u64,
-    /// Total injected arrival-jitter slots over successful tune-ins.
-    pub jitter_slots: u64,
-    /// Engine runs panicked by injection.
-    pub engine_panics: u64,
-    /// Worker threads killed by injection.
-    pub worker_kills: u64,
-    /// Tune-in rounds (one per execution attempt) that cleared every
-    /// channel without a fault.
-    pub clean_rounds: u64,
+tnn_trace::stats! {
+    /// Exact counts of every fault decision an injector has handed out.
+    ///
+    /// For plans without worker kills, the counts are a pure function of
+    /// `(seed, plan, admission sequence)` — bit-identical across worker
+    /// counts and reruns (a killed worker abandons the rest of its
+    /// micro-batch before those jobs are ever probed, which is why kills
+    /// break replay-exactness; see [`FaultPlan::worker_kill`]).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+    pub struct FaultStats {
+        /// Tune-in attempts that lost their packet ([`TuneIn::Dropped`]).
+        pub drops: u64 => "tnn_faults_drops_total", "Tune-in attempts that lost their packet",
+        /// Tune-in attempts that found a channel dark ([`TuneIn::Outage`]).
+        pub outages: u64 => "tnn_faults_outages_total",
+            "Tune-in attempts that found a channel dark",
+        /// Total injected arrival-jitter slots over successful tune-ins.
+        pub jitter_slots: u64 => "tnn_faults_jitter_slots_total",
+            "Injected arrival-jitter slots over successful tune-ins",
+        /// Engine runs panicked by injection.
+        pub engine_panics: u64 => "tnn_faults_engine_panics_total",
+            "Engine runs panicked by injection",
+        /// Worker threads killed by injection.
+        pub worker_kills: u64 => "tnn_faults_worker_kills_total",
+            "Worker threads killed by injection",
+        /// Tune-in rounds (one per execution attempt) that cleared every
+        /// channel without a fault.
+        pub clean_rounds: u64 => "tnn_faults_clean_rounds_total",
+            "Tune-in rounds that cleared every channel without a fault",
+    }
 }
 
 impl FaultStats {
@@ -42,36 +49,7 @@ impl FaultStats {
     /// names. All tallies are cumulative, so repeated publications are
     /// monotone (Prometheus counter semantics).
     pub fn publish_metrics(&self, registry: &tnn_trace::MetricsRegistry) {
-        registry.counter(
-            "tnn_faults_drops_total",
-            "Tune-in attempts that lost their packet",
-            self.drops,
-        );
-        registry.counter(
-            "tnn_faults_outages_total",
-            "Tune-in attempts that found a channel dark",
-            self.outages,
-        );
-        registry.counter(
-            "tnn_faults_jitter_slots_total",
-            "Injected arrival-jitter slots over successful tune-ins",
-            self.jitter_slots,
-        );
-        registry.counter(
-            "tnn_faults_engine_panics_total",
-            "Engine runs panicked by injection",
-            self.engine_panics,
-        );
-        registry.counter(
-            "tnn_faults_worker_kills_total",
-            "Worker threads killed by injection",
-            self.worker_kills,
-        );
-        registry.counter(
-            "tnn_faults_clean_rounds_total",
-            "Tune-in rounds that cleared every channel without a fault",
-            self.clean_rounds,
-        );
+        self.publish_series(registry, "");
     }
 }
 

@@ -98,22 +98,25 @@ pub enum Lookup<V> {
     Miss,
 }
 
-/// Aggregate cache counters, folded over all shards.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Probes that returned [`Lookup::Hit`].
-    pub hits: u64,
-    /// Probes that returned [`Lookup::Miss`].
-    pub misses: u64,
-    /// Probes that found only a TTL-expired entry ([`Lookup::Expired`]).
-    pub expired: u64,
-    /// Values stored (fresh keys and overwrites alike).
-    pub insertions: u64,
-    /// Entries dropped to make room (LRU victims; TTL drops count under
-    /// [`CacheStats::expired`] instead).
-    pub evictions: u64,
-    /// Live entries at snapshot time.
-    pub len: usize,
+tnn_trace::stats! {
+    /// Aggregate cache counters, folded over all shards.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CacheStats {
+        /// Probes that returned [`Lookup::Hit`].
+        pub hits: u64 => "tnn_cache_hits_total", "Probes that hit",
+        /// Probes that returned [`Lookup::Miss`].
+        pub misses: u64 => "tnn_cache_misses_total", "Probes that missed",
+        /// Probes that found only a TTL-expired entry ([`Lookup::Expired`]).
+        pub expired: u64 => "tnn_cache_expired_total", "Probes that found only a TTL-expired entry",
+        /// Values stored (fresh keys and overwrites alike).
+        pub insertions: u64 => "tnn_cache_insertions_total", "Values stored",
+        /// Entries dropped to make room (LRU victims; TTL drops count under
+        /// [`CacheStats::expired`] instead).
+        pub evictions: u64 => "tnn_cache_evictions_total",
+            "Entries dropped to make room (LRU victims)",
+        /// Live entries at snapshot time.
+        pub len: usize => "tnn_cache_len", "Live entries",
+    }
 }
 
 impl CacheStats {
@@ -132,24 +135,7 @@ impl CacheStats {
     /// repeated publications are monotone (Prometheus counter
     /// semantics); `len` is a gauge.
     pub fn publish_metrics(&self, registry: &tnn_trace::MetricsRegistry) {
-        registry.counter("tnn_cache_hits_total", "Probes that hit", self.hits);
-        registry.counter("tnn_cache_misses_total", "Probes that missed", self.misses);
-        registry.counter(
-            "tnn_cache_expired_total",
-            "Probes that found only a TTL-expired entry",
-            self.expired,
-        );
-        registry.counter(
-            "tnn_cache_insertions_total",
-            "Values stored",
-            self.insertions,
-        );
-        registry.counter(
-            "tnn_cache_evictions_total",
-            "Entries dropped to make room (LRU victims)",
-            self.evictions,
-        );
-        registry.gauge("tnn_cache_len", "Live entries", self.len as f64);
+        self.publish_series(registry, "");
     }
 }
 
@@ -173,11 +159,8 @@ struct Shard<K, V> {
     head: usize,
     tail: usize,
     capacity: usize,
-    hits: u64,
-    misses: u64,
-    expired: u64,
-    insertions: u64,
-    evictions: u64,
+    /// This stripe's counters; `len` is read off `map` at snapshot time.
+    stats: CacheStats,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
@@ -189,11 +172,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
             head: NIL,
             tail: NIL,
             capacity,
-            hits: 0,
-            misses: 0,
-            expired: 0,
-            insertions: 0,
-            evictions: 0,
+            stats: CacheStats::default(),
         }
     }
 
@@ -247,7 +226,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
 
     fn lookup(&mut self, key: &K, now: Instant, ttl: Option<Duration>) -> Lookup<V> {
         let Some(&slot) = self.map.get(key) else {
-            self.misses += 1;
+            self.stats.misses += 1;
             return Lookup::Miss;
         };
         if let Some(ttl) = ttl {
@@ -255,18 +234,18 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
             // an instant after the caller drew `now`.
             if now.saturating_duration_since(self.entry(slot).stored_at) >= ttl {
                 self.remove(slot);
-                self.expired += 1;
+                self.stats.expired += 1;
                 return Lookup::Expired;
             }
         }
         self.unlink(slot);
         self.link_front(slot);
-        self.hits += 1;
+        self.stats.hits += 1;
         Lookup::Hit(self.entry(slot).value.clone())
     }
 
     fn insert(&mut self, key: K, value: V, now: Instant) {
-        self.insertions += 1;
+        self.stats.insertions += 1;
         if let MapEntry::Occupied(occupied) = self.map.entry(key.clone()) {
             let slot = *occupied.get();
             let entry = self.entry_mut(slot);
@@ -279,7 +258,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         if self.map.len() >= self.capacity {
             let victim = self.tail;
             self.remove(victim);
-            self.evictions += 1;
+            self.stats.evictions += 1;
         }
         let entry = Entry {
             key: key.clone(),
@@ -395,17 +374,18 @@ impl<K: Hash + Eq + Clone, V: Clone> ResultCache<K, V> {
 
     /// Counters folded over all stripes.
     pub fn stats(&self) -> CacheStats {
-        let mut stats = CacheStats::default();
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            stats.hits += shard.hits;
-            stats.misses += shard.misses;
-            stats.expired += shard.expired;
-            stats.insertions += shard.insertions;
-            stats.evictions += shard.evictions;
-            stats.len += shard.map.len();
-        }
-        stats
+        let stripes: Vec<CacheStats> = self
+            .shards
+            .iter()
+            .map(|shard| {
+                let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
+                CacheStats {
+                    len: shard.map.len(),
+                    ..shard.stats
+                }
+            })
+            .collect();
+        CacheStats::fold(&stripes)
     }
 }
 

@@ -23,48 +23,52 @@ use tnn_qos::{
 };
 use tnn_trace::{FlightRecorder, LatencyHistogram, MetricsRegistry, QueryTrace, SpanKind};
 
-/// Admission/completion counters of one priority class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClassStats {
-    /// Submissions naming this class (including refused ones).
-    pub submitted: u64,
-    /// Queries admitted (including later-shed/expired ones; admission
-    /// cache hits count here too — they are accepted *and* completed in
-    /// one step).
-    pub accepted: u64,
-    /// Queries refused at the door: lane full under
-    /// [`Backpressure::Reject`], or submitted during/after shutdown.
-    pub rejected: u64,
-    /// Admitted queries evicted by [`Backpressure::Shed`] while still
-    /// viable (tickets resolved [`TnnError::Overloaded`]).
-    pub shed: u64,
-    /// Admitted queries resolved [`TnnError::Cancelled`] by a
-    /// [`ShutdownMode::Cancel`] shutdown (or the final shutdown sweep).
-    pub cancelled: u64,
-    /// Queries whose outcome was delivered (engine-run, engine-error, or
-    /// cache hit — all count as completions).
-    pub completed: u64,
-    /// Admitted queries whose deadline passed before a worker could
-    /// answer — refused dead at admission, evicted as the expired shed
-    /// victim, or discarded at dequeue (tickets resolved
-    /// [`TnnError::DeadlineExceeded`]).
-    pub expired: u64,
-    /// Jobs admitted but not yet picked up, at snapshot time.
-    pub queued: usize,
-    /// Jobs being executed by a worker, at snapshot time.
-    pub in_flight: usize,
-    /// Retry attempts charged to this class: each time a job's tune-in
-    /// failed recoverably and the ladder paused to try again.
-    pub retried: u64,
-    /// Completions answered by a degradation fallback (the delivered
-    /// [`QueryOutcome`] carries `degraded = true`). A subset of
-    /// [`ClassStats::completed`].
-    pub degraded: u64,
-    /// Submission-to-resolution latency of this class's completions
-    /// (log₂ µs buckets; see [`LatencyHistogram`]). Jobs resolved by
-    /// panic-unwind accounting are counted in `completed` but carry no
-    /// latency observation.
-    pub latency: LatencyHistogram,
+tnn_trace::stats! {
+    /// Admission/completion counters of one priority class.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ClassStats {
+        /// Submissions naming this class (including refused ones).
+        pub submitted: u64 => "tnn_serve_submitted_total",
+            "Queries submitted, including refused ones",
+        /// Queries admitted (including later-shed/expired ones; admission
+        /// cache hits count here too — they are accepted *and* completed in
+        /// one step).
+        pub accepted: u64 => "tnn_serve_accepted_total", "Queries admitted into the queue",
+        /// Queries refused at the door: lane full under
+        /// [`Backpressure::Reject`], or submitted during/after shutdown.
+        pub rejected: u64 => "tnn_serve_rejected_total", "Queries refused at the door",
+        /// Admitted queries evicted by [`Backpressure::Shed`] while still
+        /// viable (tickets resolved [`TnnError::Overloaded`]).
+        pub shed: u64 => "tnn_serve_shed_total", "Viable queries evicted by load shedding",
+        /// Admitted queries resolved [`TnnError::Cancelled`] by a
+        /// [`ShutdownMode::Cancel`] shutdown (or the final shutdown sweep).
+        pub cancelled: u64 => "tnn_serve_cancelled_total", "Queries cancelled at shutdown",
+        /// Queries whose outcome was delivered (engine-run, engine-error, or
+        /// cache hit — all count as completions).
+        pub completed: u64 => "tnn_serve_completed_total", "Queries whose outcome was delivered",
+        /// Admitted queries whose deadline passed before a worker could
+        /// answer — refused dead at admission, evicted as the expired shed
+        /// victim, or discarded at dequeue (tickets resolved
+        /// [`TnnError::DeadlineExceeded`]).
+        pub expired: u64 => "tnn_serve_expired_total", "Queries whose deadline passed unanswered",
+        /// Jobs admitted but not yet picked up, at snapshot time.
+        pub queued: usize => "tnn_serve_queued", "Jobs admitted but not yet picked up",
+        /// Jobs being executed by a worker, at snapshot time.
+        pub in_flight: usize => "tnn_serve_in_flight", "Jobs being executed by a worker",
+        /// Retry attempts charged to this class: each time a job's tune-in
+        /// failed recoverably and the ladder paused to try again.
+        pub retried: u64 => "tnn_serve_retried_total", "Retry attempts charged to the class",
+        /// Completions answered by a degradation fallback (the delivered
+        /// [`QueryOutcome`] carries `degraded = true`). A subset of
+        /// [`ClassStats::completed`].
+        pub degraded: u64 => "tnn_serve_degraded_total",
+            "Completions answered by a degradation fallback",
+        /// Submission-to-resolution latency of this class's completions
+        /// (log₂ µs buckets; see [`LatencyHistogram`]). Jobs resolved by
+        /// panic-unwind accounting are counted in `completed` but carry no
+        /// latency observation.
+        pub latency: LatencyHistogram => "tnn_serve_latency", "Submission-to-resolution latency",
+    }
 }
 
 impl ClassStats {
@@ -72,97 +76,98 @@ impl ClassStats {
     /// is accounted for exactly once, and degraded completions never
     /// exceed completions (they are a subset).
     pub fn conserved(&self) -> bool {
-        self.submitted == self.accepted + self.rejected
-            && self.accepted
-                == self.completed
-                    + self.shed
-                    + self.cancelled
-                    + self.expired
-                    + self.queued as u64
-                    + self.in_flight as u64
-            && self.degraded <= self.completed
-    }
-
-    /// Adds `other`'s counters (and latency observations) into `self` —
-    /// the per-class half of multi-server aggregation. Merging snapshots
-    /// that are each [`ClassStats::conserved`] yields a conserved result:
-    /// every clause is a linear equation over the counters.
-    pub fn merge(&mut self, other: &ClassStats) {
-        self.submitted += other.submitted;
-        self.accepted += other.accepted;
-        self.rejected += other.rejected;
-        self.shed += other.shed;
-        self.cancelled += other.cancelled;
-        self.completed += other.completed;
-        self.expired += other.expired;
-        self.queued += other.queued;
-        self.in_flight += other.in_flight;
-        self.retried += other.retried;
-        self.degraded += other.degraded;
-        self.latency.merge(&other.latency);
+        let ClassStats {
+            submitted,
+            accepted,
+            rejected,
+            shed,
+            cancelled,
+            completed,
+            expired,
+            queued,
+            in_flight,
+            // Retry attempts obey no identity: one job may retry any
+            // number of times.
+            retried: _,
+            degraded,
+            // Bounded by `completed` in [`ServeStats::conserved`].
+            latency: _,
+        } = *self;
+        submitted == accepted + rejected
+            && accepted == completed + shed + cancelled + expired + queued as u64 + in_flight as u64
+            && degraded <= completed
     }
 }
 
-/// Admission/completion counters, snapshotted atomically (all counters
-/// mutate under one lock, so [`ServeStats::conserved`] holds for *every*
-/// snapshot, not just quiescent ones). The flat fields are totals over
-/// [`ServeStats::classes`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Total [`Server::submit`] calls (including refused ones).
-    pub submitted: u64,
-    /// Queries admitted into the queue (including later-shed ones and
-    /// admission cache hits).
-    pub accepted: u64,
-    /// Queries refused at the door (full lane under
-    /// [`Backpressure::Reject`], or shutdown).
-    pub rejected: u64,
-    /// Still-viable queries evicted by [`Backpressure::Shed`].
-    pub shed: u64,
-    /// Queries resolved [`TnnError::Cancelled`] at shutdown.
-    pub cancelled: u64,
-    /// Queries whose outcome was delivered (cache hits included).
-    pub completed: u64,
-    /// Queries resolved [`TnnError::DeadlineExceeded`] — at admission,
-    /// by expiry-aware shedding, or at dequeue.
-    pub expired: u64,
-    /// Jobs admitted but not yet picked up, at snapshot time.
-    pub queued: usize,
-    /// Jobs being executed by a worker, at snapshot time.
-    pub in_flight: usize,
-    /// Completions served straight from the result cache (byte-identical
-    /// to an engine run of the same query).
-    pub cache_hits: u64,
-    /// Completions that ran the engine because no cache entry existed
-    /// (the outcome was then stored).
-    pub cache_misses: u64,
-    /// Completions that ran the engine because the cache entry's TTL had
-    /// elapsed (the outcome re-stored, refreshing the entry).
-    pub cache_expired: u64,
-    /// Completions that never touched the cache: caching disabled, a
-    /// degenerate (`k < 2`) environment, an error outcome (errors are
-    /// never cached), a degraded outcome (fallback answers must not be
-    /// replayed under a full-fidelity key), or a job abandoned by a
-    /// dying worker.
-    pub cache_bypass: u64,
-    /// Completions coalesced onto another submission's in-flight engine
-    /// run ([`ServeConfig::singleflight`]): the follower's ticket shares
-    /// the leader's outcome, so the engine ran once for the whole
-    /// flight. The leader itself is classified by its own cache outcome
-    /// (`cache_misses` or `cache_expired`), never here.
-    pub cache_coalesced: u64,
-    /// Total retry attempts over all classes.
-    pub retried: u64,
-    /// Total degraded completions over all classes.
-    pub degraded: u64,
-    /// Worker serving rounds that panicked and respawned in place (an
-    /// injected kill, or a bug that escaped per-job isolation). Bounded
-    /// by [`ServeConfig::max_worker_restarts`]; beyond the bound the
-    /// server fails closed.
-    pub worker_restarts: u64,
-    /// The same counters split by priority class (cache counters and
-    /// worker restarts are tracked globally, not per class).
-    pub classes: [ClassStats; Priority::COUNT],
+tnn_trace::stats! {
+    /// Admission/completion counters, snapshotted atomically (all counters
+    /// mutate under one lock, so [`ServeStats::conserved`] holds for *every*
+    /// snapshot, not just quiescent ones). The flat class counters are
+    /// totals over [`ServeStats::classes`], set by
+    /// [`ServeStats::retotaled`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ServeStats {
+        /// Total [`Server::submit`] calls (including refused ones).
+        pub submitted: u64,
+        /// Queries admitted into the queue (including later-shed ones and
+        /// admission cache hits).
+        pub accepted: u64,
+        /// Queries refused at the door (full lane under
+        /// [`Backpressure::Reject`], or shutdown).
+        pub rejected: u64,
+        /// Still-viable queries evicted by [`Backpressure::Shed`].
+        pub shed: u64,
+        /// Queries resolved [`TnnError::Cancelled`] at shutdown.
+        pub cancelled: u64,
+        /// Queries whose outcome was delivered (cache hits included).
+        pub completed: u64,
+        /// Queries resolved [`TnnError::DeadlineExceeded`] — at admission,
+        /// by expiry-aware shedding, or at dequeue.
+        pub expired: u64,
+        /// Jobs admitted but not yet picked up, at snapshot time.
+        pub queued: usize,
+        /// Jobs being executed by a worker, at snapshot time.
+        pub in_flight: usize,
+        /// Completions served straight from the result cache (byte-identical
+        /// to an engine run of the same query).
+        pub cache_hits: u64 => "tnn_serve_cache_hits_total",
+            "Completions served straight from the result cache",
+        /// Completions that ran the engine because no cache entry existed
+        /// (the outcome was then stored).
+        pub cache_misses: u64 => "tnn_serve_cache_misses_total",
+            "Completions that ran the engine on a cache miss",
+        /// Completions that ran the engine because the cache entry's TTL had
+        /// elapsed (the outcome re-stored, refreshing the entry).
+        pub cache_expired: u64 => "tnn_serve_cache_expired_total",
+            "Completions that refreshed a TTL-expired cache entry",
+        /// Completions that never touched the cache: caching disabled, a
+        /// degenerate (`k < 2`) environment, an error outcome (errors are
+        /// never cached), a degraded outcome (fallback answers must not be
+        /// replayed under a full-fidelity key), or a job abandoned by a
+        /// dying worker.
+        pub cache_bypass: u64 => "tnn_serve_cache_bypass_total",
+            "Completions that never touched the cache",
+        /// Completions coalesced onto another submission's in-flight engine
+        /// run ([`ServeConfig::singleflight`]): the follower's ticket shares
+        /// the leader's outcome, so the engine ran once for the whole
+        /// flight. The leader itself is classified by its own cache outcome
+        /// (`cache_misses` or `cache_expired`), never here.
+        pub cache_coalesced: u64 => "tnn_serve_cache_coalesced_total",
+            "Completions coalesced onto an in-flight engine run",
+        /// Total retry attempts over all classes.
+        pub retried: u64,
+        /// Total degraded completions over all classes.
+        pub degraded: u64,
+        /// Worker serving rounds that panicked and respawned in place (an
+        /// injected kill, or a bug that escaped per-job isolation). Bounded
+        /// by [`ServeConfig::max_worker_restarts`]; beyond the bound the
+        /// server fails closed.
+        pub worker_restarts: u64 => "tnn_serve_worker_restarts_total",
+            "Worker serving rounds that panicked and respawned",
+        /// The same counters split by priority class (cache counters and
+        /// worker restarts are tracked globally, not per class).
+        pub classes: [ClassStats; Priority::COUNT],
+    }
 }
 
 impl ServeStats {
@@ -181,83 +186,76 @@ impl ServeStats {
     /// `in_flight` are 0, so clause 1 reduces to `submitted = rejected +
     /// shed + cancelled + expired + completed`.
     pub fn conserved(&self) -> bool {
-        let totals = self.submitted == self.accepted + self.rejected
-            && self.accepted
-                == self.completed
-                    + self.shed
-                    + self.cancelled
-                    + self.expired
-                    + self.queued as u64
-                    + self.in_flight as u64;
-        let classes = self.classes.iter().all(ClassStats::conserved)
-            && self.submitted == self.classes.iter().map(|c| c.submitted).sum::<u64>()
-            && self.accepted == self.classes.iter().map(|c| c.accepted).sum::<u64>()
-            && self.rejected == self.classes.iter().map(|c| c.rejected).sum::<u64>()
-            && self.shed == self.classes.iter().map(|c| c.shed).sum::<u64>()
-            && self.cancelled == self.classes.iter().map(|c| c.cancelled).sum::<u64>()
-            && self.completed == self.classes.iter().map(|c| c.completed).sum::<u64>()
-            && self.expired == self.classes.iter().map(|c| c.expired).sum::<u64>()
-            && self.queued == self.classes.iter().map(|c| c.queued).sum::<usize>()
-            && self.in_flight == self.classes.iter().map(|c| c.in_flight).sum::<usize>();
-        let cache = self.completed
-            == self.cache_hits
-                + self.cache_misses
-                + self.cache_expired
-                + self.cache_bypass
-                + self.cache_coalesced;
-        let resilience = self.retried == self.classes.iter().map(|c| c.retried).sum::<u64>()
-            && self.degraded == self.classes.iter().map(|c| c.degraded).sum::<u64>()
-            && self
-                .classes
+        let ServeStats {
+            submitted,
+            accepted,
+            rejected,
+            shed,
+            cancelled,
+            completed,
+            expired,
+            queued,
+            in_flight,
+            cache_hits,
+            cache_misses,
+            cache_expired,
+            cache_bypass,
+            cache_coalesced,
+            // Class sums, checked by the `retotaled` comparison.
+            retried: _,
+            degraded: _,
+            // Observability: the fail-closed bound on restarts is
+            // enforced by `max_worker_restarts` at respawn time.
+            worker_restarts: _,
+            classes,
+        } = *self;
+        *self == self.retotaled()
+            && submitted == accepted + rejected
+            && accepted == completed + shed + cancelled + expired + queued as u64 + in_flight as u64
+            && completed
+                == cache_hits + cache_misses + cache_expired + cache_bypass + cache_coalesced
+            && classes
                 .iter()
-                .all(|c| c.degraded <= c.completed && c.latency.count() <= c.completed);
-        totals && classes && cache && resilience
+                .all(|c| c.conserved() && c.latency.count() <= c.completed)
+    }
+
+    /// `self` with every flat total of a class counter recomputed as the
+    /// sum over [`ServeStats::classes`] — the one place those totals are
+    /// set.
+    pub fn retotaled(self) -> ServeStats {
+        let ClassStats {
+            submitted,
+            accepted,
+            rejected,
+            shed,
+            cancelled,
+            completed,
+            expired,
+            queued,
+            in_flight,
+            retried,
+            degraded,
+            latency: _,
+        } = ClassStats::fold(&self.classes);
+        ServeStats {
+            submitted,
+            accepted,
+            rejected,
+            shed,
+            cancelled,
+            completed,
+            expired,
+            queued,
+            in_flight,
+            retried,
+            degraded,
+            ..self
+        }
     }
 
     /// The per-class counters for `class`.
     pub fn class(&self, class: Priority) -> &ClassStats {
         &self.classes[class.index()]
-    }
-
-    /// Adds `other`'s counters into `self`, per class and in total — the
-    /// aggregation a multi-server deployment (one snapshot per shard
-    /// replica) folds its fleet view out of. Every
-    /// [`ServeStats::conserved`] clause is a linear equation over the
-    /// counters, so **merging conserved snapshots yields a conserved
-    /// aggregate** — the invariant the shard router's `ShardStats`
-    /// re-asserts after folding.
-    pub fn merge(&mut self, other: &ServeStats) {
-        self.submitted += other.submitted;
-        self.accepted += other.accepted;
-        self.rejected += other.rejected;
-        self.shed += other.shed;
-        self.cancelled += other.cancelled;
-        self.completed += other.completed;
-        self.expired += other.expired;
-        self.queued += other.queued;
-        self.in_flight += other.in_flight;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_expired += other.cache_expired;
-        self.cache_bypass += other.cache_bypass;
-        self.cache_coalesced += other.cache_coalesced;
-        self.retried += other.retried;
-        self.degraded += other.degraded;
-        self.worker_restarts += other.worker_restarts;
-        for (mine, theirs) in self.classes.iter_mut().zip(other.classes.iter()) {
-            mine.merge(theirs);
-        }
-    }
-
-    /// Folds an iterator of per-server snapshots into one aggregate via
-    /// [`ServeStats::merge`] (the empty fold is the all-zero snapshot,
-    /// which is conserved).
-    pub fn fold<'a>(snapshots: impl IntoIterator<Item = &'a ServeStats>) -> ServeStats {
-        let mut total = ServeStats::default();
-        for snapshot in snapshots {
-            total.merge(snapshot);
-        }
-        total
     }
 
     /// Cache hit fraction of all completions, 0.0 before any complete.
@@ -269,107 +267,18 @@ impl ServeStats {
         }
     }
 
-    /// Publishes this snapshot into `registry`: per-class
-    /// admission/completion counters and latency histograms under
-    /// `tnn_serve_*` (labelled `{class="..."}`), the cache-outcome
-    /// classification, and the worker-restart tally. All counter fields
-    /// of a live server's snapshots only ever grow, so repeated
-    /// publications are monotone (Prometheus counter semantics).
+    /// Publishes this snapshot into `registry`: the cache-outcome
+    /// classification and the worker-restart tally under `tnn_serve_*`,
+    /// then every class's counters and latency histogram labelled
+    /// `{class="..."}`. All counter fields of a live server's snapshots
+    /// only ever grow, so repeated publications are monotone (Prometheus
+    /// counter semantics).
     pub fn publish_metrics(&self, registry: &MetricsRegistry) {
+        self.publish_series(registry, "");
         for class in Priority::ALL {
-            let c = self.class(class);
-            let series = |name: &str| format!("{name}{{class=\"{}\"}}", class.name());
-            registry.counter(
-                &series("tnn_serve_submitted_total"),
-                "Queries submitted, including refused ones",
-                c.submitted,
-            );
-            registry.counter(
-                &series("tnn_serve_accepted_total"),
-                "Queries admitted into the queue",
-                c.accepted,
-            );
-            registry.counter(
-                &series("tnn_serve_rejected_total"),
-                "Queries refused at the door",
-                c.rejected,
-            );
-            registry.counter(
-                &series("tnn_serve_shed_total"),
-                "Viable queries evicted by load shedding",
-                c.shed,
-            );
-            registry.counter(
-                &series("tnn_serve_cancelled_total"),
-                "Queries cancelled at shutdown",
-                c.cancelled,
-            );
-            registry.counter(
-                &series("tnn_serve_completed_total"),
-                "Queries whose outcome was delivered",
-                c.completed,
-            );
-            registry.counter(
-                &series("tnn_serve_expired_total"),
-                "Queries whose deadline passed unanswered",
-                c.expired,
-            );
-            registry.counter(
-                &series("tnn_serve_retried_total"),
-                "Retry attempts charged to the class",
-                c.retried,
-            );
-            registry.counter(
-                &series("tnn_serve_degraded_total"),
-                "Completions answered by a degradation fallback",
-                c.degraded,
-            );
-            registry.gauge(
-                &series("tnn_serve_queued"),
-                "Jobs admitted but not yet picked up",
-                c.queued as f64,
-            );
-            registry.gauge(
-                &series("tnn_serve_in_flight"),
-                "Jobs being executed by a worker",
-                c.in_flight as f64,
-            );
-            registry.histogram(
-                &series("tnn_serve_latency"),
-                "Submission-to-resolution latency",
-                &c.latency,
-            );
+            let labels = format!("{{class=\"{}\"}}", class.name());
+            self.class(class).publish_series(registry, &labels);
         }
-        registry.counter(
-            "tnn_serve_cache_hits_total",
-            "Completions served straight from the result cache",
-            self.cache_hits,
-        );
-        registry.counter(
-            "tnn_serve_cache_misses_total",
-            "Completions that ran the engine on a cache miss",
-            self.cache_misses,
-        );
-        registry.counter(
-            "tnn_serve_cache_expired_total",
-            "Completions that refreshed a TTL-expired cache entry",
-            self.cache_expired,
-        );
-        registry.counter(
-            "tnn_serve_cache_bypass_total",
-            "Completions that never touched the cache",
-            self.cache_bypass,
-        );
-        registry.counter(
-            "tnn_serve_cache_coalesced_total",
-            "Completions coalesced onto an in-flight engine run",
-            self.cache_coalesced,
-        );
-        registry.counter(
-            "tnn_serve_worker_restarts_total",
-            "Worker serving rounds that panicked and respawned",
-            self.worker_restarts,
-        );
     }
 }
 
@@ -415,44 +324,25 @@ impl Drop for Job {
     }
 }
 
-/// Per-class mutable counters (`queued` is read off the queue itself).
-#[derive(Default, Clone, Copy)]
-struct ClassCounters {
-    submitted: u64,
-    accepted: u64,
-    rejected: u64,
-    shed: u64,
-    cancelled: u64,
-    completed: u64,
-    expired: u64,
-    in_flight: usize,
-    retried: u64,
-    degraded: u64,
-    latency: LatencyHistogram,
-}
-
 /// Mutable queue state — every field mutates under one mutex, which is
 /// what makes the [`ServeStats`] conservation invariant snapshot-exact.
 struct State {
     queue: MultiLevelQueue<Job>,
     shutdown: Option<ShutdownMode>,
-    classes: [ClassCounters; Priority::COUNT],
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_expired: u64,
-    cache_bypass: u64,
-    cache_coalesced: u64,
+    /// The live counters: per class and the global cache/restart
+    /// tallies. `queued` is read off the queue and the flat totals are
+    /// summed ([`ServeStats::retotaled`]) at snapshot time, so both stay
+    /// zero here.
+    stats: ServeStats,
     /// Next admission sequence number (assigned to enqueued jobs only,
     /// so a single-threaded submitter gets a deterministic numbering).
     next_seq: u64,
-    /// Worker rounds that panicked and respawned, pool-wide.
-    worker_restarts: u64,
 }
 
 impl State {
     fn cancel_backlog(&mut self) {
         while let Some((class, job)) = self.queue.pop() {
-            self.classes[class.index()].cancelled += 1;
+            self.stats.classes[class.index()].cancelled += 1;
             job.cell.resolve(Err(TnnError::Cancelled));
         }
     }
@@ -615,14 +505,8 @@ impl Server {
             state: Mutex::new(State {
                 queue: MultiLevelQueue::new(),
                 shutdown: None,
-                classes: [ClassCounters::default(); Priority::COUNT],
-                cache_hits: 0,
-                cache_misses: 0,
-                cache_expired: 0,
-                cache_bypass: 0,
-                cache_coalesced: 0,
+                stats: ServeStats::default(),
                 next_seq: 0,
-                worker_restarts: 0,
             }),
             work: Condvar::new(),
             space: Condvar::new(),
@@ -849,16 +733,16 @@ impl Server {
         submitted_at: Instant,
     ) -> (MutexGuard<'a, State>, Result<Ticket, TnnError>, bool) {
         let class = qos.priority.index();
-        state.classes[class].submitted += 1;
+        state.stats.classes[class].submitted += 1;
         if state.shutdown.is_some() {
-            state.classes[class].rejected += 1;
+            state.stats.classes[class].rejected += 1;
             return (state, Err(TnnError::Cancelled), false);
         }
         // Deadline at admission: dead-on-arrival work resolves without
         // costing a slot (or a cache probe — the client said "by then").
         if qos.deadline.expired(Instant::now()) {
-            state.classes[class].accepted += 1;
-            state.classes[class].expired += 1;
+            state.stats.classes[class].accepted += 1;
+            state.stats.classes[class].expired += 1;
             let cell = TicketCell::new();
             cell.resolve(Err(TnnError::DeadlineExceeded));
             return (state, Ok(Ticket { cell, submitted_at }), false);
@@ -872,10 +756,10 @@ impl Server {
         if let (Some(cache), Some(candidate)) = (&self.inner.cache, &key) {
             match cache.lookup(candidate, Instant::now()) {
                 Lookup::Hit(outcome) => {
-                    state.classes[class].accepted += 1;
-                    state.classes[class].completed += 1;
-                    state.cache_hits += 1;
-                    state.classes[class]
+                    state.stats.classes[class].accepted += 1;
+                    state.stats.classes[class].completed += 1;
+                    state.stats.cache_hits += 1;
+                    state.stats.classes[class]
                         .latency
                         .record(Instant::now().saturating_duration_since(submitted_at));
                     let cell = TicketCell::new();
@@ -896,10 +780,10 @@ impl Server {
         if let (Some(flights), Some(candidate)) = (&self.inner.flights, &key) {
             match flights.join_or_lead(candidate, Arc::clone(&cell), |c| !c.is_resolved()) {
                 FlightOutcome::Joined(leader) => {
-                    state.classes[class].accepted += 1;
-                    state.classes[class].completed += 1;
-                    state.cache_coalesced += 1;
-                    state.classes[class]
+                    state.stats.classes[class].accepted += 1;
+                    state.stats.classes[class].completed += 1;
+                    state.stats.cache_coalesced += 1;
+                    state.stats.classes[class]
                         .latency
                         .record(Instant::now().saturating_duration_since(submitted_at));
                     let cell = leader;
@@ -911,7 +795,7 @@ impl Server {
         let capacity = self.inner.config.lane_capacity(qos.priority);
         loop {
             if state.shutdown.is_some() {
-                state.classes[class].rejected += 1;
+                state.stats.classes[class].rejected += 1;
                 // Followers already on this flight share the leader's
                 // fate; the entry must not outlive it.
                 if lead {
@@ -922,8 +806,8 @@ impl Server {
             }
             // The deadline can pass while Block-waiting for a slot.
             if qos.deadline.expired(Instant::now()) {
-                state.classes[class].accepted += 1;
-                state.classes[class].expired += 1;
+                state.stats.classes[class].accepted += 1;
+                state.stats.classes[class].expired += 1;
                 cell.resolve(Err(TnnError::DeadlineExceeded));
                 if lead {
                     self.inner.retire_flight(&key);
@@ -960,7 +844,7 @@ impl Server {
                     };
                 }
                 Backpressure::Reject => {
-                    state.classes[class].rejected += 1;
+                    state.stats.classes[class].rejected += 1;
                     if lead {
                         cell.resolve(Err(TnnError::Overloaded));
                         self.inner.retire_flight(&key);
@@ -977,10 +861,10 @@ impl Server {
                         // check:allow(R2, Shed is only reached when the lane is full, and a full lane always yields a victim)
                         .expect("full lane has a victim");
                     if was_expired {
-                        state.classes[victim.class.index()].expired += 1;
+                        state.stats.classes[victim.class.index()].expired += 1;
                         victim.cell.resolve(Err(TnnError::DeadlineExceeded));
                     } else {
-                        state.classes[victim.class.index()].shed += 1;
+                        state.stats.classes[victim.class.index()].shed += 1;
                         victim.cell.resolve(Err(TnnError::Overloaded));
                     }
                     // An evicted leader's flight dies with it: retire
@@ -993,7 +877,7 @@ impl Server {
                 }
             }
         }
-        state.classes[class].accepted += 1;
+        state.stats.classes[class].accepted += 1;
         let seq = state.next_seq;
         state.next_seq += 1;
         state.queue.push_back(
@@ -1017,46 +901,11 @@ impl Server {
     /// A consistent snapshot of the admission/completion counters.
     pub fn stats(&self) -> ServeStats {
         let state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-        let mut stats = ServeStats {
-            cache_hits: state.cache_hits,
-            cache_misses: state.cache_misses,
-            cache_expired: state.cache_expired,
-            cache_bypass: state.cache_bypass,
-            cache_coalesced: state.cache_coalesced,
-            worker_restarts: state.worker_restarts,
-            ..ServeStats::default()
-        };
+        let mut stats = state.stats;
         for class in Priority::ALL {
-            let i = class.index();
-            let c = &state.classes[i];
-            let snapshot = ClassStats {
-                submitted: c.submitted,
-                accepted: c.accepted,
-                rejected: c.rejected,
-                shed: c.shed,
-                cancelled: c.cancelled,
-                completed: c.completed,
-                expired: c.expired,
-                queued: state.queue.len_of(class),
-                in_flight: c.in_flight,
-                retried: c.retried,
-                degraded: c.degraded,
-                latency: c.latency,
-            };
-            stats.classes[i] = snapshot;
-            stats.submitted += snapshot.submitted;
-            stats.accepted += snapshot.accepted;
-            stats.rejected += snapshot.rejected;
-            stats.shed += snapshot.shed;
-            stats.cancelled += snapshot.cancelled;
-            stats.completed += snapshot.completed;
-            stats.expired += snapshot.expired;
-            stats.queued += snapshot.queued;
-            stats.in_flight += snapshot.in_flight;
-            stats.retried += snapshot.retried;
-            stats.degraded += snapshot.degraded;
+            stats.classes[class.index()].queued = state.queue.len_of(class);
         }
-        stats
+        stats.retotaled()
     }
 
     /// Counters of the shared result cache (entry counts, evictions),
@@ -1192,41 +1041,26 @@ impl Drop for Server {
 /// [`ServeConfig::max_worker_restarts`]); the server keeps serving.
 struct BatchGuard<'a> {
     inner: &'a Inner,
+    /// Jobs popped per class, all counted `in_flight` until settled.
     taken: [usize; Priority::COUNT],
-    completed: [usize; Priority::COUNT],
-    expired: [usize; Priority::COUNT],
-    retried: [u64; Priority::COUNT],
-    degraded: [u64; Priority::COUNT],
-    latency: [LatencyHistogram; Priority::COUNT],
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_expired: u64,
-    cache_bypass: u64,
+    /// What the batch has settled so far, merged into the server's
+    /// counters in one step.
+    booked: ServeStats,
 }
 
 impl Drop for BatchGuard<'_> {
     fn drop(&mut self) {
         let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.cache_hits += self.cache_hits;
-        state.cache_misses += self.cache_misses;
-        state.cache_expired += self.cache_expired;
-        state.cache_bypass += self.cache_bypass;
-        let mut abandoned_total = 0u64;
-        for i in 0..Priority::COUNT {
-            let class = &mut state.classes[i];
-            let abandoned = (self.taken[i] - self.completed[i] - self.expired[i]) as u64;
+        for (i, class) in self.booked.classes.iter_mut().enumerate() {
+            let abandoned = self.taken[i] as u64 - class.completed - class.expired;
             // Abandoned jobs (worker unwound mid-batch) resolve
             // `Err(Internal)` when the batch buffer drops: the client got
             // an answer, so they complete — with no cache interaction.
-            class.completed += self.completed[i] as u64 + abandoned;
-            class.expired += self.expired[i] as u64;
-            class.in_flight -= self.taken[i];
-            class.retried += self.retried[i];
-            class.degraded += self.degraded[i];
-            class.latency.merge(&self.latency[i]);
-            abandoned_total += abandoned;
+            class.completed += abandoned;
+            self.booked.cache_bypass += abandoned;
+            state.stats.classes[i].in_flight -= self.taken[i];
         }
-        state.cache_bypass += abandoned_total;
+        state.stats.merge(&self.booked);
     }
 }
 
@@ -1268,8 +1102,8 @@ fn worker_loop(inner: &Inner, engine: &QueryEngine) {
         // buffer dropped); all that is left is to count the restart and
         // decide whether this pool is still healthy.
         let mut state = inner.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.worker_restarts += 1;
-        if state.worker_restarts > u64::from(inner.config.max_worker_restarts) {
+        state.stats.worker_restarts += 1;
+        if state.stats.worker_restarts > u64::from(inner.config.max_worker_restarts) {
             if state.shutdown.is_none() {
                 state.shutdown = Some(ShutdownMode::Cancel);
             }
@@ -1316,7 +1150,7 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
                 let Some((class, job)) = state.queue.pop() else {
                     break;
                 };
-                state.classes[class.index()].in_flight += 1;
+                state.stats.classes[class.index()].in_flight += 1;
                 local.push(job);
             }
             drop(state);
@@ -1330,15 +1164,7 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
         let mut guard = BatchGuard {
             inner,
             taken: [0; Priority::COUNT],
-            completed: [0; Priority::COUNT],
-            expired: [0; Priority::COUNT],
-            retried: [0; Priority::COUNT],
-            degraded: [0; Priority::COUNT],
-            latency: [LatencyHistogram::default(); Priority::COUNT],
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_expired: 0,
-            cache_bypass: 0,
+            booked: ServeStats::default(),
         };
         for job in &local {
             guard.taken[job.class.index()] += 1;
@@ -1380,7 +1206,7 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
                 if job.lead {
                     inner.retire_flight(&job.key);
                 }
-                guard.expired[class] += 1;
+                guard.booked.classes[class].expired += 1;
                 if let Some(t) = trace.as_mut() {
                     t.errored = true;
                 }
@@ -1421,7 +1247,7 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
                     }
                     match looked {
                         Lookup::Hit(outcome) => {
-                            guard.cache_hits += 1;
+                            guard.booked.cache_hits += 1;
                             if let Some(t) = trace.as_mut() {
                                 stamp_counters(t, &outcome);
                             }
@@ -1429,8 +1255,9 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
                             if job.lead {
                                 inner.retire_flight(&job.key);
                             }
-                            guard.completed[class] += 1;
-                            guard.latency[class]
+                            guard.booked.classes[class].completed += 1;
+                            guard.booked.classes[class]
+                                .latency
                                 .record(Instant::now().saturating_duration_since(job.submitted_at));
                             record_trace(inner, trace, job.submitted_at);
                             continue;
@@ -1464,12 +1291,12 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
             }
             match executed {
                 Executed::Expired { retries } => {
-                    guard.retried[class] += retries;
+                    guard.booked.classes[class].retried += retries;
                     job.cell.resolve(Err(TnnError::DeadlineExceeded));
                     if job.lead {
                         inner.retire_flight(&job.key);
                     }
-                    guard.expired[class] += 1;
+                    guard.booked.classes[class].expired += 1;
                     if let Some(t) = trace.as_mut() {
                         t.attempts = retries as u32;
                         t.errored = true;
@@ -1477,10 +1304,10 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
                     record_trace(inner, trace, job.submitted_at);
                 }
                 Executed::Done { result, retries } => {
-                    guard.retried[class] += retries;
+                    guard.booked.classes[class].retried += retries;
                     let degraded = matches!(&result, Ok(outcome) if outcome.degraded);
                     if degraded {
-                        guard.degraded[class] += 1;
+                        guard.booked.classes[class].degraded += 1;
                     }
                     // `cacheable` implies a key and a cache were present
                     // at dispatch; matching on all three keeps the
@@ -1492,15 +1319,15 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
                         (Ok(outcome), Some(key), Some(cache)) if cacheable && !degraded => {
                             cache.insert(key.clone(), outcome.clone(), Instant::now());
                             if refresh {
-                                guard.cache_expired += 1;
+                                guard.booked.cache_expired += 1;
                             } else {
-                                guard.cache_misses += 1;
+                                guard.booked.cache_misses += 1;
                             }
                         }
                         // Errors and degraded outcomes are never cached:
                         // a transient fault must not mask the exact
                         // answer a later healthy run would produce.
-                        _ => guard.cache_bypass += 1,
+                        _ => guard.booked.cache_bypass += 1,
                     }
                     if let Some(t) = trace.as_mut() {
                         t.attempts = retries as u32 + 1;
@@ -1513,8 +1340,9 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
                     if job.lead {
                         inner.retire_flight(&job.key);
                     }
-                    guard.completed[class] += 1;
-                    guard.latency[class]
+                    guard.booked.classes[class].completed += 1;
+                    guard.booked.classes[class]
+                        .latency
                         .record(Instant::now().saturating_duration_since(job.submitted_at));
                     record_trace(inner, trace, job.submitted_at);
                 }

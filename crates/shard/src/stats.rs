@@ -2,49 +2,61 @@
 
 use tnn_serve::ServeStats;
 
-/// A snapshot of one [`crate::ShardRouter`]'s activity: scatter-gather
-/// counters plus the [`ServeStats::fold`] of every shard replica's
-/// serving counters.
-#[derive(Debug, Clone, Default)]
-pub struct ShardStats {
-    /// Queries accepted by [`crate::ShardRouter::run`] (before
-    /// validation; failed validations count too).
-    pub queries: u64,
-    /// Sub-queries admitted by shard servers during scatter.
-    pub scattered: u64,
-    /// Sub-queries a shard server refused at the door (full lane under
-    /// `Backpressure::Reject`, or shutdown). The route is still exact —
-    /// a refused shard just cannot tighten the gather bound.
-    pub scatter_rejected: u64,
-    /// Admitted sub-queries that resolved to an error (cancelled,
-    /// expired, …) instead of a bound-tightening outcome.
-    pub scatter_errors: u64,
-    /// Shards skipped in the scatter phase because the transitive bound
-    /// proved they cannot improve the best-known route.
-    pub scatter_pruned: u64,
-    /// `(shard, channel)` sub-trees actually range-searched in the
-    /// gather phase.
-    pub gather_probed: u64,
-    /// `(shard, channel)` sub-trees skipped in the gather phase because
-    /// their root MBR lies entirely outside the gather circle.
-    pub gather_pruned: u64,
-    /// Queries that found no eligible shard (no single shard holds all
-    /// `k` channels) and fell back to a locally computed gather bound.
-    pub fallbacks: u64,
-    /// Extra replicas spawned by hot-shard scale-up (beyond the one
-    /// every eligible shard starts with).
-    pub replicas_spawned: u64,
-    /// Environment swaps published through
-    /// [`crate::ShardRouter::swap_env`] — each one re-partitions the
-    /// data and replaces every shard's replica set.
-    pub env_swaps: u64,
-    /// Replicas drained and retired by environment swaps. Their serving
-    /// counters are *not* lost: each retiree's final stats fold into
-    /// [`ShardStats::serve`] alongside the live replicas'.
-    pub retired_replicas: u64,
-    /// [`ServeStats::fold`] over every replica of every shard — the live
-    /// ones plus every replica retired by an environment swap.
-    pub serve: ServeStats,
+tnn_trace::stats! {
+    /// A snapshot of one [`crate::ShardRouter`]'s activity: scatter-gather
+    /// counters plus the [`ServeStats::fold`] of every shard replica's
+    /// serving counters.
+    #[derive(Debug, Clone, Default)]
+    pub struct ShardStats {
+        /// Queries accepted by [`crate::ShardRouter::run`] (before
+        /// validation; failed validations count too).
+        pub queries: u64 => "tnn_shard_queries_total", "Queries accepted by the shard router",
+        /// Sub-queries admitted by shard servers during scatter.
+        pub scattered: u64 => "tnn_shard_scattered_total",
+            "Sub-queries admitted by shard servers during scatter",
+        /// Sub-queries a shard server refused at the door (full lane under
+        /// `Backpressure::Reject`, or shutdown). The route is still exact —
+        /// a refused shard just cannot tighten the gather bound.
+        pub scatter_rejected: u64 => "tnn_shard_scatter_rejected_total",
+            "Sub-queries refused at a shard server's door",
+        /// Admitted sub-queries that resolved to an error (cancelled,
+        /// expired, …) instead of a bound-tightening outcome.
+        pub scatter_errors: u64 => "tnn_shard_scatter_errors_total",
+            "Admitted sub-queries that resolved to an error",
+        /// Shards skipped in the scatter phase because the transitive bound
+        /// proved they cannot improve the best-known route.
+        pub scatter_pruned: u64 => "tnn_shard_scatter_pruned_total",
+            "Shards skipped by the transitive scatter bound",
+        /// `(shard, channel)` sub-trees actually range-searched in the
+        /// gather phase.
+        pub gather_probed: u64 => "tnn_shard_gather_probed_total",
+            "(shard, channel) sub-trees range-searched in the gather phase",
+        /// `(shard, channel)` sub-trees skipped in the gather phase because
+        /// their root MBR lies entirely outside the gather circle.
+        pub gather_pruned: u64 => "tnn_shard_gather_pruned_total",
+            "(shard, channel) sub-trees skipped by root-MBR pruning",
+        /// Queries that found no eligible shard (no single shard holds all
+        /// `k` channels) and fell back to a locally computed gather bound.
+        pub fallbacks: u64 => "tnn_shard_fallbacks_total",
+            "Queries that fell back to a locally computed gather bound",
+        /// Extra replicas spawned by hot-shard scale-up (beyond the one
+        /// every eligible shard starts with).
+        pub replicas_spawned: u64 => "tnn_shard_replicas_spawned_total",
+            "Extra replicas spawned by hot-shard scale-up",
+        /// Environment swaps published through
+        /// [`crate::ShardRouter::swap_env`] — each one re-partitions the
+        /// data and replaces every shard's replica set.
+        pub env_swaps: u64 => "tnn_shard_env_swaps_total",
+            "Environment swaps published through the router",
+        /// Replicas drained and retired by environment swaps. Their serving
+        /// counters are *not* lost: each retiree's final stats fold into
+        /// [`ShardStats::serve`] alongside the live replicas'.
+        pub retired_replicas: u64 => "tnn_shard_retired_replicas_total",
+            "Replicas drained and retired by environment swaps",
+        /// [`ServeStats::fold`] over every replica of every shard — the live
+        /// ones plus every replica retired by an environment swap.
+        pub serve: ServeStats,
+    }
 }
 
 impl ShardStats {
@@ -69,40 +81,31 @@ impl ShardStats {
     /// serving stats span retirees and live replicas alike, so a swap
     /// can never drop or double-count pre-swap completions.
     pub fn conserved(&self) -> bool {
-        self.serve.conserved()
-            && self.serve.submitted == self.scattered + self.scatter_rejected
-            && self.scatter_errors <= self.scattered
-            && self.fallbacks <= self.queries
-            && (self.retired_replicas == 0 || self.env_swaps > 0)
-    }
-
-    /// Adds `other`'s counters (and folded serving stats) into `self` —
-    /// aggregation across routers, mirroring [`ServeStats::merge`].
-    /// Every [`ShardStats::conserved`] clause is linear or a sum-side
-    /// inequality, so merging conserved snapshots yields a conserved
-    /// result.
-    pub fn merge(&mut self, other: &ShardStats) {
-        self.queries += other.queries;
-        self.scattered += other.scattered;
-        self.scatter_rejected += other.scatter_rejected;
-        self.scatter_errors += other.scatter_errors;
-        self.scatter_pruned += other.scatter_pruned;
-        self.gather_probed += other.gather_probed;
-        self.gather_pruned += other.gather_pruned;
-        self.fallbacks += other.fallbacks;
-        self.replicas_spawned += other.replicas_spawned;
-        self.env_swaps += other.env_swaps;
-        self.retired_replicas += other.retired_replicas;
-        self.serve.merge(&other.serve);
-    }
-
-    /// [`ShardStats::merge`] over any number of snapshots.
-    pub fn fold<'a>(snapshots: impl IntoIterator<Item = &'a ShardStats>) -> ShardStats {
-        let mut acc = ShardStats::default();
-        for snapshot in snapshots {
-            acc.merge(snapshot);
-        }
-        acc
+        let ShardStats {
+            queries,
+            scattered,
+            scatter_rejected,
+            scatter_errors,
+            // Pruned shards are skipped work, not tickets: no identity
+            // links them to admissions.
+            scatter_pruned: _,
+            // Gather probes and prunes are observability, the prune
+            // rate's numerator and denominator.
+            gather_probed: _,
+            gather_pruned: _,
+            fallbacks,
+            // Scale-up is bounded by `ShardConfig::replication` at spawn
+            // time, not by a stats identity.
+            replicas_spawned: _,
+            env_swaps,
+            retired_replicas,
+            serve,
+        } = self;
+        serve.conserved()
+            && serve.submitted == scattered + scatter_rejected
+            && scatter_errors <= scattered
+            && fallbacks <= queries
+            && (*retired_replicas == 0 || *env_swaps > 0)
     }
 
     /// Publishes this snapshot into `registry`: the scatter-gather
@@ -112,61 +115,7 @@ impl ShardStats {
     /// replica, retirees included). All fields only ever grow on a live
     /// router, so repeated publications are monotone.
     pub fn publish_metrics(&self, registry: &tnn_trace::MetricsRegistry) {
-        registry.counter(
-            "tnn_shard_queries_total",
-            "Queries accepted by the shard router",
-            self.queries,
-        );
-        registry.counter(
-            "tnn_shard_scattered_total",
-            "Sub-queries admitted by shard servers during scatter",
-            self.scattered,
-        );
-        registry.counter(
-            "tnn_shard_scatter_rejected_total",
-            "Sub-queries refused at a shard server's door",
-            self.scatter_rejected,
-        );
-        registry.counter(
-            "tnn_shard_scatter_errors_total",
-            "Admitted sub-queries that resolved to an error",
-            self.scatter_errors,
-        );
-        registry.counter(
-            "tnn_shard_scatter_pruned_total",
-            "Shards skipped by the transitive scatter bound",
-            self.scatter_pruned,
-        );
-        registry.counter(
-            "tnn_shard_gather_probed_total",
-            "(shard, channel) sub-trees range-searched in the gather phase",
-            self.gather_probed,
-        );
-        registry.counter(
-            "tnn_shard_gather_pruned_total",
-            "(shard, channel) sub-trees skipped by root-MBR pruning",
-            self.gather_pruned,
-        );
-        registry.counter(
-            "tnn_shard_fallbacks_total",
-            "Queries that fell back to a locally computed gather bound",
-            self.fallbacks,
-        );
-        registry.counter(
-            "tnn_shard_replicas_spawned_total",
-            "Extra replicas spawned by hot-shard scale-up",
-            self.replicas_spawned,
-        );
-        registry.counter(
-            "tnn_shard_env_swaps_total",
-            "Environment swaps published through the router",
-            self.env_swaps,
-        );
-        registry.counter(
-            "tnn_shard_retired_replicas_total",
-            "Replicas drained and retired by environment swaps",
-            self.retired_replicas,
-        );
+        self.publish_series(registry, "");
         self.serve.publish_metrics(registry);
     }
 }

@@ -4,7 +4,7 @@
 //! answer to "why was *this* query slow?" in the paper's own cost
 //! vocabulary.
 //!
-//! Three pieces, all std-only and dependency-free so every layer
+//! Four pieces, all std-only and dependency-free so every layer
 //! (serve, qos, faults, shard, sim) can record into them without new
 //! edges in the crate graph:
 //!
@@ -17,8 +17,12 @@
 //! * **Metrics registry** — [`MetricsRegistry`] holds named counters,
 //!   gauges, and [`LatencyHistogram`]s and renders the Prometheus text
 //!   exposition format via [`MetricsRegistry::render_prometheus`];
-//!   layers publish snapshots of their existing stats structs, so hot
-//!   paths are never rewired through the registry.
+//!   layers publish snapshots of their stats structs, so hot paths are
+//!   never rewired through the registry.
+//! * **Stats declarations** — [`stats!`] declares a stats family once
+//!   (field, doc, series name, HELP text) and generates its `merge`,
+//!   `fold` and `publish_series`; the metric kind follows the field
+//!   type through [`Metric`].
 //! * **Flight recorder** — [`FlightRecorder`] retains the N slowest
 //!   and all degraded-or-errored traces in bounded, lock-striped
 //!   pools, queryable from `tnn_serve::Server` / `tnn_shard::ShardRouter`
@@ -41,8 +45,10 @@ mod histogram;
 mod recorder;
 mod registry;
 mod span;
+mod stats;
 
 pub use histogram::LatencyHistogram;
 pub use recorder::FlightRecorder;
 pub use registry::MetricsRegistry;
 pub use span::{QueryTrace, RecorderConfig, Span, SpanKind, TraceConfig};
+pub use stats::{Merge, Metric};

@@ -5,7 +5,9 @@
 //! structs (`ServeStats`, `ShardStats`, `FaultStats`, `CacheStats`) and
 //! publish the values under stable names — the serving hot paths are
 //! never rewired through the registry, so publishing costs nothing
-//! until someone asks for a dump. Counters published from those structs
+//! until someone asks for a dump. Each series name and HELP text is
+//! written once, next to its field in the family's
+//! [`stats!`](crate::stats) declaration. Counters published from those structs
 //! are monotone because the structs themselves only grow.
 
 use crate::LatencyHistogram;
