@@ -1,10 +1,8 @@
 //! The heap-queue acceptance benchmark: heap-ordered vs. linear-scan
 //! candidate queues on a Figure-9-style workload (10k × 10k uniform
-//! points, DoubleNn, paper region). The full 1,000-query comparison —
-//! plus the bit-identical `BatchStats` check — runs in the
-//! `perf-baseline` binary, which writes the committed `BENCH_*.json`
-//! trajectory files; this criterion target measures a smaller slice so
-//! `cargo bench queue` stays interactive.
+//! points, DoubleNn, paper region). The bit-identical `BatchStats` check
+//! is the `linear_equivalence` test; this criterion target measures a
+//! small slice so `cargo bench queue` stays interactive.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tnn_bench::fixture_tree;

@@ -7,7 +7,9 @@
 //! computational cost of the reproduction itself — geometry kernels,
 //! R-tree construction and queries, broadcast-schedule arithmetic, and
 //! one full simulated query per algorithm and per figure workload — so
-//! that performance regressions in the simulator are caught.
+//! that performance regressions in the simulator are caught. End-to-end
+//! and per-layer timings of the whole system come from the separate
+//! `perfbench` package (`python3 perfbench/run.py`).
 //!
 //! Shared fixtures live in this library crate so all bench targets use
 //! identical workloads.
@@ -52,10 +54,6 @@ pub fn fixture_env(s_n: usize, r_n: usize) -> MultiChannelEnv {
 pub fn fixture_queries(n: usize) -> Vec<Point> {
     uniform_points(n, &paper_region(), 0xABCD)
 }
-
-pub mod record;
-
-pub use record::{write_bench_json, BenchRecord};
 
 #[cfg(test)]
 mod tests {

@@ -16,9 +16,10 @@ pub enum ShedDiscipline {
     #[default]
     ExpiredFirst,
     /// Always evict the class's oldest item, expired or not — the
-    /// pre-deadline behaviour, kept for the ablation in
-    /// `tnn-sim --bin serve_load` showing why expiry-awareness lowers the
-    /// deadline-miss rate under saturation.
+    /// pre-deadline behaviour, kept for the comparison in
+    /// `crates/serve/tests/qos.rs` (`oldest_first_shed_sacrifices_viable_work`)
+    /// showing why expiry-awareness lowers the deadline-miss rate under
+    /// saturation.
     OldestFirst,
 }
 

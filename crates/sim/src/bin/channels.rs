@@ -3,6 +3,7 @@
 //! prints the cost table — the CI gate for the k-ary pipeline
 //! generalization. Pass explicit channel counts as arguments
 //! (`channels 2 3 4`); `TNN_QUERIES` / `TNN_SEED` control the batch.
+//! A malformed or zero argument or variable stops the run with its name.
 
 #![forbid(unsafe_code)]
 
@@ -12,14 +13,14 @@ use tnn_core::{Algorithm, TnnConfig};
 use tnn_datasets::paper_region;
 use tnn_rtree::{PackingAlgorithm, RTree};
 use tnn_sim::experiments::Context;
-use tnn_sim::{run_tnn_batch, BatchConfig, Table};
+use tnn_sim::{parse_positive, run_tnn_batch, BatchConfig, Table};
 
 fn main() {
     let ctx = Context::from_env();
     let ks: Vec<usize> = {
         let args: Vec<usize> = std::env::args()
             .skip(1)
-            .filter_map(|a| a.parse().ok())
+            .map(|a| parse_positive("channel count argument", &a))
             .collect();
         if args.is_empty() {
             vec![2, 3, 4]

@@ -8,6 +8,7 @@ pub mod fig13;
 pub mod fig9;
 pub mod table3;
 
+use crate::runner::env_positive;
 use crate::{
     format_table, queries_per_batch, run_batch, write_csv, BatchConfig, BatchStats, Catalog,
     DatasetSpec, Table,
@@ -26,7 +27,7 @@ pub struct Context {
     pub catalog: Catalog,
     /// Queries per configuration (paper: 1,000; `TNN_QUERIES` overrides).
     pub queries: usize,
-    /// Master seed (`TNN_SEED` overrides).
+    /// Master seed (`TNN_SEED` overrides; must be a positive integer).
     pub seed: u64,
     /// Directory for CSV output (`TNN_OUT`, default `results/`).
     pub out_dir: PathBuf,
@@ -38,10 +39,7 @@ impl Context {
         Context {
             catalog: Catalog::new(),
             queries: queries_per_batch(),
-            seed: std::env::var("TNN_SEED")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0xEDB7_2008),
+            seed: env_positive("TNN_SEED", 0xEDB7_2008),
             out_dir: PathBuf::from(std::env::var("TNN_OUT").unwrap_or_else(|_| "results".into())),
         }
     }

@@ -11,10 +11,13 @@
 //! | Figure 13 (a–b): Hybrid-NN with ANN | `fig13` | §6.2.2 |
 //! | Table 3: Approximate-TNN fail rates | `table3` | §6.3 |
 //! | design ablations (packing, interleaving, …) | `ablations` | — |
+//! | channel-count axis (k = 2, 3, 4), oracle-checked | `channels` | — |
 //!
 //! Run everything with `cargo run --release -p tnn-sim --bin
 //! all-experiments`; set `TNN_QUERIES` (default 1000, the paper's count)
-//! and `TNN_SEED` to control batch size and reproducibility.
+//! and `TNN_SEED` to control batch size and reproducibility. Both must be
+//! positive integers: anything else stops the run (see
+//! [`parse_positive`]).
 //!
 //! The harness mirrors the paper's methodology: for each configuration it
 //! issues `TNN_QUERIES` queries at points uniform over the 39,000²
@@ -30,13 +33,13 @@ mod metrics;
 mod report;
 mod runner;
 mod workload;
-mod zipf;
 
 pub use metrics::BatchStats;
 pub use report::{format_table, write_csv, Table};
-pub use runner::{queries_per_batch, run_batch, run_chain_batch, run_tnn_batch, BatchConfig};
+pub use runner::{
+    parse_positive, queries_per_batch, run_batch, run_chain_batch, run_tnn_batch, BatchConfig,
+};
 pub use workload::{Catalog, DatasetSpec};
-pub use zipf::ZipfSampler;
 
 #[cfg(feature = "linear-reference")]
 pub use runner::run_batch_linear;

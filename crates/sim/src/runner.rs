@@ -26,6 +26,7 @@ use crate::metrics::{QuerySample, StatsAccumulator};
 use crate::BatchStats;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::str::FromStr;
 use std::sync::Arc;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
 use tnn_core::{
@@ -56,12 +57,31 @@ pub struct BatchConfig {
 }
 
 /// Reads the batch size from `TNN_QUERIES` (default 1,000 — the paper's
-/// query count per configuration).
+/// query count per configuration) through [`parse_positive`].
 pub fn queries_per_batch() -> usize {
-    std::env::var("TNN_QUERIES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_000)
+    env_positive("TNN_QUERIES", 1_000)
+}
+
+/// Parses one experiment input — an environment variable or a command
+/// line argument, named by `name` — as a positive integer of an unsigned
+/// type `T`. Anything else panics with `name` in the message: a typo must
+/// not silently fall back to a default, and a 0 must not turn a batch
+/// into a vacuous pass over zero queries.
+pub fn parse_positive<T: FromStr + PartialOrd + Default>(name: &str, raw: &str) -> T {
+    match raw.parse() {
+        Ok(n) if n > T::default() => n,
+        _ => panic!("{name} must be a positive integer, got {raw:?}"),
+    }
+}
+
+/// Reads the environment variable `name` through [`parse_positive`];
+/// `default` when it is unset.
+pub(crate) fn env_positive<T: FromStr + PartialOrd + Default>(name: &str, default: T) -> T {
+    match std::env::var(name) {
+        Ok(raw) => parse_positive(name, &raw),
+        Err(std::env::VarError::NotPresent) => default,
+        Err(err) => panic!("{name}: {err}"),
+    }
 }
 
 fn worker_threads(queries: usize) -> usize {
@@ -434,10 +454,34 @@ mod tests {
     }
 
     #[test]
-    fn queries_per_batch_env_override() {
-        // Can't mutate the environment safely in parallel tests; just
-        // check the default path parses.
-        let n = queries_per_batch();
-        assert!(n > 0);
+    fn parse_positive_accepts_positive_integers() {
+        assert_eq!(parse_positive::<usize>("TNN_QUERIES", "1"), 1);
+        assert_eq!(parse_positive::<usize>("TNN_QUERIES", "200"), 200);
+        assert_eq!(parse_positive::<u64>("TNN_SEED", "3988201480"), 0xEDB7_2008);
+    }
+
+    #[test]
+    #[should_panic(expected = "TNN_QUERIES must be a positive integer, got \"0\"")]
+    fn parse_positive_rejects_zero() {
+        parse_positive::<usize>("TNN_QUERIES", "0");
+    }
+
+    #[test]
+    fn parse_positive_rejects_malformed_input_naming_the_input() {
+        for raw in [
+            "",
+            "x",
+            "1e3",
+            "-4",
+            " 12",
+            "12 ",
+            "1_000",
+            "18446744073709551616",
+        ] {
+            let err = std::panic::catch_unwind(|| parse_positive::<u64>("TNN_SEED", raw))
+                .expect_err(&format!("{raw:?} must be rejected"));
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.starts_with("TNN_SEED must be"), "{msg}");
+        }
     }
 }

@@ -26,7 +26,8 @@
 //! * **Flight recorder** — [`FlightRecorder`] retains the N slowest
 //!   and all degraded-or-errored traces in bounded, lock-striped
 //!   pools, queryable from `tnn_serve::Server` / `tnn_shard::ShardRouter`
-//!   and dumped by `serve_load --trace`.
+//!   and reconciled against measured latency by the live-stack test in
+//!   `crates/bench/tests/metrics_golden.rs`.
 //!
 //! ## Determinism and zero cost when off
 //!
