@@ -2,7 +2,6 @@
 //! virtual cyclic page schedule.
 
 use crate::BroadcastParams;
-use serde::{Deserialize, Serialize};
 use tnn_rtree::{NodeId, ObjectId, RTree};
 
 /// The page-level layout of one dataset's broadcast program.
@@ -19,7 +18,7 @@ use tnn_rtree::{NodeId, ObjectId, RTree};
 ///
 /// All positions are *cycle-relative*; [`crate::Channel`] adds the
 /// per-channel phase to map them onto global time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BroadcastLayout {
     /// Index-segment length in pages (== number of R-tree nodes).
     index_len: u64,

@@ -13,7 +13,6 @@
 //! inline on the stack.
 
 use crate::{Channel, ChannelView, MultiChannelEnv};
-use serde::{Deserialize, Serialize};
 
 /// A small vector with inline storage for up to `N` elements, spilling to
 /// the heap beyond that — the storage behind k-ary query state
@@ -24,16 +23,7 @@ use serde::{Deserialize, Serialize};
 /// `spill` is empty; once the length exceeds `N` *all* elements live in
 /// `spill`. Building one from a slice of at most `N` elements performs no
 /// allocation.
-///
-/// The serde derives keep the ROADMAP's "swap the shims for the real
-/// crates" path compiling: types embedding an `InlineVec` (`AnnModes`,
-/// `TnnConfig`, `Query`) derive `Serialize`/`Deserialize` themselves, so
-/// this type must too. It round-trips through `Vec<T>` (the
-/// `into`/`from` container attributes), so the wire format is a plain
-/// sequence — independent of the inline capacity `N` and incapable of
-/// encoding a value that violates the `len`/`spill` invariant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(into = "Vec<T>", from = "Vec<T>")]
+#[derive(Debug, Clone)]
 pub struct InlineVec<T: Copy + Default, const N: usize> {
     len: usize,
     inline: [T; N],
@@ -121,18 +111,6 @@ impl<T: Copy + Default + PartialEq, const N: usize> PartialEq for InlineVec<T, N
 impl<T: Copy + Default, const N: usize> From<&[T]> for InlineVec<T, N> {
     fn from(items: &[T]) -> Self {
         InlineVec::from_slice(items)
-    }
-}
-
-impl<T: Copy + Default, const N: usize> From<Vec<T>> for InlineVec<T, N> {
-    fn from(items: Vec<T>) -> Self {
-        InlineVec::from_slice(&items)
-    }
-}
-
-impl<T: Copy + Default, const N: usize> From<InlineVec<T, N>> for Vec<T> {
-    fn from(v: InlineVec<T, N>) -> Self {
-        v.as_slice().to_vec()
     }
 }
 

@@ -1,13 +1,12 @@
 //! Broadcast-program parameters (paper Table 2).
 
-use serde::{Deserialize, Serialize};
 use tnn_rtree::RTreeParams;
 
 /// The page capacities evaluated in the paper (Table 2: "64 – 512 bytes").
 pub const PAGE_CAPACITIES: [usize; 4] = [64, 128, 256, 512];
 
 /// Parameters of a broadcast program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BroadcastParams {
     /// Page capacity in bytes (Table 2: 64–512). One R-tree node occupies
     /// exactly one page; data objects occupy

@@ -1,14 +1,12 @@
 //! Client-side tuning accounting: the paper's two cost metrics.
 
-use serde::{Deserialize, Serialize};
-
 /// Accounting for one mobile client on one channel.
 ///
 /// * **Tune-in time** ([`Tuner::pages`]): pages actually downloaded — the
 ///   energy metric. Pruned pages cost nothing (the client dozes).
 /// * **Access time**: derived by the caller from [`Tuner::finish_time`]
 ///   relative to the query issue time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Tuner {
     /// Number of pages downloaded so far.
     pub pages: u64,

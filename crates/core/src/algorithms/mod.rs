@@ -13,7 +13,7 @@
 //! search tasks (see [`crate::task::queue`]): the default backend is the
 //! heap-ordered production queue, while a [`QueryScratch`] over the
 //! feature-gated `LinearQueue` drives the identical algorithm code over
-//! the paper-literal linear-scan reference for A/B benchmarking. Every
+//! the paper-literal linear-scan reference for the equivalence gates. Every
 //! pipeline returns a [`QueryOutcome`] built straight from the merged
 //! route's stops.
 //!

@@ -34,13 +34,12 @@ use crate::merge::{merge_route_layers, MergedRoute, RouteObjective};
 use crate::task::queue::CandidateQueue;
 use crate::task::{WindowQueryTask, WindowScratch};
 use crate::{AnnSpec, ChannelCost, QueryKind, QueryOutcome, TnnError, TnnPair};
-use serde::{Deserialize, Serialize};
 use tnn_broadcast::{PhaseOverlay, Tuner};
 use tnn_geom::{Circle, Point};
 use tnn_rtree::ObjectId;
 
 /// Which dataset a two-channel order-free answer visits first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VisitOrder {
     /// `p → s → r` (the plain TNN order).
     SFirst,

@@ -1,10 +1,8 @@
 //! Approximate-NN pruning (paper §5): the probabilistic pruning condition
 //! and the dynamic threshold `α`.
 
-use serde::{Deserialize, Serialize};
-
 /// The pruning regime of one broadcast search.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum AnnMode {
     /// Exact NN search (eNN): only guaranteed pruning
     /// (`lower_bound > upper_bound`). Equivalent to `α = 0` (§5.1: "when

@@ -1,11 +1,10 @@
 //! Query-execution configuration.
 
 use crate::AnnMode;
-use serde::{Deserialize, Serialize};
 use tnn_broadcast::InlineVec;
 
 /// The TNN query-processing algorithm to run (paper §3–§4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Window-Based-TNN-Search \[19\], adapted to multi-channel: NN of `p`
     /// in `S`, then NN of that `s` in `R` (sequential estimate), parallel
@@ -56,7 +55,7 @@ impl Algorithm {
 ///
 /// Dereferences to `[AnnMode]`, so indexing (`modes[0]`), iteration, and
 /// `len()` all work as on a slice.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AnnModes(InlineVec<AnnMode, 2>);
 
 impl AnnModes {
@@ -104,7 +103,7 @@ impl From<[AnnMode; 2]> for AnnModes {
 ///
 /// This is what [`Query`](crate::Query) carries; it resolves against the
 /// engine's channel count at execution time via [`AnnSpec::mode`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AnnSpec {
     /// The same mode on every channel, independent of channel count.
     Uniform(AnnMode),
@@ -156,7 +155,7 @@ impl Default for AnnSpec {
 }
 
 /// Full configuration of one TNN query execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TnnConfig {
     /// Which algorithm to run.
     pub algorithm: Algorithm,

@@ -46,7 +46,6 @@ use crate::algorithms::{
 };
 use crate::task::queue::{ArrivalHeap, CandidateQueue};
 use crate::{Algorithm, AnnMode, AnnSpec, ChannelCost, TnnConfig, TnnError, TnnPair};
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, RwLock};
 use tnn_broadcast::{MultiChannelEnv, PhaseOverlay, PhaseVec};
 use tnn_geom::Point;
@@ -54,7 +53,7 @@ use tnn_rtree::ObjectId;
 
 /// What kind of route a [`Query`] asks for. Every kind runs over any
 /// `k ≥ 2`-channel environment; `k = 2` is the paper's special case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryKind {
     /// TNN in channel order (`p → s₁ → … → s_k`) under the given
     /// algorithm.
@@ -82,7 +81,7 @@ pub enum QueryKind {
 /// for plain TNN, exact (eNN) search on every channel, issue slot 0, the
 /// environment's own channel phases, and final answer-object retrieval
 /// on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     kind: QueryKind,
     point: Point,
@@ -235,7 +234,7 @@ impl Query {
 
 /// One stop of a [`QueryOutcome`] route: where, which object, and on
 /// which channel it was found.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouteStop {
     /// The stop's location.
     pub point: Point,
@@ -253,7 +252,7 @@ pub struct RouteStop {
 /// equivalence gate in `crates/bench/tests` asserts the engine's
 /// two-channel outcomes are byte-identical to a frozen copy of the
 /// paper's pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
     /// What was asked.
     pub kind: QueryKind,
@@ -387,8 +386,8 @@ const MAX_POOLED_SCRATCH: usize = 64;
 
 /// The unified query-execution engine over one shared multi-channel
 /// environment, generic over the candidate-queue backend (the default
-/// [`ArrivalHeap`] is the production backend; benchmarks instantiate the
-/// paper-literal linear reference through
+/// [`ArrivalHeap`] is the production backend; the equivalence gates
+/// instantiate the paper-literal linear reference through
 /// [`QueryEngine::with_queue_backend`]).
 ///
 /// See [`Query`] for an end-to-end example. Cloning an engine is O(1)
@@ -428,7 +427,7 @@ impl QueryEngine {
 
 impl<Q: CandidateQueue> QueryEngine<Q> {
     /// An engine over `env` with an explicit candidate-queue backend
-    /// (A/B benchmarking; everyday code wants [`QueryEngine::new`]).
+    /// (backend equivalence gates; everyday code wants [`QueryEngine::new`]).
     pub fn with_queue_backend(env: MultiChannelEnv) -> Self {
         let channels = env.len();
         QueryEngine {

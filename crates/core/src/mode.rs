@@ -17,14 +17,13 @@
 //! the query point (Heuristic 1) vs. an ellipse with foci `p`, `r`
 //! (Heuristic 2).
 
-use serde::{Deserialize, Serialize};
 use tnn_geom::{
     circle_rect_overlap_area, ellipse_rect_overlap_area, min_max_trans_dist, min_trans_dist,
     Circle, Ellipse, Point, Rect,
 };
 
 /// The metric driving a broadcast branch-and-bound search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SearchMode {
     /// Plain nearest-neighbor search from a query point.
     Point {

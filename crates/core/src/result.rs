@@ -1,12 +1,11 @@
 //! Query answers and cost accounting.
 
-use serde::{Deserialize, Serialize};
 use tnn_geom::Point;
 use tnn_rtree::ObjectId;
 
 /// The answer to a TNN query: the pair `(s, r)` and its transitive
 /// distance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TnnPair {
     /// The intermediate stop: location and object id in `S`.
     pub s: (Point, ObjectId),
@@ -17,7 +16,7 @@ pub struct TnnPair {
 }
 
 /// Per-channel cost accounting for one query.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelCost {
     /// Pages downloaded during the estimate phase.
     pub estimate_pages: u64,

@@ -12,10 +12,10 @@
 //!   condemnable now is still condemnable when it surfaces at the front;
 //!   [`CandidateQueue::realize`] forces all deferred decisions right
 //!   before a switch, where the bound changes non-monotonically.
-//! * [`LinearQueue`] — the paper-literal reference: a flat `Vec` with
+//! * `LinearQueue` — the paper-literal reference: a flat `Vec` with
 //!   O(n) scans per operation and **eager** pruning after every bound
 //!   update, exactly the pre-optimization behaviour. Compiled only for
-//!   tests and the `linear-reference` benchmark feature.
+//!   tests and the `linear-reference` feature.
 //!
 //! Both backends must produce byte-identical search traces; the property
 //! tests in `crate::task::nn` assert this across all four algorithms.
@@ -218,8 +218,8 @@ impl CandidateQueue for ArrivalHeap {
 }
 
 /// The paper-literal reference queue: flat `Vec`, O(n) scans, eager
-/// pruning — the exact pre-optimization behaviour, kept so benches and
-/// property tests can compare against it.
+/// pruning — the exact pre-optimization behaviour, kept so the
+/// equivalence gates and property tests can compare against it.
 #[cfg(any(test, feature = "linear-reference"))]
 #[derive(Debug, Default)]
 pub struct LinearQueue {

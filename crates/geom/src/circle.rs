@@ -2,11 +2,10 @@
 //! (`circle(p, d)` in the paper's Theorem 1).
 
 use crate::{Point, Rect};
-use serde::{Deserialize, Serialize};
 
 /// A circle, used both as the TNN search range `circle(p, d)` and in the
 /// approximate-NN circle–rectangle pruning heuristic (paper Heuristic 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Circle {
     /// Center (the query point in TNN search ranges).
     pub center: Point,

@@ -4,7 +4,6 @@
 //! (Heuristic 2).
 
 use crate::{Point, Rect};
-use serde::{Deserialize, Serialize};
 
 /// An ellipse given by its two foci and the length of the major axis
 /// (equivalently, the constant sum of distances to the foci).
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// In TNN query processing the foci are the query point `p` and the fixed
 /// endpoint `r`, and `major` is the current transitive-distance upper
 /// bound: a point `s` improves the bound iff it lies inside this ellipse.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ellipse {
     /// First focus (the query point `p`).
     pub f1: Point,

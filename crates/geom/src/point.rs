@@ -1,10 +1,9 @@
 //! 2-D points and the vector arithmetic used throughout the kernel.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
 /// A point (or free vector) in the Euclidean plane.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Horizontal coordinate.
     pub x: f64,

@@ -2,12 +2,11 @@
 //! classical R-tree distance metrics.
 
 use crate::{Point, Segment};
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned rectangle, used as the minimal bounding rectangle (MBR)
 /// of R-tree nodes. May be degenerate (zero width and/or height); such MBRs
 /// arise naturally from collinear or single-point leaf nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     /// Lower-left corner.
     pub min: Point,

@@ -2,10 +2,9 @@
 //! transitive distance metrics.
 
 use crate::{Point, Rect};
-use serde::{Deserialize, Serialize};
 
 /// A (possibly degenerate) line segment between two points.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// First endpoint.
     pub a: Point,

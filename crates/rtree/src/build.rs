@@ -9,11 +9,10 @@
 use crate::{
     ChildEntry, Entries, LeafEntry, Node, NodeId, ObjectId, RTree, RTreeError, RTreeParams,
 };
-use serde::{Deserialize, Serialize};
 use tnn_geom::{Point, Rect};
 
 /// The packing (bulk-loading) algorithm used to build a tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PackingAlgorithm {
     /// Sort-Tile-Recursive [Leutenegger, Lopez, Edgington, ICDE'97]: sort
     /// by x, slice into √P vertical slabs, sort each slab by y, tile. The

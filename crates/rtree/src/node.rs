@@ -1,7 +1,6 @@
 //! R-tree node representation: preorder-numbered nodes holding either
 //! child MBR entries or point entries.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tnn_geom::{Point, Rect};
 
@@ -11,7 +10,7 @@ use tnn_geom::{Point, Rect};
 /// broadcast layer uses directly as the node's page offset inside an index
 /// segment. The root is always `NodeId(0)`, and every parent's id precedes
 /// all of its descendants' ids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -32,7 +31,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Identifier of a data object (its rank in the original dataset order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(pub u32);
 
 impl ObjectId {
@@ -51,7 +50,7 @@ impl fmt::Display for ObjectId {
 
 /// An internal-node entry: the child's MBR plus its id (on air, the id is
 /// the child's arrival pointer).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChildEntry {
     /// MBR of the child subtree.
     pub mbr: Rect,
@@ -61,7 +60,7 @@ pub struct ChildEntry {
 
 /// A leaf entry: a data point plus the id of the object it locates (on
 /// air, the id resolves to the object's data-page pointer).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeafEntry {
     /// Location of the object.
     pub point: Point,
@@ -70,7 +69,7 @@ pub struct LeafEntry {
 }
 
 /// The payload of a node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Entries {
     /// Internal node: child entries in packing order.
     Internal(Vec<ChildEntry>),
@@ -80,7 +79,7 @@ pub enum Entries {
 
 /// One R-tree node. In the broadcast model a node occupies exactly one
 /// page.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Minimal bounding rectangle of everything below this node.
     pub mbr: Rect,

@@ -1,7 +1,5 @@
 //! Node-capacity parameters derived from broadcast page budgets.
 
-use serde::{Deserialize, Serialize};
-
 /// Byte cost of one index pointer on air (paper Table 2).
 pub const INDEX_POINTER_BYTES: usize = 2;
 /// Byte cost of one coordinate on air (paper Table 2).
@@ -19,7 +17,7 @@ pub const LEAF_ENTRY_BYTES: usize = POINT_BYTES + INDEX_POINTER_BYTES;
 ///
 /// In the broadcast setting one packed node occupies exactly one page, so
 /// the capacities follow from the page size and the byte costs of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RTreeParams {
     /// Maximum number of children of an internal node.
     pub fanout: usize,

@@ -1,7 +1,6 @@
 //! The packed R-tree container and its structural invariants.
 
 use crate::{build, Entries, Node, NodeId, ObjectId, PackingAlgorithm, RTreeError, RTreeParams};
-use serde::{Deserialize, Serialize};
 use tnn_geom::{Point, Rect};
 
 /// An immutable, bulk-loaded R-tree over 2-D points.
@@ -22,7 +21,7 @@ use tnn_geom::{Point, Rect};
 /// let nn = tree.nearest_neighbor(Point::new(4.2, 4.9)).unwrap();
 /// assert_eq!(nn.point, Point::new(4.0, 5.0));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RTree {
     nodes: Vec<Node>,
     num_objects: usize,

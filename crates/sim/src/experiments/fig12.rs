@@ -21,9 +21,10 @@ use tnn_core::{Algorithm, AnnMode, TnnConfig};
 ///
 /// The paper quotes `factor = 1` for these algorithms; in this
 /// reproduction the net-savings regime sits at factor ≈ 0.02–0.05
-/// (calibrated by sweeping — see `examples/probe.rs` and the α-policy
-/// ablation). The two-orders-of-magnitude spread between the paper's own
-/// Double (1) and Hybrid (1/150) factors shows the effective α scale is
+/// (calibrated by sweeping — see the α-policy ablation, `alpha_policy`
+/// in `crates/sim/src/experiments/ablations.rs`). The
+/// two-orders-of-magnitude spread between the paper's own Double (1) and
+/// Hybrid (1/150) factors shows the effective α scale is
 /// implementation-specific; what reproduces is the *mechanism*: dynamic
 /// depth-scaled pruning trades a slightly larger radius for a cheaper
 /// estimate phase, with a tuning factor per algorithm.

@@ -10,8 +10,9 @@
 //!
 //! Paper reference values: uni-uni 0%, uni-real 9.08%, real-uni 9.08%,
 //! real-real 43.2%. The real datasets here are clustered stand-ins (see
-//! DESIGN.md), so the expectation is the *shape*: zero for uniform pairs,
-//! moderate for mixed, large for real-real.
+//! `crates/datasets/src/clustered.rs`), so the expectation is the
+//! *shape*: zero for uniform pairs, moderate for mixed, large for
+//! real-real.
 //!
 //! A second table confirms the paper's side claim that "Double-NN and
 //! Hybrid-NN never fail".

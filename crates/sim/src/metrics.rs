@@ -1,9 +1,7 @@
 //! Aggregated statistics over a query batch.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregates over one batch of queries for one configuration.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchStats {
     /// Queries executed.
     pub queries: usize,

@@ -149,7 +149,8 @@ pub fn run_tnn_batch(trees: &[Arc<RTree>], region: &Rect, cfg: &BatchConfig) -> 
 /// linear-scan candidate queues (O(n) per queue operation, eager purge
 /// rescans) and fresh per-query buffer allocations, exactly as the
 /// original implementation behaved. Identical workload and (by
-/// construction) identical [`BatchStats`]. Only for the A/B benchmark.
+/// construction) identical [`BatchStats`]. Only for the
+/// `linear_equivalence` gate.
 #[cfg(feature = "linear-reference")]
 pub fn run_batch_linear(
     s_tree: &Arc<RTree>,
