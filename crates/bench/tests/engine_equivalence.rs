@@ -296,7 +296,7 @@ fn frozen_tnn<Q: CandidateQueue>(
         total_dist: answer.map(|pair| pair.dist),
         search_radius: est.radius,
         issued_at,
-        estimate_end: Some(est.end),
+        estimate_end: est.end,
         completed_at,
         candidates,
         channels,
@@ -319,6 +319,7 @@ fn frozen_variant_outcome(
     total_dist: f64,
     filter_tuners: [Tuner; 2],
     filter_end: u64,
+    candidates: [usize; 2],
     retrieve: bool,
 ) -> QueryOutcome {
     let mut channels = [ChannelCost::default(), ChannelCost::default()];
@@ -357,9 +358,9 @@ fn frozen_variant_outcome(
         total_dist: Some(total_dist),
         search_radius: radius,
         issued_at,
-        estimate_end: None,
+        estimate_end: est_end,
         completed_at,
-        candidates: Vec::new(),
+        candidates: candidates.to_vec(),
         channels: channels.to_vec(),
         degraded: false,
     }
@@ -422,6 +423,7 @@ fn frozen_variant<Q: CandidateQueue>(
     let f1 = w1.run_to_completion();
     let filter_end = f0.max(f1);
     let filter_tuners = [*w0.tuner(), *w1.tuner()];
+    let candidates = [w0.hits().len(), w1.hits().len()];
 
     let (stops, total) = match kind {
         QueryKind::OrderFree => {
@@ -462,6 +464,7 @@ fn frozen_variant<Q: CandidateQueue>(
         total,
         filter_tuners,
         filter_end,
+        candidates,
         retrieve,
     )
 }
@@ -517,7 +520,8 @@ proptest! {
         }
     }
 
-    /// Order-free and round-trip variants at k = 2: engine == frozen.
+    /// Order-free and round-trip variants at k = 2: engine == frozen, on
+    /// both queue backends.
     #[test]
     fn engine_variants_are_byte_identical_to_frozen(
         s in pts_strategy(150),
@@ -528,18 +532,22 @@ proptest! {
     ) {
         let env = build_env(&[s, r], &[ph0, ph1], 64);
         let engine = QueryEngine::new(env.clone());
+        let linear_engine = QueryEngine::<LinearQueue>::with_queue_backend(env.clone());
         let p = Point::new(qx, qy);
 
         for kind in [QueryKind::OrderFree, QueryKind::RoundTrip] {
-            let expect = frozen_variant::<ArrivalHeap>(&env, kind, p, 3, retrieve);
             let query = match kind {
                 QueryKind::OrderFree => Query::order_free(p),
                 _ => Query::round_trip(p),
-            };
-            let got = engine
-                .run(&query.issued_at(3).retrieve_answer_objects(retrieve))
-                .unwrap();
+            }
+            .issued_at(3)
+            .retrieve_answer_objects(retrieve);
+            let expect = frozen_variant::<ArrivalHeap>(&env, kind, p, 3, retrieve);
+            let got = engine.run(&query).unwrap();
             prop_assert_eq!(&got, &expect, "{:?}", kind);
+            let linear_expect = frozen_variant::<LinearQueue>(&env, kind, p, 3, retrieve);
+            let linear = linear_engine.run(&query).unwrap();
+            prop_assert_eq!(&linear, &linear_expect, "linear {:?}", kind);
         }
     }
 

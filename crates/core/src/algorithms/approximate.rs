@@ -18,7 +18,7 @@
 //! fails (paper §6.3, Table 3) — and on uniform data the range is
 //! unnecessarily large, inflating tune-in time (§6.1.2, Fig. 11(d)).
 
-use super::{Estimate, HopStats, HopStatsVec, TunerVec};
+use super::{Bound, Estimate, HopStats, HopStatsVec, TunerVec};
 use tnn_broadcast::{MultiChannelEnv, Tuner};
 use tnn_geom::Rect;
 
@@ -64,7 +64,7 @@ pub(crate) fn estimate(env: &MultiChannelEnv, issued_at: u64) -> Estimate {
         hops.push(HopStats::default());
     }
     Estimate {
-        radius: approximate_radius_for_env(env),
+        bound: Bound::Radius(approximate_radius_for_env(env)),
         tuners,
         end: issued_at, // purely local computation; nothing on air
         hops,
@@ -74,6 +74,7 @@ pub(crate) fn estimate(env: &MultiChannelEnv, issued_at: u64) -> Estimate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RouteObjective;
     use crate::{run_query_impl, Algorithm, QueryScratch, TnnConfig};
     use std::sync::Arc;
     use tnn_broadcast::BroadcastParams;
@@ -150,7 +151,7 @@ mod tests {
         assert_eq!(est.tuners.len(), 2);
         assert_eq!(est.tuners[0].pages, 0);
         assert_eq!(est.tuners[1].pages, 0);
-        assert!(est.radius > 0.0);
+        assert!(est.radius(Point::ORIGIN, RouteObjective::Chain, &[]) > 0.0);
     }
 
     #[test]

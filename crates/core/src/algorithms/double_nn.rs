@@ -11,10 +11,7 @@
 //! the answer. For `k = 2` this is exactly Algorithm 1's
 //! `d = dis(p, s) + dis(s, r)` with `s = p.NN(S)`, `r = p.NN(R)`.
 
-use super::{
-    chain_length, harvest_searches, run_interleaved, spawn_parallel_searches, Estimate,
-    QueryScratch,
-};
+use super::{harvest_searches, run_interleaved, spawn_parallel_searches, Estimate, QueryScratch};
 use crate::task::queue::CandidateQueue;
 use crate::{TnnConfig, TnnError};
 use tnn_broadcast::PhaseOverlay;
@@ -32,20 +29,16 @@ pub(crate) fn estimate<Q: CandidateQueue>(
         spawn_parallel_searches(overlay, p, issued_at, |i| cfg.ann[i], scratch.nn_slice(k));
     // No re-targeting: the completion hook is a no-op.
     run_interleaved(&mut tasks, |_, _, _, _| {});
-    let (nns, tuners, end, hops) = harvest_searches(tasks, scratch.nn_slice(k))?;
-    Ok(Estimate {
-        // Algorithm 1 line 4, k-ary: d ← dis(p, n₁) + Σ dis(nᵢ, nᵢ₊₁).
-        radius: chain_length(p, nns.iter().map(|&(pt, _)| pt)),
-        tuners,
-        end,
-        hops,
-    })
+    // The stops are the per-channel NNs; Algorithm 1 line 4, k-ary,
+    // d ← dis(p, n₁) + Σ dis(nᵢ, nᵢ₊₁), is `Estimate::radius`.
+    harvest_searches(tasks, scratch.nn_slice(k))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Algorithm;
+    use crate::RouteObjective;
     use std::sync::Arc;
     use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
     use tnn_rtree::{PackingAlgorithm, RTree};
@@ -110,7 +103,7 @@ mod tests {
             .min_by(|a, b| p.dist(**a).total_cmp(&p.dist(**b)))
             .unwrap();
         let expect = p.dist(*s_star) + s_star.dist(*r_star);
-        assert!((est.radius - expect).abs() < 1e-9);
+        assert!((est.radius(p, RouteObjective::Chain, &[]) - expect).abs() < 1e-9);
     }
 
     #[test]
@@ -136,7 +129,7 @@ mod tests {
             expect += prev.dist(*nn);
             prev = *nn;
         }
-        assert!((est.radius - expect).abs() < 1e-9);
+        assert!((est.radius(p, RouteObjective::Chain, &[]) - expect).abs() < 1e-9);
         assert_eq!(est.tuners.len(), 3);
     }
 
@@ -157,7 +150,7 @@ mod tests {
                 &mut fresh(),
             )
             .unwrap()
-            .radius;
+            .radius(p, RouteObjective::Chain, &[]);
             let d_win = super::super::window_based::estimate(
                 &ov(&e),
                 p,
@@ -166,7 +159,7 @@ mod tests {
                 &mut fresh(),
             )
             .unwrap()
-            .radius;
+            .radius(p, RouteObjective::Chain, &[]);
             assert!(d_dbl >= d_win - 1e-9);
         }
     }

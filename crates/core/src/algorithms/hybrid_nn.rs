@@ -25,10 +25,7 @@
 //! guarantees every re-targeted search still has every candidate it
 //! needs, per hop.
 
-use super::{
-    chain_length, harvest_searches, run_interleaved, spawn_parallel_searches, Estimate,
-    QueryScratch,
-};
+use super::{harvest_searches, run_interleaved, spawn_parallel_searches, Estimate, QueryScratch};
 use crate::task::queue::CandidateQueue;
 use crate::{SearchMode, TnnConfig, TnnError};
 use tnn_broadcast::PhaseOverlay;
@@ -63,19 +60,14 @@ pub(crate) fn estimate<Q: CandidateQueue>(
             }
         }
     });
-    let (nns, tuners, end, hops) = harvest_searches(tasks, scratch.nn_slice(k))?;
-    Ok(Estimate {
-        radius: chain_length(p, nns.iter().map(|&(pt, _)| pt)),
-        tuners,
-        end,
-        hops,
-    })
+    harvest_searches(tasks, scratch.nn_slice(k))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Algorithm;
+    use crate::RouteObjective;
     use std::sync::Arc;
     use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
     use tnn_rtree::{PackingAlgorithm, RTree};
@@ -258,7 +250,7 @@ mod tests {
                 &mut fresh(),
             )
             .unwrap()
-            .radius;
+            .radius(p, RouteObjective::Chain, &[]);
             let d = super::super::double_nn::estimate(
                 &ov(&e),
                 p,
@@ -267,7 +259,7 @@ mod tests {
                 &mut fresh(),
             )
             .unwrap()
-            .radius;
+            .radius(p, RouteObjective::Chain, &[]);
             assert!(h <= d + 1e-9, "hybrid {h} > double {d} at {p:?}");
         }
     }

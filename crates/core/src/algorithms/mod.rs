@@ -1,41 +1,51 @@
-//! The four TNN query-processing algorithms and the k-channel variants.
+//! The four TNN query-processing algorithms and the one query pipeline
+//! every [`crate::QueryKind`] runs.
 //!
 //! All share the estimate–filter skeleton of §3.1, generalized from the
-//! paper's two-channel special case to `k ≥ 2` channels: an
-//! algorithm-specific **estimate** phase produces a search radius `d`
-//! (from a feasible `k`-hop chain, except for Approximate-TNN), then the
-//! common **filter** phase runs window queries over `circle(p, d)` on
-//! every channel in parallel, joins the candidates locally (the
-//! two-channel bound-pruned join for `k = 2`, the layered sweep join for
-//! `k > 2`), and finally retrieves the answer objects' data pages.
+//! paper's two-channel special case to `k ≥ 2` channels. The pipeline
+//! runs five named stages:
+//!
+//! 1. **estimate** (algorithm-specific): the search-based estimates
+//!    (Window-Based, Double-NN, Hybrid-NN) find a feasible stop `nᵢ` on
+//!    every channel; Approximate-TNN computes a radius locally;
+//! 2. **radius**: `Estimate::radius` turns the estimate into the filter
+//!    radius `d` for the query's [`RouteObjective`] — the feasible chain
+//!    for TNN and chained queries, its minimum over every visit order
+//!    for order-free queries, half the closed tour for round trips (the
+//!    §7 future-work variants);
+//! 3. **filter**: window queries over `circle(p, d)` on every channel in
+//!    parallel;
+//! 4. **join**: [`crate::merge_route_layers`] under the same objective
+//!    (the two-channel bound-pruned join for `k = 2`, the layered sweep
+//!    join for `k > 2`);
+//! 5. **retrieve**: the answer objects' data pages.
 //!
 //! Every step is generic over the candidate-queue backend of the NN
 //! search tasks (see [`crate::task::queue`]): the default backend is the
 //! heap-ordered production queue, while a [`QueryScratch`] over the
 //! feature-gated `LinearQueue` drives the identical algorithm code over
-//! the paper-literal linear-scan reference for the equivalence gates. Every
-//! pipeline returns a [`QueryOutcome`] built straight from the merged
-//! route's stops.
+//! the paper-literal linear-scan reference for the equivalence gates.
+//! `filter_and_finish` builds the one [`QueryOutcome`] every query
+//! returns, straight from the merged route's stops.
 //!
 //! Driven through [`crate::QueryEngine::run_with`] with a reused
 //! [`QueryScratch`], every growth-prone buffer (NN queues and parked
 //! lists, window queues and hit lists, join order/sweep/DP tables,
 //! order-free permutation table) is recycled across queries; what
 //! remains per query is a handful of k-element transient vectors (the
-//! estimate task/result fan-out, the filter-task list, and the
-//! returned route/cost vectors). Per-query phase randomization goes
-//! through [`run_query_overlay`] without cloning the environment.
+//! estimate task fan-out, the filter-task list, and the returned
+//! route/cost vectors). Per-query phase randomization goes through a
+//! [`PhaseOverlay`] without cloning the environment.
 
 mod approximate;
 mod double_nn;
 mod hybrid_nn;
-mod variants;
 mod window_based;
 
 pub use approximate::{approximate_radius, approximate_radius_for_env};
-pub use variants::{order_free_tnn_overlay, round_trip_join, round_trip_tnn_overlay, VisitOrder};
 
 use crate::join::JoinScratch;
+use crate::merge::{merge_route_layers, RouteObjective};
 use crate::task::queue::{ArrivalHeap, CandidateQueue};
 use crate::task::{BroadcastNnSearch, NnScratch, WindowQueryTask, WindowScratch};
 use crate::SearchMode;
@@ -51,6 +61,10 @@ pub(crate) type TunerVec = InlineVec<Tuner, 4>;
 /// Per-channel estimate-phase queue statistics, inline up to four
 /// channels like [`TunerVec`].
 pub(crate) type HopStatsVec = InlineVec<HopStats, 4>;
+
+/// Per-channel estimate stops `n₁…n_k`, inline up to four channels like
+/// [`TunerVec`].
+pub(crate) type StopVec = InlineVec<Point, 4>;
 
 /// Client-side queue accounting of one hop's estimate-phase NN search,
 /// surfaced on [`ChannelCost`] for observability.
@@ -133,24 +147,10 @@ pub(crate) fn permutations(k: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// [`run_query_overlay`] against an environment's own phases —
-/// equivalent to an identity overlay. The queue-generic single-query
-/// entry point for code that owns a scratch but no engine.
-pub fn run_query_impl<Q: CandidateQueue>(
-    env: &MultiChannelEnv,
-    p: Point,
-    issued_at: u64,
-    cfg: &TnnConfig,
-    scratch: &mut QueryScratch<Q>,
-) -> Result<QueryOutcome, TnnError> {
-    run_query_overlay(&PhaseOverlay::identity(env), p, issued_at, cfg, scratch)
-}
-
-/// The queue-generic query pipeline behind every TNN entry point, over a
-/// [`PhaseOverlay`] — per-query phase randomization without cloning the
-/// environment. [`crate::QueryEngine`] and the batch runners drive this
-/// directly; any `k ≥ 2` channel count is accepted, with the two-channel
-/// case reproducing the paper's algorithms bit-for-bit.
+/// The TNN query pipeline against an environment's own phases — the
+/// queue-generic single-query entry point for code that owns a scratch
+/// but no engine. Any `k ≥ 2` channel count is accepted, with the
+/// two-channel case reproducing the paper's algorithms bit-for-bit.
 ///
 /// # Errors
 /// [`TnnError::WrongChannelCount`] for fewer than two channels;
@@ -160,11 +160,43 @@ pub fn run_query_impl<Q: CandidateQueue>(
 ///
 /// # Panics
 /// Panics when `cfg.ann` does not hold one mode per channel.
-pub fn run_query_overlay<Q: CandidateQueue>(
+pub fn run_query_impl<Q: CandidateQueue>(
+    env: &MultiChannelEnv,
+    p: Point,
+    issued_at: u64,
+    cfg: &TnnConfig,
+    scratch: &mut QueryScratch<Q>,
+) -> Result<QueryOutcome, TnnError> {
+    run_query_overlay(
+        &PhaseOverlay::identity(env),
+        p,
+        issued_at,
+        cfg,
+        RouteObjective::Chain,
+        scratch,
+    )
+}
+
+/// The queue-generic query pipeline behind every query kind, over a
+/// [`PhaseOverlay`] — per-query phase randomization without cloning the
+/// environment. `objective` selects the filter radius and the join
+/// (see the module docs); the outcome is tagged
+/// `QueryKind::Tnn(cfg.algorithm)` for the caller to relabel.
+///
+/// Validation runs in one order for every kind: the channel count, the
+/// ANN arity, the query point, then the channels' contents.
+///
+/// # Errors
+/// As [`run_query_impl`].
+///
+/// # Panics
+/// As [`run_query_impl`].
+pub(crate) fn run_query_overlay<Q: CandidateQueue>(
     overlay: &PhaseOverlay<'_>,
     p: Point,
     issued_at: u64,
     cfg: &TnnConfig,
+    objective: RouteObjective,
     scratch: &mut QueryScratch<Q>,
 ) -> Result<QueryOutcome, TnnError> {
     let k = overlay.len();
@@ -174,44 +206,86 @@ pub fn run_query_overlay<Q: CandidateQueue>(
             available: k,
         });
     }
+    assert_eq!(cfg.ann.len(), k, "one ANN mode per channel is required");
     if !p.is_finite() {
         return Err(TnnError::NonFiniteQuery);
     }
-    assert_eq!(cfg.ann.len(), k, "one ANN mode per channel is required");
-    check_channels_non_empty(overlay)?;
+    for i in 0..k {
+        if overlay.channel(i).tree().num_objects() == 0 {
+            return Err(TnnError::EmptyChannel { channel: i });
+        }
+    }
     scratch.ensure_channels(k);
+    if objective == RouteObjective::OrderFree {
+        scratch.ensure_visit_orders(k);
+    }
     let est = match cfg.algorithm {
         Algorithm::WindowBased => window_based::estimate(overlay, p, issued_at, cfg, scratch)?,
         Algorithm::ApproximateTnn => approximate::estimate(overlay.env(), issued_at),
         Algorithm::DoubleNn => double_nn::estimate(overlay, p, issued_at, cfg, scratch)?,
         Algorithm::HybridNn => hybrid_nn::estimate(overlay, p, issued_at, cfg, scratch)?,
     };
-    Ok(filter_and_finish(overlay, p, issued_at, est, cfg, scratch))
+    Ok(filter_and_finish(
+        overlay, p, issued_at, est, cfg, objective, scratch,
+    ))
 }
 
-/// Returns [`TnnError::EmptyChannel`] for the first channel whose dataset
-/// holds no objects — shared degenerate-input gate of every pipeline.
-pub(crate) fn check_channels_non_empty(overlay: &PhaseOverlay<'_>) -> Result<(), TnnError> {
-    for i in 0..overlay.len() {
-        if overlay.channel(i).tree().num_objects() == 0 {
-            return Err(TnnError::EmptyChannel { channel: i });
-        }
-    }
-    Ok(())
+/// What an estimate phase establishes about the answer.
+pub(crate) enum Bound {
+    /// A feasible stop `nᵢ` per channel, in channel order (the
+    /// search-based estimates).
+    Stops(StopVec),
+    /// A radius computed without searching (Approximate-TNN).
+    Radius(f64),
 }
 
-/// Result of an estimate phase: the filter radius plus cost accounting.
+/// Result of an estimate phase: its bound plus cost accounting.
 pub(crate) struct Estimate {
-    /// Search radius `d` for the filter phase.
-    pub radius: f64,
+    /// The stops or radius the filter radius is derived from.
+    pub bound: Bound,
     /// Estimate-phase page accounting, one tuner per channel.
     pub tuners: TunerVec,
-    /// Global slot at which the radius became known (the filter phase
+    /// Global slot at which the estimate finished (the filter phase
     /// starts here on every channel).
     pub end: u64,
     /// Per-channel queue statistics of the estimate searches (all zero
     /// for Approximate-TNN, which runs no searches).
     pub hops: HopStatsVec,
+}
+
+impl Estimate {
+    /// The filter radius `d` for `objective` — the one place an estimate
+    /// becomes a search range. Over feasible stops, Theorem 1
+    /// generalizes by the triangle inequality:
+    ///
+    /// * `Chain`: `d = dis(p, n₁) + Σ dis(nᵢ, nᵢ₊₁)` bounds the optimal
+    ///   total, and every member of the optimal route lies within that
+    ///   total of `p`;
+    /// * `OrderFree`: the same chain, minimized over the visit `orders`
+    ///   (the optimal route's prefix legs cover its members' distance
+    ///   from `p` in any order);
+    /// * `RoundTrip`: half the closed tour through the stops, since any
+    ///   tour through `x` is at least `2·dis(p, x)` long.
+    ///
+    /// An Approximate-TNN radius is returned as is; it proves nothing,
+    /// which is why that algorithm can fail.
+    pub(crate) fn radius(&self, p: Point, objective: RouteObjective, orders: &[Vec<usize>]) -> f64 {
+        let stops = match &self.bound {
+            Bound::Stops(stops) => stops,
+            Bound::Radius(radius) => return *radius,
+        };
+        match objective {
+            RouteObjective::Chain => chain_length(p, stops.iter().copied()),
+            RouteObjective::OrderFree => orders
+                .iter()
+                .map(|order| chain_length(p, order.iter().map(|&i| stops[i])))
+                .fold(f64::INFINITY, f64::min),
+            RouteObjective::RoundTrip => {
+                let last = stops.last().copied().unwrap_or(p);
+                (chain_length(p, stops.iter().copied()) + last.dist(p)) * 0.5
+            }
+        }
+    }
 }
 
 /// Length of the feasible chain `p → pts₀ → … → pts_{k−1}` — the
@@ -226,26 +300,34 @@ pub(crate) fn chain_length(p: Point, pts: impl IntoIterator<Item = Point>) -> f6
     total
 }
 
-/// The common filter + retrieve tail shared by all four algorithms, over
-/// `k ≥ 2` channels.
+/// The filter, join and retrieve stages shared by every query kind, over
+/// `k ≥ 2` channels — the only builder of a [`QueryOutcome`].
 pub(crate) fn filter_and_finish<Q: CandidateQueue>(
     overlay: &PhaseOverlay<'_>,
     p: Point,
     issued_at: u64,
     est: Estimate,
     cfg: &TnnConfig,
+    objective: RouteObjective,
     scratch: &mut QueryScratch<Q>,
 ) -> QueryOutcome {
     let k = overlay.len();
-    // The search range is mathematically *closed*: the feasible chain that
-    // produced the radius lies exactly on its boundary. Pad by a few ULPs
-    // so sqrt/square rounding cannot exclude boundary candidates.
-    let range = Circle::new(p, est.radius * (1.0 + 4.0 * f64::EPSILON));
+    // Field destructuring keeps the window, join and permutation-table
+    // borrows disjoint.
+    let QueryScratch {
+        window,
+        join,
+        visit_orders,
+        ..
+    } = scratch;
+    let radius = est.radius(p, objective, visit_orders);
+    // The search range is mathematically *closed*: the feasible route
+    // that produced the radius lies exactly on its boundary. Pad by a few
+    // ULPs so sqrt/square rounding cannot exclude boundary candidates.
+    let range = Circle::new(p, radius * (1.0 + 4.0 * f64::EPSILON));
 
     // Filter phase: window queries on every channel, in parallel (each
-    // has its own timeline starting at the estimate end). Field
-    // destructuring keeps the window and join borrows disjoint.
-    let QueryScratch { window, join, .. } = scratch;
+    // has its own timeline starting at the estimate end).
     let mut windows: Vec<WindowQueryTask<'_>> = Vec::with_capacity(k);
     let mut filter_end = est.end;
     for (i, w_scratch) in window.iter_mut().take(k).enumerate() {
@@ -260,16 +342,11 @@ pub(crate) fn filter_and_finish<Q: CandidateQueue>(
     // identical to the paper pipeline; k > 2 routes go through the
     // layered sweep join).
     let layers: Vec<&[(Point, ObjectId)]> = windows.iter().map(|w| w.hits()).collect();
-    let (total_dist, route) = match crate::merge::merge_route_layers(
-        join,
-        crate::merge::RouteObjective::Chain,
-        p,
-        &layers,
-        None,
-    ) {
-        Some(merged) => (Some(merged.total_dist), merged.into_route()),
-        None => (None, Vec::new()),
-    };
+    let (total_dist, route) =
+        match merge_route_layers(join, objective, p, &layers, Some(visit_orders)) {
+            Some(merged) => (Some(merged.total_dist), merged.into_route()),
+            None => (None, Vec::new()),
+        };
 
     let mut channels: Vec<ChannelCost> = windows
         .iter()
@@ -312,9 +389,9 @@ pub(crate) fn filter_and_finish<Q: CandidateQueue>(
         kind: QueryKind::Tnn(cfg.algorithm),
         route,
         total_dist,
-        search_radius: est.radius,
+        search_radius: radius,
         issued_at,
-        estimate_end: Some(est.end),
+        estimate_end: est.end,
         completed_at,
         candidates,
         channels,
@@ -369,9 +446,8 @@ pub(crate) fn run_interleaved<Q: CandidateQueue>(
 
 /// Shared estimate fan-out: spawns one NN search from `from` on every
 /// channel (all `k` searches start "at the earliest opportunity", §4.1)
-/// and runs them to completion through [`run_interleaved`] with the
-/// given completion hook. Returns the tasks for the caller to harvest
-/// results from; pass them back through [`harvest_searches`].
+/// for the caller to run through [`run_interleaved`] and pass back
+/// through [`harvest_searches`].
 pub(crate) fn spawn_parallel_searches<'a, Q: CandidateQueue>(
     overlay: &PhaseOverlay<'a>,
     from: Point,
@@ -394,22 +470,22 @@ pub(crate) fn spawn_parallel_searches<'a, Q: CandidateQueue>(
         .collect()
 }
 
-/// Collects each task's best point, tuner, clock, and queue statistics,
-/// recycling the task buffers into `scratch`. Returns
+/// Collects the finished tasks into an [`Estimate`] — each task's best
+/// point as its channel's stop, plus its tuner, clock and queue
+/// statistics — recycling the task buffers into `scratch`. Returns
 /// [`TnnError::EmptyChannel`] when a search ended without reaching any
 /// data point.
-#[allow(clippy::type_complexity)]
 pub(crate) fn harvest_searches<Q: CandidateQueue>(
     tasks: Vec<BroadcastNnSearch<'_, Q>>,
     scratch: &mut [NnScratch<Q>],
-) -> Result<(Vec<(Point, ObjectId)>, TunerVec, u64, HopStatsVec), TnnError> {
-    let mut nns = Vec::with_capacity(tasks.len());
+) -> Result<Estimate, TnnError> {
+    let mut stops = StopVec::new();
     let mut tuners = TunerVec::new();
     let mut end = 0u64;
     let mut hops = HopStatsVec::new();
     for (i, (task, nn_scratch)) in tasks.into_iter().zip(scratch.iter_mut()).enumerate() {
-        let (pt, object, _) = task.best().ok_or(TnnError::EmptyChannel { channel: i })?;
-        nns.push((pt, object));
+        let (pt, _, _) = task.best().ok_or(TnnError::EmptyChannel { channel: i })?;
+        stops.push(pt);
         tuners.push(*task.tuner());
         end = end.max(task.now());
         hops.push(HopStats {
@@ -418,7 +494,18 @@ pub(crate) fn harvest_searches<Q: CandidateQueue>(
         });
         task.recycle(nn_scratch);
     }
-    Ok((nns, tuners, end, hops))
+    Ok(Estimate {
+        bound: Bound::Stops(stops),
+        tuners,
+        end,
+        hops,
+    })
+}
+
+/// End-to-end tests of the order-free and round-trip query kinds.
+#[cfg(test)]
+mod variants {
+    mod tests;
 }
 
 /// Property tests asserting the heap-ordered production queue and the

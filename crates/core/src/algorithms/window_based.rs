@@ -8,7 +8,7 @@
 //! `d = dis(p, n₁) + Σ dis(nᵢ, nᵢ₊₁)`. The filter phase runs on all
 //! channels in parallel (the adaptation to simultaneous access).
 
-use super::{Estimate, HopStats, HopStatsVec, QueryScratch, TunerVec};
+use super::{Bound, Estimate, HopStats, HopStatsVec, QueryScratch, StopVec, TunerVec};
 use crate::task::queue::CandidateQueue;
 use crate::task::BroadcastNnSearch;
 use crate::{SearchMode, TnnConfig, TnnError};
@@ -25,7 +25,7 @@ pub(crate) fn estimate<Q: CandidateQueue>(
     let k = overlay.len();
     let mut tuners = TunerVec::new();
     let mut hops = HopStatsVec::new();
-    let mut radius = 0.0;
+    let mut stops = StopVec::new();
     let mut from = p;
     let mut now = issued_at;
     let mut end = issued_at;
@@ -49,13 +49,12 @@ pub(crate) fn estimate<Q: CandidateQueue>(
         });
         task.recycle(nn_scratch);
         let (pt, _, _) = best.ok_or(TnnError::EmptyChannel { channel: i })?;
-        // d accumulates the hop legs: dis(p, n₁) + Σ dis(nᵢ, nᵢ₊₁).
-        radius += from.dist(pt);
+        stops.push(pt);
         from = pt;
     }
 
     Ok(Estimate {
-        radius,
+        bound: Bound::Stops(stops),
         tuners,
         end,
         hops,
@@ -66,6 +65,7 @@ pub(crate) fn estimate<Q: CandidateQueue>(
 mod tests {
     use super::*;
     use crate::Algorithm;
+    use crate::RouteObjective;
     use std::sync::Arc;
     use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
     use tnn_rtree::{PackingAlgorithm, RTree};
@@ -131,7 +131,7 @@ mod tests {
             .min_by(|a, b| s_star.dist(**a).total_cmp(&s_star.dist(**b)))
             .unwrap();
         let expect = p.dist(*s_star) + s_star.dist(*r_star);
-        assert!((est.radius - expect).abs() < 1e-9);
+        assert!((est.radius(p, RouteObjective::Chain, &[]) - expect).abs() < 1e-9);
     }
 
     #[test]
@@ -157,7 +157,7 @@ mod tests {
             expect += from.dist(*nn);
             from = *nn;
         }
-        assert!((est.radius - expect).abs() < 1e-9);
+        assert!((est.radius(p, RouteObjective::Chain, &[]) - expect).abs() < 1e-9);
     }
 
     #[test]

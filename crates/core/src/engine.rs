@@ -41,11 +41,11 @@
 //! allocation-light while [`QueryEngine::run_with`] stays zero-alloc for
 //! batch runners that own one scratch per worker.
 
-use crate::algorithms::{
-    order_free_tnn_overlay, round_trip_tnn_overlay, run_query_overlay, QueryScratch, VisitOrder,
-};
+use crate::algorithms::{run_query_overlay, QueryScratch};
 use crate::task::queue::{ArrivalHeap, CandidateQueue};
-use crate::{Algorithm, AnnMode, AnnSpec, ChannelCost, TnnConfig, TnnError, TnnPair};
+use crate::{
+    Algorithm, AnnMode, AnnSpec, ChannelCost, RouteObjective, TnnConfig, TnnError, TnnPair,
+};
 use std::sync::{Arc, Mutex, RwLock};
 use tnn_broadcast::{MultiChannelEnv, PhaseOverlay, PhaseVec};
 use tnn_geom::Point;
@@ -70,6 +70,15 @@ pub enum QueryKind {
     /// Round-trip TNN: the shortest closed tour
     /// `p → s₁ → … → s_k → p` in channel order (future-work item 3).
     RoundTrip,
+}
+
+/// Which dataset a two-channel order-free answer visits first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VisitOrder {
+    /// `p → s → r` (the plain TNN order).
+    SFirst,
+    /// `p → r → s` (the reversed order).
+    RFirst,
 }
 
 /// A builder-style query request: what to compute, from where, when, and
@@ -124,7 +133,7 @@ impl Query {
     }
 
     /// Selects the TNN algorithm (only meaningful for [`Query::tnn`]
-    /// requests; the extensions have a single pipeline each).
+    /// requests; the extensions always estimate with Double-NN).
     pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
         if let QueryKind::Tnn(_) = self.kind {
             self.kind = QueryKind::Tnn(algorithm);
@@ -244,14 +253,13 @@ pub struct RouteStop {
     pub channel: usize,
 }
 
-/// The one result shape of every query pipeline and of the engine, with
-/// per-hop channel costs.
+/// The one result shape of every query kind, with per-hop channel costs.
 ///
-/// The TNN pipeline ([`crate::run_query_overlay`]) and the order-free
-/// and round-trip pipelines build it directly from the merged route; the
-/// equivalence gate in `crates/bench/tests` asserts the engine's
-/// two-channel outcomes are byte-identical to a frozen copy of the
-/// paper's pipeline.
+/// Every kind runs the same estimate → filter → join → retrieve pipeline
+/// (see [`crate::algorithms`]), which builds the outcome directly from
+/// the merged route; the equivalence gate in `crates/bench/tests`
+/// asserts the engine's two-channel outcomes are byte-identical to a
+/// frozen copy of the paper's pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
     /// What was asked.
@@ -266,14 +274,13 @@ pub struct QueryOutcome {
     pub search_radius: f64,
     /// Slot at which the query was issued.
     pub issued_at: u64,
-    /// Slot at which the estimate phase finished, when the pipeline
-    /// records it (TNN and chained queries; the variants fold it into
-    /// the per-channel finish times).
-    pub estimate_end: Option<u64>,
+    /// Slot at which the estimate phase finished and the filter phase
+    /// started (the issue slot for Approximate-TNN, which estimates
+    /// locally).
+    pub estimate_end: u64,
     /// Slot at which the whole query finished.
     pub completed_at: u64,
-    /// Filter-phase candidate counts per channel (recorded by the TNN
-    /// and chained pipelines; empty otherwise).
+    /// Filter-phase candidate counts per channel, in channel order.
     pub candidates: Vec<usize>,
     /// Per-channel cost breakdown, in channel order — each route hop's
     /// channel indexes into this.
@@ -538,51 +545,39 @@ impl<Q: CandidateQueue> QueryEngine<Q> {
             Some(phases) => PhaseOverlay::new(env, phases),
             None => PhaseOverlay::identity(env),
         };
-        let mut outcome: QueryOutcome = match query.kind {
-            QueryKind::Tnn(_) | QueryKind::Chain => {
-                let algorithm = match query.kind {
-                    QueryKind::Tnn(algorithm) => algorithm,
-                    // Chained TNN is the generalized Double-NN pipeline.
-                    _ => Algorithm::DoubleNn,
-                };
-                let k = overlay.len();
-                // The recoverable channel-count error must win over the
-                // ANN-count panic: a per-channel mode list that matches
-                // the *environment* is not the user's mistake when the
-                // query kind itself does not fit the channel count.
-                if k < 2 {
-                    return Err(TnnError::WrongChannelCount {
-                        needed: 2,
-                        available: k,
-                    });
-                }
-                query.ann.check_channels(k);
-                let cfg = TnnConfig {
-                    algorithm,
-                    ann: query.ann.modes(k),
-                    retrieve_answer_objects: query.retrieve_answer_objects,
-                };
-                run_query_overlay(&overlay, query.point, query.issued_at, &cfg, scratch)?
-            }
-            QueryKind::OrderFree => order_free_tnn_overlay(
-                &overlay,
-                query.point,
-                query.issued_at,
-                &query.ann,
-                query.retrieve_answer_objects,
-                scratch,
-            )?,
-            QueryKind::RoundTrip => round_trip_tnn_overlay(
-                &overlay,
-                query.point,
-                query.issued_at,
-                &query.ann,
-                query.retrieve_answer_objects,
-                scratch,
-            )?,
+        // Every kind is one algorithm's estimate under one route
+        // objective; the §7 extensions all estimate with Double-NN.
+        let (algorithm, objective) = match query.kind {
+            QueryKind::Tnn(algorithm) => (algorithm, RouteObjective::Chain),
+            QueryKind::Chain => (Algorithm::DoubleNn, RouteObjective::Chain),
+            QueryKind::OrderFree => (Algorithm::DoubleNn, RouteObjective::OrderFree),
+            QueryKind::RoundTrip => (Algorithm::DoubleNn, RouteObjective::RoundTrip),
         };
-        // The pipelines tag their own kind; a chained query ran the
-        // Double-NN pipeline and reports as `Chain`.
+        let k = overlay.len();
+        // The recoverable channel-count error must win over the
+        // ANN-count panic: a per-channel mode list that matches the
+        // *environment* is not the user's mistake when the query kind
+        // itself does not fit the channel count.
+        if k < 2 {
+            return Err(TnnError::WrongChannelCount {
+                needed: 2,
+                available: k,
+            });
+        }
+        let cfg = TnnConfig {
+            algorithm,
+            ann: query.ann.modes(k),
+            retrieve_answer_objects: query.retrieve_answer_objects,
+        };
+        let mut outcome = run_query_overlay(
+            &overlay,
+            query.point,
+            query.issued_at,
+            &cfg,
+            objective,
+            scratch,
+        )?;
+        // The pipeline tags the algorithm it ran; report the kind asked.
         outcome.kind = query.kind;
         Ok(outcome)
     }
@@ -741,7 +736,6 @@ mod tests {
         assert_eq!(chain, relabeled);
         assert_eq!(chain.route.len(), 3);
         assert_eq!(chain.channels.len(), 3);
-        assert!(chain.estimate_end.is_some());
     }
 
     #[test]
@@ -1050,6 +1044,32 @@ mod tests {
         let _ = engine.run(&Query::tnn(Point::ORIGIN).ann_modes(&[AnnMode::Exact; 3]));
     }
 
+    /// Every kind validates in one order: the ANN-arity panic wins over
+    /// the non-finite error, as serve admission (`Query::check_channels`)
+    /// expects.
+    #[test]
+    fn ann_count_mismatch_panics_before_non_finite_error_for_every_kind() {
+        let engine = QueryEngine::new(two_channel());
+        let nan = Point::new(f64::NAN, 0.0);
+        for query in [
+            Query::tnn(nan),
+            Query::chain(nan),
+            Query::order_free(nan),
+            Query::round_trip(nan),
+        ] {
+            let query = query.ann_modes(&[AnnMode::Exact; 3]);
+            let payload =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run(&query)))
+                    .expect_err("three ANN modes on two channels must panic");
+            let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(
+                message.contains("one ANN mode per channel"),
+                "{:?}: {message}",
+                query.kind()
+            );
+        }
+    }
+
     /// The accessors of a real engine outcome agree with its raw
     /// per-channel fields.
     #[test]
@@ -1071,8 +1091,7 @@ mod tests {
             got.candidates[0] + got.candidates[1]
         );
         assert!(!got.failed());
-        let estimate_end = got.estimate_end.expect("TNN outcomes record it");
-        assert!((9..=got.completed_at).contains(&estimate_end));
+        assert!((9..=got.completed_at).contains(&got.estimate_end));
         assert_eq!(got.peak_queue(), c[0].peak_queue.max(c[1].peak_queue));
         assert_eq!(got.prune_hits(), c[0].prune_hits + c[1].prune_hits);
         assert_eq!(
@@ -1089,7 +1108,7 @@ mod tests {
             total_dist: None,
             search_radius: 10.0,
             issued_at: 100,
-            estimate_end: Some(150),
+            estimate_end: 150,
             completed_at: 260,
             candidates: vec![3, 4],
             channels: vec![

@@ -222,6 +222,44 @@ pub fn chain_loop_join_with<L: AsRef<[(Point, ObjectId)]>>(
     chain_join_core(scratch, p, layers, true)
 }
 
+/// The two-channel round-trip join: minimum of
+/// `dis(p,s) + dis(s,r) + dis(r,p)` over the candidate sets, with early
+/// exit over `s` ordered by `dis(p, s)` (for any `r`,
+/// `dis(s,r) + dis(r,p) ≥ dis(s,p)`, so the tour through `s` is at least
+/// `2·dis(p,s)`). The `k > 2` generalization is [`chain_loop_join`].
+pub fn round_trip_join(
+    p: Point,
+    s_cands: &[(Point, ObjectId)],
+    r_cands: &[(Point, ObjectId)],
+) -> Option<TnnPair> {
+    if s_cands.is_empty() || r_cands.is_empty() {
+        return None;
+    }
+    let mut order: Vec<usize> = (0..s_cands.len()).collect();
+    order.sort_by(|&a, &b| p.dist_sq(s_cands[a].0).total_cmp(&p.dist_sq(s_cands[b].0)));
+    let mut best: Option<TnnPair> = None;
+    for &si in &order {
+        let (s_pt, s_id) = s_cands[si];
+        let d_ps = p.dist(s_pt);
+        if let Some(b) = &best {
+            if 2.0 * d_ps >= b.dist {
+                break;
+            }
+        }
+        for &(r_pt, r_id) in r_cands {
+            let loop_len = d_ps + s_pt.dist(r_pt) + r_pt.dist(p);
+            if best.as_ref().is_none_or(|b| loop_len < b.dist) {
+                best = Some(TnnPair {
+                    s: (s_pt, s_id),
+                    r: (r_pt, r_id),
+                    dist: loop_len,
+                });
+            }
+        }
+    }
+    best
+}
+
 /// Shared implementation of the open-chain and closed-tour k-layer joins.
 /// `close_tour` seeds the last layer's suffix costs with the return leg
 /// `dis(s_k, p)` instead of zero.
@@ -398,8 +436,8 @@ mod tests {
 
     #[test]
     fn join_matches_brute_force_large_indexed_path() {
-        // More than INDEXED_JOIN_THRESHOLD r-candidates exercises the
-        // R-tree-accelerated inner loop.
+        // More than SWEEP_JOIN_THRESHOLD (48) r-candidates exercises the
+        // x-sorted sweep inner loop.
         let p = Point::new(50.0, 50.0);
         let s: Vec<(Point, ObjectId)> = (0..80)
             .map(|i| {
@@ -543,5 +581,14 @@ mod tests {
         let a = pts(&[(1.0, 0.0)]);
         assert!(chain_join(p, &[a, vec![]]).is_none());
         assert!(chain_join::<Vec<(Point, ObjectId)>>(p, &[]).is_none());
+    }
+
+    #[test]
+    fn round_trip_join_empty_sides() {
+        assert!(round_trip_join(Point::ORIGIN, &[], &[]).is_none());
+        let one = vec![(Point::new(1.0, 0.0), ObjectId(0))];
+        assert!(round_trip_join(Point::ORIGIN, &one, &[]).is_none());
+        let pair = round_trip_join(Point::ORIGIN, &one, &one).unwrap();
+        assert!((pair.dist - 2.0).abs() < 1e-12);
     }
 }

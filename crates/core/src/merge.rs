@@ -1,12 +1,13 @@
-//! Candidate-merge entry points: the join stage of every query pipeline,
+//! Candidate-merge entry points: the join stage of the query pipeline,
 //! factored out so layers that *gather* candidates elsewhere (the
 //! scatter-gather shard router in `tnn-shard`) can merge them through
 //! **the exact code path the engine uses** — same joins, same
 //! floating-point association order, same tie-breaks — and obtain
 //! bit-identical routes and totals.
 //!
-//! The pipelines in [`crate::algorithms`] call these functions for their
-//! own final join, so the engine-equivalence property gates
+//! The one query pipeline in [`crate::algorithms`] calls
+//! [`merge_route_layers`] for its final join under the query kind's
+//! [`RouteObjective`], so the engine-equivalence property gates
 //! (`crates/bench/tests/*.rs`) transitively pin this module: it *cannot*
 //! drift from the engine without breaking them.
 //!
@@ -34,8 +35,10 @@
 //! general-position inputs.
 
 use crate::algorithms::permutations;
-use crate::join::{chain_join_with, chain_loop_join_with, tnn_join_with, JoinScratch};
-use crate::{round_trip_join, RouteStop};
+use crate::join::{
+    chain_join_with, chain_loop_join_with, round_trip_join, tnn_join_with, JoinScratch,
+};
+use crate::RouteStop;
 use tnn_geom::Point;
 use tnn_rtree::ObjectId;
 

@@ -145,7 +145,7 @@ proptest! {
         for alg in Algorithm::ALL {
             let run = run(&env, sc.query, sc.issued_at, &TnnConfig::exact(alg));
             prop_assert!(run.issued_at == sc.issued_at);
-            let estimate_end = run.estimate_end.unwrap();
+            let estimate_end = run.estimate_end;
             prop_assert!(estimate_end >= run.issued_at);
             prop_assert!(run.completed_at >= estimate_end);
             let per_channel: u64 = run.channels.iter().map(|c| c.total_pages()).sum();
@@ -185,7 +185,7 @@ proptest! {
         let run = run(&env, sc.query, sc.issued_at,
             &TnnConfig::exact(Algorithm::ApproximateTnn));
         prop_assert_eq!(run.tune_in_estimate(), 0);
-        prop_assert_eq!(run.estimate_end, Some(sc.issued_at));
+        prop_assert_eq!(run.estimate_end, sc.issued_at);
         if let Some(pair) = run.tnn_pair() {
             prop_assert!(sc.query.dist(pair.s.0) <= run.search_radius + 1e-9);
             prop_assert!(sc.query.dist(pair.r.0) <= run.search_radius + 1e-9);

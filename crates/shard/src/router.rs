@@ -766,9 +766,9 @@ fn spawn_replica(env: &MultiChannelEnv, config: &ShardConfig) -> Server {
 }
 
 /// Mirrors [`tnn_core::QueryEngine::run_with`]'s validation, with identical
-/// error/panic precedence (phase-arity assert, then the recoverable
-/// channel-count error, then — in kind order — the ANN-arity assert
-/// and the non-finite check, then the first empty channel).
+/// error/panic precedence for every query kind: the phase-arity assert,
+/// the recoverable channel-count error, the ANN-arity assert, the
+/// non-finite check, then the first empty channel.
 fn validate(env: &MultiChannelEnv, query: &Query) -> Result<(), TnnError> {
     let k = env.len();
     if let Some(phases) = query.phase_overrides() {
@@ -785,19 +785,9 @@ fn validate(env: &MultiChannelEnv, query: &Query) -> Result<(), TnnError> {
             available: k,
         });
     }
-    match query.kind() {
-        QueryKind::Tnn(_) | QueryKind::Chain => {
-            query.ann_spec().check_channels(k);
-            if !query.point().is_finite() {
-                return Err(TnnError::NonFiniteQuery);
-            }
-        }
-        QueryKind::OrderFree | QueryKind::RoundTrip => {
-            if !query.point().is_finite() {
-                return Err(TnnError::NonFiniteQuery);
-            }
-            query.ann_spec().check_channels(k);
-        }
+    query.ann_spec().check_channels(k);
+    if !query.point().is_finite() {
+        return Err(TnnError::NonFiniteQuery);
     }
     for (i, channel) in env.channels().iter().enumerate() {
         if channel.tree().num_objects() == 0 {
@@ -960,6 +950,33 @@ mod tests {
             engine2.run(&bad).unwrap_err()
         );
         router2.shutdown(ShutdownMode::Drain);
+    }
+
+    #[test]
+    fn ann_count_mismatch_panics_before_non_finite_error_for_every_kind() {
+        let router = ShardRouter::spawn(
+            sample_env(2),
+            ShardConfig::new().shards(2).serve(small_serve()),
+        );
+        let nan = Point::new(f64::NAN, 0.0);
+        for query in [
+            Query::tnn(nan),
+            Query::chain(nan),
+            Query::order_free(nan),
+            Query::round_trip(nan),
+        ] {
+            let query = query.ann_modes(&[tnn_core::AnnMode::Exact; 3]);
+            let payload =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| router.run(&query)))
+                    .expect_err("three ANN modes on two channels must panic");
+            let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(
+                message.contains("one ANN mode per channel"),
+                "{:?}: {message}",
+                query.kind()
+            );
+        }
+        router.shutdown(ShutdownMode::Drain);
     }
 
     #[test]
