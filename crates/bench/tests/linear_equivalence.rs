@@ -6,9 +6,9 @@
 
 use std::sync::Arc;
 use tnn_broadcast::BroadcastParams;
-use tnn_core::{Algorithm, AnnMode, TnnConfig};
+use tnn_core::{Algorithm, AnnMode, Query};
 use tnn_datasets::uniform_points;
-use tnn_geom::Rect;
+use tnn_geom::{Point, Rect};
 use tnn_rtree::{PackingAlgorithm, RTree};
 use tnn_sim::{run_batch, run_batch_linear, BatchConfig};
 
@@ -31,7 +31,7 @@ fn batch_stats_bit_identical_across_backends() {
         ] {
             let cfg = BatchConfig {
                 params,
-                tnn: TnnConfig::exact(alg).with_ann_modes(&ann),
+                query: Query::tnn(Point::ORIGIN).algorithm(alg).ann_modes(&ann),
                 queries: 32,
                 seed,
                 check_oracle: false,
@@ -51,7 +51,7 @@ fn batch_stats_bit_identical_with_oracle_checks() {
     let r = tree(300, 32, &params);
     let cfg = BatchConfig {
         params,
-        tnn: TnnConfig::exact(Algorithm::HybridNn),
+        query: Query::tnn(Point::ORIGIN).algorithm(Algorithm::HybridNn),
         queries: 24,
         seed: 0xC0FFEE,
         check_oracle: true,

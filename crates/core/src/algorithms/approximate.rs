@@ -75,7 +75,7 @@ pub(crate) fn estimate(env: &MultiChannelEnv, issued_at: u64) -> Estimate {
 mod tests {
     use super::*;
     use crate::RouteObjective;
-    use crate::{run_query_impl, Algorithm, QueryScratch, TnnConfig};
+    use crate::{Algorithm, Query, QueryScratch};
     use std::sync::Arc;
     use tnn_broadcast::BroadcastParams;
     use tnn_geom::Point;
@@ -160,11 +160,9 @@ mod tests {
         let r = uniformish(700, 5, 1000.0);
         let e = env(&s, &r);
         let p = Point::new(500.0, 500.0);
-        let run = run_query_impl(
+        let run = crate::algorithms::run_query(
             &e,
-            p,
-            0,
-            &TnnConfig::exact(Algorithm::ApproximateTnn),
+            &Query::tnn(p).algorithm(Algorithm::ApproximateTnn),
             &mut QueryScratch::<crate::ArrivalHeap>::default(),
         )
         .unwrap();
@@ -182,11 +180,9 @@ mod tests {
         ];
         let e = env_k(&layers);
         let p = Point::new(480.0, 510.0);
-        let run = run_query_impl(
+        let run = crate::algorithms::run_query(
             &e,
-            p,
-            0,
-            &TnnConfig::exact_for(Algorithm::ApproximateTnn, 3),
+            &Query::tnn(p).algorithm(Algorithm::ApproximateTnn),
             &mut QueryScratch::<crate::ArrivalHeap>::default(),
         )
         .unwrap();
@@ -206,11 +202,9 @@ mod tests {
         let r = s.clone();
         let e = env(&s, &r);
         let p = Point::new(10.0, 10.0);
-        let run = run_query_impl(
+        let run = crate::algorithms::run_query(
             &e,
-            p,
-            0,
-            &TnnConfig::exact(Algorithm::ApproximateTnn),
+            &Query::tnn(p).algorithm(Algorithm::ApproximateTnn),
             &mut QueryScratch::<crate::ArrivalHeap>::default(),
         )
         .unwrap();

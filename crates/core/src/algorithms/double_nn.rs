@@ -13,7 +13,7 @@
 
 use super::{harvest_searches, run_interleaved, spawn_parallel_searches, Estimate, QueryScratch};
 use crate::task::queue::CandidateQueue;
-use crate::{TnnConfig, TnnError};
+use crate::{AnnSpec, TnnError};
 use tnn_broadcast::PhaseOverlay;
 use tnn_geom::Point;
 
@@ -21,12 +21,11 @@ pub(crate) fn estimate<Q: CandidateQueue>(
     overlay: &PhaseOverlay<'_>,
     p: Point,
     issued_at: u64,
-    cfg: &TnnConfig,
+    ann: &AnnSpec,
     scratch: &mut QueryScratch<Q>,
 ) -> Result<Estimate, TnnError> {
     let k = overlay.len();
-    let mut tasks =
-        spawn_parallel_searches(overlay, p, issued_at, |i| cfg.ann[i], scratch.nn_slice(k));
+    let mut tasks = spawn_parallel_searches(overlay, p, issued_at, ann, scratch.nn_slice(k));
     // No re-targeting: the completion hook is a no-op.
     run_interleaved(&mut tasks, |_, _, _, _| {});
     // The stops are the per-channel NNs; Algorithm 1 line 4, k-ary,
@@ -37,8 +36,8 @@ pub(crate) fn estimate<Q: CandidateQueue>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Algorithm;
     use crate::RouteObjective;
+    use crate::{Algorithm, Query};
     use std::sync::Arc;
     use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
     use tnn_rtree::{PackingAlgorithm, RTree};
@@ -86,14 +85,7 @@ mod tests {
         let r = grid(130, 5);
         let e = env(&s, &r, [3, 77]);
         let p = Point::new(90.0, 110.0);
-        let est = estimate(
-            &ov(&e),
-            p,
-            0,
-            &TnnConfig::exact(Algorithm::DoubleNn),
-            &mut fresh(),
-        )
-        .unwrap();
+        let est = estimate(&ov(&e), p, 0, &AnnSpec::default(), &mut fresh()).unwrap();
         let s_star = s
             .iter()
             .min_by(|a, b| p.dist(**a).total_cmp(&p.dist(**b)))
@@ -111,14 +103,7 @@ mod tests {
         let layers = vec![grid(90, 0), grid(110, 7), grid(70, 19)];
         let e = env_k(&layers, &[3, 17, 91]);
         let p = Point::new(120.0, 90.0);
-        let est = estimate(
-            &ov(&e),
-            p,
-            0,
-            &TnnConfig::exact_for(Algorithm::DoubleNn, 3),
-            &mut fresh(),
-        )
-        .unwrap();
+        let est = estimate(&ov(&e), p, 0, &AnnSpec::default(), &mut fresh()).unwrap();
         let mut expect = 0.0;
         let mut prev = p;
         for layer in &layers {
@@ -142,20 +127,14 @@ mod tests {
         let e = env(&s, &r, [9, 31]);
         for (px, py) in [(10.0, 10.0), (100.0, 50.0), (200.0, 200.0)] {
             let p = Point::new(px, py);
-            let d_dbl = estimate(
-                &ov(&e),
-                p,
-                0,
-                &TnnConfig::exact(Algorithm::DoubleNn),
-                &mut fresh(),
-            )
-            .unwrap()
-            .radius(p, RouteObjective::Chain, &[]);
+            let d_dbl = estimate(&ov(&e), p, 0, &AnnSpec::default(), &mut fresh())
+                .unwrap()
+                .radius(p, RouteObjective::Chain, &[]);
             let d_win = super::super::window_based::estimate(
                 &ov(&e),
                 p,
                 0,
-                &TnnConfig::exact(Algorithm::WindowBased),
+                &AnnSpec::default(),
                 &mut fresh(),
             )
             .unwrap()
@@ -171,11 +150,9 @@ mod tests {
         let e = env(&s, &r, [17, 3]);
         for (px, py) in [(0.0, 0.0), (150.0, 100.0), (-40.0, 260.0)] {
             let p = Point::new(px, py);
-            let run = crate::run_query_impl(
+            let run = crate::algorithms::run_query(
                 &e,
-                p,
-                4,
-                &TnnConfig::exact(Algorithm::DoubleNn),
+                &Query::tnn(p).algorithm(Algorithm::DoubleNn).issued_at(4),
                 &mut fresh(),
             )
             .unwrap();
@@ -195,11 +172,9 @@ mod tests {
         let layers = vec![grid(80, 1), grid(60, 9), grid(100, 21)];
         let e = env_k(&layers, &[5, 55, 555]);
         let p = Point::new(100.0, 100.0);
-        let run = crate::run_query_impl(
+        let run = crate::algorithms::run_query(
             &e,
-            p,
-            0,
-            &TnnConfig::exact_for(Algorithm::DoubleNn, 3),
+            &Query::tnn(p).algorithm(Algorithm::DoubleNn),
             &mut fresh(),
         )
         .unwrap();
@@ -220,14 +195,7 @@ mod tests {
         let r = grid(400, 7);
         let e = env(&s, &r, [0, 0]);
         let p = Point::new(105.0, 105.0);
-        let est = estimate(
-            &ov(&e),
-            p,
-            0,
-            &TnnConfig::exact(Algorithm::DoubleNn),
-            &mut fresh(),
-        )
-        .unwrap();
+        let est = estimate(&ov(&e), p, 0, &AnnSpec::default(), &mut fresh()).unwrap();
         let bucket0 = e.channel(0).layout().bucket_len();
         let bucket1 = e.channel(1).layout().bucket_len();
         // First download on each channel happens within its first bucket

@@ -27,7 +27,7 @@
 
 use super::{harvest_searches, run_interleaved, spawn_parallel_searches, Estimate, QueryScratch};
 use crate::task::queue::CandidateQueue;
-use crate::{SearchMode, TnnConfig, TnnError};
+use crate::{AnnSpec, SearchMode, TnnError};
 use tnn_broadcast::PhaseOverlay;
 use tnn_geom::Point;
 
@@ -35,12 +35,11 @@ pub(crate) fn estimate<Q: CandidateQueue>(
     overlay: &PhaseOverlay<'_>,
     p: Point,
     issued_at: u64,
-    cfg: &TnnConfig,
+    ann: &AnnSpec,
     scratch: &mut QueryScratch<Q>,
 ) -> Result<Estimate, TnnError> {
     let k = overlay.len();
-    let mut tasks =
-        spawn_parallel_searches(overlay, p, issued_at, |i| cfg.ann[i], scratch.nn_slice(k));
+    let mut tasks = spawn_parallel_searches(overlay, p, issued_at, ann, scratch.nn_slice(k));
     run_interleaved(&mut tasks, |i, finished_best, at, tasks| {
         let Some((n_i, _, _)) = finished_best else {
             return; // nothing to re-target around (caught as EmptyChannel later)
@@ -66,8 +65,8 @@ pub(crate) fn estimate<Q: CandidateQueue>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Algorithm;
     use crate::RouteObjective;
+    use crate::{Algorithm, Query};
     use std::sync::Arc;
     use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
     use tnn_rtree::{PackingAlgorithm, RTree};
@@ -80,8 +79,8 @@ mod tests {
         PhaseOverlay::identity(env)
     }
 
-    fn rq(env: &MultiChannelEnv, p: Point, t: u64, cfg: &TnnConfig) -> crate::QueryOutcome {
-        crate::run_query_impl(env, p, t, cfg, &mut fresh()).unwrap()
+    fn rq(env: &MultiChannelEnv, query: &Query) -> crate::QueryOutcome {
+        crate::algorithms::run_query(env, query, &mut fresh()).unwrap()
     }
 
     fn env(s: &[Point], r: &[Point], phases: [u64; 2]) -> MultiChannelEnv {
@@ -121,7 +120,10 @@ mod tests {
         let e = env(&s, &r, [3, 55]);
         for (px, py) in [(20.0, 20.0), (150.0, 100.0), (80.0, 210.0)] {
             let p = Point::new(px, py);
-            let run = rq(&e, p, 2, &TnnConfig::exact(Algorithm::HybridNn));
+            let run = rq(
+                &e,
+                &Query::tnn(p).algorithm(Algorithm::HybridNn).issued_at(2),
+            );
             let got = run.tnn_pair().expect("hybrid never fails");
             let oracle = crate::exact_tnn(p, e.channel(0).tree(), e.channel(1).tree());
             assert!(
@@ -141,7 +143,10 @@ mod tests {
         let e = env(&s, &r, [21, 5]);
         for (px, py) in [(10.0, 190.0), (130.0, 60.0)] {
             let p = Point::new(px, py);
-            let run = rq(&e, p, 7, &TnnConfig::exact(Algorithm::HybridNn));
+            let run = rq(
+                &e,
+                &Query::tnn(p).algorithm(Algorithm::HybridNn).issued_at(7),
+            );
             let got = run.tnn_pair().expect("hybrid never fails");
             let oracle = crate::exact_tnn(p, e.channel(0).tree(), e.channel(1).tree());
             assert!(
@@ -169,7 +174,10 @@ mod tests {
             let e = env_k(&layers, &[40, 3, 17]);
             for (px, py) in [(10.0, 10.0), (140.0, 90.0)] {
                 let p = Point::new(px, py);
-                let run = rq(&e, p, 1, &TnnConfig::exact_for(Algorithm::HybridNn, 3));
+                let run = rq(
+                    &e,
+                    &Query::tnn(p).algorithm(Algorithm::HybridNn).issued_at(1),
+                );
                 let trees: Vec<&RTree> = e.channels().iter().map(|c| c.tree()).collect();
                 let (_, oracle_total) = crate::exact_chain_tnn(p, &trees);
                 let got = run.total_dist.expect("hybrid never fails");
@@ -189,8 +197,8 @@ mod tests {
         let e = env_k(&layers, &[1, 22, 333, 4_444]);
         for (px, py) in [(55.0, 66.0), (190.0, 20.0)] {
             let p = Point::new(px, py);
-            let hybrid = rq(&e, p, 0, &TnnConfig::exact_for(Algorithm::HybridNn, 4));
-            let double = rq(&e, p, 0, &TnnConfig::exact_for(Algorithm::DoubleNn, 4));
+            let hybrid = rq(&e, &Query::tnn(p).algorithm(Algorithm::HybridNn));
+            let double = rq(&e, &Query::tnn(p).algorithm(Algorithm::DoubleNn));
             assert!(
                 (hybrid.total_dist.unwrap() - double.total_dist.unwrap()).abs() < 1e-9,
                 "query {p:?}"
@@ -206,22 +214,9 @@ mod tests {
         let r = grid(200, 3);
         let e = env(&s, &r, [0, 9]);
         let p = Point::new(100.0, 100.0);
-        let h = estimate(
-            &ov(&e),
-            p,
-            0,
-            &TnnConfig::exact(Algorithm::HybridNn),
-            &mut fresh(),
-        )
-        .unwrap();
-        let d = super::super::double_nn::estimate(
-            &ov(&e),
-            p,
-            0,
-            &TnnConfig::exact(Algorithm::DoubleNn),
-            &mut fresh(),
-        )
-        .unwrap();
+        let h = estimate(&ov(&e), p, 0, &AnnSpec::default(), &mut fresh()).unwrap();
+        let d = super::super::double_nn::estimate(&ov(&e), p, 0, &AnnSpec::default(), &mut fresh())
+            .unwrap();
         // Same estimate end (the paper: "Double-NN and Hybrid-NN always
         // have the same access time") — identical queues, possibly fewer
         // downloads for hybrid after the switch, but the same last
@@ -242,24 +237,13 @@ mod tests {
         let e = env(&s, &r, [50, 0]);
         for (px, py) in [(30.0, 30.0), (170.0, 120.0), (60.0, 200.0)] {
             let p = Point::new(px, py);
-            let h = estimate(
-                &ov(&e),
-                p,
-                0,
-                &TnnConfig::exact(Algorithm::HybridNn),
-                &mut fresh(),
-            )
-            .unwrap()
-            .radius(p, RouteObjective::Chain, &[]);
-            let d = super::super::double_nn::estimate(
-                &ov(&e),
-                p,
-                0,
-                &TnnConfig::exact(Algorithm::DoubleNn),
-                &mut fresh(),
-            )
-            .unwrap()
-            .radius(p, RouteObjective::Chain, &[]);
+            let h = estimate(&ov(&e), p, 0, &AnnSpec::default(), &mut fresh())
+                .unwrap()
+                .radius(p, RouteObjective::Chain, &[]);
+            let d =
+                super::super::double_nn::estimate(&ov(&e), p, 0, &AnnSpec::default(), &mut fresh())
+                    .unwrap()
+                    .radius(p, RouteObjective::Chain, &[]);
             assert!(h <= d + 1e-9, "hybrid {h} > double {d} at {p:?}");
         }
     }
@@ -271,12 +255,12 @@ mod tests {
         let r = grid(250, 8);
         let e = env(&s, &r, [7, 19]);
         let p = Point::new(111.0, 99.0);
-        let cfg = TnnConfig::exact(Algorithm::HybridNn).with_ann_modes(
+        let query = Query::tnn(p).algorithm(Algorithm::HybridNn).ann_modes(
             &[crate::AnnMode::Dynamic {
                 factor: 1.0 / 150.0,
             }; 2],
         );
-        let run = rq(&e, p, 0, &cfg);
+        let run = rq(&e, &query);
         let got = run.tnn_pair().unwrap();
         let oracle = crate::exact_tnn(p, e.channel(0).tree(), e.channel(1).tree());
         assert!((got.dist - oracle.dist).abs() < 1e-9);

@@ -3,7 +3,11 @@
 //!
 //! All share the estimate–filter skeleton of §3.1, generalized from the
 //! paper's two-channel special case to `k ≥ 2` channels. The pipeline
-//! runs five named stages:
+//! reads the request straight from the validated [`crate::Query`]: its
+//! kind picks the estimate algorithm and the [`RouteObjective`], its
+//! [`crate::AnnSpec`] is resolved per channel by the estimate searches,
+//! and its point, issue slot and retrieval flag feed the stages below.
+//! It runs five named stages:
 //!
 //! 1. **estimate** (algorithm-specific): the search-based estimates
 //!    (Window-Based, Double-NN, Hybrid-NN) find a feasible stop `nᵢ` on
@@ -49,8 +53,8 @@ use crate::merge::{merge_route_layers, RouteObjective};
 use crate::task::queue::{ArrivalHeap, CandidateQueue};
 use crate::task::{BroadcastNnSearch, NnScratch, WindowQueryTask, WindowScratch};
 use crate::SearchMode;
-use crate::{Algorithm, ChannelCost, QueryKind, QueryOutcome, TnnConfig, TnnError};
-use tnn_broadcast::{InlineVec, MultiChannelEnv, PhaseOverlay, Tuner};
+use crate::{Algorithm, AnnSpec, ChannelCost, Query, QueryKind, QueryOutcome, TnnError};
+use tnn_broadcast::{InlineVec, PhaseOverlay, Tuner};
 use tnn_geom::{Circle, Point};
 use tnn_rtree::ObjectId;
 
@@ -147,87 +151,43 @@ pub(crate) fn permutations(k: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// The TNN query pipeline against an environment's own phases — the
-/// queue-generic single-query entry point for code that owns a scratch
-/// but no engine. Any `k ≥ 2` channel count is accepted, with the
-/// two-channel case reproducing the paper's algorithms bit-for-bit.
-///
-/// # Errors
-/// [`TnnError::WrongChannelCount`] for fewer than two channels;
-/// [`TnnError::NonFiniteQuery`] for NaN/infinite query points;
-/// [`TnnError::EmptyChannel`] when a channel broadcasts an empty dataset
-/// (no feasible route can exist through it).
-///
-/// # Panics
-/// Panics when `cfg.ann` does not hold one mode per channel.
-pub fn run_query_impl<Q: CandidateQueue>(
-    env: &MultiChannelEnv,
-    p: Point,
-    issued_at: u64,
-    cfg: &TnnConfig,
-    scratch: &mut QueryScratch<Q>,
-) -> Result<QueryOutcome, TnnError> {
-    run_query_overlay(
-        &PhaseOverlay::identity(env),
-        p,
-        issued_at,
-        cfg,
-        RouteObjective::Chain,
-        scratch,
-    )
-}
-
 /// The queue-generic query pipeline behind every query kind, over a
 /// [`PhaseOverlay`] — per-query phase randomization without cloning the
-/// environment. `objective` selects the filter radius and the join
-/// (see the module docs); the outcome is tagged
-/// `QueryKind::Tnn(cfg.algorithm)` for the caller to relabel.
+/// environment. The query's kind selects the estimate algorithm and the
+/// [`RouteObjective`] (the filter radius and the join, see the module
+/// docs); the §7 extensions all estimate with Double-NN.
 ///
-/// Validation runs in one order for every kind: the channel count, the
-/// ANN arity, the query point, then the channels' contents.
+/// The caller validates first ([`crate::Query::validate`], as
+/// [`crate::QueryEngine::run_on`] does), so every channel count, ANN
+/// arity and channel content seen here is one the query fits.
 ///
 /// # Errors
-/// As [`run_query_impl`].
-///
-/// # Panics
-/// As [`run_query_impl`].
+/// [`TnnError::EmptyChannel`] when an estimate search ends without
+/// reaching any data point.
 pub(crate) fn run_query_overlay<Q: CandidateQueue>(
     overlay: &PhaseOverlay<'_>,
-    p: Point,
-    issued_at: u64,
-    cfg: &TnnConfig,
-    objective: RouteObjective,
+    query: &Query,
     scratch: &mut QueryScratch<Q>,
 ) -> Result<QueryOutcome, TnnError> {
+    let (algorithm, objective) = match query.kind() {
+        QueryKind::Tnn(algorithm) => (algorithm, RouteObjective::Chain),
+        QueryKind::Chain => (Algorithm::DoubleNn, RouteObjective::Chain),
+        QueryKind::OrderFree => (Algorithm::DoubleNn, RouteObjective::OrderFree),
+        QueryKind::RoundTrip => (Algorithm::DoubleNn, RouteObjective::RoundTrip),
+    };
     let k = overlay.len();
-    if k < 2 {
-        return Err(TnnError::WrongChannelCount {
-            needed: 2,
-            available: k,
-        });
-    }
-    assert_eq!(cfg.ann.len(), k, "one ANN mode per channel is required");
-    if !p.is_finite() {
-        return Err(TnnError::NonFiniteQuery);
-    }
-    for i in 0..k {
-        if overlay.channel(i).tree().num_objects() == 0 {
-            return Err(TnnError::EmptyChannel { channel: i });
-        }
-    }
     scratch.ensure_channels(k);
     if objective == RouteObjective::OrderFree {
         scratch.ensure_visit_orders(k);
     }
-    let est = match cfg.algorithm {
-        Algorithm::WindowBased => window_based::estimate(overlay, p, issued_at, cfg, scratch)?,
+    let (p, issued_at, ann) = (query.point(), query.issue_slot(), query.ann_spec());
+    let est = match algorithm {
+        Algorithm::WindowBased => window_based::estimate(overlay, p, issued_at, ann, scratch)?,
         Algorithm::ApproximateTnn => approximate::estimate(overlay.env(), issued_at),
-        Algorithm::DoubleNn => double_nn::estimate(overlay, p, issued_at, cfg, scratch)?,
-        Algorithm::HybridNn => hybrid_nn::estimate(overlay, p, issued_at, cfg, scratch)?,
+        Algorithm::DoubleNn => double_nn::estimate(overlay, p, issued_at, ann, scratch)?,
+        Algorithm::HybridNn => hybrid_nn::estimate(overlay, p, issued_at, ann, scratch)?,
     };
-    Ok(filter_and_finish(
-        overlay, p, issued_at, est, cfg, objective, scratch,
-    ))
+    Ok(filter_and_finish(overlay, query, est, objective, scratch))
 }
 
 /// What an estimate phase establishes about the answer.
@@ -304,14 +264,13 @@ pub(crate) fn chain_length(p: Point, pts: impl IntoIterator<Item = Point>) -> f6
 /// `k ≥ 2` channels — the only builder of a [`QueryOutcome`].
 pub(crate) fn filter_and_finish<Q: CandidateQueue>(
     overlay: &PhaseOverlay<'_>,
-    p: Point,
-    issued_at: u64,
+    query: &Query,
     est: Estimate,
-    cfg: &TnnConfig,
     objective: RouteObjective,
     scratch: &mut QueryScratch<Q>,
 ) -> QueryOutcome {
     let k = overlay.len();
+    let (p, issued_at) = (query.point(), query.issue_slot());
     // Field destructuring keeps the window, join and permutation-table
     // borrows disjoint.
     let QueryScratch {
@@ -367,7 +326,7 @@ pub(crate) fn filter_and_finish<Q: CandidateQueue>(
     // Retrieval phase: wake up when the answer objects' data pages are on
     // air. The join is local computation, which the paper neglects, so
     // retrieval starts as soon as every candidate stream is complete.
-    if cfg.retrieve_answer_objects {
+    if query.retrieves_answer_objects() {
         for stop in &route {
             let (done, pages) = overlay
                 .view(stop.channel)
@@ -386,7 +345,7 @@ pub(crate) fn filter_and_finish<Q: CandidateQueue>(
         .max(est.end);
 
     QueryOutcome {
-        kind: QueryKind::Tnn(cfg.algorithm),
+        kind: query.kind(),
         route,
         total_dist,
         search_radius: radius,
@@ -452,7 +411,7 @@ pub(crate) fn spawn_parallel_searches<'a, Q: CandidateQueue>(
     overlay: &PhaseOverlay<'a>,
     from: Point,
     issued_at: u64,
-    ann: impl Fn(usize) -> crate::AnnMode,
+    ann: &AnnSpec,
     scratch: &mut [NnScratch<Q>],
 ) -> Vec<BroadcastNnSearch<'a, Q>> {
     scratch
@@ -462,7 +421,7 @@ pub(crate) fn spawn_parallel_searches<'a, Q: CandidateQueue>(
             BroadcastNnSearch::with_scratch(
                 overlay.view(i),
                 SearchMode::Point { q: from },
-                ann(i),
+                ann.mode(i),
                 issued_at,
                 nn_scratch,
             )
@@ -502,6 +461,17 @@ pub(crate) fn harvest_searches<Q: CandidateQueue>(
     })
 }
 
+/// Runs `query` over `env`'s own phases through a `Q`-backed engine — the
+/// single-query entry point of the core unit tests.
+#[cfg(test)]
+pub(crate) fn run_query<Q: CandidateQueue>(
+    env: &tnn_broadcast::MultiChannelEnv,
+    query: &Query,
+    scratch: &mut QueryScratch<Q>,
+) -> Result<QueryOutcome, TnnError> {
+    crate::QueryEngine::<Q>::with_queue_backend(env.clone()).run_with(query, scratch)
+}
+
 /// End-to-end tests of the order-free and round-trip query kinds.
 #[cfg(test)]
 mod variants {
@@ -521,7 +491,7 @@ mod equivalence_tests {
     use crate::AnnMode;
     use proptest::prelude::*;
     use std::sync::Arc;
-    use tnn_broadcast::BroadcastParams;
+    use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
     use tnn_rtree::{PackingAlgorithm, RTree};
 
     fn build_env(layers: &[Vec<Point>], page: usize, phases: &[u64]) -> MultiChannelEnv {
@@ -561,11 +531,12 @@ mod equivalence_tests {
             let mut linear_scratch = QueryScratch::<LinearQueue>::default();
             for alg in Algorithm::ALL {
                 for ann in [AnnMode::Exact, AnnMode::Dynamic { factor: ann_factor }] {
-                    let cfg = TnnConfig::exact(alg).with_ann_modes(&[ann, ann]);
-                    let heap_run =
-                        run_query_impl(&env, p, issued_at, &cfg, &mut heap_scratch).unwrap();
-                    let linear_run =
-                        run_query_impl(&env, p, issued_at, &cfg, &mut linear_scratch).unwrap();
+                    let query = Query::tnn(p)
+                        .algorithm(alg)
+                        .issued_at(issued_at)
+                        .ann_modes(&[ann, ann]);
+                    let heap_run = run_query(&env, &query, &mut heap_scratch).unwrap();
+                    let linear_run = run_query(&env, &query, &mut linear_scratch).unwrap();
                     prop_assert_eq!(
                         &heap_run, &linear_run,
                         "divergent run for {} / {:?}", alg.name(), ann
@@ -592,11 +563,9 @@ mod equivalence_tests {
             let mut heap_scratch = QueryScratch::<ArrivalHeap>::default();
             let mut linear_scratch = QueryScratch::<LinearQueue>::default();
             for alg in Algorithm::ALL {
-                let cfg = TnnConfig::exact_for(alg, k);
-                let heap_run =
-                    run_query_impl(&env, p, issued_at, &cfg, &mut heap_scratch).unwrap();
-                let linear_run =
-                    run_query_impl(&env, p, issued_at, &cfg, &mut linear_scratch).unwrap();
+                let query = Query::tnn(p).algorithm(alg).issued_at(issued_at);
+                let heap_run = run_query(&env, &query, &mut heap_scratch).unwrap();
+                let linear_run = run_query(&env, &query, &mut linear_scratch).unwrap();
                 prop_assert_eq!(&heap_run, &linear_run, "k={} {}", k, alg.name());
             }
         }
@@ -620,15 +589,13 @@ mod equivalence_tests {
             for (s, r) in [(&grid, &cloud), (&cloud, &grid)] {
                 let env = build_env(&[s.clone(), r.clone()], 64, &[phase, phase / 2]);
                 for alg in Algorithm::ALL {
-                    let cfg = TnnConfig::exact(alg);
-                    let heap_run = run_query_impl(
-                        &env, p, 3, &cfg, &mut QueryScratch::<ArrivalHeap>::default(),
-                    )
-                    .unwrap();
-                    let linear_run = run_query_impl(
-                        &env, p, 3, &cfg, &mut QueryScratch::<LinearQueue>::default(),
-                    )
-                    .unwrap();
+                    let query = Query::tnn(p).algorithm(alg).issued_at(3);
+                    let heap_run =
+                        run_query(&env, &query, &mut QueryScratch::<ArrivalHeap>::default())
+                            .unwrap();
+                    let linear_run =
+                        run_query(&env, &query, &mut QueryScratch::<LinearQueue>::default())
+                            .unwrap();
                     prop_assert_eq!(&heap_run, &linear_run, "{}", alg.name());
                 }
             }
@@ -681,14 +648,8 @@ mod equivalence_tests {
             let env = MultiChannelEnv::new(layout, params, &vec![0; k]);
             let p = Point::new(10.0, 10.0);
             for alg in Algorithm::ALL {
-                let cfg = TnnConfig::exact_for(alg, k);
-                let heap = run_query_impl(
-                    &env,
-                    p,
-                    0,
-                    &cfg,
-                    &mut QueryScratch::<ArrivalHeap>::default(),
-                );
+                let query = Query::tnn(p).algorithm(alg);
+                let heap = run_query(&env, &query, &mut QueryScratch::<ArrivalHeap>::default());
                 assert_eq!(
                     heap.unwrap_err(),
                     TnnError::EmptyChannel {
@@ -697,13 +658,7 @@ mod equivalence_tests {
                     "heap backend, {}",
                     alg.name()
                 );
-                let linear = run_query_impl(
-                    &env,
-                    p,
-                    0,
-                    &cfg,
-                    &mut QueryScratch::<LinearQueue>::default(),
-                );
+                let linear = run_query(&env, &query, &mut QueryScratch::<LinearQueue>::default());
                 assert_eq!(
                     linear.unwrap_err(),
                     TnnError::EmptyChannel {
@@ -731,14 +686,11 @@ mod equivalence_tests {
             Algorithm::HybridNn,
         ] {
             for issued_at in [0u64, 99] {
-                let run = run_query_impl(
-                    &env,
-                    Point::new(0.0, 0.0),
-                    issued_at,
-                    &TnnConfig::exact(alg),
-                    &mut QueryScratch::<ArrivalHeap>::default(),
-                )
-                .unwrap();
+                let query = Query::tnn(Point::new(0.0, 0.0))
+                    .algorithm(alg)
+                    .issued_at(issued_at);
+                let run =
+                    run_query(&env, &query, &mut QueryScratch::<ArrivalHeap>::default()).unwrap();
                 let pair = run.tnn_pair().expect("single-point channels still answer");
                 let expect = Point::new(0.0, 0.0).dist(Point::new(10.0, 10.0)) + 10.0;
                 assert!((pair.dist - expect).abs() < 1e-9, "{}", alg.name());

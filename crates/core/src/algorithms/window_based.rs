@@ -11,7 +11,7 @@
 use super::{Bound, Estimate, HopStats, HopStatsVec, QueryScratch, StopVec, TunerVec};
 use crate::task::queue::CandidateQueue;
 use crate::task::BroadcastNnSearch;
-use crate::{SearchMode, TnnConfig, TnnError};
+use crate::{AnnSpec, SearchMode, TnnError};
 use tnn_broadcast::PhaseOverlay;
 use tnn_geom::Point;
 
@@ -19,7 +19,7 @@ pub(crate) fn estimate<Q: CandidateQueue>(
     overlay: &PhaseOverlay<'_>,
     p: Point,
     issued_at: u64,
-    cfg: &TnnConfig,
+    ann: &AnnSpec,
     scratch: &mut QueryScratch<Q>,
 ) -> Result<Estimate, TnnError> {
     let k = overlay.len();
@@ -35,7 +35,7 @@ pub(crate) fn estimate<Q: CandidateQueue>(
         let mut task = BroadcastNnSearch::with_scratch(
             overlay.view(i),
             SearchMode::Point { q: from },
-            cfg.ann[i],
+            ann.mode(i),
             now,
             nn_scratch,
         );
@@ -64,8 +64,8 @@ pub(crate) fn estimate<Q: CandidateQueue>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Algorithm;
     use crate::RouteObjective;
+    use crate::{Algorithm, Query};
     use std::sync::Arc;
     use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
     use tnn_rtree::{PackingAlgorithm, RTree};
@@ -113,14 +113,7 @@ mod tests {
         let r = grid(150, 7);
         let e = env(&s, &r);
         let p = Point::new(100.0, 100.0);
-        let est = estimate(
-            &ov(&e),
-            p,
-            0,
-            &TnnConfig::exact(Algorithm::WindowBased),
-            &mut fresh(),
-        )
-        .unwrap();
+        let est = estimate(&ov(&e), p, 0, &AnnSpec::default(), &mut fresh()).unwrap();
         // s* = p's true NN in S; r* = s*'s true NN in R.
         let s_star = s
             .iter()
@@ -139,14 +132,7 @@ mod tests {
         let layers = vec![grid(90, 3), grid(120, 11), grid(70, 29)];
         let e = env_k(&layers, &[5, 42, 7]);
         let p = Point::new(60.0, 140.0);
-        let est = estimate(
-            &ov(&e),
-            p,
-            0,
-            &TnnConfig::exact_for(Algorithm::WindowBased, 3),
-            &mut fresh(),
-        )
-        .unwrap();
+        let est = estimate(&ov(&e), p, 0, &AnnSpec::default(), &mut fresh()).unwrap();
         let mut expect = 0.0;
         let mut from = p;
         for layer in &layers {
@@ -166,14 +152,7 @@ mod tests {
         let r = grid(200, 3);
         let e = env(&s, &r);
         let p = Point::new(50.0, 60.0);
-        let est = estimate(
-            &ov(&e),
-            p,
-            11,
-            &TnnConfig::exact(Algorithm::WindowBased),
-            &mut fresh(),
-        )
-        .unwrap();
+        let est = estimate(&ov(&e), p, 11, &AnnSpec::default(), &mut fresh()).unwrap();
         // Channel 1's estimate pages can only have been downloaded after
         // channel 0 finished; its tuner finish time must exceed channel
         // 0's.
@@ -190,7 +169,7 @@ mod tests {
             &ov(&e),
             Point::new(80.0, 80.0),
             0,
-            &TnnConfig::exact_for(Algorithm::WindowBased, 3),
+            &AnnSpec::default(),
             &mut fresh(),
         )
         .unwrap();
@@ -204,11 +183,9 @@ mod tests {
         let r = grid(180, 9);
         let e = env(&s, &r);
         let p = Point::new(120.0, 80.0);
-        let run = crate::run_query_impl(
+        let run = crate::algorithms::run_query(
             &e,
-            p,
-            0,
-            &TnnConfig::exact(Algorithm::WindowBased),
+            &Query::tnn(p).algorithm(Algorithm::WindowBased),
             &mut fresh(),
         )
         .unwrap();

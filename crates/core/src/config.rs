@@ -1,4 +1,5 @@
-//! Query-execution configuration.
+//! The vocabulary a [`Query`](crate::Query) is described in: the TNN
+//! algorithm and the per-channel ANN specification.
 
 use crate::AnnMode;
 use tnn_broadcast::InlineVec;
@@ -49,54 +50,6 @@ impl Algorithm {
     }
 }
 
-/// Per-channel ANN pruning modes — k-ary, length-checked storage with an
-/// inline fast path for the common two-channel case (no allocation up to
-/// `k = 2`).
-///
-/// Dereferences to `[AnnMode]`, so indexing (`modes[0]`), iteration, and
-/// `len()` all work as on a slice.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct AnnModes(InlineVec<AnnMode, 2>);
-
-impl AnnModes {
-    /// Exact (eNN) search on every one of `k` channels.
-    pub fn exact(k: usize) -> Self {
-        AnnModes::uniform(AnnMode::Exact, k)
-    }
-
-    /// The same `mode` on every one of `k` channels.
-    pub fn uniform(mode: AnnMode, k: usize) -> Self {
-        AnnModes((0..k).map(|_| mode).collect())
-    }
-
-    /// Copies per-channel modes in (allocation-free for `k ≤ 2`).
-    ///
-    /// # Panics
-    /// Panics on an empty slice — every channel needs a mode.
-    pub fn from_slice(modes: &[AnnMode]) -> Self {
-        assert!(!modes.is_empty(), "at least one ANN mode is required");
-        AnnModes(InlineVec::from_slice(modes))
-    }
-
-    /// The modes as a slice.
-    pub fn as_slice(&self) -> &[AnnMode] {
-        self.0.as_slice()
-    }
-}
-
-impl std::ops::Deref for AnnModes {
-    type Target = [AnnMode];
-    fn deref(&self) -> &[AnnMode] {
-        self.0.as_slice()
-    }
-}
-
-impl From<[AnnMode; 2]> for AnnModes {
-    fn from(modes: [AnnMode; 2]) -> Self {
-        AnnModes::from_slice(&modes)
-    }
-}
-
 /// How a query chooses ANN modes without committing to a channel count:
 /// either one mode for every channel (whatever `k` turns out to be) or an
 /// explicit per-channel list that must match `k` exactly.
@@ -108,8 +61,8 @@ pub enum AnnSpec {
     /// The same mode on every channel, independent of channel count.
     Uniform(AnnMode),
     /// One explicit mode per channel, length-checked against the
-    /// environment at execution time.
-    PerChannel(AnnModes),
+    /// environment at execution time (inline up to two channels).
+    PerChannel(InlineVec<AnnMode, 2>),
 }
 
 impl AnnSpec {
@@ -134,18 +87,6 @@ impl AnnSpec {
             AnnSpec::PerChannel(modes) => modes[i],
         }
     }
-
-    /// Materializes the per-channel modes for a `k`-channel environment.
-    ///
-    /// # Panics
-    /// As [`AnnSpec::check_channels`].
-    pub fn modes(&self, k: usize) -> AnnModes {
-        self.check_channels(k);
-        match self {
-            AnnSpec::Uniform(mode) => AnnModes::uniform(*mode, k),
-            AnnSpec::PerChannel(modes) => modes.clone(),
-        }
-    }
 }
 
 impl Default for AnnSpec {
@@ -154,66 +95,11 @@ impl Default for AnnSpec {
     }
 }
 
-/// Full configuration of one TNN query execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TnnConfig {
-    /// Which algorithm to run.
-    pub algorithm: Algorithm,
-    /// ANN pruning mode per channel (`ann[0]` for the `S` channel,
-    /// `ann[1]` for the `R` channel, and so on for chained queries).
-    /// [`AnnMode::Exact`] everywhere reproduces the eNN behaviour of
-    /// §6.1; the §6.2 experiments mix exact and dynamic modes per dataset
-    /// density. The length must match the environment's channel count at
-    /// execution time.
-    pub ann: AnnModes,
-    /// When `true` (paper model), the client finally wakes up to download
-    /// the data pages of the answer objects; their cost is included in
-    /// both metrics.
-    pub retrieve_answer_objects: bool,
-}
-
-impl TnnConfig {
-    /// Configuration for `algorithm` with exact (eNN) search on both
-    /// channels of the paper's two-channel TNN query and final object
-    /// retrieval on. For `k > 2` channels use [`TnnConfig::exact_for`].
-    pub fn exact(algorithm: Algorithm) -> Self {
-        TnnConfig::exact_for(algorithm, 2)
-    }
-
-    /// Configuration for `algorithm` over a `k`-channel environment with
-    /// exact (eNN) search on every channel and final object retrieval on.
-    pub fn exact_for(algorithm: Algorithm, k: usize) -> Self {
-        TnnConfig {
-            algorithm,
-            ann: AnnModes::exact(k),
-            retrieve_answer_objects: true,
-        }
-    }
-
-    /// Same configuration with the given per-channel ANN modes — k-ary:
-    /// one entry per channel, in channel order.
-    ///
-    /// # Panics
-    /// Panics on an empty slice; a length mismatch against the
-    /// environment's channel count panics at execution time (the same
-    /// contract as [`MultiChannelEnv::new`]'s phase check).
-    ///
-    /// [`MultiChannelEnv::new`]: tnn_broadcast::MultiChannelEnv::new
-    pub fn with_ann_modes(mut self, modes: &[AnnMode]) -> Self {
-        self.ann = AnnModes::from_slice(modes);
-        self
-    }
-}
-
-impl Default for TnnConfig {
-    fn default() -> Self {
-        TnnConfig::exact(Algorithm::HybridNn)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Query, QueryKind};
+    use tnn_geom::Point;
 
     #[test]
     fn names_and_exactness() {
@@ -227,21 +113,14 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let c = TnnConfig::exact(Algorithm::DoubleNn)
-            .with_ann_modes(&[AnnMode::Exact, AnnMode::Dynamic { factor: 1.0 }]);
-        assert_eq!(c.algorithm, Algorithm::DoubleNn);
-        assert_eq!(c.ann[0], AnnMode::Exact);
-        assert_eq!(c.ann[1], AnnMode::Dynamic { factor: 1.0 });
-        assert_eq!(c.ann.len(), 2);
-        assert!(c.retrieve_answer_objects);
-    }
-
-    #[test]
-    fn exact_for_builds_k_channel_configs() {
-        let c = TnnConfig::exact_for(Algorithm::HybridNn, 4);
-        assert_eq!(c.ann.len(), 4);
-        assert!(c.ann.iter().all(|m| *m == AnnMode::Exact));
-        assert_eq!(TnnConfig::exact(Algorithm::HybridNn).ann.len(), 2);
+        let q = Query::tnn(Point::ORIGIN)
+            .algorithm(Algorithm::DoubleNn)
+            .ann_modes(&[AnnMode::Exact, AnnMode::Dynamic { factor: 1.0 }]);
+        assert_eq!(q.kind(), QueryKind::Tnn(Algorithm::DoubleNn));
+        q.ann_spec().check_channels(2);
+        assert_eq!(q.ann_spec().mode(0), AnnMode::Exact);
+        assert_eq!(q.ann_spec().mode(1), AnnMode::Dynamic { factor: 1.0 });
+        assert!(q.retrieves_answer_objects());
     }
 
     #[test]
@@ -251,15 +130,21 @@ mod tests {
             AnnMode::Dynamic { factor: 0.5 },
             AnnMode::Fixed { alpha: 0.1 },
         ];
-        let c = TnnConfig::exact(Algorithm::DoubleNn).with_ann_modes(&modes);
-        assert_eq!(c.ann.len(), 3);
-        assert_eq!(c.ann.as_slice(), &modes);
+        let q = Query::chain(Point::ORIGIN).ann_modes(&modes);
+        assert_eq!(
+            q.ann_spec(),
+            &AnnSpec::PerChannel(InlineVec::from_slice(&modes))
+        );
+        q.ann_spec().check_channels(3);
+        for (i, mode) in modes.iter().enumerate() {
+            assert_eq!(q.ann_spec().mode(i), *mode);
+        }
     }
 
     #[test]
     #[should_panic(expected = "at least one ANN mode")]
     fn empty_ann_modes_panic() {
-        let _ = TnnConfig::default().with_ann_modes(&[]);
+        let _ = Query::tnn(Point::ORIGIN).ann_modes(&[]);
     }
 
     #[test]
@@ -267,9 +152,8 @@ mod tests {
         let uniform = AnnSpec::Uniform(AnnMode::Dynamic { factor: 1.0 });
         uniform.check_channels(5);
         assert_eq!(uniform.mode(3), AnnMode::Dynamic { factor: 1.0 });
-        assert_eq!(uniform.modes(3).len(), 3);
 
-        let per = AnnSpec::PerChannel(AnnModes::from_slice(&[
+        let per = AnnSpec::PerChannel(InlineVec::from_slice(&[
             AnnMode::Exact,
             AnnMode::Fixed { alpha: 0.2 },
         ]));
@@ -281,6 +165,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "one ANN mode per channel")]
     fn ann_spec_checks_channel_count() {
-        AnnSpec::PerChannel(AnnModes::exact(2)).check_channels(3);
+        AnnSpec::PerChannel(InlineVec::from_slice(&[AnnMode::Exact; 2])).check_channels(3);
     }
 }

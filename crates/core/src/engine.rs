@@ -43,17 +43,15 @@
 
 use crate::algorithms::{run_query_overlay, QueryScratch};
 use crate::task::queue::{ArrivalHeap, CandidateQueue};
-use crate::{
-    Algorithm, AnnMode, AnnSpec, ChannelCost, RouteObjective, TnnConfig, TnnError, TnnPair,
-};
+use crate::{Algorithm, AnnMode, AnnSpec, ChannelCost, TnnError, TnnPair};
 use std::sync::{Arc, Mutex, RwLock};
-use tnn_broadcast::{MultiChannelEnv, PhaseOverlay, PhaseVec};
+use tnn_broadcast::{InlineVec, MultiChannelEnv, PhaseOverlay, PhaseVec};
 use tnn_geom::Point;
 use tnn_rtree::ObjectId;
 
 /// What kind of route a [`Query`] asks for. Every kind runs over any
 /// `k ≥ 2`-channel environment; `k = 2` is the paper's special case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryKind {
     /// TNN in channel order (`p → s₁ → … → s_k`) under the given
     /// algorithm.
@@ -141,6 +139,13 @@ impl Query {
         self
     }
 
+    /// The same request from point `p` — re-targets a template query,
+    /// keeping its kind, issue slot, ANN modes, phases and retrieval flag.
+    pub fn at(mut self, p: Point) -> Self {
+        self.point = p;
+        self
+    }
+
     /// The global slot at which the client receives the query.
     pub fn issued_at(mut self, slot: u64) -> Self {
         self.issued_at = slot;
@@ -162,7 +167,7 @@ impl Query {
     /// Panics on an empty slice.
     pub fn ann_modes(mut self, modes: &[AnnMode]) -> Self {
         assert!(!modes.is_empty(), "at least one ANN mode is required");
-        self.ann = AnnSpec::PerChannel(crate::AnnModes::from_slice(modes));
+        self.ann = AnnSpec::PerChannel(InlineVec::from_slice(modes));
         self
     }
 
@@ -237,6 +242,42 @@ impl Query {
         // over the ANN arity panic — mirror that precedence here.
         if k >= 2 {
             self.ann.check_channels(k);
+        }
+    }
+
+    /// Validates the query against `env` the way every
+    /// [`QueryEngine::run`] does before any page is read, in one order for
+    /// every kind: the phase-arity panic, the channel-count error, the
+    /// ANN-arity panic, the non-finite error, then the first empty
+    /// channel.
+    ///
+    /// # Errors
+    /// [`TnnError::WrongChannelCount`] for environments with fewer than
+    /// two channels; [`TnnError::NonFiniteQuery`] for NaN/infinite query
+    /// points; [`TnnError::EmptyChannel`] when a channel broadcasts an
+    /// empty dataset.
+    ///
+    /// # Panics
+    /// As [`Query::check_channels`].
+    pub fn validate(&self, env: &MultiChannelEnv) -> Result<(), TnnError> {
+        let k = env.len();
+        self.check_channels(k);
+        if k < 2 {
+            return Err(TnnError::WrongChannelCount {
+                needed: 2,
+                available: k,
+            });
+        }
+        if !self.point.is_finite() {
+            return Err(TnnError::NonFiniteQuery);
+        }
+        match env
+            .channels()
+            .iter()
+            .position(|c| c.tree().num_objects() == 0)
+        {
+            Some(channel) => Err(TnnError::EmptyChannel { channel }),
+            None => Ok(()),
         }
     }
 }
@@ -541,45 +582,12 @@ impl<Q: CandidateQueue> QueryEngine<Q> {
         query: &Query,
         scratch: &mut QueryScratch<Q>,
     ) -> Result<QueryOutcome, TnnError> {
+        query.validate(env)?;
         let overlay = match &query.phases {
             Some(phases) => PhaseOverlay::new(env, phases),
             None => PhaseOverlay::identity(env),
         };
-        // Every kind is one algorithm's estimate under one route
-        // objective; the §7 extensions all estimate with Double-NN.
-        let (algorithm, objective) = match query.kind {
-            QueryKind::Tnn(algorithm) => (algorithm, RouteObjective::Chain),
-            QueryKind::Chain => (Algorithm::DoubleNn, RouteObjective::Chain),
-            QueryKind::OrderFree => (Algorithm::DoubleNn, RouteObjective::OrderFree),
-            QueryKind::RoundTrip => (Algorithm::DoubleNn, RouteObjective::RoundTrip),
-        };
-        let k = overlay.len();
-        // The recoverable channel-count error must win over the
-        // ANN-count panic: a per-channel mode list that matches the
-        // *environment* is not the user's mistake when the query kind
-        // itself does not fit the channel count.
-        if k < 2 {
-            return Err(TnnError::WrongChannelCount {
-                needed: 2,
-                available: k,
-            });
-        }
-        let cfg = TnnConfig {
-            algorithm,
-            ann: query.ann.modes(k),
-            retrieve_answer_objects: query.retrieve_answer_objects,
-        };
-        let mut outcome = run_query_overlay(
-            &overlay,
-            query.point,
-            query.issued_at,
-            &cfg,
-            objective,
-            scratch,
-        )?;
-        // The pipeline tags the algorithm it ran; report the kind asked.
-        outcome.kind = query.kind;
-        Ok(outcome)
+        run_query_overlay(&overlay, query, scratch)
     }
 
     /// Draws a [`QueryScratch`] from the engine's pool (or a fresh one
@@ -621,7 +629,6 @@ impl<Q: CandidateQueue> Clone for QueryEngine<Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_query_impl, AnnModes};
     use std::sync::Arc;
     use tnn_broadcast::BroadcastParams;
     use tnn_rtree::{PackingAlgorithm, RTree};
@@ -650,30 +657,6 @@ mod tests {
 
     fn two_channel() -> MultiChannelEnv {
         build_env(&[cloud(90, 1), cloud(110, 8)], &[13, 31])
-    }
-
-    /// The engine is a thin layer over the core pipeline: outcomes must
-    /// be byte-identical to a direct `run_query_impl` call.
-    #[test]
-    fn tnn_matches_core_pipeline_for_every_algorithm() {
-        let env = two_channel();
-        let engine = QueryEngine::new(env.clone());
-        let p = Point::new(77.0, 99.0);
-        for alg in Algorithm::ALL {
-            let core = run_query_impl(
-                &env,
-                p,
-                5,
-                &TnnConfig::exact(alg),
-                &mut QueryScratch::<ArrivalHeap>::default(),
-            )
-            .unwrap();
-            let got = engine
-                .run(&Query::tnn(p).algorithm(alg).issued_at(5))
-                .unwrap();
-            assert_eq!(got, core, "{}", alg.name());
-            assert_eq!(got.kind, QueryKind::Tnn(alg));
-        }
     }
 
     #[test]
@@ -759,34 +742,18 @@ mod tests {
         }
     }
 
+    /// A uniform ANN mode and the same mode spelled out per channel are
+    /// one request: their outcomes are identical.
     #[test]
     fn per_channel_ann_modes_match_core_config() {
-        let env = two_channel();
-        let engine = QueryEngine::new(env.clone());
+        let engine = QueryEngine::new(two_channel());
         let p = Point::new(60.0, 60.0);
-        let modes = [AnnMode::Dynamic { factor: 1.0 }, AnnMode::Exact];
-        let core = run_query_impl(
-            &env,
-            p,
-            0,
-            &TnnConfig::exact(Algorithm::DoubleNn).with_ann_modes(&modes),
-            &mut QueryScratch::<ArrivalHeap>::default(),
-        )
-        .unwrap();
-        let got = engine
-            .run(
-                &Query::tnn(p)
-                    .algorithm(Algorithm::DoubleNn)
-                    .ann_modes(&modes),
-            )
-            .unwrap();
-        assert_eq!(got.tnn_pair(), core.tnn_pair());
-        assert_eq!(got.tune_in(), core.tune_in());
-        // The uniform spec materializes to the same modes at any k.
-        assert_eq!(
-            AnnSpec::Uniform(AnnMode::Exact).modes(3),
-            AnnModes::exact(3)
-        );
+        for mode in [AnnMode::Exact, AnnMode::Dynamic { factor: 1.0 }] {
+            let query = Query::tnn(p).algorithm(Algorithm::DoubleNn);
+            let uniform = engine.run(&query.clone().ann(mode)).unwrap();
+            let per_channel = engine.run(&query.ann_modes(&[mode; 2])).unwrap();
+            assert_eq!(uniform, per_channel, "{mode:?}");
+        }
     }
 
     #[test]

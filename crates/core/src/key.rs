@@ -25,7 +25,7 @@
 //! LRU like any other cold entry.
 
 use crate::engine::{Query, QueryKind};
-use crate::{Algorithm, AnnMode};
+use crate::AnnMode;
 use tnn_broadcast::MultiChannelEnv;
 
 /// One per-channel ANN mode, encoded exactly (discriminant + parameter
@@ -47,17 +47,6 @@ impl From<AnnMode> for AnnKey {
     }
 }
 
-/// The query kind with its algorithm flattened in, so `Tnn(DoubleNn)` and
-/// `Chain` (which runs the same pipeline but reports a different
-/// [`QueryKind`](crate::QueryKind)) key differently, as their outcomes do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum KindKey {
-    Tnn(Algorithm),
-    Chain,
-    OrderFree,
-    RoundTrip,
-}
-
 /// The cache identity of one [`Query`] against a `k`-channel environment.
 ///
 /// Built by [`Query::cache_key`]; equal keys guarantee byte-identical
@@ -70,7 +59,10 @@ enum KindKey {
 /// phases to prove them equal.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct QueryKey {
-    kind: KindKey,
+    /// The kind with its algorithm, so `Tnn(DoubleNn)` and `Chain` (the
+    /// same pipeline under a different label) key differently, as their
+    /// outcomes do.
+    kind: QueryKind,
     point_bits: (u64, u64),
     issued_at: u64,
     channels: usize,
@@ -124,17 +116,11 @@ impl Query {
     /// [`QueryEngine::run`]: crate::QueryEngine::run
     pub fn cache_key(&self, env: &MultiChannelEnv) -> QueryKey {
         let k = env.len();
-        let kind = match self.kind() {
-            QueryKind::Tnn(algorithm) => KindKey::Tnn(algorithm),
-            QueryKind::Chain => KindKey::Chain,
-            QueryKind::OrderFree => KindKey::OrderFree,
-            QueryKind::RoundTrip => KindKey::RoundTrip,
-        };
         let spec = self.ann_spec();
         spec.check_channels(k);
         let p = self.point();
         QueryKey {
-            kind,
+            kind: self.kind(),
             point_bits: (p.x.to_bits(), p.y.to_bits()),
             issued_at: self.issue_slot(),
             channels: k,
@@ -150,6 +136,7 @@ impl Query {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Algorithm;
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
     use std::sync::Arc;
@@ -290,6 +277,25 @@ mod tests {
         assert_eq!(uniform.cache_key(&e3), explicit.cache_key(&e3));
         // ...but the same uniform spec at a different k keys differently.
         assert_ne!(uniform.cache_key(&e3), uniform.cache_key(&env(2)));
+    }
+
+    #[test]
+    fn at_changes_only_the_point() {
+        let e = env(2);
+        let q = Point::new(5.0, 6.0);
+        let template = Query::chain(Point::new(1.0, 2.0))
+            .issued_at(11)
+            .ann_modes(&[AnnMode::Exact, AnnMode::Fixed { alpha: 0.3 }])
+            .phases(&[4, 9])
+            .retrieve_answer_objects(false);
+        let moved = template.clone().at(q);
+        let built_at_q = Query::chain(q)
+            .issued_at(11)
+            .ann_modes(&[AnnMode::Exact, AnnMode::Fixed { alpha: 0.3 }])
+            .phases(&[4, 9])
+            .retrieve_answer_objects(false);
+        assert_eq!(moved.cache_key(&e), built_at_q.cache_key(&e));
+        assert_ne!(moved.cache_key(&e), template.cache_key(&e));
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub mod algorithms;
 pub mod task;
 
 pub use ann::{dynamic_alpha, AnnMode};
-pub use config::{Algorithm, AnnModes, AnnSpec, TnnConfig};
+pub use config::{Algorithm, AnnSpec};
 pub use engine::{Query, QueryEngine, QueryKind, QueryOutcome, RouteStop, VisitOrder};
 pub use error::TnnError;
 pub use exact::{exact_chain_tnn, exact_tnn};
@@ -92,9 +92,7 @@ pub use merge::{merge_route_layers, MergedRoute, RouteObjective};
 pub use mode::SearchMode;
 pub use result::{ChannelCost, TnnPair};
 
-pub use algorithms::{
-    approximate_radius, approximate_radius_for_env, run_query_impl, QueryScratch,
-};
+pub use algorithms::{approximate_radius, approximate_radius_for_env, QueryScratch};
 pub use join::{chain_join_with, chain_loop_join_with, tnn_join_with, JoinScratch};
 pub use task::{ArrivalHeap, CandidateQueue};
 

@@ -4,16 +4,16 @@
 //! never change the final answer (Theorem 1); and the cost accounting
 //! must satisfy basic sanity laws.
 //!
-//! These run through the single-query `run_query_impl` entry point (the
-//! engine itself is property-tested for byte-identity against a frozen
-//! copy of the two-channel pipeline in `crates/bench/tests`).
+//! These run one [`Query`] at a time through a fresh [`QueryEngine`] over
+//! the environment's own phases (the engine is also property-tested for
+//! byte-identity against a frozen copy of the two-channel pipeline in
+//! `crates/bench/tests`).
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
 use tnn_core::{
-    exact_chain_tnn, exact_tnn, run_query_impl, Algorithm, AnnMode, Query, QueryEngine,
-    QueryOutcome, QueryScratch, TnnConfig,
+    exact_chain_tnn, exact_tnn, Algorithm, AnnMode, Query, QueryEngine, QueryOutcome, QueryScratch,
 };
 use tnn_geom::Point;
 use tnn_rtree::{PackingAlgorithm, RTree};
@@ -71,9 +71,8 @@ fn build_env_k(layers: &[Vec<Point>], phases: &[u64], page: usize) -> MultiChann
     MultiChannelEnv::new(trees, params, phases)
 }
 
-fn run(env: &MultiChannelEnv, p: Point, issued_at: u64, cfg: &TnnConfig) -> QueryOutcome {
-    let mut scratch: QueryScratch = QueryScratch::default();
-    run_query_impl(env, p, issued_at, cfg, &mut scratch).unwrap()
+fn run(env: &MultiChannelEnv, query: &Query) -> QueryOutcome {
+    QueryEngine::new(env.clone()).run(query).unwrap()
 }
 
 proptest! {
@@ -85,7 +84,7 @@ proptest! {
         let env = build_env(&sc);
         let oracle = exact_tnn(sc.query, env.channel(0).tree(), env.channel(1).tree());
         for alg in [Algorithm::WindowBased, Algorithm::DoubleNn, Algorithm::HybridNn] {
-            let run = run(&env, sc.query, sc.issued_at, &TnnConfig::exact(alg));
+            let run = run(&env, &Query::tnn(sc.query).algorithm(alg).issued_at(sc.issued_at));
             let got = run.tnn_pair().unwrap_or_else(|| panic!("{} failed", alg.name()));
             prop_assert!(
                 (got.dist - oracle.dist).abs() < 1e-9,
@@ -102,9 +101,11 @@ proptest! {
         let env = build_env(&sc);
         let oracle = exact_tnn(sc.query, env.channel(0).tree(), env.channel(1).tree());
         for alg in [Algorithm::WindowBased, Algorithm::DoubleNn, Algorithm::HybridNn] {
-            let cfg = TnnConfig::exact(alg)
-                .with_ann_modes(&[AnnMode::Dynamic { factor }; 2]);
-            let got = run(&env, sc.query, sc.issued_at, &cfg).tnn_pair().unwrap();
+            let query = Query::tnn(sc.query)
+                .algorithm(alg)
+                .issued_at(sc.issued_at)
+                .ann_modes(&[AnnMode::Dynamic { factor }; 2]);
+            let got = run(&env, &query).tnn_pair().unwrap();
             prop_assert!(
                 (got.dist - oracle.dist).abs() < 1e-9,
                 "{} + ANN({factor}): got {} expected {}",
@@ -121,7 +122,7 @@ proptest! {
     fn answers_are_internally_consistent(sc in scenario_strategy()) {
         let env = build_env(&sc);
         for alg in Algorithm::ALL {
-            let run = run(&env, sc.query, sc.issued_at, &TnnConfig::exact(alg));
+            let run = run(&env, &Query::tnn(sc.query).algorithm(alg).issued_at(sc.issued_at));
             if let Some(pair) = run.tnn_pair() {
                 let recomputed = sc.query.dist(pair.s.0) + pair.s.0.dist(pair.r.0);
                 prop_assert!((recomputed - pair.dist).abs() < 1e-9);
@@ -143,7 +144,7 @@ proptest! {
     fn cost_accounting_laws(sc in scenario_strategy()) {
         let env = build_env(&sc);
         for alg in Algorithm::ALL {
-            let run = run(&env, sc.query, sc.issued_at, &TnnConfig::exact(alg));
+            let run = run(&env, &Query::tnn(sc.query).algorithm(alg).issued_at(sc.issued_at));
             prop_assert!(run.issued_at == sc.issued_at);
             let estimate_end = run.estimate_end;
             prop_assert!(estimate_end >= run.issued_at);
@@ -169,8 +170,8 @@ proptest! {
         sc_b.phases = [alt_phases.0, alt_phases.1];
         let env_b = build_env(&sc_b);
         for alg in [Algorithm::WindowBased, Algorithm::DoubleNn] {
-            let run_a = run(&env_a, sc.query, sc.issued_at, &TnnConfig::exact(alg));
-            let run_b = run(&env_b, sc.query, sc.issued_at, &TnnConfig::exact(alg));
+            let run_a = run(&env_a, &Query::tnn(sc.query).algorithm(alg).issued_at(sc.issued_at));
+            let run_b = run(&env_b, &Query::tnn(sc.query).algorithm(alg).issued_at(sc.issued_at));
             let (a, b) = (run_a.tnn_pair().unwrap(), run_b.tnn_pair().unwrap());
             prop_assert!((a.dist - b.dist).abs() < 1e-9, "{}", alg.name());
         }
@@ -182,8 +183,7 @@ proptest! {
     #[test]
     fn approximate_tnn_properties(sc in scenario_strategy()) {
         let env = build_env(&sc);
-        let run = run(&env, sc.query, sc.issued_at,
-            &TnnConfig::exact(Algorithm::ApproximateTnn));
+        let run = run(&env, &Query::tnn(sc.query).algorithm(Algorithm::ApproximateTnn).issued_at(sc.issued_at));
         prop_assert_eq!(run.tune_in_estimate(), 0);
         prop_assert_eq!(run.estimate_end, sc.issued_at);
         if let Some(pair) = run.tnn_pair() {
@@ -209,8 +209,8 @@ proptest! {
             query: Point::new(qx, qy), issued_at: 0,
         };
         let env = build_env(&sc);
-        let hybrid = run(&env, sc.query, 0, &TnnConfig::exact(Algorithm::HybridNn));
-        let double = run(&env, sc.query, 0, &TnnConfig::exact(Algorithm::DoubleNn));
+        let hybrid = run(&env, &Query::tnn(sc.query).algorithm(Algorithm::HybridNn));
+        let double = run(&env, &Query::tnn(sc.query).algorithm(Algorithm::DoubleNn));
         prop_assert!(hybrid.search_radius <= double.search_radius + 1e-9);
     }
 
@@ -238,7 +238,7 @@ proptest! {
         let trees: Vec<&RTree> = env.channels().iter().map(|c| c.tree()).collect();
         let (_, oracle_total) = exact_chain_tnn(p, &trees);
         for alg in [Algorithm::WindowBased, Algorithm::DoubleNn, Algorithm::HybridNn] {
-            let run = run(&env, p, issued_at, &TnnConfig::exact_for(alg, k));
+            let run = run(&env, &Query::tnn(p).algorithm(alg).issued_at(issued_at));
             prop_assert_eq!(run.route.len(), k, "{}", alg.name());
             prop_assert_eq!(run.channels.len(), k, "{}", alg.name());
             let got = run.total_dist.unwrap();
@@ -284,7 +284,7 @@ proptest! {
             .map(|&pt| p.dist(pt))
             .fold(f64::INFINITY, f64::min);
         for alg in [Algorithm::WindowBased, Algorithm::DoubleNn, Algorithm::HybridNn] {
-            let run = run(&env, p, 0, &TnnConfig::exact_for(alg, k));
+            let run = run(&env, &Query::tnn(p).algorithm(alg));
             let got = run.total_dist.unwrap();
             prop_assert!(
                 (got - nn).abs() < 1e-9,

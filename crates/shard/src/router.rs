@@ -356,7 +356,7 @@ impl ShardRouter {
         // releases it, so no query ever mixes epochs.
         let topology = self.topology.read().unwrap_or_else(|e| e.into_inner());
         let topology = &*topology;
-        validate(&topology.env, query)?;
+        query.validate(&topology.env)?;
         let p = query.point();
         let kind = query.kind();
 
@@ -765,38 +765,6 @@ fn spawn_replica(env: &MultiChannelEnv, config: &ShardConfig) -> Server {
     Server::spawn(env.clone(), config.serve)
 }
 
-/// Mirrors [`tnn_core::QueryEngine::run_with`]'s validation, with identical
-/// error/panic precedence for every query kind: the phase-arity assert,
-/// the recoverable channel-count error, the ANN-arity assert, the
-/// non-finite check, then the first empty channel.
-fn validate(env: &MultiChannelEnv, query: &Query) -> Result<(), TnnError> {
-    let k = env.len();
-    if let Some(phases) = query.phase_overrides() {
-        assert_eq!(
-            phases.len(),
-            k,
-            "one phase per channel is required (got {} for {k} channels)",
-            phases.len()
-        );
-    }
-    if k < 2 {
-        return Err(TnnError::WrongChannelCount {
-            needed: 2,
-            available: k,
-        });
-    }
-    query.ann_spec().check_channels(k);
-    if !query.point().is_finite() {
-        return Err(TnnError::NonFiniteQuery);
-    }
-    for (i, channel) in env.channels().iter().enumerate() {
-        if channel.tree().num_objects() == 0 {
-            return Err(TnnError::EmptyChannel { channel: i });
-        }
-    }
-    Ok(())
-}
-
 fn shard_mbr(plan: &ShardPlan, shard: usize) -> tnn_geom::Rect {
     // check:allow(R2, only called with indices from eligible_shards(), whose cells have MBRs by construction)
     plan.mbr(shard).expect("eligible shards hold objects")
@@ -814,7 +782,7 @@ fn fallback_bound(env: &MultiChannelEnv, p: Point, round_trip: bool) -> f64 {
             .tree()
             .objects_in_leaf_order()
             .next()
-            // check:allow(R2, validate() rejected empty channels before any query runs, so every tree yields an object)
+            // check:allow(R2, Query::validate rejected empty channels before any query runs, so every tree yields an object)
             .expect("validation rejected empty channels");
         total += cursor.dist(stop);
         cursor = stop;

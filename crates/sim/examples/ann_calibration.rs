@@ -9,7 +9,8 @@
 //! ```
 
 use tnn_broadcast::BroadcastParams;
-use tnn_core::{Algorithm, AnnMode, TnnConfig};
+use tnn_core::{Algorithm, AnnMode, Query};
+use tnn_geom::Point;
 use tnn_sim::experiments::Context;
 use tnn_sim::DatasetSpec;
 
@@ -39,7 +40,13 @@ fn main() {
             Algorithm::WindowBased,
             Algorithm::HybridNn,
         ] {
-            let enn = ctx.batch(s, r, params, TnnConfig::exact(alg), false);
+            let enn = ctx.batch(
+                s,
+                r,
+                params,
+                Query::tnn(Point::ORIGIN).algorithm(alg),
+                false,
+            );
             println!(
                 "{:18} eNN       tune-in {:8.1} (est {:6.1}/filt {:6.1}) radius {:7.1}",
                 alg.name(),
@@ -54,7 +61,7 @@ fn main() {
                     s,
                     r,
                     params,
-                    TnnConfig::exact(alg).with_ann_modes(&[m, m]),
+                    Query::tnn(Point::ORIGIN).algorithm(alg).ann_modes(&[m, m]),
                     false,
                 );
                 println!(

@@ -9,8 +9,9 @@
 
 use std::sync::Arc;
 use tnn_broadcast::BroadcastParams;
-use tnn_core::{Algorithm, TnnConfig};
+use tnn_core::{Algorithm, Query};
 use tnn_datasets::paper_region;
+use tnn_geom::Point;
 use tnn_rtree::{PackingAlgorithm, RTree};
 use tnn_sim::experiments::Context;
 use tnn_sim::{parse_positive, run_tnn_batch, BatchConfig, Table};
@@ -59,7 +60,7 @@ fn main() {
         ] {
             let cfg = BatchConfig {
                 params,
-                tnn: TnnConfig::exact_for(alg, k),
+                query: Query::tnn(Point::ORIGIN).algorithm(alg),
                 queries: ctx.queries,
                 seed: ctx.seed,
                 check_oracle: true,

@@ -20,10 +20,10 @@
 //!    neighbor-hop re-targeting of Hybrid-NN scale with hops).
 
 use super::{f1, Context};
-use crate::{run_chain_batch, run_tnn_batch, BatchConfig, DatasetSpec, Table};
+use crate::{run_tnn_batch, BatchConfig, DatasetSpec, Table};
 use std::sync::Arc;
 use tnn_broadcast::{BroadcastParams, Channel, PAGE_CAPACITIES};
-use tnn_core::{Algorithm, AnnMode, SearchMode, TnnConfig};
+use tnn_core::{Algorithm, AnnMode, Query, SearchMode};
 use tnn_datasets::paper_region;
 use tnn_geom::Point;
 use tnn_rtree::{NodeId, PackingAlgorithm, RTree};
@@ -124,7 +124,13 @@ fn packing(ctx: &Context) -> Table {
     for algo in PackingAlgorithm::ALL {
         let s = Arc::new(RTree::build(&s_pts, params.rtree_params(), algo).unwrap());
         let r = Arc::new(RTree::build(&r_pts, params.rtree_params(), algo).unwrap());
-        let stats = ctx.batch_trees(&s, &r, params, TnnConfig::exact(Algorithm::DoubleNn), false);
+        let stats = ctx.batch_trees(
+            &s,
+            &r,
+            params,
+            Query::tnn(Point::ORIGIN).algorithm(Algorithm::DoubleNn),
+            false,
+        );
         table.push_row(vec![
             algo.name().to_string(),
             f1(stats.mean_access),
@@ -154,7 +160,13 @@ fn interleave(ctx: &Context) -> Table {
         let s = ctx.catalog.tree(DatasetSpec::UnifS(-50), &params);
         let r = ctx.catalog.tree(DatasetSpec::UnifR(-50), &params);
         let cycle = tnn_broadcast::BroadcastLayout::new(&s, &params).cycle_len();
-        let stats = ctx.batch_trees(&s, &r, params, TnnConfig::exact(Algorithm::DoubleNn), false);
+        let stats = ctx.batch_trees(
+            &s,
+            &r,
+            params,
+            Query::tnn(Point::ORIGIN).algorithm(Algorithm::DoubleNn),
+            false,
+        );
         table.push_row(vec![
             m.to_string(),
             cycle.to_string(),
@@ -191,7 +203,7 @@ fn page_capacity(ctx: &Context) -> Table {
                 DatasetSpec::UnifS(-50),
                 DatasetSpec::UnifR(-50),
                 params,
-                TnnConfig::exact(alg),
+                Query::tnn(Point::ORIGIN).algorithm(alg),
                 false,
             );
             row.push(f1(stats.mean_access));
@@ -211,7 +223,13 @@ fn alpha_policy(ctx: &Context) -> Table {
         "Ablation: ANN threshold policy (Double-NN, S=R=UNIF(-5.0))",
         &["policy", "mean tune-in [pages]", "mean radius"],
     );
-    let enn = ctx.batch(s, r, params, TnnConfig::exact(Algorithm::DoubleNn), false);
+    let enn = ctx.batch(
+        s,
+        r,
+        params,
+        Query::tnn(Point::ORIGIN).algorithm(Algorithm::DoubleNn),
+        false,
+    );
     table.push_row(vec![
         "eNN (α=0)".into(),
         f1(enn.mean_tune_in),
@@ -223,7 +241,9 @@ fn alpha_policy(ctx: &Context) -> Table {
             s,
             r,
             params,
-            TnnConfig::exact(Algorithm::DoubleNn).with_ann_modes(&[mode, mode]),
+            Query::tnn(Point::ORIGIN)
+                .algorithm(Algorithm::DoubleNn)
+                .ann_modes(&[mode, mode]),
             false,
         );
         table.push_row(vec![
@@ -237,7 +257,9 @@ fn alpha_policy(ctx: &Context) -> Table {
         s,
         r,
         params,
-        TnnConfig::exact(Algorithm::DoubleNn).with_ann_modes(&[dynamic, dynamic]),
+        Query::tnn(Point::ORIGIN)
+            .algorithm(Algorithm::DoubleNn)
+            .ann_modes(&[dynamic, dynamic]),
         false,
     );
     table.push_row(vec![
@@ -263,14 +285,14 @@ fn chained(ctx: &Context) -> Table {
                 Arc::new(RTree::build(&pts, params.rtree_params(), PackingAlgorithm::Str).unwrap())
             })
             .collect();
-        let stats = run_chain_batch(
-            &trees,
-            &region,
+        let cfg = BatchConfig {
             params,
-            AnnMode::Exact,
-            ctx.queries.min(300),
-            ctx.seed,
-        );
+            query: Query::chain(Point::ORIGIN),
+            queries: ctx.queries.min(300),
+            seed: ctx.seed,
+            check_oracle: false,
+        };
+        let stats = run_tnn_batch(&trees, &region, &cfg);
         table.push_row(vec![
             k.to_string(),
             f1(stats.mean_access),
@@ -314,7 +336,7 @@ fn core_channel_count(ctx: &Context) -> Table {
         ] {
             let cfg = BatchConfig {
                 params,
-                tnn: TnnConfig::exact_for(alg, k),
+                query: Query::tnn(Point::ORIGIN).algorithm(alg),
                 queries: ctx.queries.min(300),
                 seed: ctx.seed,
                 check_oracle: true,

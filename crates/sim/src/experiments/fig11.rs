@@ -15,7 +15,8 @@
 use super::{f1, Context};
 use crate::{DatasetSpec, Table};
 use tnn_broadcast::BroadcastParams;
-use tnn_core::{Algorithm, TnnConfig};
+use tnn_core::{Algorithm, Query};
+use tnn_geom::Point;
 
 fn panel(ctx: &Context, title: &str, s_tenths: i32, include_approx: bool) -> Table {
     let params = BroadcastParams::new(64);
@@ -37,7 +38,7 @@ fn panel(ctx: &Context, title: &str, s_tenths: i32, include_approx: bool) -> Tab
                 DatasetSpec::UnifS(s_tenths),
                 DatasetSpec::UnifR(t),
                 params,
-                TnnConfig::exact(alg),
+                Query::tnn(Point::ORIGIN).algorithm(alg),
                 false,
             );
             row.push(f1(stats.mean_tune_in));

@@ -15,7 +15,8 @@
 use super::{f1, pct, Context};
 use crate::{BatchStats, DatasetSpec, Table};
 use tnn_broadcast::{BroadcastParams, PAGE_CAPACITIES};
-use tnn_core::{Algorithm, AnnMode, TnnConfig};
+use tnn_core::{Algorithm, AnnMode, Query};
+use tnn_geom::Point;
 
 /// The dynamic-α adjustment factor used for Window-Based and Double-NN.
 ///
@@ -52,12 +53,18 @@ fn row(
 ) -> Vec<String> {
     let mut cells = vec![label];
     for alg in [Algorithm::WindowBased, Algorithm::DoubleNn] {
-        let enn: BatchStats = ctx.batch(s, r, params, TnnConfig::exact(alg), false);
+        let enn: BatchStats = ctx.batch(
+            s,
+            r,
+            params,
+            Query::tnn(Point::ORIGIN).algorithm(alg),
+            false,
+        );
         let ann_stats: BatchStats = ctx.batch(
             s,
             r,
             params,
-            TnnConfig::exact(alg).with_ann_modes(&ann),
+            Query::tnn(Point::ORIGIN).algorithm(alg).ann_modes(&ann),
             false,
         );
         let saved = 1.0 - ann_stats.mean_tune_in / enn.mean_tune_in.max(1e-9);

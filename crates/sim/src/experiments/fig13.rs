@@ -11,7 +11,8 @@
 use super::{f1, pct, Context};
 use crate::{DatasetSpec, Table};
 use tnn_broadcast::BroadcastParams;
-use tnn_core::{Algorithm, AnnMode, TnnConfig};
+use tnn_core::{Algorithm, AnnMode, Query};
+use tnn_geom::Point;
 
 fn panel(ctx: &Context, title: &str, s_tenths: i32) -> Table {
     let params = BroadcastParams::new(64);
@@ -29,7 +30,13 @@ fn panel(ctx: &Context, title: &str, s_tenths: i32) -> Table {
     for &t in &DatasetSpec::UNIF_TENTHS {
         let s = DatasetSpec::UnifS(s_tenths);
         let r = DatasetSpec::UnifR(t);
-        let enn = ctx.batch(s, r, params, TnnConfig::exact(Algorithm::HybridNn), false);
+        let enn = ctx.batch(
+            s,
+            r,
+            params,
+            Query::tnn(Point::ORIGIN).algorithm(Algorithm::HybridNn),
+            false,
+        );
         let mut row = vec![
             format!("UNIF({:.1})", t as f64 / 10.0),
             f1(enn.mean_tune_in),
@@ -42,7 +49,9 @@ fn panel(ctx: &Context, title: &str, s_tenths: i32) -> Table {
                 s,
                 r,
                 params,
-                TnnConfig::exact(Algorithm::HybridNn).with_ann_modes(&[mode, mode]),
+                Query::tnn(Point::ORIGIN)
+                    .algorithm(Algorithm::HybridNn)
+                    .ann_modes(&[mode, mode]),
                 false,
             );
             row.push(f1(ann.mean_tune_in));

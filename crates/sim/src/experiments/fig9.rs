@@ -15,8 +15,9 @@
 use super::{f1, Context};
 use crate::{DatasetSpec, Table};
 use tnn_broadcast::BroadcastParams;
-use tnn_core::{Algorithm, TnnConfig};
+use tnn_core::{Algorithm, Query};
 use tnn_datasets::SIZE_FAMILY;
+use tnn_geom::Point;
 
 const ALGOS: [Algorithm; 4] = [
     Algorithm::WindowBased,
@@ -41,7 +42,13 @@ fn panel(
     for (label, s, r) in sweep {
         let mut row = vec![label];
         for alg in ALGOS {
-            let stats = ctx.batch(s, r, params, TnnConfig::exact(alg), false);
+            let stats = ctx.batch(
+                s,
+                r,
+                params,
+                Query::tnn(Point::ORIGIN).algorithm(alg),
+                false,
+            );
             row.push(f1(stats.mean_access));
         }
         table.push_row(row);

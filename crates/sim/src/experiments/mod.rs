@@ -16,7 +16,7 @@ use crate::{
 use std::path::PathBuf;
 use std::sync::Arc;
 use tnn_broadcast::BroadcastParams;
-use tnn_core::TnnConfig;
+use tnn_core::Query;
 use tnn_datasets::paper_region;
 use tnn_rtree::RTree;
 
@@ -44,18 +44,18 @@ impl Context {
         }
     }
 
-    /// Runs one `(S, R, page, algorithm-config)` batch.
+    /// Runs one `(S, R, page, query)` batch.
     pub fn batch(
         &self,
         s: DatasetSpec,
         r: DatasetSpec,
         params: BroadcastParams,
-        tnn: TnnConfig,
+        query: Query,
         check_oracle: bool,
     ) -> BatchStats {
         let s_tree = self.catalog.tree(s, &params);
         let r_tree = self.catalog.tree(r, &params);
-        self.batch_trees(&s_tree, &r_tree, params, tnn, check_oracle)
+        self.batch_trees(&s_tree, &r_tree, params, query, check_oracle)
     }
 
     /// Runs one batch over pre-built trees.
@@ -64,12 +64,12 @@ impl Context {
         s_tree: &Arc<RTree>,
         r_tree: &Arc<RTree>,
         params: BroadcastParams,
-        tnn: TnnConfig,
+        query: Query,
         check_oracle: bool,
     ) -> BatchStats {
         let cfg = BatchConfig {
             params,
-            tnn,
+            query,
             queries: self.queries,
             seed: self.seed,
             check_oracle,

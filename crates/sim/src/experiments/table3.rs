@@ -20,7 +20,8 @@
 use super::{pct, Context};
 use crate::{DatasetSpec, Table};
 use tnn_broadcast::{BroadcastParams, PAGE_CAPACITIES};
-use tnn_core::{Algorithm, TnnConfig};
+use tnn_core::{Algorithm, Query};
+use tnn_geom::Point;
 
 /// The four distribution combinations, each as a list of (S, R) pairs.
 fn combos() -> Vec<(&'static str, Vec<(DatasetSpec, DatasetSpec)>)> {
@@ -62,7 +63,7 @@ pub fn run(ctx: &Context) -> Vec<Table> {
                     s,
                     r,
                     BroadcastParams::new(cap),
-                    TnnConfig::exact(Algorithm::ApproximateTnn),
+                    Query::tnn(Point::ORIGIN).algorithm(Algorithm::ApproximateTnn),
                     true,
                 );
                 fail_sum += stats.fail_rate;
@@ -92,7 +93,7 @@ pub fn run(ctx: &Context) -> Vec<Table> {
             DatasetSpec::CityLike,
             DatasetSpec::PostLike,
             BroadcastParams::new(64),
-            TnnConfig::exact(alg),
+            Query::tnn(Point::ORIGIN).algorithm(alg),
             true,
         );
         control.push_row(vec![alg.name().to_string(), pct(stats.fail_rate)]);

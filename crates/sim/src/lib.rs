@@ -36,9 +36,7 @@ mod workload;
 
 pub use metrics::BatchStats;
 pub use report::{format_table, write_csv, Table};
-pub use runner::{
-    parse_positive, queries_per_batch, run_batch, run_chain_batch, run_tnn_batch, BatchConfig,
-};
+pub use runner::{parse_positive, queries_per_batch, run_batch, run_tnn_batch, BatchConfig};
 pub use workload::{Catalog, DatasetSpec};
 
 #[cfg(feature = "linear-reference")]

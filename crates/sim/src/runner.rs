@@ -1,12 +1,13 @@
 //! The query-batch runner: the paper's methodology (§6) as an engine.
 //!
-//! For one configuration (datasets, page capacity, algorithm, ANN modes)
-//! it executes `N` queries. Per query, a point is drawn uniformly over
-//! the evaluation region and **each channel gets an independent random
-//! phase** — the paper's "two random numbers are generated to simulate
-//! the waiting time to get the two roots". Queries are deterministic in
-//! the seed and identical across algorithm configurations, so algorithm
-//! comparisons are paired.
+//! For one configuration (datasets, page capacity, and a [`Query`]
+//! template carrying the kind, algorithm and ANN modes — plain TNN and
+//! chained batches alike) it executes `N` queries. Per query, a point is
+//! drawn uniformly over the evaluation region and **each channel gets an
+//! independent random phase** — the paper's "two random numbers are
+//! generated to simulate the waiting time to get the two roots". Queries
+//! are deterministic in the seed and identical across algorithm
+//! configurations, so algorithm comparisons are paired.
 //!
 //! ## Performance shape
 //!
@@ -29,10 +30,7 @@ use rand::{Rng, SeedableRng};
 use std::str::FromStr;
 use std::sync::Arc;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
-use tnn_core::{
-    exact_chain_tnn, exact_tnn, AnnMode, CandidateQueue, Query, QueryEngine, QueryScratch,
-    TnnConfig,
-};
+use tnn_core::{exact_chain_tnn, exact_tnn, CandidateQueue, Query, QueryEngine, QueryScratch};
 use tnn_geom::{Point, Rect};
 use tnn_rtree::RTree;
 
@@ -45,8 +43,11 @@ const FAIL_EPS: f64 = 1e-6;
 pub struct BatchConfig {
     /// Broadcast parameters (page capacity, interleaving, object size).
     pub params: BroadcastParams,
-    /// Query-processing configuration.
-    pub tnn: TnnConfig,
+    /// The query every batch member runs: its kind, algorithm, ANN
+    /// modes and retrieval flag. The runner re-targets it per query with
+    /// [`Query::at`] and [`Query::phases`], so its own point and phases
+    /// are ignored.
+    pub query: Query,
     /// Number of queries (the paper uses 1,000).
     pub queries: usize,
     /// Batch seed; queries and phases derive deterministically from it.
@@ -91,7 +92,7 @@ fn worker_threads(queries: usize) -> usize {
         .min(queries.max(1))
 }
 
-/// Shared parallel scaffolding of the batch runners: splits `queries`
+/// Parallel scaffolding of the batch runner: splits `queries`
 /// into contiguous chunks across all CPUs, runs `run_one(query_index,
 /// slot)` per query, and reduces the samples **in query order** — so
 /// every [`BatchStats`] is bit-identical for a fixed seed regardless of
@@ -133,9 +134,9 @@ pub fn run_batch(
 
 /// Executes one batch of TNN queries over `k ≥ 2` trees, one broadcast
 /// channel per tree — the channel-count axis of the evaluation. The
-/// configured algorithm runs the generalized `k`-hop pipeline;
-/// `cfg.tnn.ann` must hold one mode per channel (see
-/// [`TnnConfig::exact_for`]). With `check_oracle` every answer is
+/// configured query runs the generalized `k`-hop pipeline; per-channel
+/// ANN modes in `cfg.query` must number one per channel (a uniform
+/// [`Query::ann`] fits any `k`). With `check_oracle` every answer is
 /// verified against the exact chain oracle.
 ///
 /// Parallelized like [`run_batch`]: contiguous chunks across all CPUs
@@ -226,11 +227,7 @@ fn run_one<Q: CandidateQueue>(
             .iter()
             .map(|c| rng.gen_range(0..c.layout().cycle_len().max(1))),
     );
-    let query = Query::tnn(p)
-        .algorithm(cfg.tnn.algorithm)
-        .ann_modes(&cfg.tnn.ann)
-        .retrieve_answer_objects(cfg.tnn.retrieve_answer_objects)
-        .phases(phases);
+    let query = cfg.query.clone().at(p).phases(phases);
 
     let run = engine
         .run_with(&query, scratch)
@@ -264,64 +261,6 @@ fn run_one<Q: CandidateQueue>(
     }
 }
 
-/// Executes one batch of **chained** TNN queries over `k` trees (the
-/// future-work extension); reports the same aggregate metrics (fail rate
-/// is always 0 — the chained estimate is exact by construction).
-///
-/// Parallelized the same way as [`run_batch`]: contiguous chunks across
-/// all CPUs with an in-order reduction, so results are bit-identical in
-/// the seed regardless of thread count.
-pub fn run_chain_batch(
-    trees: &[Arc<RTree>],
-    region: &Rect,
-    params: BroadcastParams,
-    ann: AnnMode,
-    queries: usize,
-    seed: u64,
-) -> BatchStats {
-    let engine = QueryEngine::new(MultiChannelEnv::new(
-        trees.to_vec(),
-        params,
-        &vec![0; trees.len()],
-    ));
-    run_samples(queries, |first, chunk| {
-        let mut scratch = QueryScratch::default();
-        // Reused per worker; the per-query engine overlay copies it into
-        // inline storage, so no channel vector is cloned per query.
-        let mut phases: Vec<u64> = Vec::with_capacity(engine.channels());
-        for (j, slot) in chunk.iter_mut().enumerate() {
-            let i = (first + j) as u64;
-            let mut rng = StdRng::seed_from_u64(seed ^ i.wrapping_mul(0x9E3779B97F4A7C15));
-            let p = Point::new(
-                rng.gen_range(region.min.x..=region.max.x),
-                rng.gen_range(region.min.y..=region.max.y),
-            );
-            phases.clear();
-            phases.extend(
-                engine
-                    .env()
-                    .channels()
-                    .iter()
-                    .map(|c| rng.gen_range(0..c.layout().cycle_len().max(1))),
-            );
-            let query = Query::chain(p).ann(ann).phases(&phases);
-            let run = engine
-                .run_with(&query, &mut scratch)
-                .expect("valid chain environment");
-            *slot = QuerySample {
-                access: run.access_time(),
-                tune_in: run.tune_in(),
-                tune_estimate: run.tune_in_estimate(),
-                tune_filter: run.tune_in_filter(),
-                radius: run.search_radius,
-                candidates: 0,
-                no_answer: false,
-                failed: false,
-            };
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,7 +282,7 @@ mod tests {
         let r = tree(120, 2, &params);
         let cfg = BatchConfig {
             params,
-            tnn: TnnConfig::exact(Algorithm::DoubleNn),
+            query: Query::tnn(Point::ORIGIN).algorithm(Algorithm::DoubleNn),
             queries: 40,
             seed: 99,
             check_oracle: true,
@@ -370,7 +309,7 @@ mod tests {
         ] {
             let cfg = BatchConfig {
                 params,
-                tnn: TnnConfig::exact(alg),
+                query: Query::tnn(Point::ORIGIN).algorithm(alg),
                 queries: 25,
                 seed: 7,
                 check_oracle: true,
@@ -395,7 +334,7 @@ mod tests {
             for alg in [Algorithm::DoubleNn, Algorithm::HybridNn] {
                 let cfg = BatchConfig {
                     params,
-                    tnn: TnnConfig::exact_for(alg, k),
+                    query: Query::tnn(Point::ORIGIN).algorithm(alg),
                     queries: 16,
                     seed: 0xA1,
                     check_oracle: true,
@@ -418,7 +357,7 @@ mod tests {
         let r = tree(90, 52, &params);
         let cfg = BatchConfig {
             params,
-            tnn: TnnConfig::exact(Algorithm::HybridNn),
+            query: Query::tnn(Point::ORIGIN).algorithm(Algorithm::HybridNn),
             queries: 20,
             seed: 7,
             check_oracle: false,
@@ -426,6 +365,16 @@ mod tests {
         let wrapped = run_batch(&s, &r, &region, &cfg);
         let k_ary = run_tnn_batch(&[Arc::clone(&s), Arc::clone(&r)], &region, &cfg);
         assert_eq!(wrapped, k_ary);
+    }
+
+    fn chain_config(queries: usize, seed: u64) -> BatchConfig {
+        BatchConfig {
+            params: BroadcastParams::new(64),
+            query: Query::chain(Point::ORIGIN),
+            queries,
+            seed,
+            check_oracle: false,
+        }
     }
 
     #[test]
@@ -437,10 +386,14 @@ mod tests {
             tree(60, 6, &params),
             tree(40, 7, &params),
         ];
-        let stats = run_chain_batch(&trees, &region, params, AnnMode::Exact, 10, 3);
+        let stats = run_tnn_batch(&trees, &region, &chain_config(10, 3));
         assert_eq!(stats.queries, 10);
         assert_eq!(stats.fail_rate, 0.0);
         assert!(stats.mean_tune_in > 0.0);
+        assert!(
+            stats.mean_candidates > 0.0,
+            "chained batches count candidates"
+        );
     }
 
     #[test]
@@ -448,8 +401,9 @@ mod tests {
         let params = BroadcastParams::new(64);
         let region = Rect::from_coords(0.0, 0.0, 1000.0, 1000.0);
         let trees = vec![tree(80, 8, &params), tree(70, 9, &params)];
-        let a = run_chain_batch(&trees, &region, params, AnnMode::Exact, 24, 5);
-        let b = run_chain_batch(&trees, &region, params, AnnMode::Exact, 24, 5);
+        let cfg = chain_config(24, 5);
+        let a = run_tnn_batch(&trees, &region, &cfg);
+        let b = run_tnn_batch(&trees, &region, &cfg);
         assert_eq!(a, b);
         assert_eq!(a.queries, 24);
     }

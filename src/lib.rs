@@ -88,8 +88,8 @@ pub mod prelude {
         BroadcastParams, Channel, ChannelView, MultiChannelEnv, PhaseOverlay, Tuner,
     };
     pub use tnn_core::{
-        exact_chain_tnn, exact_tnn, Algorithm, AnnMode, AnnModes, Query, QueryEngine, QueryKey,
-        QueryKind, QueryOutcome, RouteStop, TnnConfig, TnnError, TnnPair,
+        exact_chain_tnn, exact_tnn, Algorithm, AnnMode, Query, QueryEngine, QueryKey, QueryKind,
+        QueryOutcome, RouteStop, TnnError, TnnPair,
     };
     pub use tnn_faults::{ChannelFaults, FaultPlan, FaultStats, TuneIn};
     pub use tnn_geom::{transitive_dist, Circle, Ellipse, Point, Rect};
