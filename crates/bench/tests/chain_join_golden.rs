@@ -55,10 +55,13 @@ fn query_points() -> Vec<Point> {
         .collect()
 }
 
+/// A labelled query kind: its label, channel count and query builder.
+type Run = (&'static str, usize, fn(Point) -> Query);
+
 fn render() -> String {
     let points = query_points();
     let mut out = String::new();
-    let runs: [(&str, usize, fn(Point) -> Query); 4] = [
+    let runs: [Run; 4] = [
         ("hybrid_nn_k3", 3, |p| {
             Query::tnn(p).algorithm(Algorithm::HybridNn)
         }),

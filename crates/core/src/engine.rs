@@ -1199,4 +1199,43 @@ mod tests {
         assert_eq!(approx.peak_queue(), 0, "no estimate searches, no queue");
         assert_eq!(approx.prune_hits(), 0);
     }
+
+    #[test]
+    fn overflowing_distances_do_not_panic_the_join() {
+        // Points at ±1e200 are finite, so `RTree::build` and
+        // `Query::validate` accept them, but every route total overflows
+        // to +inf. The join must still pick a route (the lowest indices
+        // win the all-inf tie) instead of indexing with a "none found"
+        // sentinel.
+        let far = |salt: f64| {
+            vec![
+                Point::new(1e200, -1e200 * salt),
+                Point::new(-1e200, 1e200),
+                Point::new(1e200 * salt, 1e200),
+            ]
+        };
+        for k in [2usize, 3] {
+            let layers: Vec<Vec<Point>> = (0..k).map(|i| far(0.5 + i as f64 * 0.25)).collect();
+            let engine = QueryEngine::new(build_env(&layers, &vec![0; k]));
+            for alg in Algorithm::ALL {
+                let got = engine.run(&Query::tnn(Point::ORIGIN).algorithm(alg));
+                match got {
+                    Ok(outcome) => {
+                        assert_eq!(outcome.route.len(), k, "{} at k={k}", alg.name());
+                        assert_eq!(outcome.total_dist, Some(f64::INFINITY));
+                    }
+                    // The search algorithms lose every candidate at this
+                    // magnitude and report an empty channel instead.
+                    Err(e) => {
+                        assert!(
+                            alg != Algorithm::ApproximateTnn
+                                && matches!(e, TnnError::EmptyChannel { .. }),
+                            "{} at k={k}: {e:?}",
+                            alg.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

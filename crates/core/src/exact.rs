@@ -38,8 +38,11 @@ pub fn exact_tnn(p: Point, s_tree: &RTree, r_tree: &RTree) -> TnnPair {
 /// Exact chained TNN over `k` in-memory trees (ground truth for the
 /// chained extension): minimizes `dis(p, s₁) + Σ dis(sᵢ, sᵢ₊₁)`.
 ///
-/// Materializes all layers and runs the chain DP — intended for test-size
-/// datasets (cost `O(Σ nᵢ·nᵢ₊₁)`).
+/// Materializes all layers and runs the chain join over them. Its bucket
+/// grids and lazy head step prune most pairs, but the worst case stays
+/// the nested loop's `O(Σ nᵢ·nᵢ₊₁)`, and every call materializes the
+/// whole datasets: an oracle for tests and sampled checks, not a query
+/// path.
 pub fn exact_chain_tnn(p: Point, trees: &[&RTree]) -> (Vec<(Point, ObjectId)>, f64) {
     let layers: Vec<Vec<(Point, ObjectId)>> = trees
         .iter()

@@ -1,43 +1,70 @@
-//! The filter-phase local join: find the minimum-transitive-distance pair
+//! The filter-phase local join: find the minimum-transitive-distance route
 //! among the retrieved candidates.
 //!
-//! The paper's Algorithm 1 (lines 7–17) is a bound-pruned nested loop; we
-//! keep that shape but run every comparison in squared-distance space and
-//! accelerate the inner NN lookup with an x-sorted plane sweep when the
-//! candidate sets are large (the join runs on the client from
-//! already-downloaded data, and the paper explicitly neglects its
-//! computational cost — this only keeps simulations fast). All working
-//! memory lives in a reusable [`JoinScratch`], so a batch of queries
-//! performs no join allocations after the first.
+//! The paper's Algorithm 1 (lines 7–17) is a bound-pruned nested loop.
+//! The two-channel join keeps that shape, runs every comparison in
+//! squared-distance space and, once the candidate sets are large, finds
+//! each inner nearest neighbor with an x-sorted plane sweep. The k-layer
+//! chain join is a dynamic program backwards over the layers. Each of its
+//! transitions is a weighted nearest-neighbor search
+//! (`min dis(q, s) + cost(s)`) over a bucket grid whose cells carry their
+//! points' bounding box and minimum suffix cost, and its head step visits
+//! the first layer in ascending `dis(p, s)` and stops once that distance
+//! alone exceeds the best total — Algorithm 1's line-8 early exit, for k
+//! layers. Every prune compares a floating-point lower bound strictly
+//! against the best total, so both joins return exactly the nested loop's
+//! answer, ties and total bits included.
+//!
+//! The join runs on the client from already-downloaded data, and the paper
+//! explicitly neglects its computational cost; the acceleration only keeps
+//! simulations fast. All working memory lives in a reusable
+//! [`JoinScratch`], so a batch of queries performs no join allocations
+//! after the first.
 
 use crate::TnnPair;
-use tnn_geom::Point;
+use tnn_geom::{Point, Rect};
 use tnn_rtree::ObjectId;
 
-/// Candidate-set size beyond which the inner loop switches from a linear
-/// scan to the x-sorted sweep (sorting only pays off once the scan is
-/// long enough).
+/// Candidate-set size beyond which an inner loop leaves the linear scan:
+/// for the x-sorted sweep of the two-channel join and for the bucket grid
+/// of a chain-DP transition (sorting or bucketing only pays off once the
+/// scan is long enough).
 const SWEEP_JOIN_THRESHOLD: usize = 48;
 
 /// Reusable buffers for [`tnn_join_with`] and the k-layer
-/// [`chain_join_with`]: the `s`-candidate visit order, the x-sorted
-/// inner-layer index, and the chain DP's per-layer cost/backpointer
+/// [`chain_join_with`]: the candidate visit order, the x-sorted
+/// inner-layer index, the bucket grid over a chain-DP transition's
+/// downstream layer, and the chain DP's per-layer cost/backpointer
 /// tables. One scratch serves both the two-channel join and every hop of
 /// a `k`-layer join, so a batch of queries performs no join allocations
 /// after the buffers have grown to the workload's candidate counts.
 #[derive(Debug, Default)]
 pub struct JoinScratch {
-    /// `(dis²(p, s), index)` sorted ascending.
+    /// `(dis²(p, s), index)` sorted ascending: the two-channel join's `s`
+    /// order and the chain join's head-step order.
     s_order: Vec<(f64, u32)>,
     /// `(x, y, index)` sorted by x (then index).
     r_by_x: Vec<(f64, f64, u32)>,
-    /// The downstream layer of the current chain-DP transition, sorted by
-    /// x (then index).
-    layer_by_x: Vec<(Point, u32)>,
+    /// Bucket grid over the downstream layer of the current chain-DP
+    /// transition.
+    grid: CostGrid,
     /// Chain DP: suffix cost per layer item, one table per layer.
     chain_cost: Vec<Vec<f64>>,
     /// Chain DP: best-successor backpointers, one table per layer.
     chain_next: Vec<Vec<u32>>,
+    /// Candidate distance evaluations of the chain join so far.
+    chain_evaluations: u64,
+}
+
+impl JoinScratch {
+    /// Candidate distance evaluations the k-layer chain join has made
+    /// through this scratch so far: every candidate of every scanned grid
+    /// cell or scanned layer, plus every first-layer candidate the head
+    /// step visits. A host-independent work counter; the plain nested
+    /// loop makes `Σ nᵢ·nᵢ₊₁ + n₀` of them per join.
+    pub fn chain_evaluations(&self) -> u64 {
+        self.chain_evaluations
+    }
 }
 
 /// Finds the pair `(s, r)` minimizing `dis(p, s) + dis(s, r)` over the
@@ -68,18 +95,8 @@ pub fn tnn_join_with(
 
     // Visit s candidates in ascending dis(p, s): once dis(p, s) alone
     // reaches the best total, no later s can win (Algorithm 1 line 8).
-    // Squared distances order identically; the index tie-break keeps the
-    // unstable sort deterministic.
-    scratch.s_order.clear();
-    scratch.s_order.extend(
-        s_cands
-            .iter()
-            .enumerate()
-            .map(|(i, &(pt, _))| (p.dist_sq(pt), i as u32)),
-    );
-    scratch
-        .s_order
-        .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    // Squared distances order identically.
+    sort_by_dist_sq(&mut scratch.s_order, p, s_cands);
 
     let sweep = r_cands.len() > SWEEP_JOIN_THRESHOLD;
     if sweep {
@@ -122,13 +139,28 @@ pub fn tnn_join_with(
     best
 }
 
+/// Fills `order` with `(dis²(p, c), index)` for every candidate, sorted
+/// ascending (the index breaks ties, so the unstable sort is
+/// deterministic).
+fn sort_by_dist_sq(order: &mut Vec<(f64, u32)>, p: Point, cands: &[(Point, ObjectId)]) {
+    order.clear();
+    order.extend(
+        cands
+            .iter()
+            .enumerate()
+            .map(|(i, &(pt, _))| (p.dist_sq(pt), i as u32)),
+    );
+    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+}
+
 /// Linear inner NN in squared space; returns `(index, dis²)`. Picks the
-/// smallest `(dis², index)` pair, matching [`nearest_by_sweep`] exactly.
+/// smallest `(dis², index)` pair, matching [`nearest_by_sweep`] exactly —
+/// also when every distance overflows to infinity.
 fn nearest_by_scan(r_cands: &[(Point, ObjectId)], q: Point) -> (usize, f64) {
     let mut best = (usize::MAX, f64::INFINITY);
     for (i, &(pt, _)) in r_cands.iter().enumerate() {
         let d2 = q.dist_sq(pt);
-        if d2 < best.1 {
+        if d2 < best.1 || (d2 == best.1 && i < best.0) {
             best = (i, d2);
         }
     }
@@ -189,12 +221,17 @@ pub fn chain_join<L: AsRef<[(Point, ObjectId)]>>(
 /// [`chain_join`] with caller-provided scratch buffers — the k-layer
 /// sibling of [`tnn_join_with`], reusing the same [`JoinScratch`].
 ///
-/// Each layer transition is the x-sorted sweep of the two-channel join,
-/// iterated pairwise down the layers: large downstream layers are sorted
-/// by x once per transition and each upstream point expands outward from
-/// its x position, stopping a direction when the x gap plus the smallest
-/// downstream suffix cost already reaches its best total (`dis ≥ |Δx|`
-/// and `cost ≥ min cost` bound the objective from below).
+/// Each DP transition `cost(q) = min dis(q, s) + cost(s)` over a
+/// downstream layer of more than 48 candidates runs over a bucket grid
+/// of about `n / 2` cells, each holding its points' bounding box and
+/// minimum suffix cost. The search walks rings of cells outward from
+/// `q`'s cell, skips a cell when `dis(q, cell box) + cell min cost`
+/// exceeds the best total, and stops when the distance to the unvisited
+/// rings plus the layer's minimum cost does. The head step visits the
+/// first layer in ascending `dis(p, s₁)` and stops once that distance
+/// alone exceeds the best total, so the first transition runs only for
+/// the candidates it visits. The result is the plain nested loop's,
+/// bit for bit, with ties broken toward the smaller `(total, index)`.
 pub fn chain_join_with<L: AsRef<[(Point, ObjectId)]>>(
     scratch: &mut JoinScratch,
     p: Point,
@@ -266,8 +303,8 @@ pub fn round_trip_join(
 ///
 /// Ties are broken toward the smaller `(total, index)` pair in every
 /// transition and in the head step, matching the plain nested-loop order
-/// — deterministic and independent of whether a transition took the scan
-/// or the sweep path.
+/// — deterministic and independent of whether a transition scanned its
+/// layer or searched its grid, and of the order the cells were visited.
 fn chain_join_core<L: AsRef<[(Point, ObjectId)]>>(
     scratch: &mut JoinScratch,
     p: Point,
@@ -283,132 +320,369 @@ fn chain_join_core<L: AsRef<[(Point, ObjectId)]>>(
         scratch.chain_cost.push(Vec::new());
         scratch.chain_next.push(Vec::new());
     }
-    for (i, layer) in layers.iter().enumerate() {
-        let n = layer.as_ref().len();
-        let cost = &mut scratch.chain_cost[i];
-        cost.clear();
-        if i == k - 1 {
-            if close_tour {
-                cost.extend(layer.as_ref().iter().map(|&(pt, _)| pt.dist(p)));
-            } else {
-                cost.extend(std::iter::repeat_n(0.0, n));
-            }
-        } else {
-            cost.extend(std::iter::repeat_n(f64::INFINITY, n));
-        }
-        let next = &mut scratch.chain_next[i];
-        next.clear();
-        next.extend(std::iter::repeat_n(0u32, n));
+    let JoinScratch {
+        s_order,
+        grid,
+        chain_cost,
+        chain_next,
+        chain_evaluations: evaluations,
+        ..
+    } = scratch;
+
+    // The last layer's suffix costs: the return leg, or nothing.
+    let last = layers[k - 1].as_ref();
+    let cost = &mut chain_cost[k - 1];
+    cost.clear();
+    if close_tour {
+        cost.extend(last.iter().map(|&(pt, _)| pt.dist(p)));
+    } else {
+        cost.resize(last.len(), 0.0);
     }
 
-    // Backward DP: cost[i][j] = best suffix length starting at layer i's
-    // item j. Each transition is a (weighted) nearest-neighbor problem
-    // over the downstream layer; large layers take the x-sorted sweep.
-    for i in (0..k - 1).rev() {
-        let downstream = layers[i + 1].as_ref();
-        let (cost_i, cost_next) = {
-            let (head, tail) = scratch.chain_cost.split_at_mut(i + 1);
-            (&mut head[i], &tail[0][..downstream.len()])
+    // Backward DP over layers k−2 … 1: cost[i][j] is the best suffix
+    // length from layer i's item j. Layer 0 is left to the head step.
+    for i in (1..k - 1).rev() {
+        let (head, tail) = chain_cost.split_at_mut(i + 1);
+        let (cost_i, next_i) = (&mut head[i], &mut chain_next[i]);
+        let step = Transition::new(grid, layers[i + 1].as_ref(), &tail[0]);
+        cost_i.clear();
+        next_i.clear();
+        for &(pt, _) in layers[i].as_ref() {
+            let (c, j) = step.nearest(pt, evaluations);
+            cost_i.push(c);
+            next_i.push(j);
+        }
+    }
+
+    // Head step from p, lazily: visit layer 0 in ascending dis(p, s) and
+    // stop once that distance alone exceeds the best total (every suffix
+    // cost is non-negative), running the first transition only for the
+    // items visited.
+    let first = layers[0].as_ref();
+    sort_by_dist_sq(s_order, p, first);
+    let step = if k > 1 {
+        Some(Transition::new(grid, layers[1].as_ref(), &chain_cost[1]))
+    } else {
+        None
+    };
+    // (total, layer-0 index, its successor in layer 1)
+    let mut best = (f64::INFINITY, u32::MAX, 0u32);
+    for &(_, j0) in s_order.iter() {
+        let pt = first[j0 as usize].0;
+        let d = p.dist(pt);
+        if d > best.0 {
+            break;
+        }
+        *evaluations += 1;
+        let (suffix, next) = match &step {
+            Some(step) => step.nearest(pt, evaluations),
+            None => (chain_cost[0][j0 as usize], 0),
         };
-        let next_i = &mut scratch.chain_next[i];
-        let sweep = downstream.len() > SWEEP_JOIN_THRESHOLD;
-        let min_future = cost_next.iter().copied().fold(f64::INFINITY, f64::min);
-        if sweep {
-            scratch.layer_by_x.clear();
-            scratch.layer_by_x.extend(
-                downstream
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &(pt, _))| (pt, j as u32)),
-            );
-            scratch
-                .layer_by_x
-                .sort_unstable_by(|a, b| a.0.x.total_cmp(&b.0.x).then(a.1.cmp(&b.1)));
-        }
-        for (j, &(pt, _)) in layers[i].as_ref().iter().enumerate() {
-            let (best, arg) = if sweep {
-                weighted_nearest_by_sweep(&scratch.layer_by_x, cost_next, min_future, pt)
-            } else {
-                weighted_nearest_by_scan(downstream, cost_next, pt)
-            };
-            cost_i[j] = best;
-            next_i[j] = arg;
+        let total = d + suffix;
+        if improves(total, j0, (best.0, best.1)) {
+            best = (total, j0, next);
         }
     }
 
-    // Head step from p into layer 0.
-    let (mut j, mut total) = (0usize, f64::INFINITY);
-    for (j0, &(pt, _)) in layers[0].as_ref().iter().enumerate() {
-        let c = p.dist(pt) + scratch.chain_cost[0][j0];
-        if c < total {
-            total = c;
-            j = j0;
-        }
-    }
+    let (total, j0, mut j) = best;
     let mut path = Vec::with_capacity(k);
-    for (i, layer) in layers.iter().enumerate() {
-        path.push(layer.as_ref()[j]);
+    path.push(first[j0 as usize]);
+    for (i, layer) in layers.iter().enumerate().skip(1) {
+        path.push(layer.as_ref()[j as usize]);
         if i + 1 < k {
-            j = scratch.chain_next[i][j] as usize;
+            j = chain_next[i][j as usize];
         }
     }
     Some((path, total))
 }
 
+/// Whether `(total, index)` is smaller than `best` in lexicographic
+/// order — the one tie-break rule of every chain-join comparison. An
+/// all-infinite layer therefore still yields index 0, never a sentinel.
+#[inline]
+fn improves(total: f64, index: u32, best: (f64, u32)) -> bool {
+    total < best.0 || (total == best.0 && index < best.1)
+}
+
+/// One chain-DP transition into a downstream layer: answers
+/// `min dis(q, s) + cost(s)` by a linear scan of a small layer or a
+/// search of the bucket grid over a large one.
+enum Transition<'a> {
+    Scan(&'a [(Point, ObjectId)], &'a [f64]),
+    Grid(&'a CostGrid),
+}
+
+impl<'a> Transition<'a> {
+    /// Prepares the transition into `layer` with suffix costs `cost`,
+    /// (re)building `grid` when the layer is large enough to need it.
+    fn new(grid: &'a mut CostGrid, layer: &'a [(Point, ObjectId)], cost: &'a [f64]) -> Self {
+        if layer.len() > SWEEP_JOIN_THRESHOLD {
+            grid.build(layer, cost);
+            Transition::Grid(grid)
+        } else {
+            Transition::Scan(layer, cost)
+        }
+    }
+
+    /// `(min total, its index)` for the upstream point `q`, counting the
+    /// candidate distance evaluations into `evaluations`.
+    fn nearest(&self, q: Point, evaluations: &mut u64) -> (f64, u32) {
+        match self {
+            Transition::Scan(layer, cost) => {
+                *evaluations += layer.len() as u64;
+                weighted_nearest_by_scan(layer, cost, q)
+            }
+            Transition::Grid(grid) => grid.nearest(q, evaluations),
+        }
+    }
+}
+
 /// Linear inner loop of one chain-DP transition: minimizes
 /// `dis(q, cand) + cost[cand]` over the downstream layer, preferring the
-/// smaller `(total, index)` pair on ties.
+/// smaller `(total, index)` pair.
 fn weighted_nearest_by_scan(cands: &[(Point, ObjectId)], cost: &[f64], q: Point) -> (f64, u32) {
     let mut best = (f64::INFINITY, u32::MAX);
     for (j, &(pt, _)) in cands.iter().enumerate() {
         let total = q.dist(pt) + cost[j];
-        if total < best.0 {
+        if improves(total, j as u32, best) {
             best = (total, j as u32);
         }
     }
     best
 }
 
-/// Sweep inner loop of one chain-DP transition over the x-sorted
-/// downstream layer: expands outward from the query's x position and
-/// stops a direction once `|Δx| + min_cost` alone reaches the best total
-/// (`dis(q, cand) ≥ |Δx|` and `cost[cand] ≥ min_cost`). Picks the
-/// smallest `(total, index)` pair, matching [`weighted_nearest_by_scan`]
-/// exactly, so the result is independent of the sweep direction.
-fn weighted_nearest_by_sweep(
-    by_x: &[(Point, u32)],
-    cost: &[f64],
+/// One axis of a [`CostGrid`]: slabs split at ascending interior
+/// boundaries, slab `c` holding the coordinates `v` with
+/// `edges[c − 1] ≤ v < edges[c]` (the outer slabs are unbounded outward).
+/// Slab membership is decided by these comparisons alone, so a
+/// coordinate's slab and the boundaries are consistent in floating point
+/// and the ring bounds of [`CostGrid::ring_bound`] hold exactly.
+#[derive(Debug, Default)]
+struct GridAxis {
+    lo: f64,
+    /// Slabs per unit length, for the first guess of [`GridAxis::slab`].
+    per_unit: f64,
+    /// The interior slab boundaries, ascending (one fewer than slabs).
+    edges: Vec<f64>,
+}
+
+impl GridAxis {
+    /// `n` equal slabs over `[lo, hi]`; one slab when the extent is empty
+    /// or not finite.
+    fn reset(&mut self, lo: f64, hi: f64, n: usize) {
+        let extent = hi - lo;
+        self.edges.clear();
+        self.lo = lo;
+        self.per_unit = 0.0;
+        if n > 1 && extent > 0.0 && extent.is_finite() {
+            let width = extent / n as f64;
+            self.per_unit = n as f64 / extent;
+            self.edges.extend((1..n).map(|c| lo + c as f64 * width));
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.edges.len() + 1
+    }
+
+    /// The slab holding `v` (outer slabs take everything beyond the grid).
+    fn slab(&self, v: f64) -> usize {
+        let last = self.edges.len();
+        // A saturating first guess, corrected against the boundaries.
+        let mut c = (((v - self.lo) * self.per_unit) as usize).min(last);
+        while c > 0 && v < self.edges[c - 1] {
+            c -= 1;
+        }
+        while c < last && v >= self.edges[c] {
+            c += 1;
+        }
+        c
+    }
+}
+
+/// One cell of a [`CostGrid`]: the bounding box of its points and their
+/// minimum suffix cost.
+#[derive(Debug, Clone, Copy)]
+struct GridCell {
+    bbox: Rect,
     min_cost: f64,
-    q: Point,
-) -> (f64, u32) {
-    let start = by_x.partition_point(|e| e.0.x < q.x);
-    let mut best = (f64::INFINITY, u32::MAX);
-    for &(pt, j) in &by_x[start..] {
-        let dx = pt.x - q.x;
-        if dx + min_cost > best.0 {
-            break;
+}
+
+impl GridCell {
+    /// No points yet: an inverted box that the first `expand` replaces.
+    const EMPTY: GridCell = GridCell {
+        bbox: Rect {
+            min: Point::new(f64::INFINITY, f64::INFINITY),
+            max: Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+        },
+        min_cost: f64::INFINITY,
+    };
+}
+
+/// A uniform bucket grid over one downstream layer of the chain DP, for
+/// weighted nearest-neighbor searches `min dis(q, s) + cost(s)`. Its
+/// buffers are reused from transition to transition.
+#[derive(Debug, Default)]
+struct CostGrid {
+    x: GridAxis,
+    y: GridAxis,
+    /// Counting-sort offsets: cell `c` holds `items[start[c]..start[c + 1]]`
+    /// (cells numbered row by row).
+    start: Vec<u32>,
+    /// `(point, suffix cost, layer index)`, grouped by cell.
+    items: Vec<(Point, f64, u32)>,
+    cells: Vec<GridCell>,
+    /// Each layer item's cell, the counting-sort key.
+    cell_of: Vec<u32>,
+    /// The minimum suffix cost over the whole layer.
+    min_cost: f64,
+}
+
+impl CostGrid {
+    /// Buckets `layer` (with suffix costs `cost`) into about `n / 2`
+    /// cells over its bounding box, shaped to its aspect ratio.
+    fn build(&mut self, layer: &[(Point, ObjectId)], cost: &[f64]) {
+        let mut bbox = GridCell::EMPTY.bbox;
+        for &(pt, _) in layer {
+            bbox.expand(pt);
         }
-        let total = q.dist(pt) + cost[j as usize];
-        if total < best.0 || (total == best.0 && j < best.1) {
-            best = (total, j);
+        let target = (layer.len() / 2).max(1);
+        let (w, h) = (bbox.width(), bbox.height());
+        let usable = |e: f64| e > 0.0 && e.is_finite();
+        let (cols, rows) = match (usable(w), usable(h)) {
+            (true, true) => {
+                let cols = (target as f64 * w / h)
+                    .sqrt()
+                    .round()
+                    .clamp(1.0, target as f64) as usize;
+                (cols, (target / cols).max(1))
+            }
+            (true, false) => (target, 1),
+            (false, true) => (1, target),
+            (false, false) => (1, 1),
+        };
+        self.x.reset(bbox.min.x, bbox.max.x, cols);
+        self.y.reset(bbox.min.y, bbox.max.y, rows);
+        let cols = self.x.len();
+        let n_cells = cols * self.y.len();
+
+        // Counting sort by cell: counts, then begin offsets, then place
+        // (which advances each offset to its cell's end), then shift back.
+        self.start.clear();
+        self.start.resize(n_cells + 1, 0);
+        self.cell_of.clear();
+        for &(pt, _) in layer {
+            let c = self.y.slab(pt.y) * cols + self.x.slab(pt.x);
+            self.cell_of.push(c as u32);
+            self.start[c + 1] += 1;
+        }
+        for c in 0..n_cells {
+            self.start[c + 1] += self.start[c];
+        }
+        self.items.clear();
+        self.items.resize(layer.len(), (Point::ORIGIN, 0.0, 0));
+        self.cells.clear();
+        self.cells.resize(n_cells, GridCell::EMPTY);
+        self.min_cost = f64::INFINITY;
+        for (j, (&(pt, _), &c)) in layer.iter().zip(&self.cell_of).enumerate() {
+            let c = c as usize;
+            self.items[self.start[c] as usize] = (pt, cost[j], j as u32);
+            self.start[c] += 1;
+            let cell = &mut self.cells[c];
+            cell.bbox.expand(pt);
+            cell.min_cost = cell.min_cost.min(cost[j]);
+            self.min_cost = self.min_cost.min(cost[j]);
+        }
+        self.start.copy_within(0..n_cells, 1);
+        self.start[0] = 0;
+    }
+
+    /// `(min total, its index)` of `dis(q, s) + cost(s)` over the layer,
+    /// walking rings of cells outward from `q`'s cell.
+    fn nearest(&self, q: Point, evaluations: &mut u64) -> (f64, u32) {
+        let (cols, rows) = (self.x.len(), self.y.len());
+        let (cx, cy) = (self.x.slab(q.x), self.y.slab(q.y));
+        let mut best = (f64::INFINITY, u32::MAX);
+        for r in 0.. {
+            if r > 0 {
+                match self.ring_bound(q, cx, cy, r) {
+                    Some(bound) if bound + self.min_cost <= best.0 => {}
+                    _ => break,
+                }
+            }
+            let (x0, x1) = (cx.saturating_sub(r), (cx + r).min(cols - 1));
+            for row in cy.saturating_sub(r)..=(cy + r).min(rows - 1) {
+                if row + r == cy || row == cy + r {
+                    for col in x0..=x1 {
+                        self.scan_cell(row * cols + col, q, &mut best, evaluations);
+                    }
+                } else {
+                    if cx >= r {
+                        self.scan_cell(row * cols + cx - r, q, &mut best, evaluations);
+                    }
+                    if cx + r < cols {
+                        self.scan_cell(row * cols + cx + r, q, &mut best, evaluations);
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    /// A lower bound on `dis(q, s)` over every point `s` in the cells at
+    /// ring `r ≥ 1` or beyond around `(cx, cy)`, or `None` when no cell
+    /// lies there. Those points lie past one of the four slab boundaries
+    /// enclosing the inner rings, and the bound is the distance to the
+    /// nearest such boundary, taken with [`Point::dist`] to a point on it.
+    fn ring_bound(&self, q: Point, cx: usize, cy: usize, r: usize) -> Option<f64> {
+        let mut bound: Option<f64> = None;
+        let mut side = |edge: Point| {
+            let d = q.dist(edge);
+            bound = Some(bound.map_or(d, |b| b.min(d)));
+        };
+        if cx >= r {
+            side(Point::new(self.x.edges[cx - r], q.y));
+        }
+        if cx + r < self.x.len() {
+            side(Point::new(self.x.edges[cx + r - 1], q.y));
+        }
+        if cy >= r {
+            side(Point::new(q.x, self.y.edges[cy - r]));
+        }
+        if cy + r < self.y.len() {
+            side(Point::new(q.x, self.y.edges[cy + r - 1]));
+        }
+        bound
+    }
+
+    /// Scans cell `c` into `best` unless `dis(q, cell box) + cell min cost`
+    /// already exceeds it (the box distance is [`Point::dist`] to the
+    /// clamped point, so it never exceeds a member's distance in floating
+    /// point either).
+    #[inline]
+    fn scan_cell(&self, c: usize, q: Point, best: &mut (f64, u32), evaluations: &mut u64) {
+        let (a, b) = (self.start[c] as usize, self.start[c + 1] as usize);
+        let cell = &self.cells[c];
+        if a == b || cell.min_cost > best.0 {
+            return;
+        }
+        if cell.bbox.min_dist(q) + cell.min_cost > best.0 {
+            return;
+        }
+        *evaluations += (b - a) as u64;
+        for &(pt, cost, j) in &self.items[a..b] {
+            let total = q.dist(pt) + cost;
+            if improves(total, j, *best) {
+                *best = (total, j);
+            }
         }
     }
-    for &(pt, j) in by_x[..start].iter().rev() {
-        let dx = q.x - pt.x;
-        if dx + min_cost > best.0 {
-            break;
-        }
-        let total = q.dist(pt) + cost[j as usize];
-        if total < best.0 || (total == best.0 && j < best.1) {
-            best = (total, j);
-        }
-    }
-    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tnn_geom::transitive_dist;
 
     fn pts(coords: &[(f64, f64)]) -> Vec<(Point, ObjectId)> {
@@ -590,5 +864,220 @@ mod tests {
         assert!(round_trip_join(Point::ORIGIN, &one, &[]).is_none());
         let pair = round_trip_join(Point::ORIGIN, &one, &one).unwrap();
         assert!((pair.dist - 2.0).abs() < 1e-12);
+    }
+
+    /// The plain nested-loop chain DP: every transition scans every pair
+    /// and the head step every first-layer item, ties to the smaller
+    /// `(total, index)`. Shares no code with the joins under test.
+    fn reference_chain(
+        p: Point,
+        layers: &[Vec<(Point, ObjectId)>],
+        close_tour: bool,
+    ) -> Option<(Vec<(Point, ObjectId)>, f64)> {
+        if layers.is_empty() || layers.iter().any(Vec::is_empty) {
+            return None;
+        }
+        let k = layers.len();
+        let mut cost: Vec<Vec<f64>> = vec![Vec::new(); k];
+        let mut next: Vec<Vec<usize>> = vec![Vec::new(); k];
+        cost[k - 1] = layers[k - 1]
+            .iter()
+            .map(|&(pt, _)| if close_tour { pt.dist(p) } else { 0.0 })
+            .collect();
+        for i in (0..k - 1).rev() {
+            for &(q, _) in &layers[i] {
+                let mut best = (f64::INFINITY, usize::MAX);
+                for (j, &(pt, _)) in layers[i + 1].iter().enumerate() {
+                    let total = q.dist(pt) + cost[i + 1][j];
+                    if total < best.0 || (total == best.0 && j < best.1) {
+                        best = (total, j);
+                    }
+                }
+                cost[i].push(best.0);
+                next[i].push(best.1);
+            }
+        }
+        let mut best = (f64::INFINITY, usize::MAX);
+        for (j, &(pt, _)) in layers[0].iter().enumerate() {
+            let total = p.dist(pt) + cost[0][j];
+            if total < best.0 || (total == best.0 && j < best.1) {
+                best = (total, j);
+            }
+        }
+        let (total, mut j) = best;
+        let mut path = Vec::with_capacity(k);
+        for (i, layer) in layers.iter().enumerate() {
+            path.push(layer[j]);
+            if i + 1 < k {
+                j = next[i][j];
+            }
+        }
+        Some((path, total))
+    }
+
+    /// SplitMix64, for deterministic fixtures.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Layer shapes of the reference property: uniform, clustered, one
+    /// vertical line, one horizontal line, and a coarse lattice (duplicate
+    /// points and exact ties).
+    const SHAPES: u8 = 5;
+
+    fn shaped_layer(rng: &mut Mix, n: usize, shape: u8, layer: u32) -> Vec<(Point, ObjectId)> {
+        let centers: Vec<Point> = (0..3)
+            .map(|_| Point::new(rng.unit() * 1000.0, rng.unit() * 1000.0))
+            .collect();
+        (0..n)
+            .map(|i| {
+                let pt = match shape {
+                    0 => Point::new(rng.unit() * 1000.0, rng.unit() * 1000.0),
+                    1 => {
+                        let c = centers[rng.below(3) as usize];
+                        Point::new(c.x + rng.unit() * 40.0, c.y + rng.unit() * 40.0)
+                    }
+                    2 => Point::new(500.0, rng.unit() * 1000.0),
+                    3 => Point::new(rng.unit() * 1000.0, 500.0),
+                    _ => Point::new(rng.below(4) as f64 * 250.0, rng.below(4) as f64 * 250.0),
+                };
+                (pt, ObjectId(layer * 1000 + i as u32))
+            })
+            .collect()
+    }
+
+    fn assert_same_route(
+        got: Option<(Vec<(Point, ObjectId)>, f64)>,
+        want: &Option<(Vec<(Point, ObjectId)>, f64)>,
+        what: &str,
+    ) {
+        let (got, want) = (got.expect(what), want.as_ref().expect(what));
+        assert_eq!(got.0, want.0, "{what}: route");
+        assert_eq!(got.1.to_bits(), want.1.to_bits(), "{what}: total bits");
+    }
+
+    proptest! {
+        #[test]
+        fn chain_joins_equal_the_nested_loop(
+            cases in prop::collection::vec(
+                (1usize..=4, 0u8..SHAPES, 0u64..u64::MAX, -600.0f64..1600.0, -600.0f64..1600.0),
+                1..4,
+            ),
+        ) {
+            // One scratch across cases of different sizes and shapes.
+            let mut scratch = JoinScratch::default();
+            for (k, shape, seed, px, py) in cases {
+                let mut rng = Mix(seed);
+                let layers: Vec<Vec<(Point, ObjectId)>> = (0..k as u32)
+                    .map(|i| {
+                        let n = 1 + rng.below(199) as usize;
+                        shaped_layer(&mut rng, n, shape, i)
+                    })
+                    .collect();
+                let p = Point::new(px, py);
+                let open = reference_chain(p, &layers, false);
+                let tour = reference_chain(p, &layers, true);
+                assert_same_route(chain_join(p, &layers), &open, "fresh chain");
+                assert_same_route(chain_join_with(&mut scratch, p, &layers), &open, "chain");
+                assert_same_route(chain_loop_join_with(&mut scratch, p, &layers), &tour, "tour");
+            }
+        }
+    }
+
+    #[test]
+    fn chain_join_handles_overflowing_distances_on_the_grid() {
+        // Layers past the scan threshold at ±1e200: every total is +inf,
+        // so the lowest indices win, through the grid path too.
+        let mut rng = Mix(7);
+        let layers: Vec<Vec<(Point, ObjectId)>> = (0..3u32)
+            .map(|l| {
+                (0..60)
+                    .map(|i| {
+                        let sign = |b: bool| if b { 1e200 } else { -1e200 };
+                        let pt = Point::new(
+                            sign(rng.below(2) == 0) * rng.unit(),
+                            sign(rng.below(2) == 0) * rng.unit(),
+                        );
+                        (pt, ObjectId(l * 100 + i))
+                    })
+                    .collect()
+            })
+            .collect();
+        let p = Point::new(1e200, -1e200);
+        let open = reference_chain(p, &layers, false);
+        assert_eq!(open.as_ref().unwrap().1, f64::INFINITY);
+        assert_same_route(chain_join(p, &layers), &open, "chain");
+        let tour = reference_chain(p, &layers, true);
+        assert_same_route(chain_loop_join(p, &layers), &tour, "tour");
+    }
+
+    /// Three clustered layers of 2,000 points over the paper region, like
+    /// the CITY-like channels: settlements gathered in 12 clusters plus a
+    /// 10% uniform background.
+    fn clustered_layers(seed: u64) -> Vec<Vec<(Point, ObjectId)>> {
+        let mut rng = Mix(seed);
+        (0..3u32)
+            .map(|l| {
+                let centers: Vec<Point> = (0..12)
+                    .map(|_| Point::new(rng.unit() * 39_000.0, rng.unit() * 39_000.0))
+                    .collect();
+                (0..2_000u32)
+                    .map(|i| {
+                        let pt = if rng.below(10) == 0 {
+                            Point::new(rng.unit() * 39_000.0, rng.unit() * 39_000.0)
+                        } else {
+                            let c = centers[rng.below(12) as usize];
+                            let spread = 200.0 + 800.0 * rng.unit();
+                            Point::new(
+                                c.x + spread * (rng.unit() - rng.unit()),
+                                c.y + spread * (rng.unit() - rng.unit()),
+                            )
+                        };
+                        (pt, ObjectId(l * 10_000 + i))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn grid_join_evaluates_a_small_share_of_the_pairs() {
+        let layers = clustered_layers(0x7A11);
+        let n: Vec<u64> = layers.iter().map(|l| l.len() as u64).collect();
+        let nested_loop = n[0] * n[1] + n[1] * n[2] + n[0];
+        let mut scratch = JoinScratch::default();
+        for (qi, p) in [
+            Point::new(19_500.0, 19_500.0),
+            Point::new(4_000.0, 31_000.0),
+            Point::new(-2_000.0, 8_000.0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let before = scratch.chain_evaluations();
+            let got = chain_join_with(&mut scratch, p, &layers);
+            let evaluations = scratch.chain_evaluations() - before;
+            assert_same_route(got, &reference_chain(p, &layers, false), "chain");
+            assert!(
+                evaluations * 20 < nested_loop,
+                "query {qi}: {evaluations} of {nested_loop} nested-loop evaluations"
+            );
+        }
     }
 }

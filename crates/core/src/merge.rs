@@ -156,7 +156,7 @@ type BestOrder<'a> = (f64, Vec<(Point, ObjectId)>, &'a [usize]);
 /// bound-pruned pairwise join runs in both directions (the backward
 /// direction wins only when *strictly* smaller — bit-identical to the
 /// original two-channel variant); beyond that every permutation goes
-/// through the layered sweep join and earlier (lexicographic) orders
+/// through the k-layer chain join and earlier (lexicographic) orders
 /// win ties. Returns the stops in visit order.
 fn order_free_merge<L: AsRef<[(Point, ObjectId)]>>(
     join: &mut JoinScratch,

@@ -21,7 +21,7 @@
 //!    at the cluster level, guarantees the circle contains every stop of
 //!    the optimal route.
 //! 3. **Merge** the per-channel layers through
-//!    [`tnn_core::merge_route_layers`] — the *same* k-layer sweep join
+//!    [`tnn_core::merge_route_layers`] — the *same* k-layer chain join
 //!    every unsharded pipeline ends in — so the final route and total
 //!    are **byte-identical** to an unsharded
 //!    [`tnn_core::QueryEngine::run`] (gated across shard counts,

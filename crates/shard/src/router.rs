@@ -1,6 +1,6 @@
 //! The scatter-gather router: one [`tnn_serve::Server`] pool per
 //! eligible shard, a transitive-bound pruner in front of them, and a
-//! final merge through the same k-layer sweep join the unsharded
+//! final merge through the same k-layer chain join the unsharded
 //! pipelines use.
 //!
 //! ## Why the sharded answer is byte-identical
@@ -152,7 +152,7 @@ fn build_topology(env: MultiChannelEnv, config: &ShardConfig) -> Topology {
 /// 2. **Gather** every candidate within the `B`-circle from every
 ///    shard sub-tree (pruning whole sub-trees by root-MBR distance).
 /// 3. **Merge** the per-channel candidate layers through
-///    [`tnn_core::merge_route_layers`] — the same k-layer sweep join
+///    [`tnn_core::merge_route_layers`] — the same k-layer chain join
 ///    the unsharded pipelines end in — into the final route.
 ///
 /// ```

@@ -206,10 +206,20 @@ pub mod test_runner {
     }
 
     impl Default for ProptestConfig {
+        /// 256 cases, or the `PROPTEST_CASES` environment variable when it
+        /// holds a number — as in real proptest. An explicit
+        /// [`ProptestConfig::with_cases`] still wins over both.
         fn default() -> Self {
-            // Real proptest defaults to 256; keep parity.
-            ProptestConfig { cases: 256 }
+            ProptestConfig {
+                cases: cases_from_env(std::env::var("PROPTEST_CASES").ok().as_deref()),
+            }
         }
+    }
+
+    /// The default case count for a `PROPTEST_CASES` value: the number it
+    /// holds, else real proptest's default of 256.
+    pub(crate) fn cases_from_env(value: Option<&str>) -> u32 {
+        value.and_then(|v| v.trim().parse().ok()).unwrap_or(256)
     }
 
     /// Deterministic SplitMix64 stream seeded from the test name.
@@ -361,6 +371,22 @@ mod tests {
             prop_assume!(a != b);
             prop_assert_ne!(a, b);
         }
+    }
+
+    #[test]
+    fn default_case_count_follows_proptest_cases() {
+        use crate::test_runner::cases_from_env;
+        assert_eq!(cases_from_env(None), 256);
+        assert_eq!(cases_from_env(Some("8")), 8);
+        assert_eq!(cases_from_env(Some(" 2048 ")), 2048);
+        assert_eq!(cases_from_env(Some("many")), 256);
+        // No other test in this crate reads the variable, so setting it
+        // here cannot race with them.
+        std::env::set_var("PROPTEST_CASES", "3");
+        assert_eq!(ProptestConfig::default().cases, 3);
+        assert_eq!(ProptestConfig::with_cases(64).cases, 64);
+        std::env::remove_var("PROPTEST_CASES");
+        assert_eq!(ProptestConfig::default().cases, 256);
     }
 
     #[test]
