@@ -99,9 +99,8 @@ fn rebuild(reference: &BTreeMap<u32, Point>) -> RTree {
     RTree::build_with_ids(&pairs, rtree_params(), PackingAlgorithm::Str).unwrap()
 }
 
-/// A channel-ready tree over `points` in the given order: broadcast
-/// layouts require dense ids, exactly what a cycle cut assigns when it
-/// renumbers the (canonically ordered) live set.
+/// A tree over `points` in the given order with dense ids, what a cycle
+/// cut assigns when it renumbers the (canonically ordered) live set.
 fn dense_tree(points: &[Point]) -> RTree {
     if points.is_empty() {
         RTree::empty(rtree_params())
@@ -166,9 +165,9 @@ proptest! {
                 format!("{rebuilt:?}"),
                 "materialized tree is not byte-identical to the rebuild"
             );
-            // Channel trees need dense ids (a cycle cut renumbers the
-            // canonical live set) — derived through two independent
-            // paths: the overlay's merged view vs the reference map.
+            // Channel trees renumber the canonical live set densely,
+            // derived through two independent paths: the overlay's
+            // merged view vs the reference map.
             let from_overlay: Vec<Point> =
                 overlay.live_points().iter().map(|&(p, _)| p).collect();
             let from_reference: Vec<Point> = reference.values().copied().collect();
@@ -248,4 +247,67 @@ proptest! {
         let stats = server.shutdown(ShutdownMode::Drain);
         prop_assert!(stats.conserved(), "{stats:?}");
     }
+}
+
+/// A materialized overlay keeps its object ids, so after an insert
+/// under a fresh id they are no longer `0..n`. Cutting a cycle over
+/// that tree must broadcast it exactly like the dense rebuild of the
+/// same live set: the same pages, arrival times and answer points, with
+/// each answer's id the live set's id at the dense answer's rank.
+#[test]
+fn sparse_id_cycle_cut_equals_the_dense_rebuild() {
+    let base: Vec<Point> = (0..100)
+        .map(|i| Point::new((i * 37 % 101) as f64 * 9.0, (i * 61 % 97) as f64 * 9.0))
+        .collect();
+    let other: Vec<Point> = (0..80)
+        .map(|i| Point::new((i * 13 % 83) as f64 * 11.0, (i * 29 % 79) as f64 * 11.0))
+        .collect();
+    let base_tree = Arc::new(dense_tree(&base));
+    let mut overlay = DeltaOverlay::new(Arc::clone(&base_tree));
+    assert!(overlay.delete(ObjectId(42)));
+    let fresh = Point::new(400.5, 400.5);
+    overlay.insert(ObjectId(100), fresh).unwrap();
+    let live = overlay.live_points();
+
+    let phases = [3, 8];
+    let env = MultiChannelEnv::new(
+        vec![base_tree, Arc::new(dense_tree(&other))],
+        params(),
+        &phases,
+    );
+    let sparse = env.advance_channel(0, Arc::new(overlay.materialize().unwrap()));
+    let dense_points: Vec<Point> = live.iter().map(|&(p, _)| p).collect();
+    let dense = env.advance_channel(0, Arc::new(dense_tree(&dense_points)));
+
+    let sparse_engine = QueryEngine::new(sparse);
+    let dense_engine = QueryEngine::new(dense);
+    let mut saw_fresh = false;
+    for p in [
+        fresh,
+        Point::new(0.0, 0.0),
+        Point::new(450.0, 120.0),
+        Point::new(880.0, 870.0),
+    ] {
+        for query in query_mix(p) {
+            let got = sparse_engine.run(&query).unwrap();
+            let want = dense_engine.run(&query).unwrap();
+            assert_eq!(got.channels, want.channels, "pages and times for {query:?}");
+            assert_eq!(got.completed_at, want.completed_at);
+            assert_eq!(got.total_dist, want.total_dist);
+            assert_eq!(got.route.len(), want.route.len());
+            for (g, w) in got.route.iter().zip(&want.route) {
+                assert_eq!((g.point, g.channel), (w.point, w.channel));
+                if w.channel == 0 {
+                    assert_eq!(g.object, live[w.object.index()].1);
+                    saw_fresh |= g.object == ObjectId(100);
+                } else {
+                    assert_eq!(g.object, w.object);
+                }
+            }
+        }
+    }
+    assert!(
+        saw_fresh,
+        "some query retrieves the freshly inserted object"
+    );
 }

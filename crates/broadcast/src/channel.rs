@@ -3,7 +3,7 @@
 
 use crate::{BroadcastLayout, BroadcastParams};
 use std::sync::Arc;
-use tnn_rtree::{Node, NodeId, ObjectId, RTree};
+use tnn_rtree::{fingerprint, Node, NodeId, ObjectId, RTree};
 
 /// What a channel carries during one page slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,38 +32,24 @@ pub struct Channel {
     layout: Arc<BroadcastLayout>,
     params: BroadcastParams,
     phase: u64,
-    /// Leaf-rank → object id: which object occupies data block `rank`.
-    object_by_rank: Arc<Vec<ObjectId>>,
     /// Cached content identity (tree data + program parameters), computed
     /// once at construction — see [`Channel::fingerprint`].
     fingerprint: u64,
-}
-
-/// FNV-1a over a word sequence — the workspace's deterministic
-/// fingerprint fold (the std hasher is unspecified across releases,
-/// while these values identify environments across processes).
-pub(crate) fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for word in words {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
 }
 
 impl Channel {
     /// Creates a channel broadcasting `tree` under `params`, with the
     /// program shifted by `phase` slots (the page on air at global time
     /// `t` is the cycle position `(t + phase) mod cycle_len`).
+    ///
+    /// The tree's leaves are read once: the same pass yields the data
+    /// segment's object order and the tree's content fingerprint.
     pub fn new(tree: Arc<RTree>, params: BroadcastParams, phase: u64) -> Self {
-        let layout = Arc::new(BroadcastLayout::new(&tree, &params));
-        let object_by_rank = Arc::new(tree.objects_in_leaf_order().map(|(_, o)| o).collect());
-        let fingerprint = fnv1a([
-            tree.content_fingerprint(),
+        let mut by_rank = Vec::with_capacity(tree.num_objects());
+        let content = tree.fingerprint_leaf_order(|_, object| by_rank.push(object));
+        let layout = Arc::new(BroadcastLayout::from_leaf_order(&tree, &params, by_rank));
+        let fingerprint = fingerprint([
+            content,
             params.page_capacity as u64,
             u64::from(params.interleave_m),
             params.data_content_bytes as u64,
@@ -73,7 +59,6 @@ impl Channel {
             layout,
             params,
             phase,
-            object_by_rank,
             fingerprint,
         }
     }
@@ -87,7 +72,6 @@ impl Channel {
             layout: Arc::clone(&self.layout),
             params: self.params,
             phase,
-            object_by_rank: Arc::clone(&self.object_by_rank),
             fingerprint: self.fingerprint,
         }
     }
@@ -201,7 +185,7 @@ impl Channel {
         }
         let rank = (j / self.layout.pages_per_object()) as usize;
         PageContent::Data {
-            object: self.object_by_rank[rank],
+            object: self.layout.object_at_rank(rank),
             part: j % self.layout.pages_per_object(),
         }
     }

@@ -1,10 +1,9 @@
 //! The multi-channel access environment: several broadcast channels
 //! observable simultaneously by one client.
 
-use crate::channel::fnv1a;
 use crate::{BroadcastParams, Channel};
 use std::sync::Arc;
-use tnn_rtree::RTree;
+use tnn_rtree::{fingerprint, RTree};
 
 /// A set of co-existing broadcast channels, one dataset each, that a
 /// multi-radio mobile client can monitor **simultaneously** — the paper's
@@ -49,7 +48,7 @@ pub struct MultiChannelEnv {
 /// environment-level schedule alignment, and they change query outcomes
 /// whenever a query does not override them.
 fn fingerprint_of(channels: &[Channel]) -> u64 {
-    fnv1a(
+    fingerprint(
         std::iter::once(channels.len() as u64)
             .chain(channels.iter().flat_map(|c| [c.fingerprint(), c.phase()])),
     )
@@ -314,6 +313,18 @@ mod tests {
         let other =
             MultiChannelEnv::new(vec![tree(21, &params), tree(50, &params)], params, &[3, 99]);
         assert_ne!(other.fingerprint(), a.fingerprint());
+    }
+
+    /// The fingerprint values themselves, pinned: nothing persists them,
+    /// but a change to the fold or to what it covers should be a
+    /// deliberate edit of these constants, not a side effect.
+    #[test]
+    fn fingerprint_values_are_pinned() {
+        let params = BroadcastParams::new(64);
+        let small = tree(20, &params);
+        assert_eq!(small.content_fingerprint(), 0x63af_7a2b_5b2e_3ff4);
+        let env = MultiChannelEnv::new(vec![small, tree(50, &params)], params, &[3, 99]);
+        assert_eq!(env.fingerprint(), 0x1606_23da_1720_655f);
     }
 
     #[test]

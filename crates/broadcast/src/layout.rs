@@ -2,7 +2,7 @@
 //! virtual cyclic page schedule.
 
 use crate::BroadcastParams;
-use tnn_rtree::{NodeId, ObjectId, RTree};
+use tnn_rtree::{IdTable, NodeId, ObjectId, RTree};
 
 /// The page-level layout of one dataset's broadcast program.
 ///
@@ -34,9 +34,12 @@ pub struct BroadcastLayout {
     cycle_len: u64,
     /// Number of fractions `m`.
     m: u32,
-    /// Data-segment offset of each object's first page, indexed by
-    /// `ObjectId`; objects are laid out in R-tree leaf (preorder) order.
-    data_slot: Vec<u64>,
+    /// Leaf-order rank → object: objects are laid out in the data
+    /// segment in R-tree leaf (preorder) order, one block each.
+    by_rank: Vec<ObjectId>,
+    /// Object → leaf-order rank, for any ids (dense or not); the
+    /// object's first data page is `rank · pages_per_object`.
+    rank_of: IdTable<u32>,
 }
 
 impl BroadcastLayout {
@@ -46,6 +49,18 @@ impl BroadcastLayout {
     /// page size (see [`BroadcastParams::rtree_params`]); this is asserted
     /// in debug builds.
     pub fn new(tree: &RTree, params: &BroadcastParams) -> Self {
+        let by_rank = tree.objects_in_leaf_order().map(|(_, o)| o).collect();
+        Self::from_leaf_order(tree, params, by_rank)
+    }
+
+    /// [`BroadcastLayout::new`] with the tree's objects already read off
+    /// in leaf order (`by_rank`), so a caller that walks the leaves for
+    /// other reasons walks them once.
+    pub(crate) fn from_leaf_order(
+        tree: &RTree,
+        params: &BroadcastParams,
+        by_rank: Vec<ObjectId>,
+    ) -> Self {
         debug_assert_eq!(
             tree.params(),
             params.rtree_params(),
@@ -60,12 +75,14 @@ impl BroadcastLayout {
         let bucket_len = index_len + fraction_len;
         let cycle_len = m as u64 * bucket_len;
 
-        // Objects appear in the data segment in leaf preorder; invert the
-        // mapping so ObjectId -> slot is O(1).
-        let mut data_slot = vec![0u64; tree.num_objects()];
-        for (rank, (_, object)) in tree.objects_in_leaf_order().enumerate() {
-            data_slot[object.index()] = rank as u64 * pages_per_object;
-        }
+        debug_assert_eq!(by_rank.len(), tree.num_objects());
+        let rank_of = IdTable::new(
+            by_rank
+                .iter()
+                .enumerate()
+                .map(|(rank, &object)| (object, rank as u32))
+                .collect(),
+        );
 
         BroadcastLayout {
             index_len,
@@ -75,7 +92,8 @@ impl BroadcastLayout {
             bucket_len,
             cycle_len,
             m,
-            data_slot,
+            by_rank,
+            rank_of,
         }
     }
 
@@ -123,9 +141,22 @@ impl BroadcastLayout {
     }
 
     /// First data-segment page of `object`.
+    ///
+    /// # Panics
+    /// Panics when `object` is not broadcast under this layout.
     #[inline]
     pub fn data_slot(&self, object: ObjectId) -> u64 {
-        self.data_slot[object.index()]
+        let rank = self
+            .rank_of
+            .get(object)
+            .unwrap_or_else(|| panic!("object {object} is not in this broadcast program"));
+        u64::from(rank) * self.pages_per_object
+    }
+
+    /// The object whose data block has leaf-order rank `rank`.
+    #[inline]
+    pub(crate) fn object_at_rank(&self, rank: usize) -> ObjectId {
+        self.by_rank[rank]
     }
 
     /// Cycle-relative position of data-segment page `j`: fraction `j / F`

@@ -14,6 +14,28 @@ pub struct Rect {
     pub max: Point,
 }
 
+/// `f64::min` with `a` kept on a tie. `f64::min` may return either zero
+/// for `min(-0.0, 0.0)`, and optimised and debug builds do pick
+/// differently, which would give an MBR fold different bits per build.
+#[inline]
+fn lower(a: f64, b: f64) -> f64 {
+    if b < a || a.is_nan() {
+        b
+    } else {
+        a
+    }
+}
+
+/// `f64::max` with `a` kept on a tie; see [`lower`].
+#[inline]
+fn upper(a: f64, b: f64) -> f64 {
+    if b > a || a.is_nan() {
+        b
+    } else {
+        a
+    }
+}
+
 impl Rect {
     /// Creates a rectangle from two opposite corners given in any order.
     #[inline]
@@ -70,18 +92,24 @@ impl Rect {
     /// Grows the rectangle (in place) to cover `p`.
     #[inline]
     pub fn expand(&mut self, p: Point) {
-        self.min.x = self.min.x.min(p.x);
-        self.min.y = self.min.y.min(p.y);
-        self.max.x = self.max.x.max(p.x);
-        self.max.y = self.max.y.max(p.y);
+        self.min.x = lower(self.min.x, p.x);
+        self.min.y = lower(self.min.y, p.y);
+        self.max.x = upper(self.max.x, p.x);
+        self.max.y = upper(self.max.y, p.y);
     }
 
     /// The smallest rectangle covering both `self` and `other`.
     #[inline]
     pub fn union(&self, other: &Rect) -> Rect {
         Rect {
-            min: Point::new(self.min.x.min(other.min.x), self.min.y.min(other.min.y)),
-            max: Point::new(self.max.x.max(other.max.x), self.max.y.max(other.max.y)),
+            min: Point::new(
+                lower(self.min.x, other.min.x),
+                lower(self.min.y, other.min.y),
+            ),
+            max: Point::new(
+                upper(self.max.x, other.max.x),
+                upper(self.max.y, other.max.y),
+            ),
         }
     }
 
@@ -272,6 +300,22 @@ mod tests {
         assert!(u.contains_rect(&a));
         assert!(u.contains_rect(&b));
         assert_eq!(u, Rect::from_coords(0.0, -1.0, 3.0, 1.0));
+    }
+
+    #[test]
+    fn union_and_expand_keep_the_left_zero_on_a_tie() {
+        let bits = |r: Rect| [r.min.x, r.min.y, r.max.x, r.max.y].map(f64::to_bits);
+        let pos = Rect::point(Point::new(0.0, 0.0));
+        let neg = Rect::point(Point::new(-0.0, -0.0));
+        assert_eq!(bits(pos.union(&neg)), bits(pos));
+        assert_eq!(bits(neg.union(&pos)), bits(neg));
+        let mut grown = neg;
+        grown.expand(Point::new(0.0, 0.0));
+        assert_eq!(bits(grown), bits(neg));
+        // NaN never wins over a number, as with `f64::min`/`f64::max`.
+        let nan = Rect::point(Point::new(f64::NAN, f64::NAN));
+        assert_eq!(bits(nan.union(&pos)), bits(pos));
+        assert_eq!(bits(pos.union(&nan)), bits(pos));
     }
 
     #[test]

@@ -5,6 +5,18 @@
 //! into fanout groups, until a single root remains. The finished tree is
 //! renumbered into **depth-first preorder**, the order in which nodes are
 //! placed into a broadcast index segment.
+//!
+//! A level is ordered by sorting keys, not items: one `(key, key, index)`
+//! triple per item, where the keys are the coordinates' total order (or
+//! the Hilbert rank) and the item's input index breaks every tie. An
+//! unstable sort of the triples therefore yields exactly the order a
+//! stable sort of the items would, and the level's groups are consecutive
+//! runs of the sorted triples. STR sorts all triples by `(x, y)` and then
+//! each slab's run in place by `(y, x)`. Nodes are built straight from
+//! the index groups, and each group's MBR folds its members' rectangles
+//! in group order, so the trees are the ones an item-sorting packer
+//! builds bit for bit (a test-only reference packer and a property test
+//! hold that).
 
 use crate::{
     ChildEntry, Entries, LeafEntry, Node, NodeId, ObjectId, RTree, RTreeError, RTreeParams,
@@ -45,82 +57,53 @@ impl PackingAlgorithm {
     }
 }
 
-/// An item being packed at some level: its representative center, its MBR
-/// and its payload (a point or an already-built subtree).
-struct PackItem<T> {
-    center: Point,
-    mbr: Rect,
-    payload: T,
+/// Sort key of one item at one level: two order keys and the item's
+/// index in the level's input. The index is the last tie-break, so an
+/// unstable sort of these keys yields exactly the order a stable sort of
+/// the items would.
+type PackKey = (u64, u64, u32);
+
+/// A `u64` whose unsigned order is `f64::total_cmp`'s order on `v`.
+#[inline]
+fn order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
 }
 
-/// Orders `items` in place according to the packing algorithm and returns
-/// groups of at most `capacity` items each.
-fn pack_level<T>(
-    mut items: Vec<PackItem<T>>,
+/// Fills `keys` with the packing order of the items whose centers are
+/// `centers` (in input order): after the call, consecutive runs of
+/// `capacity` keys are the groups, and each key's last field is the
+/// item's input index. Nothing but the keys is moved.
+fn pack_order(
+    centers: impl Iterator<Item = Point>,
     capacity: usize,
     algo: PackingAlgorithm,
     region: &Rect,
-) -> Vec<Vec<PackItem<T>>> {
+    keys: &mut Vec<PackKey>,
+) {
     debug_assert!(capacity >= 1);
-    match algo {
-        PackingAlgorithm::NearestX => {
-            items.sort_by(|a, b| {
-                a.center
-                    .x
-                    .total_cmp(&b.center.x)
-                    .then(a.center.y.total_cmp(&b.center.y))
-            });
-            chunk(items, capacity)
+    keys.clear();
+    keys.extend(centers.enumerate().map(|(i, c)| match algo {
+        PackingAlgorithm::HilbertSort => (hilbert_key(c, region), 0, i as u32),
+        PackingAlgorithm::Str | PackingAlgorithm::NearestX => {
+            (order_key(c.x), order_key(c.y), i as u32)
         }
-        PackingAlgorithm::HilbertSort => {
-            items.sort_by_key(|it| hilbert_key(it.center, region));
-            chunk(items, capacity)
-        }
-        PackingAlgorithm::Str => {
-            let n = items.len();
-            let pages = n.div_ceil(capacity);
-            let slabs = (pages as f64).sqrt().ceil() as usize;
-            let slab_size = slabs * capacity;
-            items.sort_by(|a, b| {
-                a.center
-                    .x
-                    .total_cmp(&b.center.x)
-                    .then(a.center.y.total_cmp(&b.center.y))
-            });
-            let mut groups = Vec::with_capacity(pages);
-            let mut rest = items;
-            while !rest.is_empty() {
-                let take = slab_size.min(rest.len());
-                let mut slab: Vec<PackItem<T>> = rest.drain(..take).collect();
-                slab.sort_by(|a, b| {
-                    a.center
-                        .y
-                        .total_cmp(&b.center.y)
-                        .then(a.center.x.total_cmp(&b.center.x))
-                });
-                groups.extend(chunk(slab, capacity));
-            }
-            groups
+    }));
+    keys.sort_unstable();
+    if algo == PackingAlgorithm::Str {
+        // √P vertical slabs of whole pages, each re-sorted by (y, x).
+        // A slab holds a whole number of groups, so cutting the slabbed
+        // order into `capacity` runs tiles every slab separately.
+        let pages = keys.len().div_ceil(capacity);
+        let slab_size = (pages as f64).sqrt().ceil() as usize * capacity;
+        for slab in keys.chunks_mut(slab_size) {
+            slab.sort_unstable_by_key(|&(x, y, i)| (y, x, i));
         }
     }
-}
-
-fn chunk<T>(items: Vec<PackItem<T>>, capacity: usize) -> Vec<Vec<PackItem<T>>> {
-    let mut groups = Vec::with_capacity(items.len().div_ceil(capacity));
-    let mut current = Vec::with_capacity(capacity);
-    for item in items {
-        current.push(item);
-        if current.len() == capacity {
-            groups.push(std::mem::replace(
-                &mut current,
-                Vec::with_capacity(capacity),
-            ));
-        }
-    }
-    if !current.is_empty() {
-        groups.push(current);
-    }
-    groups
 }
 
 /// Order of the discrete Hilbert curve used for Hilbert-sort packing.
@@ -190,86 +173,88 @@ pub(crate) fn build_tree(
         return Err(RTreeError::NonFinitePoint { index: idx });
     }
 
-    let region = Rect::bounding(&points.iter().map(|(p, _)| *p).collect::<Vec<_>>())
-        .expect("non-empty input");
+    let mut region = Rect::point(points[0].0);
+    for &(p, _) in &points[1..] {
+        region.expand(p);
+    }
 
     // Temporary tree under construction, nodes in build order; renumbered
-    // into preorder at the end.
+    // into preorder at the end. `mbrs` holds the MBRs of the level just
+    // built, whose nodes start at arena index `first`.
     let mut arena: Vec<Node> = Vec::new();
+    let mut keys: Vec<PackKey> = Vec::with_capacity(points.len());
 
     // Level 0: pack the points into leaves.
-    let leaf_items: Vec<PackItem<LeafEntry>> = points
-        .iter()
-        .map(|&(point, object)| PackItem {
-            center: point,
-            mbr: Rect::point(point),
-            payload: LeafEntry { point, object },
+    pack_order(
+        points.iter().map(|&(p, _)| p),
+        params.leaf_capacity,
+        algo,
+        &region,
+        &mut keys,
+    );
+    let mut mbrs: Vec<Rect> = keys
+        .chunks(params.leaf_capacity)
+        .map(|group| {
+            let entries: Vec<LeafEntry> = group
+                .iter()
+                .map(|&(_, _, i)| {
+                    let (point, object) = points[i as usize];
+                    LeafEntry { point, object }
+                })
+                .collect();
+            let mut mbr = Rect::point(entries[0].point);
+            for e in &entries[1..] {
+                mbr.expand(e.point);
+            }
+            arena.push(Node {
+                mbr,
+                level: 0,
+                entries: Entries::Leaf(entries),
+            });
+            mbr
         })
         .collect();
+    let mut first = 0usize;
 
-    let mut current: Vec<PackItem<usize>> =
-        pack_level(leaf_items, params.leaf_capacity, algo, &region)
-            .into_iter()
-            .map(|group| {
-                let mbr = group
-                    .iter()
-                    .map(|it| it.mbr)
-                    .reduce(|a, b| a.union(&b))
-                    .expect("non-empty group");
-                let idx = arena.len();
-                arena.push(Node {
-                    mbr,
-                    level: 0,
-                    entries: Entries::Leaf(group.into_iter().map(|it| it.payload).collect()),
-                });
-                PackItem {
-                    center: mbr.center(),
-                    mbr,
-                    payload: idx,
-                }
-            })
-            .collect();
-
-    // Upper levels: pack node handles until a single root remains.
+    // Upper levels: pack the level below until a single root remains.
     let mut level = 1u32;
-    while current.len() > 1 {
-        current = pack_level(current, params.fanout, algo, &region)
-            .into_iter()
+    while mbrs.len() > 1 {
+        pack_order(
+            mbrs.iter().map(Rect::center),
+            params.fanout,
+            algo,
+            &region,
+            &mut keys,
+        );
+        let next_first = arena.len();
+        mbrs = keys
+            .chunks(params.fanout)
             .map(|group| {
-                let mbr = group
+                let children: Vec<ChildEntry> = group
                     .iter()
-                    .map(|it| it.mbr)
-                    .reduce(|a, b| a.union(&b))
-                    .expect("non-empty group");
-                let children = group
-                    .iter()
-                    .map(|it| ChildEntry {
-                        mbr: it.mbr,
+                    .map(|&(_, _, j)| ChildEntry {
+                        mbr: mbrs[j as usize],
                         // Build-order index; rewritten during renumbering.
-                        child: NodeId(it.payload as u32),
+                        child: NodeId((first + j as usize) as u32),
                     })
                     .collect();
-                let idx = arena.len();
+                let mbr = children[1..]
+                    .iter()
+                    .fold(children[0].mbr, |acc, c| acc.union(&c.mbr));
                 arena.push(Node {
                     mbr,
                     level,
                     entries: Entries::Internal(children),
                 });
-                PackItem {
-                    center: mbr.center(),
-                    mbr,
-                    payload: idx,
-                }
+                mbr
             })
             .collect();
+        first = next_first;
         level += 1;
     }
 
-    let root_build_idx = current[0].payload;
-    let height = arena[root_build_idx].level + 1;
-    let nodes = renumber_preorder(arena, root_build_idx);
-
-    Ok(RTree::from_parts(nodes, points.len(), height, params, algo))
+    let nodes = renumber_preorder(arena, first);
+    Ok(RTree::from_parts(nodes, points.len(), level, params, algo))
 }
 
 /// Rewrites the build-order arena into preorder: the root becomes node 0
@@ -309,6 +294,214 @@ fn renumber_preorder(arena: Vec<Node>, root: usize) -> Vec<Node> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The item-sorting packer the key-sorting one replaced, kept as an
+    /// independent reference: every level moves whole items through
+    /// stable sorts and splits them into owned groups.
+    mod reference {
+        use super::super::{hilbert_key, renumber_preorder};
+        use crate::*;
+        use tnn_geom::{Point, Rect};
+
+        struct Item<T> {
+            center: Point,
+            mbr: Rect,
+            payload: T,
+        }
+
+        fn by_x(a: &Point, b: &Point) -> std::cmp::Ordering {
+            a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y))
+        }
+
+        fn by_y(a: &Point, b: &Point) -> std::cmp::Ordering {
+            a.y.total_cmp(&b.y).then(a.x.total_cmp(&b.x))
+        }
+
+        fn split<T>(items: Vec<Item<T>>, capacity: usize, out: &mut Vec<Vec<Item<T>>>) {
+            let mut current = Vec::with_capacity(capacity);
+            for item in items {
+                current.push(item);
+                if current.len() == capacity {
+                    out.push(std::mem::replace(
+                        &mut current,
+                        Vec::with_capacity(capacity),
+                    ));
+                }
+            }
+            if !current.is_empty() {
+                out.push(current);
+            }
+        }
+
+        fn pack<T>(
+            mut items: Vec<Item<T>>,
+            capacity: usize,
+            algo: PackingAlgorithm,
+            region: &Rect,
+        ) -> Vec<Vec<Item<T>>> {
+            let mut groups = Vec::new();
+            match algo {
+                PackingAlgorithm::NearestX => {
+                    items.sort_by(|a, b| by_x(&a.center, &b.center));
+                    split(items, capacity, &mut groups);
+                }
+                PackingAlgorithm::HilbertSort => {
+                    items.sort_by_key(|it| hilbert_key(it.center, region));
+                    split(items, capacity, &mut groups);
+                }
+                PackingAlgorithm::Str => {
+                    let pages = items.len().div_ceil(capacity);
+                    let slab_size = (pages as f64).sqrt().ceil() as usize * capacity;
+                    items.sort_by(|a, b| by_x(&a.center, &b.center));
+                    let mut rest = items;
+                    while !rest.is_empty() {
+                        let take = slab_size.min(rest.len());
+                        let mut slab: Vec<Item<T>> = rest.drain(..take).collect();
+                        slab.sort_by(|a, b| by_y(&a.center, &b.center));
+                        split(slab, capacity, &mut groups);
+                    }
+                }
+            }
+            groups
+        }
+
+        fn union<T>(group: &[Item<T>]) -> Rect {
+            group
+                .iter()
+                .map(|it| it.mbr)
+                .reduce(|a, b| a.union(&b))
+                .expect("non-empty group")
+        }
+
+        /// Builds the tree the way the item-sorting packer did.
+        pub(super) fn build(
+            points: &[(Point, ObjectId)],
+            params: RTreeParams,
+            algo: PackingAlgorithm,
+        ) -> RTree {
+            let pts: Vec<Point> = points.iter().map(|(p, _)| *p).collect();
+            let region = Rect::bounding(&pts).expect("non-empty input");
+            let mut arena: Vec<Node> = Vec::new();
+            let leaves: Vec<Item<LeafEntry>> = points
+                .iter()
+                .map(|&(point, object)| Item {
+                    center: point,
+                    mbr: Rect::point(point),
+                    payload: LeafEntry { point, object },
+                })
+                .collect();
+            let mut current: Vec<Item<usize>> = pack(leaves, params.leaf_capacity, algo, &region)
+                .into_iter()
+                .map(|group| {
+                    let mbr = union(&group);
+                    arena.push(Node {
+                        mbr,
+                        level: 0,
+                        entries: Entries::Leaf(group.into_iter().map(|it| it.payload).collect()),
+                    });
+                    Item {
+                        center: mbr.center(),
+                        mbr,
+                        payload: arena.len() - 1,
+                    }
+                })
+                .collect();
+            let mut level = 1u32;
+            while current.len() > 1 {
+                current = pack(current, params.fanout, algo, &region)
+                    .into_iter()
+                    .map(|group| {
+                        let mbr = union(&group);
+                        let children = group
+                            .iter()
+                            .map(|it| ChildEntry {
+                                mbr: it.mbr,
+                                child: NodeId(it.payload as u32),
+                            })
+                            .collect();
+                        arena.push(Node {
+                            mbr,
+                            level,
+                            entries: Entries::Internal(children),
+                        });
+                        Item {
+                            center: mbr.center(),
+                            mbr,
+                            payload: arena.len() - 1,
+                        }
+                    })
+                    .collect();
+                level += 1;
+            }
+            let root = current[0].payload;
+            let height = arena[root].level + 1;
+            let nodes = renumber_preorder(arena, root);
+            RTree::from_parts(nodes, points.len(), height, params, algo)
+        }
+    }
+
+    /// Point-set shapes of the reference property, all heavy on ties.
+    const SHAPES: u8 = 6;
+
+    /// `n` points of shape `shape`, drawn from `seed`.
+    fn tie_heavy(shape: u8, n: usize, seed: u64) -> Vec<(Point, ObjectId)> {
+        let mut state = seed;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        let signed_zero = [-0.0, 0.0, 1.0, -1.0];
+        (0..n)
+            .map(|i| {
+                let p = match shape {
+                    // A few distinct points, each repeated many times.
+                    0 => Point::new(next(3) as f64, next(3) as f64),
+                    // A small lattice.
+                    1 => Point::new(next(8) as f64, next(8) as f64 * 0.5),
+                    // One vertical line, repeated y values.
+                    2 => Point::new(7.0, next(16) as f64),
+                    // One horizontal line, repeated x values.
+                    3 => Point::new(next(16) as f64 - 8.0, -3.0),
+                    // Signed zeros against small integers.
+                    4 => Point::new(signed_zero[next(4) as usize], signed_zero[next(4) as usize]),
+                    // Fractional coordinates; ties only by chance.
+                    _ => Point::new(next(1 << 20) as f64 / 7.0, next(1 << 20) as f64 / 3.0),
+                };
+                (p, ObjectId(i as u32))
+            })
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn build_matches_the_item_sorting_reference(
+            shape in 0u8..SHAPES,
+            n in 1usize..400,
+            seed in 0u64..u64::MAX,
+            fanout in 2usize..=8,
+            leaf_capacity in 1usize..=12,
+            algo in prop::sample::select(PackingAlgorithm::ALL.to_vec()),
+        ) {
+            let points = tie_heavy(shape, n, seed);
+            let params = RTreeParams::new(fanout, leaf_capacity);
+            let got = build_tree(&points, params, algo).unwrap();
+            let want = reference::build(&points, params, algo);
+            prop_assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "shape {} n {} fanout {} leaf {} {}",
+                shape,
+                n,
+                fanout,
+                leaf_capacity,
+                algo.name()
+            );
+        }
+    }
 
     fn pts(n: usize) -> Vec<(Point, ObjectId)> {
         // Deterministic pseudo-grid with a twist so orderings differ.

@@ -23,7 +23,7 @@
 //! gracefully as an empty channel instead of panicking), and inserting
 //! into an overlay over an empty base produces a valid, queryable tree.
 
-use crate::{NnResult, ObjectId, RTree, RTreeError, RangeResult};
+use crate::{IdTable, NnResult, ObjectId, RTree, RTreeError, RangeResult};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use tnn_geom::{Circle, Point};
@@ -31,10 +31,13 @@ use tnn_geom::{Circle, Point};
 /// A mutable edit log over an immutable base [`RTree`] snapshot.
 ///
 /// The overlay tracks three sets: the base's own objects (frozen at
-/// construction), pending inserts (which *shadow* a base object of the
-/// same id — an upsert), and shadowed base ids (deleted or
-/// overwritten). Queries merge the base tree with the pending inserts;
-/// [`DeltaOverlay::materialize`] produces the equivalent packed tree.
+/// construction in an id-sorted [`IdTable`], built in O(n) without a
+/// tree map), pending inserts (which *shadow* a base object of the same
+/// id — an upsert), and shadowed base ids (deleted or overwritten). All
+/// three iterate in ascending id order, so the live set is one linear
+/// merge of the three streams. Queries merge the base tree with the
+/// pending inserts; [`DeltaOverlay::materialize`] produces the
+/// equivalent packed tree.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -56,9 +59,10 @@ use tnn_geom::{Circle, Point};
 #[derive(Debug, Clone)]
 pub struct DeltaOverlay {
     base: Arc<RTree>,
-    /// Point of every base object, frozen at construction; the id set
-    /// decides membership and the points feed [`DeltaOverlay::get`].
-    base_points: BTreeMap<ObjectId, Point>,
+    /// Point of every base object in id order, frozen at construction;
+    /// the id set decides membership and the points feed
+    /// [`DeltaOverlay::get`] and [`DeltaOverlay::live_points`].
+    base_points: IdTable<Point>,
     /// Pending inserts/overwrites, keyed by id (BTree: iteration order
     /// is id order, which keeps every merged answer deterministic).
     inserts: BTreeMap<ObjectId, Point>,
@@ -70,7 +74,7 @@ pub struct DeltaOverlay {
 impl DeltaOverlay {
     /// Starts an empty overlay over a base snapshot.
     pub fn new(base: Arc<RTree>) -> Self {
-        let base_points = base.objects_in_leaf_order().map(|(p, o)| (o, p)).collect();
+        let base_points = IdTable::new(base.objects_in_leaf_order().map(|(p, o)| (o, p)).collect());
         DeltaOverlay {
             base,
             base_points,
@@ -92,7 +96,7 @@ impl DeltaOverlay {
         if !point.is_finite() {
             return Err(RTreeError::NonFinitePoint { index: 0 });
         }
-        if self.base_points.contains_key(&id) {
+        if self.base_points.contains(id) {
             self.shadowed.insert(id);
         }
         self.inserts.insert(id, point);
@@ -108,7 +112,7 @@ impl DeltaOverlay {
             // overlay insert just disappears.
             return true;
         }
-        if self.base_points.contains_key(&id) {
+        if self.base_points.contains(id) {
             return self.shadowed.insert(id);
         }
         false
@@ -117,7 +121,7 @@ impl DeltaOverlay {
     /// `true` when object `id` is live in the merged view.
     pub fn contains(&self, id: ObjectId) -> bool {
         self.inserts.contains_key(&id)
-            || (self.base_points.contains_key(&id) && !self.shadowed.contains(&id))
+            || (self.base_points.contains(id) && !self.shadowed.contains(&id))
     }
 
     /// The live position of object `id`, if any.
@@ -128,7 +132,7 @@ impl DeltaOverlay {
         if self.shadowed.contains(&id) {
             return None;
         }
-        self.base_points.get(&id).copied()
+        self.base_points.get(id)
     }
 
     /// Number of live objects in the merged view.
@@ -149,19 +153,25 @@ impl DeltaOverlay {
 
     /// The merged live set in **canonical order** (ascending id) — the
     /// exact input [`DeltaOverlay::materialize`] bulk-loads over.
+    ///
+    /// One linear merge of three id-ordered streams: the base entries,
+    /// minus the `shadowed` ids (a subset of the base ids, walked in
+    /// step), interleaved with the `inserts` (whose ids never meet a
+    /// live base id: an insert over a base id shadows it).
     pub fn live_points(&self) -> Vec<(Point, ObjectId)> {
         let mut out: Vec<(Point, ObjectId)> = Vec::with_capacity(self.len());
-        out.extend(
-            self.base_points
-                .iter()
-                .filter(|(id, _)| !self.shadowed.contains(id))
-                .map(|(&id, &p)| (p, id)),
-        );
-        out.extend(self.inserts.iter().map(|(&id, &p)| (p, id)));
-        // Both sources iterate in id order; a single sort by id merges
-        // them into the canonical order (ids are unique across the two
-        // sets by construction).
-        out.sort_unstable_by_key(|&(_, id)| id.0);
+        let mut shadowed = self.shadowed.iter().peekable();
+        let mut inserts = self.inserts.iter().peekable();
+        for (id, p) in self.base_points.iter() {
+            if shadowed.next_if_eq(&&id).is_some() {
+                continue;
+            }
+            while let Some((&ins, &q)) = inserts.next_if(|&(&ins, _)| ins < id) {
+                out.push((q, ins));
+            }
+            out.push((p, id));
+        }
+        out.extend(inserts.map(|(&id, &p)| (p, id)));
         out
     }
 
@@ -261,6 +271,43 @@ mod tests {
         all.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1 .0.cmp(&b.1 .0)));
         all.truncate(k);
         all
+    }
+
+    proptest::proptest! {
+        /// The three-stream merge equals the sorted live set, over a base
+        /// with dense ids and over a materialized base whose ids are not.
+        #[test]
+        fn live_points_is_the_id_sorted_live_set(
+            edits in proptest::collection::vec((0u32..3, 0u32..90, 0u32..50), 0..60),
+        ) {
+            let dense = base_tree(40);
+            let mut sparse = DeltaOverlay::new(Arc::clone(&dense));
+            for i in 0..10u32 {
+                sparse.delete(ObjectId(i * 4));
+                sparse.insert(ObjectId(200 + i * 7), Point::new(i as f64, 3.0)).unwrap();
+            }
+            for base in [dense, Arc::new(sparse.materialize().unwrap())] {
+                let mut delta = DeltaOverlay::new(Arc::clone(&base));
+                let mut live: BTreeMap<ObjectId, Point> =
+                    base.objects_in_leaf_order().map(|(p, o)| (o, p)).collect();
+                for &(kind, id, y) in &edits {
+                    // Ids reach past the base so edits hit base objects,
+                    // earlier inserts and unknown ids alike.
+                    let id = ObjectId(id * 3);
+                    if kind == 0 {
+                        delta.delete(id);
+                        live.remove(&id);
+                    } else {
+                        let p = Point::new(kind as f64, y as f64);
+                        delta.insert(id, p).unwrap();
+                        live.insert(id, p);
+                    }
+                }
+                let want: Vec<(Point, ObjectId)> = live.iter().map(|(&o, &p)| (p, o)).collect();
+                proptest::prop_assert_eq!(delta.live_points(), want);
+                proptest::prop_assert_eq!(delta.len(), live.len());
+            }
+        }
     }
 
     #[test]

@@ -34,6 +34,7 @@
 mod build;
 mod delta;
 mod error;
+mod ids;
 mod node;
 mod params;
 mod query;
@@ -42,7 +43,8 @@ mod tree;
 pub use build::PackingAlgorithm;
 pub use delta::DeltaOverlay;
 pub use error::RTreeError;
+pub use ids::IdTable;
 pub use node::{ChildEntry, Entries, LeafEntry, Node, NodeId, ObjectId};
 pub use params::RTreeParams;
 pub use query::{NnIter, NnResult, RangeResult};
-pub use tree::RTree;
+pub use tree::{fingerprint, RTree};

@@ -3,6 +3,36 @@
 use crate::{build, Entries, Node, NodeId, ObjectId, PackingAlgorithm, RTreeError, RTreeParams};
 use tnn_geom::{Point, Rect};
 
+/// The workspace's deterministic 64-bit fingerprint fold: FNV-1a over
+/// whole `u64` words, each multiply followed by a xor-shift so that the
+/// high bits of a word reach the low bits of the state. Every step is a
+/// bijection of the state, so two sequences of the same length that
+/// differ in exactly one word always fingerprint differently.
+///
+/// Hand-rolled rather than `DefaultHasher`: the std hasher's algorithm is
+/// unspecified and may change between releases, while these values
+/// identify environments across processes.
+///
+/// ```
+/// use tnn_rtree::fingerprint;
+///
+/// assert_ne!(fingerprint([1, 2]), fingerprint([2, 1]));
+/// assert_ne!(fingerprint([1 << 63]), fingerprint([0]));
+/// ```
+pub fn fingerprint(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(FNV_OFFSET, mix)
+}
+
+/// The FNV-1a offset basis: the fingerprint of no words.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One step of [`fingerprint`].
+#[inline]
+fn mix(h: u64, w: u64) -> u64 {
+    let h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    h ^ (h >> 32)
+}
+
 /// An immutable, bulk-loaded R-tree over 2-D points.
 ///
 /// Nodes are stored in **depth-first preorder**: `nodes[0]` is the root and
@@ -205,34 +235,33 @@ impl RTree {
     /// `(point, object)` pair in leaf preorder. Two trees carry the same
     /// fingerprint exactly when they index the same data the same way,
     /// so downstream caches can use it as environment identity (see
-    /// `QueryKey` in `tnn-core`).
-    ///
-    /// FNV-1a over the raw bit patterns — hand-rolled rather than
-    /// `DefaultHasher` because the std hasher's algorithm is
-    /// unspecified and may change between releases, while this value is
-    /// compared across processes and persisted in benchmark artifacts.
+    /// `QueryKey` in `tnn-core`). The fold is [`fingerprint`]; the value
+    /// is not persisted anywhere, and a test in `tnn-broadcast` pins one
+    /// so that a change to it is deliberate.
     pub fn content_fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        mix(self.num_objects as u64);
-        mix(self.params.fanout as u64);
-        mix(self.params.leaf_capacity as u64);
-        mix(match self.packing {
+        self.fingerprint_leaf_order(|_, _| {})
+    }
+
+    /// Walks every `(point, object)` pair in leaf preorder, as
+    /// [`RTree::objects_in_leaf_order`] yields them, handing each to
+    /// `visit`, and returns [`RTree::content_fingerprint`] from the same
+    /// pass — so a consumer that needs both reads the leaves once.
+    pub fn fingerprint_leaf_order(&self, mut visit: impl FnMut(Point, ObjectId)) -> u64 {
+        let packing = match self.packing {
             PackingAlgorithm::Str => 1,
             PackingAlgorithm::HilbertSort => 2,
             PackingAlgorithm::NearestX => 3,
-        });
+        };
+        let header = [
+            self.num_objects as u64,
+            self.params.fanout as u64,
+            self.params.leaf_capacity as u64,
+            packing,
+        ];
+        let mut h = header.into_iter().fold(FNV_OFFSET, mix);
         for (p, o) in self.objects_in_leaf_order() {
-            mix(p.x.to_bits());
-            mix(p.y.to_bits());
-            mix(u64::from(o.0));
+            visit(p, o);
+            h = mix(mix(mix(h, p.x.to_bits()), p.y.to_bits()), u64::from(o.0));
         }
         h
     }
