@@ -5,8 +5,10 @@
 //! The two-channel join keeps that shape, runs every comparison in
 //! squared-distance space and, once the candidate sets are large, finds
 //! each inner nearest neighbor with an x-sorted plane sweep. The k-layer
-//! chain join is a dynamic program backwards over the layers. Each of its
-//! transitions is a weighted nearest-neighbor search
+//! chain join first cuts every layer to the items within a cheap feasible
+//! route's total of `p` (Theorem 1's argument, applied once more inside
+//! the join), then runs a dynamic program backwards over the cut layers.
+//! Each of its transitions is a weighted nearest-neighbor search
 //! (`min dis(q, s) + cost(s)`) over a bucket grid whose cells carry their
 //! points' bounding box and minimum suffix cost, and its head step visits
 //! the first layer in ascending `dis(p, s)` and stops once that distance
@@ -33,11 +35,12 @@ const SWEEP_JOIN_THRESHOLD: usize = 48;
 
 /// Reusable buffers for [`tnn_join_with`] and the k-layer
 /// [`chain_join_with`]: the candidate visit order, the x-sorted
-/// inner-layer index, the bucket grid over a chain-DP transition's
-/// downstream layer, and the chain DP's per-layer cost/backpointer
-/// tables. One scratch serves both the two-channel join and every hop of
-/// a `k`-layer join, so a batch of queries performs no join allocations
-/// after the buffers have grown to the workload's candidate counts.
+/// inner-layer index, the chain join's cheap route and cut layers, the
+/// bucket grid over a chain-DP transition's downstream layer, and the
+/// chain DP's per-layer cost/backpointer tables. One scratch serves both
+/// the two-channel join and every hop of a `k`-layer join, so a batch of
+/// queries performs no join allocations after the buffers have grown to
+/// the workload's candidate counts.
 #[derive(Debug, Default)]
 pub struct JoinScratch {
     /// `(dis²(p, s), index)` sorted ascending: the two-channel join's `s`
@@ -45,6 +48,11 @@ pub struct JoinScratch {
     s_order: Vec<(f64, u32)>,
     /// `(x, y, index)` sorted by x (then index).
     r_by_x: Vec<(f64, f64, u32)>,
+    /// Chain join: the cheap feasible route, one stop per layer.
+    route: Vec<Point>,
+    /// Chain join: each layer cut to the items within the cheap route's
+    /// total of `p`, in their original order.
+    cut: Vec<Vec<(Point, ObjectId)>>,
     /// Bucket grid over the downstream layer of the current chain-DP
     /// transition.
     grid: CostGrid,
@@ -58,10 +66,11 @@ pub struct JoinScratch {
 
 impl JoinScratch {
     /// Candidate distance evaluations the k-layer chain join has made
-    /// through this scratch so far: every candidate of every scanned grid
-    /// cell or scanned layer, plus every first-layer candidate the head
-    /// step visits. A host-independent work counter; the plain nested
-    /// loop makes `Σ nᵢ·nᵢ₊₁ + n₀` of them per join.
+    /// through this scratch so far: every candidate of every layer the
+    /// cheap-route descent scans, every candidate of every scanned grid
+    /// cell or scanned cut layer, plus every first-layer candidate the
+    /// head step visits. A host-independent work counter; the plain
+    /// nested loop makes `Σ nᵢ·nᵢ₊₁ + n₀` of them per join.
     pub fn chain_evaluations(&self) -> u64 {
         self.chain_evaluations
     }
@@ -221,6 +230,18 @@ pub fn chain_join<L: AsRef<[(Point, ObjectId)]>>(
 /// [`chain_join`] with caller-provided scratch buffers — the k-layer
 /// sibling of [`tnn_join_with`], reusing the same [`JoinScratch`].
 ///
+/// The join first bounds the optimum by a cheap feasible route: the
+/// greedy chain from `p` (the nearest item of each layer in turn), then
+/// coordinate descent that re-picks each stop against its two legs until
+/// the total stops falling. Every stop of a route no longer than that
+/// bound lies within it of `p` (within half of it on a closed tour), so
+/// each layer is cut to those items, with a margin of a few ulps for
+/// rounding, in their original order, and the DP runs over the cut
+/// layers. Over the perfbench `city_k3` query pool (4,096 queries, 1,158
+/// candidates per join on average) the cut keeps 47% of the candidates
+/// and the DP runs 302 grid searches per join instead of 888
+/// (`docs/PERF.md` has the timings).
+///
 /// Each DP transition `cost(q) = min dis(q, s) + cost(s)` over a
 /// downstream layer of more than 48 candidates runs over a bucket grid
 /// of about `n / 2` cells, each holding its points' bounding box and
@@ -230,7 +251,8 @@ pub fn chain_join<L: AsRef<[(Point, ObjectId)]>>(
 /// rings plus the layer's minimum cost does. The head step visits the
 /// first layer in ascending `dis(p, s₁)` and stops once that distance
 /// alone exceeds the best total, so the first transition runs only for
-/// the candidates it visits. The result is the plain nested loop's,
+/// the candidates it visits. The cut keeps the optimal route and the
+/// order of the kept items, so the result is the plain nested loop's,
 /// bit for bit, with ties broken toward the smaller `(total, index)`.
 pub fn chain_join_with<L: AsRef<[(Point, ObjectId)]>>(
     scratch: &mut JoinScratch,
@@ -298,13 +320,18 @@ pub fn round_trip_join(
 }
 
 /// Shared implementation of the open-chain and closed-tour k-layer joins.
-/// `close_tour` seeds the last layer's suffix costs with the return leg
-/// `dis(s_k, p)` instead of zero.
+/// It bounds the optimum by a cheap feasible route, cuts every layer to
+/// the items that can lie on a route within that bound ([`Reach`]), and
+/// runs the DP ([`chain_dp`]) over the cut layers. The bound comes in two
+/// steps: the greedy chain ([`greedy_route`]) cuts the layers first, and
+/// coordinate descent over those ([`descend`]) lowers the bound, which
+/// cuts them once more.
 ///
-/// Ties are broken toward the smaller `(total, index)` pair in every
-/// transition and in the head step, matching the plain nested-loop order
-/// — deterministic and independent of whether a transition scanned its
-/// layer or searched its grid, and of the order the cells were visited.
+/// The cut keeps every stop of the DP's own optimal route and the
+/// relative order of the kept items. Dropped items only ever lose
+/// `(total, index)` comparisons, so every comparison between kept items
+/// resolves as before: the route and the total bits are those of the DP
+/// over the uncut layers.
 fn chain_join_core<L: AsRef<[(Point, ObjectId)]>>(
     scratch: &mut JoinScratch,
     p: Point,
@@ -314,6 +341,178 @@ fn chain_join_core<L: AsRef<[(Point, ObjectId)]>>(
     if layers.is_empty() || layers.iter().any(|l| l.as_ref().is_empty()) {
         return None;
     }
+    let k = layers.len();
+    let mut buffers = std::mem::take(&mut scratch.cut);
+    if buffers.len() < k {
+        buffers.resize_with(k, Vec::new);
+    }
+    let cut = &mut buffers[..k];
+    let (route, evaluations) = (&mut scratch.route, &mut scratch.chain_evaluations);
+
+    let greedy = greedy_route(route, evaluations, p, layers, close_tour);
+    let reach = Reach::new(p, greedy, k, close_tour);
+    for (kept, layer) in cut.iter_mut().zip(layers) {
+        kept.clear();
+        kept.extend(layer.as_ref().iter().filter(|&&(pt, _)| reach.keeps(pt)));
+    }
+    let bound = descend(route, evaluations, p, cut, close_tour, greedy);
+    if bound < greedy {
+        let reach = Reach::new(p, bound, k, close_tour);
+        for kept in cut.iter_mut() {
+            kept.retain(|&(pt, _)| reach.keeps(pt));
+        }
+    }
+
+    let joined = chain_dp(scratch, p, cut, close_tour);
+    scratch.cut = buffers;
+    Some(joined)
+}
+
+/// Fills `route` with the greedy chain, from `p` the nearest item of each
+/// layer in turn, and returns its total. Every item scanned counts into
+/// `evaluations`.
+fn greedy_route<L: AsRef<[(Point, ObjectId)]>>(
+    route: &mut Vec<Point>,
+    evaluations: &mut u64,
+    p: Point,
+    layers: &[L],
+    close_tour: bool,
+) -> f64 {
+    route.clear();
+    let mut prev = p;
+    for layer in layers {
+        let layer = layer.as_ref();
+        prev = argmin(layer, |pt| prev.dist_sq(pt));
+        *evaluations += layer.len() as u64;
+        route.push(prev);
+    }
+    suffix_total(p, route, close_tour)
+}
+
+/// Improves `route`, whose total is `bound`, by coordinate descent and
+/// returns the lowest total seen. Each stop is re-picked as the item of
+/// its layer minimizing its two incident legs (the last stop: its last
+/// leg, plus the return leg on a closed tour), until a sweep no longer
+/// strictly lowers the total. Totals strictly decrease over a finite set
+/// of routes, so the descent ends without a cap. Every item scanned
+/// counts into `evaluations`.
+///
+/// Running over the layers cut to the greedy chain's total loses nothing:
+/// a route the descent moves to is shorter than that chain, so its stops
+/// lie within the cut.
+fn descend(
+    route: &mut [Point],
+    evaluations: &mut u64,
+    p: Point,
+    layers: &[Vec<(Point, ObjectId)>],
+    close_tour: bool,
+    mut bound: f64,
+) -> f64 {
+    let k = layers.len();
+    loop {
+        for (i, layer) in layers.iter().enumerate() {
+            let before = if i == 0 { p } else { route[i - 1] };
+            let after = if i + 1 < k {
+                Some(route[i + 1])
+            } else {
+                close_tour.then_some(p)
+            };
+            route[i] = argmin(layer, |pt| {
+                before.dist(pt) + after.map_or(0.0, |a| pt.dist(a))
+            });
+            *evaluations += layer.len() as u64;
+        }
+        let total = suffix_total(p, route, close_tour);
+        if total < bound {
+            bound = total;
+        } else {
+            return bound;
+        }
+    }
+}
+
+/// The point with the smallest `key` in a non-empty layer (the first on a
+/// tie, and the first item when no key is below infinity).
+fn argmin(layer: &[(Point, ObjectId)], key: impl Fn(Point) -> f64) -> Point {
+    let mut best = (f64::INFINITY, layer[0].0);
+    for &(pt, _) in layer {
+        let v = key(pt);
+        if v < best.0 {
+            best = (v, pt);
+        }
+    }
+    best.1
+}
+
+/// The total of `route`, folded as [`chain_dp`] folds it: the return leg
+/// or zero, then each leg added from the back (addition commutes, so
+/// `t += d` is the DP's `d + t`), then the first leg from `p`.
+/// Floating-point addition is monotone, so the DP's minimum over all
+/// routes never exceeds this fold of one of them.
+fn suffix_total(p: Point, route: &[Point], close_tour: bool) -> f64 {
+    let last = route[route.len() - 1];
+    let mut t = if close_tour { last.dist(p) } else { 0.0 };
+    for leg in route.windows(2).rev() {
+        t += leg[0].dist(leg[1]);
+    }
+    p.dist(route[0]) + t
+}
+
+/// Which items can lie on a route of total at most a bound: those with
+/// `dis(p, s) ≤ bound`, or `2·dis(p, s) ≤ bound` on a closed tour (a tour
+/// through `s` goes out to it and comes back). This is Theorem 1's
+/// argument once more, with a cheap route's total for the estimate's.
+struct Reach {
+    p: Point,
+    limit: f64,
+    scale: f64,
+}
+
+impl Reach {
+    /// The reach of routes through `k` layers with total at most `bound`.
+    fn new(p: Point, bound: f64, k: usize, close_tour: bool) -> Self {
+        // The margin. Let u = ε/2 and n the number of legs. A `dist` that
+        // does not overflow is within 3u·D + 2^-537 of the true distance
+        // D: one rounding each for the difference, the squares, their sum
+        // and the square root, and 2^-537 is the root of the subnormal
+        // rounding of a square. A fold of n non-negative legs is at least
+        // their sum times (1 − u)^(n−1). So the triangle inequality puts
+        // each stop of a route of computed total T ≤ bound at a computed
+        // distance (doubled on a tour) of at most
+        // (1 + (n + 5)u)·T + (n + 2)·2^-537, and rounding the limit costs
+        // 2u more. (n + 4)ε = (2n + 8)u and √MIN_POSITIVE = 2^-511 cover
+        // both. A distance that overflows to infinity is kept, since
+        // nothing bounds its error; a NaN bound keeps everything.
+        let legs = k + usize::from(close_tour);
+        Reach {
+            p,
+            limit: bound * (1.0 + (legs + 4) as f64 * f64::EPSILON) + f64::MIN_POSITIVE.sqrt(),
+            scale: if close_tour { 2.0 } else { 1.0 },
+        }
+    }
+
+    #[inline]
+    fn keeps(&self, pt: Point) -> bool {
+        let d = self.scale * self.p.dist(pt);
+        !(d > self.limit && d.is_finite())
+    }
+}
+
+/// The chain DP over non-empty layers: the backward suffix-cost pass,
+/// then the lazy head step from `p`. `close_tour` seeds the last layer's
+/// suffix costs with the return leg `dis(s_k, p)` instead of zero.
+///
+/// Ties are broken toward the smaller `(total, index)` pair in every
+/// transition and in the head step, matching the plain nested-loop order
+/// — deterministic and independent of whether a transition scanned its
+/// layer or searched its grid, and of the order the cells were visited.
+fn chain_dp(
+    scratch: &mut JoinScratch,
+    p: Point,
+    layers: &[Vec<(Point, ObjectId)>],
+    close_tour: bool,
+) -> (Vec<(Point, ObjectId)>, f64) {
+    debug_assert!(layers.iter().all(|l| !l.is_empty()));
     let k = layers.len();
     // Grow the per-layer DP tables to k layers, reusing inner capacity.
     while scratch.chain_cost.len() < k {
@@ -330,7 +529,7 @@ fn chain_join_core<L: AsRef<[(Point, ObjectId)]>>(
     } = scratch;
 
     // The last layer's suffix costs: the return leg, or nothing.
-    let last = layers[k - 1].as_ref();
+    let last = &layers[k - 1];
     let cost = &mut chain_cost[k - 1];
     cost.clear();
     if close_tour {
@@ -344,10 +543,10 @@ fn chain_join_core<L: AsRef<[(Point, ObjectId)]>>(
     for i in (1..k - 1).rev() {
         let (head, tail) = chain_cost.split_at_mut(i + 1);
         let (cost_i, next_i) = (&mut head[i], &mut chain_next[i]);
-        let step = Transition::new(grid, layers[i + 1].as_ref(), &tail[0]);
+        let step = Transition::new(grid, &layers[i + 1], &tail[0]);
         cost_i.clear();
         next_i.clear();
-        for &(pt, _) in layers[i].as_ref() {
+        for &(pt, _) in &layers[i] {
             let (c, j) = step.nearest(pt, evaluations);
             cost_i.push(c);
             next_i.push(j);
@@ -358,10 +557,10 @@ fn chain_join_core<L: AsRef<[(Point, ObjectId)]>>(
     // stop once that distance alone exceeds the best total (every suffix
     // cost is non-negative), running the first transition only for the
     // items visited.
-    let first = layers[0].as_ref();
+    let first = &layers[0];
     sort_by_dist_sq(s_order, p, first);
     let step = if k > 1 {
-        Some(Transition::new(grid, layers[1].as_ref(), &chain_cost[1]))
+        Some(Transition::new(grid, &layers[1], &chain_cost[1]))
     } else {
         None
     };
@@ -388,12 +587,12 @@ fn chain_join_core<L: AsRef<[(Point, ObjectId)]>>(
     let mut path = Vec::with_capacity(k);
     path.push(first[j0 as usize]);
     for (i, layer) in layers.iter().enumerate().skip(1) {
-        path.push(layer.as_ref()[j as usize]);
+        path.push(layer[j as usize]);
         if i + 1 < k {
             j = chain_next[i][j as usize];
         }
     }
-    Some((path, total))
+    (path, total)
 }
 
 /// Whether `(total, index)` is smaller than `best` in lexicographic
@@ -679,8 +878,129 @@ impl CostGrid {
     }
 }
 
+/// Test fixtures shared with the merge tests: the plain nested-loop
+/// reference, a seeded generator and the layer shapes of the reference
+/// properties.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use tnn_geom::Point;
+    use tnn_rtree::ObjectId;
+
+    /// The plain nested-loop chain DP: every transition scans every pair
+    /// and the head step every first-layer item, ties to the smaller
+    /// `(total, index)`. Shares no code with the joins under test.
+    pub(crate) fn reference_chain(
+        p: Point,
+        layers: &[Vec<(Point, ObjectId)>],
+        close_tour: bool,
+    ) -> Option<(Vec<(Point, ObjectId)>, f64)> {
+        if layers.is_empty() || layers.iter().any(Vec::is_empty) {
+            return None;
+        }
+        let k = layers.len();
+        let mut cost: Vec<Vec<f64>> = vec![Vec::new(); k];
+        let mut next: Vec<Vec<usize>> = vec![Vec::new(); k];
+        cost[k - 1] = layers[k - 1]
+            .iter()
+            .map(|&(pt, _)| if close_tour { pt.dist(p) } else { 0.0 })
+            .collect();
+        for i in (0..k - 1).rev() {
+            for &(q, _) in &layers[i] {
+                let mut best = (f64::INFINITY, usize::MAX);
+                for (j, &(pt, _)) in layers[i + 1].iter().enumerate() {
+                    let total = q.dist(pt) + cost[i + 1][j];
+                    if total < best.0 || (total == best.0 && j < best.1) {
+                        best = (total, j);
+                    }
+                }
+                cost[i].push(best.0);
+                next[i].push(best.1);
+            }
+        }
+        let mut best = (f64::INFINITY, usize::MAX);
+        for (j, &(pt, _)) in layers[0].iter().enumerate() {
+            let total = p.dist(pt) + cost[0][j];
+            if total < best.0 || (total == best.0 && j < best.1) {
+                best = (total, j);
+            }
+        }
+        let (total, mut j) = best;
+        let mut path = Vec::with_capacity(k);
+        for (i, layer) in layers.iter().enumerate() {
+            path.push(layer[j]);
+            if i + 1 < k {
+                j = next[i][j];
+            }
+        }
+        Some((path, total))
+    }
+
+    /// SplitMix64, for deterministic fixtures.
+    pub(crate) struct Mix(pub(crate) u64);
+
+    impl Mix {
+        pub(crate) fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        pub(crate) fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Layer shapes of the reference property: uniform, clustered, one
+    /// vertical line, one horizontal line, and a coarse lattice (duplicate
+    /// points and exact ties).
+    pub(crate) const SHAPES: u8 = 5;
+
+    pub(crate) fn shaped_layer(
+        rng: &mut Mix,
+        n: usize,
+        shape: u8,
+        layer: u32,
+    ) -> Vec<(Point, ObjectId)> {
+        let centers: Vec<Point> = (0..3)
+            .map(|_| Point::new(rng.unit() * 1000.0, rng.unit() * 1000.0))
+            .collect();
+        (0..n)
+            .map(|i| {
+                let pt = match shape {
+                    0 => Point::new(rng.unit() * 1000.0, rng.unit() * 1000.0),
+                    1 => {
+                        let c = centers[rng.below(3) as usize];
+                        Point::new(c.x + rng.unit() * 40.0, c.y + rng.unit() * 40.0)
+                    }
+                    2 => Point::new(500.0, rng.unit() * 1000.0),
+                    3 => Point::new(rng.unit() * 1000.0, 500.0),
+                    _ => Point::new(rng.below(4) as f64 * 250.0, rng.below(4) as f64 * 250.0),
+                };
+                (pt, ObjectId(layer * 1000 + i as u32))
+            })
+            .collect()
+    }
+
+    pub(crate) fn assert_same_route(
+        got: Option<(Vec<(Point, ObjectId)>, f64)>,
+        want: &Option<(Vec<(Point, ObjectId)>, f64)>,
+        what: &str,
+    ) {
+        let (got, want) = (got.expect(what), want.as_ref().expect(what));
+        assert_eq!(got.0, want.0, "{what}: route");
+        assert_eq!(got.1.to_bits(), want.1.to_bits(), "{what}: total bits");
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testkit::*;
     use super::*;
     use proptest::prelude::*;
     use tnn_geom::transitive_dist;
@@ -866,112 +1186,6 @@ mod tests {
         assert!((pair.dist - 2.0).abs() < 1e-12);
     }
 
-    /// The plain nested-loop chain DP: every transition scans every pair
-    /// and the head step every first-layer item, ties to the smaller
-    /// `(total, index)`. Shares no code with the joins under test.
-    fn reference_chain(
-        p: Point,
-        layers: &[Vec<(Point, ObjectId)>],
-        close_tour: bool,
-    ) -> Option<(Vec<(Point, ObjectId)>, f64)> {
-        if layers.is_empty() || layers.iter().any(Vec::is_empty) {
-            return None;
-        }
-        let k = layers.len();
-        let mut cost: Vec<Vec<f64>> = vec![Vec::new(); k];
-        let mut next: Vec<Vec<usize>> = vec![Vec::new(); k];
-        cost[k - 1] = layers[k - 1]
-            .iter()
-            .map(|&(pt, _)| if close_tour { pt.dist(p) } else { 0.0 })
-            .collect();
-        for i in (0..k - 1).rev() {
-            for &(q, _) in &layers[i] {
-                let mut best = (f64::INFINITY, usize::MAX);
-                for (j, &(pt, _)) in layers[i + 1].iter().enumerate() {
-                    let total = q.dist(pt) + cost[i + 1][j];
-                    if total < best.0 || (total == best.0 && j < best.1) {
-                        best = (total, j);
-                    }
-                }
-                cost[i].push(best.0);
-                next[i].push(best.1);
-            }
-        }
-        let mut best = (f64::INFINITY, usize::MAX);
-        for (j, &(pt, _)) in layers[0].iter().enumerate() {
-            let total = p.dist(pt) + cost[0][j];
-            if total < best.0 || (total == best.0 && j < best.1) {
-                best = (total, j);
-            }
-        }
-        let (total, mut j) = best;
-        let mut path = Vec::with_capacity(k);
-        for (i, layer) in layers.iter().enumerate() {
-            path.push(layer[j]);
-            if i + 1 < k {
-                j = next[i][j];
-            }
-        }
-        Some((path, total))
-    }
-
-    /// SplitMix64, for deterministic fixtures.
-    struct Mix(u64);
-
-    impl Mix {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn unit(&mut self) -> f64 {
-            (self.next() >> 11) as f64 / (1u64 << 53) as f64
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-
-    /// Layer shapes of the reference property: uniform, clustered, one
-    /// vertical line, one horizontal line, and a coarse lattice (duplicate
-    /// points and exact ties).
-    const SHAPES: u8 = 5;
-
-    fn shaped_layer(rng: &mut Mix, n: usize, shape: u8, layer: u32) -> Vec<(Point, ObjectId)> {
-        let centers: Vec<Point> = (0..3)
-            .map(|_| Point::new(rng.unit() * 1000.0, rng.unit() * 1000.0))
-            .collect();
-        (0..n)
-            .map(|i| {
-                let pt = match shape {
-                    0 => Point::new(rng.unit() * 1000.0, rng.unit() * 1000.0),
-                    1 => {
-                        let c = centers[rng.below(3) as usize];
-                        Point::new(c.x + rng.unit() * 40.0, c.y + rng.unit() * 40.0)
-                    }
-                    2 => Point::new(500.0, rng.unit() * 1000.0),
-                    3 => Point::new(rng.unit() * 1000.0, 500.0),
-                    _ => Point::new(rng.below(4) as f64 * 250.0, rng.below(4) as f64 * 250.0),
-                };
-                (pt, ObjectId(layer * 1000 + i as u32))
-            })
-            .collect()
-    }
-
-    fn assert_same_route(
-        got: Option<(Vec<(Point, ObjectId)>, f64)>,
-        want: &Option<(Vec<(Point, ObjectId)>, f64)>,
-        what: &str,
-    ) {
-        let (got, want) = (got.expect(what), want.as_ref().expect(what));
-        assert_eq!(got.0, want.0, "{what}: route");
-        assert_eq!(got.1.to_bits(), want.1.to_bits(), "{what}: total bits");
-    }
-
     proptest! {
         #[test]
         fn chain_joins_equal_the_nested_loop(
@@ -1027,6 +1241,107 @@ mod tests {
         assert_same_route(chain_loop_join(p, &layers), &tour, "tour");
     }
 
+    #[test]
+    fn cut_keeps_stops_that_lie_exactly_at_the_bound() {
+        // Integer coordinates on the axes keep every distance and total
+        // exact, so the cheap route's total B equals the optimum and the
+        // winner's farthest stop lies exactly on the cut's boundary.
+        let p = Point::ORIGIN;
+        let cases = [
+            // Open chain along the x axis, B = 3: the last stop (3, 0)
+            // lies at B from p, like the decoys (-3, 0) and (0, -3).
+            (
+                false,
+                vec![
+                    pts(&[(-2.0, 0.0), (1.0, 0.0), (4.0, 0.0)]),
+                    pts(&[(-3.0, 0.0), (5.0, 0.0), (2.0, 0.0)]),
+                    pts(&[(7.0, 0.0), (0.0, -3.0), (3.0, 0.0), (3.5, 0.0)]),
+                ],
+                3.0,
+                3.0,
+            ),
+            // Closed tour out to (2, 0) and back, B = 4: the turning
+            // stop lies at B/2 from p.
+            (
+                true,
+                vec![
+                    pts(&[(-4.0, 0.0), (1.0, 0.0)]),
+                    pts(&[(0.0, 5.0), (2.0, 0.0)]),
+                    pts(&[(6.0, 0.0), (1.0, 0.0)]),
+                ],
+                4.0,
+                2.0,
+            ),
+            // Two open routes tie at B = 3, one along each axis, both
+            // ending at B from p.
+            (
+                false,
+                vec![
+                    pts(&[(0.0, 1.0), (1.0, 0.0)]),
+                    pts(&[(2.0, 0.0), (0.0, 2.0)]),
+                    pts(&[(3.0, 0.0), (0.0, 3.0)]),
+                ],
+                3.0,
+                3.0,
+            ),
+            // Two closed tours tie at B = 4: back from (1, 0) or from p
+            // itself.
+            (
+                true,
+                vec![
+                    pts(&[(1.0, 0.0), (-3.0, 0.0)]),
+                    pts(&[(2.0, 0.0)]),
+                    pts(&[(1.0, 0.0), (0.0, 0.0)]),
+                ],
+                4.0,
+                2.0,
+            ),
+        ];
+        for (i, (close_tour, layers, total, farthest)) in cases.into_iter().enumerate() {
+            let want = reference_chain(p, &layers, close_tour);
+            let (route, got) = want.clone().expect("non-empty layers");
+            assert_eq!(got, total, "case {i}: total");
+            let reach = route.iter().map(|&(pt, _)| p.dist(pt)).fold(0.0, f64::max);
+            assert_eq!(reach, farthest, "case {i}: farthest stop");
+            let joined = if close_tour {
+                chain_loop_join(p, &layers)
+            } else {
+                chain_join(p, &layers)
+            };
+            assert_same_route(joined, &want, &format!("case {i}"));
+        }
+    }
+
+    #[test]
+    fn cut_margin_covers_rounding_past_the_bound() {
+        // One item per layer, so the only route is the optimum. Its
+        // rounded total falls one ulp short of its farthest stop's
+        // rounded distance from p (doubled on the tour): without the
+        // margin the cut would drop that stop.
+        let p = Point::ORIGIN;
+        let cases = [
+            (false, [(3.735, 0.0), (3.81, 0.0), (7.781, 0.0)]),
+            (true, [(1.4, 0.0), (9.9, 0.0), (0.1, 0.0)]),
+        ];
+        for (close_tour, stops) in cases {
+            let layers: Vec<Vec<(Point, ObjectId)>> = stops.iter().map(|&c| pts(&[c])).collect();
+            let want = reference_chain(p, &layers, close_tour);
+            let (route, total) = want.clone().expect("non-empty layers");
+            let scale = if close_tour { 2.0 } else { 1.0 };
+            let reach = route
+                .iter()
+                .map(|&(pt, _)| scale * p.dist(pt))
+                .fold(0.0, f64::max);
+            assert!(reach > total, "{reach} > {total}");
+            let joined = if close_tour {
+                chain_loop_join(p, &layers)
+            } else {
+                chain_join(p, &layers)
+            };
+            assert_same_route(joined, &want, &format!("close_tour = {close_tour}"));
+        }
+    }
+
     /// Three clustered layers of 2,000 points over the paper region, like
     /// the CITY-like channels: settlements gathered in 12 clusters plus a
     /// 10% uniform background.
@@ -1075,7 +1390,7 @@ mod tests {
             let evaluations = scratch.chain_evaluations() - before;
             assert_same_route(got, &reference_chain(p, &layers, false), "chain");
             assert!(
-                evaluations * 20 < nested_loop,
+                evaluations * 1_100 < nested_loop,
                 "query {qi}: {evaluations} of {nested_loop} nested-loop evaluations"
             );
         }

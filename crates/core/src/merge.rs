@@ -231,6 +231,8 @@ pub(crate) fn route_length(p: Point, stops: &[(Point, ObjectId, usize)]) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join::testkit::{reference_chain, shaped_layer, Mix, SHAPES};
+    use proptest::prelude::*;
 
     fn layer(coords: &[(f64, f64)], salt: u32) -> Vec<(Point, ObjectId)> {
         coords
@@ -393,6 +395,56 @@ mod tests {
                     assert_eq!(a.total_dist.to_bits(), b.total_dist.to_bits());
                 }
             }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn order_free_merge_equals_the_nested_loop_over_every_order(
+            k in 3usize..=4,
+            shape in 0u8..SHAPES,
+            seed in 0u64..u64::MAX,
+            px in -600.0f64..1600.0,
+            py in -600.0f64..1600.0,
+        ) {
+            let mut rng = Mix(seed);
+            let layers: Vec<Vec<(Point, ObjectId)>> = (0..k as u32)
+                .map(|i| {
+                    let n = 1 + rng.below(60) as usize;
+                    shaped_layer(&mut rng, n, shape, i)
+                })
+                .collect();
+            let p = Point::new(px, py);
+            // The nested loop over every visit order; earlier orders win
+            // ties, as in the merge.
+            let (mut best, mut stops) = (f64::INFINITY, Vec::new());
+            for order in permutations(k) {
+                let ordered: Vec<Vec<(Point, ObjectId)>> =
+                    order.iter().map(|&i| layers[i].clone()).collect();
+                let (path, total) = reference_chain(p, &ordered, false).expect("non-empty");
+                if stops.is_empty() || total < best {
+                    best = total;
+                    stops = path
+                        .into_iter()
+                        .zip(&order)
+                        .map(|((pt, object), &layer)| (pt, object, layer))
+                        .collect();
+                }
+            }
+            let got = merge_route_layers(
+                &mut JoinScratch::default(),
+                RouteObjective::OrderFree,
+                p,
+                &layers,
+                None,
+            )
+            .expect("non-empty layers");
+            assert_eq!(got.stops, stops, "route");
+            assert_eq!(
+                got.total_dist.to_bits(),
+                route_length(p, &stops).to_bits(),
+                "total bits"
+            );
         }
     }
 }

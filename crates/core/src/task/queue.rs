@@ -19,9 +19,9 @@
 //!
 //! Both backends must produce byte-identical search traces; the property
 //! tests in `crate::task::nn` assert this across all four algorithms.
-//! Node ids break (arrival, node) ordering ties deterministically — the
-//! same discipline `WindowQueryTask` uses — although arrivals of distinct
-//! nodes on one channel are in fact always distinct (one page per slot).
+//! Node ids break (arrival, node) ordering ties deterministically,
+//! although arrivals of distinct nodes on one channel are in fact always
+//! distinct (one page per slot).
 
 use std::collections::BinaryHeap;
 use tnn_geom::Rect;

@@ -1,22 +1,24 @@
 //! The filter-phase window query: retrieve every object inside the search
 //! range `circle(p, d)` from an on-air R-tree, in arrival order.
+//!
+//! Node ids are preorder ranks, and the index segment broadcasts the
+//! nodes in that order, so node `id` is on air at `root arrival + id`
+//! within the segment that carries the root. A window query starts at the
+//! root and only descends, so it finishes within that one segment, and
+//! its arrival order is preorder: a depth-first walk with a stack, each
+//! node's children pushed in reverse, downloads the nodes in exactly
+//! that order.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use tnn_broadcast::{ChannelView, Tuner};
 use tnn_geom::{Circle, Point};
 use tnn_rtree::{NodeId, ObjectId};
 
-/// One queued candidate node (its MBR already intersects the range).
-/// Ordered by arrival; node id breaks ties deterministically.
-type QueueEntry = Reverse<(u64, u32)>;
-
 /// Reusable buffers for one [`WindowQueryTask`]: thread one through
-/// repeated queries (e.g. a batch) to avoid re-allocating the queue and
+/// repeated queries (e.g. a batch) to avoid re-allocating the stack and
 /// the hit list per query.
 #[derive(Debug, Default)]
 pub struct WindowScratch {
-    queue: BinaryHeap<QueueEntry>,
+    stack: Vec<u32>,
     hits: Vec<(Point, ObjectId)>,
 }
 
@@ -29,7 +31,11 @@ pub struct WindowScratch {
 pub struct WindowQueryTask<'a> {
     channel: ChannelView<'a>,
     range: Circle,
-    queue: BinaryHeap<QueueEntry>,
+    /// When the root is on air; node `id` follows `id` slots later.
+    root_arrival: u64,
+    /// Ids of the queued nodes (their MBRs already intersect the range),
+    /// the next one to download on top.
+    stack: Vec<u32>,
     hits: Vec<(Point, ObjectId)>,
     tuner: Tuner,
     now: u64,
@@ -43,7 +49,7 @@ impl<'a> WindowQueryTask<'a> {
         Self::with_scratch(channel, range, start, &mut WindowScratch::default())
     }
 
-    /// Like [`WindowQueryTask::new`], but takes the queue and hit buffers
+    /// Like [`WindowQueryTask::new`], but takes the stack and hit buffers
     /// from `scratch` (pass the task back via
     /// [`WindowQueryTask::recycle`] when done to reuse the capacity).
     pub fn with_scratch(
@@ -53,20 +59,21 @@ impl<'a> WindowQueryTask<'a> {
         scratch: &mut WindowScratch,
     ) -> Self {
         let channel = channel.into();
-        let mut queue = std::mem::take(&mut scratch.queue);
+        let mut stack = std::mem::take(&mut scratch.stack);
         let mut hits = std::mem::take(&mut scratch.hits);
-        queue.clear();
+        stack.clear();
         hits.clear();
         let root_arrival = channel.next_root_arrival(start);
         // The root is only worth downloading if the range touches the
         // dataset at all.
         if range.intersects_rect(&channel.tree().bounding_rect()) {
-            queue.push(Reverse((root_arrival, NodeId::ROOT.0)));
+            stack.push(NodeId::ROOT.0);
         }
         WindowQueryTask {
             channel,
             range,
-            queue,
+            root_arrival,
+            stack,
             hits,
             tuner: Tuner::new(),
             now: start,
@@ -76,21 +83,23 @@ impl<'a> WindowQueryTask<'a> {
     /// Returns the task's buffers to `scratch` for reuse by a later
     /// query.
     pub fn recycle(self, scratch: &mut WindowScratch) {
-        scratch.queue = self.queue;
+        scratch.stack = self.stack;
         scratch.hits = self.hits;
-        scratch.queue.clear();
+        scratch.stack.clear();
         scratch.hits.clear();
     }
 
     /// `true` when traversal has finished.
     #[inline]
     pub fn is_done(&self) -> bool {
-        self.queue.is_empty()
+        self.stack.is_empty()
     }
 
     /// Arrival of the next node to download.
     pub fn next_arrival(&self) -> Option<u64> {
-        self.queue.peek().map(|Reverse((arrival, _))| *arrival)
+        self.stack
+            .last()
+            .map(|&id| self.root_arrival + u64::from(id))
     }
 
     /// Objects found inside the range so far.
@@ -115,16 +124,17 @@ impl<'a> WindowQueryTask<'a> {
 
     /// Downloads and processes the next candidate node.
     pub fn step(&mut self) -> Option<u64> {
-        let Reverse((arrival, node_id)) = self.queue.pop()?;
+        let node_id = NodeId(self.stack.pop()?);
+        let arrival = self.root_arrival + u64::from(node_id.0);
+        debug_assert_eq!(arrival, self.channel.next_node_arrival(node_id, self.now));
         self.now = arrival + 1;
         self.tuner.download(arrival);
 
-        let node = self.channel.node(NodeId(node_id));
+        let node = self.channel.node(node_id);
         if let Some(children) = node.children() {
-            for c in children {
+            for c in children.iter().rev() {
                 if self.range.intersects_rect(&c.mbr) {
-                    let child_arrival = self.channel.next_node_arrival(c.child, self.now);
-                    self.queue.push(Reverse((child_arrival, c.child.0)));
+                    self.stack.push(c.child.0);
                 }
             }
         } else if let Some(points) = node.points() {
