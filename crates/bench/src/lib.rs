@@ -18,5 +18,3 @@
 //! regenerated by the `tnn-sim` binaries. End-to-end and per-layer
 //! timings come from the separate `perfbench` package
 //! (`python3 perfbench/run.py`).
-
-#![forbid(unsafe_code)]

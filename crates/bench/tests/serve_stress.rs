@@ -25,9 +25,10 @@
 //! deterministic no-priority-inversion gate and the bounded chaos smoke
 //! run in tier-1.
 
-// R1-approved timing module (see check/r1.allow): wall-clock calls are
-// deliberate here, so the clippy mirror of the rule is waived file-wide.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "R1 covers non-test code; the soaks pace submitters and bound waits with real elapsed time"
+)]
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

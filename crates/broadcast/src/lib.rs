@@ -32,7 +32,6 @@
 //! indexes in **arrival order** (see `tnn-core`).
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod channel;
 mod env;

@@ -44,10 +44,11 @@
 use crate::algorithms::{run_query_overlay, QueryScratch};
 use crate::task::queue::{ArrivalHeap, CandidateQueue};
 use crate::{Algorithm, AnnMode, AnnSpec, ChannelCost, TnnError, TnnPair};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
 use tnn_broadcast::{InlineVec, MultiChannelEnv, PhaseOverlay, PhaseVec};
 use tnn_geom::Point;
 use tnn_rtree::ObjectId;
+use tnn_trace::lock::{LockRank, OrderedMutex, OrderedRwLock};
 
 /// What kind of route a [`Query`] asks for. Every kind runs over any
 /// `k ≥ 2`-channel environment; `k = 2` is the paper's special case.
@@ -456,13 +457,13 @@ pub struct QueryEngine<Q: CandidateQueue = ArrivalHeap> {
     /// The current environment snapshot, shared across engine clones.
     /// Readers clone it out (O(1)) and never hold the guard across a
     /// query; `swap_env` is the only writer.
-    env: Arc<RwLock<MultiChannelEnv>>,
+    env: Arc<OrderedRwLock<MultiChannelEnv>>,
     /// Channel count, fixed at construction and invariant under swaps —
     /// reading it never takes the env lock.
     channels: usize,
     /// Recycled per-query buffers for the pooling [`QueryEngine::run`]
     /// path. `run_with` never touches this.
-    pool: Mutex<Vec<QueryScratch<Q>>>,
+    pool: OrderedMutex<Vec<QueryScratch<Q>>>,
 }
 
 impl QueryEngine {
@@ -479,9 +480,9 @@ impl<Q: CandidateQueue> QueryEngine<Q> {
     pub fn with_queue_backend(env: MultiChannelEnv) -> Self {
         let channels = env.len();
         QueryEngine {
-            env: Arc::new(RwLock::new(env)),
+            env: Arc::new(OrderedRwLock::new(LockRank::CoreEnvCell, env)),
             channels,
-            pool: Mutex::new(Vec::new()),
+            pool: OrderedMutex::new(LockRank::CoreScratchPool, Vec::new()),
         }
     }
 
@@ -490,7 +491,7 @@ impl<Q: CandidateQueue> QueryEngine<Q> {
     /// the caller's hands even while a concurrent
     /// [`QueryEngine::swap_env`] publishes the next epoch.
     pub fn env(&self) -> MultiChannelEnv {
-        self.env.read().unwrap_or_else(|e| e.into_inner()).clone()
+        self.env.read().clone()
     }
 
     /// Number of broadcast channels — fixed at construction, invariant
@@ -519,7 +520,7 @@ impl<Q: CandidateQueue> QueryEngine<Q> {
                 available: env.len(),
             });
         }
-        *self.env.write().unwrap_or_else(|e| e.into_inner()) = env;
+        *self.env.write() = env;
         Ok(())
     }
 
@@ -597,17 +598,13 @@ impl<Q: CandidateQueue> QueryEngine<Q> {
     /// [`QueryEngine::recycle`] it on exit, so buffers grown by earlier
     /// queries keep amortizing across workers and server generations.
     pub fn scratch(&self) -> QueryScratch<Q> {
-        self.pool
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop()
-            .unwrap_or_default()
+        self.pool.lock().pop().unwrap_or_default()
     }
 
     /// Returns a scratch drawn with [`QueryEngine::scratch`] to the pool
     /// (dropped silently once the pool cap is reached).
     pub fn recycle(&self, scratch: QueryScratch<Q>) {
-        let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
+        let mut pool = self.pool.lock();
         if pool.len() < MAX_POOLED_SCRATCH {
             pool.push(scratch);
         }
@@ -621,7 +618,7 @@ impl<Q: CandidateQueue> Clone for QueryEngine<Q> {
             // any handle is observed by all of them.
             env: Arc::clone(&self.env),
             channels: self.channels,
-            pool: Mutex::new(Vec::new()),
+            pool: OrderedMutex::new(LockRank::CoreScratchPool, Vec::new()),
         }
     }
 }

@@ -65,7 +65,6 @@
 //! `docs/API.md` at the repository root for the migration guide.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod ann;
 mod config;

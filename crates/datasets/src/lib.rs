@@ -19,7 +19,6 @@
 //! same dataset.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod clustered;
 mod region;

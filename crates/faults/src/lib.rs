@@ -32,7 +32,6 @@
 //! nothing and leaves the pipeline byte-identical to an un-wrapped run.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod plan;
 mod stats;

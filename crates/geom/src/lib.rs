@@ -20,7 +20,6 @@
 //! path.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod circle;
 mod ellipse;

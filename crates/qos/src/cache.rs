@@ -1,14 +1,10 @@
 //! The sharded, lock-striped LRU result cache: [`ResultCache`].
 
-// R1-approved timing module (see check/r1.allow): wall-clock calls are
-// deliberate here, so the clippy mirror of the rule is waived file-wide.
-#![allow(clippy::disallowed_methods)]
-
 use std::collections::hash_map::{DefaultHasher, Entry as MapEntry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
+use tnn_trace::lock::{LockRank, OrderedMutex};
 
 /// Result-cache tuning knobs.
 ///
@@ -176,13 +172,19 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "intrusive-list invariant: every slot reachable through head/tail/prev/next links is occupied, checked by the stripe's debug asserts"
+    )]
     fn entry(&self, slot: usize) -> &Entry<K, V> {
-        // check:allow(R2, intrusive-list invariant — every slot reachable through head/tail/prev/next links is occupied, checked by the stripe's debug asserts)
         self.slots[slot].as_ref().expect("linked slot is occupied")
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "intrusive-list invariant: every slot reachable through head/tail/prev/next links is occupied, checked by the stripe's debug asserts"
+    )]
     fn entry_mut(&mut self, slot: usize) -> &mut Entry<K, V> {
-        // check:allow(R2, intrusive-list invariant — every slot reachable through head/tail/prev/next links is occupied, checked by the stripe's debug asserts)
         self.slots[slot].as_mut().expect("linked slot is occupied")
     }
 
@@ -218,7 +220,10 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
     /// Removes `slot` entirely, returning its entry to the free list.
     fn remove(&mut self, slot: usize) {
         self.unlink(slot);
-        // check:allow(R2, remove() is only called with slots found via the map or the LRU tail, both of which point at occupied slots)
+        #[expect(
+            clippy::expect_used,
+            reason = "remove() is only called with slots found via the map or the LRU tail, both of which point at occupied slots"
+        )]
         let entry = self.slots[slot].take().expect("removed slot was occupied");
         self.map.remove(&entry.key);
         self.free.push(slot);
@@ -303,7 +308,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
 /// ```
 #[derive(Debug)]
 pub struct ResultCache<K, V> {
-    shards: Vec<Mutex<Shard<K, V>>>,
+    shards: Vec<OrderedMutex<Shard<K, V>>>,
     mask: u64,
     ttl: Option<Duration>,
 }
@@ -326,14 +331,14 @@ impl<K: Hash + Eq + Clone, V: Clone> ResultCache<K, V> {
         let per_shard = config.capacity.div_ceil(shards).max(1);
         ResultCache {
             shards: (0..shards)
-                .map(|_| Mutex::new(Shard::new(per_shard)))
+                .map(|_| OrderedMutex::new(LockRank::QosCacheStripe, Shard::new(per_shard)))
                 .collect(),
             mask: shards as u64 - 1,
             ttl: config.ttl,
         }
     }
 
-    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
+    fn shard(&self, key: &K) -> &OrderedMutex<Shard<K, V>> {
         let mut hasher = DefaultHasher::new();
         key.hash(&mut hasher);
         &self.shards[(hasher.finish() & self.mask) as usize]
@@ -343,28 +348,19 @@ impl<K: Hash + Eq + Clone, V: Clone> ResultCache<K, V> {
     /// to most-recently-used; a TTL-expired entry is removed and
     /// reported as [`Lookup::Expired`].
     pub fn lookup(&self, key: &K, now: Instant) -> Lookup<V> {
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .lookup(key, now, self.ttl)
+        self.shard(key).lock().lookup(key, now, self.ttl)
     }
 
     /// Stores `value` under `key`, stamped at `now`, evicting the
     /// stripe's least-recently-used entry if it is full. An existing
     /// entry is overwritten and re-stamped.
     pub fn insert(&self, key: K, value: V, now: Instant) {
-        self.shard(&key)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, value, now);
+        self.shard(&key).lock().insert(key, value, now);
     }
 
     /// Live entries over all stripes.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).map.len())
-            .sum()
+        self.shards.iter().map(|s| s.lock().map.len()).sum()
     }
 
     /// `true` when no stripe holds an entry.
@@ -378,7 +374,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ResultCache<K, V> {
             .shards
             .iter()
             .map(|shard| {
-                let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
+                let shard = shard.lock();
                 CacheStats {
                     len: shard.map.len(),
                     ..shard.stats
@@ -390,6 +386,10 @@ impl<K: Hash + Eq + Clone, V: Clone> ResultCache<K, V> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "R1 covers non-test code; these tests stamp entries with real instants"
+)]
 mod tests {
     use super::*;
 

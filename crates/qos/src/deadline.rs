@@ -1,8 +1,9 @@
 //! Per-request expiry: [`Deadline`].
 
-// R1-approved timing module (see check/r1.allow): wall-clock calls are
-// deliberate here, so the clippy mirror of the rule is waived file-wide.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "deadline arithmetic is wall-clock by definition; determinism gates feed these APIs fixed Instants"
+)]
 
 use std::time::{Duration, Instant};
 

@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::Mutex;
+use tnn_trace::lock::{LockRank, OrderedMutex};
 
 /// Entry count above which [`FlightTable::join_or_lead`] sweeps dead
 /// entries before inserting. Leaders normally retire their own entry
@@ -62,17 +62,23 @@ pub enum FlightOutcome<T> {
 /// flights.complete(&"q");
 /// assert_eq!(flights.join_or_lead(&"q", 9, |_| true), FlightOutcome::Led);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FlightTable<K, T> {
-    flights: Mutex<HashMap<K, T>>,
+    flights: OrderedMutex<HashMap<K, T>>,
+}
+
+impl<K, T> Default for FlightTable<K, T> {
+    fn default() -> Self {
+        FlightTable {
+            flights: OrderedMutex::new(LockRank::QosFlights, HashMap::new()),
+        }
+    }
 }
 
 impl<K: Eq + Hash + Clone, T: Clone> FlightTable<K, T> {
     /// An empty table.
     pub fn new() -> Self {
-        FlightTable {
-            flights: Mutex::new(HashMap::new()),
-        }
+        FlightTable::default()
     }
 
     /// Joins the live flight for `key`, or installs `lead` as the new
@@ -84,7 +90,7 @@ impl<K: Eq + Hash + Clone, T: Clone> FlightTable<K, T> {
     /// answer). The predicate runs under the table lock, so it must be
     /// cheap and must not touch the table again.
     pub fn join_or_lead(&self, key: &K, lead: T, live: impl Fn(&T) -> bool) -> FlightOutcome<T> {
-        let mut flights = self.flights.lock().unwrap_or_else(|e| e.into_inner());
+        let mut flights = self.flights.lock();
         if flights.len() > SWEEP_WATERMARK {
             flights.retain(|_, handle| live(handle));
         }
@@ -100,13 +106,13 @@ impl<K: Eq + Hash + Clone, T: Clone> FlightTable<K, T> {
     /// Retires the flight for `key` (leader's post-completion cleanup).
     /// A no-op when no entry exists — completion may race a sweep.
     pub fn complete(&self, key: &K) {
-        let mut flights = self.flights.lock().unwrap_or_else(|e| e.into_inner());
+        let mut flights = self.flights.lock();
         flights.remove(key);
     }
 
     /// Number of tracked flights (live **and** dead-but-unswept).
     pub fn len(&self) -> usize {
-        self.flights.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.flights.lock().len()
     }
 
     /// `true` when no flight is tracked.

@@ -29,7 +29,6 @@
 //! refuse* — not raw throughput — dominates tail behaviour.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod cache;
 mod deadline;

@@ -1,9 +1,5 @@
 //! The per-submission QoS bundle: [`Qos`].
 
-// R1-approved timing module (see check/r1.allow): wall-clock calls are
-// deliberate here, so the clippy mirror of the rule is waived file-wide.
-#![allow(clippy::disallowed_methods)]
-
 use crate::{Deadline, Priority};
 use std::time::{Duration, Instant};
 
@@ -77,6 +73,10 @@ impl Qos {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "R1 covers non-test code; these tests build deadlines from real instants"
+)]
 mod tests {
     use super::*;
 

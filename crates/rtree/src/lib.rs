@@ -29,7 +29,6 @@
 //! materialization.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod build;
 mod delta;

@@ -7,9 +7,9 @@
 //! micro-batching over the `Sync`, O(1)-clonable engine the core crates
 //! provide.
 //!
-//! Deliberately dependency-free: built on `std::thread`,
-//! `std::sync::Mutex`/`Condvar`, and the equally std-only QoS
-//! primitives of [`tnn_qos`], so it runs in the same offline
+//! Deliberately dependency-free: built on `std::thread`, `Condvar`,
+//! the ranked std locks of `tnn_trace::lock`, and the equally std-only
+//! QoS primitives of [`tnn_qos`], so it runs in the same offline
 //! environment as the rest of the workspace (no async runtime required
 //! — the engine's per-query latency is microseconds, so OS threads with
 //! a bounded queue are the right tool).
@@ -69,7 +69,6 @@
 //! `crates/bench/tests/serve_stress.rs`.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod config;
 mod server;

@@ -4,14 +4,15 @@
 //! degradation, panic isolation, worker respawn), and deterministic
 //! shutdown.
 
-// R1-approved timing module (see check/r1.allow): wall-clock calls are
-// deliberate here, so the clippy mirror of the rule is waived file-wide.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "deadline checks, latency histograms and retry backoff measure real elapsed time; fault decisions stay pure functions of (seed, channel, seq, attempt)"
+)]
 
 use crate::config::{Backpressure, Degradation, ServeConfig, ShutdownMode};
 use crate::ticket::{Ticket, TicketCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tnn_broadcast::MultiChannelEnv;
@@ -21,6 +22,7 @@ use tnn_qos::{
     Deadline, FlightOutcome, FlightTable, Lookup, MultiLevelQueue, Priority, Qos, ResultCache,
     RetryBudget,
 };
+use tnn_trace::lock::{LockRank, OrderedMutex, OrderedMutexGuard};
 use tnn_trace::{FlightRecorder, LatencyHistogram, MetricsRegistry, QueryTrace, SpanKind};
 
 tnn_trace::stats! {
@@ -360,7 +362,7 @@ impl Inner {
 }
 
 struct Inner {
-    state: Mutex<State>,
+    state: OrderedMutex<State>,
     /// Wakes workers when jobs arrive (or shutdown begins).
     work: Condvar,
     /// Wakes `Block`ed submitters when a worker frees queue slots.
@@ -436,7 +438,7 @@ struct Inner {
 pub struct Server {
     inner: Arc<Inner>,
     engine: QueryEngine,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    workers: OrderedMutex<Vec<JoinHandle<()>>>,
 }
 
 impl Server {
@@ -502,12 +504,15 @@ impl Server {
             (config.singleflight && cache.is_some() && faults.is_none()).then(FlightTable::new);
         let recorder = config.trace.recorder().map(FlightRecorder::new);
         let inner = Arc::new(Inner {
-            state: Mutex::new(State {
-                queue: MultiLevelQueue::new(),
-                shutdown: None,
-                stats: ServeStats::default(),
-                next_seq: 0,
-            }),
+            state: OrderedMutex::new(
+                LockRank::ServeState,
+                State {
+                    queue: MultiLevelQueue::new(),
+                    shutdown: None,
+                    stats: ServeStats::default(),
+                    next_seq: 0,
+                },
+            ),
             work: Condvar::new(),
             space: Condvar::new(),
             cache,
@@ -517,6 +522,10 @@ impl Server {
             recorder,
             config,
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "construction-time OS spawn failure has no caller to report to; a server that cannot start its pool must not pretend it did"
+        )]
         let workers = (0..config.workers)
             .map(|i| {
                 let inner = Arc::clone(&inner);
@@ -524,14 +533,13 @@ impl Server {
                 std::thread::Builder::new()
                     .name(format!("tnn-serve-{i}"))
                     .spawn(move || worker_loop(&inner, &engine))
-                    // check:allow(R2, construction-time OS spawn failure has no caller to report to — a server that cannot start its pool must not pretend it did)
                     .expect("spawn tnn-serve worker thread")
             })
             .collect();
         Server {
             inner,
             engine,
-            workers: Mutex::new(workers),
+            workers: OrderedMutex::new(LockRank::ServeWorkers, workers),
         }
     }
 
@@ -612,7 +620,7 @@ impl Server {
         // Stamped before admission: under `Block` the wait for a queue
         // slot is part of the client-observed latency.
         let submitted_at = Instant::now();
-        let state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
+        let state = self.inner.state.lock();
         let (state, result, enqueued) = self.admit(state, query, key, qos, submitted_at);
         drop(state);
         if enqueued {
@@ -689,7 +697,7 @@ impl Server {
         // query in it — the client handed them all over at this instant.
         let submitted_at = Instant::now();
         let mut out = Vec::with_capacity(submissions.len());
-        let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.inner.state.lock();
         let mut admitted = false;
         for ((query, qos), key) in submissions.into_iter().zip(keys) {
             let (next, result, enqueued) = self.admit(state, query, key, qos, submitted_at);
@@ -726,12 +734,12 @@ impl Server {
     /// without one, so no worker wake-up is owed).
     fn admit<'a>(
         &self,
-        mut state: MutexGuard<'a, State>,
+        mut state: OrderedMutexGuard<'a, State>,
         query: Query,
         key: Option<QueryKey>,
         qos: Qos,
         submitted_at: Instant,
-    ) -> (MutexGuard<'a, State>, Result<Ticket, TnnError>, bool) {
+    ) -> (OrderedMutexGuard<'a, State>, Result<Ticket, TnnError>, bool) {
         let class = qos.priority.index();
         state.stats.classes[class].submitted += 1;
         if state.shutdown.is_some() {
@@ -829,18 +837,8 @@ impl Server {
                     // (checked at the top of the loop).
                     self.inner.work.notify_all();
                     state = match qos.deadline.remaining(Instant::now()) {
-                        Some(left) => {
-                            self.inner
-                                .space
-                                .wait_timeout(state, left)
-                                .unwrap_or_else(|e| e.into_inner())
-                                .0
-                        }
-                        None => self
-                            .inner
-                            .space
-                            .wait(state)
-                            .unwrap_or_else(|e| e.into_inner()),
+                        Some(left) => state.wait_timeout(&self.inner.space, left).0,
+                        None => state.wait(&self.inner.space),
                     };
                 }
                 Backpressure::Reject => {
@@ -853,12 +851,15 @@ impl Server {
                 }
                 Backpressure::Shed => {
                     let now = Instant::now();
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "Shed is only reached when the lane is full, and a full lane always yields a victim"
+                    )]
                     let (victim, was_expired) = state
                         .queue
                         .shed_victim(qos.priority, self.inner.config.shed, |job| {
                             job.deadline.expired(now)
                         })
-                        // check:allow(R2, Shed is only reached when the lane is full, and a full lane always yields a victim)
                         .expect("full lane has a victim");
                     if was_expired {
                         state.stats.classes[victim.class.index()].expired += 1;
@@ -900,7 +901,7 @@ impl Server {
 
     /// A consistent snapshot of the admission/completion counters.
     pub fn stats(&self) -> ServeStats {
-        let state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
+        let state = self.inner.state.lock();
         let mut stats = state.stats;
         for class in Priority::ALL {
             stats.classes[class.index()].queued = state.queue.len_of(class);
@@ -981,7 +982,7 @@ impl Server {
         // Hold the handle lock across begin + join + sweep so a
         // concurrent shutdown call returns only after the first one has
         // fully quiesced the server.
-        let mut handles = self.workers.lock().unwrap_or_else(|e| e.into_inner());
+        let mut handles = self.workers.lock();
         self.begin_shutdown(mode);
         for handle in handles.drain(..) {
             let _ = handle.join();
@@ -989,7 +990,7 @@ impl Server {
         // Final sweep: with zero (or crashed) workers the backlog is
         // still sitting in the queue; no ticket may outlive shutdown
         // unresolved.
-        let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.inner.state.lock();
         state.cancel_backlog();
         drop(state);
         drop(handles);
@@ -997,7 +998,7 @@ impl Server {
     }
 
     fn begin_shutdown(&self, mode: ShutdownMode) {
-        let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.inner.state.lock();
         if state.shutdown.is_none() {
             state.shutdown = Some(mode);
         }
@@ -1015,12 +1016,8 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        let live = !self
-            .workers
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_empty();
-        let state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
+        let live = !self.workers.get_mut().is_empty();
+        let state = self.inner.state.lock();
         let pending = !state.queue.is_empty();
         drop(state);
         if live || pending {
@@ -1050,7 +1047,7 @@ struct BatchGuard<'a> {
 
 impl Drop for BatchGuard<'_> {
     fn drop(&mut self) {
-        let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.inner.state.lock();
         for (i, class) in self.booked.classes.iter_mut().enumerate() {
             let abandoned = self.taken[i] as u64 - class.completed - class.expired;
             // Abandoned jobs (worker unwound mid-batch) resolve
@@ -1101,7 +1098,7 @@ fn worker_loop(inner: &Inner, engine: &QueryEngine) {
         // abandoned jobs (tickets resolved `Err(Internal)` as the batch
         // buffer dropped); all that is left is to count the restart and
         // decide whether this pool is still healthy.
-        let mut state = inner.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = inner.state.lock();
         state.stats.worker_restarts += 1;
         if state.stats.worker_restarts > u64::from(inner.config.max_worker_restarts) {
             if state.shutdown.is_none() {
@@ -1128,7 +1125,7 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
     let mut local: Vec<Job> = Vec::with_capacity(inner.config.batch_window);
     'serve: loop {
         {
-            let mut state = inner.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut state = inner.state.lock();
             loop {
                 match state.shutdown {
                     // Cancel already resolved the backlog; nothing left
@@ -1140,7 +1137,7 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
                 if !state.queue.is_empty() {
                     break;
                 }
-                state = inner.work.wait(state).unwrap_or_else(|e| e.into_inner());
+                state = state.wait(&inner.work);
             }
             let n = inner.config.batch_window.min(state.queue.len());
             for _ in 0..n {
@@ -1368,7 +1365,7 @@ fn stamp_counters(trace: &mut QueryTrace, outcome: &QueryOutcome) {
 /// Seals `trace` with its end-to-end latency and offers it to the
 /// flight recorder. Called after the job's ticket resolved, holding no
 /// other lock (the recorder stripe lock is innermost — see
-/// `docs/locks.toml`). A no-op when tracing is off.
+/// `LockRank::TraceRecorder`). A no-op when tracing is off.
 fn record_trace(inner: &Inner, trace: Option<QueryTrace>, submitted_at: Instant) {
     if let (Some(recorder), Some(mut trace)) = (&inner.recorder, trace) {
         trace.total = Instant::now().saturating_duration_since(submitted_at);

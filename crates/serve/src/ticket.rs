@@ -1,18 +1,20 @@
 //! Completion handles: [`Ticket`] and its shared resolution cell.
 
-// R1-approved timing module (see check/r1.allow): wall-clock calls are
-// deliberate here, so the clippy mirror of the rule is waived file-wide.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "ticket wait timeouts measure real elapsed time against caller-supplied budgets"
+)]
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 use tnn_core::{QueryOutcome, TnnError};
+use tnn_trace::lock::{LockRank, OrderedMutex};
 
 /// The shared slot a worker (or the backpressure/shutdown machinery)
 /// resolves exactly once; every [`Ticket`] accessor reads from it.
 #[derive(Debug)]
 pub(crate) struct TicketCell {
-    state: Mutex<TicketState>,
+    state: OrderedMutex<TicketState>,
     done: Condvar,
 }
 
@@ -28,7 +30,7 @@ enum TicketState {
 impl TicketCell {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(TicketCell {
-            state: Mutex::new(TicketState::Pending),
+            state: OrderedMutex::new(LockRank::TicketState, TicketState::Pending),
             done: Condvar::new(),
         })
     }
@@ -38,7 +40,7 @@ impl TicketCell {
     /// so a second call can only happen on a logic error — it is ignored
     /// rather than clobbering the outcome waiters already observed.
     pub(crate) fn resolve(&self, result: Result<QueryOutcome, TnnError>) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.state.lock();
         if matches!(*state, TicketState::Pending) {
             *state = TicketState::Done {
                 result,
@@ -52,10 +54,7 @@ impl TicketCell {
     /// liveness probe: a resolved leader cell marks its flight dead, so
     /// new arrivals lead a fresh run instead of joining a finished one.
     pub(crate) fn is_resolved(&self) -> bool {
-        matches!(
-            &*self.state.lock().unwrap_or_else(|e| e.into_inner()),
-            TicketState::Done { .. }
-        )
+        matches!(&*self.state.lock(), TicketState::Done { .. })
     }
 }
 
@@ -79,7 +78,7 @@ impl Ticket {
     /// The resolved outcome, or `None` while the query is still queued
     /// or executing. Never blocks.
     pub fn poll(&self) -> Option<Result<QueryOutcome, TnnError>> {
-        let state = self.cell.state.lock().unwrap_or_else(|e| e.into_inner());
+        let state = self.cell.state.lock();
         match &*state {
             TicketState::Pending => None,
             TicketState::Done { result, .. } => Some(result.clone()),
@@ -90,16 +89,12 @@ impl Ticket {
     /// `wait` again (or [`Ticket::poll`] afterwards) returns the same
     /// cached outcome immediately.
     pub fn wait(&self) -> Result<QueryOutcome, TnnError> {
-        let mut state = self.cell.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.cell.state.lock();
         loop {
             if let TicketState::Done { result, .. } = &*state {
                 return result.clone();
             }
-            state = self
-                .cell
-                .done
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
+            state = state.wait(&self.cell.done);
         }
     }
 
@@ -107,35 +102,27 @@ impl Ticket {
     /// first (the ticket stays valid and can be waited again).
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<QueryOutcome, TnnError>> {
         let deadline = Instant::now() + timeout;
-        let mut state = self.cell.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.cell.state.lock();
         loop {
             if let TicketState::Done { result, .. } = &*state {
                 return Some(result.clone());
             }
             let left = deadline.checked_duration_since(Instant::now())?;
-            state = self
-                .cell
-                .done
-                .wait_timeout(state, left)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
+            state = state.wait_timeout(&self.cell.done, left).0;
         }
     }
 
     /// `true` once the query has resolved (completed, been shed, or been
     /// cancelled). Never blocks.
     pub fn is_done(&self) -> bool {
-        matches!(
-            &*self.cell.state.lock().unwrap_or_else(|e| e.into_inner()),
-            TicketState::Done { .. }
-        )
+        matches!(&*self.cell.state.lock(), TicketState::Done { .. })
     }
 
     /// Wall-clock time from submission to resolution, stamped by the
     /// resolver at the moment of completion (so it is exact even when
     /// the caller waits much later). `None` while pending.
     pub fn latency(&self) -> Option<Duration> {
-        let state = self.cell.state.lock().unwrap_or_else(|e| e.into_inner());
+        let state = self.cell.state.lock();
         match &*state {
             TicketState::Pending => None,
             TicketState::Done { at, .. } => Some(at.saturating_duration_since(self.submitted_at)),

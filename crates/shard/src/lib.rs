@@ -40,7 +40,6 @@
 //! replica sets, no async runtime.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod config;
 mod partition;

@@ -117,11 +117,13 @@ impl ShardPlan {
                             // valid; `remaps` restores the originals.
                             let points: Vec<Point> =
                                 objects.iter().map(|&(point, _)| point).collect();
-                            Arc::new(
-                                RTree::build(&points, source.params(), source.packing())
-                                    // check:allow(R2, plan construction is pre-serving — a malformed bucket must abort the build, not limp into traffic)
-                                    .expect("a non-empty bucket bulk-loads"),
-                            )
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "plan construction is pre-serving; a malformed bucket must abort the build, not limp into traffic"
+                            )]
+                            let tree = RTree::build(&points, source.params(), source.packing())
+                                .expect("a non-empty bucket bulk-loads");
+                            Arc::new(tree)
                         }
                     })
                     .collect();
@@ -272,8 +274,11 @@ fn top_level_cells(env: &MultiChannelEnv, per_channel: &[Vec<(Point, ObjectId)>]
         return vec![Rect::from_coords(0.0, 0.0, 0.0, 0.0)];
     }
     let source = env.channel(0).tree();
+    #[expect(
+        clippy::expect_used,
+        reason = "plan construction is pre-serving and the empty case returned early above"
+    )]
     let probe = RTree::build(&points, source.params(), source.packing())
-        // check:allow(R2, plan construction is pre-serving and the empty case returned early above)
         .expect("the pooled dataset is non-empty");
     probe
         .top_level_partitions()
@@ -284,6 +289,10 @@ fn top_level_cells(env: &MultiChannelEnv, per_channel: &[Vec<(Point, ObjectId)>]
 
 /// The lowest-indexed cell containing `p`, else the cell nearest to `p`
 /// (ties to the lower index — `min_by` keeps the first minimum).
+#[expect(
+    clippy::expect_used,
+    reason = "every constructor emits at least one cell; the empty-input path returns a single degenerate rect"
+)]
 fn assign(cells: &[Rect], p: Point) -> usize {
     cells
         .iter()
@@ -293,7 +302,6 @@ fn assign(cells: &[Rect], p: Point) -> usize {
                 .iter()
                 .enumerate()
                 .min_by(|a, b| a.1.min_dist_sq(p).total_cmp(&b.1.min_dist_sq(p)))
-                // check:allow(R2, every constructor emits at least one cell — the empty-input path returns a single degenerate rect)
                 .expect("plans hold at least one cell")
                 .0
         })

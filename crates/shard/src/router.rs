@@ -31,7 +31,6 @@ use crate::config::ShardConfig;
 use crate::partition::ShardPlan;
 use crate::stats::ShardStats;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
 use std::time::Duration;
 use tnn_broadcast::MultiChannelEnv;
 use tnn_core::{
@@ -42,6 +41,7 @@ use tnn_geom::{Circle, Point};
 use tnn_qos::Qos;
 use tnn_rtree::ObjectId;
 use tnn_serve::{ServeStats, Server, ShutdownMode, Ticket};
+use tnn_trace::lock::{LockRank, OrderedMutex, OrderedRwLock};
 use tnn_trace::{FlightRecorder, MetricsRegistry, QueryTrace, SpanKind};
 
 /// The engine's own floating-point guard on filter radii — candidates at
@@ -100,7 +100,7 @@ struct ShardHandle {
     /// The shard's live replicas — starts at one for eligible shards,
     /// grows (under the write lock) up to [`ShardConfig::replication`]
     /// when the shard runs hot. Ineligible shards serve nothing.
-    replicas: RwLock<Vec<Server>>,
+    replicas: OrderedRwLock<Vec<Server>>,
     /// Sub-query attempts routed to this shard — the numerator of the
     /// hotness share.
     routed: AtomicU64,
@@ -127,7 +127,7 @@ fn build_topology(env: MultiChannelEnv, config: &ShardConfig) -> Topology {
                 Vec::new()
             };
             ShardHandle {
-                replicas: RwLock::new(replicas),
+                replicas: OrderedRwLock::new(LockRank::ShardReplicas, replicas),
                 routed: AtomicU64::new(0),
             }
         })
@@ -187,16 +187,16 @@ pub struct ShardRouter {
     /// servers). Queries read-lock it for their whole scatter-gather
     /// pass; [`ShardRouter::swap_env`] write-locks it to publish the
     /// next environment epoch atomically.
-    topology: RwLock<Topology>,
+    topology: OrderedRwLock<Topology>,
     config: ShardConfig,
     counters: Counters,
     /// Folded replica stats frozen at shutdown, so [`ShardRouter::stats`]
     /// keeps answering afterwards.
-    final_serve: Mutex<Option<ServeStats>>,
+    final_serve: OrderedMutex<Option<ServeStats>>,
     /// Folded final stats of replicas retired by environment swaps —
     /// merged into every [`ShardRouter::stats`] snapshot so pre-swap
     /// work is never dropped or double-counted.
-    retired: Mutex<ServeStats>,
+    retired: OrderedMutex<ServeStats>,
     /// The router-level flight recorder, `Some` when the shard servers'
     /// [`tnn_serve::ServeConfig::trace`] is on. Router traces carry the
     /// scatter/gather waits (derived from sub-ticket latencies — this
@@ -211,11 +211,11 @@ impl ShardRouter {
     pub fn spawn(env: MultiChannelEnv, config: ShardConfig) -> Self {
         let recorder = config.serve.trace.recorder().map(FlightRecorder::new);
         ShardRouter {
-            topology: RwLock::new(build_topology(env, &config)),
+            topology: OrderedRwLock::new(LockRank::ShardTopology, build_topology(env, &config)),
             config,
             counters: Counters::default(),
-            final_serve: Mutex::new(None),
-            retired: Mutex::new(ServeStats::default()),
+            final_serve: OrderedMutex::new(LockRank::ShardFinalServe, None),
+            retired: OrderedMutex::new(LockRank::ShardRetired, ServeStats::default()),
             recorder,
         }
     }
@@ -224,11 +224,7 @@ impl ShardRouter {
     /// served — O(1): channels sit behind a shared `Arc`. Carries the
     /// epoch/fingerprint of the topology queries run against right now.
     pub fn env(&self) -> MultiChannelEnv {
-        self.topology
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .env
-            .clone()
+        self.topology.read().env.clone()
     }
 
     /// The configuration the router was spawned with.
@@ -239,20 +235,13 @@ impl ShardRouter {
     /// A snapshot of the partitioning the router currently scatters
     /// over (rebuilt by every [`ShardRouter::swap_env`]).
     pub fn plan(&self) -> ShardPlan {
-        self.topology
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .plan
-            .clone()
+        self.topology.read().plan.clone()
     }
 
     /// Live replica count of shard `i` (0 for ineligible shards).
     pub fn replica_count(&self, i: usize) -> usize {
-        let topology = self.topology.read().unwrap_or_else(|e| e.into_inner());
-        let replicas = topology.shards[i]
-            .replicas
-            .read()
-            .unwrap_or_else(|e| e.into_inner());
+        let topology = self.topology.read();
+        let replicas = topology.shards[i].replicas.read();
         replicas.len()
     }
 
@@ -273,16 +262,11 @@ impl ShardRouter {
     /// never shape), and [`TnnError::Cancelled`] after
     /// [`ShardRouter::shutdown`] — a shut-down router stays shut.
     pub fn swap_env(&self, env: MultiChannelEnv) -> Result<(), TnnError> {
-        if self
-            .final_serve
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_some()
-        {
+        if self.final_serve.lock().is_some() {
             return Err(TnnError::Cancelled);
         }
         let needed = {
-            let topology = self.topology.read().unwrap_or_else(|e| e.into_inner());
+            let topology = self.topology.read();
             topology.env.len()
         };
         if env.len() != needed {
@@ -297,7 +281,7 @@ impl ShardRouter {
         // waiting out in-flight read guards).
         let fresh = build_topology(env, &self.config);
         let old = {
-            let mut topology = self.topology.write().unwrap_or_else(|e| e.into_inner());
+            let mut topology = self.topology.write();
             std::mem::replace(&mut *topology, fresh)
         };
         // Drain the retirees outside the lock — queries already run on
@@ -306,14 +290,14 @@ impl ShardRouter {
         let mut folded = ServeStats::default();
         let mut count = 0u64;
         for handle in &old.shards {
-            let replicas = handle.replicas.read().unwrap_or_else(|e| e.into_inner());
+            let replicas = handle.replicas.read();
             for server in replicas.iter() {
                 folded.merge(&server.shutdown(ShutdownMode::Drain));
                 count += 1;
             }
         }
         {
-            let mut retired = self.retired.lock().unwrap_or_else(|e| e.into_inner());
+            let mut retired = self.retired.lock();
             retired.merge(&folded);
         }
         self.counters
@@ -354,7 +338,7 @@ impl ShardRouter {
         // The read guard pins one topology for the whole scatter-gather
         // pass: a concurrent swap_env waits until every in-flight query
         // releases it, so no query ever mixes epochs.
-        let topology = self.topology.read().unwrap_or_else(|e| e.into_inner());
+        let topology = self.topology.read();
         let topology = &*topology;
         query.validate(&topology.env)?;
         let p = query.point();
@@ -402,6 +386,10 @@ impl ShardRouter {
             // The primary shard minimizes min_max_dist_sq to p — the
             // classic R-tree guarantee that it *does* contain an object
             // near p, so its sub-route seeds a tight bound.
+            #[expect(
+                clippy::expect_used,
+                reason = "min_by over `eligible`, which the enclosing `!eligible.is_empty()` guard proves non-empty"
+            )]
             let primary = eligible
                 .iter()
                 .copied()
@@ -410,7 +398,6 @@ impl ShardRouter {
                     let db = shard_mbr(&topology.plan, b).min_max_dist_sq(p);
                     da.total_cmp(&db)
                 })
-                // check:allow(R2, min_by over `eligible` which the enclosing `!eligible.is_empty()` guard proves non-empty)
                 .expect("eligible is non-empty");
             match self.submit_to_shard(topology, primary, query, qos) {
                 Ok(ticket) => {
@@ -547,20 +534,20 @@ impl ShardRouter {
     /// retired by environment swaps (frozen by
     /// [`ShardRouter::shutdown`]).
     pub fn stats(&self) -> ShardStats {
-        let frozen = *self.final_serve.lock().unwrap_or_else(|e| e.into_inner());
+        let frozen = *self.final_serve.lock();
         let serve = frozen.unwrap_or_else(|| {
-            let topology = self.topology.read().unwrap_or_else(|e| e.into_inner());
+            let topology = self.topology.read();
             let snapshots: Vec<ServeStats> = topology
                 .shards
                 .iter()
                 .flat_map(|handle| {
-                    let replicas = handle.replicas.read().unwrap_or_else(|e| e.into_inner());
+                    let replicas = handle.replicas.read();
                     replicas.iter().map(Server::stats).collect::<Vec<_>>()
                 })
                 .collect();
             drop(topology);
             let mut folded = ServeStats::fold(snapshots.iter());
-            let retired = self.retired.lock().unwrap_or_else(|e| e.into_inner());
+            let retired = self.retired.lock();
             folded.merge(&retired);
             folded
         });
@@ -585,12 +572,12 @@ impl ShardRouter {
     /// keep returning the frozen fold.
     pub fn shutdown(&self, mode: ShutdownMode) -> ShardStats {
         {
-            let mut guard = self.final_serve.lock().unwrap_or_else(|e| e.into_inner());
+            let mut guard = self.final_serve.lock();
             if guard.is_none() {
-                let topology = self.topology.read().unwrap_or_else(|e| e.into_inner());
+                let topology = self.topology.read();
                 let mut snapshots = Vec::new();
                 for handle in &topology.shards {
-                    let replicas = handle.replicas.read().unwrap_or_else(|e| e.into_inner());
+                    let replicas = handle.replicas.read();
                     for server in replicas.iter() {
                         snapshots.push(server.shutdown(mode));
                     }
@@ -598,7 +585,7 @@ impl ShardRouter {
                 drop(topology);
                 let mut folded = ServeStats::fold(snapshots.iter());
                 {
-                    let retired = self.retired.lock().unwrap_or_else(|e| e.into_inner());
+                    let retired = self.retired.lock();
                     folded.merge(&retired);
                 }
                 *guard = Some(folded);
@@ -654,7 +641,7 @@ impl ShardRouter {
         let shard_routed = handle.routed.fetch_add(1, Ordering::Relaxed) + 1;
         let total_routed = self.counters.routed.fetch_add(1, Ordering::Relaxed) + 1;
         self.maybe_replicate(topology, shard, shard_routed, total_routed);
-        let replicas = handle.replicas.read().unwrap_or_else(|e| e.into_inner());
+        let replicas = handle.replicas.read();
         let server = replicas
             .iter()
             .min_by_key(|server| {
@@ -692,10 +679,7 @@ impl ShardRouter {
         if share * fair < self.config.hot_fair_share_factor {
             return;
         }
-        let mut replicas = topology.shards[shard]
-            .replicas
-            .write()
-            .unwrap_or_else(|e| e.into_inner());
+        let mut replicas = topology.shards[shard].replicas.write();
         if replicas.len() >= self.config.replication {
             return;
         }
@@ -765,8 +749,11 @@ fn spawn_replica(env: &MultiChannelEnv, config: &ShardConfig) -> Server {
     Server::spawn(env.clone(), config.serve)
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "only called with indices from eligible_shards(), whose cells have MBRs by construction"
+)]
 fn shard_mbr(plan: &ShardPlan, shard: usize) -> tnn_geom::Rect {
-    // check:allow(R2, only called with indices from eligible_shards(), whose cells have MBRs by construction)
     plan.mbr(shard).expect("eligible shards hold objects")
 }
 
@@ -778,11 +765,14 @@ fn fallback_bound(env: &MultiChannelEnv, p: Point, round_trip: bool) -> f64 {
     let mut total = 0.0;
     let mut cursor = p;
     for channel in env.channels() {
+        #[expect(
+            clippy::expect_used,
+            reason = "Query::validate rejected empty channels before any query runs, so every tree yields an object"
+        )]
         let (stop, _) = channel
             .tree()
             .objects_in_leaf_order()
             .next()
-            // check:allow(R2, Query::validate rejected empty channels before any query runs, so every tree yields an object)
             .expect("validation rejected empty channels");
         total += cursor.dist(stop);
         cursor = stop;

@@ -12,8 +12,6 @@
 //!   assertion message, but is not minimized;
 //! * `prop_assume!` skips the current case rather than re-drawing it.
 
-#![forbid(unsafe_code)]
-
 pub mod strategy {
     //! The [`Strategy`] trait and combinators.
 

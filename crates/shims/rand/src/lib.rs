@@ -10,8 +10,6 @@
 //! phase sequence on every platform. Swapping in the real `rand` changes
 //! the concrete streams (different algorithm) but no code.
 
-#![forbid(unsafe_code)]
-
 /// Pseudo-random number generators (mirrors `rand::rngs`).
 pub mod rngs {
     /// Deterministic 64-bit generator (SplitMix64 under the hood — the

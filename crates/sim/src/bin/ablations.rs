@@ -1,8 +1,6 @@
 //! Runs the design ablations (traversal order, packing, interleaving,
 //! page capacity, α policy, chained TNN).
 
-#![forbid(unsafe_code)]
-
 use tnn_sim::experiments::{ablations, Context};
 
 fn main() {

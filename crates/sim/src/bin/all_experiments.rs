@@ -2,10 +2,10 @@
 //! ablations, printing results and writing CSVs under `results/`
 //! (override with `TNN_OUT`).
 
-#![forbid(unsafe_code)]
-// R1-approved timing module (see check/r1.allow): wall-clock calls are
-// deliberate here, so the clippy mirror of the rule is waived file-wide.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "all-experiments stamps its progress lines with elapsed wall time; no experiment result depends on a clock"
+)]
 
 use std::time::Instant;
 use tnn_sim::experiments::{ablations, fig11, fig12, fig13, fig9, table3, Context};

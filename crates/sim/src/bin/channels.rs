@@ -5,8 +5,6 @@
 //! (`channels 2 3 4`); `TNN_QUERIES` / `TNN_SEED` control the batch.
 //! A malformed or zero argument or variable stops the run with its name.
 
-#![forbid(unsafe_code)]
-
 use std::sync::Arc;
 use tnn_broadcast::BroadcastParams;
 use tnn_core::{Algorithm, Query};

@@ -1,7 +1,5 @@
 //! Regenerates Figure 11 (tune-in time vs. density, paper §6.1.2).
 
-#![forbid(unsafe_code)]
-
 use tnn_sim::experiments::{fig11, Context};
 
 fn main() {

@@ -1,7 +1,5 @@
 //! Regenerates Figure 12 (ANN vs. eNN optimization, paper §6.2).
 
-#![forbid(unsafe_code)]
-
 use tnn_sim::experiments::{fig12, Context};
 
 fn main() {

@@ -1,7 +1,5 @@
 //! Regenerates Figure 13 (Hybrid-NN with ANN, paper §6.2.2).
 
-#![forbid(unsafe_code)]
-
 use tnn_sim::experiments::{fig13, Context};
 
 fn main() {

@@ -1,7 +1,5 @@
 //! Regenerates Figure 9 (access time, paper §6.1.1).
 
-#![forbid(unsafe_code)]
-
 use tnn_sim::experiments::{fig9, Context};
 
 fn main() {

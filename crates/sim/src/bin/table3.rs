@@ -1,7 +1,5 @@
 //! Regenerates Table 3 (Approximate-TNN fail rates, paper §6.3).
 
-#![forbid(unsafe_code)]
-
 use tnn_sim::experiments::{table3, Context};
 
 fn main() {

@@ -26,7 +26,6 @@
 //! time and tune-in time in pages.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod experiments;
 mod metrics;

@@ -4,11 +4,11 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use std::sync::Mutex;
 use tnn_broadcast::BroadcastParams;
 use tnn_datasets as data;
 use tnn_geom::Point;
 use tnn_rtree::{PackingAlgorithm, RTree};
+use tnn_trace::lock::{LockRank, OrderedMutex};
 
 /// One of the paper's datasets. Uniform density exponents are stored in
 /// tenths (`-58` means `10^-5.8`) so specs stay hashable.
@@ -79,9 +79,16 @@ impl fmt::Display for DatasetSpec {
 /// A cache of built R-trees keyed by `(dataset, page_capacity)` — tree
 /// construction (STR packing of up to 123k points) dominates experiment
 /// startup, and most figures reuse datasets across many configurations.
-#[derive(Default)]
 pub struct Catalog {
-    cache: Mutex<HashMap<(DatasetSpec, usize), Arc<RTree>>>,
+    cache: OrderedMutex<HashMap<(DatasetSpec, usize), Arc<RTree>>>,
+}
+
+impl Default for Catalog {
+    fn default() -> Self {
+        Catalog {
+            cache: OrderedMutex::new(LockRank::SimCatalog, HashMap::new()),
+        }
+    }
 }
 
 impl Catalog {
@@ -90,18 +97,11 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// std Mutex instead of parking_lot: tree building never panics while
-    /// the lock is held, so poisoning cannot propagate; recover
-    /// defensively anyway.
-    fn guard(&self) -> std::sync::MutexGuard<'_, HashMap<(DatasetSpec, usize), Arc<RTree>>> {
-        self.cache.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// The R-tree for `spec` under `params` (built on first use; STR
     /// packing, as in the paper).
     pub fn tree(&self, spec: DatasetSpec, params: &BroadcastParams) -> Arc<RTree> {
         let key = (spec, params.page_capacity);
-        if let Some(t) = self.guard().get(&key) {
+        if let Some(t) = self.cache.lock().get(&key) {
             return Arc::clone(t);
         }
         // Build outside the lock: different datasets can build in
@@ -111,7 +111,10 @@ impl Catalog {
             RTree::build(&pts, params.rtree_params(), PackingAlgorithm::Str)
                 .expect("catalog datasets are non-empty and finite"),
         );
-        self.guard().entry(key).or_insert_with(|| Arc::clone(&tree));
+        self.cache
+            .lock()
+            .entry(key)
+            .or_insert_with(|| Arc::clone(&tree));
         tree
     }
 }

@@ -4,7 +4,7 @@
 //! answer to "why was *this* query slow?" in the paper's own cost
 //! vocabulary.
 //!
-//! Four pieces, all std-only and dependency-free so every layer
+//! Five pieces, all std-only and dependency-free so every layer
 //! (serve, qos, faults, shard, sim) can record into them without new
 //! edges in the crate graph:
 //!
@@ -28,21 +28,25 @@
 //!   pools, queryable from `tnn_serve::Server` / `tnn_shard::ShardRouter`
 //!   and reconciled against measured latency by the live-stack test in
 //!   `crates/bench/tests/metrics_golden.rs`.
+//! * **Ranked locks** — [`lock::OrderedMutex`] and
+//!   [`lock::OrderedRwLock`] are the workspace's only locks; each takes
+//!   a [`lock::LockRank`], the one declaration of the lock hierarchy,
+//!   and debug builds panic on an out-of-order acquisition.
 //!
 //! ## Determinism and zero cost when off
 //!
 //! This crate never reads a clock: every [`std::time::Duration`] is
-//! stamped by a caller on an approved timing path, so `tnn-check` R1
-//! stays at zero findings. With `TraceConfig::Off` (the default) the
-//! serving layers take no stamps and record nothing, and the
-//! byte-transparency gate `crates/bench/tests/trace_equivalence.rs`
-//! holds traced ≡ untraced for outcomes and stats counters. See
-//! `docs/OBSERVABILITY.md`.
+//! stamped by a caller on an approved timing path, so it needs no
+//! exemption from the `clippy.toml` wall-clock ban (R1). With
+//! `TraceConfig::Off` (the default) the serving layers take no stamps
+//! and record nothing, and the byte-transparency gate
+//! `crates/bench/tests/trace_equivalence.rs` holds traced ≡ untraced
+//! for outcomes and stats counters. See `docs/OBSERVABILITY.md`.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod histogram;
+pub mod lock;
 mod recorder;
 mod registry;
 mod span;

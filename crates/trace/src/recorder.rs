@@ -9,11 +9,11 @@
 //! queries flow through. Recording locks only the stripe selected by
 //! `seq % stripes`, and the serving integration records *after* ticket
 //! resolution with no other lock held, so the recorder sits at the very
-//! bottom of the lock hierarchy (`docs/locks.toml`: `trace.recorder`).
+//! bottom of the lock hierarchy (`LockRank::TraceRecorder`).
 
+use crate::lock::{LockRank, OrderedMutex};
 use crate::{QueryTrace, RecorderConfig};
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 /// One stripe's retention state.
 #[derive(Debug, Default)]
@@ -31,7 +31,7 @@ struct StripeState {
 /// all (up to a ring bound) degraded-or-errored query traces.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    stripes: Vec<Mutex<StripeState>>,
+    stripes: Vec<OrderedMutex<StripeState>>,
     slowest_per_stripe: usize,
     flagged_per_stripe: usize,
 }
@@ -43,7 +43,7 @@ impl FlightRecorder {
         let stripes = cfg.stripes.max(1);
         FlightRecorder {
             stripes: (0..stripes)
-                .map(|_| Mutex::new(StripeState::default()))
+                .map(|_| OrderedMutex::new(LockRank::TraceRecorder, StripeState::default()))
                 .collect(),
             slowest_per_stripe: cfg.slowest.div_ceil(stripes),
             flagged_per_stripe: cfg.flagged.div_ceil(stripes),
@@ -54,7 +54,7 @@ impl FlightRecorder {
     /// one stripe lock plus a linear scan over that stripe's seats.
     pub fn record(&self, trace: QueryTrace) {
         let stripe = &self.stripes[(trace.seq % self.stripes.len() as u64) as usize];
-        let mut stripe = stripe.lock().unwrap_or_else(|e| e.into_inner());
+        let mut stripe = stripe.lock();
         stripe.recorded += 1;
         if trace.flagged() && self.flagged_per_stripe > 0 {
             if stripe.flagged.len() == self.flagged_per_stripe {
@@ -83,7 +83,7 @@ impl FlightRecorder {
     pub fn slowest(&self) -> Vec<QueryTrace> {
         let mut out = Vec::new();
         for stripe in &self.stripes {
-            let stripe = stripe.lock().unwrap_or_else(|e| e.into_inner());
+            let stripe = stripe.lock();
             out.extend(stripe.slowest.iter().cloned());
         }
         out.sort_by(|a, b| b.total.cmp(&a.total).then(a.seq.cmp(&b.seq)));
@@ -95,7 +95,7 @@ impl FlightRecorder {
     pub fn flagged(&self) -> Vec<QueryTrace> {
         let mut out = Vec::new();
         for stripe in &self.stripes {
-            let stripe = stripe.lock().unwrap_or_else(|e| e.into_inner());
+            let stripe = stripe.lock();
             out.extend(stripe.flagged.iter().cloned());
         }
         out.sort_by_key(|t| t.seq);
@@ -107,7 +107,7 @@ impl FlightRecorder {
     pub fn len(&self) -> usize {
         let mut total = 0;
         for stripe in &self.stripes {
-            let stripe = stripe.lock().unwrap_or_else(|e| e.into_inner());
+            let stripe = stripe.lock();
             total += stripe.slowest.len() + stripe.flagged.len();
         }
         total
@@ -122,7 +122,7 @@ impl FlightRecorder {
     pub fn recorded(&self) -> u64 {
         let mut total = 0;
         for stripe in &self.stripes {
-            total += stripe.lock().unwrap_or_else(|e| e.into_inner()).recorded;
+            total += stripe.lock().recorded;
         }
         total
     }

@@ -10,10 +10,10 @@
 //! [`stats!`](crate::stats) declaration. Counters published from those structs
 //! are monotone because the structs themselves only grow.
 
+use crate::lock::{LockRank, OrderedMutex};
 use crate::LatencyHistogram;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// A single published metric value.
@@ -62,9 +62,17 @@ struct Family {
 /// assert!(text.contains("# TYPE tnn_demo_total counter"));
 /// assert!(text.contains("tnn_demo_total 3"));
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MetricsRegistry {
-    registry: Mutex<BTreeMap<String, Family>>,
+    registry: OrderedMutex<BTreeMap<String, Family>>,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry {
+            registry: OrderedMutex::new(LockRank::TraceRegistry, BTreeMap::new()),
+        }
+    }
 }
 
 /// The base name of a possibly-labelled series name.
@@ -86,7 +94,7 @@ impl MetricsRegistry {
                     .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
             "invalid metric name {name:?}"
         );
-        let mut registry = self.registry.lock().unwrap_or_else(|e| e.into_inner());
+        let mut registry = self.registry.lock();
         let family = registry
             .entry(family_of(name).to_string())
             .or_insert_with(|| Family {
@@ -114,7 +122,7 @@ impl MetricsRegistry {
 
     /// Number of published series across all families.
     pub fn len(&self) -> usize {
-        let registry = self.registry.lock().unwrap_or_else(|e| e.into_inner());
+        let registry = self.registry.lock();
         registry.values().map(|f| f.series.len()).sum()
     }
 
@@ -127,7 +135,7 @@ impl MetricsRegistry {
     /// (`# HELP` / `# TYPE` headers, histogram `_bucket`/`_sum`/
     /// `_count` expansion, `le` bounds in seconds).
     pub fn render_prometheus(&self) -> String {
-        let registry = self.registry.lock().unwrap_or_else(|e| e.into_inner());
+        let registry = self.registry.lock();
         let mut out = String::new();
         for (family_name, family) in registry.iter() {
             let kind = family

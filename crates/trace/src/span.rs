@@ -5,8 +5,9 @@
 //! never reads a time source itself — every duration is handed in by
 //! callers that are already on the workspace's approved timing paths
 //! (the serve worker loop, ticket resolution, the sim/bench binaries).
-//! That keeps `tnn-check` rule R1 (no wall clocks outside the allow
-//! list) at zero findings with tracing compiled in everywhere.
+//! That keeps rule R1 (no wall clocks outside the modules that
+//! `#[expect]` clippy's `disallowed_methods`) satisfied with tracing
+//! compiled in everywhere.
 
 use std::time::Duration;
 

@@ -68,7 +68,6 @@
 //! | [`sim`] (`tnn-sim`) | the experiment harness regenerating every figure/table of the paper |
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub use tnn_broadcast as broadcast;
 pub use tnn_core as core;
