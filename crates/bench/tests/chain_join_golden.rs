@@ -1,13 +1,13 @@
-//! k ≥ 3 routes, pinned bit for bit.
+//! Routes at k = 2, 3 and 4, pinned bit for bit.
 //!
 //! The exact chain oracle, the heap ≡ linear gate and the shard ≡ engine
-//! gate all reach the same k-layer chain join, so none of them can see a
-//! bug inside it. This test pins its answers independently: a fixed set
+//! gate all reach the same route join, so none of them can see a bug
+//! inside it. This test pins its answers independently: a fixed set
 //! of queries over clustered CITY-like channels, each recorded as its
 //! filter candidate counts, its route's object ids (with channels) and
 //! the exact bits of its total in `tests/golden/chain_routes.txt`. The
-//! queries cover Hybrid-NN TNN, order-free and round trip at k = 3, and
-//! the chained query at k = 4.
+//! queries cover TNN, order-free and round trip at k = 2, Hybrid-NN TNN,
+//! order-free and round trip at k = 3, and the chained query at k = 4.
 //! Any change to the join that moves a route or a single bit of a total
 //! fails here.
 
@@ -61,7 +61,10 @@ type Run = (&'static str, usize, fn(Point) -> Query);
 fn render() -> String {
     let points = query_points();
     let mut out = String::new();
-    let runs: [Run; 4] = [
+    let runs: [Run; 7] = [
+        ("tnn_k2", 2, Query::tnn),
+        ("order_free_k2", 2, Query::order_free),
+        ("round_trip_k2", 2, Query::round_trip),
         ("hybrid_nn_k3", 3, |p| {
             Query::tnn(p).algorithm(Algorithm::HybridNn)
         }),
@@ -105,7 +108,7 @@ fn chain_routes_match_the_golden_file() {
             .position(|(a, b)| a != b)
             .unwrap_or(rendered.lines().count().min(GOLDEN.lines().count()));
         panic!(
-            "k ≥ 3 routes drifted from tests/golden/chain_routes.txt at line {}:\n\
+            "routes drifted from tests/golden/chain_routes.txt at line {}:\n\
              rendered: {:?}\n  golden: {:?}\n--- full rendering ---\n{rendered}",
             first_diff + 1,
             rendered.lines().nth(first_diff),
