@@ -7,7 +7,7 @@
 //! two-channel code path (the shape removed by the generalization),
 //! written against the public task primitives: a two-task `run_parallel`
 //! event loop, the four two-channel estimates, the two-window filter with
-//! the bound-pruned pairwise join, and the two-stop retrieval tail. Its
+//! its own literal nested-loop join, and the two-stop retrieval tail. Its
 //! outcomes are compared field-for-field against the engine's
 //! [`QueryOutcome`]s.
 
@@ -16,12 +16,11 @@ use std::sync::Arc;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv, Tuner};
 use tnn_core::task::{BroadcastNnSearch, NnScratch, WindowQueryTask, WindowScratch};
 use tnn_core::{
-    approximate_radius, round_trip_join, tnn_join, Algorithm, AnnMode, ArrivalHeap, CandidateQueue,
-    ChannelCost, LinearQueue, Query, QueryEngine, QueryKind, QueryOutcome, RouteStop, SearchMode,
-    TnnPair,
+    approximate_radius, Algorithm, AnnMode, ArrivalHeap, CandidateQueue, ChannelCost, LinearQueue,
+    Query, QueryEngine, QueryKind, QueryOutcome, RouteStop, SearchMode, TnnPair,
 };
 use tnn_geom::{Circle, Point};
-use tnn_rtree::{PackingAlgorithm, RTree};
+use tnn_rtree::{ObjectId, PackingAlgorithm, RTree};
 
 fn build_env(layers: &[Vec<Point>], phases: &[u64], page: usize) -> MultiChannelEnv {
     let params = BroadcastParams::new(page);
@@ -208,6 +207,40 @@ fn frozen_estimate<Q: CandidateQueue>(
     }
 }
 
+/// The frozen two-channel join, Algorithm 1's nested loop (lines 7–17)
+/// without its prunes: for each `s` in index order, its best `r` on
+/// `(leg sum, r index)`, where the leg sum is `dis(s, r)`, plus `dis(r, p)`
+/// on a tour; then the strictly smaller total `dis(p, s) + leg sum` wins.
+/// Shares no code with the engine's join.
+fn frozen_join(
+    p: Point,
+    s_cands: &[(Point, ObjectId)],
+    r_cands: &[(Point, ObjectId)],
+    tour: bool,
+) -> Option<TnnPair> {
+    let mut best: Option<TnnPair> = None;
+    for &(s_pt, s_id) in s_cands {
+        let mut leg: Option<(f64, (Point, ObjectId))> = None;
+        for &(r_pt, r_id) in r_cands {
+            let back = if tour { r_pt.dist(p) } else { 0.0 };
+            let sum = s_pt.dist(r_pt) + back;
+            if leg.is_none_or(|(b, _)| sum < b) {
+                leg = Some((sum, (r_pt, r_id)));
+            }
+        }
+        let (sum, r) = leg?;
+        let total = p.dist(s_pt) + sum;
+        if best.as_ref().is_none_or(|b| total < b.dist) {
+            best = Some(TnnPair {
+                s: (s_pt, s_id),
+                r,
+                dist: total,
+            });
+        }
+    }
+    best
+}
+
 /// The frozen filter + join + retrieve tail, emitting the expected
 /// engine outcome for a plain TNN query.
 fn frozen_tnn<Q: CandidateQueue>(
@@ -238,7 +271,7 @@ fn frozen_tnn<Q: CandidateQueue>(
 
     let candidates = vec![w0.hits().len(), w1.hits().len()];
     let filter_pages = [w0.tuner().pages, w1.tuner().pages];
-    let answer: Option<TnnPair> = tnn_join(p, w0.hits(), w1.hits());
+    let answer = frozen_join(p, w0.hits(), w1.hits(), false);
 
     let mut channels = vec![
         ChannelCost {
@@ -315,7 +348,7 @@ fn frozen_variant_outcome(
     est_end: u64,
     est_hops: [(u64, u64); 2],
     radius: f64,
-    stops: Vec<(Point, tnn_rtree::ObjectId, usize)>,
+    stops: Vec<(Point, ObjectId, usize)>,
     total_dist: f64,
     filter_tuners: [Tuner; 2],
     filter_end: u64,
@@ -427,8 +460,8 @@ fn frozen_variant<Q: CandidateQueue>(
 
     let (stops, total) = match kind {
         QueryKind::OrderFree => {
-            let forward = tnn_join(p, w0.hits(), w1.hits());
-            let backward = tnn_join(p, w1.hits(), w0.hits());
+            let forward = frozen_join(p, w0.hits(), w1.hits(), false);
+            let backward = frozen_join(p, w1.hits(), w0.hits(), false);
             let (pair, s_first) = match (forward, backward) {
                 (Some(f), Some(b)) if b.dist < f.dist => (b, false),
                 (Some(f), _) => (f, true),
@@ -443,7 +476,7 @@ fn frozen_variant<Q: CandidateQueue>(
             (stops, pair.dist)
         }
         QueryKind::RoundTrip => {
-            let pair = round_trip_join(p, w0.hits(), w1.hits())
+            let pair = frozen_join(p, w0.hits(), w1.hits(), true)
                 .expect("the estimate pair lies inside the half-radius range");
             (
                 vec![(pair.s.0, pair.s.1, 0), (pair.r.0, pair.r.1, 1)],

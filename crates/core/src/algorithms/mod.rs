@@ -20,8 +20,7 @@
 //! 3. **filter**: window queries over `circle(p, d)` on every channel in
 //!    parallel;
 //! 4. **join**: [`crate::merge_route_layers`] under the same objective
-//!    (the two-channel bound-pruned join for `k = 2`, the chain DP over
-//!    per-layer bucket grids for `k > 2`);
+//!    (the chain DP over per-layer bucket grids, at every `k`);
 //! 5. **retrieve**: the answer objects' data pages.
 //!
 //! Every step is generic over the candidate-queue backend of the NN
@@ -34,7 +33,7 @@
 //!
 //! Driven through [`crate::QueryEngine::run_with`] with a reused
 //! [`QueryScratch`], every growth-prone buffer (NN queues and parked
-//! lists, window queues and hit lists, join order/sweep/grid/DP tables,
+//! lists, window queues and hit lists, join order/cut/grid/DP tables,
 //! order-free permutation table) is recycled across queries; what
 //! remains per query is a handful of k-element transient vectors (the
 //! estimate task fan-out, the filter-task list, and the returned
@@ -296,10 +295,8 @@ pub(crate) fn filter_and_finish<Q: CandidateQueue>(
     }
 
     let candidates: Vec<usize> = windows.iter().map(|w| w.hits().len()).collect();
-    // Local join through the shared candidate-merge entry point (the
-    // two-channel bound-pruned join stays verbatim for k = 2 — bit-
-    // identical to the paper pipeline; k > 2 routes go through the
-    // grid-pruned chain DP).
+    // Local join through the shared candidate-merge entry point: the
+    // grid-pruned chain DP, at every k.
     let layers: Vec<&[(Point, ObjectId)]> = windows.iter().map(|w| w.hits()).collect();
     let (total_dist, route) =
         match merge_route_layers(join, objective, p, &layers, Some(visit_orders)) {

@@ -1,20 +1,19 @@
 //! The filter-phase local join: find the minimum-transitive-distance route
 //! among the retrieved candidates.
 //!
-//! The paper's Algorithm 1 (lines 7–17) is a bound-pruned nested loop.
-//! The two-channel join keeps that shape, runs every comparison in
-//! squared-distance space and, once the candidate sets are large, finds
-//! each inner nearest neighbor with an x-sorted plane sweep. The k-layer
-//! chain join first cuts every layer to the items within a cheap feasible
-//! route's total of `p` (Theorem 1's argument, applied once more inside
-//! the join), then runs a dynamic program backwards over the cut layers.
-//! Each of its transitions is a weighted nearest-neighbor search
+//! The paper's Algorithm 1 (lines 7–17) is a bound-pruned nested loop over
+//! two channels. One join serves every number of layers `k`, the paper's
+//! `k = 2` included, for the open chain and the closed tour alike. It
+//! first cuts every layer to the items within a cheap feasible route's
+//! total of `p` (Theorem 1's argument, applied once more inside the join),
+//! then runs a dynamic program backwards over the cut layers. Each of its
+//! transitions is a weighted nearest-neighbor search
 //! (`min dis(q, s) + cost(s)`) over a bucket grid whose cells carry their
 //! points' bounding box and minimum suffix cost, and its head step visits
 //! the first layer in ascending `dis(p, s)` and stops once that distance
 //! alone exceeds the best total — Algorithm 1's line-8 early exit, for k
 //! layers. Every prune compares a floating-point lower bound strictly
-//! against the best total, so both joins return exactly the nested loop's
+//! against the best total, so the join returns exactly the nested loop's
 //! answer, ties and total bits included.
 //!
 //! The join runs on the client from already-downloaded data, and the paper
@@ -23,129 +22,69 @@
 //! [`JoinScratch`], so a batch of queries performs no join allocations
 //! after the first.
 
-use crate::TnnPair;
 use tnn_geom::{Point, Rect};
 use tnn_rtree::ObjectId;
 
-/// Candidate-set size beyond which an inner loop leaves the linear scan:
-/// for the x-sorted sweep of the two-channel join and for the bucket grid
-/// of a chain-DP transition (sorting or bucketing only pays off once the
-/// scan is long enough).
-const SWEEP_JOIN_THRESHOLD: usize = 48;
+/// The largest downstream layer a chain-DP transition scans linearly;
+/// a larger one is searched through the bucket grid (bucketing only pays
+/// off once the scan is long enough).
+const MAX_SCANNED_LAYER: usize = 48;
 
-/// Reusable buffers for [`tnn_join_with`] and the k-layer
-/// [`chain_join_with`]: the candidate visit order, the x-sorted
-/// inner-layer index, the chain join's cheap route and cut layers, the
-/// bucket grid over a chain-DP transition's downstream layer, and the
-/// chain DP's per-layer cost/backpointer tables. One scratch serves both
-/// the two-channel join and every hop of a `k`-layer join, so a batch of
-/// queries performs no join allocations after the buffers have grown to
-/// the workload's candidate counts.
+/// Reusable buffers for [`chain_join_with`] and [`chain_loop_join_with`]:
+/// the head step's candidate visit order, the cheap route and cut layers,
+/// the bucket grid over a DP transition's downstream layer, and the DP's
+/// per-layer cost/backpointer tables, plus the join's work counters. One
+/// scratch serves every join of every `k`, so a batch of queries performs
+/// no join allocations after the buffers have grown to the workload's
+/// candidate counts.
 #[derive(Debug, Default)]
 pub struct JoinScratch {
-    /// `(dis²(p, s), index)` sorted ascending: the two-channel join's `s`
-    /// order and the chain join's head-step order.
+    /// `(dis²(p, s), index)` sorted ascending: the head step's order.
     s_order: Vec<(f64, u32)>,
-    /// `(x, y, index)` sorted by x (then index).
-    r_by_x: Vec<(f64, f64, u32)>,
-    /// Chain join: the cheap feasible route, one stop per layer.
+    /// The cheap feasible route, one stop per layer.
     route: Vec<Point>,
-    /// Chain join: each layer cut to the items within the cheap route's
-    /// total of `p`, in their original order.
+    /// Each layer cut to the items within the cheap route's total of `p`,
+    /// in their original order.
     cut: Vec<Vec<(Point, ObjectId)>>,
-    /// Bucket grid over the downstream layer of the current chain-DP
-    /// transition.
+    /// Bucket grid over the downstream layer of the current DP transition.
     grid: CostGrid,
-    /// Chain DP: suffix cost per layer item, one table per layer.
+    /// Suffix cost per layer item, one table per layer.
     chain_cost: Vec<Vec<f64>>,
-    /// Chain DP: best-successor backpointers, one table per layer.
+    /// Best-successor backpointers, one table per layer.
     chain_next: Vec<Vec<u32>>,
-    /// Candidate distance evaluations of the chain join so far.
-    chain_evaluations: u64,
+    /// The join's work so far.
+    work: JoinWork,
+}
+
+/// Host-independent work counters of the join.
+#[derive(Debug, Default)]
+struct JoinWork {
+    /// Candidate distance evaluations.
+    evaluations: u64,
+    /// Grid cells tested, scanned or not.
+    cells_tested: u64,
 }
 
 impl JoinScratch {
-    /// Candidate distance evaluations the k-layer chain join has made
-    /// through this scratch so far: every candidate of every layer the
-    /// cheap-route descent scans, every candidate of every scanned grid
-    /// cell or scanned cut layer, plus every first-layer candidate the
-    /// head step visits. A host-independent work counter; the plain
-    /// nested loop makes `Σ nᵢ·nᵢ₊₁ + n₀` of them per join.
+    /// Candidate distance evaluations the join has made through this
+    /// scratch so far, at every `k` and for both objectives: every
+    /// candidate of every layer the cheap-route descent scans, every
+    /// candidate of every scanned grid cell or scanned cut layer, plus
+    /// every first-layer candidate the head step visits. A
+    /// host-independent work counter; the plain nested loop makes
+    /// `Σ nᵢ·nᵢ₊₁ + n₀` of them per join.
     pub fn chain_evaluations(&self) -> u64 {
-        self.chain_evaluations
-    }
-}
-
-/// Finds the pair `(s, r)` minimizing `dis(p, s) + dis(s, r)` over the
-/// candidate sets, or `None` when either set is empty.
-///
-/// Ties are broken toward smaller squared distance, then smaller
-/// candidate index — deterministic for deterministic inputs and
-/// independent of the inner-loop strategy.
-pub fn tnn_join(
-    p: Point,
-    s_cands: &[(Point, ObjectId)],
-    r_cands: &[(Point, ObjectId)],
-) -> Option<TnnPair> {
-    tnn_join_with(&mut JoinScratch::default(), p, s_cands, r_cands)
-}
-
-/// [`tnn_join`] with caller-provided scratch buffers (zero allocations
-/// once the buffers have grown to the workload's candidate counts).
-pub fn tnn_join_with(
-    scratch: &mut JoinScratch,
-    p: Point,
-    s_cands: &[(Point, ObjectId)],
-    r_cands: &[(Point, ObjectId)],
-) -> Option<TnnPair> {
-    if s_cands.is_empty() || r_cands.is_empty() {
-        return None;
+        self.work.evaluations
     }
 
-    // Visit s candidates in ascending dis(p, s): once dis(p, s) alone
-    // reaches the best total, no later s can win (Algorithm 1 line 8).
-    // Squared distances order identically.
-    sort_by_dist_sq(&mut scratch.s_order, p, s_cands);
-
-    let sweep = r_cands.len() > SWEEP_JOIN_THRESHOLD;
-    if sweep {
-        scratch.r_by_x.clear();
-        scratch.r_by_x.extend(
-            r_cands
-                .iter()
-                .enumerate()
-                .map(|(i, &(pt, _))| (pt.x, pt.y, i as u32)),
-        );
-        scratch
-            .r_by_x
-            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
+    /// Grid cells the DP's grid searches have tested through this scratch
+    /// so far, whether the cell's bound rejected it or its items were
+    /// scanned; zero while every transition scans its layer linearly. A
+    /// host-independent work counter of the cell walk, which
+    /// [`JoinScratch::chain_evaluations`] does not see.
+    pub fn grid_cells_tested(&self) -> u64 {
+        self.work.cells_tested
     }
-
-    let mut best: Option<TnnPair> = None;
-    for &(_, si) in &scratch.s_order {
-        let (s_pt, s_id) = s_cands[si as usize];
-        let d_ps = p.dist(s_pt);
-        if let Some(b) = &best {
-            if d_ps >= b.dist {
-                break;
-            }
-        }
-        let (ri, d_sr_sq) = if sweep {
-            nearest_by_sweep(&scratch.r_by_x, s_pt)
-        } else {
-            nearest_by_scan(r_cands, s_pt)
-        };
-        let (r_pt, r_id) = r_cands[ri];
-        let total = d_ps + d_sr_sq.sqrt();
-        if best.as_ref().is_none_or(|b| total < b.dist) {
-            best = Some(TnnPair {
-                s: (s_pt, s_id),
-                r: (r_pt, r_id),
-                dist: total,
-            });
-        }
-    }
-    best
 }
 
 /// Fills `order` with `(dis²(p, c), index)` for every candidate, sorted
@@ -162,60 +101,12 @@ fn sort_by_dist_sq(order: &mut Vec<(f64, u32)>, p: Point, cands: &[(Point, Objec
     order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 }
 
-/// Linear inner NN in squared space; returns `(index, dis²)`. Picks the
-/// smallest `(dis², index)` pair, matching [`nearest_by_sweep`] exactly —
-/// also when every distance overflows to infinity.
-fn nearest_by_scan(r_cands: &[(Point, ObjectId)], q: Point) -> (usize, f64) {
-    let mut best = (usize::MAX, f64::INFINITY);
-    for (i, &(pt, _)) in r_cands.iter().enumerate() {
-        let d2 = q.dist_sq(pt);
-        if d2 < best.1 || (d2 == best.1 && i < best.0) {
-            best = (i, d2);
-        }
-    }
-    best
-}
-
-/// Inner NN over the x-sorted candidate index: expands outward from the
-/// query's x position and stops each direction once the x gap alone
-/// exceeds the best squared distance. Returns `(index, dis²)`, choosing
-/// the smallest `(dis², index)` pair so the result is independent of the
-/// sweep direction.
-fn nearest_by_sweep(r_by_x: &[(f64, f64, u32)], q: Point) -> (usize, f64) {
-    let start = r_by_x.partition_point(|e| e.0 < q.x);
-    let mut best_d2 = f64::INFINITY;
-    let mut best_idx = u32::MAX;
-    for e in &r_by_x[start..] {
-        let dx = e.0 - q.x;
-        if dx * dx > best_d2 {
-            break;
-        }
-        let dy = e.1 - q.y;
-        let d2 = dx * dx + dy * dy;
-        if d2 < best_d2 || (d2 == best_d2 && e.2 < best_idx) {
-            best_d2 = d2;
-            best_idx = e.2;
-        }
-    }
-    for e in r_by_x[..start].iter().rev() {
-        let dx = e.0 - q.x;
-        if dx * dx > best_d2 {
-            break;
-        }
-        let dy = e.1 - q.y;
-        let d2 = dx * dx + dy * dy;
-        if d2 < best_d2 || (d2 == best_d2 && e.2 < best_idx) {
-            best_d2 = d2;
-            best_idx = e.2;
-        }
-    }
-    (best_idx as usize, best_d2)
-}
-
-/// Chained-TNN join (the future-work generalization): given candidate
-/// layers `C₁ … C_k`, finds the chain `p → s₁ → … → s_k` with `sᵢ ∈ Cᵢ`
-/// of minimum total length, by dynamic programming backwards over the
-/// layers. Returns `None` when any layer is empty.
+/// The route join: given candidate layers `C₁ … C_k`, finds the chain
+/// `p → s₁ → … → s_k` with `sᵢ ∈ Cᵢ` of minimum total length, by dynamic
+/// programming backwards over the layers. At `k = 2` this is the paper's
+/// TNN join (Algorithm 1, lines 7–17); larger `k` is the chained-TNN
+/// generalization of its future work. Returns `None` when any layer is
+/// empty.
 ///
 /// Layers are anything slice-like (`Vec`s or borrowed `&[_]` hit lists),
 /// so the broadcast pipeline can join straight out of reused window-task
@@ -227,8 +118,8 @@ pub fn chain_join<L: AsRef<[(Point, ObjectId)]>>(
     chain_join_with(&mut JoinScratch::default(), p, layers)
 }
 
-/// [`chain_join`] with caller-provided scratch buffers — the k-layer
-/// sibling of [`tnn_join_with`], reusing the same [`JoinScratch`].
+/// [`chain_join`] with caller-provided scratch buffers (zero allocations
+/// once the buffers have grown to the workload's candidate counts).
 ///
 /// The join first bounds the optimum by a cheap feasible route: the
 /// greedy chain from `p` (the nearest item of each layer in turn), then
@@ -262,9 +153,10 @@ pub fn chain_join_with<L: AsRef<[(Point, ObjectId)]>>(
     chain_join_core(scratch, p, layers, false)
 }
 
-/// The closed-tour k-layer join: minimizes
+/// The closed-tour join: minimizes
 /// `dis(p, s₁) + Σ dis(sᵢ, sᵢ₊₁) + dis(s_k, p)` — the round-trip TNN
-/// objective over `k ≥ 2` layers. Returns `None` when any layer is empty.
+/// objective, folded as `dis(p, s₁) + (dis(s₁, s₂) + (… + dis(s_k, p)))`
+/// at every `k`. Returns `None` when any layer is empty.
 pub fn chain_loop_join<L: AsRef<[(Point, ObjectId)]>>(
     p: Point,
     layers: &[L],
@@ -279,44 +171,6 @@ pub fn chain_loop_join_with<L: AsRef<[(Point, ObjectId)]>>(
     layers: &[L],
 ) -> Option<(Vec<(Point, ObjectId)>, f64)> {
     chain_join_core(scratch, p, layers, true)
-}
-
-/// The two-channel round-trip join: minimum of
-/// `dis(p,s) + dis(s,r) + dis(r,p)` over the candidate sets, with early
-/// exit over `s` ordered by `dis(p, s)` (for any `r`,
-/// `dis(s,r) + dis(r,p) ≥ dis(s,p)`, so the tour through `s` is at least
-/// `2·dis(p,s)`). The `k > 2` generalization is [`chain_loop_join`].
-pub fn round_trip_join(
-    p: Point,
-    s_cands: &[(Point, ObjectId)],
-    r_cands: &[(Point, ObjectId)],
-) -> Option<TnnPair> {
-    if s_cands.is_empty() || r_cands.is_empty() {
-        return None;
-    }
-    let mut order: Vec<usize> = (0..s_cands.len()).collect();
-    order.sort_by(|&a, &b| p.dist_sq(s_cands[a].0).total_cmp(&p.dist_sq(s_cands[b].0)));
-    let mut best: Option<TnnPair> = None;
-    for &si in &order {
-        let (s_pt, s_id) = s_cands[si];
-        let d_ps = p.dist(s_pt);
-        if let Some(b) = &best {
-            if 2.0 * d_ps >= b.dist {
-                break;
-            }
-        }
-        for &(r_pt, r_id) in r_cands {
-            let loop_len = d_ps + s_pt.dist(r_pt) + r_pt.dist(p);
-            if best.as_ref().is_none_or(|b| loop_len < b.dist) {
-                best = Some(TnnPair {
-                    s: (s_pt, s_id),
-                    r: (r_pt, r_id),
-                    dist: loop_len,
-                });
-            }
-        }
-    }
-    best
 }
 
 /// Shared implementation of the open-chain and closed-tour k-layer joins.
@@ -347,7 +201,7 @@ fn chain_join_core<L: AsRef<[(Point, ObjectId)]>>(
         buffers.resize_with(k, Vec::new);
     }
     let cut = &mut buffers[..k];
-    let (route, evaluations) = (&mut scratch.route, &mut scratch.chain_evaluations);
+    let (route, evaluations) = (&mut scratch.route, &mut scratch.work.evaluations);
 
     let greedy = greedy_route(route, evaluations, p, layers, close_tour);
     let reach = Reach::new(p, greedy, k, close_tour);
@@ -524,7 +378,7 @@ fn chain_dp(
         grid,
         chain_cost,
         chain_next,
-        chain_evaluations: evaluations,
+        work,
         ..
     } = scratch;
 
@@ -547,7 +401,7 @@ fn chain_dp(
         cost_i.clear();
         next_i.clear();
         for &(pt, _) in &layers[i] {
-            let (c, j) = step.nearest(pt, evaluations);
+            let (c, j) = step.nearest(pt, work);
             cost_i.push(c);
             next_i.push(j);
         }
@@ -572,9 +426,9 @@ fn chain_dp(
         if d > best.0 {
             break;
         }
-        *evaluations += 1;
+        work.evaluations += 1;
         let (suffix, next) = match &step {
-            Some(step) => step.nearest(pt, evaluations),
+            Some(step) => step.nearest(pt, work),
             None => (chain_cost[0][j0 as usize], 0),
         };
         let total = d + suffix;
@@ -615,7 +469,7 @@ impl<'a> Transition<'a> {
     /// Prepares the transition into `layer` with suffix costs `cost`,
     /// (re)building `grid` when the layer is large enough to need it.
     fn new(grid: &'a mut CostGrid, layer: &'a [(Point, ObjectId)], cost: &'a [f64]) -> Self {
-        if layer.len() > SWEEP_JOIN_THRESHOLD {
+        if layer.len() > MAX_SCANNED_LAYER {
             grid.build(layer, cost);
             Transition::Grid(grid)
         } else {
@@ -624,14 +478,14 @@ impl<'a> Transition<'a> {
     }
 
     /// `(min total, its index)` for the upstream point `q`, counting the
-    /// candidate distance evaluations into `evaluations`.
-    fn nearest(&self, q: Point, evaluations: &mut u64) -> (f64, u32) {
+    /// candidate distance evaluations and grid cells tested into `work`.
+    fn nearest(&self, q: Point, work: &mut JoinWork) -> (f64, u32) {
         match self {
             Transition::Scan(layer, cost) => {
-                *evaluations += layer.len() as u64;
+                work.evaluations += layer.len() as u64;
                 weighted_nearest_by_scan(layer, cost, q)
             }
-            Transition::Grid(grid) => grid.nearest(q, evaluations),
+            Transition::Grid(grid) => grid.nearest(q, work),
         }
     }
 }
@@ -798,7 +652,7 @@ impl CostGrid {
 
     /// `(min total, its index)` of `dis(q, s) + cost(s)` over the layer,
     /// walking rings of cells outward from `q`'s cell.
-    fn nearest(&self, q: Point, evaluations: &mut u64) -> (f64, u32) {
+    fn nearest(&self, q: Point, work: &mut JoinWork) -> (f64, u32) {
         let (cols, rows) = (self.x.len(), self.y.len());
         let (cx, cy) = (self.x.slab(q.x), self.y.slab(q.y));
         let mut best = (f64::INFINITY, u32::MAX);
@@ -813,14 +667,14 @@ impl CostGrid {
             for row in cy.saturating_sub(r)..=(cy + r).min(rows - 1) {
                 if row + r == cy || row == cy + r {
                     for col in x0..=x1 {
-                        self.scan_cell(row * cols + col, q, &mut best, evaluations);
+                        self.scan_cell(row * cols + col, q, &mut best, work);
                     }
                 } else {
                     if cx >= r {
-                        self.scan_cell(row * cols + cx - r, q, &mut best, evaluations);
+                        self.scan_cell(row * cols + cx - r, q, &mut best, work);
                     }
                     if cx + r < cols {
-                        self.scan_cell(row * cols + cx + r, q, &mut best, evaluations);
+                        self.scan_cell(row * cols + cx + r, q, &mut best, work);
                     }
                 }
             }
@@ -854,12 +708,13 @@ impl CostGrid {
         bound
     }
 
-    /// Scans cell `c` into `best` unless `dis(q, cell box) + cell min cost`
-    /// already exceeds it (the box distance is [`Point::dist`] to the
-    /// clamped point, so it never exceeds a member's distance in floating
-    /// point either).
+    /// Tests cell `c` and scans it into `best` unless
+    /// `dis(q, cell box) + cell min cost` already exceeds it (the box
+    /// distance is [`Point::dist`] to the clamped point, so it never
+    /// exceeds a member's distance in floating point either).
     #[inline]
-    fn scan_cell(&self, c: usize, q: Point, best: &mut (f64, u32), evaluations: &mut u64) {
+    fn scan_cell(&self, c: usize, q: Point, best: &mut (f64, u32), work: &mut JoinWork) {
+        work.cells_tested += 1;
         let (a, b) = (self.start[c] as usize, self.start[c + 1] as usize);
         let cell = &self.cells[c];
         if a == b || cell.min_cost > best.0 {
@@ -868,7 +723,7 @@ impl CostGrid {
         if cell.bbox.min_dist(q) + cell.min_cost > best.0 {
             return;
         }
-        *evaluations += (b - a) as u64;
+        work.evaluations += (b - a) as u64;
         for &(pt, cost, j) in &self.items[a..b] {
             let total = q.dist(pt) + cost;
             if improves(total, j, *best) {
@@ -1018,74 +873,42 @@ mod tests {
         let p = Point::new(0.0, 0.0);
         let s = pts(&[(1.0, 0.0), (5.0, 5.0), (2.0, 2.0)]);
         let r = pts(&[(1.0, 1.0), (10.0, 0.0), (3.0, 2.0)]);
-        let got = tnn_join(p, &s, &r).unwrap();
+        let (_, total) = chain_join(p, &[s.clone(), r.clone()]).unwrap();
         let mut best = f64::INFINITY;
         for &(sp, _) in &s {
             for &(rp, _) in &r {
                 best = best.min(transitive_dist(p, sp, rp));
             }
         }
-        assert!((got.dist - best).abs() < 1e-12);
+        assert!((total - best).abs() < 1e-12);
     }
 
     #[test]
     fn join_matches_brute_force_large_indexed_path() {
-        // More than SWEEP_JOIN_THRESHOLD (48) r-candidates exercises the
-        // x-sorted sweep inner loop.
+        // Both layers ring p, so the cut keeps all of them, and the 120
+        // r-candidates (more than MAX_SCANNED_LAYER = 48) send the
+        // transition through the bucket grid.
         let p = Point::new(50.0, 50.0);
-        let s: Vec<(Point, ObjectId)> = (0..80)
-            .map(|i| {
-                (
-                    Point::new((i * 13 % 97) as f64, (i * 7 % 89) as f64),
-                    ObjectId(i),
-                )
-            })
-            .collect();
-        let r: Vec<(Point, ObjectId)> = (0..120)
-            .map(|i| {
-                (
-                    Point::new((i * 11 % 101) as f64, (i * 17 % 103) as f64),
-                    ObjectId(i),
-                )
-            })
-            .collect();
-        let got = tnn_join(p, &s, &r).unwrap();
+        let ring = |n: u32, radius: f64, step: u32| -> Vec<(Point, ObjectId)> {
+            (0..n)
+                .map(|i| {
+                    let angle = f64::from(i * step % n) / f64::from(n) * std::f64::consts::TAU;
+                    let pt = Point::new(p.x + radius * angle.cos(), p.y + radius * angle.sin());
+                    (pt, ObjectId(i))
+                })
+                .collect()
+        };
+        let (s, r) = (ring(80, 40.0, 13), ring(120, 45.0, 7));
+        let mut scratch = JoinScratch::default();
+        let (_, total) = chain_join_with(&mut scratch, p, &[s.clone(), r.clone()]).unwrap();
+        assert!(scratch.grid_cells_tested() > 0, "the grid path ran");
         let mut best = f64::INFINITY;
         for &(sp, _) in &s {
             for &(rp, _) in &r {
                 best = best.min(transitive_dist(p, sp, rp));
             }
         }
-        assert!((got.dist - best).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sweep_and_scan_inner_loops_agree() {
-        // The x-sorted sweep must pick exactly the same (dis², index) as
-        // the plain scan, including duplicate-coordinate tie cases.
-        let mut r: Vec<(Point, ObjectId)> = (0..200)
-            .map(|i| {
-                (
-                    Point::new((i * 29 % 97) as f64, (i * 31 % 89) as f64),
-                    ObjectId(i),
-                )
-            })
-            .collect();
-        // Force coordinate duplicates.
-        r.push(r[17]);
-        r.push(r[3]);
-        let mut by_x: Vec<(f64, f64, u32)> = r
-            .iter()
-            .enumerate()
-            .map(|(i, &(pt, _))| (pt.x, pt.y, i as u32))
-            .collect();
-        by_x.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
-        for qi in 0..150 {
-            let q = Point::new((qi * 13 % 120) as f64 - 10.0, (qi * 7 % 110) as f64 - 5.0);
-            let scan = nearest_by_scan(&r, q);
-            let sweep = nearest_by_sweep(&by_x, q);
-            assert_eq!(scan, sweep, "query {q:?}");
-        }
+        assert!((total - best).abs() < 1e-9);
     }
 
     #[test]
@@ -1112,20 +935,16 @@ mod tests {
                     )
                 })
                 .collect();
-            let fresh = tnn_join(p, &s, &r).unwrap();
-            let reused = tnn_join_with(&mut scratch, p, &s, &r).unwrap();
-            assert_eq!(fresh.s, reused.s);
-            assert_eq!(fresh.r, reused.r);
-            assert_eq!(fresh.dist, reused.dist);
+            let layers = [s, r];
+            let fresh = chain_join(p, &layers);
+            assert_same_route(chain_join_with(&mut scratch, p, &layers), &fresh, "chain");
+            let fresh = chain_loop_join(p, &layers);
+            assert_same_route(
+                chain_loop_join_with(&mut scratch, p, &layers),
+                &fresh,
+                "tour",
+            );
         }
-    }
-
-    #[test]
-    fn join_empty_side_is_none() {
-        let p = Point::ORIGIN;
-        let s = pts(&[(1.0, 1.0)]);
-        assert!(tnn_join(p, &s, &[]).is_none());
-        assert!(tnn_join(p, &[], &s).is_none());
     }
 
     #[test]
@@ -1133,22 +952,9 @@ mod tests {
         let p = Point::ORIGIN;
         let s = pts(&[(3.0, 4.0)]);
         let r = pts(&[(3.0, 8.0)]);
-        let got = tnn_join(p, &s, &r).unwrap();
-        assert!((got.dist - 9.0).abs() < 1e-12);
-        assert_eq!(got.s.1, ObjectId(0));
-    }
-
-    #[test]
-    fn chain_join_two_layers_equals_tnn_join() {
-        let p = Point::new(1.0, 1.0);
-        let s = pts(&[(2.0, 1.0), (0.0, 5.0), (4.0, 4.0)]);
-        let r = pts(&[(2.0, 3.0), (9.0, 9.0)]);
-        let (path, total) = chain_join(p, &[s.clone(), r.clone()]).unwrap();
-        let pair = tnn_join(p, &s, &r).unwrap();
-        assert!((total - pair.dist).abs() < 1e-12);
-        assert_eq!(path.len(), 2);
-        assert_eq!(path[0].0, pair.s.0);
-        assert_eq!(path[1].0, pair.r.0);
+        let (path, total) = chain_join(p, &[s, r]).unwrap();
+        assert!((total - 9.0).abs() < 1e-12);
+        assert_eq!(path[0].1, ObjectId(0));
     }
 
     #[test]
@@ -1173,17 +979,19 @@ mod tests {
     fn chain_join_empty_layer_is_none() {
         let p = Point::ORIGIN;
         let a = pts(&[(1.0, 0.0)]);
-        assert!(chain_join(p, &[a, vec![]]).is_none());
+        assert!(chain_join(p, &[a.clone(), vec![]]).is_none());
+        assert!(chain_join(p, &[vec![], a]).is_none());
         assert!(chain_join::<Vec<(Point, ObjectId)>>(p, &[]).is_none());
     }
 
     #[test]
     fn round_trip_join_empty_sides() {
-        assert!(round_trip_join(Point::ORIGIN, &[], &[]).is_none());
-        let one = vec![(Point::new(1.0, 0.0), ObjectId(0))];
-        assert!(round_trip_join(Point::ORIGIN, &one, &[]).is_none());
-        let pair = round_trip_join(Point::ORIGIN, &one, &one).unwrap();
-        assert!((pair.dist - 2.0).abs() < 1e-12);
+        let (p, none) = (Point::ORIGIN, Vec::new());
+        assert!(chain_loop_join(p, &[none.clone(), none.clone()]).is_none());
+        let one = pts(&[(1.0, 0.0)]);
+        assert!(chain_loop_join(p, &[one.clone(), none]).is_none());
+        let (_, total) = chain_loop_join(p, &[one.clone(), one]).unwrap();
+        assert!((total - 2.0).abs() < 1e-12);
     }
 
     proptest! {
@@ -1342,12 +1150,12 @@ mod tests {
         }
     }
 
-    /// Three clustered layers of 2,000 points over the paper region, like
+    /// `k` clustered layers of 2,000 points over the paper region, like
     /// the CITY-like channels: settlements gathered in 12 clusters plus a
     /// 10% uniform background.
-    fn clustered_layers(seed: u64) -> Vec<Vec<(Point, ObjectId)>> {
+    fn clustered_layers(seed: u64, k: u32) -> Vec<Vec<(Point, ObjectId)>> {
         let mut rng = Mix(seed);
-        (0..3u32)
+        (0..k)
             .map(|l| {
                 let centers: Vec<Point> = (0..12)
                     .map(|_| Point::new(rng.unit() * 39_000.0, rng.unit() * 39_000.0))
@@ -1373,26 +1181,50 @@ mod tests {
 
     #[test]
     fn grid_join_evaluates_a_small_share_of_the_pairs() {
-        let layers = clustered_layers(0x7A11);
-        let n: Vec<u64> = layers.iter().map(|l| l.len() as u64).collect();
-        let nested_loop = n[0] * n[1] + n[1] * n[2] + n[0];
-        let mut scratch = JoinScratch::default();
-        for (qi, p) in [
+        let queries = [
             Point::new(19_500.0, 19_500.0),
             Point::new(4_000.0, 31_000.0),
             Point::new(-2_000.0, 8_000.0),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let before = scratch.chain_evaluations();
-            let got = chain_join_with(&mut scratch, p, &layers);
-            let evaluations = scratch.chain_evaluations() - before;
-            assert_same_route(got, &reference_chain(p, &layers, false), "chain");
+        ];
+        let mut scratch = JoinScratch::default();
+        // At k = 2 the greedy route's scan of both layers alone is 1/1,000
+        // of the nested loop.
+        for (layers, share) in [
+            (clustered_layers(0x7A11, 3), 1_100),
+            (clustered_layers(0x7A12, 2), 800),
+        ] {
+            let k = layers.len();
+            let n: Vec<u64> = layers.iter().map(|l| l.len() as u64).collect();
+            let nested_loop = n.windows(2).map(|w| w[0] * w[1]).sum::<u64>() + n[0];
+            let cells = scratch.grid_cells_tested();
+            for (qi, &p) in queries.iter().enumerate() {
+                let before = scratch.chain_evaluations();
+                let got = chain_join_with(&mut scratch, p, &layers);
+                let evaluations = scratch.chain_evaluations() - before;
+                assert_same_route(got, &reference_chain(p, &layers, false), "chain");
+                assert!(
+                    evaluations * share < nested_loop,
+                    "k = {k}, query {qi}: {evaluations} of {nested_loop} nested-loop evaluations"
+                );
+            }
             assert!(
-                evaluations * 1_100 < nested_loop,
-                "query {qi}: {evaluations} of {nested_loop} nested-loop evaluations"
+                scratch.grid_cells_tested() > cells,
+                "k = {k}: the grid path ran"
             );
         }
+        // Layers of at most MAX_SCANNED_LAYER items are scanned, never
+        // bucketed: the join does work but tests no grid cell.
+        let mut rng = Mix(0x7A13);
+        let small: Vec<Vec<(Point, ObjectId)>> = (0..3)
+            .map(|i| shaped_layer(&mut rng, MAX_SCANNED_LAYER, 0, i))
+            .collect();
+        let (evaluations, cells) = (scratch.chain_evaluations(), scratch.grid_cells_tested());
+        let got = chain_join_with(&mut scratch, queries[0], &small);
+        assert_same_route(got, &reference_chain(queries[0], &small, false), "scan");
+        assert!(
+            scratch.chain_evaluations() > evaluations,
+            "the scan path counts"
+        );
+        assert_eq!(scratch.grid_cells_tested(), cells, "no grid cell tested");
     }
 }

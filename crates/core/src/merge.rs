@@ -15,19 +15,18 @@
 //!
 //! For the same winning route the reported total is bit-identical no
 //! matter which candidate superset it was selected from, because every
-//! objective folds distances along the route only:
+//! objective folds distances along the route only, by one rule at every
+//! `k`:
 //!
-//! * [`RouteObjective::Chain`]: `k = 2` pairs fold
-//!   `dis(p,s) + dis(s,r)` left-to-right ([`tnn_join_with`]); `k ≥ 3`
-//!   chains fold backwards through the DP suffix costs
+//! * [`RouteObjective::Chain`]: the chain DP's backward fold through its
+//!   suffix costs, `dis(p,s₁) + (dis(s₁,s₂) + (… + 0))`
 //!   ([`chain_join_with`]).
-//! * [`RouteObjective::OrderFree`]: the winner is selected on the joins'
-//!   totals (earlier visit orders win ties), then the reported total is
-//!   re-derived as the forward fold over the stops — exactly the
-//!   pipeline's `route_length`.
-//! * [`RouteObjective::RoundTrip`]: `k = 2` tours fold
-//!   `(dis(p,s) + dis(s,r)) + dis(r,p)` ([`round_trip_join`] — *not* the
-//!   DP association); `k ≥ 3` tours use the closed-tour DP
+//! * [`RouteObjective::OrderFree`]: the winner is selected on the chain
+//!   DP's totals over every visit order (earlier orders win ties), then
+//!   the reported total is re-derived as the forward fold over the stops
+//!   — exactly the pipeline's `route_length`.
+//! * [`RouteObjective::RoundTrip`]: the closed-tour DP's backward fold,
+//!   `dis(p,s₁) + (dis(s₁,s₂) + (… + dis(s_k,p)))`
 //!   ([`chain_loop_join_with`]).
 //!
 //! Candidate-*order* dependence is confined to exact-tie breaking
@@ -35,9 +34,7 @@
 //! general-position inputs.
 
 use crate::algorithms::permutations;
-use crate::join::{
-    chain_join_with, chain_loop_join_with, round_trip_join, tnn_join_with, JoinScratch,
-};
+use crate::join::{chain_join_with, chain_loop_join_with, JoinScratch};
 use crate::RouteStop;
 use tnn_geom::Point;
 use tnn_rtree::ObjectId;
@@ -95,7 +92,7 @@ impl MergedRoute {
 /// lists alike.
 ///
 /// `orders` optionally supplies the visit-order table for
-/// `OrderFree` at `k ≥ 3` (all permutations of `0..k`, lexicographic,
+/// `OrderFree` (all permutations of `0..k`, lexicographic,
 /// identity first — [`crate::QueryScratch`] caches exactly this); pass
 /// `None` to have it computed on the fly.
 pub fn merge_route_layers<L: AsRef<[(Point, ObjectId)]>>(
@@ -110,40 +107,21 @@ pub fn merge_route_layers<L: AsRef<[(Point, ObjectId)]>>(
         return None;
     }
     match objective {
-        RouteObjective::Chain => {
-            if k == 2 {
-                let pair = tnn_join_with(join, p, layers[0].as_ref(), layers[1].as_ref())?;
-                Some(MergedRoute {
-                    stops: vec![(pair.s.0, pair.s.1, 0), (pair.r.0, pair.r.1, 1)],
-                    total_dist: pair.dist,
-                })
+        RouteObjective::Chain | RouteObjective::RoundTrip => {
+            let (path, total) = if objective == RouteObjective::Chain {
+                chain_join_with(join, p, layers)?
             } else {
-                let (path, total) = chain_join_with(join, p, layers)?;
-                Some(MergedRoute {
-                    stops: tag_in_layer_order(path),
-                    total_dist: total,
-                })
-            }
+                chain_loop_join_with(join, p, layers)?
+            };
+            Some(MergedRoute {
+                stops: tag_in_layer_order(path),
+                total_dist: total,
+            })
         }
         RouteObjective::OrderFree => {
             let stops = order_free_merge(join, p, layers, orders)?;
             let total_dist = route_length(p, &stops);
             Some(MergedRoute { stops, total_dist })
-        }
-        RouteObjective::RoundTrip => {
-            if k == 2 {
-                let pair = round_trip_join(p, layers[0].as_ref(), layers[1].as_ref())?;
-                Some(MergedRoute {
-                    stops: vec![(pair.s.0, pair.s.1, 0), (pair.r.0, pair.r.1, 1)],
-                    total_dist: pair.dist,
-                })
-            } else {
-                let (path, total) = chain_loop_join_with(join, p, layers)?;
-                Some(MergedRoute {
-                    stops: tag_in_layer_order(path),
-                    total_dist: total,
-                })
-            }
         }
     }
 }
@@ -152,12 +130,9 @@ pub fn merge_route_layers<L: AsRef<[(Point, ObjectId)]>>(
 /// and the visit order that produced them.
 type BestOrder<'a> = (f64, Vec<(Point, ObjectId)>, &'a [usize]);
 
-/// Minimum-length route over all visit orders: for two layers the
-/// bound-pruned pairwise join runs in both directions (the backward
-/// direction wins only when *strictly* smaller — bit-identical to the
-/// original two-channel variant); beyond that every permutation goes
-/// through the k-layer chain join and earlier (lexicographic) orders
-/// win ties. Returns the stops in visit order.
+/// Minimum-length route over all visit orders: every permutation goes
+/// through the chain join and earlier (lexicographic) orders win ties.
+/// Returns the stops in visit order.
 fn order_free_merge<L: AsRef<[(Point, ObjectId)]>>(
     join: &mut JoinScratch,
     p: Point,
@@ -165,21 +140,6 @@ fn order_free_merge<L: AsRef<[(Point, ObjectId)]>>(
     orders: Option<&[Vec<usize>]>,
 ) -> Option<Vec<(Point, ObjectId, usize)>> {
     let k = layers.len();
-    if k == 2 {
-        let forward = tnn_join_with(join, p, layers[0].as_ref(), layers[1].as_ref());
-        let backward = tnn_join_with(join, p, layers[1].as_ref(), layers[0].as_ref());
-        let (pair, reversed) = match (forward, backward) {
-            (Some(f), Some(b)) if b.dist < f.dist => (b, true),
-            (Some(f), _) => (f, false),
-            (None, Some(b)) => (b, true),
-            (None, None) => return None,
-        };
-        return Some(if reversed {
-            vec![(pair.s.0, pair.s.1, 1), (pair.r.0, pair.r.1, 0)]
-        } else {
-            vec![(pair.s.0, pair.s.1, 0), (pair.r.0, pair.r.1, 1)]
-        });
-    }
     let computed;
     let orders: &[Vec<usize>] = match orders {
         Some(orders) => orders,
@@ -401,7 +361,7 @@ mod tests {
     proptest! {
         #[test]
         fn order_free_merge_equals_the_nested_loop_over_every_order(
-            k in 3usize..=4,
+            k in 2usize..=4,
             shape in 0u8..SHAPES,
             seed in 0u64..u64::MAX,
             px in -600.0f64..1600.0,
