@@ -976,11 +976,18 @@ mod tests {
     }
 
     #[test]
+    fn join_empty_side_is_none() {
+        let p = Point::ORIGIN;
+        let s = pts(&[(1.0, 1.0)]);
+        assert!(chain_join(p, &[s.clone(), vec![]]).is_none());
+        assert!(chain_join(p, &[vec![], s]).is_none());
+    }
+
+    #[test]
     fn chain_join_empty_layer_is_none() {
         let p = Point::ORIGIN;
         let a = pts(&[(1.0, 0.0)]);
-        assert!(chain_join(p, &[a.clone(), vec![]]).is_none());
-        assert!(chain_join(p, &[vec![], a]).is_none());
+        assert!(chain_join(p, &[a, vec![]]).is_none());
         assert!(chain_join::<Vec<(Point, ObjectId)>>(p, &[]).is_none());
     }
 
