@@ -81,8 +81,13 @@ fn serve_stats(v: &mut Distinct) -> ServeStats {
         cache_misses: v.next(),
         cache_expired: v.next(),
         cache_bypass: v.next(),
-        cache_coalesced: v.next(),
-        retried: v.next(),
+        retried: {
+            // One value is drawn and dropped here, for a series the
+            // stats no longer carry, so every later series keeps the
+            // value pinned in the golden file.
+            v.next();
+            v.next()
+        },
         degraded: v.next(),
         worker_restarts: v.next(),
         classes: Priority::ALL.map(|class| class_stats(v, class)),

@@ -380,21 +380,8 @@ fn soak_mixed_priority_storm_block_drain() {
 /// panics, and worker kills — with a deep retry ladder and Approximate
 /// degradation, and shutdown lands mid-storm. The server must keep
 /// serving across ≥ 2 worker kills, lose zero tickets, and keep the
-/// conservation invariant exact in every snapshot.
-/// The mid-storm slice of the conservation invariant: everything past
-/// the admission door. `submitted == accepted + rejected` is *not*
-/// asserted here — a submitter blocked inside `submit` (Block
-/// backpressure) has been counted `submitted` but not yet decided, so
-/// that clause only holds once no submitter is mid-call.
-fn admitted_side_conserved(s: &tnn_serve::ServeStats) -> bool {
-    s.accepted
-        == s.completed + s.shed + s.cancelled + s.expired + s.queued as u64 + s.in_flight as u64
-        && s.completed == s.cache_hits + s.cache_misses + s.cache_expired + s.cache_bypass
-        && s.classes
-            .iter()
-            .all(|c| c.degraded <= c.completed && c.latency.count() <= c.completed)
-}
-
+/// conservation invariant exact in every snapshot, with submitters
+/// blocked mid-`submit` under `Block` backpressure.
 fn hammer_chaos(mode: ShutdownMode, secs: f64) {
     let plan = FaultPlan::new(0xC4405)
         .channel(0, ChannelFaults::NONE.drop_rate(60).jitter(3))
@@ -475,15 +462,12 @@ fn hammer_chaos(mode: ShutdownMode, secs: f64) {
                             Err(TnnError::Cancelled) => break ok,
                             Err(other) => panic!("unexpected submit error {other:?}"),
                         }
-                        // The admitted-side invariant must hold in
-                        // *every* mid-storm snapshot, kills and
-                        // respawns included.
+                        // The full invariant must hold in *every*
+                        // mid-storm snapshot, kills and respawns
+                        // included.
                         if i.is_multiple_of(64) {
                             let snap = server.stats();
-                            assert!(
-                                admitted_side_conserved(&snap),
-                                "mid-storm violation: {snap:?}"
-                            );
+                            assert!(snap.conserved(), "mid-storm violation: {snap:?}");
                         }
                     }
                 })
@@ -496,7 +480,7 @@ fn hammer_chaos(mode: ShutdownMode, secs: f64) {
         while Instant::now() < deadline && violation.is_none() {
             std::thread::sleep(Duration::from_millis(10));
             let snap = server.stats();
-            if !admitted_side_conserved(&snap) {
+            if !snap.conserved() {
                 violation = Some(format!("{snap:?}"));
             }
         }

@@ -153,7 +153,6 @@ fn serve_fields() -> (Vec<Field<ServeStats>>, Vec<Field<ServeStats>>) {
             cache_misses,
             cache_expired,
             cache_bypass,
-            cache_coalesced,
             retried,
             degraded
         ],
@@ -206,7 +205,7 @@ fn class_base(scale: u64) -> ClassStats {
 }
 
 /// Three tight classes (scales 1, 2, 3), their totals, and 30
-/// completions split over the five cache outcomes.
+/// completions split over the four cache outcomes.
 fn serve_base() -> ServeStats {
     let classes = [class_base(1), class_base(2), class_base(3)];
     let sum = |f: fn(&ClassStats) -> u64| classes.iter().map(f).sum::<u64>();
@@ -223,8 +222,7 @@ fn serve_base() -> ServeStats {
         cache_hits: 10,
         cache_misses: 8,
         cache_expired: 5,
-        cache_bypass: 4,
-        cache_coalesced: 3,
+        cache_bypass: 7,
         retried: sum(|c| c.retried),
         degraded: sum(|c| c.degraded),
         worker_restarts: 2,

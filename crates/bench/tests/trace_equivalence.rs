@@ -106,7 +106,6 @@ fn assert_counters_eq(off: &ServeStats, on: &ServeStats) {
             off.cache_misses,
             off.cache_expired,
             off.cache_bypass,
-            off.cache_coalesced,
             off.worker_restarts,
         ),
         (
@@ -114,7 +113,6 @@ fn assert_counters_eq(off: &ServeStats, on: &ServeStats) {
             on.cache_misses,
             on.cache_expired,
             on.cache_bypass,
-            on.cache_coalesced,
             on.worker_restarts,
         ),
         "flat counters diverge under tracing: off={off:?} on={on:?}"
@@ -189,7 +187,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The transparency matrix: k ∈ {2, 3, 4}, workers ∈ {1, 2, 4}
-    /// (single-worker runs keep the cache on — its hit/miss/coalesce
+    /// (single-worker runs keep the cache on — its hit/miss
     /// classification is deterministic there; multi-worker runs disable
     /// it so the classification cannot race).
     #[test]

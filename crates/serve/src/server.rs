@@ -18,10 +18,7 @@ use std::time::{Duration, Instant};
 use tnn_broadcast::MultiChannelEnv;
 use tnn_core::{Algorithm, Query, QueryEngine, QueryKey, QueryOutcome, QueryScratch, TnnError};
 use tnn_faults::{FaultInjector, FaultPlan, FaultStats};
-use tnn_qos::{
-    Deadline, FlightOutcome, FlightTable, Lookup, MultiLevelQueue, Priority, Qos, ResultCache,
-    RetryBudget,
-};
+use tnn_qos::{Deadline, Lookup, MultiLevelQueue, Priority, Qos, ResultCache, RetryBudget};
 use tnn_trace::lock::{LockRank, OrderedMutex, OrderedMutexGuard};
 use tnn_trace::{FlightRecorder, LatencyHistogram, MetricsRegistry, QueryTrace, SpanKind};
 
@@ -29,7 +26,9 @@ tnn_trace::stats! {
     /// Admission/completion counters of one priority class.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct ClassStats {
-        /// Submissions naming this class (including refused ones).
+        /// Submissions naming this class whose admission is decided
+        /// (including refused ones), booked in the same step as
+        /// `accepted` or `rejected`.
         pub submitted: u64 => "tnn_serve_submitted_total",
             "Queries submitted, including refused ones",
         /// Queries admitted (including later-shed/expired ones; admission
@@ -109,7 +108,10 @@ tnn_trace::stats! {
     /// [`ServeStats::retotaled`].
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct ServeStats {
-        /// Total [`Server::submit`] calls (including refused ones).
+        /// Submissions whose admission is decided, accepted or refused.
+        /// Booked in the same step as `accepted` or `rejected`: a
+        /// submitter still waiting for a slot under
+        /// [`Backpressure::Block`] is not counted yet.
         pub submitted: u64,
         /// Queries admitted into the queue (including later-shed ones and
         /// admission cache hits).
@@ -149,13 +151,6 @@ tnn_trace::stats! {
         /// dying worker.
         pub cache_bypass: u64 => "tnn_serve_cache_bypass_total",
             "Completions that never touched the cache",
-        /// Completions coalesced onto another submission's in-flight engine
-        /// run ([`ServeConfig::singleflight`]): the follower's ticket shares
-        /// the leader's outcome, so the engine ran once for the whole
-        /// flight. The leader itself is classified by its own cache outcome
-        /// (`cache_misses` or `cache_expired`), never here.
-        pub cache_coalesced: u64 => "tnn_serve_cache_coalesced_total",
-            "Completions coalesced onto an in-flight engine run",
         /// Total retry attempts over all classes.
         pub retried: u64,
         /// Total degraded completions over all classes.
@@ -182,7 +177,7 @@ impl ServeStats {
     ///    sum to the totals;
     /// 3. every completion is classified by exactly one cache outcome
     ///    (`completed = cache_hits + cache_misses + cache_expired +
-    ///    cache_bypass + cache_coalesced`).
+    ///    cache_bypass`).
     ///
     /// Holds for every snapshot; after a shutdown `queued` and
     /// `in_flight` are 0, so clause 1 reduces to `submitted = rejected +
@@ -202,7 +197,6 @@ impl ServeStats {
             cache_misses,
             cache_expired,
             cache_bypass,
-            cache_coalesced,
             // Class sums, checked by the `retotaled` comparison.
             retried: _,
             degraded: _,
@@ -214,8 +208,7 @@ impl ServeStats {
         *self == self.retotaled()
             && submitted == accepted + rejected
             && accepted == completed + shed + cancelled + expired + queued as u64 + in_flight as u64
-            && completed
-                == cache_hits + cache_misses + cache_expired + cache_bypass + cache_coalesced
+            && completed == cache_hits + cache_misses + cache_expired + cache_bypass
             && classes
                 .iter()
                 .all(|c| c.conserved() && c.latency.count() <= c.completed)
@@ -284,10 +277,12 @@ impl ServeStats {
     }
 }
 
-/// One admitted query and the cell its ticket reads from.
+/// One admitted query and the server's handle on its ticket.
 struct Job {
     query: Query,
-    cell: Arc<TicketCell>,
+    /// The cell and submission stamp shared with the client's
+    /// [`Ticket`].
+    ticket: Ticket,
     class: Priority,
     deadline: Deadline,
     /// The query's cache identity — `Some` exactly when the result cache
@@ -296,17 +291,10 @@ struct Job {
     /// The admission probe found a TTL-expired entry: this run refreshes
     /// it (classified `cache_expired`, not `cache_misses`).
     refresh: bool,
-    /// This job leads a singleflight: concurrent identical submissions
-    /// share its cell, and the worker that resolves it must retire the
-    /// flight-table entry so the next miss of the key leads anew.
-    lead: bool,
     /// Admission sequence number — the logical clock every fault
     /// decision is keyed by (see [`FaultPlan`]), assigned under the
     /// state lock at enqueue.
     seq: u64,
-    /// When the client handed the query over, for the per-class latency
-    /// histograms.
-    submitted_at: Instant,
     /// When the job entered the queue — stamped only under
     /// [`tnn_trace::TraceConfig::On`] (`None` keeps the untraced
     /// admission path stamp-free), splitting admission wait from queue
@@ -320,9 +308,9 @@ impl Drop for Job {
         // panicking mid-batch unwinds its local jobs through here) must
         // not strand its waiters. The job died to a server-side defect,
         // not to scheduling, so the waiter sees `Internal` — every
-        // deliberate resolution path (workers, shedding, cancellation)
-        // resolves explicitly first, making this a no-op there.
-        self.cell.resolve(Err(TnnError::Internal));
+        // deliberate resolution path settles first ([`Inner::settle`]),
+        // making this a no-op there.
+        self.ticket.cell.resolve(Err(TnnError::Internal));
     }
 }
 
@@ -341,22 +329,122 @@ struct State {
     next_seq: u64,
 }
 
-impl State {
-    fn cancel_backlog(&mut self) {
-        while let Some((class, job)) = self.queue.pop() {
-            self.stats.classes[class.index()].cancelled += 1;
-            job.cell.resolve(Err(TnnError::Cancelled));
-        }
-    }
+/// How one ticket ends: the result it resolves with and the one
+/// terminal counter it books.
+enum Settlement {
+    /// An outcome was delivered (an answer or an engine error), with the
+    /// way it used the result cache.
+    Completed(Result<QueryOutcome, TnnError>, CacheUse),
+    /// The deadline passed unanswered: [`TnnError::DeadlineExceeded`].
+    Expired,
+    /// Evicted by [`Backpressure::Shed`] while still viable:
+    /// [`TnnError::Overloaded`].
+    Shed,
+    /// Cancelled by shutdown: [`TnnError::Cancelled`].
+    Cancelled,
+    /// Refused at the door with this error.
+    Rejected(TnnError),
+}
+
+/// The cache classification of one completion — exactly one per
+/// completion, the third clause of [`ServeStats::conserved`].
+enum CacheUse {
+    Hit,
+    Miss,
+    /// The run refreshed a TTL-expired entry.
+    Refresh,
+    /// The cache was never touched (disabled, keyless, or an error or
+    /// degraded outcome, which are never stored).
+    Bypass,
 }
 
 impl Inner {
-    /// Removes `key`'s singleflight entry (if flights are on and the
-    /// job had a cache identity) — called by whichever path resolved a
-    /// leader's cell, so the key's next miss leads a fresh engine run.
-    fn retire_flight(&self, key: &Option<QueryKey>) {
-        if let (Some(flights), Some(key)) = (&self.flights, key) {
-            flights.complete(key);
+    /// Settles one ticket — the only place a ticket resolves, bar
+    /// [`Job`]'s drop-time safety net. Resolves the cell and books
+    /// exactly one terminal counter of `class` into `stats`: the live
+    /// counters at admission and shutdown, a [`BatchGuard`]'s batch
+    /// tally at dispatch. A completion also books its cache class, its
+    /// degraded flag and a latency sample. `trace` (worker-settled jobs
+    /// under tracing) is stamped with the result and offered to the
+    /// flight recorder once the ticket resolved.
+    fn settle(
+        &self,
+        stats: &mut ServeStats,
+        class: Priority,
+        ticket: &Ticket,
+        settlement: Settlement,
+        mut trace: Option<QueryTrace>,
+    ) {
+        let counters = &mut stats.classes[class.index()];
+        let (result, completed) = match settlement {
+            Settlement::Completed(result, cache) => {
+                counters.completed += 1;
+                if matches!(&result, Ok(outcome) if outcome.degraded) {
+                    counters.degraded += 1;
+                }
+                *match cache {
+                    CacheUse::Hit => &mut stats.cache_hits,
+                    CacheUse::Miss => &mut stats.cache_misses,
+                    CacheUse::Refresh => &mut stats.cache_expired,
+                    CacheUse::Bypass => &mut stats.cache_bypass,
+                } += 1;
+                (result, true)
+            }
+            Settlement::Expired => {
+                counters.expired += 1;
+                (Err(TnnError::DeadlineExceeded), false)
+            }
+            Settlement::Shed => {
+                counters.shed += 1;
+                (Err(TnnError::Overloaded), false)
+            }
+            Settlement::Cancelled => {
+                counters.cancelled += 1;
+                (Err(TnnError::Cancelled), false)
+            }
+            Settlement::Rejected(err) => {
+                counters.rejected += 1;
+                (Err(err), false)
+            }
+        };
+        if let Some(t) = trace.as_mut() {
+            // The engine's paper-native cost counters — tune-in pages,
+            // node visits, delayed-pruning hits, the `(H−1)(M−1)`-bounded
+            // peak queue — and the degradation flag of a delivered
+            // answer.
+            match &result {
+                Ok(outcome) => {
+                    t.degraded = outcome.degraded;
+                    t.node_visits = outcome.node_visits();
+                    t.prune_hits = outcome.prune_hits();
+                    t.peak_queue = outcome.peak_queue();
+                    t.tune_in = outcome.tune_in();
+                }
+                Err(_) => t.errored = true,
+            }
+        }
+        ticket.cell.resolve(result);
+        if completed {
+            stats.classes[class.index()]
+                .latency
+                .record(Instant::now().saturating_duration_since(ticket.submitted_at));
+        }
+        if let (Some(recorder), Some(mut trace)) = (&self.recorder, trace) {
+            trace.total = Instant::now().saturating_duration_since(ticket.submitted_at);
+            recorder.record(trace);
+        }
+    }
+
+    /// Settles every queued job [`Settlement::Cancelled`].
+    fn cancel_backlog(&self, state: &mut State) {
+        while let Some((class, job)) = state.queue.pop() {
+            self.settle(
+                &mut state.stats,
+                class,
+                &job.ticket,
+                Settlement::Cancelled,
+                None,
+            );
         }
     }
 }
@@ -369,12 +457,6 @@ struct Inner {
     space: Condvar,
     /// The shared result cache; `None` when disabled by configuration.
     cache: Option<ResultCache<QueryKey, QueryOutcome>>,
-    /// In-flight engine runs by cache key, for singleflight coalescing;
-    /// `None` unless [`ServeConfig::singleflight`] is on, the cache is
-    /// active, and no fault plan is installed (injected faults and
-    /// degraded fallbacks would break the share-the-leader's-bytes
-    /// contract).
-    flights: Option<FlightTable<QueryKey, Arc<TicketCell>>>,
     /// The fault schedule workers execute under; `None` for servers
     /// spawned without one (the plain [`Server::spawn`] path keeps the
     /// exact PR 5 hot path — not even a zero-plan probe per job).
@@ -500,8 +582,6 @@ impl Server {
         // every query, and errors are never cached.
         let cache = (config.cache.enabled && engine.channels() >= 2)
             .then(|| ResultCache::new(config.cache));
-        let flights =
-            (config.singleflight && cache.is_some() && faults.is_none()).then(FlightTable::new);
         let recorder = config.trace.recorder().map(FlightRecorder::new);
         let inner = Arc::new(Inner {
             state: OrderedMutex::new(
@@ -516,7 +596,6 @@ impl Server {
             work: Condvar::new(),
             space: Condvar::new(),
             cache,
-            flights,
             faults,
             budget: RetryBudget::new(config.retry_budget),
             recorder,
@@ -630,7 +709,7 @@ impl Server {
     }
 
     /// Submits many queries under one queue-lock acquisition and default
-    /// QoS terms. See [`Server::submit_batch_with`].
+    /// QoS terms. See [`Server::submit_batch_qos`].
     ///
     /// # Panics
     /// As [`Server::submit_with`] — every query is validated before the
@@ -639,41 +718,25 @@ impl Server {
         &self,
         queries: impl IntoIterator<Item = Query>,
     ) -> Vec<Result<Ticket, TnnError>> {
-        self.submit_batch_with(queries, Qos::default())
-    }
-
-    /// Submits many queries under one queue-lock acquisition and shared
-    /// [`Qos`] terms, wakes the workers once, and returns one [`Ticket`]
-    /// result per query in order. Workers then drain the backlog in
-    /// micro-batches of up to [`ServeConfig::batch_window`] jobs per
-    /// wake-up, amortizing the wake/steal overhead that per-query
-    /// submission would pay `n` times.
-    ///
-    /// Per-query admission follows [`Server::submit_with`] exactly (a
-    /// [`Backpressure::Reject`] overflow rejects only the overflowing
-    /// queries; [`Backpressure::Block`] may wait mid-batch for workers
-    /// to free slots).
-    ///
-    /// # Panics
-    /// As [`Server::submit_with`] — every query is validated before the
-    /// first one is enqueued.
-    pub fn submit_batch_with(
-        &self,
-        queries: impl IntoIterator<Item = Query>,
-        qos: Qos,
-    ) -> Vec<Result<Ticket, TnnError>> {
-        self.submit_batch_qos(queries.into_iter().map(|query| (query, qos)))
+        self.submit_batch_qos(queries.into_iter().map(|query| (query, Qos::default())))
     }
 
     /// Submits many `(query, qos)` pairs under one queue-lock
-    /// acquisition — the mixed-class form of
-    /// [`Server::submit_batch_with`] for front-ends whose inbound
-    /// traffic carries heterogeneous priorities and deadlines. The whole
-    /// batch is admitted atomically with respect to the workers: no job
-    /// of the batch starts executing before the last one is enqueued
-    /// (unless a [`Backpressure::Block`] wait has to yield the lock
-    /// mid-batch), so strict-priority draining applies to the batch as
-    /// a whole.
+    /// acquisition, wakes the workers once, and returns one [`Ticket`]
+    /// result per query in order. Workers then drain the backlog in
+    /// micro-batches of up to [`ServeConfig::batch_window`] jobs per
+    /// wake-up, amortizing the wake/steal overhead that per-query
+    /// submission would pay `n` times. Front-ends whose inbound traffic
+    /// carries heterogeneous priorities and deadlines submit it here as
+    /// one batch.
+    ///
+    /// Per-query admission follows [`Server::submit_with`] exactly (a
+    /// [`Backpressure::Reject`] overflow rejects only the overflowing
+    /// queries). The whole batch is admitted atomically with respect to
+    /// the workers: no job of the batch starts executing before the
+    /// last one is enqueued (unless a [`Backpressure::Block`] wait has
+    /// to yield the lock mid-batch), so strict-priority draining applies
+    /// to the batch as a whole.
     ///
     /// # Panics
     /// As [`Server::submit_with`] — every query is validated before the
@@ -732,6 +795,11 @@ impl Server {
     /// one logical critical section, plus whether a job actually entered
     /// the queue (cache hits and dead-on-arrival deadlines resolve
     /// without one, so no worker wake-up is owed).
+    ///
+    /// The decision is booked in one step once it is made: `submitted`
+    /// with `accepted`, or with the `rejected` the refusal settles. A
+    /// `Block` wait releases the lock before anything is booked, so
+    /// [`ServeStats::conserved`] holds on every snapshot.
     fn admit<'a>(
         &self,
         mut state: OrderedMutexGuard<'a, State>,
@@ -740,163 +808,131 @@ impl Server {
         qos: Qos,
         submitted_at: Instant,
     ) -> (OrderedMutexGuard<'a, State>, Result<Ticket, TnnError>, bool) {
-        let class = qos.priority.index();
-        state.stats.classes[class].submitted += 1;
-        if state.shutdown.is_some() {
-            state.stats.classes[class].rejected += 1;
-            return (state, Err(TnnError::Cancelled), false);
-        }
-        // Deadline at admission: dead-on-arrival work resolves without
-        // costing a slot (or a cache probe — the client said "by then").
-        if qos.deadline.expired(Instant::now()) {
-            state.stats.classes[class].accepted += 1;
-            state.stats.classes[class].expired += 1;
-            let cell = TicketCell::new();
-            cell.resolve(Err(TnnError::DeadlineExceeded));
-            return (state, Ok(Ticket { cell, submitted_at }), false);
-        }
-        // Admission-time cache probe: a hit completes right here —
-        // byte-identical bytes, zero queue traffic. Probed at a fresh
-        // `now`, not `submitted_at`: a batch stamp can be arbitrarily
-        // stale after a mid-batch Block wait, and TTL expiry must be
-        // judged against the present.
+        let class = qos.priority;
+        let ticket = Ticket {
+            cell: TicketCell::new(),
+            submitted_at,
+        };
         let mut refresh = false;
-        if let (Some(cache), Some(candidate)) = (&self.inner.cache, &key) {
-            match cache.lookup(candidate, Instant::now()) {
-                Lookup::Hit(outcome) => {
-                    state.stats.classes[class].accepted += 1;
-                    state.stats.classes[class].completed += 1;
-                    state.stats.cache_hits += 1;
-                    state.stats.classes[class]
-                        .latency
-                        .record(Instant::now().saturating_duration_since(submitted_at));
-                    let cell = TicketCell::new();
-                    cell.resolve(Ok(outcome));
-                    return (state, Ok(Ticket { cell, submitted_at }), false);
-                }
-                Lookup::Expired => refresh = true,
-                Lookup::Miss => {}
-            }
-        }
-        // Singleflight: a live in-flight run of this exact key absorbs
-        // the miss — the follower's ticket reads the leader's cell, no
-        // job is enqueued, and the engine runs once for the whole
-        // flight. Otherwise this submission becomes the leader and must
-        // retire the flight entry on every exit path below.
-        let cell = TicketCell::new();
-        let mut lead = false;
-        if let (Some(flights), Some(candidate)) = (&self.inner.flights, &key) {
-            match flights.join_or_lead(candidate, Arc::clone(&cell), |c| !c.is_resolved()) {
-                FlightOutcome::Joined(leader) => {
-                    state.stats.classes[class].accepted += 1;
-                    state.stats.classes[class].completed += 1;
-                    state.stats.cache_coalesced += 1;
-                    state.stats.classes[class]
-                        .latency
-                        .record(Instant::now().saturating_duration_since(submitted_at));
-                    let cell = leader;
-                    return (state, Ok(Ticket { cell, submitted_at }), false);
-                }
-                FlightOutcome::Led => lead = true,
-            }
-        }
-        let capacity = self.inner.config.lane_capacity(qos.priority);
-        loop {
+        // `Some` settles the ticket at the door; `None` enqueues it.
+        let settled = 'decide: {
             if state.shutdown.is_some() {
-                state.stats.classes[class].rejected += 1;
-                // Followers already on this flight share the leader's
-                // fate; the entry must not outlive it.
-                if lead {
-                    cell.resolve(Err(TnnError::Cancelled));
-                    self.inner.retire_flight(&key);
-                }
-                return (state, Err(TnnError::Cancelled), false);
+                break 'decide Some(Settlement::Rejected(TnnError::Cancelled));
             }
-            // The deadline can pass while Block-waiting for a slot.
+            // Deadline at admission: dead-on-arrival work resolves
+            // without costing a slot (or a cache probe — the client said
+            // "by then").
             if qos.deadline.expired(Instant::now()) {
-                state.stats.classes[class].accepted += 1;
-                state.stats.classes[class].expired += 1;
-                cell.resolve(Err(TnnError::DeadlineExceeded));
-                if lead {
-                    self.inner.retire_flight(&key);
-                }
-                return (state, Ok(Ticket { cell, submitted_at }), false);
+                break 'decide Some(Settlement::Expired);
             }
-            if state.queue.len_of(qos.priority) < capacity {
-                break;
-            }
-            match self.inner.config.backpressure {
-                Backpressure::Block => {
-                    // A full lane means there is work: make sure a
-                    // worker is awake to drain it before sleeping on the
-                    // space condvar (a batched submitter publishes its
-                    // work notification only after the whole batch). A
-                    // deadline bounds the sleep — on a wedged or paused
-                    // server no space wake-up ever comes, and the query
-                    // must still resolve `DeadlineExceeded` on time
-                    // (checked at the top of the loop).
-                    self.inner.work.notify_all();
-                    state = match qos.deadline.remaining(Instant::now()) {
-                        Some(left) => state.wait_timeout(&self.inner.space, left).0,
-                        None => state.wait(&self.inner.space),
-                    };
-                }
-                Backpressure::Reject => {
-                    state.stats.classes[class].rejected += 1;
-                    if lead {
-                        cell.resolve(Err(TnnError::Overloaded));
-                        self.inner.retire_flight(&key);
+            // Admission-time cache probe: a hit completes right here —
+            // byte-identical bytes, zero queue traffic. Probed at a fresh
+            // `now`, not `submitted_at`: a batch stamp can be arbitrarily
+            // stale after a mid-batch Block wait, and TTL expiry must be
+            // judged against the present.
+            if let (Some(cache), Some(candidate)) = (&self.inner.cache, &key) {
+                match cache.lookup(candidate, Instant::now()) {
+                    Lookup::Hit(outcome) => {
+                        break 'decide Some(Settlement::Completed(Ok(outcome), CacheUse::Hit));
                     }
-                    return (state, Err(TnnError::Overloaded), false);
-                }
-                Backpressure::Shed => {
-                    let now = Instant::now();
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "Shed is only reached when the lane is full, and a full lane always yields a victim"
-                    )]
-                    let (victim, was_expired) = state
-                        .queue
-                        .shed_victim(qos.priority, self.inner.config.shed, |job| {
-                            job.deadline.expired(now)
-                        })
-                        .expect("full lane has a victim");
-                    if was_expired {
-                        state.stats.classes[victim.class.index()].expired += 1;
-                        victim.cell.resolve(Err(TnnError::DeadlineExceeded));
-                    } else {
-                        state.stats.classes[victim.class.index()].shed += 1;
-                        victim.cell.resolve(Err(TnnError::Overloaded));
-                    }
-                    // An evicted leader's flight dies with it: retire
-                    // the entry so the key's next miss leads a fresh
-                    // run instead of probing a resolved cell.
-                    if victim.lead {
-                        self.inner.retire_flight(&victim.key);
-                    }
-                    break;
+                    Lookup::Expired => refresh = true,
+                    Lookup::Miss => {}
                 }
             }
+            let capacity = self.inner.config.lane_capacity(class);
+            loop {
+                if state.shutdown.is_some() {
+                    break 'decide Some(Settlement::Rejected(TnnError::Cancelled));
+                }
+                // The deadline can pass while Block-waiting for a slot.
+                if qos.deadline.expired(Instant::now()) {
+                    break 'decide Some(Settlement::Expired);
+                }
+                if state.queue.len_of(class) < capacity {
+                    break 'decide None;
+                }
+                match self.inner.config.backpressure {
+                    Backpressure::Block => {
+                        // A full lane means there is work: make sure a
+                        // worker is awake to drain it before sleeping on
+                        // the space condvar (a batched submitter
+                        // publishes its work notification only after the
+                        // whole batch). A deadline bounds the sleep — on
+                        // a wedged or paused server no space wake-up ever
+                        // comes, and the query must still resolve
+                        // `DeadlineExceeded` on time (checked at the top
+                        // of the loop).
+                        self.inner.work.notify_all();
+                        state = match qos.deadline.remaining(Instant::now()) {
+                            Some(left) => state.wait_timeout(&self.inner.space, left).0,
+                            None => state.wait(&self.inner.space),
+                        };
+                    }
+                    Backpressure::Reject => {
+                        break 'decide Some(Settlement::Rejected(TnnError::Overloaded));
+                    }
+                    Backpressure::Shed => {
+                        let now = Instant::now();
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "Shed is only reached when the lane is full, and a full lane always yields a victim"
+                        )]
+                        let (victim, was_expired) = state
+                            .queue
+                            .shed_victim(class, self.inner.config.shed, |job| {
+                                job.deadline.expired(now)
+                            })
+                            .expect("full lane has a victim");
+                        let settlement = if was_expired {
+                            Settlement::Expired
+                        } else {
+                            Settlement::Shed
+                        };
+                        self.inner.settle(
+                            &mut state.stats,
+                            victim.class,
+                            &victim.ticket,
+                            settlement,
+                            None,
+                        );
+                        break 'decide None;
+                    }
+                }
+            }
+        };
+        let counters = &mut state.stats.classes[class.index()];
+        counters.submitted += 1;
+        let result = match &settled {
+            Some(Settlement::Rejected(err)) => Err(err.clone()),
+            _ => {
+                counters.accepted += 1;
+                Ok(Ticket {
+                    cell: Arc::clone(&ticket.cell),
+                    submitted_at,
+                })
+            }
+        };
+        if let Some(end) = settled {
+            self.inner
+                .settle(&mut state.stats, class, &ticket, end, None);
+            return (state, result, false);
         }
-        state.stats.classes[class].accepted += 1;
         let seq = state.next_seq;
         state.next_seq += 1;
         state.queue.push_back(
-            qos.priority,
+            class,
             Job {
                 query,
-                cell: Arc::clone(&cell),
-                class: qos.priority,
+                ticket,
+                class,
                 deadline: qos.deadline,
                 key,
                 refresh,
-                lead,
                 seq,
-                submitted_at,
                 enqueued_at: self.inner.recorder.is_some().then(Instant::now),
             },
         );
-        (state, Ok(Ticket { cell, submitted_at }), true)
+        (state, result, true)
     }
 
     /// A consistent snapshot of the admission/completion counters.
@@ -991,7 +1027,7 @@ impl Server {
         // still sitting in the queue; no ticket may outlive shutdown
         // unresolved.
         let mut state = self.inner.state.lock();
-        state.cancel_backlog();
+        self.inner.cancel_backlog(&mut state);
         drop(state);
         drop(handles);
         self.stats()
@@ -1006,7 +1042,7 @@ impl Server {
             // Resolve the backlog here, not in the workers: every queued
             // ticket has resolved by the time `shutdown` returns even if
             // all workers are busy mid-batch.
-            state.cancel_backlog();
+            self.inner.cancel_backlog(&mut state);
         }
         drop(state);
         self.inner.work.notify_all();
@@ -1104,7 +1140,7 @@ fn worker_loop(inner: &Inner, engine: &QueryEngine) {
             if state.shutdown.is_none() {
                 state.shutdown = Some(ShutdownMode::Cancel);
             }
-            state.cancel_backlog();
+            inner.cancel_backlog(&mut state);
             drop(state);
             inner.work.notify_all();
             inner.space.notify_all();
@@ -1167,7 +1203,6 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
             guard.taken[job.class.index()] += 1;
         }
         for job in local.drain(..) {
-            let class = job.class.index();
             if let Some(faults) = &inner.faults {
                 if faults.worker_kill(job.seq) {
                     // Quiet unwind (skips the panic hook): this job and
@@ -1187,7 +1222,7 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
                 if let Some(enqueued_at) = job.enqueued_at {
                     t.span(
                         SpanKind::AdmissionWait,
-                        enqueued_at.saturating_duration_since(job.submitted_at),
+                        enqueued_at.saturating_duration_since(job.ticket.submitted_at),
                     );
                     t.span(
                         SpanKind::QueueResidency,
@@ -1199,15 +1234,13 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
             // Deadline at dequeue: a job that died waiting is discarded,
             // not run — the worker's time goes to viable work.
             if job.deadline.expired(now) {
-                job.cell.resolve(Err(TnnError::DeadlineExceeded));
-                if job.lead {
-                    inner.retire_flight(&job.key);
-                }
-                guard.booked.classes[class].expired += 1;
-                if let Some(t) = trace.as_mut() {
-                    t.errored = true;
-                }
-                record_trace(inner, trace, job.submitted_at);
+                inner.settle(
+                    &mut guard.booked,
+                    job.class,
+                    &job.ticket,
+                    Settlement::Expired,
+                    trace,
+                );
                 continue;
             }
             // One environment snapshot pins this job's whole execution
@@ -1244,19 +1277,8 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
                     }
                     match looked {
                         Lookup::Hit(outcome) => {
-                            guard.booked.cache_hits += 1;
-                            if let Some(t) = trace.as_mut() {
-                                stamp_counters(t, &outcome);
-                            }
-                            job.cell.resolve(Ok(outcome));
-                            if job.lead {
-                                inner.retire_flight(&job.key);
-                            }
-                            guard.booked.classes[class].completed += 1;
-                            guard.booked.classes[class]
-                                .latency
-                                .record(Instant::now().saturating_duration_since(job.submitted_at));
-                            record_trace(inner, trace, job.submitted_at);
+                            let hit = Settlement::Completed(Ok(outcome), CacheUse::Hit);
+                            inner.settle(&mut guard.booked, job.class, &job.ticket, hit, trace);
                             continue;
                         }
                         lookup => {
@@ -1286,91 +1308,42 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
                     t.span(SpanKind::Degradation, ladder.degraded);
                 }
             }
-            match executed {
-                Executed::Expired { retries } => {
-                    guard.booked.classes[class].retried += retries;
-                    job.cell.resolve(Err(TnnError::DeadlineExceeded));
-                    if job.lead {
-                        inner.retire_flight(&job.key);
-                    }
-                    guard.booked.classes[class].expired += 1;
-                    if let Some(t) = trace.as_mut() {
-                        t.attempts = retries as u32;
-                        t.errored = true;
-                    }
-                    record_trace(inner, trace, job.submitted_at);
-                }
+            let (settlement, retries, attempts) = match executed {
+                Executed::Expired { retries } => (Settlement::Expired, retries, retries),
                 Executed::Done { result, retries } => {
-                    guard.booked.classes[class].retried += retries;
-                    let degraded = matches!(&result, Ok(outcome) if outcome.degraded);
-                    if degraded {
-                        guard.booked.classes[class].degraded += 1;
-                    }
                     // `cacheable` implies a key and a cache were present
                     // at dispatch; matching on all three keeps the
                     // worker panic-free if that coupling ever breaks.
-                    // Inserted *before* the leader's cell resolves so a
-                    // miss that arrives as the flight retires finds the
-                    // fresh entry waiting in the cache.
-                    match (&result, &key, &inner.cache) {
-                        (Ok(outcome), Some(key), Some(cache)) if cacheable && !degraded => {
+                    let cache_use = match (&result, &key, &inner.cache) {
+                        (Ok(outcome), Some(key), Some(cache)) if cacheable && !outcome.degraded => {
                             cache.insert(key.clone(), outcome.clone(), Instant::now());
                             if refresh {
-                                guard.booked.cache_expired += 1;
+                                CacheUse::Refresh
                             } else {
-                                guard.booked.cache_misses += 1;
+                                CacheUse::Miss
                             }
                         }
                         // Errors and degraded outcomes are never cached:
                         // a transient fault must not mask the exact
                         // answer a later healthy run would produce.
-                        _ => guard.booked.cache_bypass += 1,
-                    }
-                    if let Some(t) = trace.as_mut() {
-                        t.attempts = retries as u32 + 1;
-                        match &result {
-                            Ok(outcome) => stamp_counters(t, outcome),
-                            Err(_) => t.errored = true,
-                        }
-                    }
-                    job.cell.resolve(result);
-                    if job.lead {
-                        inner.retire_flight(&job.key);
-                    }
-                    guard.booked.classes[class].completed += 1;
-                    guard.booked.classes[class]
-                        .latency
-                        .record(Instant::now().saturating_duration_since(job.submitted_at));
-                    record_trace(inner, trace, job.submitted_at);
+                        _ => CacheUse::Bypass,
+                    };
+                    (
+                        Settlement::Completed(result, cache_use),
+                        retries,
+                        retries + 1,
+                    )
                 }
+            };
+            guard.booked.classes[job.class.index()].retried += retries;
+            if let Some(t) = trace.as_mut() {
+                t.attempts = attempts as u32;
             }
+            inner.settle(&mut guard.booked, job.class, &job.ticket, settlement, trace);
         }
         drop(guard);
     }
     engine.recycle(scratch);
-}
-
-/// Copies the engine's paper-native cost counters — tune-in pages,
-/// node visits, delayed-pruning hits, the `(H−1)(M−1)`-bounded peak
-/// queue — and the degradation flag off a delivered outcome into its
-/// trace.
-fn stamp_counters(trace: &mut QueryTrace, outcome: &QueryOutcome) {
-    trace.degraded = outcome.degraded;
-    trace.node_visits = outcome.node_visits();
-    trace.prune_hits = outcome.prune_hits();
-    trace.peak_queue = outcome.peak_queue();
-    trace.tune_in = outcome.tune_in();
-}
-
-/// Seals `trace` with its end-to-end latency and offers it to the
-/// flight recorder. Called after the job's ticket resolved, holding no
-/// other lock (the recorder stripe lock is innermost — see
-/// `LockRank::TraceRecorder`). A no-op when tracing is off.
-fn record_trace(inner: &Inner, trace: Option<QueryTrace>, submitted_at: Instant) {
-    if let (Some(recorder), Some(mut trace)) = (&inner.recorder, trace) {
-        trace.total = Instant::now().saturating_duration_since(submitted_at);
-        recorder.record(trace);
-    }
 }
 
 /// Off-engine wall time [`run_job`] spent in the retry ladder,

@@ -49,13 +49,6 @@ impl TicketCell {
             self.done.notify_all();
         }
     }
-
-    /// `true` once [`TicketCell::resolve`] has landed — the singleflight
-    /// liveness probe: a resolved leader cell marks its flight dead, so
-    /// new arrivals lead a fresh run instead of joining a finished one.
-    pub(crate) fn is_resolved(&self) -> bool {
-        matches!(&*self.state.lock(), TicketState::Done { .. })
-    }
 }
 
 /// A non-blocking completion handle for one submitted [`tnn_core::Query`].

@@ -1,7 +1,7 @@
 //! Behavioural tests for serving under data churn: environment swaps
 //! must kill stale cache entries (epoch-stamped keys), post-swap
 //! answers must match a fresh engine over the new data, and identical
-//! concurrent misses must coalesce into one engine run (singleflight).
+//! queued misses must run the engine once.
 
 #![allow(
     clippy::unwrap_used,
@@ -112,49 +112,28 @@ fn swap_env_rejects_shape_changes() {
     server.shutdown(ShutdownMode::Drain);
 }
 
-/// N identical queries admitted in one batch collapse into a single
-/// engine run under singleflight: one miss leads, the rest join its
-/// flight and resolve from the leader's result — byte-identical, with
-/// the followers counted as `cache_coalesced`.
+/// Identical queries admitted in one batch run the engine once on a
+/// one-worker server: all eight miss the admission probe (none has run
+/// yet), the worker's first run fills the cache, and the seven
+/// duplicates queued behind it hit the dequeue probe — byte-identical
+/// answers, one engine run.
 #[test]
-fn identical_concurrent_misses_coalesce_into_one_run() {
+fn identical_queued_misses_run_the_engine_once() {
     let env = env_seeded(2, 0xF11E);
-    let server = Server::spawn(
-        env.clone(),
-        ServeConfig::new()
-            .workers(1)
-            .queue_capacity(64)
-            .singleflight(true),
-    );
+    let server = Server::spawn(env.clone(), ServeConfig::new().workers(1));
     let query = Query::order_free(Point::new(250.0, 750.0)).issued_at(5);
     let want = server.engine().run(&query).unwrap();
 
     // One batch, one queue-lock acquisition: all eight are admitted
-    // before the worker can run any of them, so exactly one leads.
+    // before the worker can run any of them.
     let tickets = server.submit_batch(std::iter::repeat_n(query, 8));
     for ticket in tickets {
         let outcome = ticket.unwrap().wait().unwrap();
-        assert_eq!(outcome, want, "followers share the leader's bytes");
+        assert_eq!(outcome, want, "every duplicate gets the same bytes");
     }
     let stats = server.shutdown(ShutdownMode::Drain);
     assert_eq!(stats.cache_misses, 1, "one engine run for eight arrivals");
-    assert_eq!(stats.cache_coalesced, 7, "{stats:?}");
+    assert_eq!(stats.cache_hits, 7, "{stats:?}");
     assert_eq!(stats.completed, 8);
-    assert!(stats.conserved(), "{stats:?}");
-}
-
-/// Without the singleflight flag the same batch runs (or cache-hits)
-/// each query individually — coalescing is strictly opt-in.
-#[test]
-fn singleflight_is_opt_in() {
-    let server = Server::spawn(env_seeded(2, 0xF12E), ServeConfig::new().workers(1));
-    let query = Query::order_free(Point::new(250.0, 750.0)).issued_at(5);
-    let tickets = server.submit_batch(std::iter::repeat_n(query, 4));
-    for ticket in tickets {
-        ticket.unwrap().wait().unwrap();
-    }
-    let stats = server.shutdown(ShutdownMode::Drain);
-    assert_eq!(stats.cache_coalesced, 0);
-    assert_eq!(stats.cache_hits + stats.cache_misses, 4);
     assert!(stats.conserved(), "{stats:?}");
 }

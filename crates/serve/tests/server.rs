@@ -124,6 +124,53 @@ fn reject_policy_errors_at_the_door_when_paused() {
     assert_eq!(t2.wait().unwrap_err(), TnnError::Cancelled);
 }
 
+/// A submitter waiting for a slot under `Block` is not yet decided, so
+/// it is not counted either: `conserved()` holds on every snapshot
+/// taken while it waits, not only at quiescence. Shutdown then refuses
+/// it with `Cancelled`.
+#[test]
+fn block_wait_keeps_every_snapshot_conserved() {
+    let server = Server::spawn(
+        env(2),
+        ServeConfig::new()
+            .workers(0)
+            .queue_capacity(1)
+            .backpressure(Backpressure::Block),
+    );
+    let pts = points(2);
+    let queued = server.submit(Query::tnn(pts[0])).unwrap();
+    std::thread::scope(|scope| {
+        let blocked = scope.spawn(|| server.submit(Query::tnn(pts[1])));
+        // A waiting submitter leaves no mark in the counters (that is
+        // the property under test), so there is no signal to wait for:
+        // watch a fixed window instead. The submitter reaches its wait
+        // within microseconds.
+        // A failure is recorded, not asserted, until shutdown has freed
+        // the waiter: the scope cannot unwind past a blocked thread.
+        let watch = std::time::Instant::now() + Duration::from_millis(100);
+        let mut violation = None;
+        while std::time::Instant::now() < watch && violation.is_none() {
+            let stats = server.stats();
+            if !stats.conserved() || (stats.accepted, stats.queued) != (1, 1) {
+                violation = Some(stats);
+            }
+        }
+        let waiting = !blocked.is_finished();
+        server.shutdown(ShutdownMode::Cancel);
+        let refused = blocked.join().unwrap();
+        assert_eq!(violation, None, "mid-Block snapshot");
+        assert!(waiting, "the lane is full: the submitter must wait");
+        assert_eq!(refused.unwrap_err(), TnnError::Cancelled);
+    });
+    assert_eq!(queued.wait().unwrap_err(), TnnError::Cancelled);
+    let stats = server.stats();
+    assert!(stats.conserved(), "{stats:?}");
+    assert_eq!(
+        (stats.submitted, stats.rejected, stats.cancelled),
+        (2, 1, 1)
+    );
+}
+
 #[test]
 fn shed_policy_evicts_the_oldest_queued_query() {
     let server = Server::spawn(

@@ -46,8 +46,7 @@ use std::time::Duration;
 ///   scatter stratum        shard.final_serve > shard.topology >
 ///         │                shard.replicas > shard.retired
 ///         │ scatters into
-///   server stratum         serve.workers > serve.state > qos.flights >
-///         │                ticket.state
+///   server stratum         serve.workers > serve.state > ticket.state
 ///         │ consults
 ///   cache/engine stratum   qos.cache_stripe > core.env_cell >
 ///         │                core.scratch_pool > sim.catalog
@@ -79,10 +78,6 @@ pub enum LockRank {
     ServeWorkers,
     /// A server's queue and stats: the serving hot path.
     ServeState,
-    /// The singleflight table of in-flight leaders keyed by query.
-    /// Touched at admission (under `serve.state`) and by workers retiring
-    /// flights while resolving leader tickets.
-    QosFlights,
     /// A ticket's resolution cell; resolved by workers that may hold
     /// `serve.state`.
     TicketState,
@@ -115,7 +110,6 @@ impl LockRank {
             LockRank::ShardRetired => "shard.retired",
             LockRank::ServeWorkers => "serve.workers",
             LockRank::ServeState => "serve.state",
-            LockRank::QosFlights => "qos.flights",
             LockRank::TicketState => "ticket.state",
             LockRank::QosCacheStripe => "qos.cache_stripe",
             LockRank::CoreEnvCell => "core.env_cell",
@@ -417,21 +411,21 @@ mod tests {
     #[test]
     #[cfg(debug_assertions)]
     fn dropping_a_guard_pops_its_rank() {
-        let flights = OrderedMutex::new(LockRank::QosFlights, ());
+        let state = OrderedMutex::new(LockRank::ServeState, ());
         let ticket = OrderedMutex::new(LockRank::TicketState, ());
         let stripe = OrderedMutex::new(LockRank::QosCacheStripe, ());
-        let f = flights.lock();
+        let outer = state.lock();
         let t = ticket.lock();
         // Out of acquisition order: the outer guard goes first.
-        drop(f);
+        drop(outer);
         assert_eq!(held(), [LockRank::TicketState]);
         let s = stripe.lock();
         drop(s);
         drop(t);
         assert!(held().is_empty());
         // With the stack empty, a lower rank is fine again.
-        let _f = flights.lock();
-        assert_eq!(held(), [LockRank::QosFlights]);
+        let _outer = state.lock();
+        assert_eq!(held(), [LockRank::ServeState]);
     }
 
     #[test]

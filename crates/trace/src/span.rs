@@ -15,7 +15,7 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
     /// Admission-control work in `submit` before the job is enqueued
-    /// (deadline check, cache probe, singleflight join, backpressure).
+    /// (deadline check, cache probe, backpressure).
     AdmissionWait,
     /// The admission-time result-cache probe alone.
     CacheProbe,
