@@ -12,9 +12,11 @@
 //! points' bounding box and minimum suffix cost, and its head step visits
 //! the first layer in ascending `dis(p, s)` and stops once that distance
 //! alone exceeds the best total — Algorithm 1's line-8 early exit, for k
-//! layers. Every prune compares a floating-point lower bound strictly
-//! against the best total, so the join returns exactly the nested loop's
-//! answer, ties and total bits included.
+//! layers. Every search is capped by the total it has to beat, so it too
+//! skips what cannot beat the best route, as Algorithm 1 does. Every
+//! prune compares a floating-point lower bound strictly against the best
+//! total, so the join returns exactly the nested loop's answer, ties and
+//! total bits included.
 //!
 //! The join runs on the client from already-downloaded data, and the paper
 //! explicitly neglects its computational cost; the acceleration only keeps
@@ -128,9 +130,9 @@ pub fn chain_join<L: AsRef<[(Point, ObjectId)]>>(
 /// bound lies within it of `p` (within half of it on a closed tour), so
 /// each layer is cut to those items, with a margin of a few ulps for
 /// rounding, in their original order, and the DP runs over the cut
-/// layers. Over the perfbench `city_k3` query pool (4,096 queries, 1,158
-/// candidates per join on average) the cut keeps 47% of the candidates
-/// and the DP runs 302 grid searches per join instead of 888
+/// layers. Over the perfbench `city_k3` query pool (seed 22: 4,096
+/// queries, one join each, 1,128 candidates per join on average) the cut
+/// keeps 539 of them (48%), and the DP runs 149 grid searches per join
 /// (`docs/PERF.md` has the timings).
 ///
 /// Each DP transition `cost(q) = min dis(q, s) + cost(s)` over a
@@ -139,12 +141,17 @@ pub fn chain_join<L: AsRef<[(Point, ObjectId)]>>(
 /// minimum suffix cost. The search walks rings of cells outward from
 /// `q`'s cell, skips a cell when `dis(q, cell box) + cell min cost`
 /// exceeds the best total, and stops when the distance to the unvisited
-/// rings plus the layer's minimum cost does. The head step visits the
-/// first layer in ascending `dis(p, s₁)` and stops once that distance
-/// alone exceeds the best total, so the first transition runs only for
-/// the candidates it visits. The cut keeps the optimal route and the
-/// order of the kept items, so the result is the plain nested loop's,
-/// bit for bit, with ties broken toward the smaller `(total, index)`.
+/// rings plus the layer's minimum cost does. Its best total starts at a
+/// cap, the total a route through `q` may still spend past `q`: the
+/// bound less `dis(p, q)`, and in the head step also the best route's
+/// total so far less `dis(p, q)`. On the pool the capped searches test
+/// 2,997 grid cells per join, against 7,184 uncapped, and the join makes
+/// 4,025 candidate evaluations instead of 4,896. The head step visits the first layer in
+/// ascending `dis(p, s₁)` and stops once that distance alone exceeds the
+/// best total, so the first transition runs only for the candidates it
+/// visits. The cut and the caps keep the optimal route and the order of
+/// the kept items, so the result is the plain nested loop's, bit for
+/// bit, with ties broken toward the smaller `(total, index)`.
 pub fn chain_join_with<L: AsRef<[(Point, ObjectId)]>>(
     scratch: &mut JoinScratch,
     p: Point,
@@ -176,10 +183,10 @@ pub fn chain_loop_join_with<L: AsRef<[(Point, ObjectId)]>>(
 /// Shared implementation of the open-chain and closed-tour k-layer joins.
 /// It bounds the optimum by a cheap feasible route, cuts every layer to
 /// the items that can lie on a route within that bound ([`Reach`]), and
-/// runs the DP ([`chain_dp`]) over the cut layers. The bound comes in two
-/// steps: the greedy chain ([`greedy_route`]) cuts the layers first, and
-/// coordinate descent over those ([`descend`]) lowers the bound, which
-/// cuts them once more.
+/// runs the DP ([`chain_dp`]) over the cut layers, every search of it
+/// capped by the same bound. The bound comes in two steps: the greedy
+/// chain ([`greedy_route`]) cuts the layers first, and coordinate descent
+/// over those ([`descend`]) lowers the bound, which cuts them once more.
 ///
 /// The cut keeps every stop of the DP's own optimal route and the
 /// relative order of the kept items. Dropped items only ever lose
@@ -210,14 +217,14 @@ fn chain_join_core<L: AsRef<[(Point, ObjectId)]>>(
         kept.extend(layer.as_ref().iter().filter(|&&(pt, _)| reach.keeps(pt)));
     }
     let bound = descend(route, evaluations, p, cut, close_tour, greedy);
+    let reach = Reach::new(p, bound, k, close_tour);
     if bound < greedy {
-        let reach = Reach::new(p, bound, k, close_tour);
         for kept in cut.iter_mut() {
             kept.retain(|&(pt, _)| reach.keeps(pt));
         }
     }
 
-    let joined = chain_dp(scratch, p, cut, close_tour);
+    let joined = chain_dp(scratch, p, cut, close_tour, reach.limit);
     scratch.cut = buffers;
     Some(joined)
 }
@@ -352,9 +359,66 @@ impl Reach {
     }
 }
 
+/// The cap of a chain-DP search from an item at computed distance `d`
+/// from `p`, on routes of total at most `total`: `total − d`, widened by
+/// a rounding margin. It is `+∞` when `d` overflows, since nothing bounds
+/// that distance's error, and when the difference is NaN (`+∞ − +∞`).
+#[inline]
+fn search_cap(total: f64, d: f64) -> f64 {
+    // The margin, with u = ε/2 and the distance error of `Reach::new`.
+    // Let s be a stop of the DP's optimal route, of computed total T*,
+    // and σ its computed suffix cost. Two totals are passed in:
+    // - The head step's running best, `best ≥ T*` while it runs. A
+    //   rounded sum of non-negative terms is at least (1 − u) times their
+    //   sum, so fl(d + σ) ≤ best gives σ ≤ (1 + 2u)·best − d.
+    // - The cut's limit L, which is at least (1 + (2n + 6)u)·B + 2^-512
+    //   for n legs once its own two roundings are paid. The fold puts the
+    //   j ≤ n − 1 legs from p to s, of computed sum P, at P + σ ≤
+    //   (1 + ju)·B, and the triangle inequality with each distance's error
+    //   puts d at most (1 + 6u)·P + (j + 1)·2^-536. So σ ≤
+    //   (1 + (n + 5)u)·B − d + n·2^-536, which L − d exceeds by
+    //   (n + 1)u·B.
+    // The subtraction and the two additions below round by at most
+    // 3u·total; the product by 4ε = 2^-50 is exact above the subnormals,
+    // and adds 8u·total. The net 5u·total covers the first case's 2u, and
+    // √MIN_POSITIVE = 2^-511 covers the absolute terms and an underflowed
+    // product.
+    let cap = (total - d) + total * (4.0 * f64::EPSILON) + f64::MIN_POSITIVE.sqrt();
+    if d.is_finite() && !cap.is_nan() {
+        cap
+    } else {
+        f64::INFINITY
+    }
+}
+
 /// The chain DP over non-empty layers: the backward suffix-cost pass,
 /// then the lazy head step from `p`. `close_tour` seeds the last layer's
 /// suffix costs with the return leg `dis(s_k, p)` instead of zero.
+///
+/// Every search is capped ([`search_cap`]) by the total it has to beat.
+/// A backward search from `s` gets `limit − dis(p, s)`, where `limit` is
+/// the cut's [`Reach`] limit of the bound `B`. The head step's search
+/// from `s₁` gets the smaller of that and `best − dis(p, s₁)`, with
+/// `best` the running best total. A search that finds no total within
+/// its cap gives its item the cost `+∞` and no successor. The caps change
+/// no answer:
+///
+/// * Capped costs are never below the exact ones. The last layer's are
+///   exact, and floating-point addition is monotone, so by induction
+///   towards the head every total a search compares is at least its
+///   exact value; so is the `+∞` of a search that found nothing.
+/// * On the DP's own optimal route, of total `T* ≤ B`, they are equal.
+///   Each stop `s` has `dis(p, s) + suffix(s) ≤ T*` by the triangle
+///   inequality, and `T* ≤ best` while the head step runs, so the exact
+///   suffix cost lies within the cap, up to rounding that the margin
+///   covers. By induction from the last stop, the stop's successor keeps
+///   its exact cost while every other item's can only rise, so the
+///   search returns the exact `(total, index)`.
+/// * Raising the cost of an item off that route can only make it lose a
+///   `(total, index)` comparison that it already lost, or tied at a
+///   higher index.
+///
+/// So the route and the total bits are those of the uncapped DP.
 ///
 /// Ties are broken toward the smaller `(total, index)` pair in every
 /// transition and in the head step, matching the plain nested-loop order
@@ -365,6 +429,7 @@ fn chain_dp(
     p: Point,
     layers: &[Vec<(Point, ObjectId)>],
     close_tour: bool,
+    limit: f64,
 ) -> (Vec<(Point, ObjectId)>, f64) {
     debug_assert!(layers.iter().all(|l| !l.is_empty()));
     let k = layers.len();
@@ -401,7 +466,7 @@ fn chain_dp(
         cost_i.clear();
         next_i.clear();
         for &(pt, _) in &layers[i] {
-            let (c, j) = step.nearest(pt, work);
+            let (c, j) = step.nearest(pt, search_cap(limit, p.dist(pt)), work);
             cost_i.push(c);
             next_i.push(j);
         }
@@ -410,7 +475,7 @@ fn chain_dp(
     // Head step from p, lazily: visit layer 0 in ascending dis(p, s) and
     // stop once that distance alone exceeds the best total (every suffix
     // cost is non-negative), running the first transition only for the
-    // items visited.
+    // items visited, each capped by the best total as well.
     let first = &layers[0];
     sort_by_dist_sq(s_order, p, first);
     let step = if k > 1 {
@@ -428,7 +493,7 @@ fn chain_dp(
         }
         work.evaluations += 1;
         let (suffix, next) = match &step {
-            Some(step) => step.nearest(pt, work),
+            Some(step) => step.nearest(pt, search_cap(limit.min(best.0), d), work),
             None => (chain_cost[0][j0 as usize], 0),
         };
         let total = d + suffix;
@@ -451,11 +516,16 @@ fn chain_dp(
 
 /// Whether `(total, index)` is smaller than `best` in lexicographic
 /// order — the one tie-break rule of every chain-join comparison. An
-/// all-infinite layer therefore still yields index 0, never a sentinel.
+/// uncapped search over an all-infinite layer therefore still yields
+/// index 0, never [`NO_SUCCESSOR`].
 #[inline]
 fn improves(total: f64, index: u32, best: (f64, u32)) -> bool {
     total < best.0 || (total == best.0 && index < best.1)
 }
+
+/// The index a capped search answers with when no total lies within its
+/// cap.
+const NO_SUCCESSOR: u32 = u32::MAX;
 
 /// One chain-DP transition into a downstream layer: answers
 /// `min dis(q, s) + cost(s)` by a linear scan of a small layer or a
@@ -477,24 +547,39 @@ impl<'a> Transition<'a> {
         }
     }
 
-    /// `(min total, its index)` for the upstream point `q`, counting the
-    /// candidate distance evaluations and grid cells tested into `work`.
-    fn nearest(&self, q: Point, work: &mut JoinWork) -> (f64, u32) {
-        match self {
+    /// `(min total, its index)` for the upstream point `q` when that
+    /// total is at most `cap`, else `(+∞, NO_SUCCESSOR)` (so also for a
+    /// NaN cap); scan and grid answer alike. Counts the candidate distance
+    /// evaluations and grid cells tested into `work`.
+    fn nearest(&self, q: Point, cap: f64, work: &mut JoinWork) -> (f64, u32) {
+        let best = match self {
             Transition::Scan(layer, cost) => {
                 work.evaluations += layer.len() as u64;
-                weighted_nearest_by_scan(layer, cost, q)
+                weighted_nearest_by_scan(layer, cost, q, cap)
             }
-            Transition::Grid(grid) => grid.nearest(q, work),
+            Transition::Grid(grid) => grid.nearest(q, cap, work),
+        };
+        // The cap is no cost: an item whose search found nothing within
+        // it costs more, so it must not pass the cap on upstream.
+        if best.1 == NO_SUCCESSOR {
+            (f64::INFINITY, NO_SUCCESSOR)
+        } else {
+            best
         }
     }
 }
 
 /// Linear inner loop of one chain-DP transition: minimizes
 /// `dis(q, cand) + cost[cand]` over the downstream layer, preferring the
-/// smaller `(total, index)` pair.
-fn weighted_nearest_by_scan(cands: &[(Point, ObjectId)], cost: &[f64], q: Point) -> (f64, u32) {
-    let mut best = (f64::INFINITY, u32::MAX);
+/// smaller `(total, index)` pair, among the totals of at most `cap`;
+/// `(cap, NO_SUCCESSOR)` when there are none.
+fn weighted_nearest_by_scan(
+    cands: &[(Point, ObjectId)],
+    cost: &[f64],
+    q: Point,
+    cap: f64,
+) -> (f64, u32) {
+    let mut best = (cap, NO_SUCCESSOR);
     for (j, &(pt, _)) in cands.iter().enumerate() {
         let total = q.dist(pt) + cost[j];
         if improves(total, j as u32, best) {
@@ -650,12 +735,14 @@ impl CostGrid {
         self.start[0] = 0;
     }
 
-    /// `(min total, its index)` of `dis(q, s) + cost(s)` over the layer,
-    /// walking rings of cells outward from `q`'s cell.
-    fn nearest(&self, q: Point, work: &mut JoinWork) -> (f64, u32) {
+    /// `(min total, its index)` of `dis(q, s) + cost(s)` over the layer
+    /// when that total is at most `cap`, else `(cap, NO_SUCCESSOR)`,
+    /// walking rings of cells outward from `q`'s cell. The walk starts
+    /// from the cap as its best total, so a tight cap ends it early.
+    fn nearest(&self, q: Point, cap: f64, work: &mut JoinWork) -> (f64, u32) {
         let (cols, rows) = (self.x.len(), self.y.len());
         let (cx, cy) = (self.x.slab(q.x), self.y.slab(q.y));
-        let mut best = (f64::INFINITY, u32::MAX);
+        let mut best = (cap, NO_SUCCESSOR);
         for r in 0.. {
             if r > 0 {
                 match self.ring_bound(q, cx, cy, r) {
@@ -1027,6 +1114,68 @@ mod tests {
                 assert_same_route(chain_loop_join_with(&mut scratch, p, &layers), &tour, "tour");
             }
         }
+
+        #[test]
+        fn capped_grid_search_equals_the_capped_scan(
+            cases in prop::collection::vec(
+                (0u64..u64::MAX, -600.0f64..1600.0, -600.0f64..1600.0),
+                1..4,
+            ),
+        ) {
+            let mut grid = CostGrid::default();
+            for (seed, qx, qy) in cases {
+                let mut rng = Mix(seed);
+                let q = Point::new(qx, qy);
+                for shape in 0..SHAPES {
+                    let n = MAX_SCANNED_LAYER + 1 + rng.below(200) as usize;
+                    let layer = shaped_layer(&mut rng, n, shape, 0);
+                    // Non-negative costs with repeats, zeros and some +∞.
+                    let mut cost: Vec<f64> = Vec::with_capacity(n);
+                    for j in 0..n {
+                        cost.push(match rng.below(8) {
+                            0 => f64::INFINITY,
+                            1 if j > 0 => cost[rng.below(j as u64) as usize],
+                            2 => 0.0,
+                            _ => rng.unit() * 500.0,
+                        });
+                    }
+                    grid.build(&layer, &cost);
+                    let exact = weighted_nearest_by_scan(&layer, &cost, q, f64::INFINITY);
+                    let j = rng.below(n as u64) as usize;
+                    let some = q.dist(layer[j].0) + cost[j];
+                    let caps = [
+                        some,
+                        some.next_up(),
+                        some.next_down(),
+                        exact.0,
+                        exact.0.next_down(),
+                        0.0,
+                        f64::INFINITY,
+                        f64::NAN,
+                    ];
+                    for cap in caps {
+                        let want = if exact.0 <= cap {
+                            exact
+                        } else {
+                            (f64::INFINITY, NO_SUCCESSOR)
+                        };
+                        let mut work = JoinWork::default();
+                        let scan = Transition::Scan(&layer, &cost).nearest(q, cap, &mut work);
+                        let got = Transition::Grid(&grid).nearest(q, cap, &mut work);
+                        for (what, answer) in [("scan", scan), ("grid", got)] {
+                            prop_assert_eq!(
+                                (answer.0.to_bits(), answer.1),
+                                (want.0.to_bits(), want.1),
+                                "shape {}, cap {}: {}",
+                                shape,
+                                cap,
+                                what
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1157,6 +1306,57 @@ mod tests {
         }
     }
 
+    #[test]
+    fn search_cap_margin_covers_a_tie_at_the_best_total() {
+        // Two open routes tie at the total 10: p → (4, 0) → (4, −6),
+        // visited first, and p → a → r through the lower first-layer
+        // index, whose suffix cost σ rounds d + σ down to 10. Computed
+        // without the margin, the second search's cap 10 − d falls one ulp
+        // short of σ, so that route would lose the tie it wins. Fifty
+        // decoys behind p send the search through the grid.
+        let p = Point::ORIGIN;
+        let (a, r) = ((5.0, 5.0), (7.928_932_188_134_525, 5.0));
+        let first = pts(&[a, (4.0, 0.0)]);
+        let mut second = pts(&[(4.0, -6.0), r]);
+        second.extend((0..50).map(|i| {
+            let angle = (100.0 + 70.0 * f64::from(i) / 49.0).to_radians();
+            (
+                Point::new(9.0 * angle.cos(), 9.0 * angle.sin()),
+                ObjectId(2 + i),
+            )
+        }));
+        let (d, sigma) = (p.dist(first[0].0), first[0].0.dist(second[1].0));
+        assert_eq!(d + sigma, 10.0);
+        assert!(10.0 - d < sigma, "{} < {sigma}", 10.0 - d);
+        let layers = [first, second];
+        let want = reference_chain(p, &layers, false);
+        let (route, total) = want.clone().expect("non-empty layers");
+        assert_eq!(
+            (route[0].1, route[1].1, total),
+            (ObjectId(0), ObjectId(1), 10.0)
+        );
+        let mut scratch = JoinScratch::default();
+        assert_same_route(chain_join_with(&mut scratch, p, &layers), &want, "chain");
+        assert!(scratch.grid_cells_tested() > 0, "the grid path ran");
+    }
+
+    #[test]
+    fn search_cap_keeps_a_stop_whose_distance_from_p_overflows() {
+        // The middle stop lies 2e154 from p, whose square overflows, so
+        // its computed distance is +∞ while every leg and the total are
+        // finite. Its search must stay uncapped.
+        let p = Point::ORIGIN;
+        let layers = [
+            pts(&[(1e154, 0.0)]),
+            pts(&[(2e154, 0.0)]),
+            pts(&[(2e154, 1.0)]),
+        ];
+        assert_eq!(p.dist(layers[1][0].0), f64::INFINITY);
+        let want = reference_chain(p, &layers, false);
+        assert!(want.as_ref().expect("non-empty layers").1.is_finite());
+        assert_same_route(chain_join(p, &layers), &want, "chain");
+    }
+
     /// `k` clustered layers of 2,000 points over the paper region, like
     /// the CITY-like channels: settlements gathered in 12 clusters plus a
     /// 10% uniform background.
@@ -1195,10 +1395,12 @@ mod tests {
         ];
         let mut scratch = JoinScratch::default();
         // At k = 2 the greedy route's scan of both layers alone is 1/1,000
-        // of the nested loop.
-        for (layers, share) in [
-            (clustered_layers(0x7A11, 3), 1_100),
-            (clustered_layers(0x7A12, 2), 800),
+        // of the nested loop. At k = 3 the capped searches test 1,685
+        // cells over the three queries (26 + 1,530 + 129); uncapped they
+        // tested 2,257 (36 + 2,078 + 143).
+        for (layers, share, cell_bound) in [
+            (clustered_layers(0x7A11, 3), 1_100, 2_000),
+            (clustered_layers(0x7A12, 2), 800, u64::MAX),
         ] {
             let k = layers.len();
             let n: Vec<u64> = layers.iter().map(|l| l.len() as u64).collect();
@@ -1214,9 +1416,11 @@ mod tests {
                     "k = {k}, query {qi}: {evaluations} of {nested_loop} nested-loop evaluations"
                 );
             }
+            let cells = scratch.grid_cells_tested() - cells;
+            assert!(cells > 0, "k = {k}: the grid path ran");
             assert!(
-                scratch.grid_cells_tested() > cells,
-                "k = {k}: the grid path ran"
+                cells < cell_bound,
+                "k = {k}: {cells} grid cells tested, not below {cell_bound}"
             );
         }
         // Layers of at most MAX_SCANNED_LAYER items are scanned, never
