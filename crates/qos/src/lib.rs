@@ -13,8 +13,8 @@
 //!   attempts so one class's failing traffic cannot starve the others;
 //! * [`MultiLevelQueue`] — a strict-priority submission queue with
 //!   per-class bounds and deadline-aware victim selection
-//!   ([`ShedDiscipline::ExpiredFirst`] evicts already-dead work before
-//!   sacrificing anything still viable);
+//!   (shedding evicts already-dead work before sacrificing anything
+//!   still viable);
 //! * [`ResultCache`] — a sharded, lock-striped, O(1) LRU result cache
 //!   with optional entry TTL and hit/miss/expired accounting.
 //!
@@ -38,6 +38,6 @@ mod spec;
 pub use cache::{CacheConfig, CacheStats, Lookup, ResultCache};
 pub use deadline::Deadline;
 pub use priority::Priority;
-pub use queue::{MultiLevelQueue, ShedDiscipline};
+pub use queue::MultiLevelQueue;
 pub use retry::{RetryBudget, RetryPolicy};
 pub use spec::Qos;

@@ -1,27 +1,8 @@
-//! The strict-priority submission queue: [`MultiLevelQueue`] and the
-//! shed-victim policy [`ShedDiscipline`].
+//! The strict-priority submission queue: [`MultiLevelQueue`] and its
+//! expired-first shed-victim choice.
 
 use crate::Priority;
 use std::collections::VecDeque;
-
-/// Which queued item a `Shed`-style backpressure policy sacrifices when a
-/// class is at capacity and a new submission of that class arrives.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ShedDiscipline {
-    /// Evict the class's oldest **expired** item; only when every queued
-    /// item is still viable fall back to the oldest. Dead work — items
-    /// whose deadline has already passed — is pure queue pollution, so
-    /// this discipline never sacrifices an answerable request while an
-    /// unanswerable one is holding a slot. The default.
-    #[default]
-    ExpiredFirst,
-    /// Always evict the class's oldest item, expired or not — the
-    /// pre-deadline behaviour, kept for the comparison in
-    /// `crates/serve/tests/qos.rs` (`oldest_first_shed_sacrifices_viable_work`)
-    /// showing why expiry-awareness lowers the deadline-miss rate under
-    /// saturation.
-    OldestFirst,
-}
 
 /// A strict-priority multi-level FIFO queue: one bounded lane per
 /// [`Priority`] class.
@@ -32,7 +13,7 @@ pub enum ShedDiscipline {
 ///   [`MultiLevelQueue::len_of`] — the queue itself never refuses), so a
 ///   background flood cannot crowd out interactive admissions.
 /// * [`MultiLevelQueue::shed_victim`] picks the item a `Shed` policy
-///   sacrifices, honouring a [`ShedDiscipline`].
+///   sacrifices, taking expired work first.
 ///
 /// ```
 /// use tnn_qos::{MultiLevelQueue, Priority};
@@ -94,26 +75,23 @@ impl<T> MultiLevelQueue<T> {
     /// whether it was expired under `is_expired`; `None` only when the
     /// class lane is empty.
     ///
-    /// Under [`ShedDiscipline::ExpiredFirst`] the oldest *expired* item
-    /// is taken, falling back to the oldest overall; under
-    /// [`ShedDiscipline::OldestFirst`] always the oldest. Either way the
-    /// expiry of the actual victim is reported, so callers can resolve
-    /// dead victims as deadline misses rather than overload.
+    /// The oldest *expired* item is taken, falling back to the oldest
+    /// overall only when every queued item is still viable. Dead work —
+    /// items whose deadline has already passed — is pure queue
+    /// pollution, so an answerable request is never sacrificed while an
+    /// unanswerable one holds a slot. The victim's expiry is reported,
+    /// so callers can resolve dead victims as deadline misses rather
+    /// than overload.
     pub fn shed_victim(
         &mut self,
         class: Priority,
-        discipline: ShedDiscipline,
-        mut is_expired: impl FnMut(&T) -> bool,
+        is_expired: impl FnMut(&T) -> bool,
     ) -> Option<(T, bool)> {
         let lane = &mut self.levels[class.index()];
-        if discipline == ShedDiscipline::ExpiredFirst {
-            if let Some(i) = lane.iter().position(&mut is_expired) {
-                return lane.remove(i).map(|item| (item, true));
-            }
+        match lane.iter().position(is_expired) {
+            Some(i) => lane.remove(i).map(|item| (item, true)),
+            None => lane.pop_front().map(|item| (item, false)),
         }
-        let oldest = lane.pop_front()?;
-        let expired = is_expired(&oldest);
-        Some((oldest, expired))
     }
 }
 
@@ -163,39 +141,15 @@ mod tests {
             q.push_back(Priority::Batch, ("dead", true));
         }
         for _ in 0..16 {
-            let (victim, was_expired) = q
-                .shed_victim(Priority::Batch, ShedDiscipline::ExpiredFirst, |it| it.1)
-                .unwrap();
+            let (victim, was_expired) = q.shed_victim(Priority::Batch, |it| it.1).unwrap();
             assert_eq!(victim, ("dead", true));
             assert!(was_expired);
         }
         // Only the viable item remains; shedding now falls back to it.
         assert_eq!(q.len(), 1);
-        let (victim, was_expired) = q
-            .shed_victim(Priority::Batch, ShedDiscipline::ExpiredFirst, |it| it.1)
-            .unwrap();
+        let (victim, was_expired) = q.shed_victim(Priority::Batch, |it| it.1).unwrap();
         assert_eq!(victim, ("survivor", false));
         assert!(!was_expired);
-    }
-
-    /// The pre-deadline discipline for contrast: oldest-first sacrifices
-    /// the viable front item even while dead work sits behind it.
-    #[test]
-    fn oldest_first_shedding_takes_the_front_regardless() {
-        let mut q = MultiLevelQueue::new();
-        q.push_back(Priority::Batch, ("survivor", false));
-        q.push_back(Priority::Batch, ("dead", true));
-        let (victim, was_expired) = q
-            .shed_victim(Priority::Batch, ShedDiscipline::OldestFirst, |it| it.1)
-            .unwrap();
-        assert_eq!(victim, ("survivor", false));
-        assert!(!was_expired);
-        // An expired oldest victim is still reported as expired, so the
-        // caller can resolve it as a deadline miss, not overload.
-        let (_, was_expired) = q
-            .shed_victim(Priority::Batch, ShedDiscipline::OldestFirst, |it| it.1)
-            .unwrap();
-        assert!(was_expired);
     }
 
     #[test]
@@ -203,11 +157,7 @@ mod tests {
         let mut q = MultiLevelQueue::new();
         q.push_back(Priority::Interactive, ("urgent", true));
         assert!(q
-            .shed_victim(
-                Priority::Batch,
-                ShedDiscipline::ExpiredFirst,
-                |it: &(&str, bool)| it.1
-            )
+            .shed_victim(Priority::Batch, |it: &(&str, bool)| it.1)
             .is_none());
         assert_eq!(q.len_of(Priority::Interactive), 1);
     }

@@ -1,7 +1,7 @@
 //! Server tuning knobs: [`ServeConfig`], [`Backpressure`],
 //! [`ShutdownMode`], and [`Degradation`].
 
-use tnn_qos::{CacheConfig, Priority, RetryPolicy, ShedDiscipline};
+use tnn_qos::{CacheConfig, Priority, RetryPolicy};
 use tnn_trace::TraceConfig;
 
 /// What [`crate::Server::submit`] does when the submission lane of the
@@ -23,9 +23,7 @@ pub enum Backpressure {
     /// [`tnn_core::TnnError::Overloaded`] and nothing is enqueued.
     Reject,
     /// Admit the new query by evicting a still-queued one from the same
-    /// class. Which one is governed by [`ServeConfig::shed`]: under the
-    /// default [`ShedDiscipline::ExpiredFirst`] the oldest *expired*
-    /// query goes first (its ticket resolves
+    /// class: the oldest *expired* query goes first (its ticket resolves
     /// [`tnn_core::TnnError::DeadlineExceeded`]), and only a lane with
     /// no expired work sacrifices its oldest (ticket resolves
     /// [`tnn_core::TnnError::Overloaded`]). Submission itself never
@@ -77,14 +75,13 @@ pub enum Degradation {
 /// Configuration for [`crate::Server::spawn`].
 ///
 /// ```
-/// use tnn_qos::{CacheConfig, Priority, ShedDiscipline};
+/// use tnn_qos::{CacheConfig, Priority};
 /// use tnn_serve::{Backpressure, ServeConfig};
 /// let cfg = ServeConfig::new()
 ///     .workers(4)
 ///     .queue_capacity(256)
 ///     .class_capacity(Priority::Background, 32)
 ///     .backpressure(Backpressure::Shed)
-///     .shed_discipline(ShedDiscipline::ExpiredFirst)
 ///     .cache(CacheConfig::new().capacity(8192))
 ///     .batch_window(32);
 /// assert_eq!(cfg.workers, 4);
@@ -109,9 +106,6 @@ pub struct ServeConfig {
     pub class_capacity: [usize; Priority::COUNT],
     /// Policy when the class's lane is full.
     pub backpressure: Backpressure,
-    /// Victim selection for [`Backpressure::Shed`] (default: evict
-    /// expired work before sacrificing anything still viable).
-    pub shed: ShedDiscipline,
     /// The result cache over `(query, channel count)` keys
     /// ([`tnn_core::QueryKey`]). Enabled by default — hits are
     /// byte-identical to fresh engine runs (the engine is
@@ -172,7 +166,6 @@ impl ServeConfig {
             queue_capacity: 1024,
             class_capacity: [0; Priority::COUNT],
             backpressure: Backpressure::Block,
-            shed: ShedDiscipline::ExpiredFirst,
             cache: CacheConfig::new(),
             batch_window: 16,
             retry: RetryPolicy::new(),
@@ -205,12 +198,6 @@ impl ServeConfig {
     /// Sets the full-lane policy.
     pub fn backpressure(mut self, policy: Backpressure) -> Self {
         self.backpressure = policy;
-        self
-    }
-
-    /// Sets the [`Backpressure::Shed`] victim discipline.
-    pub fn shed_discipline(mut self, shed: ShedDiscipline) -> Self {
-        self.shed = shed;
         self
     }
 
@@ -287,7 +274,6 @@ mod tests {
             .workers(3)
             .queue_capacity(7)
             .backpressure(Backpressure::Shed)
-            .shed_discipline(ShedDiscipline::OldestFirst)
             .cache(CacheConfig::disabled())
             .batch_window(5)
             .retry(RetryPolicy::NONE.max_attempts(9))
@@ -298,7 +284,6 @@ mod tests {
         assert_eq!(cfg.workers, 3);
         assert_eq!(cfg.queue_capacity, 7);
         assert_eq!(cfg.backpressure, Backpressure::Shed);
-        assert_eq!(cfg.shed, ShedDiscipline::OldestFirst);
         assert!(!cfg.cache.enabled);
         assert_eq!(cfg.batch_window, 5);
         assert_eq!(cfg.retry.max_attempts, 9);
@@ -308,7 +293,6 @@ mod tests {
         assert!(cfg.trace.is_on());
         assert!(ServeConfig::new().workers >= 1);
         assert_eq!(ServeConfig::new().backpressure, Backpressure::Block);
-        assert_eq!(ServeConfig::new().shed, ShedDiscipline::ExpiredFirst);
         assert!(ServeConfig::new().cache.enabled);
         // Fault-free defaults: no degradation, unlimited retry pools.
         assert_eq!(ServeConfig::new().degradation, Degradation::Fail);

@@ -1,10 +1,8 @@
-//! # tnn-faults
-//!
 //! Deterministic, seedable fault injection for the broadcast-TNN stack.
 //!
 //! The paper's setting is wireless multi-channel broadcast, where clients
 //! routinely miss packets, lose a channel mid-cycle, or tune in to stale
-//! index segments. This crate models those failures — plus server-side
+//! index segments. This module models those failures — plus server-side
 //! ones (engine panics, worker deaths) — as an explicit, reproducible
 //! schedule that the serving layer consults, instead of assuming every
 //! read succeeds and every thread lives forever:
@@ -30,8 +28,6 @@
 //! the one exception, since a killed worker abandons whatever else rode
 //! in its micro-batch). A zero plan ([`FaultPlan::none`]) injects
 //! nothing and leaves the pipeline byte-identical to an un-wrapped run.
-
-#![warn(missing_docs)]
 
 mod plan;
 mod stats;

@@ -110,7 +110,7 @@ pub enum TuneIn {
 /// default plan ([`FaultPlan::none`]) injects nothing.
 ///
 /// ```
-/// use tnn_faults::{ChannelFaults, FaultPlan, TuneIn};
+/// use tnn_serve::faults::{ChannelFaults, FaultPlan, TuneIn};
 ///
 /// let plan = FaultPlan::new(42)
 ///     .channel(0, ChannelFaults::NONE.drop_rate(100).jitter(8))

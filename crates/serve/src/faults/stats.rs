@@ -1,8 +1,8 @@
 //! The shared decision point and its accounting: [`FaultInjector`],
 //! [`FaultStats`].
 
-use crate::plan::{FaultPlan, TuneIn};
-use crate::view::FaultyChannelView;
+use crate::faults::plan::{FaultPlan, TuneIn};
+use crate::faults::view::FaultyChannelView;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tnn_broadcast::MultiChannelEnv;
 use tnn_core::TnnError;
@@ -163,7 +163,7 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::ChannelFaults;
+    use crate::faults::plan::ChannelFaults;
     use std::sync::Arc;
     use tnn_broadcast::BroadcastParams;
     use tnn_geom::Point;

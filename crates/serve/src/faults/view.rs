@@ -1,6 +1,6 @@
 //! [`FaultyChannelView`]: a [`ChannelView`] that can fail to tune in.
 
-use crate::plan::{FaultPlan, TuneIn};
+use crate::faults::plan::{FaultPlan, TuneIn};
 use tnn_broadcast::ChannelView;
 use tnn_core::TnnError;
 use tnn_rtree::{NodeId, ObjectId};
@@ -23,7 +23,7 @@ use tnn_rtree::{NodeId, ObjectId};
 /// # use tnn_geom::Point;
 /// # use tnn_rtree::{PackingAlgorithm, RTree};
 /// use tnn_core::TnnError;
-/// use tnn_faults::{ChannelFaults, FaultPlan, FaultyChannelView};
+/// use tnn_serve::faults::{ChannelFaults, FaultPlan, FaultyChannelView};
 ///
 /// # let params = BroadcastParams::new(64);
 /// # let pts: Vec<Point> =
@@ -130,7 +130,7 @@ impl<'a> FaultyChannelView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::ChannelFaults;
+    use crate::faults::plan::ChannelFaults;
     use std::sync::Arc;
     use tnn_broadcast::{BroadcastParams, Channel};
     use tnn_geom::Point;

@@ -39,7 +39,7 @@
 //!   [`Backpressure::Block`] the caller, [`Backpressure::Reject`] with
 //!   [`tnn_core::TnnError::Overloaded`], or [`Backpressure::Shed`]
 //!   queued work, evicting *expired* queries before sacrificing viable
-//!   ones ([`ShedDiscipline`]).
+//!   ones.
 //! * [`Ticket::poll`] / [`Ticket::wait`] read the outcome; both are
 //!   idempotent (wait twice, poll after wait — always the same cached
 //!   outcome, never a hang). [`Ticket::latency`] reports exact
@@ -71,6 +71,7 @@
 #![warn(missing_docs)]
 
 mod config;
+pub mod faults;
 mod server;
 mod ticket;
 
@@ -91,9 +92,7 @@ pub use tnn_trace::{
 
 // The QoS vocabulary callers need to speak the submission API, re-
 // exported so `tnn_serve` alone suffices for everyday serving code.
-pub use tnn_qos::{
-    CacheConfig, CacheStats, Deadline, Priority, Qos, RetryBudget, RetryPolicy, ShedDiscipline,
-};
+pub use tnn_qos::{CacheConfig, CacheStats, Deadline, Priority, Qos, RetryBudget, RetryPolicy};
 
 // The fault vocabulary for chaos-mode servers ([`Server::spawn_with_faults`]).
-pub use tnn_faults::{ChannelFaults, FaultPlan, FaultStats, FaultyChannelView, TuneIn};
+pub use faults::{ChannelFaults, FaultPlan, FaultStats, FaultyChannelView, TuneIn};

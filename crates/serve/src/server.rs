@@ -10,6 +10,7 @@
 )]
 
 use crate::config::{Backpressure, Degradation, ServeConfig, ShutdownMode};
+use crate::faults::{FaultInjector, FaultPlan, FaultStats};
 use crate::ticket::{Ticket, TicketCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar};
@@ -17,7 +18,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tnn_broadcast::MultiChannelEnv;
 use tnn_core::{Algorithm, Query, QueryEngine, QueryKey, QueryOutcome, QueryScratch, TnnError};
-use tnn_faults::{FaultInjector, FaultPlan, FaultStats};
 use tnn_qos::{Deadline, Lookup, MultiLevelQueue, Priority, Qos, ResultCache, RetryBudget};
 use tnn_trace::lock::{LockRank, OrderedMutex, OrderedMutexGuard};
 use tnn_trace::{FlightRecorder, LatencyHistogram, MetricsRegistry, QueryTrace, SpanKind};
@@ -879,9 +879,7 @@ impl Server {
                         )]
                         let (victim, was_expired) = state
                             .queue
-                            .shed_victim(class, self.inner.config.shed, |job| {
-                                job.deadline.expired(now)
-                            })
+                            .shed_victim(class, |job| job.deadline.expired(now))
                             .expect("full lane has a victim");
                         let settlement = if was_expired {
                             Settlement::Expired

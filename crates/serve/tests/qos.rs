@@ -19,9 +19,7 @@ use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
 use tnn_core::{Query, TnnError};
 use tnn_geom::{Point, Rect};
 use tnn_rtree::{PackingAlgorithm, RTree};
-use tnn_serve::{
-    Backpressure, CacheConfig, Priority, Qos, ServeConfig, Server, ShedDiscipline, ShutdownMode,
-};
+use tnn_serve::{Backpressure, CacheConfig, Priority, Qos, ServeConfig, Server, ShutdownMode};
 
 fn env(k: usize) -> MultiChannelEnv {
     let params = BroadcastParams::new(64);
@@ -143,8 +141,7 @@ fn expiry_aware_shed_spares_viable_work_under_an_expired_storm() {
         ServeConfig::new()
             .workers(0) // paused: queue occupancy is deterministic
             .queue_capacity(3)
-            .backpressure(Backpressure::Shed)
-            .shed_discipline(ShedDiscipline::ExpiredFirst),
+            .backpressure(Backpressure::Shed),
     );
     let pts = points(6);
     // The oldest queued query is viable for another 10 seconds...
@@ -191,46 +188,6 @@ fn expiry_aware_shed_spares_viable_work_under_an_expired_storm() {
     for ticket in fresh.iter().chain([&last]) {
         assert_eq!(ticket.wait(), Err(TnnError::Cancelled));
     }
-}
-
-/// The pre-redesign behaviour, kept as an explicit discipline: oldest-
-/// first shedding sacrifices the viable front query while expired work
-/// keeps its slot (this is exactly why `ExpiredFirst` is the default).
-#[test]
-fn oldest_first_shed_sacrifices_viable_work() {
-    let server = Server::spawn(
-        env(2),
-        ServeConfig::new()
-            .workers(0)
-            .queue_capacity(2)
-            .backpressure(Backpressure::Shed)
-            .shed_discipline(ShedDiscipline::OldestFirst),
-    );
-    let pts = points(4);
-    let viable = server
-        .submit_with(
-            Query::tnn(pts[0]),
-            Qos::new().deadline_in(Duration::from_secs(10)),
-        )
-        .unwrap();
-    let expired = server
-        .submit_with(
-            Query::tnn(pts[1]),
-            Qos::new().deadline_in(Duration::from_millis(10)),
-        )
-        .unwrap();
-    std::thread::sleep(Duration::from_millis(25));
-    // Overflow: the oldest (viable!) query is evicted as plain overload.
-    let _t3 = server.submit(Query::tnn(pts[2])).unwrap();
-    assert_eq!(viable.wait(), Err(TnnError::Overloaded));
-    assert!(!expired.is_done(), "the dead query kept its slot");
-    // The next overflow takes the expired one — and reports it honestly
-    // as a deadline miss, not overload.
-    let _t4 = server.submit(Query::tnn(pts[3])).unwrap();
-    assert_eq!(expired.wait(), Err(TnnError::DeadlineExceeded));
-    let stats = server.shutdown(ShutdownMode::Cancel);
-    assert_eq!((stats.shed, stats.expired, stats.cancelled), (1, 1, 2));
-    assert!(stats.conserved());
 }
 
 /// Lanes are bounded per class: a background flood fills only its own

@@ -38,9 +38,8 @@ use tnn_core::{
     RouteObjective, RouteStop, TnnError,
 };
 use tnn_geom::{Circle, Point};
-use tnn_qos::Qos;
 use tnn_rtree::ObjectId;
-use tnn_serve::{ServeStats, Server, ShutdownMode, Ticket};
+use tnn_serve::{Qos, ServeStats, Server, ShutdownMode, Ticket};
 use tnn_trace::lock::{LockRank, OrderedMutex, OrderedRwLock};
 use tnn_trace::{FlightRecorder, MetricsRegistry, QueryTrace, SpanKind};
 

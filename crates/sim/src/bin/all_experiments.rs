@@ -1,6 +1,7 @@
 //! Regenerates every table and figure of the paper's evaluation plus the
 //! ablations, printing results and writing CSVs under `results/`
-//! (override with `TNN_OUT`).
+//! (override with `TNN_OUT`). Name experiments to run only those
+//! (`all-experiments fig9 table3`); an unknown name stops the run.
 
 #![expect(
     clippy::disallowed_methods,
@@ -8,9 +9,11 @@
 )]
 
 use std::time::Instant;
-use tnn_sim::experiments::{ablations, fig11, fig12, fig13, fig9, table3, Context};
+use tnn_sim::experiments::{select, Context};
 
 fn main() {
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    let experiments = select(&names).unwrap_or_else(|err| panic!("{err}"));
     let ctx = Context::from_env();
     eprintln!(
         "all-experiments: {} queries per configuration, seed {:#x}, output to {}",
@@ -19,29 +22,15 @@ fn main() {
         ctx.out_dir.display()
     );
     let t0 = Instant::now();
-
-    for (name, tables) in [
-        ("fig9", fig9::run(&ctx)),
-        ("fig11", fig11::run(&ctx)),
-        ("fig12", fig12::run(&ctx)),
-        ("fig13", fig13::run(&ctx)),
-    ] {
-        for (i, table) in tables.into_iter().enumerate() {
-            ctx.emit(&table, &format!("{name}{}", char::from(b'a' + i as u8)));
+    for experiment in experiments {
+        for (i, table) in experiment.run(&ctx).into_iter().enumerate() {
+            ctx.emit(&table, &experiment.csv_name(i));
         }
-        eprintln!("[all-experiments] {name} done at {:.1?}", t0.elapsed());
-    }
-    for (i, table) in table3::run(&ctx).into_iter().enumerate() {
-        let name = if i == 0 {
-            "table3".into()
-        } else {
-            format!("table3_control{i}")
-        };
-        ctx.emit(&table, &name);
-    }
-    eprintln!("[all-experiments] table3 done at {:.1?}", t0.elapsed());
-    for (i, table) in ablations::run(&ctx).into_iter().enumerate() {
-        ctx.emit(&table, &format!("ablation{}", i + 1));
+        eprintln!(
+            "[all-experiments] {} done at {:.1?}",
+            experiment.name(),
+            t0.elapsed()
+        );
     }
     eprintln!(
         "[all-experiments] all experiments finished in {:.1?}",

@@ -420,8 +420,8 @@ fn variants(ctx: &Context) -> Table {
     let nf = n as f64;
     for (name, (dist, access, tune)) in [
         ("fixed order p->s->r", acc[0]),
-        ("order-free (item 2)", acc[1]),
-        ("round trip (item 3)", acc[2]),
+        ("order-free", acc[1]),
+        ("round trip", acc[2]),
     ] {
         table.push_row(vec![
             name.into(),

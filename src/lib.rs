@@ -61,7 +61,7 @@
 //! | [`core`] (`tnn-core`) | the `QueryEngine`, the four TNN algorithms, ANN optimization, chained-TNN extension, exact oracle |
 //! | [`datasets`] (`tnn-datasets`) | the paper's synthetic workloads and clustered real-data stand-ins |
 //! | [`qos`] (`tnn-qos`) | quality-of-service primitives: priority classes, deadlines, retry policies and budgets, the strict-priority multi-level queue, the sharded LRU result cache |
-//! | [`faults`] (`tnn-faults`) | deterministic fault injection: seedable per-channel drop/jitter/outage schedules, engine panics, worker kills |
+//! | [`faults`] (`tnn-serve`) | deterministic fault injection: seedable per-channel drop/jitter/outage schedules, engine panics, worker kills |
 //! | [`serve`] (`tnn-serve`) | the concurrent serving front-end: worker pool, priority lanes with deadlines and backpressure, result cache, tickets, retry/degradation ladder, self-healing workers, graceful shutdown |
 //! | [`shard`] (`tnn-shard`) | spatially-sharded scatter-gather serving: grid / R-tree-split partitioning, transitive-bound shard pruning, hot-shard replication with queue-depth routing, byte-identical merged answers |
 //! | [`trace`] (`tnn-trace`) | std-only observability: per-query span traces, the metrics registry with Prometheus text export, log₂ latency histograms, the slow-query flight recorder |
@@ -72,11 +72,11 @@
 pub use tnn_broadcast as broadcast;
 pub use tnn_core as core;
 pub use tnn_datasets as datasets;
-pub use tnn_faults as faults;
 pub use tnn_geom as geom;
 pub use tnn_qos as qos;
 pub use tnn_rtree as rtree;
 pub use tnn_serve as serve;
+pub use tnn_serve::faults;
 pub use tnn_shard as shard;
 pub use tnn_sim as sim;
 pub use tnn_trace as trace;
@@ -90,15 +90,12 @@ pub mod prelude {
         exact_chain_tnn, exact_tnn, Algorithm, AnnMode, Query, QueryEngine, QueryKey, QueryKind,
         QueryOutcome, RouteStop, TnnError, TnnPair,
     };
-    pub use tnn_faults::{ChannelFaults, FaultPlan, FaultStats, TuneIn};
     pub use tnn_geom::{transitive_dist, Circle, Ellipse, Point, Rect};
-    pub use tnn_qos::{
-        CacheConfig, Deadline, Priority, Qos, RetryBudget, RetryPolicy, ShedDiscipline,
-    };
+    pub use tnn_qos::{CacheConfig, Deadline, Priority, Qos, RetryBudget, RetryPolicy};
     pub use tnn_rtree::{PackingAlgorithm, RTree, RTreeParams};
     pub use tnn_serve::{
-        Backpressure, ClassStats, Degradation, ServeConfig, ServeStats, Server, ShutdownMode,
-        Ticket,
+        Backpressure, ChannelFaults, ClassStats, Degradation, FaultPlan, FaultStats, ServeConfig,
+        ServeStats, Server, ShutdownMode, Ticket, TuneIn,
     };
     pub use tnn_shard::{Partition, ShardConfig, ShardOutcome, ShardPlan, ShardRouter, ShardStats};
     pub use tnn_trace::{
