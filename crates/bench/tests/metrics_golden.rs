@@ -106,8 +106,12 @@ fn render() -> String {
         gather_probed: v.next(),
         gather_pruned: v.next(),
         fallbacks: v.next(),
-        replicas_spawned: v.next(),
-        env_swaps: v.next(),
+        env_swaps: {
+            // One value is drawn and dropped here, for a series the
+            // stats no longer carry, as for `retried` above.
+            v.next();
+            v.next()
+        },
         retired_replicas: v.next(),
         serve,
     };

@@ -1,9 +1,8 @@
 //! The acceptance gate of the sharded serving layer: **shard ≡ engine**.
 //!
-//! For arbitrary query sets × shard counts {1, 2, 4, 8} × replication
-//! factors {1, 2} × all four algorithms (plus the chained, order-free,
-//! and round-trip kinds) × k ∈ {2, 3, 4} channels × both partitioning
-//! schemes, every route and total a
+//! For arbitrary query sets × shard counts {1, 2, 4, 8} × all four
+//! algorithms (plus the chained, order-free, and round-trip kinds) ×
+//! k ∈ {2, 3, 4} channels, every route and total a
 //! [`ShardRouter`] merges from its scatter-gather phases must be
 //! **byte-identical** to an unsharded [`QueryEngine::run`] of the same
 //! [`Query`] — sharding may redistribute *work*, never change
@@ -16,7 +15,7 @@ use tnn_core::{Algorithm, AnnMode, Query, QueryEngine, TnnError};
 use tnn_geom::Point;
 use tnn_rtree::{PackingAlgorithm, RTree};
 use tnn_serve::{ServeConfig, ShutdownMode};
-use tnn_shard::{Partition, ShardConfig, ShardRouter};
+use tnn_shard::{ShardConfig, ShardRouter};
 
 fn build_env(layers: &[Vec<Point>], phases: &[u64]) -> MultiChannelEnv {
     let params = BroadcastParams::new(64);
@@ -84,11 +83,9 @@ fn assert_sharded_equals_engine(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The full grid — shard counts {1, 2, 4, 8} × replication {1, 2} ×
-    /// the whole query mix — plus a data-adaptive top-level-split spot
-    /// check (the merge is partition-oblivious).
+    /// The full grid: shard counts {1, 2, 4, 8} × the whole query mix.
     #[test]
     fn sharded_answers_are_byte_identical_to_the_engine(
         k in prop::sample::select(vec![2usize, 3, 4]),
@@ -111,26 +108,13 @@ proptest! {
         let queries = query_mix(Point::new(qx, qy), k, ann_factor, issued_at);
         let serve = ServeConfig::new().workers(1).queue_capacity(8);
         for shards in [1usize, 2, 4, 8] {
-            for replication in [1usize, 2] {
-                let config = ShardConfig::new()
-                    .shards(shards)
-                    .replication(replication)
-                    .replication_warmup(4)
-                    .serve(serve);
-                assert_sharded_equals_engine(
-                    &env,
-                    &queries,
-                    config,
-                    &format!("k={k} shards={shards} replication={replication}"),
-                );
-            }
+            assert_sharded_equals_engine(
+                &env,
+                &queries,
+                ShardConfig::new().shards(shards).serve(serve),
+                &format!("k={k} shards={shards}"),
+            );
         }
-        assert_sharded_equals_engine(
-            &env,
-            &queries,
-            ShardConfig::new().partition(Partition::TopLevel).serve(serve),
-            &format!("k={k} top-level split"),
-        );
     }
 }
 

@@ -244,7 +244,6 @@ fn shard_base(env_swaps: u64, retired_replicas: u64) -> ShardStats {
         gather_probed: 4,
         gather_pruned: 5,
         fallbacks: 40,
-        replicas_spawned: 6,
         env_swaps,
         retired_replicas,
         serve,
@@ -288,12 +287,7 @@ fn shard_stats_conservation_pins_every_equation() {
             env_swaps,
             retired_replicas
         ],
-        exempt: [
-            scatter_pruned,
-            gather_probed,
-            gather_pruned,
-            replicas_spawned
-        ],
+        exempt: [scatter_pruned, gather_probed, gather_pruned],
         nested: [serve]
     });
     let (serve_pinned, serve_exempt) = serve_fields();

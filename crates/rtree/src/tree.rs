@@ -178,51 +178,6 @@ impl RTree {
         self.bounding_rect()
     }
 
-    /// The tree's **top-level spatial partition**: one
-    /// `(mbr, objects)` group per root child, in root-entry order — the
-    /// packing algorithm's own coarsest split of the dataset, exposed so
-    /// a sharding layer can partition along the tree's natural seams
-    /// without reaching into node internals.
-    ///
-    /// A leaf root (small or empty tree) yields a single group holding
-    /// every object (none for [`RTree::empty`] trees). Each group's
-    /// objects are exactly the points of the child's subtree, read off
-    /// the preorder layout in one contiguous slice scan (a child subtree
-    /// occupies the id range from the child to its next sibling), in
-    /// leaf preorder. Every object appears in exactly one group; group
-    /// MBRs may overlap (they are R-tree MBRs, not a tiling).
-    pub fn top_level_partitions(&self) -> Vec<(Rect, Vec<(Point, ObjectId)>)> {
-        let root = self.node(NodeId::ROOT);
-        let Some(children) = root.children() else {
-            // Leaf root: the whole (possibly empty) dataset is one group.
-            if self.num_objects == 0 {
-                return Vec::new();
-            }
-            let objects = root
-                .points()
-                .expect("leaf root has points")
-                .iter()
-                .map(|e| (e.point, e.object))
-                .collect();
-            return vec![(root.mbr, objects)];
-        };
-        let mut ends: Vec<usize> = children.iter().skip(1).map(|c| c.child.index()).collect();
-        ends.push(self.nodes.len());
-        children
-            .iter()
-            .zip(ends)
-            .map(|(c, end)| {
-                let objects = self.nodes[c.child.index()..end]
-                    .iter()
-                    .filter_map(Node::points)
-                    .flatten()
-                    .map(|e| (e.point, e.object))
-                    .collect();
-                (c.mbr, objects)
-            })
-            .collect()
-    }
-
     /// Depth of a node below the root (`root = 0`), the paper's
     /// `Node_depth` in the dynamic-α formula (eq. 4).
     #[inline]
@@ -455,67 +410,6 @@ mod tests {
     fn root_mbr_is_the_bounding_rect() {
         let tree = sample_tree(123);
         assert_eq!(tree.root_mbr(), tree.bounding_rect());
-    }
-
-    #[test]
-    fn top_level_partitions_cover_every_object_exactly_once() {
-        for n in [1, 5, 7, 50, 333, 1000] {
-            let tree = sample_tree(n);
-            let parts = tree.top_level_partitions();
-            match tree.node(NodeId::ROOT).children() {
-                Some(children) => assert_eq!(parts.len(), children.len()),
-                None => assert_eq!(parts.len(), 1),
-            }
-            let mut seen: Vec<u32> = Vec::new();
-            for (mbr, objects) in &parts {
-                assert!(!objects.is_empty(), "n={n}: empty top-level group");
-                for &(p, o) in objects {
-                    assert!(mbr.contains(p), "n={n}: {p:?} outside its group MBR");
-                    seen.push(o.0);
-                }
-            }
-            seen.sort_unstable();
-            assert_eq!(seen, (0..n as u32).collect::<Vec<u32>>(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn top_level_partitions_preserve_explicit_object_ids() {
-        let pairs: Vec<(Point, ObjectId)> = (0..200)
-            .map(|i| {
-                (
-                    Point::new((i * 13 % 47) as f64, (i * 29 % 53) as f64),
-                    ObjectId(1000 + i),
-                )
-            })
-            .collect();
-        let tree =
-            RTree::build_with_ids(&pairs, RTreeParams::default(), PackingAlgorithm::Str).unwrap();
-        let mut seen: Vec<u32> = tree
-            .top_level_partitions()
-            .iter()
-            .flat_map(|(_, objs)| objs.iter().map(|&(_, o)| o.0))
-            .collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (1000..1200).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn top_level_partitions_of_empty_tree_are_empty() {
-        let tree = RTree::empty(RTreeParams::for_page_capacity(64));
-        assert!(tree.top_level_partitions().is_empty());
-    }
-
-    #[test]
-    fn top_level_partition_groups_rebuild_into_equivalent_subtrees() {
-        // Sharding contract: a tree rebuilt from one group indexes
-        // exactly that group's objects under the group MBR.
-        let tree = sample_tree(500);
-        for (mbr, objects) in tree.top_level_partitions() {
-            let shard = RTree::build_with_ids(&objects, tree.params(), tree.packing()).unwrap();
-            assert_eq!(shard.num_objects(), objects.len());
-            assert!(mbr.contains_rect(&shard.root_mbr()));
-        }
     }
 
     #[test]

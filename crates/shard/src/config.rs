@@ -1,110 +1,46 @@
-//! Configuration of the sharded serving layer: how many shards, how the
-//! plane is partitioned into them, and how aggressively hot shards are
-//! replicated.
+//! Configuration of the sharded serving layer: how many grid shards, and
+//! the serving terms of each shard's server.
 
 use tnn_serve::ServeConfig;
-
-/// How the broadcast region is split into shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Partition {
-    /// A uniform `cols × rows` grid over the union of every channel's
-    /// bounding rectangle, with exactly [`ShardConfig::shards`] cells
-    /// (`cols` is the largest divisor of the shard count that is at most
-    /// its square root, so 4 shards → 2×2, 8 → 2×4). Cell edges are
-    /// shared coordinates, so the grid tiles the region without float
-    /// gaps; boundary points deterministically join the lowest-indexed
-    /// containing cell.
-    #[default]
-    Grid,
-    /// Data-adaptive cells: the top-level split of a probe R-tree bulk-
-    /// loaded over the points of *all* channels — one shard per root
-    /// child, so the shard count follows the tree's fanout and the
-    /// cells hug the data distribution ([`ShardConfig::shards`] is
-    /// ignored).
-    TopLevel,
-}
 
 /// Configuration for a [`crate::ShardRouter`] — builder-style, like
 /// [`ServeConfig`].
 ///
 /// ```
-/// use tnn_shard::{Partition, ShardConfig};
+/// use tnn_shard::ShardConfig;
 /// use tnn_serve::ServeConfig;
 ///
 /// let cfg = ShardConfig::new()
 ///     .shards(4)
-///     .replication(2)
-///     .partition(Partition::Grid)
 ///     .serve(ServeConfig::new().workers(1).queue_capacity(64));
 /// assert_eq!(cfg.shards, 4);
-/// assert_eq!(cfg.replication, 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Number of shards for [`Partition::Grid`] (clamped to at least 1;
-    /// ignored by [`Partition::TopLevel`], which derives the count from
-    /// the probe tree's root fanout). Default 4.
+    /// Number of shards (clamped to at least 1): the cells of a uniform
+    /// `cols × rows` grid over the union of every channel's bounding
+    /// rectangle (`cols` is the largest divisor of the shard count that
+    /// is at most its square root, so 4 shards → 2×2, 8 → 2×4). Default
+    /// 4.
     pub shards: usize,
-    /// Maximum replicas per shard (clamped to at least 1). Every
-    /// eligible shard starts with one replica; a shard observed to be
-    /// *hot* — its share of routed sub-queries exceeds
-    /// [`ShardConfig::hot_fair_share_factor`] times the fair share —
-    /// is grown one replica at a time up to this factor. Default 1
-    /// (no replication).
-    pub replication: usize,
-    /// How the plane is partitioned. Default [`Partition::Grid`].
-    pub partition: Partition,
-    /// A shard is replicated once its share of routed sub-queries
-    /// exceeds this multiple of the fair share `1/eligible_shards`
-    /// (e.g. `2.0` = twice the fair share). Default 2.0.
-    pub hot_fair_share_factor: f64,
-    /// Routed sub-queries to observe across all shards before any
-    /// replication decision — hotness over a handful of queries is
-    /// noise. Default 32.
-    pub replication_warmup: u64,
     /// Configuration applied to every per-shard [`tnn_serve::Server`]
-    /// replica (workers, queue capacity, backpressure, cache, …).
+    /// (workers, queue capacity, backpressure, cache, …).
     pub serve: ServeConfig,
 }
 
 impl ShardConfig {
-    /// The default configuration: 4 grid shards, no replication, default
-    /// serving terms.
+    /// The default configuration: 4 grid shards, default serving terms.
     pub fn new() -> Self {
         ShardConfig::default()
     }
 
-    /// Sets the shard count for [`Partition::Grid`].
+    /// Sets the shard count.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
     }
 
-    /// Sets the maximum replicas per hot shard.
-    pub fn replication(mut self, replication: usize) -> Self {
-        self.replication = replication.max(1);
-        self
-    }
-
-    /// Sets the partitioning scheme.
-    pub fn partition(mut self, partition: Partition) -> Self {
-        self.partition = partition;
-        self
-    }
-
-    /// Sets the hotness threshold as a multiple of the fair share.
-    pub fn hot_fair_share_factor(mut self, factor: f64) -> Self {
-        self.hot_fair_share_factor = factor.max(1.0);
-        self
-    }
-
-    /// Sets the observation warmup before replication decisions.
-    pub fn replication_warmup(mut self, warmup: u64) -> Self {
-        self.replication_warmup = warmup;
-        self
-    }
-
-    /// Sets the per-replica serving configuration.
+    /// Sets the per-shard serving configuration.
     pub fn serve(mut self, serve: ServeConfig) -> Self {
         self.serve = serve;
         self
@@ -115,10 +51,6 @@ impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
             shards: 4,
-            replication: 1,
-            partition: Partition::default(),
-            hot_fair_share_factor: 2.0,
-            replication_warmup: 32,
             serve: ServeConfig::new(),
         }
     }
@@ -132,20 +64,11 @@ mod tests {
     fn defaults_are_conservative() {
         let cfg = ShardConfig::new();
         assert_eq!(cfg.shards, 4);
-        assert_eq!(cfg.replication, 1);
-        assert_eq!(cfg.partition, Partition::Grid);
-        assert_eq!(cfg.hot_fair_share_factor, 2.0);
-        assert_eq!(cfg.replication_warmup, 32);
     }
 
     #[test]
     fn builders_clamp_degenerate_values() {
-        let cfg = ShardConfig::new()
-            .shards(0)
-            .replication(0)
-            .hot_fair_share_factor(0.5);
+        let cfg = ShardConfig::new().shards(0);
         assert_eq!(cfg.shards, 1);
-        assert_eq!(cfg.replication, 1);
-        assert_eq!(cfg.hot_fair_share_factor, 1.0);
     }
 }

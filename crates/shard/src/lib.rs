@@ -1,13 +1,12 @@
 //! # tnn-shard
 //!
 //! Spatially-sharded scatter-gather serving for transitive
-//! nearest-neighbor queries, with hot-shard replication.
+//! nearest-neighbor queries.
 //!
 //! One [`tnn_serve::Server`] scales by workers; this crate scales by
-//! *data*: [`ShardPlan`] splits every channel's dataset into spatial
-//! shards (a uniform grid, or the top-level split of a probe R-tree —
-//! [`Partition`]), [`ShardRouter`] runs one server pool per shard and
-//! answers each query by **scatter → prune → gather → merge**:
+//! *data*: [`ShardPlan`] splits every channel's dataset by a uniform
+//! grid of spatial shards, and [`ShardRouter`] runs one server per shard
+//! and answers each query by **scatter → prune → gather → merge**:
 //!
 //! 1. **Scatter** the query to shard-local servers. Each eligible shard
 //!    (one holding objects of every channel) answers over its own slice;
@@ -24,20 +23,13 @@
 //!    [`tnn_core::merge_route_layers`] — the *same* k-layer chain join
 //!    every unsharded pipeline ends in — so the final route and total
 //!    are **byte-identical** to an unsharded
-//!    [`tnn_core::QueryEngine::run`] (gated across shard counts,
-//!    replication factors, all four algorithms, and every query kind in
+//!    [`tnn_core::QueryEngine::run`] (gated across shard counts, all
+//!    four algorithms, and every query kind in
 //!    `crates/bench/tests/shard_equivalence.rs`).
 //!
-//! **Hot-shard replication**: each shard starts with one replica; when a
-//! shard's observed share of routed sub-queries exceeds a configurable
-//! multiple of the fair share, the router spawns another replica (up to
-//! [`ShardConfig::replication`]) and routes every sub-query to the
-//! replica with the shallowest queue — skewed workloads stop queueing
-//! behind one server without any re-partitioning.
-//!
 //! Like the rest of the workspace this crate is dependency-free:
-//! `std::thread` workers under the shard servers, `std::sync` for the
-//! replica sets, no async runtime.
+//! `std::thread` workers under the shard servers, ranked `std::sync`
+//! locks around the topology, no async runtime.
 
 #![warn(missing_docs)]
 
@@ -46,7 +38,7 @@ mod partition;
 mod router;
 mod stats;
 
-pub use config::{Partition, ShardConfig};
+pub use config::ShardConfig;
 pub use partition::ShardPlan;
 pub use router::{ShardOutcome, ShardRouter};
 pub use stats::ShardStats;

@@ -1,23 +1,16 @@
 //! Spatial partitioning of a multi-channel environment into shards.
 //!
-//! Every channel's dataset is split by the *same* set of partition cells
-//! — a shard holds one sub-tree per channel. The broadcast layout
-//! requires each tree's [`ObjectId`]s to be dense (`0..n`), so shard
-//! sub-trees are bulk-loaded with dense *local* ids and the plan keeps a
-//! per-shard, per-channel remap table back to the original ids — the
-//! gather phase restores them, so a sharded answer is comparable
-//! stop-for-stop with an unsharded one. The cells come from either a
-//! uniform grid over the
-//! union region ([`Partition::Grid`]) or the top-level split of a probe
-//! R-tree over all channels' points ([`Partition::TopLevel`], via
-//! [`RTree::top_level_partitions`]).
+//! Every channel's dataset is split by the *same* grid of cells — a shard
+//! holds one sub-tree per channel. Shard sub-trees are bulk-loaded with
+//! the source's own [`ObjectId`]s ([`RTree::build_with_ids`]; the
+//! broadcast layout maps ids of any spread to their data slots), so a
+//! sharded answer's stops are the same bytes an unsharded run reports.
 //!
-//! Assignment is deterministic: a point joins the lowest-indexed cell
-//! that contains it, falling back to the cell with the smallest
-//! [`Rect::min_dist_sq`] when no cell does (possible only for
-//! [`Partition::TopLevel`], whose cells need not tile the plane).
+//! The grid tiles the union of every channel's bounding rectangle, and
+//! assignment is deterministic: a point joins the lowest-indexed cell
+//! that contains it.
 
-use crate::config::{Partition, ShardConfig};
+use crate::config::ShardConfig;
 use std::sync::Arc;
 use tnn_broadcast::{Channel, MultiChannelEnv};
 use tnn_geom::{Point, Rect};
@@ -38,9 +31,6 @@ struct ShardData {
     /// Whether every channel of the shard is non-empty — only such
     /// shards can answer a whole `k`-hop sub-query on their own.
     eligible: bool,
-    /// Per channel: shard-local [`ObjectId`] (dense, the sub-tree's own)
-    /// → the object's id in the source channel tree.
-    remaps: Vec<Vec<ObjectId>>,
 }
 
 /// The partitioning of one [`MultiChannelEnv`] into shards: the cells,
@@ -49,8 +39,8 @@ struct ShardData {
 /// Built once per environment epoch by [`ShardPlan::build`]; the
 /// [`crate::ShardRouter`] prunes and scatters against it on every query
 /// (and builds a fresh plan when [`crate::ShardRouter::swap_env`]
-/// publishes a new environment). Cloning is cheap-ish — trees are
-/// shared [`Arc`]s; only the remap tables copy.
+/// publishes a new environment). Cloning is cheap: trees are shared
+/// [`Arc`]s.
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     k: usize,
@@ -60,7 +50,7 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Partitions `env` into shards per `config`.
+    /// Partitions `env` into [`ShardConfig::shards`] grid shards.
     ///
     /// Every object of every channel lands in exactly one shard, with
     /// its original [`ObjectId`] preserved. A zero-channel environment
@@ -78,21 +68,12 @@ impl ShardPlan {
         }
         let params = *env.channel(0).params();
         let phases: Vec<u64> = env.channels().iter().map(Channel::phase).collect();
-        let per_channel: Vec<Vec<(Point, ObjectId)>> = env
-            .channels()
-            .iter()
-            .map(|c| c.tree().objects_in_leaf_order().collect())
-            .collect();
-
-        let cells = match config.partition {
-            Partition::Grid => grid_cells(union_region(env), config.shards.max(1)),
-            Partition::TopLevel => top_level_cells(env, &per_channel),
-        };
+        let cells = grid_cells(union_region(env), config.shards.max(1));
 
         let mut buckets: Vec<Vec<Vec<(Point, ObjectId)>>> =
             (0..cells.len()).map(|_| vec![Vec::new(); k]).collect();
-        for (c, objects) in per_channel.iter().enumerate() {
-            for &(point, object) in objects {
+        for (c, channel) in env.channels().iter().enumerate() {
+            for (point, object) in channel.tree().objects_in_leaf_order() {
                 buckets[assign(&cells, point)][c].push((point, object));
             }
         }
@@ -100,10 +81,6 @@ impl ShardPlan {
         let shards: Vec<ShardData> = buckets
             .into_iter()
             .map(|channels| {
-                let remaps: Vec<Vec<ObjectId>> = channels
-                    .iter()
-                    .map(|objects| objects.iter().map(|&(_, id)| id).collect())
-                    .collect();
                 let trees: Vec<Arc<RTree>> = channels
                     .iter()
                     .zip(env.channels())
@@ -112,17 +89,13 @@ impl ShardPlan {
                         if objects.is_empty() {
                             Arc::new(RTree::empty(source.params()))
                         } else {
-                            // Dense local ids (the bucket position) keep
-                            // the broadcast layout's O(1) id → slot map
-                            // valid; `remaps` restores the originals.
-                            let points: Vec<Point> =
-                                objects.iter().map(|&(point, _)| point).collect();
                             #[expect(
                                 clippy::expect_used,
                                 reason = "plan construction is pre-serving; a malformed bucket must abort the build, not limp into traffic"
                             )]
-                            let tree = RTree::build(&points, source.params(), source.packing())
-                                .expect("a non-empty bucket bulk-loads");
+                            let tree =
+                                RTree::build_with_ids(objects, source.params(), source.packing())
+                                    .expect("a non-empty bucket bulk-loads");
                             Arc::new(tree)
                         }
                     })
@@ -134,12 +107,7 @@ impl ShardPlan {
                     .reduce(|a, b| a.union(&b));
                 let eligible = trees.iter().all(|t| t.num_objects() > 0);
                 let env = MultiChannelEnv::new(trees, params, &phases);
-                ShardData {
-                    env,
-                    mbr,
-                    eligible,
-                    remaps,
-                }
+                ShardData { env, mbr, eligible }
             })
             .collect();
         let eligible = (0..shards.len()).filter(|&i| shards[i].eligible).collect();
@@ -171,7 +139,8 @@ impl ShardPlan {
         &self.shards[i].env
     }
 
-    /// Shard `i`'s channel-`c` sub-tree.
+    /// Shard `i`'s channel-`c` sub-tree, holding its objects under their
+    /// ids in the source channel tree.
     pub fn tree(&self, i: usize, c: usize) -> &RTree {
         self.shards[i].env.channel(c).tree()
     }
@@ -181,23 +150,6 @@ impl ShardPlan {
     /// cell, so pruning against it is strictly stronger.
     pub fn mbr(&self, i: usize) -> Option<Rect> {
         self.shards[i].mbr
-    }
-
-    /// Shard `i`'s channel-`c` objects with their *original* ids — the
-    /// sub-tree's dense local ids mapped back through the remap table,
-    /// in shard-tree leaf order.
-    pub fn objects(&self, i: usize, c: usize) -> Vec<(Point, ObjectId)> {
-        let remap = &self.shards[i].remaps[c];
-        self.tree(i, c)
-            .objects_in_leaf_order()
-            .map(|(point, local)| (point, remap[local.index()]))
-            .collect()
-    }
-
-    /// Shard `i`'s channel-`c` remap table: local [`ObjectId`] index →
-    /// original id in the source channel tree.
-    pub fn original_ids(&self, i: usize, c: usize) -> &[ObjectId] {
-        &self.shards[i].remaps[c]
     }
 
     /// Whether every channel of shard `i` is non-empty.
@@ -240,10 +192,15 @@ fn grid_dims(n: usize) -> (usize, usize) {
 fn grid_cells(region: Rect, n: usize) -> Vec<Rect> {
     let (cols, rows) = grid_dims(n);
     let edge = |lo: f64, hi: f64, i: usize, steps: usize| {
+        let t = i as f64 / steps as f64;
         if i == steps {
             hi
+        } else if (hi - lo).is_finite() {
+            lo + (hi - lo) * t
         } else {
-            lo + (hi - lo) * (i as f64 / steps as f64)
+            // A span wider than f64::MAX (so lo < 0 < hi): the two terms
+            // cannot overflow, and both grow with t.
+            lo * (1.0 - t) + hi * t
         }
     };
     let xs: Vec<f64> = (0..=cols)
@@ -261,50 +218,12 @@ fn grid_cells(region: Rect, n: usize) -> Vec<Rect> {
     cells
 }
 
-/// Data-adaptive cells: the root-child MBRs of a probe tree bulk-loaded
-/// over the points of all channels together. Falls back to one
-/// degenerate cell when every channel is empty.
-fn top_level_cells(env: &MultiChannelEnv, per_channel: &[Vec<(Point, ObjectId)>]) -> Vec<Rect> {
-    let points: Vec<Point> = per_channel
-        .iter()
-        .flatten()
-        .map(|&(point, _)| point)
-        .collect();
-    if points.is_empty() {
-        return vec![Rect::from_coords(0.0, 0.0, 0.0, 0.0)];
-    }
-    let source = env.channel(0).tree();
-    #[expect(
-        clippy::expect_used,
-        reason = "plan construction is pre-serving and the empty case returned early above"
-    )]
-    let probe = RTree::build(&points, source.params(), source.packing())
-        .expect("the pooled dataset is non-empty");
-    probe
-        .top_level_partitions()
-        .iter()
-        .map(|(mbr, _)| *mbr)
-        .collect()
-}
-
-/// The lowest-indexed cell containing `p`, else the cell nearest to `p`
-/// (ties to the lower index — `min_by` keeps the first minimum).
-#[expect(
-    clippy::expect_used,
-    reason = "every constructor emits at least one cell; the empty-input path returns a single degenerate rect"
-)]
+/// The lowest-indexed cell containing `p`. Every point of the region
+/// lies in one — the outer grid lines are the region's own edges, the
+/// inner ones are finite and ascending, and adjacent cells share them —
+/// so the `0` only keeps this total.
 fn assign(cells: &[Rect], p: Point) -> usize {
-    cells
-        .iter()
-        .position(|cell| cell.contains(p))
-        .unwrap_or_else(|| {
-            cells
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.min_dist_sq(p).total_cmp(&b.1.min_dist_sq(p)))
-                .expect("plans hold at least one cell")
-                .0
-        })
+    cells.iter().position(|cell| cell.contains(p)).unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -356,8 +275,9 @@ mod tests {
             for (c, channel) in env.channels().iter().enumerate() {
                 let mut original: Vec<(Point, ObjectId)> =
                     channel.tree().objects_in_leaf_order().collect();
-                let mut sharded: Vec<(Point, ObjectId)> =
-                    (0..shards).flat_map(|s| plan.objects(s, c)).collect();
+                let mut sharded: Vec<(Point, ObjectId)> = (0..shards)
+                    .flat_map(|s| plan.tree(s, c).objects_in_leaf_order())
+                    .collect();
                 let key = |&(p, id): &(Point, ObjectId)| (p.x.to_bits(), p.y.to_bits(), id.0);
                 original.sort_by_key(key);
                 sharded.sort_by_key(key);
@@ -388,27 +308,6 @@ mod tests {
                 plan.is_eligible(s),
                 (0..2).all(|c| plan.tree(s, c).num_objects() > 0)
             );
-        }
-    }
-
-    #[test]
-    fn top_level_plan_matches_probe_root_fanout() {
-        let env = sample_env(2);
-        let points: Vec<Point> = env
-            .channels()
-            .iter()
-            .flat_map(|c| c.tree().objects_in_leaf_order().map(|(p, _)| p))
-            .collect();
-        let source = env.channel(0).tree();
-        let probe = RTree::build(&points, source.params(), source.packing()).unwrap();
-        let plan = ShardPlan::build(&env, &ShardConfig::new().partition(Partition::TopLevel));
-        assert_eq!(plan.num_shards(), probe.top_level_partitions().len());
-        // Exactly-once coverage holds for adaptive cells too.
-        for (c, channel) in env.channels().iter().enumerate() {
-            let total: usize = (0..plan.num_shards())
-                .map(|s| plan.tree(s, c).num_objects())
-                .sum();
-            assert_eq!(total, channel.tree().num_objects());
         }
     }
 
@@ -446,6 +345,26 @@ mod tests {
                 .sum();
             assert_eq!(total, pts.len());
         }
+    }
+
+    #[test]
+    fn regions_wider_than_f64_max_still_tile() {
+        // The x span overflows f64; the grid lines must stay finite so
+        // every point lands in the cell that contains it.
+        let pts = vec![
+            Point::new(-f64::MAX, 0.0),
+            Point::new(0.0, 1.0),
+            Point::new(f64::MAX, 2.0),
+        ];
+        let env = build_env(&[pts.clone(), pts.clone()]);
+        let plan = ShardPlan::build(&env, &ShardConfig::new().shards(4));
+        for (s, cell) in plan.cells().iter().enumerate() {
+            for (p, _) in plan.tree(s, 0).objects_in_leaf_order() {
+                assert!(cell.contains(p), "{p:?} outside cell {s} {cell:?}");
+            }
+        }
+        assert_eq!(plan.eligible_shards(), [0, 3]);
+        assert_eq!(plan.tree(0, 1).num_objects(), 2);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use tnn_core::{
 };
 use tnn_geom::{Circle, Point};
 use tnn_rtree::ObjectId;
-use tnn_serve::{Qos, ServeStats, Server, ShutdownMode, Ticket};
+use tnn_serve::{ServeStats, Server, ShutdownMode, Ticket};
 use tnn_trace::lock::{LockRank, OrderedMutex, OrderedRwLock};
 use tnn_trace::{FlightRecorder, MetricsRegistry, QueryTrace, SpanKind};
 
@@ -84,54 +84,59 @@ struct Counters {
     gather_probed: AtomicU64,
     gather_pruned: AtomicU64,
     fallbacks: AtomicU64,
-    replicas_spawned: AtomicU64,
     /// Environment swaps published via [`ShardRouter::swap_env`].
     env_swaps: AtomicU64,
-    /// Replicas drained and retired by environment swaps (their final
-    /// stats live on in the `retired` fold).
+    /// Shard servers drained and retired by environment swaps (their
+    /// final stats live on in the `retired` fold).
     retired_replicas: AtomicU64,
-    /// Routed sub-query attempts over all shards — the denominator of
-    /// the hotness share.
-    routed: AtomicU64,
-}
-
-struct ShardHandle {
-    /// The shard's live replicas — starts at one for eligible shards,
-    /// grows (under the write lock) up to [`ShardConfig::replication`]
-    /// when the shard runs hot. Ineligible shards serve nothing.
-    replicas: OrderedRwLock<Vec<Server>>,
-    /// Sub-query attempts routed to this shard — the numerator of the
-    /// hotness share.
-    routed: AtomicU64,
 }
 
 /// One environment epoch's serving structure: the environment, its
 /// partitioning, and the shard servers built over it. Swapped as a unit
 /// by [`ShardRouter::swap_env`] — queries hold a read guard on the
-/// current topology for their whole scatter-gather pass, so a swap
-/// (which takes the write side) never tears a query between epochs.
+/// current topology for their whole scatter-gather pass, so a swap or a
+/// shutdown (which take the write side) never tears a query between
+/// epochs or between a live and a frozen fleet.
 struct Topology {
     env: MultiChannelEnv,
     plan: ShardPlan,
-    shards: Vec<ShardHandle>,
+    /// One server per shard, `None` for an ineligible shard (one missing
+    /// some channel's objects), which serves nothing.
+    servers: Vec<Option<Server>>,
+    /// The fleet's folded serving stats, frozen by
+    /// [`ShardRouter::shutdown`]; `Some` means the router is shut and
+    /// refuses every query and swap.
+    frozen: Option<ServeStats>,
+}
+
+impl Topology {
+    /// Submits one sub-query to `shard`'s server.
+    fn submit(&self, shard: usize, query: &Query) -> Result<Ticket, TnnError> {
+        self.servers[shard]
+            .as_ref()
+            // Only eligible shards are scattered to, and each has a
+            // server; a missing one would be a spawn defect. Refuse the
+            // sub-query (callers count Err as scatter_rejected) rather
+            // than take the router thread down.
+            .ok_or(TnnError::Overloaded)?
+            .submit(query.clone())
+    }
 }
 
 fn build_topology(env: MultiChannelEnv, config: &ShardConfig) -> Topology {
     let plan = ShardPlan::build(&env, config);
-    let shards = (0..plan.num_shards())
+    let servers = (0..plan.num_shards())
         .map(|i| {
-            let replicas = if plan.is_eligible(i) {
-                vec![spawn_replica(plan.shard_env(i), config)]
-            } else {
-                Vec::new()
-            };
-            ShardHandle {
-                replicas: OrderedRwLock::new(LockRank::ShardReplicas, replicas),
-                routed: AtomicU64::new(0),
-            }
+            plan.is_eligible(i)
+                .then(|| Server::spawn(plan.shard_env(i).clone(), config.serve))
         })
         .collect();
-    Topology { env, plan, shards }
+    Topology {
+        env,
+        plan,
+        servers,
+        frozen: None,
+    }
 }
 
 /// Scatter-gather front-end over a spatially sharded environment.
@@ -146,8 +151,7 @@ fn build_topology(env: MultiChannelEnv, config: &ShardConfig) -> Topology {
 ///    shard guaranteed to contain a nearby object), seeding the
 ///    transitive bound `B` with its sub-route total; then to every
 ///    other eligible shard the bound does not prune, tightening `B`
-///    with each sub-result. Per shard, the sub-query goes to the
-///    replica with the shallowest queue.
+///    with each sub-result.
 /// 2. **Gather** every candidate within the `B`-circle from every
 ///    shard sub-tree (pruning whole sub-trees by root-MBR distance).
 /// 3. **Merge** the per-channel candidate layers through
@@ -183,16 +187,14 @@ fn build_topology(env: MultiChannelEnv, config: &ShardConfig) -> Topology {
 /// ```
 pub struct ShardRouter {
     /// The current serving topology (environment + plan + shard
-    /// servers). Queries read-lock it for their whole scatter-gather
-    /// pass; [`ShardRouter::swap_env`] write-locks it to publish the
-    /// next environment epoch atomically.
+    /// servers, or the frozen fold once shut). Queries read-lock it for
+    /// their whole scatter-gather pass; [`ShardRouter::swap_env`] and
+    /// [`ShardRouter::shutdown`] write-lock it, so each takes effect
+    /// between queries.
     topology: OrderedRwLock<Topology>,
     config: ShardConfig,
     counters: Counters,
-    /// Folded replica stats frozen at shutdown, so [`ShardRouter::stats`]
-    /// keeps answering afterwards.
-    final_serve: OrderedMutex<Option<ServeStats>>,
-    /// Folded final stats of replicas retired by environment swaps —
+    /// Folded final stats of servers retired by environment swaps —
     /// merged into every [`ShardRouter::stats`] snapshot so pre-swap
     /// work is never dropped or double-counted.
     retired: OrderedMutex<ServeStats>,
@@ -200,8 +202,8 @@ pub struct ShardRouter {
     /// [`tnn_serve::ServeConfig::trace`] is on. Router traces carry the
     /// scatter/gather waits (derived from sub-ticket latencies — this
     /// crate reads no clock itself) and the folded engine counters of
-    /// every scattered sub-outcome; replica-level traces live in each
-    /// replica's own recorder.
+    /// every scattered sub-outcome; per-sub-query traces live in each
+    /// shard server's own recorder.
     recorder: Option<FlightRecorder>,
 }
 
@@ -213,7 +215,6 @@ impl ShardRouter {
             topology: OrderedRwLock::new(LockRank::ShardTopology, build_topology(env, &config)),
             config,
             counters: Counters::default(),
-            final_serve: OrderedMutex::new(LockRank::ShardFinalServe, None),
             retired: OrderedMutex::new(LockRank::ShardRetired, ServeStats::default()),
             recorder,
         }
@@ -237,68 +238,63 @@ impl ShardRouter {
         self.topology.read().plan.clone()
     }
 
-    /// Live replica count of shard `i` (0 for ineligible shards).
-    pub fn replica_count(&self, i: usize) -> usize {
-        let topology = self.topology.read();
-        let replicas = topology.shards[i].replicas.read();
-        replicas.len()
-    }
-
     /// Publishes `env` as the serving environment: re-partitions the
-    /// data, spawns fresh shard servers over the new slices, swaps them
-    /// in atomically (in-flight queries finish on the topology they
-    /// started with — the swap waits for their read guards), then
-    /// drains the old replicas and folds their final serving stats into
-    /// the retired ledger ([`ShardStats`] conservation holds across the
-    /// swap). Scatter sub-queries admitted after the swap carry the new
-    /// environment's epoch/fingerprint in their cache keys, so replica
-    /// caches can never replay pre-swap answers — and the old replicas'
-    /// caches retire wholesale with their servers.
+    /// data, spawns fresh shard servers over the new slices, and swaps
+    /// them in atomically (in-flight queries finish on the topology they
+    /// started with — the swap waits for their read guards). The old
+    /// servers are drained and their final serving stats folded into the
+    /// retired ledger before any query runs on the new topology, so
+    /// [`ShardStats`] conservation holds across the swap. Scatter
+    /// sub-queries admitted after the swap carry the new environment's
+    /// epoch/fingerprint in their cache keys, so shard caches can never
+    /// replay pre-swap answers — and the old servers' caches retire
+    /// wholesale with them.
     ///
     /// # Errors
     /// [`TnnError::WrongChannelCount`] when `env`'s channel count
     /// differs from the current environment's (a swap changes data,
     /// never shape), and [`TnnError::Cancelled`] after
-    /// [`ShardRouter::shutdown`] — a shut-down router stays shut.
+    /// [`ShardRouter::shutdown`] — a shut-down router stays shut, also
+    /// when the shutdown lands while the new servers are being built.
     pub fn swap_env(&self, env: MultiChannelEnv) -> Result<(), TnnError> {
-        if self.final_serve.lock().is_some() {
-            return Err(TnnError::Cancelled);
-        }
-        let needed = {
+        {
             let topology = self.topology.read();
-            topology.env.len()
-        };
-        if env.len() != needed {
-            return Err(TnnError::WrongChannelCount {
-                needed,
-                available: env.len(),
-            });
-        }
-        // Partitioning and replica spawn happen *before* the write lock:
-        // queries keep flowing on the old topology while the new one
-        // warms up, and the swap itself is just a pointer exchange (plus
-        // waiting out in-flight read guards).
-        let fresh = build_topology(env, &self.config);
-        let old = {
-            let mut topology = self.topology.write();
-            std::mem::replace(&mut *topology, fresh)
-        };
-        // Drain the retirees outside the lock — queries already run on
-        // the new topology — and bank their final counters so stats
-        // snapshots keep conserving across the swap.
-        let mut folded = ServeStats::default();
-        let mut count = 0u64;
-        for handle in &old.shards {
-            let replicas = handle.replicas.read();
-            for server in replicas.iter() {
-                folded.merge(&server.shutdown(ShutdownMode::Drain));
-                count += 1;
+            if topology.frozen.is_some() {
+                return Err(TnnError::Cancelled);
+            }
+            let needed = topology.env.len();
+            if env.len() != needed {
+                return Err(TnnError::WrongChannelCount {
+                    needed,
+                    available: env.len(),
+                });
             }
         }
-        {
-            let mut retired = self.retired.lock();
-            retired.merge(&folded);
+        // Partitioning and server spawn happen *before* the write lock:
+        // queries keep flowing on the old topology while the new one
+        // warms up.
+        let fresh = build_topology(env, &self.config);
+        let mut topology = self.topology.write();
+        if topology.frozen.is_some() {
+            // Shut down meanwhile. The fresh servers never saw a query;
+            // dropping a server drains it.
+            drop(topology);
+            drop(fresh);
+            return Err(TnnError::Cancelled);
         }
+        let old = std::mem::replace(&mut *topology, fresh);
+        // The retirees are idle — every query that scattered to them has
+        // finished, or the write guard would not be ours — so draining
+        // them here is quick, and banking their final counters before the
+        // guard drops keeps every stats snapshot and the shutdown fold
+        // exact.
+        let mut folded = ServeStats::default();
+        let mut count = 0u64;
+        for server in old.servers.iter().flatten() {
+            folded.merge(&server.shutdown(ShutdownMode::Drain));
+            count += 1;
+        }
+        self.retired.lock().merge(&folded);
         self.counters
             .retired_replicas
             .fetch_add(count, Ordering::Relaxed);
@@ -306,10 +302,12 @@ impl ShardRouter {
         Ok(())
     }
 
-    /// Runs `query` under default QoS terms (batch class, no deadline).
+    /// Runs `query`: scatter → prune → gather → merge.
     ///
     /// # Errors
-    /// Exactly the validation errors of [`tnn_core::QueryEngine::run`]:
+    /// [`TnnError::Cancelled`] once [`ShardRouter::shutdown`] has run,
+    /// as [`Server::submit`] does. Otherwise exactly the validation
+    /// errors of [`tnn_core::QueryEngine::run`]:
     /// [`TnnError::WrongChannelCount`], [`TnnError::NonFiniteQuery`],
     /// [`TnnError::EmptyChannel`] — with identical precedence, so the
     /// equivalence gates compare errors too. Scatter-phase refusals or
@@ -320,25 +318,17 @@ impl ShardRouter {
     /// As [`tnn_core::QueryEngine::run`]: per-channel phase or ANN-mode
     /// lists that do not match the environment's channel count.
     pub fn run(&self, query: &Query) -> Result<ShardOutcome, TnnError> {
-        self.run_with(query, Qos::default())
-    }
-
-    /// [`ShardRouter::run`] under explicit [`Qos`] terms, applied to
-    /// every scattered sub-query.
-    ///
-    /// # Errors
-    /// As [`ShardRouter::run`].
-    ///
-    /// # Panics
-    /// As [`ShardRouter::run`].
-    pub fn run_with(&self, query: &Query, qos: Qos) -> Result<ShardOutcome, TnnError> {
-        let seq = self.counters.queries.fetch_add(1, Ordering::Relaxed);
-        let mut trace = self.recorder.as_ref().map(|_| QueryTrace::new(seq));
         // The read guard pins one topology for the whole scatter-gather
-        // pass: a concurrent swap_env waits until every in-flight query
-        // releases it, so no query ever mixes epochs.
+        // pass: a concurrent swap_env or shutdown waits until every
+        // in-flight query releases it, so no query ever mixes epochs or
+        // scatters past the frozen fold.
         let topology = self.topology.read();
         let topology = &*topology;
+        if topology.frozen.is_some() {
+            return Err(TnnError::Cancelled);
+        }
+        let seq = self.counters.queries.fetch_add(1, Ordering::Relaxed);
+        let mut trace = self.recorder.as_ref().map(|_| QueryTrace::new(seq));
         query.validate(&topology.env)?;
         let p = query.point();
         let kind = query.kind();
@@ -398,7 +388,7 @@ impl ShardRouter {
                     da.total_cmp(&db)
                 })
                 .expect("eligible is non-empty");
-            match self.submit_to_shard(topology, primary, query, qos) {
+            match topology.submit(primary, query) {
                 Ok(ticket) => {
                     scattered += 1;
                     self.counters.scattered.fetch_add(1, Ordering::Relaxed);
@@ -444,7 +434,7 @@ impl ShardRouter {
                     self.counters.scatter_pruned.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
-                match self.submit_to_shard(topology, s, query, qos) {
+                match topology.submit(s, query) {
                     Ok(ticket) => {
                         scattered += 1;
                         self.counters.scattered.fetch_add(1, Ordering::Relaxed);
@@ -528,28 +518,24 @@ impl ShardRouter {
         }
     }
 
-    /// A snapshot of the router's counters plus the fold of every
-    /// replica's serving stats — live replicas *and* the ones already
-    /// retired by environment swaps (frozen by
-    /// [`ShardRouter::shutdown`]).
+    /// A snapshot of the router's counters plus the fold of every shard
+    /// server's serving stats — the live servers *and* the ones already
+    /// retired by environment swaps (frozen by [`ShardRouter::shutdown`]).
     pub fn stats(&self) -> ShardStats {
-        let frozen = *self.final_serve.lock();
-        let serve = frozen.unwrap_or_else(|| {
+        let serve = {
             let topology = self.topology.read();
-            let snapshots: Vec<ServeStats> = topology
-                .shards
-                .iter()
-                .flat_map(|handle| {
-                    let replicas = handle.replicas.read();
-                    replicas.iter().map(Server::stats).collect::<Vec<_>>()
-                })
-                .collect();
-            drop(topology);
-            let mut folded = ServeStats::fold(snapshots.iter());
-            let retired = self.retired.lock();
-            folded.merge(&retired);
-            folded
-        });
+            topology.frozen.unwrap_or_else(|| {
+                let snapshots: Vec<ServeStats> = topology
+                    .servers
+                    .iter()
+                    .flatten()
+                    .map(Server::stats)
+                    .collect();
+                let mut folded = ServeStats::fold(&snapshots);
+                folded.merge(&self.retired.lock());
+                folded
+            })
+        };
         ShardStats {
             queries: self.counters.queries.load(Ordering::Relaxed),
             scattered: self.counters.scattered.load(Ordering::Relaxed),
@@ -559,37 +545,44 @@ impl ShardRouter {
             gather_probed: self.counters.gather_probed.load(Ordering::Relaxed),
             gather_pruned: self.counters.gather_pruned.load(Ordering::Relaxed),
             fallbacks: self.counters.fallbacks.load(Ordering::Relaxed),
-            replicas_spawned: self.counters.replicas_spawned.load(Ordering::Relaxed),
             env_swaps: self.counters.env_swaps.load(Ordering::Relaxed),
             retired_replicas: self.counters.retired_replicas.load(Ordering::Relaxed),
             serve,
         }
     }
 
-    /// Shuts every replica of every shard down under `mode` and returns
-    /// the final stats. Idempotent; later [`ShardRouter::stats`] calls
-    /// keep returning the frozen fold.
+    /// Shuts every shard server down under `mode` and returns the final
+    /// stats. Idempotent; later [`ShardRouter::stats`] calls keep
+    /// returning the frozen fold, and later [`ShardRouter::run`] and
+    /// [`ShardRouter::swap_env`] calls return [`TnnError::Cancelled`].
     pub fn shutdown(&self, mode: ShutdownMode) -> ShardStats {
+        // Stop the fleet first, under a read guard: in-flight sub-queries
+        // resolve per `mode` and later scatters are refused, so every
+        // query still running finishes promptly (one waiting on a paused
+        // server's backlog included).
         {
-            let mut guard = self.final_serve.lock();
-            if guard.is_none() {
-                let topology = self.topology.read();
-                let mut snapshots = Vec::new();
-                for handle in &topology.shards {
-                    let replicas = handle.replicas.read();
-                    for server in replicas.iter() {
-                        snapshots.push(server.shutdown(mode));
-                    }
-                }
-                drop(topology);
-                let mut folded = ServeStats::fold(snapshots.iter());
-                {
-                    let retired = self.retired.lock();
-                    folded.merge(&retired);
-                }
-                *guard = Some(folded);
+            let topology = self.topology.read();
+            for server in topology.servers.iter().flatten() {
+                server.shutdown(mode);
             }
         }
+        // Then freeze the fold. The write guard waits those queries out,
+        // so no scatter can grow the router's counters past it. Servers
+        // shut above just return their final stats again; a swap that
+        // landed in between published fresh ones, which shut here.
+        let mut topology = self.topology.write();
+        if topology.frozen.is_none() {
+            let snapshots: Vec<ServeStats> = topology
+                .servers
+                .iter()
+                .flatten()
+                .map(|server| server.shutdown(mode))
+                .collect();
+            let mut folded = ServeStats::fold(&snapshots);
+            folded.merge(&self.retired.lock());
+            topology.frozen = Some(folded);
+        }
+        drop(topology);
         self.stats()
     }
 
@@ -597,15 +590,15 @@ impl ShardRouter {
     /// servers' [`tnn_serve::ServeConfig::trace`] is on. Router traces
     /// carry the scatter/gather waits (derived from sub-ticket
     /// latencies) and the folded engine counters of every scattered
-    /// sub-outcome; the per-sub-query traces live in each replica's own
-    /// recorder.
+    /// sub-outcome; the per-sub-query traces live in each shard server's
+    /// own recorder.
     pub fn recorder(&self) -> Option<&FlightRecorder> {
         self.recorder.as_ref()
     }
 
     /// Publishes a snapshot of the router's metrics into `registry`:
     /// the scatter-gather counters under `tnn_shard_*`, the fleet fold
-    /// of every replica's serving stats under `tnn_serve_*` (see
+    /// of every shard server's serving stats under `tnn_serve_*` (see
     /// [`ShardStats::publish_metrics`]), and the router recorder's
     /// retention counters when tracing is on. Monotone across repeated
     /// publications, like [`Server::publish_metrics`].
@@ -623,69 +616,6 @@ impl ShardRouter {
                 recorder.len() as f64,
             );
         }
-    }
-
-    /// Routes one sub-query to `shard`: bumps the hotness counters,
-    /// scales the replica set up if the shard runs hot, and submits to
-    /// the replica with the shallowest queue (ties to the lowest
-    /// index — `min_by_key` keeps the first minimum).
-    fn submit_to_shard(
-        &self,
-        topology: &Topology,
-        shard: usize,
-        query: &Query,
-        qos: Qos,
-    ) -> Result<Ticket, TnnError> {
-        let handle = &topology.shards[shard];
-        let shard_routed = handle.routed.fetch_add(1, Ordering::Relaxed) + 1;
-        let total_routed = self.counters.routed.fetch_add(1, Ordering::Relaxed) + 1;
-        self.maybe_replicate(topology, shard, shard_routed, total_routed);
-        let replicas = handle.replicas.read();
-        let server = replicas
-            .iter()
-            .min_by_key(|server| {
-                let stats = server.stats();
-                stats.queued + stats.in_flight
-            })
-            // An empty replica set would be a spawn defect; refuse the
-            // sub-query (callers count Err as scatter_rejected) rather
-            // than take the router thread down.
-            .ok_or(TnnError::Overloaded)?;
-        server.submit_with(query.clone(), qos)
-    }
-
-    /// Adds a replica to `shard` when its observed share of routed
-    /// sub-queries exceeds [`ShardConfig::hot_fair_share_factor`] times
-    /// the fair share — bounded by [`ShardConfig::replication`] and
-    /// quiet during the warmup window.
-    fn maybe_replicate(
-        &self,
-        topology: &Topology,
-        shard: usize,
-        shard_routed: u64,
-        total_routed: u64,
-    ) {
-        if self.config.replication <= 1 || total_routed < self.config.replication_warmup {
-            return;
-        }
-        let fair = topology.plan.eligible_shards().len() as f64;
-        if fair <= 1.0 {
-            // A single eligible shard's share is always 1 — "hot" is
-            // meaningless without siblings to compare against.
-            return;
-        }
-        let share = shard_routed as f64 / total_routed as f64;
-        if share * fair < self.config.hot_fair_share_factor {
-            return;
-        }
-        let mut replicas = topology.shards[shard].replicas.write();
-        if replicas.len() >= self.config.replication {
-            return;
-        }
-        replicas.push(spawn_replica(topology.plan.shard_env(shard), &self.config));
-        self.counters
-            .replicas_spawned
-            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Collects every candidate within `radius` of `p`, per channel,
@@ -708,16 +638,10 @@ impl ShardRouter {
                     continue;
                 }
                 self.counters.gather_probed.fetch_add(1, Ordering::Relaxed);
-                // Shard trees carry dense local ids; restore the
-                // originals so the merged route's stops are the same
-                // bytes an unsharded run reports.
-                let remap = topology.plan.original_ids(s, c);
-                layer.extend(
-                    tree.range_circle(&circle)
-                        .hits
-                        .into_iter()
-                        .map(|(point, local)| (point, remap[local.index()])),
-                );
+                // Shard trees keep the source's ids, so the merged
+                // route's stops are the same bytes an unsharded run
+                // reports.
+                layer.extend(tree.range_circle(&circle).hits);
             }
         }
         layers
@@ -742,10 +666,6 @@ impl ShardRouter {
             fallback,
         }
     }
-}
-
-fn spawn_replica(env: &MultiChannelEnv, config: &ShardConfig) -> Server {
-    Server::spawn(env.clone(), config.serve)
 }
 
 #[expect(
@@ -798,7 +718,6 @@ fn fold_sub_outcome(trace: &mut QueryTrace, outcome: &tnn_core::QueryOutcome) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Partition;
     use std::sync::Arc;
     use tnn_broadcast::BroadcastParams;
     use tnn_core::QueryEngine;
@@ -852,32 +771,24 @@ mod tests {
         for k in [2usize, 3] {
             let env = sample_env(k);
             let engine = QueryEngine::new(env.clone());
-            for partition in [Partition::Grid, Partition::TopLevel] {
-                let router = ShardRouter::spawn(
-                    env.clone(),
-                    ShardConfig::new()
-                        .shards(4)
-                        .partition(partition)
-                        .serve(small_serve()),
-                );
-                for p in [
-                    Point::new(481.0, 522.0),
-                    Point::new(3.0, 995.0),
-                    Point::new(-250.0, 400.0),
-                ] {
-                    for query in query_mix(p) {
-                        let got = router.run(&query).unwrap();
-                        let want = engine.run(&query).unwrap();
-                        assert_eq!(got.route, want.route, "k={k} {partition:?} {query:?}");
-                        assert_eq!(
-                            got.total_dist, want.total_dist,
-                            "k={k} {partition:?} {query:?}"
-                        );
-                    }
+            let router = ShardRouter::spawn(
+                env.clone(),
+                ShardConfig::new().shards(4).serve(small_serve()),
+            );
+            for p in [
+                Point::new(481.0, 522.0),
+                Point::new(3.0, 995.0),
+                Point::new(-250.0, 400.0),
+            ] {
+                for query in query_mix(p) {
+                    let got = router.run(&query).unwrap();
+                    let want = engine.run(&query).unwrap();
+                    assert_eq!(got.route, want.route, "k={k} {query:?}");
+                    assert_eq!(got.total_dist, want.total_dist, "k={k} {query:?}");
                 }
-                let stats = router.shutdown(ShutdownMode::Drain);
-                assert!(stats.conserved(), "{stats:?}");
             }
+            let stats = router.shutdown(ShutdownMode::Drain);
+            assert!(stats.conserved(), "{stats:?}");
         }
     }
 
@@ -956,38 +867,6 @@ mod tests {
             "far-corner sub-trees must be pruned: {stats:?}"
         );
         assert!(stats.conserved(), "{stats:?}");
-    }
-
-    #[test]
-    fn hot_shard_grows_replicas_up_to_the_cap() {
-        let env = sample_env(2);
-        let router = ShardRouter::spawn(
-            env,
-            ShardConfig::new()
-                .shards(4)
-                .replication(2)
-                .replication_warmup(8)
-                .serve(small_serve()),
-        );
-        assert!(
-            router.plan().eligible_shards().len() > 1,
-            "test needs sibling shards"
-        );
-        // Hammer one corner so its shard's share dwarfs the fair share.
-        for i in 0..40u32 {
-            let p = Point::new(30.0 + f64::from(i % 7), 40.0 + f64::from(i % 5));
-            router.run(&Query::tnn(p)).unwrap();
-        }
-        let stats = router.stats();
-        assert!(
-            stats.replicas_spawned >= 1,
-            "hot shard never replicated: {stats:?}"
-        );
-        for i in 0..router.plan().num_shards() {
-            assert!(router.replica_count(i) <= 2);
-        }
-        let final_stats = router.shutdown(ShutdownMode::Drain);
-        assert!(final_stats.conserved(), "{final_stats:?}");
     }
 
     #[test]
@@ -1198,5 +1077,84 @@ mod tests {
             router.swap_env(advanced(&env, 0xD00D)),
             Err(TnnError::Cancelled)
         );
+    }
+
+    #[test]
+    fn run_after_shutdown_is_cancelled_and_stats_stay_conserved() {
+        let router = ShardRouter::spawn(
+            sample_env(2),
+            ShardConfig::new().shards(4).serve(small_serve()),
+        );
+        let q = Query::tnn(Point::new(481.0, 522.0));
+        router.run(&q).unwrap();
+        let frozen = router.shutdown(ShutdownMode::Drain);
+        assert!(frozen.conserved(), "{frozen:?}");
+        for query in query_mix(Point::new(100.0, 700.0)) {
+            assert_eq!(router.run(&query), Err(TnnError::Cancelled));
+        }
+        let after = router.stats();
+        assert!(after.conserved(), "{after:?}");
+        assert_eq!(after.queries, frozen.queries);
+        assert_eq!(after.scatter_rejected, frozen.scatter_rejected);
+        assert_eq!(after.fallbacks, frozen.fallbacks);
+    }
+
+    #[test]
+    fn swap_env_racing_shutdown_never_outlives_the_frozen_fold() {
+        let env = sample_env(2);
+        let nexts: Vec<MultiChannelEnv> = (0..4).map(|i| advanced(&env, 0xA11 + i)).collect();
+        for round in 0..4 {
+            let router = ShardRouter::spawn(
+                env.clone(),
+                ShardConfig::new().shards(4).serve(small_serve()),
+            );
+            let mut swaps = 0;
+            std::thread::scope(|scope| {
+                let swapper = scope.spawn(|| {
+                    nexts
+                        .iter()
+                        .map(|next| router.swap_env(next.clone()))
+                        .collect::<Vec<_>>()
+                });
+                let querier = scope.spawn(|| {
+                    for i in 0..6u32 {
+                        let p = Point::new(f64::from(i) * 150.0, 500.0);
+                        match router.run(&Query::tnn(p)) {
+                            Ok(outcome) => assert_eq!(outcome.route.len(), 2),
+                            Err(e) => assert_eq!(e, TnnError::Cancelled),
+                        }
+                    }
+                });
+                if round % 2 == 1 {
+                    std::thread::yield_now();
+                }
+                router.shutdown(ShutdownMode::Drain);
+                let results = swapper.join().unwrap();
+                for result in &results {
+                    assert!(
+                        matches!(result, Ok(()) | Err(TnnError::Cancelled)),
+                        "round {round}: {result:?}"
+                    );
+                }
+                swaps = results.iter().filter(|r| r.is_ok()).count() as u64;
+                querier.join().unwrap();
+            });
+            assert_eq!(
+                router.run(&Query::tnn(Point::new(1.0, 1.0))),
+                Err(TnnError::Cancelled)
+            );
+            assert_eq!(router.swap_env(nexts[0].clone()), Err(TnnError::Cancelled));
+            let probe = Query::tnn(Point::new(1.0, 1.0));
+            for server in router.topology.read().servers.iter().flatten() {
+                assert_eq!(
+                    server.submit(probe.clone()).err(),
+                    Some(TnnError::Cancelled),
+                    "round {round}: a shard server outlived shutdown"
+                );
+            }
+            let stats = router.stats();
+            assert!(stats.conserved(), "round {round}: {stats:?}");
+            assert_eq!(stats.env_swaps, swaps, "round {round}");
+        }
     }
 }

@@ -1,10 +1,10 @@
-//! Router-level counters, folded with the per-replica serving stats.
+//! Router-level counters, folded with the per-shard serving stats.
 
 use tnn_serve::ServeStats;
 
 tnn_trace::stats! {
     /// A snapshot of one [`crate::ShardRouter`]'s activity: scatter-gather
-    /// counters plus the [`ServeStats::fold`] of every shard replica's
+    /// counters plus the [`ServeStats::fold`] of every shard server's
     /// serving counters.
     #[derive(Debug, Clone, Default)]
     pub struct ShardStats {
@@ -39,22 +39,18 @@ tnn_trace::stats! {
         /// `k` channels) and fell back to a locally computed gather bound.
         pub fallbacks: u64 => "tnn_shard_fallbacks_total",
             "Queries that fell back to a locally computed gather bound",
-        /// Extra replicas spawned by hot-shard scale-up (beyond the one
-        /// every eligible shard starts with).
-        pub replicas_spawned: u64 => "tnn_shard_replicas_spawned_total",
-            "Extra replicas spawned by hot-shard scale-up",
         /// Environment swaps published through
         /// [`crate::ShardRouter::swap_env`] — each one re-partitions the
-        /// data and replaces every shard's replica set.
+        /// data and replaces every shard server.
         pub env_swaps: u64 => "tnn_shard_env_swaps_total",
             "Environment swaps published through the router",
-        /// Replicas drained and retired by environment swaps. Their serving
+        /// Shard servers retired by environment swaps. Their serving
         /// counters are *not* lost: each retiree's final stats fold into
-        /// [`ShardStats::serve`] alongside the live replicas'.
+        /// [`ShardStats::serve`] alongside the live servers'.
         pub retired_replicas: u64 => "tnn_shard_retired_replicas_total",
             "Replicas drained and retired by environment swaps",
-        /// [`ServeStats::fold`] over every replica of every shard — the live
-        /// ones plus every replica retired by an environment swap.
+        /// [`ServeStats::fold`] over every shard server — the live ones
+        /// plus every server retired by an environment swap.
         pub serve: ServeStats,
     }
 }
@@ -76,9 +72,9 @@ impl ShardStats {
     /// accounted for by the shard servers
     /// (`serve.submitted = scattered + scatter_rejected`), errored
     /// sub-queries are a subset of admitted ones, fallbacks are a
-    /// subset of queries, and replicas retire only through environment
+    /// subset of queries, and servers retire only through environment
     /// swaps (`retired_replicas == 0 || env_swaps > 0`) — the folded
-    /// serving stats span retirees and live replicas alike, so a swap
+    /// serving stats span retirees and live servers alike, so a swap
     /// can never drop or double-count pre-swap completions.
     pub fn conserved(&self) -> bool {
         let ShardStats {
@@ -94,9 +90,6 @@ impl ShardStats {
             gather_probed: _,
             gather_pruned: _,
             fallbacks,
-            // Scale-up is bounded by `ShardConfig::replication` at spawn
-            // time, not by a stats identity.
-            replicas_spawned: _,
             env_swaps,
             retired_replicas,
             serve,
@@ -112,7 +105,7 @@ impl ShardStats {
     /// counters under `tnn_shard_*`, then the folded fleet serving
     /// stats through [`ServeStats::publish_metrics`] (so the
     /// `tnn_serve_*` series of a sharded deployment aggregate every
-    /// replica, retirees included). All fields only ever grow on a live
+    /// shard server, retirees included). All fields only ever grow on a live
     /// router, so repeated publications are monotone.
     pub fn publish_metrics(&self, registry: &tnn_trace::MetricsRegistry) {
         self.publish_series(registry, "");

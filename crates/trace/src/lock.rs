@@ -43,8 +43,7 @@ use std::time::Duration;
 /// locks of the same rank (two cache stripes, say) never nest.
 ///
 /// ```text
-///   scatter stratum        shard.final_serve > shard.topology >
-///         │                shard.replicas > shard.retired
+///   scatter stratum        shard.topology > shard.retired
 ///         │ scatters into
 ///   server stratum         serve.workers > serve.state > ticket.state
 ///         │ consults
@@ -60,18 +59,13 @@ use std::time::Duration;
 /// reverse. Trace locks are innermost: nothing is taken under them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LockRank {
-    /// Frozen post-shutdown `ServeStats` aggregate of a shard router;
-    /// held while replica sets are still inspected during stats folding.
-    ShardFinalServe,
-    /// The router's serving topology (env + plan + shard handles).
-    /// Queries hold a read guard for their whole scatter-gather pass,
-    /// env swaps take the write side. Replica locks nest inside it.
+    /// The router's serving topology (env + plan + shard servers, and
+    /// the frozen stats fold once shut). Queries hold a read guard for
+    /// their whole scatter-gather pass, across server submits; env swaps
+    /// and shutdown take the write side.
     ShardTopology,
-    /// A shard's replica servers. Read guards are held across server
-    /// submits (queue-depth routing), so server locks nest inside.
-    ShardReplicas,
-    /// Folded final stats of replicas retired by env swaps; merged into
-    /// stats snapshots after the live replica fold.
+    /// Folded final stats of servers retired by env swaps; merged into
+    /// stats snapshots after the live server fold.
     ShardRetired,
     /// A server's worker `JoinHandle`s; shutdown holds it while draining
     /// the server state.
@@ -104,9 +98,7 @@ impl LockRank {
     /// The lock's dotted name, `layer.lock`, as panics and docs spell it.
     pub const fn name(self) -> &'static str {
         match self {
-            LockRank::ShardFinalServe => "shard.final_serve",
             LockRank::ShardTopology => "shard.topology",
-            LockRank::ShardReplicas => "shard.replicas",
             LockRank::ShardRetired => "shard.retired",
             LockRank::ServeWorkers => "serve.workers",
             LockRank::ServeState => "serve.state",

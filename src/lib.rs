@@ -63,7 +63,7 @@
 //! | [`qos`] (`tnn-qos`) | quality-of-service primitives: priority classes, deadlines, retry policies and budgets, the strict-priority multi-level queue, the sharded LRU result cache |
 //! | [`faults`] (`tnn-serve`) | deterministic fault injection: seedable per-channel drop/jitter/outage schedules, engine panics, worker kills |
 //! | [`serve`] (`tnn-serve`) | the concurrent serving front-end: worker pool, priority lanes with deadlines and backpressure, result cache, tickets, retry/degradation ladder, self-healing workers, graceful shutdown |
-//! | [`shard`] (`tnn-shard`) | spatially-sharded scatter-gather serving: grid / R-tree-split partitioning, transitive-bound shard pruning, hot-shard replication with queue-depth routing, byte-identical merged answers |
+//! | [`shard`] (`tnn-shard`) | spatially-sharded scatter-gather serving: grid partitioning, one server per shard, transitive-bound shard pruning, byte-identical merged answers |
 //! | [`trace`] (`tnn-trace`) | std-only observability: per-query span traces, the metrics registry with Prometheus text export, log₂ latency histograms, the slow-query flight recorder |
 //! | [`sim`] (`tnn-sim`) | the experiment harness regenerating every figure/table of the paper |
 
@@ -97,7 +97,7 @@ pub mod prelude {
         Backpressure, ChannelFaults, ClassStats, Degradation, FaultPlan, FaultStats, ServeConfig,
         ServeStats, Server, ShutdownMode, Ticket, TuneIn,
     };
-    pub use tnn_shard::{Partition, ShardConfig, ShardOutcome, ShardPlan, ShardRouter, ShardStats};
+    pub use tnn_shard::{ShardConfig, ShardOutcome, ShardPlan, ShardRouter, ShardStats};
     pub use tnn_trace::{
         FlightRecorder, LatencyHistogram, MetricsRegistry, QueryTrace, RecorderConfig, Span,
         SpanKind, TraceConfig,
