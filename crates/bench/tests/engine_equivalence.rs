@@ -333,7 +333,6 @@ fn frozen_tnn<Q: CandidateQueue>(
         completed_at,
         candidates,
         channels,
-        degraded: false,
     }
 }
 
@@ -395,7 +394,6 @@ fn frozen_variant_outcome(
         completed_at,
         candidates: candidates.to_vec(),
         channels: channels.to_vec(),
-        degraded: false,
     }
 }
 

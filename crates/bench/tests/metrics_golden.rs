@@ -61,8 +61,12 @@ fn class_stats(v: &mut Distinct, class: Priority) -> ClassStats {
         queued: v.size(),
         in_flight: v.size(),
         retried: v.next(),
-        degraded: v.next(),
-        latency,
+        latency: {
+            // Drawn and dropped for a series the stats no longer carry,
+            // as in `serve_stats`.
+            v.next();
+            latency
+        },
     }
 }
 
@@ -79,8 +83,11 @@ fn serve_stats(v: &mut Distinct) -> ServeStats {
         in_flight: v.size(),
         cache_hits: v.next(),
         cache_misses: v.next(),
-        cache_expired: v.next(),
-        cache_bypass: v.next(),
+        cache_bypass: {
+            // Drawn and dropped, as for `retried`.
+            v.next();
+            v.next()
+        },
         retried: {
             // One value is drawn and dropped here, for a series the
             // stats no longer carry, so every later series keeps the
@@ -88,8 +95,11 @@ fn serve_stats(v: &mut Distinct) -> ServeStats {
             v.next();
             v.next()
         },
-        degraded: v.next(),
-        worker_restarts: v.next(),
+        worker_restarts: {
+            // Drawn and dropped, as for `retried`.
+            v.next();
+            v.next()
+        },
         classes: Priority::ALL.map(|class| class_stats(v, class)),
     }
 }
@@ -118,8 +128,11 @@ fn render() -> String {
     let cache = CacheStats {
         hits: v.next(),
         misses: v.next(),
-        expired: v.next(),
-        insertions: v.next(),
+        insertions: {
+            // Drawn and dropped, as for `retried`.
+            v.next();
+            v.next()
+        },
         evictions: v.next(),
         len: v.size(),
     };

@@ -37,8 +37,8 @@ use tnn_core::{Query, TnnError};
 use tnn_geom::Point;
 use tnn_rtree::{PackingAlgorithm, RTree};
 use tnn_serve::{
-    Backpressure, ChannelFaults, Degradation, FaultPlan, Priority, Qos, RetryPolicy, ServeConfig,
-    Server, ShutdownMode,
+    Backpressure, ChannelFaults, FaultPlan, Priority, Qos, RetryPolicy, ServeConfig, Server,
+    ShutdownMode,
 };
 
 const SUBMITTERS: usize = 8;
@@ -377,8 +377,8 @@ fn soak_mixed_priority_storm_block_drain() {
 
 /// Chaos soak: the full mixed-priority storm runs under an aggressive
 /// fault schedule — per-channel drops, jitter, periodic outages, engine
-/// panics, and worker kills — with a deep retry ladder and Approximate
-/// degradation, and shutdown lands mid-storm. The server must keep
+/// panics, and worker kills — with a deep retry ladder that fails
+/// closed, and shutdown lands mid-storm. The server must keep
 /// serving across ≥ 2 worker kills, lose zero tickets, and keep the
 /// conservation invariant exact in every snapshot it takes. Submitters
 /// do block mid-`submit` under `Block` backpressure, but the soak
@@ -406,8 +406,7 @@ fn hammer_chaos(mode: ShutdownMode, secs: f64) {
                     .max_attempts(6)
                     .base(Duration::from_micros(50))
                     .cap(Duration::from_micros(500)),
-            )
-            .degradation(Degradation::Approximate),
+            ),
         plan,
     );
     let deadline = Instant::now() + Duration::from_secs_f64(secs);
@@ -442,8 +441,8 @@ fn hammer_chaos(mode: ShutdownMode, secs: f64) {
                                 match i % 11 {
                                     0 => {
                                         // Delivered outcomes are either a
-                                        // real/degraded answer or one of
-                                        // the fault-path errors — never a
+                                        // real answer or one of the
+                                        // fault-path errors — never a
                                         // hang, never anything else.
                                         match ticket.wait() {
                                             Ok(_)
@@ -535,8 +534,8 @@ fn soak_chaos_storm_cancel() {
 /// Bounded chaos smoke — deterministic enough for tier-1: a fixed 300-
 /// submission burst through a faulted 2-worker server with two scheduled
 /// worker kills, periodic outages, and one scheduled panic. Every ticket
-/// resolves (an answer, possibly degraded, or `Internal` for the killed
-/// jobs), both kills respawn, and no ticket is lost.
+/// resolves (an answer, or `Internal` for the killed jobs), both kills
+/// respawn, and no ticket is lost.
 #[test]
 fn chaos_smoke_bounded_storm_survives_kills_and_outages() {
     let plan = FaultPlan::new(0x57081)
@@ -557,8 +556,7 @@ fn chaos_smoke_bounded_storm_survives_kills_and_outages() {
                     .max_attempts(6)
                     .base(Duration::from_micros(50))
                     .cap(Duration::from_micros(500)),
-            )
-            .degradation(Degradation::Approximate),
+            ),
         plan,
     );
     let tickets: Vec<_> = std::thread::scope(|scope| {

@@ -1,8 +1,8 @@
 //! Every conservation equation, pinned field by field.
 //!
 //! Starting from conserved [`ClassStats`], [`ServeStats`] and
-//! [`ShardStats`] snapshots whose inequalities are tight (e.g.
-//! `degraded == completed`), each numeric field is moved by one in
+//! [`ShardStats`] snapshots whose inequalities are tight (e.g. a
+//! class's latency count equal to its completions), each numeric field is moved by one in
 //! either direction. A field that sits in an identity must be able to
 //! turn `conserved()` false that way; an exempt field (an observability
 //! counter no identity constrains) must leave it true however it moves.
@@ -129,8 +129,7 @@ fn assert_pinned<S: Clone>(
 fn class_fields() -> (Vec<Field<ClassStats>>, Vec<Field<ClassStats>>) {
     fields!(ClassStats {
         pinned: [
-            submitted, accepted, rejected, shed, cancelled, completed, expired, queued, in_flight,
-            degraded
+            submitted, accepted, rejected, shed, cancelled, completed, expired, queued, in_flight
         ],
         exempt: [retried],
         nested: [latency]
@@ -151,10 +150,8 @@ fn serve_fields() -> (Vec<Field<ServeStats>>, Vec<Field<ServeStats>>) {
             in_flight,
             cache_hits,
             cache_misses,
-            cache_expired,
             cache_bypass,
-            retried,
-            degraded
+            retried
         ],
         exempt: [worker_restarts],
         nested: [classes]
@@ -181,8 +178,8 @@ fn serve_fields() -> (Vec<Field<ServeStats>>, Vec<Field<ServeStats>>) {
     (pinned, exempt)
 }
 
-/// A conserved class whose inequalities are tight: `degraded ==
-/// completed`, and `completed` latency observations.
+/// A conserved class whose inequality is tight: `completed` latency
+/// observations.
 fn class_base(scale: u64) -> ClassStats {
     let mut latency = LatencyHistogram::default();
     for i in 0..5 * scale {
@@ -199,13 +196,12 @@ fn class_base(scale: u64) -> ClassStats {
         queued: 6 * scale as usize,
         in_flight: 7 * scale as usize,
         retried: 9 * scale,
-        degraded: 5 * scale,
         latency,
     }
 }
 
 /// Three tight classes (scales 1, 2, 3), their totals, and 30
-/// completions split over the four cache outcomes.
+/// completions split over the three cache outcomes.
 fn serve_base() -> ServeStats {
     let classes = [class_base(1), class_base(2), class_base(3)];
     let sum = |f: fn(&ClassStats) -> u64| classes.iter().map(f).sum::<u64>();
@@ -220,11 +216,9 @@ fn serve_base() -> ServeStats {
         queued: sum(|c| c.queued as u64) as usize,
         in_flight: sum(|c| c.in_flight as u64) as usize,
         cache_hits: 10,
-        cache_misses: 8,
-        cache_expired: 5,
+        cache_misses: 13,
         cache_bypass: 7,
         retried: sum(|c| c.retried),
-        degraded: sum(|c| c.degraded),
         worker_restarts: 2,
         classes,
     }

@@ -20,8 +20,8 @@ use tnn_core::{Algorithm, AnnMode, Query, TnnError};
 use tnn_geom::Point;
 use tnn_rtree::{PackingAlgorithm, RTree};
 use tnn_serve::{
-    Backpressure, CacheConfig, ChannelFaults, Degradation, FaultPlan, Priority, RetryPolicy,
-    ServeConfig, ServeStats, Server, ShutdownMode, TraceConfig,
+    Backpressure, CacheConfig, ChannelFaults, FaultPlan, Priority, RecorderConfig, RetryPolicy,
+    ServeConfig, ServeStats, Server, ShutdownMode, SpanKind, TraceConfig,
 };
 
 fn build_env(layers: &[Vec<Point>], phases: &[u64]) -> MultiChannelEnv {
@@ -80,7 +80,6 @@ fn assert_counters_eq(off: &ServeStats, on: &ServeStats) {
                 a.queued,
                 a.in_flight,
                 a.retried,
-                a.degraded,
                 a.latency.count(),
             ),
             (
@@ -94,7 +93,6 @@ fn assert_counters_eq(off: &ServeStats, on: &ServeStats) {
                 b.queued,
                 b.in_flight,
                 b.retried,
-                b.degraded,
                 b.latency.count(),
             ),
             "class {class:?} counters diverge under tracing: off={a:?} on={b:?}"
@@ -104,14 +102,12 @@ fn assert_counters_eq(off: &ServeStats, on: &ServeStats) {
         (
             off.cache_hits,
             off.cache_misses,
-            off.cache_expired,
             off.cache_bypass,
             off.worker_restarts,
         ),
         (
             on.cache_hits,
             on.cache_misses,
-            on.cache_expired,
             on.cache_bypass,
             on.worker_restarts,
         ),
@@ -226,12 +222,14 @@ proptest! {
 /// Transparency must also hold under a fault schedule: the fault draws
 /// are pure functions of the admission sequence, so a traced and an
 /// untraced server under the same [`FaultPlan`] (drops + an outage,
-/// retries, approximate degradation — no kills, which abandon traces by
-/// design) must agree on every outcome and counter; the traced one must
-/// additionally retain its degraded completions in the flagged ring
-/// with retry spans attached.
+/// retries that fail closed — no kills, which abandon traces by design)
+/// must agree on every outcome and counter. The traced one must also
+/// retain every exhausted ladder as an errored trace with all its
+/// attempts and backoff spans, and the queries that retried and then
+/// answered, since a retry is the one fault signal an `Ok` answer
+/// carries.
 #[test]
-fn tracing_is_transparent_under_faults_and_flags_degraded_queries() {
+fn tracing_is_transparent_under_faults_and_flags_failed_and_retried_queries() {
     let k = 2;
     let layers: Vec<Vec<Point>> = (0..k)
         .map(|i| {
@@ -247,6 +245,7 @@ fn tracing_is_transparent_under_faults_and_flags_degraded_queries() {
         .collect();
     let env = build_env(&layers, &[3, 11]);
     let n = 160u64;
+    let max_attempts = 2;
     let plan = || {
         FaultPlan::new(0x7_11CE)
             .channel(0, ChannelFaults::NONE.drop_rate(250).jitter(2))
@@ -261,14 +260,18 @@ fn tracing_is_transparent_under_faults_and_flags_degraded_queries() {
             .batch_window(4)
             .retry(
                 RetryPolicy::new()
-                    .max_attempts(2)
+                    .max_attempts(max_attempts)
                     .base(Duration::from_micros(10))
                     .cap(Duration::from_micros(40)),
             )
-            .degradation(Degradation::Approximate)
     };
+    // A flagged ring as large as the run, so retention evicts nothing.
+    let trace = TraceConfig::On(RecorderConfig {
+        flagged: n as usize,
+        ..RecorderConfig::default()
+    });
     let off = Server::spawn_with_faults(env.clone(), config(), plan());
-    let on = Server::spawn_with_faults(env.clone(), config().trace(TraceConfig::on()), plan());
+    let on = Server::spawn_with_faults(env.clone(), config().trace(trace), plan());
     let queries: Vec<Query> = (0..n)
         .map(|i| {
             Query::tnn(Point::new(
@@ -280,8 +283,15 @@ fn tracing_is_transparent_under_faults_and_flags_degraded_queries() {
         .collect();
     let off_tickets = off.submit_batch(queries.clone());
     let on_tickets = on.submit_batch(queries);
+    let mut exhausted = 0;
     for (off_t, on_t) in off_tickets.into_iter().zip(on_tickets) {
-        assert_eq!(on_t.unwrap().wait(), off_t.unwrap().wait());
+        let got = on_t.unwrap().wait();
+        assert_eq!(got, off_t.unwrap().wait());
+        match got {
+            Ok(_) => {}
+            Err(TnnError::ChannelUnavailable { .. }) => exhausted += 1,
+            Err(err) => panic!("only an exhausted ladder may fail here: {err:?}"),
+        }
     }
     let off_stats = off.shutdown(ShutdownMode::Drain);
     // Join the workers (shutdown) before reading the recorder: tickets
@@ -292,28 +302,30 @@ fn tracing_is_transparent_under_faults_and_flags_degraded_queries() {
     let recorded = recorder.recorded();
     assert_counters_eq(&off_stats, &on_stats);
     assert_eq!(recorded, n, "every job ran a worker round");
-    assert!(
-        on_stats.degraded > 0,
-        "the plan must force degradations: {on_stats:?}"
+    assert!(exhausted > 0, "the plan must exhaust some ladders");
+    let errored: Vec<_> = flagged.iter().filter(|t| t.errored).collect();
+    assert_eq!(
+        errored.len(),
+        exhausted,
+        "every exhausted ladder is retained"
     );
-    assert!(!flagged.is_empty(), "degraded traces must be retained");
-    for trace in &flagged {
-        assert!(trace.flagged());
+    for trace in &errored {
+        assert_eq!(trace.attempts, max_attempts, "{trace:?}");
         assert!(
-            trace.degraded && trace.attempts >= 2,
-            "a degraded trace exhausted its attempts: {trace:?}"
-        );
-        assert!(
-            !trace
-                .duration_of(tnn_serve::SpanKind::RetryBackoff)
-                .is_zero(),
+            !trace.duration_of(SpanKind::RetryBackoff).is_zero(),
             "retries must stamp backoff spans: {trace:?}"
         );
+    }
+    let recovered: Vec<_> = flagged.iter().filter(|t| !t.errored).collect();
+    assert!(
+        !recovered.is_empty(),
+        "a query that retried and then answered must be retained"
+    );
+    for trace in &recovered {
+        assert!(trace.attempts > 1, "{trace:?}");
         assert!(
-            !trace
-                .duration_of(tnn_serve::SpanKind::Degradation)
-                .is_zero(),
-            "fallbacks must stamp a degradation span: {trace:?}"
+            !trace.duration_of(SpanKind::RetryBackoff).is_zero(),
+            "{trace:?}"
         );
     }
 }

@@ -1,4 +1,4 @@
-//! Approximate-TNN-Search [19] (paper §3.1, eq. 1), generalized to
+//! Approximate-TNN-Search \[19\] (paper §3.1, eq. 1), generalized to
 //! `k ≥ 2` channels.
 //!
 //! Skips the estimate-phase index searches entirely: the search radius is

@@ -351,7 +351,6 @@ pub(crate) fn filter_and_finish<Q: CandidateQueue>(
         completed_at,
         candidates,
         channels,
-        degraded: false,
     }
 }
 

@@ -1,4 +1,4 @@
-//! Window-Based-TNN-Search [19], adapted to the multi-channel
+//! Window-Based-TNN-Search \[19\], adapted to the multi-channel
 //! environment (paper §3.1) and generalized to `k ≥ 2` channels.
 //!
 //! Estimate phase — **sequential**: find `n₁ = p.NN(S₁)` on channel 1,

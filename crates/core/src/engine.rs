@@ -35,7 +35,7 @@
 //! behind an `Arc`, so cloning the engine (or the environment) is O(1)
 //! and handles can be spread across worker threads or a future async
 //! executor. Per-query phase randomization threads a
-//! [`PhaseOverlay`](tnn_broadcast::PhaseOverlay) into the query tasks
+//! [`PhaseOverlay`] into the query tasks
 //! instead of materializing a re-phased environment, and pooled
 //! [`QueryScratch`] buffers make the casual [`QueryEngine::run`] path
 //! allocation-light while [`QueryEngine::run_with`] stays zero-alloc for
@@ -327,14 +327,6 @@ pub struct QueryOutcome {
     /// Per-channel cost breakdown, in channel order — each route hop's
     /// channel indexes into this.
     pub channels: Vec<ChannelCost>,
-    /// `true` when a serving front-end answered via a degradation
-    /// fallback (the approximate algorithm or a replica path) after its
-    /// retry ladder gave up on the primary channels. The engine itself
-    /// always produces full-fidelity outcomes (`degraded = false`);
-    /// degraded outcomes are never stored in a result cache, because
-    /// their bytes are not what a full-fidelity run of the same
-    /// [`crate::QueryKey`] would return.
-    pub degraded: bool,
 }
 
 impl QueryOutcome {
@@ -1093,7 +1085,6 @@ mod tests {
                     prune_hits: 1,
                 },
             ],
-            degraded: false,
         }
     }
 

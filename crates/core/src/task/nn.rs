@@ -14,7 +14,7 @@
 //! [`BroadcastNnSearch::step`] is O(log n) — the event loops interleaving
 //! searches over multiple channels peek every iteration, and batch
 //! simulations run millions of steps. The paper-literal `Vec`-scan queue
-//! is kept as [`LinearNnSearchTask`] (tests and the `linear-reference`
+//! is kept as `LinearNnSearchTask` (tests and the `linear-reference`
 //! feature only); the two must produce byte-identical traces, which
 //! the property tests below verify across all four algorithms.
 //!

@@ -2,7 +2,7 @@
 //! the paper's real CITY and POST datasets.
 //!
 //! The originals (≈6,000 Greek cities; >100,000 north-east-US post
-//! offices, both from the rtreeportal archive cited as [1]) are not
+//! offices, both from the rtreeportal archive cited as \[1\]) are not
 //! redistributable. What every TNN algorithm actually reacts to is
 //! **non-uniform local density** — the Approximate-TNN radius formula
 //! (paper eq. 1) assumes global uniformity and breaks exactly when local

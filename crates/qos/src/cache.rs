@@ -3,19 +3,14 @@
 use std::collections::hash_map::{DefaultHasher, Entry as MapEntry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::time::{Duration, Instant};
 use tnn_trace::lock::{LockRank, OrderedMutex};
 
 /// Result-cache tuning knobs.
 ///
 /// ```
-/// use std::time::Duration;
 /// use tnn_qos::CacheConfig;
 ///
-/// let cfg = CacheConfig::new()
-///     .capacity(8192)
-///     .shards(16)
-///     .ttl(Some(Duration::from_secs(30)));
+/// let cfg = CacheConfig::new().capacity(8192).shards(16);
 /// assert!(cfg.enabled);
 /// assert!(!CacheConfig::disabled().enabled);
 /// ```
@@ -30,21 +25,15 @@ pub struct CacheConfig {
     /// Lock stripes; rounded up to a power of two, clamped to ≥ 1. More
     /// shards mean less contention between concurrent workers.
     pub shards: usize,
-    /// Entry time-to-live: a stored result older than this counts as
-    /// [`Lookup::Expired`] and is dropped. `None` (the default) keeps
-    /// entries until LRU eviction — correct whenever the underlying data
-    /// is immutable, as a broadcast cycle's datasets are.
-    pub ttl: Option<Duration>,
 }
 
 impl CacheConfig {
-    /// Enabled, 4096 entries over 8 shards, no TTL.
+    /// Enabled, 4096 entries over 8 shards.
     pub fn new() -> Self {
         CacheConfig {
             enabled: true,
             capacity: 4096,
             shards: 8,
-            ttl: None,
         }
     }
 
@@ -67,12 +56,6 @@ impl CacheConfig {
         self.shards = shards;
         self
     }
-
-    /// Sets the entry time-to-live.
-    pub fn ttl(mut self, ttl: Option<Duration>) -> Self {
-        self.ttl = ttl;
-        self
-    }
 }
 
 impl Default for CacheConfig {
@@ -81,33 +64,17 @@ impl Default for CacheConfig {
     }
 }
 
-/// One cache probe's outcome.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Lookup<V> {
-    /// A live entry was found; the stored value is returned (and the
-    /// entry refreshed to most-recently-used).
-    Hit(V),
-    /// An entry was found but its TTL had elapsed; it has been removed.
-    /// The caller recomputes and re-inserts.
-    Expired,
-    /// No entry under this key.
-    Miss,
-}
-
 tnn_trace::stats! {
     /// Aggregate cache counters, folded over all shards.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct CacheStats {
-        /// Probes that returned [`Lookup::Hit`].
+        /// Probes that found a value.
         pub hits: u64 => "tnn_cache_hits_total", "Probes that hit",
-        /// Probes that returned [`Lookup::Miss`].
+        /// Probes that found none.
         pub misses: u64 => "tnn_cache_misses_total", "Probes that missed",
-        /// Probes that found only a TTL-expired entry ([`Lookup::Expired`]).
-        pub expired: u64 => "tnn_cache_expired_total", "Probes that found only a TTL-expired entry",
         /// Values stored (fresh keys and overwrites alike).
         pub insertions: u64 => "tnn_cache_insertions_total", "Values stored",
-        /// Entries dropped to make room (LRU victims; TTL drops count under
-        /// [`CacheStats::expired`] instead).
+        /// Entries dropped to make room (LRU victims).
         pub evictions: u64 => "tnn_cache_evictions_total",
             "Entries dropped to make room (LRU victims)",
         /// Live entries at snapshot time.
@@ -118,7 +85,7 @@ tnn_trace::stats! {
 impl CacheStats {
     /// Hit fraction of all probes, 0.0 on an unprobed cache.
     pub fn hit_rate(&self) -> f64 {
-        let probes = self.hits + self.misses + self.expired;
+        let probes = self.hits + self.misses;
         if probes == 0 {
             0.0
         } else {
@@ -141,7 +108,6 @@ const NIL: usize = usize::MAX;
 struct Entry<K, V> {
     key: K,
     value: V,
-    stored_at: Instant,
     prev: usize,
     next: usize,
 }
@@ -229,33 +195,22 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         self.free.push(slot);
     }
 
-    fn lookup(&mut self, key: &K, now: Instant, ttl: Option<Duration>) -> Lookup<V> {
+    fn lookup(&mut self, key: &K) -> Option<V> {
         let Some(&slot) = self.map.get(key) else {
             self.stats.misses += 1;
-            return Lookup::Miss;
+            return None;
         };
-        if let Some(ttl) = ttl {
-            // Saturating: a concurrent writer may have stamped the entry
-            // an instant after the caller drew `now`.
-            if now.saturating_duration_since(self.entry(slot).stored_at) >= ttl {
-                self.remove(slot);
-                self.stats.expired += 1;
-                return Lookup::Expired;
-            }
-        }
         self.unlink(slot);
         self.link_front(slot);
         self.stats.hits += 1;
-        Lookup::Hit(self.entry(slot).value.clone())
+        Some(self.entry(slot).value.clone())
     }
 
-    fn insert(&mut self, key: K, value: V, now: Instant) {
+    fn insert(&mut self, key: K, value: V) {
         self.stats.insertions += 1;
         if let MapEntry::Occupied(occupied) = self.map.entry(key.clone()) {
             let slot = *occupied.get();
-            let entry = self.entry_mut(slot);
-            entry.value = value;
-            entry.stored_at = now;
+            self.entry_mut(slot).value = value;
             self.unlink(slot);
             self.link_front(slot);
             return;
@@ -268,7 +223,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         let entry = Entry {
             key: key.clone(),
             value,
-            stored_at: now,
             prev: NIL,
             next: NIL,
         };
@@ -287,30 +241,30 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
     }
 }
 
-/// A sharded, lock-striped LRU cache with optional entry TTL.
+/// A sharded, lock-striped LRU cache.
 ///
 /// Keys route to one of `shards` stripes by hash; each stripe is an
 /// independent O(1) LRU under its own mutex, so concurrent workers only
-/// contend when their keys collide on a stripe. Values are returned by
-/// clone — the intended value type (a query outcome) is cheap relative
-/// to recomputing it over a broadcast cycle.
+/// contend when their keys collide on a stripe. An entry lives until
+/// LRU eviction: the cache never ages entries out, so a caller whose
+/// data can change puts its version into the key (`tnn_core::QueryKey`
+/// carries the environment's epoch and fingerprint). Values are
+/// returned by clone — the intended value type (a query outcome) is
+/// cheap relative to recomputing it over a broadcast cycle.
 ///
 /// ```
-/// use std::time::Instant;
-/// use tnn_qos::{CacheConfig, Lookup, ResultCache};
+/// use tnn_qos::{CacheConfig, ResultCache};
 ///
 /// let cache: ResultCache<u64, String> = ResultCache::new(CacheConfig::new().capacity(128));
-/// let now = Instant::now();
-/// assert_eq!(cache.lookup(&7, now), Lookup::Miss);
-/// cache.insert(7, "answer".into(), now);
-/// assert_eq!(cache.lookup(&7, now), Lookup::Hit("answer".into()));
+/// assert_eq!(cache.lookup(&7), None);
+/// cache.insert(7, "answer".into());
+/// assert_eq!(cache.lookup(&7), Some("answer".into()));
 /// assert_eq!(cache.stats().hits, 1);
 /// ```
 #[derive(Debug)]
 pub struct ResultCache<K, V> {
     shards: Vec<OrderedMutex<Shard<K, V>>>,
     mask: u64,
-    ttl: Option<Duration>,
 }
 
 // Shard<K, V> has no Debug bound on K/V; keep the derive-free impl tiny.
@@ -334,7 +288,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ResultCache<K, V> {
                 .map(|_| OrderedMutex::new(LockRank::QosCacheStripe, Shard::new(per_shard)))
                 .collect(),
             mask: shards as u64 - 1,
-            ttl: config.ttl,
         }
     }
 
@@ -344,18 +297,17 @@ impl<K: Hash + Eq + Clone, V: Clone> ResultCache<K, V> {
         &self.shards[(hasher.finish() & self.mask) as usize]
     }
 
-    /// Probes the cache at `now`. A [`Lookup::Hit`] refreshes the entry
-    /// to most-recently-used; a TTL-expired entry is removed and
-    /// reported as [`Lookup::Expired`].
-    pub fn lookup(&self, key: &K, now: Instant) -> Lookup<V> {
-        self.shard(key).lock().lookup(key, now, self.ttl)
+    /// Probes the cache: the stored value on a hit, which also moves
+    /// the entry to most-recently-used; `None` on a miss.
+    pub fn lookup(&self, key: &K) -> Option<V> {
+        self.shard(key).lock().lookup(key)
     }
 
-    /// Stores `value` under `key`, stamped at `now`, evicting the
-    /// stripe's least-recently-used entry if it is full. An existing
-    /// entry is overwritten and re-stamped.
-    pub fn insert(&self, key: K, value: V, now: Instant) {
-        self.shard(&key).lock().insert(key, value, now);
+    /// Stores `value` under `key`, evicting the stripe's
+    /// least-recently-used entry if it is full. An existing entry is
+    /// overwritten and moved to most-recently-used.
+    pub fn insert(&self, key: K, value: V) {
+        self.shard(&key).lock().insert(key, value);
     }
 
     /// Live entries over all stripes.
@@ -386,10 +338,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ResultCache<K, V> {
 }
 
 #[cfg(test)]
-#[expect(
-    clippy::disallowed_methods,
-    reason = "R1 covers non-test code; these tests stamp entries with real instants"
-)]
 mod tests {
     use super::*;
 
@@ -400,12 +348,11 @@ mod tests {
     #[test]
     fn hit_returns_the_stored_value() {
         let cache = small(16, 1);
-        let now = Instant::now();
-        assert_eq!(cache.lookup(&1, now), Lookup::Miss);
-        cache.insert(1, 100, now);
-        cache.insert(2, 200, now);
-        assert_eq!(cache.lookup(&1, now), Lookup::Hit(100));
-        assert_eq!(cache.lookup(&2, now), Lookup::Hit(200));
+        assert_eq!(cache.lookup(&1), None);
+        cache.insert(1, 100);
+        cache.insert(2, 200);
+        assert_eq!(cache.lookup(&1), Some(100));
+        assert_eq!(cache.lookup(&2), Some(200));
         assert_eq!(cache.len(), 2);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.insertions), (2, 1, 2));
@@ -416,81 +363,43 @@ mod tests {
     fn lru_evicts_the_coldest_entry() {
         // One shard so recency order is global.
         let cache = small(3, 1);
-        let now = Instant::now();
         for k in 0..3 {
-            cache.insert(k, k * 10, now);
+            cache.insert(k, k * 10);
         }
         // Touch 0 so 1 becomes the LRU, then overflow.
-        assert_eq!(cache.lookup(&0, now), Lookup::Hit(0));
-        cache.insert(3, 30, now);
+        assert_eq!(cache.lookup(&0), Some(0));
+        cache.insert(3, 30);
         assert_eq!(cache.len(), 3);
-        assert_eq!(cache.lookup(&1, now), Lookup::Miss, "LRU victim");
-        assert_eq!(cache.lookup(&0, now), Lookup::Hit(0));
-        assert_eq!(cache.lookup(&2, now), Lookup::Hit(20));
-        assert_eq!(cache.lookup(&3, now), Lookup::Hit(30));
+        assert_eq!(cache.lookup(&1), None, "LRU victim");
+        assert_eq!(cache.lookup(&0), Some(0));
+        assert_eq!(cache.lookup(&2), Some(20));
+        assert_eq!(cache.lookup(&3), Some(30));
         assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
     fn overwrite_refreshes_value_and_recency() {
         let cache = small(2, 1);
-        let now = Instant::now();
-        cache.insert(1, 10, now);
-        cache.insert(2, 20, now);
-        cache.insert(1, 11, now); // overwrite: 2 is now the LRU
-        cache.insert(3, 30, now);
-        assert_eq!(cache.lookup(&2, now), Lookup::Miss);
-        assert_eq!(cache.lookup(&1, now), Lookup::Hit(11));
-        assert_eq!(cache.lookup(&3, now), Lookup::Hit(30));
-    }
-
-    #[test]
-    fn ttl_expires_entries() {
-        let cache: ResultCache<u64, u64> = ResultCache::new(
-            CacheConfig::new()
-                .capacity(8)
-                .shards(1)
-                .ttl(Some(Duration::from_millis(10))),
-        );
-        let t0 = Instant::now();
-        cache.insert(1, 10, t0);
-        assert_eq!(cache.lookup(&1, t0), Lookup::Hit(10), "fresh");
-        let later = t0 + Duration::from_millis(10);
-        assert_eq!(cache.lookup(&1, later), Lookup::Expired, "ttl inclusive");
-        // The expired entry is gone: the next probe is a plain miss, and
-        // re-inserting restores it with a fresh stamp.
-        assert_eq!(cache.lookup(&1, later), Lookup::Miss);
-        cache.insert(1, 11, later);
-        assert_eq!(cache.lookup(&1, later), Lookup::Hit(11));
-        let stats = cache.stats();
-        assert_eq!(stats.expired, 1);
-        assert_eq!(stats.len, 1);
-    }
-
-    #[test]
-    fn zero_ttl_always_expires() {
-        let cache: ResultCache<u64, u64> =
-            ResultCache::new(CacheConfig::new().shards(1).ttl(Some(Duration::ZERO)));
-        let now = Instant::now();
-        cache.insert(1, 10, now);
-        assert_eq!(cache.lookup(&1, now), Lookup::Expired);
-        assert!(cache.is_empty());
+        cache.insert(1, 10);
+        cache.insert(2, 20);
+        cache.insert(1, 11); // overwrite: 2 is now the LRU
+        cache.insert(3, 30);
+        assert_eq!(cache.lookup(&2), None);
+        assert_eq!(cache.lookup(&1), Some(11));
+        assert_eq!(cache.lookup(&3), Some(30));
     }
 
     #[test]
     fn shards_split_the_capacity_and_keys() {
         let cache = small(64, 4);
-        let now = Instant::now();
         for k in 0..64u64 {
-            cache.insert(k, k, now);
+            cache.insert(k, k);
         }
         // Per-shard LRU may evict unevenly, but the total stays bounded
         // and most keys survive.
         assert!(cache.len() <= 64);
         assert!(cache.len() >= 32);
-        let hits = (0..64u64)
-            .filter(|k| matches!(cache.lookup(k, now), Lookup::Hit(_)))
-            .count();
+        let hits = (0..64u64).filter(|k| cache.lookup(k).is_some()).count();
         assert!(hits >= 32);
     }
 
@@ -501,19 +410,18 @@ mod tests {
             for t in 0..4u64 {
                 let cache = std::sync::Arc::clone(&cache);
                 scope.spawn(move || {
-                    let now = Instant::now();
                     for i in 0..1000u64 {
                         let key = (t * 31 + i) % 97;
-                        match cache.lookup(&key, now) {
-                            Lookup::Hit(v) => assert_eq!(v, key * 2),
-                            _ => cache.insert(key, key * 2, now),
+                        match cache.lookup(&key) {
+                            Some(v) => assert_eq!(v, key * 2),
+                            None => cache.insert(key, key * 2),
                         }
                     }
                 });
             }
         });
         let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses + stats.expired, 4000);
+        assert_eq!(stats.hits + stats.misses, 4000);
         assert!(stats.len <= 97);
     }
 }

@@ -9,14 +9,14 @@
 //!   TTL ([`Deadline::within`]) or an absolute [`std::time::Instant`];
 //! * [`Qos`] — the per-submission bundle of both;
 //! * [`RetryPolicy`] — capped exponential backoff with deterministic
-//!   seeded jitter, and [`RetryBudget`] — per-class pools of retry
-//!   attempts so one class's failing traffic cannot starve the others;
+//!   seeded jitter, bounded by a total attempt count;
 //! * [`MultiLevelQueue`] — a strict-priority submission queue with
 //!   per-class bounds and deadline-aware victim selection
 //!   (shedding evicts already-dead work before sacrificing anything
 //!   still viable);
 //! * [`ResultCache`] — a sharded, lock-striped, O(1) LRU result cache
-//!   with optional entry TTL and hit/miss/expired accounting.
+//!   with hit/miss/eviction accounting; an entry lives until eviction,
+//!   so callers put the version of their data into the key.
 //!
 //! The crate is deliberately **dependency-free and generic**: the queue
 //! holds any item type and the cache any `Hash + Eq` key, so the
@@ -35,9 +35,9 @@ mod queue;
 mod retry;
 mod spec;
 
-pub use cache::{CacheConfig, CacheStats, Lookup, ResultCache};
+pub use cache::{CacheConfig, CacheStats, ResultCache};
 pub use deadline::Deadline;
 pub use priority::Priority;
 pub use queue::MultiLevelQueue;
-pub use retry::{RetryBudget, RetryPolicy};
+pub use retry::RetryPolicy;
 pub use spec::Qos;

@@ -1,8 +1,5 @@
-//! Retry pacing and per-class retry budgets: [`RetryPolicy`],
-//! [`RetryBudget`].
+//! Retry pacing: [`RetryPolicy`].
 
-use crate::priority::Priority;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// SplitMix64 finalizer — deterministic jitter needs no RNG state.
@@ -123,64 +120,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Per-class retry budgets: a shared pool of retry *attempts* each
-/// priority class may spend, so a Background storm of failing queries
-/// cannot monopolize workers with backoff-sleeps that Interactive
-/// traffic then queues behind.
-///
-/// A limit of `0` means unlimited. Charging is lock-free (one CAS per
-/// retry); once a class's pool is exhausted, its jobs skip the ladder
-/// and degrade (or fail) immediately.
-#[derive(Debug)]
-pub struct RetryBudget {
-    limits: [u64; Priority::COUNT],
-    spent: [AtomicU64; Priority::COUNT],
-}
-
-impl RetryBudget {
-    /// A budget with the given per-class attempt limits (`0` =
-    /// unlimited), indexed by [`Priority::index`].
-    pub fn new(limits: [u64; Priority::COUNT]) -> Self {
-        RetryBudget {
-            limits,
-            spent: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    /// An unlimited budget for every class.
-    pub fn unlimited() -> Self {
-        RetryBudget::new([0; Priority::COUNT])
-    }
-
-    /// Tries to charge one retry attempt to `class`: `true` and counted
-    /// when the class still has budget, `false` (and not counted) once
-    /// its pool is dry.
-    pub fn try_charge(&self, class: Priority) -> bool {
-        let i = class.index();
-        let limit = self.limits[i];
-        if limit == 0 {
-            self.spent[i].fetch_add(1, Ordering::Relaxed);
-            return true;
-        }
-        self.spent[i]
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |spent| {
-                (spent < limit).then_some(spent + 1)
-            })
-            .is_ok()
-    }
-
-    /// Retry attempts charged to `class` so far.
-    pub fn spent(&self, class: Priority) -> u64 {
-        self.spent[class.index()].load(Ordering::Relaxed)
-    }
-
-    /// Attempts left for `class`, `None` when unlimited.
-    pub fn remaining(&self, class: Priority) -> Option<u64> {
-        let i = class.index();
-        (self.limits[i] != 0).then(|| self.limits[i] - self.spent[i].load(Ordering::Relaxed))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,46 +153,5 @@ mod tests {
             distinct.insert(b);
         }
         assert!(distinct.len() > 16, "jitter should spread across keys");
-    }
-
-    #[test]
-    fn budget_charges_until_dry_per_class() {
-        let budget = RetryBudget::new([2, 0, 1]);
-        assert!(budget.try_charge(Priority::Interactive));
-        assert!(budget.try_charge(Priority::Interactive));
-        assert!(!budget.try_charge(Priority::Interactive));
-        assert_eq!(budget.spent(Priority::Interactive), 2);
-        assert_eq!(budget.remaining(Priority::Interactive), Some(0));
-        // Unlimited class never refuses but still counts.
-        for _ in 0..100 {
-            assert!(budget.try_charge(Priority::Batch));
-        }
-        assert_eq!(budget.spent(Priority::Batch), 100);
-        assert_eq!(budget.remaining(Priority::Batch), None);
-        // Classes are independent pools.
-        assert!(budget.try_charge(Priority::Background));
-        assert!(!budget.try_charge(Priority::Background));
-    }
-
-    #[test]
-    fn budget_is_exact_under_contention() {
-        let budget = std::sync::Arc::new(RetryBudget::new([0, 1000, 0]));
-        let granted: u64 = std::thread::scope(|s| {
-            (0..8)
-                .map(|_| {
-                    let budget = std::sync::Arc::clone(&budget);
-                    s.spawn(move || {
-                        (0..1000)
-                            .filter(|_| budget.try_charge(Priority::Batch))
-                            .count() as u64
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .sum()
-        });
-        assert_eq!(granted, 1000);
-        assert_eq!(budget.spent(Priority::Batch), 1000);
     }
 }

@@ -1,5 +1,5 @@
-//! Server tuning knobs: [`ServeConfig`], [`Backpressure`],
-//! [`ShutdownMode`], and [`Degradation`].
+//! Server tuning knobs: [`ServeConfig`], [`Backpressure`] and
+//! [`ShutdownMode`].
 
 use tnn_qos::{CacheConfig, Priority, RetryPolicy};
 use tnn_trace::TraceConfig;
@@ -42,34 +42,6 @@ pub enum ShutdownMode {
     /// worker run to completion. Deterministic: when `shutdown` returns,
     /// every admitted ticket has resolved one way or the other.
     Cancel,
-}
-
-/// What a worker does when the retry ladder gives up on a query whose
-/// channels stay unreachable ([`tnn_core::TnnError::ChannelUnavailable`]
-/// after [`RetryPolicy::max_attempts`], or an exhausted per-class retry
-/// budget).
-///
-/// Both fallback modes run outside the fault schedule (they model tuning
-/// to a replica carrier the plan does not cover), tag the outcome
-/// [`tnn_core::QueryOutcome::degraded`], and **never** store it in the
-/// result cache: a degraded answer must not be replayed under a
-/// full-fidelity [`tnn_core::QueryKey`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Degradation {
-    /// No fallback: the ticket resolves with the final
-    /// [`tnn_core::TnnError::ChannelUnavailable`]. The default — opting
-    /// into degraded answers is an explicit choice.
-    #[default]
-    Fail,
-    /// Fall back to [`tnn_core::Algorithm::ApproximateTnn`] for
-    /// TNN-kind queries (the paper's estimate-free pipeline: cheapest
-    /// possible tune-in, may fail on skewed data); other query kinds
-    /// have no approximate variant and fall back replica-style.
-    Approximate,
-    /// Re-run the query at full fidelity against a replica carrier:
-    /// same bytes as the primary would have produced, tagged degraded
-    /// because it was not served by the scheduled channels.
-    Replica,
 }
 
 /// Configuration for [`crate::Server::spawn`].
@@ -124,10 +96,9 @@ pub struct ServeConfig {
     /// ([`tnn_core::TnnError::ChannelUnavailable`]). Retries never
     /// outlive the submitter's deadline: the ladder re-checks it before
     /// every attempt and bounds each backoff sleep by the time left.
+    /// A ladder that spends [`RetryPolicy::max_attempts`] fails closed:
+    /// the ticket resolves with the last `ChannelUnavailable`.
     pub retry: RetryPolicy,
-    /// The fallback once the retry ladder gives up (default:
-    /// [`Degradation::Fail`]).
-    pub degradation: Degradation,
     /// Upper bound on worker respawns, cumulative across the pool: a
     /// worker whose serving round panics (an injected kill, or a bug
     /// outside the per-job isolation) restarts in place until the pool
@@ -135,17 +106,11 @@ pub struct ServeConfig {
     /// the server closed (emergency cancel) — endless respawn would
     /// mask a crash loop.
     pub max_worker_restarts: u32,
-    /// Per-class pools of retry attempts, indexed by
-    /// [`Priority::index`]; `0` (the default) means unlimited. A bounded
-    /// Background pool keeps a storm of failing best-effort queries
-    /// from occupying workers with backoff sleeps that Interactive
-    /// traffic then queues behind.
-    pub retry_budget: [u64; Priority::COUNT],
     /// Cross-layer query tracing ([`TraceConfig::Off`] by default).
     /// When on, workers stamp per-query phase spans (admission wait,
     /// queue residency, cache probe, engine run, retry backoff) and a
     /// bounded [`tnn_trace::FlightRecorder`] retains the slowest and
-    /// every degraded-or-errored [`tnn_trace::QueryTrace`]
+    /// every errored or retried [`tnn_trace::QueryTrace`]
     /// ([`crate::Server::recorder`]). Tracing observes and never
     /// steers: delivered outcomes and [`crate::ServeStats`] counters
     /// are byte-identical either way (gated by
@@ -155,9 +120,9 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// The default configuration: one worker per available CPU, a
-    /// 1024-slot lane per class, [`Backpressure::Block`],
-    /// expired-first shedding, the default result cache, and a 16-job
-    /// batch window.
+    /// 1024-slot lane per class, [`Backpressure::Block`], the default
+    /// result cache, a 16-job batch window, the default
+    /// [`RetryPolicy`], at most 32 worker restarts, and tracing off.
     pub fn new() -> Self {
         ServeConfig {
             workers: std::thread::available_parallelism()
@@ -169,9 +134,7 @@ impl ServeConfig {
             cache: CacheConfig::new(),
             batch_window: 16,
             retry: RetryPolicy::new(),
-            degradation: Degradation::Fail,
             max_worker_restarts: 32,
-            retry_budget: [0; Priority::COUNT],
             trace: TraceConfig::Off,
         }
     }
@@ -219,22 +182,9 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the exhausted-retries fallback.
-    pub fn degradation(mut self, mode: Degradation) -> Self {
-        self.degradation = mode;
-        self
-    }
-
     /// Sets the pool-wide worker-respawn bound.
     pub fn max_worker_restarts(mut self, restarts: u32) -> Self {
         self.max_worker_restarts = restarts;
-        self
-    }
-
-    /// Bounds one class's pool of retry attempts (`0` restores
-    /// unlimited).
-    pub fn retry_budget(mut self, class: Priority, attempts: u64) -> Self {
-        self.retry_budget[class.index()] = attempts;
         self
     }
 
@@ -277,9 +227,7 @@ mod tests {
             .cache(CacheConfig::disabled())
             .batch_window(5)
             .retry(RetryPolicy::NONE.max_attempts(9))
-            .degradation(Degradation::Approximate)
             .max_worker_restarts(2)
-            .retry_budget(Priority::Background, 64)
             .trace(TraceConfig::on());
         assert_eq!(cfg.workers, 3);
         assert_eq!(cfg.queue_capacity, 7);
@@ -287,16 +235,11 @@ mod tests {
         assert!(!cfg.cache.enabled);
         assert_eq!(cfg.batch_window, 5);
         assert_eq!(cfg.retry.max_attempts, 9);
-        assert_eq!(cfg.degradation, Degradation::Approximate);
         assert_eq!(cfg.max_worker_restarts, 2);
-        assert_eq!(cfg.retry_budget[Priority::Background.index()], 64);
         assert!(cfg.trace.is_on());
         assert!(ServeConfig::new().workers >= 1);
         assert_eq!(ServeConfig::new().backpressure, Backpressure::Block);
         assert!(ServeConfig::new().cache.enabled);
-        // Fault-free defaults: no degradation, unlimited retry pools.
-        assert_eq!(ServeConfig::new().degradation, Degradation::Fail);
-        assert_eq!(ServeConfig::new().retry_budget, [0; Priority::COUNT]);
         assert!(ServeConfig::new().retry.max_attempts > 1);
         // Tracing is opt-in: plain spawns keep the exact untraced path.
         assert!(!ServeConfig::new().trace.is_on());

@@ -34,7 +34,10 @@
 //!   ticket inside `submit`, touching no worker) and again at dequeue
 //!   (duplicates queued behind their first occurrence skip the engine)
 //!   — with bytes identical to a fresh engine run, because the engine
-//!   is deterministic in exactly the keyed fields.
+//!   is deterministic in exactly the keyed fields. An entry lives until
+//!   LRU eviction: the key carries the environment's epoch and
+//!   fingerprint, so an entry written before [`Server::swap_env`]
+//!   misses after it.
 //! * Full lanes apply an explicit [`Backpressure`] policy —
 //!   [`Backpressure::Block`] the caller, [`Backpressure::Reject`] with
 //!   [`tnn_core::TnnError::Overloaded`], or [`Backpressure::Shed`]
@@ -48,11 +51,12 @@
 //!   returns, every admitted ticket has resolved.
 //! * [`Server::spawn_with_faults`] runs the same pool under a
 //!   deterministic [`FaultPlan`]: injected tune-in failures enter a
-//!   deadline-aware retry ladder ([`RetryPolicy`], per-class
-//!   [`RetryBudget`]), exhausted ladders fall back per [`Degradation`]
-//!   (outcomes tagged degraded, never cached), injected engine panics
-//!   resolve [`tnn_core::TnnError::Internal`] behind a panic boundary,
-//!   and killed workers respawn in place (bounded by
+//!   deadline-aware retry ladder ([`RetryPolicy`]) that fails closed —
+//!   a ladder that spends [`RetryPolicy::max_attempts`] resolves
+//!   [`tnn_core::TnnError::ChannelUnavailable`], and errors are never
+//!   cached — injected engine panics resolve
+//!   [`tnn_core::TnnError::Internal`] behind a panic boundary, and
+//!   killed workers respawn in place (bounded by
 //!   [`ServeConfig::max_worker_restarts`]). See `docs/ROBUSTNESS.md`.
 //!
 //! ## Guarantees
@@ -63,10 +67,14 @@
 //! of the same query. The property gates live in
 //! `crates/bench/tests/serve_equivalence.rs` (scheduling) and
 //! `crates/bench/tests/qos_equivalence.rs` (cache hits, within-class
-//! FIFO order); the ticket-conservation invariant
-//! ([`ServeStats::conserved`] — now per class, with every completion
-//! classified by exactly one cache outcome) is stress-tested in
-//! `crates/bench/tests/serve_stress.rs`.
+//! FIFO order). The ticket-conservation invariant
+//! ([`ServeStats::conserved`] — per class, with every completion
+//! classified by exactly one cache outcome) holds on every snapshot.
+//! Its deterministic checks are `crates/bench/tests/stats_conservation.rs`
+//! and `crates/serve/tests/server.rs::block_wait_keeps_every_snapshot_conserved`,
+//! which covers the window (a submitter waiting under
+//! [`Backpressure::Block`]) that the soaks of
+//! `crates/bench/tests/serve_stress.rs` rarely reach.
 
 #![warn(missing_docs)]
 
@@ -75,7 +83,7 @@ pub mod faults;
 mod server;
 mod ticket;
 
-pub use config::{Backpressure, Degradation, ServeConfig, ShutdownMode};
+pub use config::{Backpressure, ServeConfig, ShutdownMode};
 pub use server::{ClassStats, ServeStats, Server};
 pub use ticket::Ticket;
 
@@ -92,7 +100,7 @@ pub use tnn_trace::{
 
 // The QoS vocabulary callers need to speak the submission API, re-
 // exported so `tnn_serve` alone suffices for everyday serving code.
-pub use tnn_qos::{CacheConfig, CacheStats, Deadline, Priority, Qos, RetryBudget, RetryPolicy};
+pub use tnn_qos::{CacheConfig, CacheStats, Deadline, Priority, Qos, RetryPolicy};
 
 // The fault vocabulary for chaos-mode servers ([`Server::spawn_with_faults`]).
 pub use faults::{ChannelFaults, FaultPlan, FaultStats, FaultyChannelView, TuneIn};

@@ -1,15 +1,14 @@
 //! The worker-pool server: strict-priority multi-level submission queue,
 //! deadline enforcement, backpressure, an admission-time result cache,
 //! micro-batched dispatch, fault-schedule execution (retry ladder,
-//! degradation, panic isolation, worker respawn), and deterministic
-//! shutdown.
+//! panic isolation, worker respawn), and deterministic shutdown.
 
 #![expect(
     clippy::disallowed_methods,
     reason = "deadline checks, latency histograms and retry backoff measure real elapsed time; fault decisions stay pure functions of (seed, channel, seq, attempt)"
 )]
 
-use crate::config::{Backpressure, Degradation, ServeConfig, ShutdownMode};
+use crate::config::{Backpressure, ServeConfig, ShutdownMode};
 use crate::faults::{FaultInjector, FaultPlan, FaultStats};
 use crate::ticket::{Ticket, TicketCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -17,8 +16,8 @@ use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tnn_broadcast::MultiChannelEnv;
-use tnn_core::{Algorithm, Query, QueryEngine, QueryKey, QueryOutcome, QueryScratch, TnnError};
-use tnn_qos::{Deadline, Lookup, MultiLevelQueue, Priority, Qos, ResultCache, RetryBudget};
+use tnn_core::{Query, QueryEngine, QueryKey, QueryOutcome, QueryScratch, TnnError};
+use tnn_qos::{Deadline, MultiLevelQueue, Priority, Qos, ResultCache};
 use tnn_trace::lock::{LockRank, OrderedMutex, OrderedMutexGuard};
 use tnn_trace::{FlightRecorder, LatencyHistogram, MetricsRegistry, QueryTrace, SpanKind};
 
@@ -59,11 +58,6 @@ tnn_trace::stats! {
         /// Retry attempts charged to this class: each time a job's tune-in
         /// failed recoverably and the ladder paused to try again.
         pub retried: u64 => "tnn_serve_retried_total", "Retry attempts charged to the class",
-        /// Completions answered by a degradation fallback (the delivered
-        /// [`QueryOutcome`] carries `degraded = true`). A subset of
-        /// [`ClassStats::completed`].
-        pub degraded: u64 => "tnn_serve_degraded_total",
-            "Completions answered by a degradation fallback",
         /// Submission-to-resolution latency of this class's completions
         /// (log₂ µs buckets; see [`LatencyHistogram`]). Jobs resolved by
         /// panic-unwind accounting are counted in `completed` but carry no
@@ -74,8 +68,7 @@ tnn_trace::stats! {
 
 impl ClassStats {
     /// Per-class ticket conservation: every submission naming this class
-    /// is accounted for exactly once, and degraded completions never
-    /// exceed completions (they are a subset).
+    /// is accounted for exactly once.
     pub fn conserved(&self) -> bool {
         let ClassStats {
             submitted,
@@ -90,13 +83,11 @@ impl ClassStats {
             // Retry attempts obey no identity: one job may retry any
             // number of times.
             retried: _,
-            degraded,
             // Bounded by `completed` in [`ServeStats::conserved`].
             latency: _,
         } = *self;
         submitted == accepted + rejected
             && accepted == completed + shed + cancelled + expired + queued as u64 + in_flight as u64
-            && degraded <= completed
     }
 }
 
@@ -140,21 +131,13 @@ tnn_trace::stats! {
         /// (the outcome was then stored).
         pub cache_misses: u64 => "tnn_serve_cache_misses_total",
             "Completions that ran the engine on a cache miss",
-        /// Completions that ran the engine because the cache entry's TTL had
-        /// elapsed (the outcome re-stored, refreshing the entry).
-        pub cache_expired: u64 => "tnn_serve_cache_expired_total",
-            "Completions that refreshed a TTL-expired cache entry",
         /// Completions that never touched the cache: caching disabled, a
         /// degenerate (`k < 2`) environment, an error outcome (errors are
-        /// never cached), a degraded outcome (fallback answers must not be
-        /// replayed under a full-fidelity key), or a job abandoned by a
-        /// dying worker.
+        /// never cached), or a job abandoned by a dying worker.
         pub cache_bypass: u64 => "tnn_serve_cache_bypass_total",
             "Completions that never touched the cache",
         /// Total retry attempts over all classes.
         pub retried: u64,
-        /// Total degraded completions over all classes.
-        pub degraded: u64,
         /// Worker serving rounds that panicked and respawned in place (an
         /// injected kill, or a bug that escaped per-job isolation). Bounded
         /// by [`ServeConfig::max_worker_restarts`]; beyond the bound the
@@ -176,8 +159,7 @@ impl ServeStats {
     /// 2. the same holds within every priority class, and the classes
     ///    sum to the totals;
     /// 3. every completion is classified by exactly one cache outcome
-    ///    (`completed = cache_hits + cache_misses + cache_expired +
-    ///    cache_bypass`).
+    ///    (`completed = cache_hits + cache_misses + cache_bypass`).
     ///
     /// Holds for every snapshot; after a shutdown `queued` and
     /// `in_flight` are 0, so clause 1 reduces to `submitted = rejected +
@@ -195,11 +177,9 @@ impl ServeStats {
             in_flight,
             cache_hits,
             cache_misses,
-            cache_expired,
             cache_bypass,
             // Class sums, checked by the `retotaled` comparison.
             retried: _,
-            degraded: _,
             // Observability: the fail-closed bound on restarts is
             // enforced by `max_worker_restarts` at respawn time.
             worker_restarts: _,
@@ -208,7 +188,7 @@ impl ServeStats {
         *self == self.retotaled()
             && submitted == accepted + rejected
             && accepted == completed + shed + cancelled + expired + queued as u64 + in_flight as u64
-            && completed == cache_hits + cache_misses + cache_expired + cache_bypass
+            && completed == cache_hits + cache_misses + cache_bypass
             && classes
                 .iter()
                 .all(|c| c.conserved() && c.latency.count() <= c.completed)
@@ -229,7 +209,6 @@ impl ServeStats {
             queued,
             in_flight,
             retried,
-            degraded,
             latency: _,
         } = ClassStats::fold(&self.classes);
         ServeStats {
@@ -243,7 +222,6 @@ impl ServeStats {
             queued,
             in_flight,
             retried,
-            degraded,
             ..self
         }
     }
@@ -288,9 +266,6 @@ struct Job {
     /// The query's cache identity — `Some` exactly when the result cache
     /// will be consulted for it (cache enabled, cacheable environment).
     key: Option<QueryKey>,
-    /// The admission probe found a TTL-expired entry: this run refreshes
-    /// it (classified `cache_expired`, not `cache_misses`).
-    refresh: bool,
     /// Admission sequence number — the logical clock every fault
     /// decision is keyed by (see [`FaultPlan`]), assigned under the
     /// state lock at enqueue.
@@ -350,11 +325,10 @@ enum Settlement {
 /// completion, the third clause of [`ServeStats::conserved`].
 enum CacheUse {
     Hit,
+    /// The engine ran on a miss and its answer was stored.
     Miss,
-    /// The run refreshed a TTL-expired entry.
-    Refresh,
-    /// The cache was never touched (disabled, keyless, or an error or
-    /// degraded outcome, which are never stored).
+    /// The cache was never touched (disabled, keyless, or an error
+    /// outcome, which is never stored).
     Bypass,
 }
 
@@ -363,10 +337,10 @@ impl Inner {
     /// [`Job`]'s drop-time safety net. Resolves the cell and books
     /// exactly one terminal counter of `class` into `stats`: the live
     /// counters at admission and shutdown, a [`BatchGuard`]'s batch
-    /// tally at dispatch. A completion also books its cache class, its
-    /// degraded flag and a latency sample. `trace` (worker-settled jobs
-    /// under tracing) is stamped with the result and offered to the
-    /// flight recorder once the ticket resolved.
+    /// tally at dispatch. A completion also books its cache class and a
+    /// latency sample. `trace` (worker-settled jobs under tracing) is
+    /// stamped with the result and offered to the flight recorder once
+    /// the ticket resolved.
     fn settle(
         &self,
         stats: &mut ServeStats,
@@ -379,13 +353,9 @@ impl Inner {
         let (result, completed) = match settlement {
             Settlement::Completed(result, cache) => {
                 counters.completed += 1;
-                if matches!(&result, Ok(outcome) if outcome.degraded) {
-                    counters.degraded += 1;
-                }
                 *match cache {
                     CacheUse::Hit => &mut stats.cache_hits,
                     CacheUse::Miss => &mut stats.cache_misses,
-                    CacheUse::Refresh => &mut stats.cache_expired,
                     CacheUse::Bypass => &mut stats.cache_bypass,
                 } += 1;
                 (result, true)
@@ -408,13 +378,11 @@ impl Inner {
             }
         };
         if let Some(t) = trace.as_mut() {
-            // The engine's paper-native cost counters — tune-in pages,
-            // node visits, delayed-pruning hits, the `(H−1)(M−1)`-bounded
-            // peak queue — and the degradation flag of a delivered
-            // answer.
+            // The engine's paper-native cost counters of a delivered
+            // answer — tune-in pages, node visits, delayed-pruning hits,
+            // the `(H−1)(M−1)`-bounded peak queue.
             match &result {
                 Ok(outcome) => {
-                    t.degraded = outcome.degraded;
                     t.node_visits = outcome.node_visits();
                     t.prune_hits = outcome.prune_hits();
                     t.peak_queue = outcome.peak_queue();
@@ -461,8 +429,6 @@ struct Inner {
     /// spawned without one (the plain [`Server::spawn`] path keeps the
     /// exact PR 5 hot path — not even a zero-plan probe per job).
     faults: Option<FaultInjector>,
-    /// Per-class retry-attempt pools ([`ServeConfig::retry_budget`]).
-    budget: RetryBudget,
     /// The slow-query flight recorder; `Some` exactly when
     /// [`ServeConfig::trace`] is on. Workers record each executed
     /// job's [`QueryTrace`] here *after* resolving its ticket, holding
@@ -552,10 +518,10 @@ impl Server {
     /// execution attempt a worker probes every channel through the
     /// plan; a drop or outage surfaces as
     /// [`TnnError::ChannelUnavailable`] and enters the retry ladder
-    /// ([`ServeConfig::retry`], then [`ServeConfig::degradation`]);
-    /// injected engine panics resolve only their own ticket
-    /// ([`TnnError::Internal`]); injected worker kills unwind a whole
-    /// serving round and exercise in-place respawn
+    /// ([`ServeConfig::retry`]), which fails closed with that error
+    /// once its attempts are spent; injected engine panics resolve only
+    /// their own ticket ([`TnnError::Internal`]); injected worker kills
+    /// unwind a whole serving round and exercise in-place respawn
     /// ([`ServeStats::worker_restarts`]). A zero plan injects nothing:
     /// outcomes are byte-identical to a plain [`Server::spawn_engine`]
     /// (gated by `crates/bench/tests/fault_equivalence.rs`). Read the
@@ -597,7 +563,6 @@ impl Server {
             space: Condvar::new(),
             cache,
             faults,
-            budget: RetryBudget::new(config.retry_budget),
             recorder,
             config,
         });
@@ -813,7 +778,6 @@ impl Server {
             cell: TicketCell::new(),
             submitted_at,
         };
-        let mut refresh = false;
         // `Some` settles the ticket at the door; `None` enqueues it.
         let settled = 'decide: {
             if state.shutdown.is_some() {
@@ -826,17 +790,10 @@ impl Server {
                 break 'decide Some(Settlement::Expired);
             }
             // Admission-time cache probe: a hit completes right here —
-            // byte-identical bytes, zero queue traffic. Probed at a fresh
-            // `now`, not `submitted_at`: a batch stamp can be arbitrarily
-            // stale after a mid-batch Block wait, and TTL expiry must be
-            // judged against the present.
+            // byte-identical bytes, zero queue traffic.
             if let (Some(cache), Some(candidate)) = (&self.inner.cache, &key) {
-                match cache.lookup(candidate, Instant::now()) {
-                    Lookup::Hit(outcome) => {
-                        break 'decide Some(Settlement::Completed(Ok(outcome), CacheUse::Hit));
-                    }
-                    Lookup::Expired => refresh = true,
-                    Lookup::Miss => {}
+                if let Some(outcome) = cache.lookup(candidate) {
+                    break 'decide Some(Settlement::Completed(Ok(outcome), CacheUse::Hit));
                 }
             }
             let capacity = self.inner.config.lane_capacity(class);
@@ -925,7 +882,6 @@ impl Server {
                 class,
                 deadline: qos.deadline,
                 key,
-                refresh,
                 seq,
                 enqueued_at: self.inner.recorder.is_some().then(Instant::now),
             },
@@ -960,7 +916,7 @@ impl Server {
 
     /// The slow-query flight recorder, `None` unless
     /// [`ServeConfig::trace`] is on. Holds the N slowest and every
-    /// degraded-or-errored [`QueryTrace`] of worker-executed jobs
+    /// errored or retried [`QueryTrace`] of worker-executed jobs
     /// (admission-time cache hits and refusals resolve without a
     /// worker and are counted in [`ServeStats`] only).
     pub fn recorder(&self) -> Option<&FlightRecorder> {
@@ -1105,8 +1061,8 @@ struct InjectedKill;
 
 /// What one execution of a job produced.
 enum Executed {
-    /// The job ran (possibly after retries, possibly degraded, possibly
-    /// to an error). `retries` counts the backoff pauses actually taken.
+    /// The job ran (possibly after retries, possibly to an error).
+    /// `retries` counts the backoff pauses actually taken.
     Done {
         result: Result<QueryOutcome, TnnError>,
         retries: u64,
@@ -1150,8 +1106,8 @@ fn worker_loop(inner: &Inner, engine: &QueryEngine) {
 /// The serving rounds of one worker: wait for jobs, pop a micro-batch of
 /// up to [`ServeConfig::batch_window`] in strict priority order, execute
 /// it against a thread-local scratch (skipping jobs whose deadline
-/// passed while queued, filling the result cache with fresh
-/// non-degraded outcomes), resolve each ticket, repeat until shutdown.
+/// passed while queued, filling the result cache with fresh answers),
+/// resolve each ticket, repeat until shutdown.
 /// May unwind mid-batch under an injected worker kill; [`worker_loop`]
 /// catches and respawns.
 fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
@@ -1250,12 +1206,10 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
             // since admission: the job probes and fills the cache under
             // the identity of the environment it actually runs on (the
             // admission-time key would miss forever and, worse, write
-            // an entry no future submission could ever hit). A re-stamp
-            // also clears the refresh flag — the expired entry it
-            // described belongs to the dead epoch.
-            let (key, mut refresh) = match &job.key {
-                Some(key) if !key.matches_env(&env) => (Some(job.query.cache_key(&env)), false),
-                other => (other.clone(), job.refresh),
+            // an entry no future submission could ever hit).
+            let key = match &job.key {
+                Some(key) if !key.matches_env(&env) => Some(job.query.cache_key(&env)),
+                other => other.clone(),
             };
             // Second cache probe, at dequeue: duplicates that were still
             // queued behind their first occurrence (an admission probe
@@ -1263,67 +1217,45 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
             // holds the queue lock across the whole batch) hit here
             // instead of re-running the engine. A hit also skips the
             // fault schedule entirely: a cached answer needs no tune-in.
-            let cacheable = match (&key, &inner.cache) {
-                (Some(key), Some(cache)) => {
-                    let probe_started = trace.as_ref().map(|_| Instant::now());
-                    let looked = cache.lookup(key, now);
-                    if let (Some(t), Some(started)) = (trace.as_mut(), probe_started) {
-                        t.span(
-                            SpanKind::CacheProbe,
-                            Instant::now().saturating_duration_since(started),
-                        );
-                    }
-                    match looked {
-                        Lookup::Hit(outcome) => {
-                            let hit = Settlement::Completed(Ok(outcome), CacheUse::Hit);
-                            inner.settle(&mut guard.booked, job.class, &job.ticket, hit, trace);
-                            continue;
-                        }
-                        lookup => {
-                            refresh = refresh || matches!(lookup, Lookup::Expired);
-                            true
-                        }
-                    }
+            // A keyless (or cacheless) job never consults the cache.
+            if let (Some(key), Some(cache)) = (&key, &inner.cache) {
+                let probe_started = trace.as_ref().map(|_| Instant::now());
+                let looked = cache.lookup(key);
+                if let (Some(t), Some(started)) = (trace.as_mut(), probe_started) {
+                    t.span(
+                        SpanKind::CacheProbe,
+                        Instant::now().saturating_duration_since(started),
+                    );
                 }
-                // A keyless (or cacheless) job never consults the cache.
-                _ => false,
-            };
+                if let Some(outcome) = looked {
+                    let hit = Settlement::Completed(Ok(outcome), CacheUse::Hit);
+                    inner.settle(&mut guard.booked, job.class, &job.ticket, hit, trace);
+                    continue;
+                }
+            }
             let run_started = trace.as_ref().map(|_| Instant::now());
-            let mut ladder = LadderTimings::default();
-            let executed = run_job(inner, engine, &env, &job, &mut scratch, &mut ladder);
+            let mut backoff = Duration::ZERO;
+            let executed = run_job(inner, engine, &env, &job, &mut scratch, &mut backoff);
             if let (Some(t), Some(started)) = (trace.as_mut(), run_started) {
                 let elapsed = Instant::now().saturating_duration_since(started);
-                t.span(
-                    SpanKind::EngineRun,
-                    elapsed
-                        .saturating_sub(ladder.backoff)
-                        .saturating_sub(ladder.degraded),
-                );
-                if !ladder.backoff.is_zero() {
-                    t.span(SpanKind::RetryBackoff, ladder.backoff);
-                }
-                if !ladder.degraded.is_zero() {
-                    t.span(SpanKind::Degradation, ladder.degraded);
+                t.span(SpanKind::EngineRun, elapsed.saturating_sub(backoff));
+                if !backoff.is_zero() {
+                    t.span(SpanKind::RetryBackoff, backoff);
                 }
             }
             let (settlement, retries, attempts) = match executed {
                 Executed::Expired { retries } => (Settlement::Expired, retries, retries),
                 Executed::Done { result, retries } => {
-                    // `cacheable` implies a key and a cache were present
-                    // at dispatch; matching on all three keeps the
-                    // worker panic-free if that coupling ever breaks.
+                    // The miss was probed above under the same key and
+                    // cache, so the answer is stored where it missed.
                     let cache_use = match (&result, &key, &inner.cache) {
-                        (Ok(outcome), Some(key), Some(cache)) if cacheable && !outcome.degraded => {
-                            cache.insert(key.clone(), outcome.clone(), Instant::now());
-                            if refresh {
-                                CacheUse::Refresh
-                            } else {
-                                CacheUse::Miss
-                            }
+                        (Ok(outcome), Some(key), Some(cache)) => {
+                            cache.insert(key.clone(), outcome.clone());
+                            CacheUse::Miss
                         }
-                        // Errors and degraded outcomes are never cached:
-                        // a transient fault must not mask the exact
-                        // answer a later healthy run would produce.
+                        // Errors are never cached: a transient fault must
+                        // not mask the exact answer a later healthy run
+                        // would produce.
                         _ => CacheUse::Bypass,
                     };
                     (
@@ -1344,16 +1276,6 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
     engine.recycle(scratch);
 }
 
-/// Off-engine wall time [`run_job`] spent in the retry ladder,
-/// accumulated for span stamping: backoff sleeps between attempts, and
-/// the degraded-fallback run. The engine-run span is the run's elapsed
-/// time minus these.
-#[derive(Default)]
-struct LadderTimings {
-    backoff: Duration,
-    degraded: Duration,
-}
-
 /// Executes one job under the server's fault schedule and retry policy.
 ///
 /// Fault-free servers take a single straight-line engine run — the exact
@@ -1361,17 +1283,19 @@ struct LadderTimings {
 /// every channel tune-in first; a recoverable
 /// [`TnnError::ChannelUnavailable`] enters the retry ladder (capped
 /// exponential backoff with deterministic jitter, bounded by
-/// [`tnn_qos::RetryPolicy::max_attempts`], the per-class
-/// [`RetryBudget`], and the job's deadline — a retry never outlives the
-/// submitter's deadline), and exhausting the ladder falls through to the
-/// configured [`Degradation`].
+/// [`tnn_qos::RetryPolicy::max_attempts`] and the job's deadline — a
+/// retry never outlives the submitter's deadline). A ladder that spends
+/// its attempts fails closed with the last `ChannelUnavailable`; one
+/// that meets the deadline first resolves [`Executed::Expired`]. The
+/// backoff sleeps are added to `backoff`, so the caller's engine-run
+/// span can leave them out.
 fn run_job(
     inner: &Inner,
     engine: &QueryEngine,
     env: &MultiChannelEnv,
     job: &Job,
     scratch: &mut QueryScratch,
-    timings: &mut LadderTimings,
+    backoff: &mut Duration,
 ) -> Executed {
     let Some(faults) = &inner.faults else {
         return Executed::Done {
@@ -1396,15 +1320,11 @@ fn run_job(
             }
             Err(err) => {
                 attempt += 1;
-                let can_retry =
-                    attempt < policy.max_attempts.max(1) && inner.budget.try_charge(job.class);
-                if !can_retry {
-                    let fallback_started = inner.recorder.as_ref().map(|_| Instant::now());
-                    let result = degrade(inner, engine, env, job, scratch, err);
-                    if let Some(started) = fallback_started {
-                        timings.degraded += Instant::now().saturating_duration_since(started);
-                    }
-                    return Executed::Done { result, retries };
+                if attempt >= policy.max_attempts.max(1) {
+                    return Executed::Done {
+                        result: Err(err),
+                        retries,
+                    };
                 }
                 retries += 1;
                 let mut pause = policy.backoff(attempt, job.seq);
@@ -1413,7 +1333,7 @@ fn run_job(
                 }
                 if !pause.is_zero() {
                     std::thread::sleep(pause);
-                    timings.backoff += pause;
+                    *backoff += pause;
                 }
             }
         }
@@ -1447,30 +1367,4 @@ fn run_isolated(
             Err(TnnError::Internal)
         }
     }
-}
-
-/// The last rung of the ladder: what a job does once retries are
-/// exhausted. Fallback runs execute *outside* the fault schedule (they
-/// model a replica or a cheaper code path that does not contend for the
-/// faulty channels), and any outcome they produce is tagged
-/// [`QueryOutcome::degraded`] — delivered to the client, never cached.
-fn degrade(
-    inner: &Inner,
-    engine: &QueryEngine,
-    env: &MultiChannelEnv,
-    job: &Job,
-    scratch: &mut QueryScratch,
-    err: TnnError,
-) -> Result<QueryOutcome, TnnError> {
-    let fallback = match inner.config.degradation {
-        Degradation::Fail => return Err(err),
-        // `Query::algorithm` rewrites only TNN-kind queries; chain and
-        // round-trip variants fall back to a replica-style exact rerun.
-        Degradation::Approximate => job.query.clone().algorithm(Algorithm::ApproximateTnn),
-        Degradation::Replica => job.query.clone(),
-    };
-    run_isolated(engine, env, &fallback, scratch, false).map(|mut outcome| {
-        outcome.degraded = true;
-        outcome
-    })
 }

@@ -1,6 +1,7 @@
 //! Regression tests for the fault-injection serving path: panic
 //! isolation, worker respawn (and its bound), deadline-aware retries,
-//! degradation tagging/caching rules, and retry budgets.
+//! and the fail-closed end of the retry ladder (bounded by
+//! `max_attempts`, never cached).
 
 #![expect(
     clippy::disallowed_methods,
@@ -16,12 +17,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
-use tnn_core::{Algorithm, Query, TnnError};
+use tnn_core::{Query, TnnError};
 use tnn_geom::Rect;
 use tnn_rtree::{PackingAlgorithm, RTree};
 use tnn_serve::{
-    ChannelFaults, Degradation, FaultPlan, Priority, Qos, RetryPolicy, ServeConfig, Server,
-    ShutdownMode,
+    ChannelFaults, FaultPlan, Priority, Qos, RetryPolicy, ServeConfig, Server, ShutdownMode,
 };
 
 fn env(k: usize) -> MultiChannelEnv {
@@ -201,52 +201,34 @@ fn deadline_expiring_mid_retry_resolves_instead_of_hanging() {
 }
 
 #[test]
-fn degraded_outcomes_are_tagged_and_never_cached() {
+fn exhausted_ladder_fails_closed_and_is_never_cached() {
+    // Endless outage: every attempt fails, so each job spends its whole
+    // ladder and resolves the last `ChannelUnavailable`. The second,
+    // identical submission must run its own ladder: an error is never
+    // stored, so there is nothing for it to hit.
+    let max_attempts = 3;
     let server = Server::spawn_with_faults(
         env(2),
-        ServeConfig::new()
-            .workers(1)
-            .retry(RetryPolicy::NONE)
-            .degradation(Degradation::Approximate),
+        ServeConfig::new().workers(1).retry(
+            RetryPolicy::new()
+                .max_attempts(max_attempts)
+                .base(Duration::from_micros(100)),
+        ),
         permanent_outage(2, 17),
     );
     let query = queries(1)[0].clone();
-    let mut expect = server
-        .engine()
-        .run(&query.clone().algorithm(Algorithm::ApproximateTnn))
-        .unwrap();
-    expect.degraded = true;
-    let first = server.submit(query.clone()).unwrap().wait().unwrap();
-    assert!(first.degraded);
-    assert_eq!(first, expect, "the fallback is a real approximate run");
-    // Same query again: a cached degraded answer would hit here — it
-    // must not, because degraded outcomes are never inserted.
-    let second = server.submit(query).unwrap().wait().unwrap();
-    assert!(second.degraded);
+    for _ in 0..2 {
+        let err = server.submit(query.clone()).unwrap().wait().unwrap_err();
+        assert!(
+            matches!(err, TnnError::ChannelUnavailable { .. }),
+            "an exhausted ladder surfaces the recoverable error: {err:?}"
+        );
+    }
     let stats = server.shutdown(ShutdownMode::Drain);
-    assert_eq!(stats.cache_hits, 0, "degraded answers are not replayed");
-    assert_eq!(stats.degraded, 2);
+    assert_eq!(stats.retried, 2 * u64::from(max_attempts - 1));
+    assert_eq!(stats.cache_hits, 0, "errors are not replayed");
     assert_eq!(stats.cache_bypass, 2);
-    assert!(stats.conserved());
-}
-
-#[test]
-fn replica_degradation_returns_the_exact_answer_tagged() {
-    let server = Server::spawn_with_faults(
-        env(3),
-        ServeConfig::new()
-            .workers(1)
-            .retry(RetryPolicy::NONE)
-            .degradation(Degradation::Replica),
-        permanent_outage(3, 19),
-    );
-    let query = queries(1)[0].clone();
-    let mut expect = server.engine().run(&query).unwrap();
-    expect.degraded = true;
-    let got = server.submit(query).unwrap().wait().unwrap();
-    assert_eq!(got, expect, "a replica fallback re-runs the exact query");
-    let stats = server.shutdown(ShutdownMode::Drain);
-    assert_eq!(stats.degraded, 1);
+    assert_eq!(stats.completed, 2);
     assert!(stats.conserved());
 }
 
@@ -269,7 +251,6 @@ fn retries_escape_a_finite_outage_with_the_exact_answer() {
     for q in &qs {
         let expect = server.engine().run(q).unwrap();
         let got = server.submit(q.clone()).unwrap().wait().unwrap();
-        assert!(!got.degraded);
         assert_eq!(got, expect);
     }
     let faults = server.fault_stats().unwrap();
@@ -277,38 +258,50 @@ fn retries_escape_a_finite_outage_with_the_exact_answer() {
     let stats = server.shutdown(ShutdownMode::Drain);
     assert!(stats.retried > 0);
     assert_eq!(stats.completed, 8);
-    assert_eq!(stats.degraded, 0);
     assert!(stats.conserved());
 }
 
 #[test]
-fn exhausted_retry_budget_skips_the_ladder() {
-    // One retry attempt in the Batch pool, endless outage, Fail
-    // degradation: the first job spends the budget on its single retry,
-    // the second cannot retry at all.
-    let server = Server::spawn_with_faults(
-        env(2),
-        ServeConfig::new()
-            .workers(1)
-            .retry(
+fn max_attempts_bounds_the_ladder_exactly() {
+    // Under an endless outage a job makes exactly `max_attempts` tune-in
+    // attempts — one outage each — with a backoff pause between two of
+    // them, whatever its class: no class has a pool of its own.
+    for max_attempts in [1u32, 2, 5] {
+        let server = Server::spawn_with_faults(
+            env(2),
+            ServeConfig::new().workers(1).retry(
                 RetryPolicy::new()
-                    .max_attempts(8)
-                    .base(Duration::from_micros(100)),
-            )
-            .retry_budget(Priority::Batch, 1),
-        permanent_outage(2, 29),
-    );
-    let qs = queries(2);
-    for q in &qs {
-        let err = server.submit(q.clone()).unwrap().wait().unwrap_err();
-        assert!(
-            matches!(err, TnnError::ChannelUnavailable { .. }),
-            "Fail degradation surfaces the recoverable error: {err:?}"
+                    .max_attempts(max_attempts)
+                    .base(Duration::from_micros(50)),
+            ),
+            permanent_outage(2, 29),
         );
+        let classes = [Priority::Interactive, Priority::Batch, Priority::Background];
+        for (q, class) in queries(3).into_iter().zip(classes) {
+            let err = server
+                .submit_with(q, Qos::new().priority(class))
+                .unwrap()
+                .wait()
+                .unwrap_err();
+            assert!(
+                matches!(err, TnnError::ChannelUnavailable { .. }),
+                "{err:?}"
+            );
+        }
+        let faults = server.fault_stats().unwrap();
+        assert_eq!(faults.outages, 3 * u64::from(max_attempts));
+        assert_eq!(faults.clean_rounds, 0);
+        let stats = server.shutdown(ShutdownMode::Drain);
+        for class in classes {
+            assert_eq!(
+                stats.class(class).retried,
+                u64::from(max_attempts - 1),
+                "{class:?} at max_attempts {max_attempts}"
+            );
+        }
+        assert_eq!(stats.retried, 3 * u64::from(max_attempts - 1));
+        assert!(stats.conserved());
     }
-    let stats = server.shutdown(ShutdownMode::Drain);
-    assert_eq!(stats.retried, 1, "exactly the budgeted retry was taken");
-    assert!(stats.conserved());
 }
 
 #[test]
@@ -324,10 +317,7 @@ fn zero_fault_plan_keeps_stats_clean() {
     assert_eq!(faults.injected(), 0);
     assert_eq!(faults.clean_rounds, 10);
     let stats = server.shutdown(ShutdownMode::Drain);
-    assert_eq!(
-        (stats.retried, stats.degraded, stats.worker_restarts),
-        (0, 0, 0)
-    );
+    assert_eq!((stats.retried, stats.worker_restarts), (0, 0));
     assert!(stats.conserved());
 }
 

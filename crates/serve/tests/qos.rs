@@ -297,27 +297,6 @@ fn distinct_keys_and_errors_do_not_hit() {
     assert!(stats.conserved());
 }
 
-/// With a TTL, a stale entry is refreshed by the next repeat (classified
-/// `cache_expired`, not a miss) instead of being served.
-#[test]
-fn cache_ttl_refreshes_stale_entries() {
-    let server = Server::spawn(
-        env(2),
-        ServeConfig::new()
-            .workers(1)
-            .cache(CacheConfig::new().ttl(Some(Duration::ZERO))),
-    );
-    let query = Query::tnn(points(1)[0]);
-    server.submit(query.clone()).unwrap().wait().unwrap();
-    server.submit(query.clone()).unwrap().wait().unwrap();
-    let stats = server.shutdown(ShutdownMode::Drain);
-    assert_eq!(
-        (stats.cache_hits, stats.cache_misses, stats.cache_expired),
-        (0, 1, 1)
-    );
-    assert!(stats.conserved());
-}
-
 /// Disabling the cache reproduces uncached serving: every completion is
 /// a bypass and repeats run the engine.
 #[test]
@@ -333,10 +312,7 @@ fn disabled_cache_bypasses_everything() {
     assert!(server.cache_stats().is_none());
     let stats = server.shutdown(ShutdownMode::Drain);
     assert_eq!(stats.cache_bypass, 2);
-    assert_eq!(
-        stats.cache_hits + stats.cache_misses + stats.cache_expired,
-        0
-    );
+    assert_eq!(stats.cache_hits + stats.cache_misses, 0);
     assert!(stats.conserved());
 }
 

@@ -705,14 +705,12 @@ fn fallback_bound(env: &MultiChannelEnv, p: Point, round_trip: bool) -> f64 {
 /// Folds one scattered sub-outcome's engine counters into the
 /// router-level trace: visits, tune-in slots, and prune hits add up
 /// across shards; the peak queue is a max (sub-queries run concurrently
-/// on distinct broadcast clients); one degraded sub-answer taints the
-/// whole trace.
+/// on distinct broadcast clients).
 fn fold_sub_outcome(trace: &mut QueryTrace, outcome: &tnn_core::QueryOutcome) {
     trace.node_visits += outcome.node_visits();
     trace.tune_in += outcome.tune_in();
     trace.prune_hits += outcome.prune_hits();
     trace.peak_queue = trace.peak_queue.max(outcome.peak_queue());
-    trace.degraded |= outcome.degraded;
 }
 
 #[cfg(test)]

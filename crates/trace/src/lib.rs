@@ -10,8 +10,7 @@
 //!
 //! * **Span/event model** — [`QueryTrace`] records stamped phases
 //!   ([`SpanKind`]: admission wait, cache probe, queue residency,
-//!   engine run, retry backoff, degradation, shard scatter/gather/
-//!   merge) plus the engine's paper-native counters (node visits ≙
+//!   engine run, retry backoff, shard scatter/gather/merge) plus the engine's paper-native counters (node visits ≙
 //!   tune-in pages, delayed-pruning hits, the `(H−1)(M−1)`-bounded
 //!   peak queue length) threaded through `tnn_core::QueryOutcome`.
 //! * **Metrics registry** — [`MetricsRegistry`] holds named counters,
@@ -24,7 +23,7 @@
 //!   `fold` and `publish_series`; the metric kind follows the field
 //!   type through [`Metric`].
 //! * **Flight recorder** — [`FlightRecorder`] retains the N slowest
-//!   and all degraded-or-errored traces in bounded, lock-striped
+//!   and all errored or retried traces in bounded, lock-striped
 //!   pools, queryable from `tnn_serve::Server` / `tnn_shard::ShardRouter`
 //!   and reconciled against measured latency by the live-stack test in
 //!   `crates/bench/tests/metrics_golden.rs`.

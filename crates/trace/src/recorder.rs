@@ -3,8 +3,9 @@
 //!
 //! Retention policy (per [`RecorderConfig`]): every recorded trace
 //! competes for one of the `slowest` seats (ranked by
-//! [`QueryTrace::total`]); degraded-or-errored traces are *additionally*
-//! kept in a `flagged` ring that evicts oldest-first. Both pools are
+//! [`QueryTrace::total`]); flagged traces ([`QueryTrace::flagged`]:
+//! errored or retried) are *additionally* kept in a `flagged` ring that
+//! evicts oldest-first. Both pools are
 //! bounded, so the recorder's footprint is fixed no matter how many
 //! queries flow through. Recording locks only the stripe selected by
 //! `seq % stripes`, and the serving integration records *after* ticket
@@ -21,14 +22,14 @@ struct StripeState {
     /// Current slowest-seat holders, unsorted (linear min scan — the
     /// per-stripe seat count is small).
     slowest: Vec<QueryTrace>,
-    /// Flagged (degraded/errored) ring, oldest first.
+    /// Flagged (errored or retried) ring, oldest first.
     flagged: VecDeque<QueryTrace>,
     /// Every record() that hit this stripe, retained or not.
     recorded: u64,
 }
 
 /// A bounded, lock-striped flight recorder retaining the N slowest and
-/// all (up to a ring bound) degraded-or-errored query traces.
+/// all (up to a ring bound) errored or retried query traces.
 #[derive(Debug)]
 pub struct FlightRecorder {
     stripes: Vec<OrderedMutex<StripeState>>,
@@ -90,7 +91,7 @@ impl FlightRecorder {
         out
     }
 
-    /// The retained degraded-or-errored traces, oldest first per stripe,
+    /// The retained errored or retried traces, oldest first per stripe,
     /// ordered by sequence number across stripes.
     pub fn flagged(&self) -> Vec<QueryTrace> {
         let mut out = Vec::new();
@@ -178,7 +179,7 @@ mod tests {
         for seq in 0..6 {
             let mut t = trace(seq, 1);
             t.errored = seq % 2 == 0;
-            t.degraded = seq % 2 == 1;
+            t.attempts = if seq % 2 == 1 { 2 } else { 1 };
             rec.record(t);
         }
         let flagged = rec.flagged();
@@ -201,7 +202,7 @@ mod tests {
     fn a_slow_flagged_trace_lands_in_both_pools() {
         let rec = FlightRecorder::new(cfg(2, 2, 1));
         let mut t = trace(5, 9999);
-        t.degraded = true;
+        t.errored = true;
         rec.record(t);
         assert_eq!(rec.slowest().len(), 1);
         assert_eq!(rec.flagged().len(), 1);

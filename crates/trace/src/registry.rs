@@ -7,7 +7,7 @@
 //! never rewired through the registry, so publishing costs nothing
 //! until someone asks for a dump. Each series name and HELP text is
 //! written once, next to its field in the family's
-//! [`stats!`](crate::stats) declaration. Counters published from those structs
+//! [`stats!`](crate::stats!) declaration. Counters published from those structs
 //! are monotone because the structs themselves only grow.
 
 use crate::lock::{LockRank, OrderedMutex};

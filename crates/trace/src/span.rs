@@ -25,8 +25,6 @@ pub enum SpanKind {
     EngineRun,
     /// Backoff sleeps between retry attempts on faulted channels.
     RetryBackoff,
-    /// Time spent computing a degraded fallback answer.
-    Degradation,
     /// Shard fan-out: submitting the query to every relevant shard.
     ShardScatter,
     /// Shard fan-in: waiting for the slowest sub-query ticket.
@@ -44,7 +42,6 @@ impl SpanKind {
             SpanKind::QueueResidency => "queue_residency",
             SpanKind::EngineRun => "engine_run",
             SpanKind::RetryBackoff => "retry_backoff",
-            SpanKind::Degradation => "degradation",
             SpanKind::ShardScatter => "shard_scatter",
             SpanKind::ShardGather => "shard_gather",
             SpanKind::ShardMerge => "shard_merge",
@@ -75,10 +72,9 @@ pub struct QueryTrace {
     pub seq: u64,
     /// Stamped phases in the order they were recorded.
     pub spans: Vec<Span>,
-    /// Engine attempts consumed (1 for a clean run, more under retry).
+    /// Attempts consumed: 1 for a clean run, more under retry, 0 when
+    /// the deadline passed before the first.
     pub attempts: u32,
-    /// `true` when the answer came from a degraded fallback.
-    pub degraded: bool,
     /// `true` when the query resolved to an error.
     pub errored: bool,
     /// Pages downloaded ≙ R-tree nodes visited (estimate + filter).
@@ -125,9 +121,11 @@ impl QueryTrace {
     }
 
     /// `true` when the flight recorder must keep this trace regardless
-    /// of speed (degraded or errored queries are always retained).
+    /// of speed: the query resolved to an error, or it needed more than
+    /// one attempt (a retry that then answered is the one fault signal
+    /// an `Ok` answer carries).
     pub fn flagged(&self) -> bool {
-        self.degraded || self.errored
+        self.errored || self.attempts > 1
     }
 }
 
@@ -169,7 +167,7 @@ pub struct RecorderConfig {
     /// Keep the N slowest traces (by [`QueryTrace::total`]), total
     /// across all stripes.
     pub slowest: usize,
-    /// Ring capacity for degraded-or-errored traces, total across all
+    /// Ring capacity for errored or retried traces, total across all
     /// stripes; the oldest flagged trace is evicted when full.
     pub flagged: usize,
     /// Lock stripes; recording contends only within `seq % stripes`.
@@ -206,7 +204,20 @@ mod tests {
         );
         assert_eq!(t.duration_of(SpanKind::ShardMerge), Duration::ZERO);
         assert!(!t.flagged());
-        t.degraded = true;
+    }
+
+    #[test]
+    fn errored_or_retried_traces_are_flagged() {
+        let mut t = QueryTrace::new(1);
+        t.attempts = 1;
+        assert!(!t.flagged(), "one clean attempt");
+        t.attempts = 2;
+        assert!(t.flagged(), "answered after a retry");
+        t.attempts = 1;
+        t.errored = true;
+        assert!(t.flagged(), "resolved to an error");
+        // An exhausted ladder is both.
+        t.attempts = 4;
         assert!(t.flagged());
     }
 
@@ -234,7 +245,6 @@ mod tests {
             SpanKind::QueueResidency,
             SpanKind::EngineRun,
             SpanKind::RetryBackoff,
-            SpanKind::Degradation,
             SpanKind::ShardScatter,
             SpanKind::ShardGather,
             SpanKind::ShardMerge,

@@ -1,4 +1,4 @@
-//! One declaration per stats family: the [`stats!`](crate::stats)
+//! One declaration per stats family: the [`stats!`](crate::stats!)
 //! macro, and the two field traits it dispatches through — [`Merge`]
 //! (how a field folds) and [`Metric`] (which metric kind it publishes
 //! as, read off the field's type).

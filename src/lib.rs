@@ -60,9 +60,9 @@
 //! | [`broadcast`] (`tnn-broadcast`) | `(1, m)` air-indexed broadcast programs, channels, `Arc`-shared environments, zero-clone phase overlays |
 //! | [`core`] (`tnn-core`) | the `QueryEngine`, the four TNN algorithms, ANN optimization, chained-TNN extension, exact oracle |
 //! | [`datasets`] (`tnn-datasets`) | the paper's synthetic workloads and clustered real-data stand-ins |
-//! | [`qos`] (`tnn-qos`) | quality-of-service primitives: priority classes, deadlines, retry policies and budgets, the strict-priority multi-level queue, the sharded LRU result cache |
+//! | [`qos`] (`tnn-qos`) | quality-of-service primitives: priority classes, deadlines, retry policies, the strict-priority multi-level queue, the sharded LRU result cache |
 //! | [`faults`] (`tnn-serve`) | deterministic fault injection: seedable per-channel drop/jitter/outage schedules, engine panics, worker kills |
-//! | [`serve`] (`tnn-serve`) | the concurrent serving front-end: worker pool, priority lanes with deadlines and backpressure, result cache, tickets, retry/degradation ladder, self-healing workers, graceful shutdown |
+//! | [`serve`] (`tnn-serve`) | the concurrent serving front-end: worker pool, priority lanes with deadlines and backpressure, result cache, tickets, a fail-closed retry ladder, self-healing workers, graceful shutdown |
 //! | [`shard`] (`tnn-shard`) | spatially-sharded scatter-gather serving: grid partitioning, one server per shard, transitive-bound shard pruning, byte-identical merged answers |
 //! | [`trace`] (`tnn-trace`) | std-only observability: per-query span traces, the metrics registry with Prometheus text export, log₂ latency histograms, the slow-query flight recorder |
 //! | [`sim`] (`tnn-sim`) | the experiment harness regenerating every figure/table of the paper |
@@ -91,11 +91,11 @@ pub mod prelude {
         QueryOutcome, RouteStop, TnnError, TnnPair,
     };
     pub use tnn_geom::{transitive_dist, Circle, Ellipse, Point, Rect};
-    pub use tnn_qos::{CacheConfig, Deadline, Priority, Qos, RetryBudget, RetryPolicy};
+    pub use tnn_qos::{CacheConfig, Deadline, Priority, Qos, RetryPolicy};
     pub use tnn_rtree::{PackingAlgorithm, RTree, RTreeParams};
     pub use tnn_serve::{
-        Backpressure, ChannelFaults, ClassStats, Degradation, FaultPlan, FaultStats, ServeConfig,
-        ServeStats, Server, ShutdownMode, Ticket, TuneIn,
+        Backpressure, ChannelFaults, ClassStats, FaultPlan, FaultStats, ServeConfig, ServeStats,
+        Server, ShutdownMode, Ticket, TuneIn,
     };
     pub use tnn_shard::{ShardConfig, ShardOutcome, ShardPlan, ShardRouter, ShardStats};
     pub use tnn_trace::{
