@@ -129,7 +129,6 @@ proptest! {
         seed in 0u64..1_000_000,
         layer_seed in pts_strategy(80),
         drop_per_mille in 0u32..400,
-        jitter in 0u64..5,
         outage_len in 0u64..3,
         panic_seq in 0u64..24,
     ) {
@@ -143,12 +142,7 @@ proptest! {
             .collect();
         let env = build_env(&layers, &[3, 8]);
         let plan = FaultPlan::new(seed)
-            .channel(
-                0,
-                ChannelFaults::NONE
-                    .drop_rate(drop_per_mille)
-                    .jitter(jitter),
-            )
+            .channel(0, ChannelFaults::NONE.drop_rate(drop_per_mille))
             .channel(1, ChannelFaults::NONE.outage(5, outage_len))
             .panic_at(panic_seq);
         let queries: Vec<Query> = (0..24)

@@ -1,5 +1,5 @@
 //! The acceptance gate of the heap-queue optimization: for fixed seeds,
-//! [`tnn_sim::run_batch`] (heap-ordered candidate queues) and
+//! [`tnn_sim::run_tnn_batch`] (heap-ordered candidate queues) and
 //! [`tnn_sim::run_batch_linear`] (the paper-literal O(n) scan reference)
 //! must produce **bit-identical** `BatchStats` — same pages, same finish
 //! times, same answers — across all four algorithms and ANN modes.
@@ -10,7 +10,7 @@ use tnn_core::{Algorithm, AnnMode, Query};
 use tnn_datasets::uniform_points;
 use tnn_geom::{Point, Rect};
 use tnn_rtree::{PackingAlgorithm, RTree};
-use tnn_sim::{run_batch, run_batch_linear, BatchConfig};
+use tnn_sim::{run_batch_linear, run_tnn_batch, BatchConfig};
 
 fn tree(n: usize, seed: u64, params: &BroadcastParams) -> Arc<RTree> {
     let region = Rect::from_coords(0.0, 0.0, 10_000.0, 10_000.0);
@@ -22,8 +22,7 @@ fn tree(n: usize, seed: u64, params: &BroadcastParams) -> Arc<RTree> {
 fn batch_stats_bit_identical_across_backends() {
     let params = BroadcastParams::new(64);
     let region = Rect::from_coords(0.0, 0.0, 10_000.0, 10_000.0);
-    let s = tree(400, 21, &params);
-    let r = tree(350, 22, &params);
+    let trees = [tree(400, 21, &params), tree(350, 22, &params)];
     for alg in Algorithm::ALL {
         for (seed, ann) in [
             (0xBEu64, [AnnMode::Exact; 2]),
@@ -36,8 +35,8 @@ fn batch_stats_bit_identical_across_backends() {
                 seed,
                 check_oracle: false,
             };
-            let heap = run_batch(&s, &r, &region, &cfg);
-            let linear = run_batch_linear(&s, &r, &region, &cfg);
+            let heap = run_tnn_batch(&trees, &region, &cfg);
+            let linear = run_batch_linear(&trees, &region, &cfg);
             assert_eq!(heap, linear, "{} seed {seed:#x}", alg.name());
         }
     }
@@ -47,8 +46,7 @@ fn batch_stats_bit_identical_across_backends() {
 fn batch_stats_bit_identical_with_oracle_checks() {
     let params = BroadcastParams::new(128);
     let region = Rect::from_coords(0.0, 0.0, 10_000.0, 10_000.0);
-    let s = tree(250, 31, &params);
-    let r = tree(300, 32, &params);
+    let trees = [tree(250, 31, &params), tree(300, 32, &params)];
     let cfg = BatchConfig {
         params,
         query: Query::tnn(Point::ORIGIN).algorithm(Algorithm::HybridNn),
@@ -56,8 +54,8 @@ fn batch_stats_bit_identical_with_oracle_checks() {
         seed: 0xC0FFEE,
         check_oracle: true,
     };
-    let heap = run_batch(&s, &r, &region, &cfg);
-    let linear = run_batch_linear(&s, &r, &region, &cfg);
+    let heap = run_tnn_batch(&trees, &region, &cfg);
+    let linear = run_batch_linear(&trees, &region, &cfg);
     assert_eq!(heap, linear);
     assert_eq!(heap.fail_rate, 0.0);
 }

@@ -139,8 +139,11 @@ fn render() -> String {
     let faults = FaultStats {
         drops: v.next(),
         outages: v.next(),
-        jitter_slots: v.next(),
-        engine_panics: v.next(),
+        engine_panics: {
+            // Drawn and dropped, as for `retried`.
+            v.next();
+            v.next()
+        },
         worker_kills: v.next(),
         clean_rounds: v.next(),
     };
@@ -233,7 +236,7 @@ fn live_stack_renders_every_family_and_reconciles_traces() {
             .batch_window(8)
             .retry(RetryPolicy::new().max_attempts(4))
             .trace(TraceConfig::on()),
-        FaultPlan::new(0xD0_5E).all_channels(2, ChannelFaults::NONE.drop_rate(60).jitter(1)),
+        FaultPlan::new(0xD0_5E).all_channels(2, ChannelFaults::NONE.drop_rate(60)),
     );
     let workload: Vec<Query> = qpoints
         .iter()

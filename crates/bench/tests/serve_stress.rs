@@ -19,7 +19,7 @@
 //! generous, and absent deadlines, reconciling the per-class
 //! conservation invariant against per-class client tallies. A **chaos storm**
 //! (`hammer_chaos`) reruns the drill under an aggressive [`FaultPlan`] —
-//! drops, jitter, outages, engine panics, and scheduled worker kills —
+//! drops, outages, engine panics, and scheduled worker kills —
 //! asserting the server keeps serving across respawns with zero lost
 //! tickets and the invariant exact in every mid-storm snapshot. The
 //! deterministic no-priority-inversion gate and the bounded chaos smoke
@@ -376,7 +376,7 @@ fn soak_mixed_priority_storm_block_drain() {
 }
 
 /// Chaos soak: the full mixed-priority storm runs under an aggressive
-/// fault schedule — per-channel drops, jitter, periodic outages, engine
+/// fault schedule — per-channel drops, periodic outages, engine
 /// panics, and worker kills — with a deep retry ladder that fails
 /// closed, and shutdown lands mid-storm. The server must keep
 /// serving across ≥ 2 worker kills, lose zero tickets, and keep the
@@ -388,8 +388,8 @@ fn soak_mixed_priority_storm_block_drain() {
 /// `crates/serve/tests/server.rs`.
 fn hammer_chaos(mode: ShutdownMode, secs: f64) {
     let plan = FaultPlan::new(0xC4405)
-        .channel(0, ChannelFaults::NONE.drop_rate(60).jitter(3))
-        .channel(1, ChannelFaults::NONE.outage(32, 3).jitter(1))
+        .channel(0, ChannelFaults::NONE.drop_rate(60))
+        .channel(1, ChannelFaults::NONE.outage(32, 3))
         .panic_rate(4)
         .kill_at(50)
         .kill_at(150)
@@ -539,7 +539,7 @@ fn soak_chaos_storm_cancel() {
 #[test]
 fn chaos_smoke_bounded_storm_survives_kills_and_outages() {
     let plan = FaultPlan::new(0x57081)
-        .channel(0, ChannelFaults::NONE.drop_rate(80).jitter(2))
+        .channel(0, ChannelFaults::NONE.drop_rate(80))
         .channel(1, ChannelFaults::NONE.outage(16, 2))
         .panic_at(200)
         .kill_at(40)

@@ -248,7 +248,7 @@ fn tracing_is_transparent_under_faults_and_flags_failed_and_retried_queries() {
     let max_attempts = 2;
     let plan = || {
         FaultPlan::new(0x7_11CE)
-            .channel(0, ChannelFaults::NONE.drop_rate(250).jitter(2))
+            .channel(0, ChannelFaults::NONE.drop_rate(250))
             .channel(1, ChannelFaults::NONE.outage(12, 3))
     };
     let config = || {

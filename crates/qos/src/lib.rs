@@ -9,7 +9,7 @@
 //!   TTL ([`Deadline::within`]) or an absolute [`std::time::Instant`];
 //! * [`Qos`] — the per-submission bundle of both;
 //! * [`RetryPolicy`] — capped exponential backoff with deterministic
-//!   seeded jitter, bounded by a total attempt count;
+//!   jitter, bounded by a total attempt count;
 //! * [`MultiLevelQueue`] — a strict-priority submission queue with
 //!   per-class bounds and deadline-aware victim selection
 //!   (shedding evicts already-dead work before sacrificing anything

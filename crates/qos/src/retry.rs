@@ -11,6 +11,9 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Seed of the deterministic jitter draw.
+const JITTER_SEED: u64 = 0x5EED;
+
 /// How a server paces retries of a recoverable failure (a
 /// `ChannelUnavailable` tune-in miss): capped exponential backoff with
 /// **deterministic** seeded jitter.
@@ -19,8 +22,8 @@ fn mix(mut z: u64) -> u64 {
 /// says retries must decorrelate (identical backoffs re-collide forever)
 /// but reproductions must replay (random jitter breaks every
 /// equivalence gate) — so the jitter here is a pure function of
-/// `(jitter_seed, key, attempt)`: spread across keys, identical across
-/// reruns.
+/// `(key, attempt)` under a fixed seed: spread across keys, identical
+/// across reruns.
 ///
 /// ```
 /// use std::time::Duration;
@@ -45,8 +48,6 @@ pub struct RetryPolicy {
     pub base: Duration,
     /// Upper bound on any single backoff (pre-jitter).
     pub cap: Duration,
-    /// Seed of the deterministic jitter draw; `0` disables jitter.
-    pub jitter_seed: u64,
 }
 
 impl RetryPolicy {
@@ -55,7 +56,6 @@ impl RetryPolicy {
         max_attempts: 1,
         base: Duration::ZERO,
         cap: Duration::ZERO,
-        jitter_seed: 0,
     };
 
     /// The default policy: 4 attempts, 200 µs base doubling to a 10 ms
@@ -66,7 +66,6 @@ impl RetryPolicy {
             max_attempts: 4,
             base: Duration::from_micros(200),
             cap: Duration::from_millis(10),
-            jitter_seed: 0x5EED,
         }
     }
 
@@ -88,16 +87,10 @@ impl RetryPolicy {
         self
     }
 
-    /// Sets the jitter seed (`0` disables jitter).
-    pub fn jitter(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
-        self
-    }
-
     /// The pause before retry `attempt` (1-based: the first retry is
     /// attempt 1) of the work item identified by `key` — exponential in
     /// `attempt`, capped, then scaled by a deterministic jitter factor
-    /// in `[0.5, 1.5)` drawn from `(jitter_seed, key, attempt)`.
+    /// in `[0.5, 1.5)` drawn from `(key, attempt)`.
     pub fn backoff(&self, attempt: u32, key: u64) -> Duration {
         if self.base.is_zero() || attempt == 0 {
             return Duration::ZERO;
@@ -105,11 +98,8 @@ impl RetryPolicy {
         let exp = attempt.saturating_sub(1).min(32);
         let nanos = (self.base.as_nanos() << exp).min(self.cap.as_nanos().max(1));
         let nanos = u64::try_from(nanos).unwrap_or(u64::MAX);
-        if self.jitter_seed == 0 {
-            return Duration::from_nanos(nanos);
-        }
         // Scale by 512..1536 / 1024 — a power-of-two fixed-point [0.5, 1.5).
-        let draw = mix(self.jitter_seed ^ mix(key ^ mix(u64::from(attempt)))) % 1024;
+        let draw = mix(JITTER_SEED ^ mix(key ^ mix(u64::from(attempt)))) % 1024;
         Duration::from_nanos((nanos / 1024).saturating_mul(512 + draw))
     }
 }
@@ -128,13 +118,21 @@ mod tests {
     fn backoff_grows_exponentially_then_caps() {
         let p = RetryPolicy::new()
             .base(Duration::from_micros(100))
-            .cap(Duration::from_millis(1))
-            .jitter(0);
-        assert_eq!(p.backoff(1, 0), Duration::from_micros(100));
-        assert_eq!(p.backoff(2, 0), Duration::from_micros(200));
-        assert_eq!(p.backoff(3, 0), Duration::from_micros(400));
-        assert_eq!(p.backoff(11, 0), Duration::from_millis(1));
-        assert_eq!(p.backoff(60, 0), Duration::from_millis(1)); // exp clamp
+            .cap(Duration::from_millis(1));
+        // Each backoff lies in the jitter band [0.5, 1.5) around its
+        // nominal value.
+        let in_band = |attempt: u32, nominal: Duration| {
+            let b = p.backoff(attempt, 0);
+            assert!(
+                b >= nominal / 2 && b < nominal * 3 / 2,
+                "attempt {attempt}: {b:?} outside the band around {nominal:?}"
+            );
+        };
+        in_band(1, Duration::from_micros(100));
+        in_band(2, Duration::from_micros(200));
+        in_band(3, Duration::from_micros(400));
+        in_band(11, Duration::from_millis(1));
+        in_band(60, Duration::from_millis(1)); // exp clamp
         assert_eq!(RetryPolicy::NONE.backoff(1, 0), Duration::ZERO);
         assert_eq!(p.backoff(0, 0), Duration::ZERO);
     }

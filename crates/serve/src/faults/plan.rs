@@ -18,7 +18,6 @@ fn decide(seed: u64, salt: u64, channel: u64, seq: u64, attempt: u32) -> u64 {
 }
 
 const SALT_DROP: u64 = 0xD1;
-const SALT_JITTER: u64 = 0x71;
 const SALT_PANIC: u64 = 0xBA;
 
 /// The fault schedule of one broadcast channel.
@@ -32,10 +31,6 @@ pub struct ChannelFaults {
     /// Probability (‰) that one tune-in attempt loses the packet — a
     /// transient [`TuneIn::Dropped`]; an immediate retry redraws.
     pub drop_per_mille: u32,
-    /// Maximum extra slots of arrival jitter on a *successful* tune-in
-    /// (the drawn jitter is uniform in `0..=jitter_slots`). Models stale
-    /// index segments: the client waits longer, the answer is unchanged.
-    pub jitter_slots: u64,
     /// Periodic outage: the channel is dark for jobs whose sequence
     /// number falls in the first `outage_len` positions of every
     /// `outage_period`-wide window. `0` disables outages.
@@ -51,27 +46,13 @@ impl ChannelFaults {
     /// No faults on this channel.
     pub const NONE: ChannelFaults = ChannelFaults {
         drop_per_mille: 0,
-        jitter_slots: 0,
         outage_period: 0,
         outage_len: 0,
     };
 
-    /// `true` when this channel can never fault.
-    pub fn is_zero(&self) -> bool {
-        self.drop_per_mille == 0
-            && self.jitter_slots == 0
-            && (self.outage_period == 0 || self.outage_len == 0)
-    }
-
     /// Sets the per-tune-in drop probability (‰, clamped to 1000).
     pub fn drop_rate(mut self, per_mille: u32) -> Self {
         self.drop_per_mille = per_mille.min(1000);
-        self
-    }
-
-    /// Sets the maximum arrival jitter (slots) on successful tune-ins.
-    pub fn jitter(mut self, slots: u64) -> Self {
-        self.jitter_slots = slots;
         self
     }
 
@@ -87,11 +68,8 @@ impl ChannelFaults {
 /// The classified result of one injected tune-in decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TuneIn {
-    /// Tune-in succeeds, delayed by `jitter` extra slots.
-    Ok {
-        /// Injected arrival delay in broadcast slots.
-        jitter: u64,
-    },
+    /// Tune-in succeeds.
+    Ok,
     /// The packet was lost in transit; retrying immediately redraws.
     Dropped,
     /// The channel is dark; it clears after `retry_after` more attempts.
@@ -113,16 +91,15 @@ pub enum TuneIn {
 /// use tnn_serve::faults::{ChannelFaults, FaultPlan, TuneIn};
 ///
 /// let plan = FaultPlan::new(42)
-///     .channel(0, ChannelFaults::NONE.drop_rate(100).jitter(8))
-///     .channel(1, ChannelFaults::NONE.outage(16, 3))
-///     .fault_cap(4);
+///     .channel(0, ChannelFaults::NONE.drop_rate(100))
+///     .channel(1, ChannelFaults::NONE.outage(16, 3));
 /// // Same inputs, same decision — forever.
 /// assert_eq!(plan.tune_in(1, 16, 0), plan.tune_in(1, 16, 0));
 /// // Channel 1 is dark for the first 3 positions of every 16-wide
 /// // window, and each retry attempt counts the outage down by one.
 /// assert_eq!(plan.tune_in(1, 16, 0), TuneIn::Outage { retry_after: 3 });
 /// assert_eq!(plan.tune_in(1, 16, 2), TuneIn::Outage { retry_after: 1 });
-/// assert_eq!(plan.tune_in(1, 16, 3), TuneIn::Ok { jitter: 0 });
+/// assert_eq!(plan.tune_in(1, 16, 3), TuneIn::Ok);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct FaultPlan {
@@ -140,16 +117,6 @@ pub struct FaultPlan {
     /// Job sequence numbers that hard-kill the executing worker thread
     /// (the panic unwinds the whole micro-batch, exercising respawn).
     pub kill_seqs: Vec<u64>,
-    /// Fault budget, global: only jobs with `seq < fault_horizon` can
-    /// fault at all (`0` = unlimited). Bounds total injected faults
-    /// without any cross-thread counter.
-    pub fault_horizon: u64,
-    /// Fault budget, per query: attempts at index
-    /// `>= max_faults_per_query` are forced fault-free (`0` =
-    /// unlimited). Since a retry only happens after a fault, this caps
-    /// the injected faults any one query can suffer — and guarantees a
-    /// deep-enough retry ladder always escapes.
-    pub max_faults_per_query: u32,
 }
 
 impl FaultPlan {
@@ -201,48 +168,14 @@ impl FaultPlan {
         self
     }
 
-    /// Caps faults to jobs with `seq < horizon` (`0` = unlimited).
-    pub fn horizon(mut self, horizon: u64) -> Self {
-        self.fault_horizon = horizon;
-        self
-    }
-
-    /// Caps the faulted attempts of any one query (`0` = unlimited).
-    pub fn fault_cap(mut self, cap: u32) -> Self {
-        self.max_faults_per_query = cap;
-        self
-    }
-
-    /// `true` when no decision this plan hands out can ever be a fault.
-    pub fn is_zero(&self) -> bool {
-        self.channels.iter().all(ChannelFaults::is_zero)
-            && self.panic_per_mille == 0
-            && self.panic_seqs.is_empty()
-            && self.kill_seqs.is_empty()
-    }
-
-    /// `true` when job `seq` is inside the global fault budget.
-    #[inline]
-    fn in_horizon(&self, seq: u64) -> bool {
-        self.fault_horizon == 0 || seq < self.fault_horizon
-    }
-
-    /// `true` when attempt index `attempt` of any query may still fault.
-    #[inline]
-    fn in_cap(&self, attempt: u32) -> bool {
-        self.max_faults_per_query == 0 || attempt < self.max_faults_per_query
-    }
-
     /// The tune-in decision for `(channel, seq, attempt)`: outage first
     /// (a dark channel drops everything), then the per-attempt packet
-    /// drop draw, then the jitter draw on success.
+    /// drop draw.
     pub fn tune_in(&self, channel: usize, seq: u64, attempt: u32) -> TuneIn {
-        let spec = match self.channels.get(channel) {
-            Some(spec) if !spec.is_zero() => spec,
-            _ => return TuneIn::Ok { jitter: 0 },
+        let Some(spec) = self.channels.get(channel) else {
+            return TuneIn::Ok;
         };
-        let budgeted = self.in_horizon(seq) && self.in_cap(attempt);
-        if budgeted && spec.outage_period > 0 && spec.outage_len > 0 {
+        if spec.outage_period > 0 && spec.outage_len > 0 {
             let pos = seq % spec.outage_period;
             let left = spec.outage_len.saturating_sub(pos);
             if left > u64::from(attempt) {
@@ -251,27 +184,18 @@ impl FaultPlan {
                 };
             }
         }
-        if budgeted
-            && spec.drop_per_mille > 0
+        if spec.drop_per_mille > 0
             && decide(self.seed, SALT_DROP, channel as u64, seq, attempt) % 1000
                 < u64::from(spec.drop_per_mille)
         {
             return TuneIn::Dropped;
         }
-        let jitter = if spec.jitter_slots > 0 {
-            decide(self.seed, SALT_JITTER, channel as u64, seq, attempt) % (spec.jitter_slots + 1)
-        } else {
-            0
-        };
-        TuneIn::Ok { jitter }
+        TuneIn::Ok
     }
 
     /// `true` when job `seq`'s engine run should panic (scheduled
     /// explicitly or drawn from [`FaultPlan::panic_per_mille`]).
     pub fn engine_panic(&self, seq: u64) -> bool {
-        if !self.in_horizon(seq) {
-            return false;
-        }
         self.panic_seqs.contains(&seq)
             || (self.panic_per_mille > 0
                 && decide(self.seed, SALT_PANIC, 0, seq, 0) % 1000
@@ -284,7 +208,7 @@ impl FaultPlan {
     /// the one fault whose side effects are not replay-deterministic —
     /// keeping the list explicit keeps chaos runs interpretable.
     pub fn worker_kill(&self, seq: u64) -> bool {
-        self.in_horizon(seq) && self.kill_seqs.contains(&seq)
+        self.kill_seqs.contains(&seq)
     }
 }
 
@@ -295,10 +219,9 @@ mod tests {
     #[test]
     fn zero_plan_never_faults() {
         let plan = FaultPlan::none();
-        assert!(plan.is_zero());
         for seq in 0..100 {
             for ch in 0..4 {
-                assert_eq!(plan.tune_in(ch, seq, 0), TuneIn::Ok { jitter: 0 });
+                assert_eq!(plan.tune_in(ch, seq, 0), TuneIn::Ok);
             }
             assert!(!plan.engine_panic(seq));
             assert!(!plan.worker_kill(seq));
@@ -308,7 +231,7 @@ mod tests {
     #[test]
     fn decisions_are_pure_functions_of_inputs() {
         let plan = FaultPlan::new(7)
-            .all_channels(3, ChannelFaults::NONE.drop_rate(300).jitter(16))
+            .all_channels(3, ChannelFaults::NONE.drop_rate(300))
             .channel(1, ChannelFaults::NONE.outage(8, 2))
             .panic_rate(50);
         let replay = plan.clone();
@@ -350,48 +273,12 @@ mod tests {
         assert_eq!(plan.tune_in(0, 10, 0), TuneIn::Outage { retry_after: 3 });
         assert_eq!(plan.tune_in(0, 10, 1), TuneIn::Outage { retry_after: 2 });
         assert_eq!(plan.tune_in(0, 10, 2), TuneIn::Outage { retry_after: 1 });
-        assert_eq!(plan.tune_in(0, 10, 3), TuneIn::Ok { jitter: 0 });
+        assert_eq!(plan.tune_in(0, 10, 3), TuneIn::Ok);
         // seq 12 is position 2: one attempt of darkness left.
         assert_eq!(plan.tune_in(0, 12, 0), TuneIn::Outage { retry_after: 1 });
-        assert_eq!(plan.tune_in(0, 12, 1), TuneIn::Ok { jitter: 0 });
+        assert_eq!(plan.tune_in(0, 12, 1), TuneIn::Ok);
         // seq 13 is clear from the start.
-        assert_eq!(plan.tune_in(0, 13, 0), TuneIn::Ok { jitter: 0 });
-    }
-
-    #[test]
-    fn budgets_suppress_faults() {
-        let always_dark = ChannelFaults::NONE.outage(1, 1_000_000);
-        let plan = FaultPlan::new(3)
-            .channel(0, always_dark)
-            .horizon(5)
-            .fault_cap(2);
-        // Horizon: seqs past 5 never fault.
-        assert!(matches!(plan.tune_in(0, 4, 0), TuneIn::Outage { .. }));
-        assert_eq!(plan.tune_in(0, 5, 0), TuneIn::Ok { jitter: 0 });
-        // Per-query cap: the third attempt is forced clean even though
-        // the outage schedule says dark.
-        assert!(matches!(plan.tune_in(0, 0, 1), TuneIn::Outage { .. }));
-        assert_eq!(plan.tune_in(0, 0, 2), TuneIn::Ok { jitter: 0 });
-        // Kill/panic lists respect the horizon too.
-        let plan = FaultPlan::new(0).panic_at(7).kill_at(8).horizon(6);
-        assert!(!plan.engine_panic(7));
-        assert!(!plan.worker_kill(8));
-    }
-
-    #[test]
-    fn jitter_is_bounded_and_sometimes_nonzero() {
-        let plan = FaultPlan::new(11).channel(0, ChannelFaults::NONE.jitter(8));
-        let mut seen_nonzero = false;
-        for seq in 0..100 {
-            match plan.tune_in(0, seq, 0) {
-                TuneIn::Ok { jitter } => {
-                    assert!(jitter <= 8);
-                    seen_nonzero |= jitter > 0;
-                }
-                other => panic!("jitter-only channel faulted: {other:?}"),
-            }
-        }
-        assert!(seen_nonzero);
+        assert_eq!(plan.tune_in(0, 13, 0), TuneIn::Ok);
     }
 
     #[test]
@@ -400,18 +287,13 @@ mod tests {
             .channel(2, ChannelFaults::NONE.drop_rate(2000))
             .panic_at(3)
             .kill_at(4)
-            .panic_rate(1)
-            .horizon(100)
-            .fault_cap(6);
+            .panic_rate(1);
         assert_eq!(plan.seed, 5);
         assert_eq!(plan.channels.len(), 3);
         assert_eq!(plan.channels[2].drop_per_mille, 1000); // clamped
-        assert!(plan.channels[0].is_zero());
+        assert_eq!(plan.channels[0], ChannelFaults::NONE);
         assert_eq!(plan.panic_seqs, vec![3]);
         assert_eq!(plan.kill_seqs, vec![4]);
-        assert_eq!(plan.fault_horizon, 100);
-        assert_eq!(plan.max_faults_per_query, 6);
-        assert!(!plan.is_zero());
         assert!(plan.engine_panic(3));
         assert!(plan.worker_kill(4));
         assert!(!plan.worker_kill(3));

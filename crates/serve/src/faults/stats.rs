@@ -2,7 +2,6 @@
 //! [`FaultStats`].
 
 use crate::faults::plan::{FaultPlan, TuneIn};
-use crate::faults::view::FaultyChannelView;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tnn_broadcast::MultiChannelEnv;
 use tnn_core::TnnError;
@@ -22,9 +21,6 @@ tnn_trace::stats! {
         /// Tune-in attempts that found a channel dark ([`TuneIn::Outage`]).
         pub outages: u64 => "tnn_faults_outages_total",
             "Tune-in attempts that found a channel dark",
-        /// Total injected arrival-jitter slots over successful tune-ins.
-        pub jitter_slots: u64 => "tnn_faults_jitter_slots_total",
-            "Injected arrival-jitter slots over successful tune-ins",
         /// Engine runs panicked by injection.
         pub engine_panics: u64 => "tnn_faults_engine_panics_total",
             "Engine runs panicked by injection",
@@ -39,8 +35,7 @@ tnn_trace::stats! {
 }
 
 impl FaultStats {
-    /// Total faults injected (drops + outages + panics + kills; jitter
-    /// delays but never fails, so it is not counted here).
+    /// Total faults injected (drops + outages + panics + kills).
     pub fn injected(&self) -> u64 {
         self.drops + self.outages + self.engine_panics + self.worker_kills
     }
@@ -65,7 +60,6 @@ pub struct FaultInjector {
     plan: FaultPlan,
     drops: AtomicU64,
     outages: AtomicU64,
-    jitter_slots: AtomicU64,
     engine_panics: AtomicU64,
     worker_kills: AtomicU64,
     clean_rounds: AtomicU64,
@@ -78,34 +72,28 @@ impl FaultInjector {
             plan,
             drops: AtomicU64::new(0),
             outages: AtomicU64::new(0),
-            jitter_slots: AtomicU64::new(0),
             engine_panics: AtomicU64::new(0),
             worker_kills: AtomicU64::new(0),
             clean_rounds: AtomicU64::new(0),
         }
     }
 
-    /// The wrapped plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// One tune-in round for attempt `attempt` of job `seq`: probes
-    /// every channel of `env` through a [`FaultyChannelView`], first
-    /// fault wins. `Ok(())` means the client reached all `k` roots and
-    /// the engine run may proceed; the error is always the recoverable
-    /// [`TnnError::ChannelUnavailable`].
+    /// One tune-in round for attempt `attempt` of job `seq`: asks the
+    /// plan for every channel of `env` in order, first fault wins.
+    /// `Ok(())` means the client reached all `k` roots and the engine
+    /// run may proceed; the error is always the recoverable
+    /// [`TnnError::ChannelUnavailable`], with `retry_after = 1` for a
+    /// transient drop (an immediate retry redraws) or the remaining
+    /// outage width for a dark channel.
     pub fn check_tune_in(
         &self,
         env: &MultiChannelEnv,
         seq: u64,
         attempt: u32,
     ) -> Result<(), TnnError> {
-        let mut jitter_total = 0u64;
-        for (i, channel) in env.channels().iter().enumerate() {
-            let view = FaultyChannelView::new(channel.view(), &self.plan, i, seq, attempt);
-            match view.decision() {
-                TuneIn::Ok { jitter } => jitter_total += jitter,
+        for i in 0..env.channels().len() {
+            match self.plan.tune_in(i, seq, attempt) {
+                TuneIn::Ok => {}
                 TuneIn::Dropped => {
                     self.drops.fetch_add(1, Ordering::Relaxed);
                     return Err(TnnError::ChannelUnavailable {
@@ -121,9 +109,6 @@ impl FaultInjector {
                     });
                 }
             }
-        }
-        if jitter_total > 0 {
-            self.jitter_slots.fetch_add(jitter_total, Ordering::Relaxed);
         }
         self.clean_rounds.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -152,7 +137,6 @@ impl FaultInjector {
         FaultStats {
             drops: self.drops.load(Ordering::Relaxed),
             outages: self.outages.load(Ordering::Relaxed),
-            jitter_slots: self.jitter_slots.load(Ordering::Relaxed),
             engine_panics: self.engine_panics.load(Ordering::Relaxed),
             worker_kills: self.worker_kills.load(Ordering::Relaxed),
             clean_rounds: self.clean_rounds.load(Ordering::Relaxed),
@@ -224,10 +208,40 @@ mod tests {
     }
 
     #[test]
+    fn outage_surfaces_channel_unavailable_with_countdown() {
+        let env = env(2);
+        let inj =
+            FaultInjector::new(FaultPlan::new(1).channel(1, ChannelFaults::NONE.outage(8, 2)));
+        assert_eq!(
+            inj.check_tune_in(&env, 8, 0),
+            Err(TnnError::ChannelUnavailable {
+                channel: 1,
+                retry_after: 2
+            })
+        );
+        assert_eq!(inj.check_tune_in(&env, 8, 2), Ok(()));
+    }
+
+    #[test]
+    fn drops_report_retry_after_one() {
+        let env = env(2);
+        let inj =
+            FaultInjector::new(FaultPlan::new(4).channel(0, ChannelFaults::NONE.drop_rate(1000)));
+        assert_eq!(
+            inj.check_tune_in(&env, 0, 0),
+            Err(TnnError::ChannelUnavailable {
+                channel: 0,
+                retry_after: 1
+            })
+        );
+        assert_eq!(inj.stats().drops, 1);
+    }
+
+    #[test]
     fn identical_probe_sequences_yield_identical_stats() {
         let env = env(2);
         let plan = FaultPlan::new(77)
-            .all_channels(2, ChannelFaults::NONE.drop_rate(200).jitter(4))
+            .all_channels(2, ChannelFaults::NONE.drop_rate(200))
             .panic_rate(100);
         let run = |plan: FaultPlan| {
             let inj = FaultInjector::new(plan);
@@ -244,7 +258,6 @@ mod tests {
         let b = run(plan);
         assert_eq!(a, b);
         assert!(a.drops > 0);
-        assert!(a.jitter_slots > 0);
         assert!(a.engine_panics > 0);
     }
 

@@ -55,8 +55,9 @@
 //!   a ladder that spends [`RetryPolicy::max_attempts`] resolves
 //!   [`tnn_core::TnnError::ChannelUnavailable`], and errors are never
 //!   cached — injected engine panics resolve
-//!   [`tnn_core::TnnError::Internal`] behind a panic boundary, and
-//!   killed workers respawn in place (bounded by
+//!   [`tnn_core::TnnError::Internal`] behind the per-job panic boundary
+//!   that every server, faulted or not, runs its engine calls behind,
+//!   and killed workers respawn in place (bounded by
 //!   [`ServeConfig::max_worker_restarts`]). See `docs/ROBUSTNESS.md`.
 //!
 //! ## Guarantees
@@ -103,4 +104,4 @@ pub use tnn_trace::{
 pub use tnn_qos::{CacheConfig, CacheStats, Deadline, Priority, Qos, RetryPolicy};
 
 // The fault vocabulary for chaos-mode servers ([`Server::spawn_with_faults`]).
-pub use faults::{ChannelFaults, FaultPlan, FaultStats, FaultyChannelView, TuneIn};
+pub use faults::{ChannelFaults, FaultPlan, FaultStats, TuneIn};

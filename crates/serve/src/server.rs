@@ -1,7 +1,7 @@
 //! The worker-pool server: strict-priority multi-level submission queue,
 //! deadline enforcement, backpressure, an admission-time result cache,
-//! micro-batched dispatch, fault-schedule execution (retry ladder,
-//! panic isolation, worker respawn), and deterministic shutdown.
+//! micro-batched dispatch with per-job panic isolation, fault-schedule
+//! execution (retry ladder, worker respawn), and deterministic shutdown.
 
 #![expect(
     clippy::disallowed_methods,
@@ -426,8 +426,8 @@ struct Inner {
     /// The shared result cache; `None` when disabled by configuration.
     cache: Option<ResultCache<QueryKey, QueryOutcome>>,
     /// The fault schedule workers execute under; `None` for servers
-    /// spawned without one (the plain [`Server::spawn`] path keeps the
-    /// exact PR 5 hot path — not even a zero-plan probe per job).
+    /// spawned without one, whose jobs skip the tune-in probe, the
+    /// deadline re-check and the retry ladder.
     faults: Option<FaultInjector>,
     /// The slow-query flight recorder; `Some` exactly when
     /// [`ServeConfig::trace`] is on. Workers record each executed
@@ -497,8 +497,8 @@ impl Server {
     }
 
     /// [`Server::spawn`] under a [`FaultPlan`]: workers execute every
-    /// job through the plan's injected drops, outages, jitter, panics,
-    /// and kills. See [`Server::spawn_engine_with_faults`].
+    /// job through the plan's injected drops, outages, panics, and
+    /// kills. See [`Server::spawn_engine_with_faults`].
     pub fn spawn_with_faults(env: MultiChannelEnv, config: ServeConfig, plan: FaultPlan) -> Self {
         Server::spawn_engine_with_faults(QueryEngine::new(env), config, plan)
     }
@@ -510,6 +510,10 @@ impl Server {
     /// executes; [`Server::shutdown`] then resolves the backlog as
     /// cancelled regardless of mode. `queue_capacity` and `batch_window`
     /// are clamped to at least 1.
+    ///
+    /// Every engine run sits behind a panic boundary: a panicking run
+    /// resolves only its own ticket [`TnnError::Internal`], and the rest
+    /// of its micro-batch is served as usual.
     pub fn spawn_engine(engine: QueryEngine, config: ServeConfig) -> Self {
         Server::spawn_engine_faulted(engine, config, None)
     }
@@ -520,11 +524,12 @@ impl Server {
     /// [`TnnError::ChannelUnavailable`] and enters the retry ladder
     /// ([`ServeConfig::retry`]), which fails closed with that error
     /// once its attempts are spent; injected engine panics resolve only
-    /// their own ticket ([`TnnError::Internal`]); injected worker kills
-    /// unwind a whole serving round and exercise in-place respawn
-    /// ([`ServeStats::worker_restarts`]). A zero plan injects nothing:
-    /// outcomes are byte-identical to a plain [`Server::spawn_engine`]
-    /// (gated by `crates/bench/tests/fault_equivalence.rs`). Read the
+    /// their own ticket ([`TnnError::Internal`]), as real ones do on
+    /// every server; injected worker kills unwind a whole serving round
+    /// and exercise in-place respawn ([`ServeStats::worker_restarts`]).
+    /// A zero plan injects nothing: outcomes are byte-identical to a
+    /// plain [`Server::spawn_engine`] (gated by
+    /// `crates/bench/tests/fault_equivalence.rs`). Read the
     /// injected-fault tallies back with [`Server::fault_stats`].
     pub fn spawn_engine_with_faults(
         engine: QueryEngine,
@@ -1019,13 +1024,14 @@ impl Drop for Server {
 /// Accounting guard for one popped micro-batch. The normal path settles
 /// the per-class completed/expired counts (and the cache classification)
 /// in one lock per batch (not per job); if the worker unwinds mid-batch
-/// (an injected fault, or a real engine bug — either way the server must
-/// not corrupt), the guard's `Drop` books the abandoned jobs as
-/// *completed with a bypassed cache* — their tickets resolve
-/// [`TnnError::Internal`] through [`Job`]'s drop right after this, so an
-/// outcome **was** delivered — keeping [`ServeStats::conserved`] true and
-/// `in_flight` exact. The worker itself respawns (bounded by
-/// [`ServeConfig::max_worker_restarts`]); the server keeps serving.
+/// (an injected worker kill, or a bug outside the per-job panic boundary
+/// — either way the server must not corrupt), the guard's `Drop` books
+/// the abandoned jobs as *completed with a bypassed cache* — their
+/// tickets resolve [`TnnError::Internal`] through [`Job`]'s drop right
+/// after this, so an outcome **was** delivered — keeping
+/// [`ServeStats::conserved`] true and `in_flight` exact. The worker
+/// itself respawns (bounded by [`ServeConfig::max_worker_restarts`]);
+/// the server keeps serving.
 struct BatchGuard<'a> {
     inner: &'a Inner,
     /// Jobs popped per class, all counted `in_flight` until settled.
@@ -1051,8 +1057,9 @@ impl Drop for BatchGuard<'_> {
     }
 }
 
-/// Panic payload of an injected engine panic — a private type so tests
-/// and the worker can tell injected unwinds from real bugs.
+/// Panic payload of an injected engine panic, raised with
+/// `resume_unwind` so it skips the panic hook. The panic boundary
+/// treats it exactly as a real engine panic.
 struct InjectedPanic;
 
 /// Panic payload of an injected worker kill (abandons the whole
@@ -1276,11 +1283,12 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
     engine.recycle(scratch);
 }
 
-/// Executes one job under the server's fault schedule and retry policy.
+/// Executes one job: the engine run behind the panic boundary of
+/// [`run_isolated`], the one engine call of every server.
 ///
-/// Fault-free servers take a single straight-line engine run — the exact
-/// pre-fault hot path, no probes and no ladder. Faulted servers probe
-/// every channel tune-in first; a recoverable
+/// A server without a fault plan runs the engine straight away, with no
+/// probe, no ladder and no extra clock read. A faulted server first
+/// probes every channel tune-in; a recoverable
 /// [`TnnError::ChannelUnavailable`] enters the retry ladder (capped
 /// exponential backoff with deterministic jitter, bounded by
 /// [`tnn_qos::RetryPolicy::max_attempts`] and the job's deadline — a
@@ -1297,46 +1305,40 @@ fn run_job(
     scratch: &mut QueryScratch,
     backoff: &mut Duration,
 ) -> Executed {
-    let Some(faults) = &inner.faults else {
-        return Executed::Done {
-            result: engine.run_on(env, &job.query, scratch),
-            retries: 0,
-        };
-    };
-    let policy = inner.config.retry;
-    let mut attempt: u32 = 0; // failed tune-ins so far (advances outages)
     let mut retries: u64 = 0;
-    loop {
-        if job.deadline.expired(Instant::now()) {
-            return Executed::Expired { retries };
-        }
-        match faults.check_tune_in(env, job.seq, attempt) {
-            Ok(()) => {
-                let inject = faults.engine_panic(job.seq);
+    let mut inject = false;
+    if let Some(faults) = &inner.faults {
+        let policy = inner.config.retry;
+        let mut attempt: u32 = 0; // failed tune-ins so far (advances outages)
+        loop {
+            if job.deadline.expired(Instant::now()) {
+                return Executed::Expired { retries };
+            }
+            let Err(err) = faults.check_tune_in(env, job.seq, attempt) else {
+                break;
+            };
+            attempt += 1;
+            if attempt >= policy.max_attempts.max(1) {
                 return Executed::Done {
-                    result: run_isolated(engine, env, &job.query, scratch, inject),
+                    result: Err(err),
                     retries,
                 };
             }
-            Err(err) => {
-                attempt += 1;
-                if attempt >= policy.max_attempts.max(1) {
-                    return Executed::Done {
-                        result: Err(err),
-                        retries,
-                    };
-                }
-                retries += 1;
-                let mut pause = policy.backoff(attempt, job.seq);
-                if let Some(left) = job.deadline.remaining(Instant::now()) {
-                    pause = pause.min(left);
-                }
-                if !pause.is_zero() {
-                    std::thread::sleep(pause);
-                    *backoff += pause;
-                }
+            retries += 1;
+            let mut pause = policy.backoff(attempt, job.seq);
+            if let Some(left) = job.deadline.remaining(Instant::now()) {
+                pause = pause.min(left);
+            }
+            if !pause.is_zero() {
+                std::thread::sleep(pause);
+                *backoff += pause;
             }
         }
+        inject = faults.engine_panic(job.seq);
+    }
+    Executed::Done {
+        result: run_isolated(engine, env, &job.query, scratch, inject),
+        retries,
     }
 }
 
@@ -1366,5 +1368,64 @@ fn run_isolated(
             *scratch = engine.scratch();
             Err(TnnError::Internal)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tnn_broadcast::BroadcastParams;
+    use tnn_geom::{Point, Rect};
+    use tnn_qos::CacheConfig;
+    use tnn_rtree::{PackingAlgorithm, RTree};
+
+    fn env() -> MultiChannelEnv {
+        let params = BroadcastParams::new(64);
+        let region = Rect::from_coords(0.0, 0.0, 1000.0, 1000.0);
+        let trees = (0..2)
+            .map(|i| {
+                let pts = tnn_datasets::uniform_points(120, &region, 0x150 + i);
+                Arc::new(RTree::build(&pts, params.rtree_params(), PackingAlgorithm::Str).unwrap())
+            })
+            .collect();
+        MultiChannelEnv::new(trees, params, &[3, 8])
+    }
+
+    /// A server without a fault plan catches a real engine panic per
+    /// job: only the panicking job resolves `Internal`, its batch-mates
+    /// get their answers, and no worker restarts.
+    #[test]
+    fn a_plain_server_isolates_a_real_engine_panic_per_job() {
+        let server = Server::spawn(
+            env(),
+            ServeConfig::new()
+                .workers(1)
+                .batch_window(8)
+                .cache(CacheConfig::disabled()),
+        );
+        let good = Query::tnn(Point::new(300.0, 400.0));
+        // Three phases on a two-channel environment: `run_on` panics.
+        // `submit` would refuse it on the caller's thread, so the test
+        // admits it directly.
+        let bad = good.clone().phases(&[0, 0, 0]);
+        // One lock for all three, so they land in one micro-batch.
+        let mut state = server.inner.state.lock();
+        let mut tickets = Vec::new();
+        for query in [good.clone(), bad, good.clone()] {
+            let (next, ticket, _) =
+                server.admit(state, query, None, Qos::default(), Instant::now());
+            state = next;
+            tickets.push(ticket.unwrap());
+        }
+        drop(state);
+        server.inner.work.notify_all();
+        let answer = server.engine().run(&good);
+        assert_eq!(tickets[1].wait(), Err(TnnError::Internal));
+        assert_eq!(tickets[0].wait(), answer);
+        assert_eq!(tickets[2].wait(), answer);
+        let stats = server.shutdown(ShutdownMode::Drain);
+        assert_eq!(stats.worker_restarts, 0);
+        assert_eq!(stats.completed, 3);
+        assert!(stats.conserved(), "{stats:?}");
     }
 }

@@ -592,6 +592,10 @@ impl ShardRouter {
     /// latencies) and the folded engine counters of every scattered
     /// sub-outcome; the per-sub-query traces live in each shard server's
     /// own recorder.
+    ///
+    /// Router traces never set [`tnn_serve::QueryTrace::attempts`]: the
+    /// shard servers run without a fault plan, so no sub-query ever
+    /// retries, and a router trace is flagged exactly when it errored.
     pub fn recorder(&self) -> Option<&FlightRecorder> {
         self.recorder.as_ref()
     }
@@ -932,6 +936,12 @@ mod tests {
         assert!(traced.node_visits > 0, "{traced:?}");
         assert!(traced.tune_in > 0, "{traced:?}");
         assert_eq!(traced.total, traced.span_sum(), "no clock in this crate");
+        // No shard server has a fault plan, so no sub-query retries:
+        // router traces keep `attempts == 0` and flag only errors.
+        for t in slowest.iter().chain(&recorder.flagged()) {
+            assert_eq!(t.attempts, 0, "{t:?}");
+            assert_eq!(t.flagged(), t.errored, "{t:?}");
+        }
 
         let registry = MetricsRegistry::new();
         router.publish_metrics(&registry);

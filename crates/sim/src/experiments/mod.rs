@@ -11,7 +11,7 @@ pub mod table3;
 
 use crate::runner::env_positive;
 use crate::{
-    format_table, queries_per_batch, run_batch, write_csv, BatchConfig, BatchStats, Catalog,
+    format_table, queries_per_batch, run_tnn_batch, write_csv, BatchConfig, BatchStats, Catalog,
     DatasetSpec, Table,
 };
 use std::path::PathBuf;
@@ -75,7 +75,11 @@ impl Context {
             seed: self.seed,
             check_oracle,
         };
-        run_batch(s_tree, r_tree, &paper_region(), &cfg)
+        run_tnn_batch(
+            &[Arc::clone(s_tree), Arc::clone(r_tree)],
+            &paper_region(),
+            &cfg,
+        )
     }
 
     /// Prints a table and writes its CSV twin.

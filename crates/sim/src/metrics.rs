@@ -56,39 +56,15 @@ pub(crate) struct StatsAccumulator {
 impl StatsAccumulator {
     /// Records one query's sample.
     pub fn record_sample(&mut self, s: &QuerySample) {
-        self.record(
-            s.access,
-            s.tune_in,
-            s.tune_estimate,
-            s.tune_filter,
-            s.radius,
-            s.candidates,
-            s.no_answer,
-            s.failed,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)] // one scalar per recorded metric
-    pub fn record(
-        &mut self,
-        access: u64,
-        tune_in: u64,
-        tune_estimate: u64,
-        tune_filter: u64,
-        radius: f64,
-        candidates: usize,
-        no_answer: bool,
-        failed: bool,
-    ) {
         self.n += 1;
-        self.access += access as f64;
-        self.tune_in += tune_in as f64;
-        self.tune_estimate += tune_estimate as f64;
-        self.tune_filter += tune_filter as f64;
-        self.radius += radius;
-        self.candidates += candidates as f64;
-        self.no_answer += usize::from(no_answer);
-        self.failed += usize::from(failed);
+        self.access += s.access as f64;
+        self.tune_in += s.tune_in as f64;
+        self.tune_estimate += s.tune_estimate as f64;
+        self.tune_filter += s.tune_filter as f64;
+        self.radius += s.radius;
+        self.candidates += s.candidates as f64;
+        self.no_answer += usize::from(s.no_answer);
+        self.failed += usize::from(s.failed);
     }
 
     pub fn finish(self) -> BatchStats {
@@ -114,8 +90,26 @@ mod tests {
     #[test]
     fn accumulator_averages() {
         let mut acc = StatsAccumulator::default();
-        acc.record(100, 10, 4, 6, 5.0, 3, false, false);
-        acc.record(200, 20, 8, 12, 15.0, 5, true, true);
+        acc.record_sample(&QuerySample {
+            access: 100,
+            tune_in: 10,
+            tune_estimate: 4,
+            tune_filter: 6,
+            radius: 5.0,
+            candidates: 3,
+            no_answer: false,
+            failed: false,
+        });
+        acc.record_sample(&QuerySample {
+            access: 200,
+            tune_in: 20,
+            tune_estimate: 8,
+            tune_filter: 12,
+            radius: 15.0,
+            candidates: 5,
+            no_answer: true,
+            failed: true,
+        });
         let stats = acc.finish();
         assert_eq!(stats.queries, 2);
         assert_eq!(stats.mean_access, 150.0);
@@ -126,27 +120,6 @@ mod tests {
         assert_eq!(stats.mean_candidates, 4.0);
         assert_eq!(stats.no_answer_rate, 0.5);
         assert_eq!(stats.fail_rate, 0.5);
-    }
-
-    #[test]
-    fn record_sample_equals_record() {
-        let mut by_sample = StatsAccumulator::default();
-        let mut by_args = StatsAccumulator::default();
-        for i in 0..10u64 {
-            let s = QuerySample {
-                access: 100 + i,
-                tune_in: 10 + i,
-                tune_estimate: 1,
-                tune_filter: 2,
-                radius: 1.0,
-                candidates: 1,
-                no_answer: false,
-                failed: i == 7,
-            };
-            by_sample.record_sample(&s);
-            by_args.record(100 + i, 10 + i, 1, 2, 1.0, 1, false, i == 7);
-        }
-        assert_eq!(by_sample.finish(), by_args.finish());
     }
 
     #[test]

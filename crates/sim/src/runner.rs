@@ -114,56 +114,30 @@ fn run_samples(queries: usize, run_chunk: impl Fn(usize, &mut [QuerySample]) + S
     acc.finish()
 }
 
-/// Executes one batch of TNN queries over `(s_tree, r_tree)` and
-/// aggregates the paper's metrics — the paper's two-channel workload,
-/// a thin wrapper over the k-ary [`run_tnn_batch`]. Work is spread over
-/// all CPUs; results are bit-identical in the seed regardless of thread
-/// count.
-pub fn run_batch(
-    s_tree: &Arc<RTree>,
-    r_tree: &Arc<RTree>,
-    region: &Rect,
-    cfg: &BatchConfig,
-) -> BatchStats {
-    run_tnn_batch_impl::<tnn_core::ArrivalHeap>(
-        &[Arc::clone(s_tree), Arc::clone(r_tree)],
-        region,
-        cfg,
-    )
-}
-
 /// Executes one batch of TNN queries over `k ≥ 2` trees, one broadcast
-/// channel per tree — the channel-count axis of the evaluation. The
-/// configured query runs the generalized `k`-hop pipeline; per-channel
-/// ANN modes in `cfg.query` must number one per channel (a uniform
-/// [`Query::ann`] fits any `k`). With `check_oracle` every answer is
-/// verified against the exact chain oracle.
+/// channel per tree, and aggregates the paper's metrics; the paper's
+/// own two-channel workload passes `&[s_tree, r_tree]`. The configured
+/// query runs the generalized `k`-hop pipeline; per-channel ANN modes in
+/// `cfg.query` must number one per channel (a uniform [`Query::ann`]
+/// fits any `k`). With `check_oracle` every answer is verified against
+/// the exact oracle.
 ///
-/// Parallelized like [`run_batch`]: contiguous chunks across all CPUs
-/// with an in-order reduction, bit-identical in the seed regardless of
+/// Work is spread over all CPUs in contiguous chunks with an in-order
+/// reduction, so results are bit-identical in the seed regardless of
 /// thread count.
 pub fn run_tnn_batch(trees: &[Arc<RTree>], region: &Rect, cfg: &BatchConfig) -> BatchStats {
     run_tnn_batch_impl::<tnn_core::ArrivalHeap>(trees, region, cfg)
 }
 
-/// [`run_batch`] over the paper-literal pre-optimization hot path:
+/// [`run_tnn_batch`] over the paper-literal pre-optimization hot path:
 /// linear-scan candidate queues (O(n) per queue operation, eager purge
 /// rescans) and fresh per-query buffer allocations, exactly as the
 /// original implementation behaved. Identical workload and (by
 /// construction) identical [`BatchStats`]. Only for the
 /// `linear_equivalence` gate.
 #[cfg(feature = "linear-reference")]
-pub fn run_batch_linear(
-    s_tree: &Arc<RTree>,
-    r_tree: &Arc<RTree>,
-    region: &Rect,
-    cfg: &BatchConfig,
-) -> BatchStats {
-    run_tnn_batch_impl::<tnn_core::LinearQueue>(
-        &[Arc::clone(s_tree), Arc::clone(r_tree)],
-        region,
-        cfg,
-    )
+pub fn run_batch_linear(trees: &[Arc<RTree>], region: &Rect, cfg: &BatchConfig) -> BatchStats {
+    run_tnn_batch_impl::<tnn_core::LinearQueue>(trees, region, cfg)
 }
 
 fn run_tnn_batch_impl<Q: CandidateQueue>(
@@ -287,8 +261,8 @@ mod tests {
             seed: 99,
             check_oracle: true,
         };
-        let a = run_batch(&s, &r, &region, &cfg);
-        let b = run_batch(&s, &r, &region, &cfg);
+        let a = run_tnn_batch(&[Arc::clone(&s), Arc::clone(&r)], &region, &cfg);
+        let b = run_tnn_batch(&[s, r], &region, &cfg);
         assert_eq!(a, b);
         assert_eq!(a.queries, 40);
         assert_eq!(a.fail_rate, 0.0, "exact algorithm must never fail");
@@ -314,7 +288,7 @@ mod tests {
                 seed: 7,
                 check_oracle: true,
             };
-            let stats = run_batch(&s, &r, &region, &cfg);
+            let stats = run_tnn_batch(&[Arc::clone(&s), Arc::clone(&r)], &region, &cfg);
             assert_eq!(stats.fail_rate, 0.0, "{}", alg.name());
         }
     }
@@ -347,24 +321,6 @@ mod tests {
                 assert!(a.mean_tune_in > 0.0);
             }
         }
-    }
-
-    #[test]
-    fn two_channel_wrapper_equals_k_ary_runner() {
-        let params = BroadcastParams::new(64);
-        let region = Rect::from_coords(0.0, 0.0, 1000.0, 1000.0);
-        let s = tree(120, 51, &params);
-        let r = tree(90, 52, &params);
-        let cfg = BatchConfig {
-            params,
-            query: Query::tnn(Point::ORIGIN).algorithm(Algorithm::HybridNn),
-            queries: 20,
-            seed: 7,
-            check_oracle: false,
-        };
-        let wrapped = run_batch(&s, &r, &region, &cfg);
-        let k_ary = run_tnn_batch(&[Arc::clone(&s), Arc::clone(&r)], &region, &cfg);
-        assert_eq!(wrapped, k_ary);
     }
 
     fn chain_config(queries: usize, seed: u64) -> BatchConfig {

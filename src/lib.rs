@@ -61,7 +61,7 @@
 //! | [`core`] (`tnn-core`) | the `QueryEngine`, the four TNN algorithms, ANN optimization, chained-TNN extension, exact oracle |
 //! | [`datasets`] (`tnn-datasets`) | the paper's synthetic workloads and clustered real-data stand-ins |
 //! | [`qos`] (`tnn-qos`) | quality-of-service primitives: priority classes, deadlines, retry policies, the strict-priority multi-level queue, the sharded LRU result cache |
-//! | [`faults`] (`tnn-serve`) | deterministic fault injection: seedable per-channel drop/jitter/outage schedules, engine panics, worker kills |
+//! | [`faults`] (`tnn-serve`) | deterministic fault injection: seedable per-channel drop/outage schedules, engine panics, worker kills |
 //! | [`serve`] (`tnn-serve`) | the concurrent serving front-end: worker pool, priority lanes with deadlines and backpressure, result cache, tickets, a fail-closed retry ladder, self-healing workers, graceful shutdown |
 //! | [`shard`] (`tnn-shard`) | spatially-sharded scatter-gather serving: grid partitioning, one server per shard, transitive-bound shard pruning, byte-identical merged answers |
 //! | [`trace`] (`tnn-trace`) | std-only observability: per-query span traces, the metrics registry with Prometheus text export, log₂ latency histograms, the slow-query flight recorder |
