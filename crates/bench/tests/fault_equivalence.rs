@@ -65,8 +65,8 @@ fn query_mix(p: Point, phases: &[u64], issued_at: u64) -> Vec<Query> {
 fn assert_zero_plan_transparent(env: &MultiChannelEnv, queries: &[Query], workers: usize) {
     let engine = QueryEngine::new(env.clone());
     let expect: Vec<Result<_, TnnError>> = queries.iter().map(|q| engine.run(q)).collect();
-    let server = Server::spawn_engine_with_faults(
-        engine,
+    let server = Server::spawn_with_faults(
+        env.clone(),
         ServeConfig::new()
             .workers(workers)
             .queue_capacity(queries.len().max(1))

@@ -73,8 +73,8 @@ fn assert_serve_equals_engine(
 ) {
     let engine = QueryEngine::new(env.clone());
     let expect: Vec<Result<_, TnnError>> = queries.iter().map(|q| engine.run(q)).collect();
-    let server = Server::spawn_engine(
-        engine,
+    let server = Server::spawn(
+        env.clone(),
         ServeConfig::new()
             .workers(workers)
             .queue_capacity(queries.len().max(1))
@@ -174,8 +174,8 @@ fn order_free_permutation_cache_is_stable_under_concurrency() {
         .collect();
 
     for workers in [2usize, 4] {
-        let server = Server::spawn_engine(
-            QueryEngine::new(env.clone()),
+        let server = Server::spawn(
+            env.clone(),
             ServeConfig::new()
                 .workers(workers)
                 .queue_capacity(queries.len())

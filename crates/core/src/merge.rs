@@ -24,7 +24,7 @@
 //! * [`RouteObjective::OrderFree`]: the winner is selected on the chain
 //!   DP's totals over every visit order (earlier orders win ties), then
 //!   the reported total is re-derived as the forward fold over the stops
-//!   — exactly the pipeline's `route_length`.
+//!   — exactly the pipeline's `chain_length`.
 //! * [`RouteObjective::RoundTrip`]: the closed-tour DP's backward fold,
 //!   `dis(p,s₁) + (dis(s₁,s₂) + (… + dis(s_k,p)))`
 //!   ([`chain_loop_join_with`]).
@@ -33,7 +33,7 @@
 //! (identical `(total, index)` keys), which cannot occur for
 //! general-position inputs.
 
-use crate::algorithms::permutations;
+use crate::algorithms::{chain_length, permutations};
 use crate::join::{chain_join_with, chain_loop_join_with, JoinScratch};
 use crate::RouteStop;
 use tnn_geom::Point;
@@ -120,7 +120,7 @@ pub fn merge_route_layers<L: AsRef<[(Point, ObjectId)]>>(
         }
         RouteObjective::OrderFree => {
             let stops = order_free_merge(join, p, layers, orders)?;
-            let total_dist = route_length(p, &stops);
+            let total_dist = chain_length(p, stops.iter().map(|s| s.0));
             Some(MergedRoute { stops, total_dist })
         }
     }
@@ -174,18 +174,6 @@ fn tag_in_layer_order(path: Vec<(Point, ObjectId)>) -> Vec<(Point, ObjectId, usi
         .enumerate()
         .map(|(layer, (pt, object))| (pt, object, layer))
         .collect()
-}
-
-/// Length of the one-way route `p → stops[0] → … → stops[last]` — the
-/// forward fold every order-free total is reported in.
-pub(crate) fn route_length(p: Point, stops: &[(Point, ObjectId, usize)]) -> f64 {
-    let mut total = 0.0;
-    let mut prev = p;
-    for &(pt, _, _) in stops {
-        total += prev.dist(pt);
-        prev = pt;
-    }
-    total
 }
 
 #[cfg(test)]
@@ -285,7 +273,7 @@ mod tests {
                 .expect("non-empty layers");
             assert_eq!(
                 got.total_dist.to_bits(),
-                route_length(p, &got.stops).to_bits()
+                chain_length(p, got.stops.iter().map(|s| s.0)).to_bits()
             );
             let mut visited: Vec<usize> = got.stops.iter().map(|s| s.2).collect();
             visited.sort_unstable();
@@ -320,7 +308,7 @@ mod tests {
             let p = Point::new(120.0, 120.0);
             let got = merge_route_layers(&mut join, RouteObjective::RoundTrip, p, &layers, None)
                 .expect("non-empty layers");
-            let one_way = route_length(p, &got.stops);
+            let one_way = chain_length(p, got.stops.iter().map(|s| s.0));
             let back = got.stops.last().unwrap().0.dist(p);
             assert!((one_way + back - got.total_dist).abs() < 1e-9);
         }
@@ -402,7 +390,7 @@ mod tests {
             assert_eq!(got.stops, stops, "route");
             assert_eq!(
                 got.total_dist.to_bits(),
-                route_length(p, &stops).to_bits(),
+                chain_length(p, stops.iter().map(|s| s.0)).to_bits(),
                 "total bits"
             );
         }

@@ -1,7 +1,7 @@
 //! Server tuning knobs: [`ServeConfig`], [`Backpressure`] and
 //! [`ShutdownMode`].
 
-use tnn_qos::{CacheConfig, Priority, RetryPolicy};
+use tnn_qos::{CacheConfig, RetryPolicy};
 use tnn_trace::TraceConfig;
 
 /// What [`crate::Server::submit`] does when the submission lane of the
@@ -47,17 +47,16 @@ pub enum ShutdownMode {
 /// Configuration for [`crate::Server::spawn`].
 ///
 /// ```
-/// use tnn_qos::{CacheConfig, Priority};
+/// use tnn_qos::CacheConfig;
 /// use tnn_serve::{Backpressure, ServeConfig};
 /// let cfg = ServeConfig::new()
 ///     .workers(4)
 ///     .queue_capacity(256)
-///     .class_capacity(Priority::Background, 32)
 ///     .backpressure(Backpressure::Shed)
 ///     .cache(CacheConfig::new().capacity(8192))
 ///     .batch_window(32);
 /// assert_eq!(cfg.workers, 4);
-/// assert_eq!(cfg.class_capacity[Priority::Background.index()], 32);
+/// assert_eq!(cfg.queue_capacity, 256);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
@@ -65,17 +64,13 @@ pub struct ServeConfig {
     /// recycled [`tnn_core::QueryScratch`]. `0` is allowed and means a
     /// *paused* server: submissions queue (and backpressure applies)
     /// but nothing executes until shutdown resolves the backlog as
-    /// cancelled — see [`crate::Server::spawn_engine`].
+    /// cancelled — see [`crate::Server::spawn`].
     pub workers: usize,
-    /// Default bound of each priority class's submission lane (jobs
-    /// admitted but not yet picked up). Clamped to at least 1. The
-    /// total backlog is bounded by the *sum* of the per-class bounds.
+    /// Bound of each priority class's submission lane (jobs admitted
+    /// but not yet picked up). Clamped to at least 1. Every
+    /// [`tnn_qos::Priority`] class has its own lane of this bound, so a
+    /// flood in one class never takes another class's slots.
     pub queue_capacity: usize,
-    /// Per-class lane bounds, indexed by [`Priority::index`]; `0` (the
-    /// default) means "inherit [`ServeConfig::queue_capacity`]". A
-    /// tight `Background` bound keeps best-effort floods from holding
-    /// memory that interactive traffic will never have to wait on.
-    pub class_capacity: [usize; Priority::COUNT],
     /// Policy when the class's lane is full.
     pub backpressure: Backpressure,
     /// The result cache over `(query, channel count)` keys
@@ -129,7 +124,6 @@ impl ServeConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             queue_capacity: 1024,
-            class_capacity: [0; Priority::COUNT],
             backpressure: Backpressure::Block,
             cache: CacheConfig::new(),
             batch_window: 16,
@@ -145,16 +139,9 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the default per-class submission-lane bound.
+    /// Sets the per-class submission-lane bound.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
-        self
-    }
-
-    /// Overrides the lane bound of one priority class (`0` restores
-    /// "inherit [`ServeConfig::queue_capacity`]").
-    pub fn class_capacity(mut self, class: Priority, capacity: usize) -> Self {
-        self.class_capacity[class.index()] = capacity;
         self
     }
 
@@ -195,17 +182,6 @@ impl ServeConfig {
         self.trace = trace;
         self
     }
-
-    /// The effective lane bound of `class` after inheritance and
-    /// clamping — what the server actually enforces.
-    pub fn lane_capacity(&self, class: Priority) -> usize {
-        let cap = self.class_capacity[class.index()];
-        if cap == 0 {
-            self.queue_capacity.max(1)
-        } else {
-            cap
-        }
-    }
 }
 
 impl Default for ServeConfig {
@@ -245,20 +221,39 @@ mod tests {
         assert!(!ServeConfig::new().trace.is_on());
     }
 
+    /// Every class lane is bounded by `queue_capacity`, clamped to at
+    /// least one slot.
     #[test]
     fn class_capacities_inherit_the_queue_bound() {
-        let cfg = ServeConfig::new()
-            .queue_capacity(10)
-            .class_capacity(Priority::Background, 3);
-        assert_eq!(cfg.lane_capacity(Priority::Interactive), 10);
-        assert_eq!(cfg.lane_capacity(Priority::Batch), 10);
-        assert_eq!(cfg.lane_capacity(Priority::Background), 3);
-        // Degenerate bounds clamp to one slot.
-        assert_eq!(
+        use crate::Server;
+        use std::sync::Arc;
+        use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
+        use tnn_core::{Query, TnnError};
+        use tnn_geom::Point;
+        use tnn_qos::Qos;
+        use tnn_rtree::{PackingAlgorithm, RTree};
+
+        let params = BroadcastParams::new(64);
+        let pts: Vec<Point> = (0..20).map(|i| Point::new(f64::from(i), 1.0)).collect();
+        let tree =
+            Arc::new(RTree::build(&pts, params.rtree_params(), PackingAlgorithm::Str).unwrap());
+        let env = MultiChannelEnv::new(vec![Arc::clone(&tree), tree], params, &[0, 7]);
+        let server = Server::spawn(
+            env,
             ServeConfig::new()
+                .workers(0)
                 .queue_capacity(0)
-                .lane_capacity(Priority::Batch),
-            1
+                .backpressure(Backpressure::Reject),
         );
+        assert_eq!(server.config().queue_capacity, 1);
+        for qos in [Qos::interactive(), Qos::default(), Qos::background()] {
+            let query = || Query::tnn(Point::new(3.0, 4.0));
+            assert!(server.submit_with(query(), qos).is_ok());
+            assert_eq!(
+                server.submit_with(query(), qos).err(),
+                Some(TnnError::Overloaded)
+            );
+        }
+        server.shutdown(ShutdownMode::Cancel);
     }
 }

@@ -11,11 +11,12 @@
 //! * [`FaultPlan`] — a seedable schedule: per-channel drop rates and
 //!   periodic outages ([`ChannelFaults`]), and engine-panic and
 //!   worker-kill injection keyed by job sequence number.
-//! * [`FaultInjector`] / [`FaultStats`] — the shared decision point the
-//!   server probes per execution attempt, with exact counts of every
-//!   injected fault. A failed tune-in surfaces as the recoverable
-//!   [`tnn_core::TnnError::ChannelUnavailable`] and enters the server's
-//!   retry ladder.
+//! * [`FaultPlan::check_tune_in`] / [`FaultStats`] — the tune-in round
+//!   the server runs per execution attempt, and the exact counts of
+//!   every injected fault, which the server books under its state lock
+//!   when it decides the fault. A failed tune-in surfaces as the
+//!   recoverable [`tnn_core::TnnError::ChannelUnavailable`] and enters
+//!   the server's retry ladder.
 //!
 //! **Everything is a pure function of `(seed, job sequence, channel,
 //! attempt)`** — never of wall-clock time or thread scheduling — so one
@@ -31,4 +32,4 @@ mod plan;
 mod stats;
 
 pub use plan::{ChannelFaults, FaultPlan, TuneIn};
-pub use stats::{FaultInjector, FaultStats};
+pub use stats::FaultStats;

@@ -1,13 +1,12 @@
-//! The shared decision point and its accounting: [`FaultInjector`],
-//! [`FaultStats`].
+//! The fault accounting: [`FaultStats`], and the tune-in round that
+//! tallies into it, [`FaultPlan::check_tune_in`].
 
 use crate::faults::plan::{FaultPlan, TuneIn};
-use std::sync::atomic::{AtomicU64, Ordering};
-use tnn_broadcast::MultiChannelEnv;
 use tnn_core::TnnError;
 
 tnn_trace::stats! {
-    /// Exact counts of every fault decision an injector has handed out.
+    /// Exact counts of every fault decision a server has acted on, booked
+    /// under its state lock when the fault is decided.
     ///
     /// For plans without worker kills, the counts are a pure function of
     /// `(seed, plan, admission sequence)` — bit-identical across worker
@@ -48,99 +47,41 @@ impl FaultStats {
     }
 }
 
-/// The shared, thread-safe decision point the serving layer probes: a
-/// [`FaultPlan`] plus atomic fault accounting.
-///
-/// Decisions delegate to the plan (pure functions of job sequence and
-/// attempt); only the *counting* is shared state, so concurrent workers
-/// can probe without coordination and [`FaultInjector::stats`] still
-/// tallies exactly.
-#[derive(Debug)]
-pub struct FaultInjector {
-    plan: FaultPlan,
-    drops: AtomicU64,
-    outages: AtomicU64,
-    engine_panics: AtomicU64,
-    worker_kills: AtomicU64,
-    clean_rounds: AtomicU64,
-}
-
-impl FaultInjector {
-    /// Wraps a plan with zeroed counters.
-    pub fn new(plan: FaultPlan) -> Self {
-        FaultInjector {
-            plan,
-            drops: AtomicU64::new(0),
-            outages: AtomicU64::new(0),
-            engine_panics: AtomicU64::new(0),
-            worker_kills: AtomicU64::new(0),
-            clean_rounds: AtomicU64::new(0),
-        }
-    }
-
-    /// One tune-in round for attempt `attempt` of job `seq`: asks the
-    /// plan for every channel of `env` in order, first fault wins.
-    /// `Ok(())` means the client reached all `k` roots and the engine
-    /// run may proceed; the error is always the recoverable
+impl FaultPlan {
+    /// One tune-in round for attempt `attempt` of job `seq` over
+    /// `channels` channels: asks the plan for every channel in order,
+    /// first fault wins, and tallies the round into `tally`. `Ok(())`
+    /// means the client reached all `k` roots and the engine run may
+    /// proceed; the error is always the recoverable
     /// [`TnnError::ChannelUnavailable`], with `retry_after = 1` for a
     /// transient drop (an immediate retry redraws) or the remaining
     /// outage width for a dark channel.
     pub fn check_tune_in(
         &self,
-        env: &MultiChannelEnv,
+        channels: usize,
         seq: u64,
         attempt: u32,
+        tally: &mut FaultStats,
     ) -> Result<(), TnnError> {
-        for i in 0..env.channels().len() {
-            match self.plan.tune_in(i, seq, attempt) {
-                TuneIn::Ok => {}
+        for channel in 0..channels {
+            let retry_after = match self.tune_in(channel, seq, attempt) {
+                TuneIn::Ok => continue,
                 TuneIn::Dropped => {
-                    self.drops.fetch_add(1, Ordering::Relaxed);
-                    return Err(TnnError::ChannelUnavailable {
-                        channel: i,
-                        retry_after: 1,
-                    });
+                    tally.drops += 1;
+                    1
                 }
                 TuneIn::Outage { retry_after } => {
-                    self.outages.fetch_add(1, Ordering::Relaxed);
-                    return Err(TnnError::ChannelUnavailable {
-                        channel: i,
-                        retry_after,
-                    });
+                    tally.outages += 1;
+                    retry_after
                 }
-            }
+            };
+            return Err(TnnError::ChannelUnavailable {
+                channel,
+                retry_after,
+            });
         }
-        self.clean_rounds.fetch_add(1, Ordering::Relaxed);
+        tally.clean_rounds += 1;
         Ok(())
-    }
-
-    /// `true` when job `seq`'s engine run should panic (counted).
-    pub fn engine_panic(&self, seq: u64) -> bool {
-        let hit = self.plan.engine_panic(seq);
-        if hit {
-            self.engine_panics.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    /// `true` when picking up job `seq` should kill the worker (counted).
-    pub fn worker_kill(&self, seq: u64) -> bool {
-        let hit = self.plan.worker_kill(seq);
-        if hit {
-            self.worker_kills.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    /// A snapshot of the fault tallies.
-    pub fn stats(&self) -> FaultStats {
-        FaultStats {
-            drops: self.drops.load(Ordering::Relaxed),
-            outages: self.outages.load(Ordering::Relaxed),
-            engine_panics: self.engine_panics.load(Ordering::Relaxed),
-            worker_kills: self.worker_kills.load(Ordering::Relaxed),
-            clean_rounds: self.clean_rounds.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -148,8 +89,10 @@ impl FaultInjector {
 mod tests {
     use super::*;
     use crate::faults::plan::ChannelFaults;
+    use crate::{ServeConfig, Server, ShutdownMode};
     use std::sync::Arc;
-    use tnn_broadcast::BroadcastParams;
+    use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
+    use tnn_core::Query;
     use tnn_geom::Point;
     use tnn_rtree::{PackingAlgorithm, RTree};
 
@@ -171,16 +114,15 @@ mod tests {
 
     #[test]
     fn zero_plan_rounds_are_clean_and_counted() {
-        let env = env(3);
-        let inj = FaultInjector::new(FaultPlan::none());
+        let plan = FaultPlan::none();
+        let mut tally = FaultStats::default();
         for seq in 0..10 {
-            assert_eq!(inj.check_tune_in(&env, seq, 0), Ok(()));
+            assert_eq!(plan.check_tune_in(3, seq, 0, &mut tally), Ok(()));
         }
-        let stats = inj.stats();
-        assert_eq!(stats.clean_rounds, 10);
-        assert_eq!(stats.injected(), 0);
+        assert_eq!(tally.clean_rounds, 10);
+        assert_eq!(tally.injected(), 0);
         assert_eq!(
-            stats,
+            tally,
             FaultStats {
                 clean_rounds: 10,
                 ..FaultStats::default()
@@ -190,82 +132,91 @@ mod tests {
 
     #[test]
     fn first_faulty_channel_wins_and_counts_once() {
-        let env = env(3);
         let plan = FaultPlan::new(0)
             .channel(1, ChannelFaults::NONE.outage(1, 5))
             .channel(2, ChannelFaults::NONE.outage(1, 5));
-        let inj = FaultInjector::new(plan);
+        let mut tally = FaultStats::default();
         assert_eq!(
-            inj.check_tune_in(&env, 0, 0),
+            plan.check_tune_in(3, 0, 0, &mut tally),
             Err(TnnError::ChannelUnavailable {
                 channel: 1,
                 retry_after: 5
             })
         );
-        let stats = inj.stats();
-        assert_eq!(stats.outages, 1);
-        assert_eq!(stats.clean_rounds, 0);
+        assert_eq!(tally.outages, 1);
+        assert_eq!(tally.clean_rounds, 0);
     }
 
     #[test]
     fn outage_surfaces_channel_unavailable_with_countdown() {
-        let env = env(2);
-        let inj =
-            FaultInjector::new(FaultPlan::new(1).channel(1, ChannelFaults::NONE.outage(8, 2)));
+        let plan = FaultPlan::new(1).channel(1, ChannelFaults::NONE.outage(8, 2));
+        let mut tally = FaultStats::default();
         assert_eq!(
-            inj.check_tune_in(&env, 8, 0),
+            plan.check_tune_in(2, 8, 0, &mut tally),
             Err(TnnError::ChannelUnavailable {
                 channel: 1,
                 retry_after: 2
             })
         );
-        assert_eq!(inj.check_tune_in(&env, 8, 2), Ok(()));
+        assert_eq!(plan.check_tune_in(2, 8, 2, &mut tally), Ok(()));
     }
 
     #[test]
     fn drops_report_retry_after_one() {
-        let env = env(2);
-        let inj =
-            FaultInjector::new(FaultPlan::new(4).channel(0, ChannelFaults::NONE.drop_rate(1000)));
+        let plan = FaultPlan::new(4).channel(0, ChannelFaults::NONE.drop_rate(1000));
+        let mut tally = FaultStats::default();
         assert_eq!(
-            inj.check_tune_in(&env, 0, 0),
+            plan.check_tune_in(2, 0, 0, &mut tally),
             Err(TnnError::ChannelUnavailable {
                 channel: 0,
                 retry_after: 1
             })
         );
-        assert_eq!(inj.stats().drops, 1);
+        assert_eq!(tally.drops, 1);
     }
 
     #[test]
     fn identical_probe_sequences_yield_identical_stats() {
-        let env = env(2);
         let plan = FaultPlan::new(77)
             .all_channels(2, ChannelFaults::NONE.drop_rate(200))
             .panic_rate(100);
-        let run = |plan: FaultPlan| {
-            let inj = FaultInjector::new(plan);
+        let run = |plan: &FaultPlan| {
+            let mut tally = FaultStats::default();
             for seq in 0..300 {
                 let mut attempt = 0;
-                while inj.check_tune_in(&env, seq, attempt).is_err() && attempt < 5 {
+                while plan.check_tune_in(2, seq, attempt, &mut tally).is_err() && attempt < 5 {
                     attempt += 1;
                 }
-                inj.engine_panic(seq);
+                tally.engine_panics += u64::from(plan.engine_panic(seq));
             }
-            inj.stats()
+            tally
         };
-        let a = run(plan.clone());
-        let b = run(plan);
+        let a = run(&plan);
+        let b = run(&plan.clone());
         assert_eq!(a, b);
         assert!(a.drops > 0);
         assert!(a.engine_panics > 0);
     }
 
+    /// A kill is booked before the killed job's ticket resolves, so the
+    /// tally is exact right after `wait()`.
     #[test]
     fn kills_count() {
-        let inj = FaultInjector::new(FaultPlan::new(0).kill_at(3));
-        assert!(!inj.worker_kill(2));
-        assert!(inj.worker_kill(3));
-        assert_eq!(inj.stats().worker_kills, 1);
+        let server = Server::spawn_with_faults(
+            env(2),
+            ServeConfig::new().workers(1),
+            FaultPlan::new(0).kill_at(3),
+        );
+        for i in 0..5u32 {
+            let ticket = server
+                .submit(Query::tnn(Point::new(f64::from(i) * 9.0, 20.0)))
+                .unwrap();
+            let _ = ticket.wait();
+            let kills = u64::from(i >= 3);
+            assert_eq!(server.fault_stats().unwrap().worker_kills, kills);
+        }
+        let stats = server.shutdown(ShutdownMode::Drain);
+        assert_eq!(stats.worker_restarts, 1);
+        assert!(stats.conserved(), "{stats:?}");
     }
 }

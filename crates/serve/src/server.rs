@@ -9,7 +9,7 @@
 )]
 
 use crate::config::{Backpressure, ServeConfig, ShutdownMode};
-use crate::faults::{FaultInjector, FaultPlan, FaultStats};
+use crate::faults::{FaultPlan, FaultStats};
 use crate::ticket::{Ticket, TicketCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar};
@@ -299,6 +299,9 @@ struct State {
     /// summed ([`ServeStats::retotaled`]) at snapshot time, so both stay
     /// zero here.
     stats: ServeStats,
+    /// The injected-fault tallies, booked when a fault is decided (all
+    /// zero without a fault plan).
+    faults: FaultStats,
     /// Next admission sequence number (assigned to enqueued jobs only,
     /// so a single-threaded submitter gets a deterministic numbering).
     next_seq: u64,
@@ -428,7 +431,7 @@ struct Inner {
     /// The fault schedule workers execute under; `None` for servers
     /// spawned without one, whose jobs skip the tune-in probe, the
     /// deadline re-check and the retry ladder.
-    faults: Option<FaultInjector>,
+    faults: Option<FaultPlan>,
     /// The slow-query flight recorder; `Some` exactly when
     /// [`ServeConfig::trace`] is on. Workers record each executed
     /// job's [`QueryTrace`] here *after* resolving its ticket, holding
@@ -490,20 +493,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Spawns a server over `env`. See [`Server::spawn_engine`] for the
-    /// full contract.
-    pub fn spawn(env: MultiChannelEnv, config: ServeConfig) -> Self {
-        Server::spawn_engine(QueryEngine::new(env), config)
-    }
-
-    /// [`Server::spawn`] under a [`FaultPlan`]: workers execute every
-    /// job through the plan's injected drops, outages, panics, and
-    /// kills. See [`Server::spawn_engine_with_faults`].
-    pub fn spawn_with_faults(env: MultiChannelEnv, config: ServeConfig, plan: FaultPlan) -> Self {
-        Server::spawn_engine_with_faults(QueryEngine::new(env), config, plan)
-    }
-
-    /// Spawns `config.workers` worker threads over (clones of) `engine`.
+    /// Spawns `config.workers` worker threads, each holding an O(1)
+    /// clone of one engine over `env`.
     ///
     /// `config.workers = 0` is allowed and means a *paused* server:
     /// submissions queue up (and backpressure applies) but nothing
@@ -514,36 +505,28 @@ impl Server {
     /// Every engine run sits behind a panic boundary: a panicking run
     /// resolves only its own ticket [`TnnError::Internal`], and the rest
     /// of its micro-batch is served as usual.
-    pub fn spawn_engine(engine: QueryEngine, config: ServeConfig) -> Self {
-        Server::spawn_engine_faulted(engine, config, None)
+    pub fn spawn(env: MultiChannelEnv, config: ServeConfig) -> Self {
+        Server::spawn_faulted(env, config, None)
     }
 
-    /// [`Server::spawn_engine`] under a [`FaultPlan`]: before each
-    /// execution attempt a worker probes every channel through the
-    /// plan; a drop or outage surfaces as
-    /// [`TnnError::ChannelUnavailable`] and enters the retry ladder
-    /// ([`ServeConfig::retry`]), which fails closed with that error
-    /// once its attempts are spent; injected engine panics resolve only
-    /// their own ticket ([`TnnError::Internal`]), as real ones do on
-    /// every server; injected worker kills unwind a whole serving round
-    /// and exercise in-place respawn ([`ServeStats::worker_restarts`]).
-    /// A zero plan injects nothing: outcomes are byte-identical to a
-    /// plain [`Server::spawn_engine`] (gated by
-    /// `crates/bench/tests/fault_equivalence.rs`). Read the
+    /// [`Server::spawn`] under a [`FaultPlan`]: before each execution
+    /// attempt a worker probes every channel through the plan; a drop
+    /// or outage surfaces as [`TnnError::ChannelUnavailable`] and enters
+    /// the retry ladder ([`ServeConfig::retry`]), which fails closed
+    /// with that error once its attempts are spent; injected engine
+    /// panics resolve only their own ticket ([`TnnError::Internal`]), as
+    /// real ones do on every server; injected worker kills unwind a
+    /// whole serving round and exercise in-place respawn
+    /// ([`ServeStats::worker_restarts`]). A zero plan injects nothing:
+    /// outcomes are byte-identical to a plain [`Server::spawn`] (gated
+    /// by `crates/bench/tests/fault_equivalence.rs`). Read the
     /// injected-fault tallies back with [`Server::fault_stats`].
-    pub fn spawn_engine_with_faults(
-        engine: QueryEngine,
-        config: ServeConfig,
-        plan: FaultPlan,
-    ) -> Self {
-        Server::spawn_engine_faulted(engine, config, Some(FaultInjector::new(plan)))
+    pub fn spawn_with_faults(env: MultiChannelEnv, config: ServeConfig, plan: FaultPlan) -> Self {
+        Server::spawn_faulted(env, config, Some(plan))
     }
 
-    fn spawn_engine_faulted(
-        engine: QueryEngine,
-        config: ServeConfig,
-        faults: Option<FaultInjector>,
-    ) -> Self {
+    fn spawn_faulted(env: MultiChannelEnv, config: ServeConfig, faults: Option<FaultPlan>) -> Self {
+        let engine = QueryEngine::new(env);
         let config = ServeConfig {
             queue_capacity: config.queue_capacity.max(1),
             batch_window: config.batch_window.max(1),
@@ -561,6 +544,7 @@ impl Server {
                     queue: MultiLevelQueue::new(),
                     shutdown: None,
                     stats: ServeStats::default(),
+                    faults: FaultStats::default(),
                     next_seq: 0,
                 },
             ),
@@ -801,7 +785,6 @@ impl Server {
                     break 'decide Some(Settlement::Completed(Ok(outcome), CacheUse::Hit));
                 }
             }
-            let capacity = self.inner.config.lane_capacity(class);
             loop {
                 if state.shutdown.is_some() {
                     break 'decide Some(Settlement::Rejected(TnnError::Cancelled));
@@ -810,7 +793,7 @@ impl Server {
                 if qos.deadline.expired(Instant::now()) {
                     break 'decide Some(Settlement::Expired);
                 }
-                if state.queue.len_of(class) < capacity {
+                if state.queue.len_of(class) < self.inner.config.queue_capacity {
                     break 'decide None;
                 }
                 match self.inner.config.backpressure {
@@ -916,7 +899,10 @@ impl Server {
     /// the tallies are bit-identical across worker counts and reruns of
     /// the same admission sequence (see [`FaultStats`]).
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.inner.faults.as_ref().map(FaultInjector::stats)
+        self.inner
+            .faults
+            .as_ref()
+            .map(|_| self.inner.state.lock().faults)
     }
 
     /// The slow-query flight recorder, `None` unless
@@ -1164,8 +1150,9 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
             guard.taken[job.class.index()] += 1;
         }
         for job in local.drain(..) {
-            if let Some(faults) = &inner.faults {
-                if faults.worker_kill(job.seq) {
+            if let Some(plan) = &inner.faults {
+                if plan.worker_kill(job.seq) {
+                    inner.state.lock().faults.worker_kills += 1;
                     // Quiet unwind (skips the panic hook): this job and
                     // the rest of the batch resolve `Err(Internal)` via
                     // their drops, the guard books them, and
@@ -1307,14 +1294,16 @@ fn run_job(
 ) -> Executed {
     let mut retries: u64 = 0;
     let mut inject = false;
-    if let Some(faults) = &inner.faults {
+    if let Some(plan) = &inner.faults {
         let policy = inner.config.retry;
         let mut attempt: u32 = 0; // failed tune-ins so far (advances outages)
         loop {
             if job.deadline.expired(Instant::now()) {
                 return Executed::Expired { retries };
             }
-            let Err(err) = faults.check_tune_in(env, job.seq, attempt) else {
+            let round =
+                plan.check_tune_in(env.len(), job.seq, attempt, &mut inner.state.lock().faults);
+            let Err(err) = round else {
                 break;
             };
             attempt += 1;
@@ -1334,7 +1323,10 @@ fn run_job(
                 *backoff += pause;
             }
         }
-        inject = faults.engine_panic(job.seq);
+        inject = plan.engine_panic(job.seq);
+        if inject {
+            inner.state.lock().faults.engine_panics += 1;
+        }
     }
     Executed::Done {
         result: run_isolated(engine, env, &job.query, scratch, inject),

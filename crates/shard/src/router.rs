@@ -30,7 +30,6 @@
 use crate::config::ShardConfig;
 use crate::partition::ShardPlan;
 use crate::stats::ShardStats;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use tnn_broadcast::MultiChannelEnv;
 use tnn_core::{
@@ -74,39 +73,23 @@ pub struct ShardOutcome {
     pub fallback: bool,
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    queries: AtomicU64,
-    scattered: AtomicU64,
-    scatter_rejected: AtomicU64,
-    scatter_errors: AtomicU64,
-    scatter_pruned: AtomicU64,
-    gather_probed: AtomicU64,
-    gather_pruned: AtomicU64,
-    fallbacks: AtomicU64,
-    /// Environment swaps published via [`ShardRouter::swap_env`].
-    env_swaps: AtomicU64,
-    /// Shard servers drained and retired by environment swaps (their
-    /// final stats live on in the `retired` fold).
-    retired_replicas: AtomicU64,
-}
-
 /// One environment epoch's serving structure: the environment, its
 /// partitioning, and the shard servers built over it. Swapped as a unit
 /// by [`ShardRouter::swap_env`] — queries hold a read guard on the
 /// current topology for their whole scatter-gather pass, so a swap or a
 /// shutdown (which take the write side) never tears a query between
-/// epochs or between a live and a frozen fleet.
+/// epochs or between a live and a stopped fleet.
 struct Topology {
     env: MultiChannelEnv,
     plan: ShardPlan,
     /// One server per shard, `None` for an ineligible shard (one missing
-    /// some channel's objects), which serves nothing.
+    /// some channel's objects), which serves nothing. Emptied by
+    /// [`ShardRouter::shutdown`], which banks the servers' final stats
+    /// in the ledger first.
     servers: Vec<Option<Server>>,
-    /// The fleet's folded serving stats, frozen by
-    /// [`ShardRouter::shutdown`]; `Some` means the router is shut and
-    /// refuses every query and swap.
-    frozen: Option<ServeStats>,
+    /// Set by [`ShardRouter::shutdown`]: the router refuses every query
+    /// and swap from then on.
+    shut: bool,
 }
 
 impl Topology {
@@ -135,7 +118,7 @@ fn build_topology(env: MultiChannelEnv, config: &ShardConfig) -> Topology {
         env,
         plan,
         servers,
-        frozen: None,
+        shut: false,
     }
 }
 
@@ -187,17 +170,16 @@ fn build_topology(env: MultiChannelEnv, config: &ShardConfig) -> Topology {
 /// ```
 pub struct ShardRouter {
     /// The current serving topology (environment + plan + shard
-    /// servers, or the frozen fold once shut). Queries read-lock it for
-    /// their whole scatter-gather pass; [`ShardRouter::swap_env`] and
-    /// [`ShardRouter::shutdown`] write-lock it, so each takes effect
-    /// between queries.
+    /// servers). Queries read-lock it for their whole scatter-gather
+    /// pass; [`ShardRouter::swap_env`] and [`ShardRouter::shutdown`]
+    /// write-lock it, so each takes effect between queries.
     topology: OrderedRwLock<Topology>,
     config: ShardConfig,
-    counters: Counters,
-    /// Folded final stats of servers retired by environment swaps —
-    /// merged into every [`ShardRouter::stats`] snapshot so pre-swap
-    /// work is never dropped or double-counted.
-    retired: OrderedMutex<ServeStats>,
+    /// The router's one stats ledger: its scatter-gather counters, and
+    /// in [`ShardStats::serve`] the final stats of every shard server
+    /// that is no longer live (retired by a swap or stopped by
+    /// shutdown). [`ShardRouter::stats`] adds the live servers' fold.
+    ledger: OrderedMutex<ShardStats>,
     /// The router-level flight recorder, `Some` when the shard servers'
     /// [`tnn_serve::ServeConfig::trace`] is on. Router traces carry the
     /// scatter/gather waits (derived from sub-ticket latencies — this
@@ -214,8 +196,7 @@ impl ShardRouter {
         ShardRouter {
             topology: OrderedRwLock::new(LockRank::ShardTopology, build_topology(env, &config)),
             config,
-            counters: Counters::default(),
-            retired: OrderedMutex::new(LockRank::ShardRetired, ServeStats::default()),
+            ledger: OrderedMutex::new(LockRank::ShardLedger, ShardStats::default()),
             recorder,
         }
     }
@@ -242,8 +223,8 @@ impl ShardRouter {
     /// data, spawns fresh shard servers over the new slices, and swaps
     /// them in atomically (in-flight queries finish on the topology they
     /// started with — the swap waits for their read guards). The old
-    /// servers are drained and their final serving stats folded into the
-    /// retired ledger before any query runs on the new topology, so
+    /// servers are drained and their final serving stats banked in the
+    /// ledger before any query runs on the new topology, so
     /// [`ShardStats`] conservation holds across the swap. Scatter
     /// sub-queries admitted after the swap carry the new environment's
     /// epoch/fingerprint in their cache keys, so shard caches can never
@@ -259,7 +240,7 @@ impl ShardRouter {
     pub fn swap_env(&self, env: MultiChannelEnv) -> Result<(), TnnError> {
         {
             let topology = self.topology.read();
-            if topology.frozen.is_some() {
+            if topology.shut {
                 return Err(TnnError::Cancelled);
             }
             let needed = topology.env.len();
@@ -275,7 +256,7 @@ impl ShardRouter {
         // warms up.
         let fresh = build_topology(env, &self.config);
         let mut topology = self.topology.write();
-        if topology.frozen.is_some() {
+        if topology.shut {
             // Shut down meanwhile. The fresh servers never saw a query;
             // dropping a server drains it.
             drop(topology);
@@ -286,19 +267,17 @@ impl ShardRouter {
         // The retirees are idle — every query that scattered to them has
         // finished, or the write guard would not be ours — so draining
         // them here is quick, and banking their final counters before the
-        // guard drops keeps every stats snapshot and the shutdown fold
-        // exact.
-        let mut folded = ServeStats::default();
-        let mut count = 0u64;
-        for server in old.servers.iter().flatten() {
-            folded.merge(&server.shutdown(ShutdownMode::Drain));
-            count += 1;
-        }
-        self.retired.lock().merge(&folded);
-        self.counters
-            .retired_replicas
-            .fetch_add(count, Ordering::Relaxed);
-        self.counters.env_swaps.fetch_add(1, Ordering::Relaxed);
+        // guard drops keeps every stats snapshot exact.
+        let retired: Vec<ServeStats> = old
+            .servers
+            .iter()
+            .flatten()
+            .map(|server| server.shutdown(ShutdownMode::Drain))
+            .collect();
+        let mut ledger = self.ledger.lock();
+        ledger.serve.merge(&ServeStats::fold(&retired));
+        ledger.retired_replicas += retired.len() as u64;
+        ledger.env_swaps += 1;
         Ok(())
     }
 
@@ -321,14 +300,35 @@ impl ShardRouter {
         // The read guard pins one topology for the whole scatter-gather
         // pass: a concurrent swap_env or shutdown waits until every
         // in-flight query releases it, so no query ever mixes epochs or
-        // scatters past the frozen fold.
+        // scatters past shutdown.
         let topology = self.topology.read();
-        let topology = &*topology;
-        if topology.frozen.is_some() {
+        if topology.shut {
             return Err(TnnError::Cancelled);
         }
-        let seq = self.counters.queries.fetch_add(1, Ordering::Relaxed);
+        let seq = {
+            let mut ledger = self.ledger.lock();
+            ledger.queries += 1;
+            ledger.queries - 1
+        };
         let mut trace = self.recorder.as_ref().map(|_| QueryTrace::new(seq));
+        let mut tally = ShardStats::default();
+        let routed = self.route(&topology, query, &mut tally, &mut trace);
+        self.ledger.lock().merge(&tally);
+        if routed.is_ok() {
+            self.seal_trace(trace);
+        }
+        routed
+    }
+
+    /// The scatter-gather pass of [`ShardRouter::run`], tallying into
+    /// `tally` (merged into the ledger once, whatever the exit).
+    fn route(
+        &self,
+        topology: &Topology,
+        query: &Query,
+        tally: &mut ShardStats,
+        trace: &mut Option<QueryTrace>,
+    ) -> Result<ShardOutcome, TnnError> {
         query.validate(&topology.env)?;
         let p = query.point();
         let kind = query.kind();
@@ -342,12 +342,11 @@ impl ShardRouter {
         // answer (including its failures) bit-for-bit.
         if kind == QueryKind::Tnn(Algorithm::ApproximateTnn) {
             let radius = approximate_radius_for_env(&topology.env) * FP_PAD;
-            let layers = self.gather(topology, p, radius);
+            let layers = gather(topology, p, radius, tally);
             let mut join = JoinScratch::default();
             let merged = merge_route_layers(&mut join, RouteObjective::Chain, p, &layers, None);
-            self.seal_trace(trace);
             return Ok(match merged {
-                Some(m) => self.outcome(kind, m, radius, 0, 0, false),
+                Some(m) => outcome(kind, m, radius, tally, false),
                 None => ShardOutcome {
                     kind,
                     route: Vec::new(),
@@ -367,8 +366,6 @@ impl ShardRouter {
         };
 
         // -- Scatter: seed and tighten the transitive bound B ---------
-        let mut scattered = 0usize;
-        let mut pruned = 0usize;
         let mut bound = f64::INFINITY;
         let eligible = topology.plan.eligible_shards();
         if !eligible.is_empty() {
@@ -388,38 +385,12 @@ impl ShardRouter {
                     da.total_cmp(&db)
                 })
                 .expect("eligible is non-empty");
-            match topology.submit(primary, query) {
-                Ok(ticket) => {
-                    scattered += 1;
-                    self.counters.scattered.fetch_add(1, Ordering::Relaxed);
-                    match ticket.wait() {
-                        Ok(outcome) => {
-                            if let Some(t) = trace.as_mut() {
-                                fold_sub_outcome(t, &outcome);
-                            }
-                            if let Some(total) = outcome.total_dist {
-                                bound = total;
-                            }
-                        }
-                        Err(_) => {
-                            self.counters.scatter_errors.fetch_add(1, Ordering::Relaxed);
-                            if let Some(t) = trace.as_mut() {
-                                t.errored = true;
-                            }
-                        }
-                    }
-                    // The scatter wait is the primary sub-ticket's own
-                    // submission-to-resolution latency — this crate
-                    // reads no clock (R1), the shard server stamped it.
-                    if let (Some(t), Some(latency)) = (trace.as_mut(), ticket.latency()) {
-                        t.span(SpanKind::ShardScatter, latency);
-                    }
-                }
-                Err(_) => {
-                    self.counters
-                        .scatter_rejected
-                        .fetch_add(1, Ordering::Relaxed);
-                }
+            // The scatter wait is the primary sub-ticket's own
+            // submission-to-resolution latency — this crate reads no
+            // clock (R1), the shard server stamped it.
+            let primary_wait = scatter(topology, &[primary], query, &mut bound, tally, trace);
+            if let (Some(t), Some(latency)) = (trace.as_mut(), primary_wait) {
+                t.span(SpanKind::ShardScatter, latency);
             }
             // Every stop of an optimal route lies within B of p (B/2
             // for tours) — shards entirely farther than that cannot
@@ -427,55 +398,22 @@ impl ShardRouter {
             // concurrently across their shard servers; the waits fold
             // the bound down in ascending shard order.
             let prune_factor = if round_trip { 2.0 } else { 1.0 };
-            let mut waits: Vec<Ticket> = Vec::new();
-            for &s in eligible.iter().filter(|&&s| s != primary) {
-                if shard_mbr(&topology.plan, s).min_dist(p) * prune_factor > bound {
-                    pruned += 1;
-                    self.counters.scatter_pruned.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                match topology.submit(s, query) {
-                    Ok(ticket) => {
-                        scattered += 1;
-                        self.counters.scattered.fetch_add(1, Ordering::Relaxed);
-                        waits.push(ticket);
-                    }
-                    Err(_) => {
-                        self.counters
-                            .scatter_rejected
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            let mut gather_wait = Duration::ZERO;
-            for ticket in waits {
-                match ticket.wait() {
-                    Ok(outcome) => {
-                        if let Some(t) = trace.as_mut() {
-                            fold_sub_outcome(t, &outcome);
-                        }
-                        if let Some(total) = outcome.total_dist {
-                            if total < bound {
-                                bound = total;
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        self.counters.scatter_errors.fetch_add(1, Ordering::Relaxed);
-                        if let Some(t) = trace.as_mut() {
-                            t.errored = true;
-                        }
-                    }
-                }
-                // Surviving sub-queries run concurrently, so the gather
-                // wait is the *max* sub-ticket latency, not the sum.
-                if let Some(latency) = ticket.latency() {
-                    gather_wait = gather_wait.max(latency);
-                }
-            }
-            if let Some(t) = trace.as_mut() {
-                if !gather_wait.is_zero() {
-                    t.span(SpanKind::ShardGather, gather_wait);
+            let survivors: Vec<usize> = eligible
+                .iter()
+                .copied()
+                .filter(|&s| s != primary)
+                .filter(|&s| {
+                    let far = shard_mbr(&topology.plan, s).min_dist(p) * prune_factor > bound;
+                    tally.scatter_pruned += u64::from(far);
+                    !far
+                })
+                .collect();
+            // Surviving sub-queries run concurrently, so the gather
+            // wait is the *max* sub-ticket latency, not the sum.
+            let gather_wait = scatter(topology, &survivors, query, &mut bound, tally, trace);
+            if let (Some(t), Some(wait)) = (trace.as_mut(), gather_wait) {
+                if !wait.is_zero() {
+                    t.span(SpanKind::ShardGather, wait);
                 }
             }
         }
@@ -485,7 +423,7 @@ impl ShardRouter {
             // refused): bound the gather with any feasible route,
             // computed locally — first object of each channel, walked in
             // channel order. Correctness only needs *feasibility*.
-            self.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
+            tally.fallbacks += 1;
             bound = fallback_bound(&topology.env, p, round_trip);
         }
 
@@ -495,7 +433,7 @@ impl ShardRouter {
         } else {
             bound * FP_PAD
         };
-        let layers = self.gather(topology, p, radius);
+        let layers = gather(topology, p, radius, tally);
         let mut join = JoinScratch::default();
         // The gather bound comes from a feasible route, so every layer
         // holds that route's stop and the merge cannot come up empty —
@@ -503,8 +441,7 @@ impl ShardRouter {
         // whatever thread runs the router.
         let merged =
             merge_route_layers(&mut join, objective, p, &layers, None).ok_or(TnnError::Internal)?;
-        self.seal_trace(trace);
-        Ok(self.outcome(kind, merged, radius, scattered, pruned, fallback))
+        Ok(outcome(kind, merged, radius, tally, fallback))
     }
 
     /// Seals and records a router-level trace. Its total is the span
@@ -518,42 +455,28 @@ impl ShardRouter {
         }
     }
 
-    /// A snapshot of the router's counters plus the fold of every shard
-    /// server's serving stats — the live servers *and* the ones already
-    /// retired by environment swaps (frozen by [`ShardRouter::shutdown`]).
+    /// A snapshot of the router's stats: the ledger (its counters, and
+    /// the final stats of every server retired by a swap or stopped by
+    /// [`ShardRouter::shutdown`]) plus the fold of the live shard
+    /// servers' serving stats, read under one topology guard so a
+    /// concurrent swap never counts a server twice or not at all. After
+    /// shutdown no server is live and the snapshot stays frozen.
     pub fn stats(&self) -> ShardStats {
-        let serve = {
-            let topology = self.topology.read();
-            topology.frozen.unwrap_or_else(|| {
-                let snapshots: Vec<ServeStats> = topology
-                    .servers
-                    .iter()
-                    .flatten()
-                    .map(Server::stats)
-                    .collect();
-                let mut folded = ServeStats::fold(&snapshots);
-                folded.merge(&self.retired.lock());
-                folded
-            })
-        };
-        ShardStats {
-            queries: self.counters.queries.load(Ordering::Relaxed),
-            scattered: self.counters.scattered.load(Ordering::Relaxed),
-            scatter_rejected: self.counters.scatter_rejected.load(Ordering::Relaxed),
-            scatter_errors: self.counters.scatter_errors.load(Ordering::Relaxed),
-            scatter_pruned: self.counters.scatter_pruned.load(Ordering::Relaxed),
-            gather_probed: self.counters.gather_probed.load(Ordering::Relaxed),
-            gather_pruned: self.counters.gather_pruned.load(Ordering::Relaxed),
-            fallbacks: self.counters.fallbacks.load(Ordering::Relaxed),
-            env_swaps: self.counters.env_swaps.load(Ordering::Relaxed),
-            retired_replicas: self.counters.retired_replicas.load(Ordering::Relaxed),
-            serve,
-        }
+        let topology = self.topology.read();
+        let live: Vec<ServeStats> = topology
+            .servers
+            .iter()
+            .flatten()
+            .map(Server::stats)
+            .collect();
+        let mut stats = self.ledger.lock().clone();
+        stats.serve.merge(&ServeStats::fold(&live));
+        stats
     }
 
     /// Shuts every shard server down under `mode` and returns the final
-    /// stats. Idempotent; later [`ShardRouter::stats`] calls keep
-    /// returning the frozen fold, and later [`ShardRouter::run`] and
+    /// stats. Idempotent; later [`ShardRouter::stats`] calls return the
+    /// same numbers, and later [`ShardRouter::run`] and
     /// [`ShardRouter::swap_env`] calls return [`TnnError::Cancelled`].
     pub fn shutdown(&self, mode: ShutdownMode) -> ShardStats {
         // Stop the fleet first, under a read guard: in-flight sub-queries
@@ -566,21 +489,21 @@ impl ShardRouter {
                 server.shutdown(mode);
             }
         }
-        // Then freeze the fold. The write guard waits those queries out,
-        // so no scatter can grow the router's counters past it. Servers
-        // shut above just return their final stats again; a swap that
-        // landed in between published fresh ones, which shut here.
+        // Then bank the fleet. The write guard waits those queries out,
+        // so no scatter can grow the ledger past it. Servers shut above
+        // just return their final stats again; a swap that landed in
+        // between published fresh ones, which shut here.
         let mut topology = self.topology.write();
-        if topology.frozen.is_none() {
-            let snapshots: Vec<ServeStats> = topology
+        if !topology.shut {
+            let stopped: Vec<ServeStats> = topology
                 .servers
                 .iter()
                 .flatten()
                 .map(|server| server.shutdown(mode))
                 .collect();
-            let mut folded = ServeStats::fold(&snapshots);
-            folded.merge(&self.retired.lock());
-            topology.frozen = Some(folded);
+            self.ledger.lock().serve.merge(&ServeStats::fold(&stopped));
+            topology.servers.clear();
+            topology.shut = true;
         }
         drop(topology);
         self.stats()
@@ -621,54 +544,105 @@ impl ShardRouter {
             );
         }
     }
+}
 
-    /// Collects every candidate within `radius` of `p`, per channel,
-    /// walking shards in ascending index. Whole sub-trees are skipped
-    /// when their root MBR lies entirely outside the circle — the same
-    /// test [`tnn_rtree::RTree::range_circle`] applies at its root, so
-    /// pruning skips only provably hit-free searches.
-    fn gather(&self, topology: &Topology, p: Point, radius: f64) -> Vec<Vec<(Point, ObjectId)>> {
-        let r_sq = radius * radius;
-        let circle = Circle::new(p, radius);
-        let mut layers: Vec<Vec<(Point, ObjectId)>> = vec![Vec::new(); topology.env.len()];
-        for s in 0..topology.plan.num_shards() {
-            for (c, layer) in layers.iter_mut().enumerate() {
-                let tree = topology.plan.tree(s, c);
-                if tree.num_objects() == 0 {
-                    continue;
+/// Submits `query` to each of `shards`, then waits the admitted
+/// sub-tickets in shard order, folding each sub-route total down into
+/// `bound` and each sub-outcome into `trace`. Returns the slowest
+/// sub-ticket's latency, `None` when no sub-query was admitted.
+fn scatter(
+    topology: &Topology,
+    shards: &[usize],
+    query: &Query,
+    bound: &mut f64,
+    tally: &mut ShardStats,
+    trace: &mut Option<QueryTrace>,
+) -> Option<Duration> {
+    let mut tickets = Vec::with_capacity(shards.len());
+    for &s in shards {
+        match topology.submit(s, query) {
+            Ok(ticket) => {
+                tally.scattered += 1;
+                tickets.push(ticket);
+            }
+            Err(_) => tally.scatter_rejected += 1,
+        }
+    }
+    let mut slowest = None;
+    for ticket in tickets {
+        match ticket.wait() {
+            Ok(outcome) => {
+                if let Some(t) = trace.as_mut() {
+                    fold_sub_outcome(t, &outcome);
                 }
-                if tree.root_mbr().min_dist_sq(p) > r_sq {
-                    self.counters.gather_pruned.fetch_add(1, Ordering::Relaxed);
-                    continue;
+                if let Some(total) = outcome.total_dist {
+                    if total < *bound {
+                        *bound = total;
+                    }
                 }
-                self.counters.gather_probed.fetch_add(1, Ordering::Relaxed);
-                // Shard trees keep the source's ids, so the merged
-                // route's stops are the same bytes an unsharded run
-                // reports.
-                layer.extend(tree.range_circle(&circle).hits);
+            }
+            Err(_) => {
+                tally.scatter_errors += 1;
+                if let Some(t) = trace.as_mut() {
+                    t.errored = true;
+                }
             }
         }
-        layers
+        slowest = slowest.max(ticket.latency());
     }
+    slowest
+}
 
-    fn outcome(
-        &self,
-        kind: QueryKind,
-        merged: tnn_core::MergedRoute,
-        radius: f64,
-        scattered: usize,
-        pruned: usize,
-        fallback: bool,
-    ) -> ShardOutcome {
-        ShardOutcome {
-            kind,
-            total_dist: Some(merged.total_dist),
-            route: merged.into_route(),
-            search_radius: radius,
-            shards_scattered: scattered,
-            shards_pruned: pruned,
-            fallback,
+/// Collects every candidate within `radius` of `p`, per channel,
+/// walking shards in ascending index. Whole sub-trees are skipped
+/// when their root MBR lies entirely outside the circle — the same
+/// test [`tnn_rtree::RTree::range_circle`] applies at its root, so
+/// pruning skips only provably hit-free searches.
+fn gather(
+    topology: &Topology,
+    p: Point,
+    radius: f64,
+    tally: &mut ShardStats,
+) -> Vec<Vec<(Point, ObjectId)>> {
+    let r_sq = radius * radius;
+    let circle = Circle::new(p, radius);
+    let mut layers: Vec<Vec<(Point, ObjectId)>> = vec![Vec::new(); topology.env.len()];
+    for s in 0..topology.plan.num_shards() {
+        for (c, layer) in layers.iter_mut().enumerate() {
+            let tree = topology.plan.tree(s, c);
+            if tree.num_objects() == 0 {
+                continue;
+            }
+            if tree.root_mbr().min_dist_sq(p) > r_sq {
+                tally.gather_pruned += 1;
+                continue;
+            }
+            tally.gather_probed += 1;
+            // Shard trees keep the source's ids, so the merged route's
+            // stops are the same bytes an unsharded run reports.
+            layer.extend(tree.range_circle(&circle).hits);
         }
+    }
+    layers
+}
+
+/// A scattered query's outcome; its scatter counts are the query's own
+/// tally.
+fn outcome(
+    kind: QueryKind,
+    merged: tnn_core::MergedRoute,
+    radius: f64,
+    tally: &ShardStats,
+    fallback: bool,
+) -> ShardOutcome {
+    ShardOutcome {
+        kind,
+        total_dist: Some(merged.total_dist),
+        route: merged.into_route(),
+        search_radius: radius,
+        shards_scattered: tally.scattered as usize,
+        shards_pruned: tally.scatter_pruned as usize,
+        fallback,
     }
 }
 
@@ -1105,6 +1079,38 @@ mod tests {
         assert_eq!(after.queries, frozen.queries);
         assert_eq!(after.scatter_rejected, frozen.scatter_rejected);
         assert_eq!(after.fallbacks, frozen.fallbacks);
+    }
+
+    /// One formula before and after shutdown: on an idle router the
+    /// snapshot just before `shutdown`, the one it returns and the one
+    /// after it are the same numbers.
+    #[test]
+    fn idle_router_stats_are_the_same_across_shutdown() {
+        let env = sample_env(2);
+        let router = ShardRouter::spawn(
+            env.clone(),
+            ShardConfig::new().shards(4).serve(small_serve()),
+        );
+        for i in 0..6u32 {
+            let p = Point::new(f64::from(i) * 150.0, f64::from(i) * 120.0);
+            router.run(&Query::order_free(p)).unwrap();
+        }
+        router.swap_env(advanced(&env, 0x1D1E)).unwrap();
+        router.run(&Query::tnn(Point::new(500.0, 500.0))).unwrap();
+        // A ticket resolves before its worker books the batch: wait
+        // until no sub-query is still counted in flight.
+        while router.stats().serve.in_flight > 0 {
+            std::thread::yield_now();
+        }
+        let before = router.stats();
+        let frozen = router.shutdown(ShutdownMode::Drain);
+        let after = router.stats();
+        assert!(before.serve.completed > 0 && before.retired_replicas > 0);
+        assert_eq!(before, frozen);
+        assert_eq!(frozen, after);
+        for stats in [&before, &frozen, &after] {
+            assert!(stats.conserved(), "{stats:?}");
+        }
     }
 
     #[test]

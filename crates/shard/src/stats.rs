@@ -6,7 +6,7 @@ tnn_trace::stats! {
     /// A snapshot of one [`crate::ShardRouter`]'s activity: scatter-gather
     /// counters plus the [`ServeStats::fold`] of every shard server's
     /// serving counters.
-    #[derive(Debug, Clone, Default)]
+    #[derive(Debug, Clone, Default, PartialEq)]
     pub struct ShardStats {
         /// Queries accepted by [`crate::ShardRouter::run`] (before
         /// validation; failed validations count too).
@@ -50,7 +50,8 @@ tnn_trace::stats! {
         pub retired_replicas: u64 => "tnn_shard_retired_replicas_total",
             "Replicas drained and retired by environment swaps",
         /// [`ServeStats::fold`] over every shard server — the live ones
-        /// plus every server retired by an environment swap.
+        /// plus every server retired by an environment swap or stopped
+        /// by [`crate::ShardRouter::shutdown`].
         pub serve: ServeStats,
     }
 }

@@ -43,7 +43,7 @@ use std::time::Duration;
 /// locks of the same rank (two cache stripes, say) never nest.
 ///
 /// ```text
-///   scatter stratum        shard.topology > shard.retired
+///   scatter stratum        shard.topology > shard.ledger
 ///         │ scatters into
 ///   server stratum         serve.workers > serve.state > ticket.state
 ///         │ consults
@@ -60,13 +60,14 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LockRank {
     /// The router's serving topology (env + plan + shard servers, and
-    /// the frozen stats fold once shut). Queries hold a read guard for
-    /// their whole scatter-gather pass, across server submits; env swaps
-    /// and shutdown take the write side.
+    /// whether it is shut). Queries hold a read guard for their whole
+    /// scatter-gather pass, across server submits; env swaps and
+    /// shutdown take the write side.
     ShardTopology,
-    /// Folded final stats of servers retired by env swaps; merged into
-    /// stats snapshots after the live server fold.
-    ShardRetired,
+    /// The router's stats ledger: its scatter-gather counters and the
+    /// final stats of every shard server no longer live. Taken under
+    /// the topology guard, never across a server call.
+    ShardLedger,
     /// A server's worker `JoinHandle`s; shutdown holds it while draining
     /// the server state.
     ServeWorkers,
@@ -99,7 +100,7 @@ impl LockRank {
     pub const fn name(self) -> &'static str {
         match self {
             LockRank::ShardTopology => "shard.topology",
-            LockRank::ShardRetired => "shard.retired",
+            LockRank::ShardLedger => "shard.ledger",
             LockRank::ServeWorkers => "serve.workers",
             LockRank::ServeState => "serve.state",
             LockRank::TicketState => "ticket.state",
