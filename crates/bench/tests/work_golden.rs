@@ -1,0 +1,138 @@
+//! Host-independent work counters, pinned per query pool.
+//!
+//! Wall time on a shared host is too noisy to gate a regression, so this
+//! test pins the work itself: for two fixed query pools, the sums of the
+//! paper's page counters (access time, tune-in, index node visits), of the
+//! estimate searches' prune hits, the largest peak queue, the sum of the
+//! filter candidates and of the route join's two work counters
+//! (candidate evaluations and grid cells tested) are written to
+//! `tests/golden/work.txt` and byte-compared. The pools mirror the
+//! benchmark's two engine workloads at a debug-friendly size: Hybrid-NN
+//! TNN over three clustered CITY-like channels, and over two uniform
+//! channels.
+//!
+//! A change that moves any count fails here and prints the full
+//! rendering; a change that means to move one updates the file in the
+//! same commit and explains the diff.
+
+use std::fmt::Write as _;
+use std::sync::Arc;
+use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
+use tnn_core::{Algorithm, Query, QueryEngine};
+use tnn_datasets::{city_like, paper_region, uniform_points};
+use tnn_geom::Point;
+use tnn_rtree::{PackingAlgorithm, RTree};
+
+const GOLDEN: &str = include_str!("golden/work.txt");
+
+/// Queries per pool.
+const QUERIES: usize = 256;
+
+/// Seed of channel 0's dataset, the benchmark's; channel `c` uses
+/// `DATA_SEED + c`.
+const DATA_SEED: u64 = 0x7A11_0000;
+
+fn env(points: Vec<Vec<Point>>) -> MultiChannelEnv {
+    let params = BroadcastParams::new(64);
+    let k = points.len();
+    let trees = points
+        .iter()
+        .map(|pts| {
+            Arc::new(RTree::build(pts, params.rtree_params(), PackingAlgorithm::Str).unwrap())
+        })
+        .collect();
+    MultiChannelEnv::new(trees, params, &vec![0; k])
+}
+
+/// SplitMix64, for the pool's points and phases.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// `QUERIES` Hybrid-NN TNN queries at uniform points of the region, each
+/// issued at a random phase of every channel's cycle.
+fn pool(env: &MultiChannelEnv, seed: u64) -> Vec<Query> {
+    let region = paper_region();
+    let mut rng = Mix(seed);
+    (0..QUERIES)
+        .map(|_| {
+            let p = Point::new(
+                region.min.x + rng.unit() * region.width(),
+                region.min.y + rng.unit() * region.height(),
+            );
+            let phases: Vec<u64> = env
+                .channels()
+                .iter()
+                .map(|c| rng.next() % c.layout().cycle_len().max(1))
+                .collect();
+            Query::tnn(p).algorithm(Algorithm::HybridNn).phases(&phases)
+        })
+        .collect()
+}
+
+/// One line of per-pool sums.
+fn render_pool(out: &mut String, label: &str, env: MultiChannelEnv, seed: u64) {
+    let queries = pool(&env, seed);
+    let engine = QueryEngine::new(env);
+    // A new engine's pool is empty, so this scratch is fresh and its join
+    // counters sum over this pool alone.
+    let mut scratch = engine.scratch();
+    let (mut access, mut tune_in, mut node_visits) = (0, 0, 0);
+    let (mut prune_hits, mut peak_queue, mut candidates) = (0, 0, 0);
+    for query in &queries {
+        let outcome = engine
+            .run_with(query, &mut scratch)
+            .expect("valid query over non-empty channels");
+        assert!(!outcome.failed(), "{label}: Hybrid-NN never fails");
+        access += outcome.access_time();
+        tune_in += outcome.tune_in();
+        node_visits += outcome.node_visits();
+        prune_hits += outcome.prune_hits();
+        peak_queue = peak_queue.max(outcome.peak_queue());
+        candidates += outcome.total_candidates();
+    }
+    writeln!(
+        out,
+        "{label} queries={} access_pages={access} tune_in_pages={tune_in} \
+         node_visits={node_visits} prune_hits={prune_hits} peak_queue_max={peak_queue} \
+         candidates={candidates} join_evaluations={} \
+         grid_cells_tested={}",
+        queries.len(),
+        scratch.join().chain_evaluations(),
+        scratch.join().grid_cells_tested(),
+    )
+    .unwrap();
+}
+
+fn render() -> String {
+    let mut out = String::new();
+    let city = (0..3).map(|c| city_like(DATA_SEED + c)).collect();
+    render_pool(&mut out, "city_k3", env(city), 1);
+    let uniform = (0..2)
+        .map(|c| uniform_points(10_000, &paper_region(), DATA_SEED + c))
+        .collect();
+    render_pool(&mut out, "uniform_k2", env(uniform), 2);
+    out
+}
+
+#[test]
+fn work_counters_match_the_golden_file() {
+    let rendered = render();
+    assert!(
+        rendered == GOLDEN,
+        "work counters drifted from tests/golden/work.txt\n\
+         --- rendered ---\n{rendered}--- golden ---\n{GOLDEN}"
+    );
+}

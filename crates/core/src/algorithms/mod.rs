@@ -100,6 +100,14 @@ pub struct QueryScratch<Q: CandidateQueue = ArrivalHeap> {
 }
 
 impl<Q: CandidateQueue> QueryScratch<Q> {
+    /// The join's working memory, read-only: its work counters
+    /// ([`JoinScratch::chain_evaluations`],
+    /// [`JoinScratch::grid_cells_tested`]) summed over every query run
+    /// through this scratch.
+    pub fn join(&self) -> &JoinScratch {
+        &self.join
+    }
+
     /// Grows the per-channel buffers to at least `k` channels.
     pub(crate) fn ensure_channels(&mut self, k: usize) {
         while self.nn.len() < k {
