@@ -10,8 +10,8 @@
 //! transitions is a weighted nearest-neighbor search
 //! (`min dis(q, s) + cost(s)`) over a bucket grid whose cells carry their
 //! points' bounding box and minimum suffix cost, and its head step visits
-//! the first layer in ascending `dis(p, s)` and stops once that distance
-//! alone exceeds the best total — Algorithm 1's line-8 early exit, for k
+//! the first layer in index order and skips an item whose `dis(p, s)`
+//! alone exceeds the best total — Algorithm 1's line-8 prune, for k
 //! layers. Every search is capped by the total it has to beat, so it too
 //! skips what cannot beat the best route, as Algorithm 1 does. Every
 //! prune compares a floating-point lower bound strictly against the best
@@ -33,16 +33,13 @@ use tnn_rtree::ObjectId;
 const MAX_SCANNED_LAYER: usize = 48;
 
 /// Reusable buffers for [`chain_join_with`] and [`chain_loop_join_with`]:
-/// the head step's candidate visit order, the cheap route and cut layers,
-/// the bucket grid over a DP transition's downstream layer, and the DP's
-/// per-layer cost/backpointer tables, plus the join's work counters. One
-/// scratch serves every join of every `k`, so a batch of queries performs
-/// no join allocations after the buffers have grown to the workload's
-/// candidate counts.
+/// the cheap route and cut layers, the bucket grid over a DP transition's
+/// downstream layer, and the DP's per-layer cost/backpointer tables, plus
+/// the join's work counters. One scratch serves every join of every `k`,
+/// so a batch of queries performs no join allocations after the buffers
+/// have grown to the workload's candidate counts.
 #[derive(Debug, Default)]
 pub struct JoinScratch {
-    /// `(dis²(p, s), index)` sorted ascending: the head step's order.
-    s_order: Vec<(f64, u32)>,
     /// The cheap feasible route, one stop per layer.
     route: Vec<Point>,
     /// Each layer cut to the items within the cheap route's total of `p`,
@@ -89,20 +86,6 @@ impl JoinScratch {
     }
 }
 
-/// Fills `order` with `(dis²(p, c), index)` for every candidate, sorted
-/// ascending (the index breaks ties, so the unstable sort is
-/// deterministic).
-fn sort_by_dist_sq(order: &mut Vec<(f64, u32)>, p: Point, cands: &[(Point, ObjectId)]) {
-    order.clear();
-    order.extend(
-        cands
-            .iter()
-            .enumerate()
-            .map(|(i, &(pt, _))| (p.dist_sq(pt), i as u32)),
-    );
-    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-}
-
 /// The route join: given candidate layers `C₁ … C_k`, finds the chain
 /// `p → s₁ → … → s_k` with `sᵢ ∈ Cᵢ` of minimum total length, by dynamic
 /// programming backwards over the layers. At `k = 2` this is the paper's
@@ -132,12 +115,12 @@ pub fn chain_join<L: AsRef<[(Point, ObjectId)]>>(
 /// rounding, in their original order, and the DP runs over the cut
 /// layers. Over the perfbench `city_k3` query pool (seed 22: 4,096
 /// queries, one join each, 1,128 candidates per join on average) the cut
-/// keeps 539 of them (48%), and the DP runs 149 grid searches per join
+/// keeps 539 of them (48%), and the DP runs 153 grid searches per join
 /// (`docs/PERF.md` has the timings).
 ///
 /// Each DP transition `cost(q) = min dis(q, s) + cost(s)` over a
 /// downstream layer of more than 48 candidates runs over a bucket grid
-/// of about `n / 2` cells, each holding its points' bounding box and
+/// of about `n / 8` cells, each holding its points' bounding box and
 /// minimum suffix cost. The search walks rings of cells outward from
 /// `q`'s cell, skips a cell when `dis(q, cell box) + cell min cost`
 /// exceeds the best total, and stops when the distance to the unvisited
@@ -145,13 +128,14 @@ pub fn chain_join<L: AsRef<[(Point, ObjectId)]>>(
 /// cap, the total a route through `q` may still spend past `q`: the
 /// bound less `dis(p, q)`, and in the head step also the best route's
 /// total so far less `dis(p, q)`. On the pool the capped searches test
-/// 2,997 grid cells per join, against 7,184 uncapped, and the join makes
-/// 4,025 candidate evaluations instead of 4,896. The head step visits the first layer in
-/// ascending `dis(p, s₁)` and stops once that distance alone exceeds the
-/// best total, so the first transition runs only for the candidates it
-/// visits. The cut and the caps keep the optimal route and the order of
-/// the kept items, so the result is the plain nested loop's, bit for
-/// bit, with ties broken toward the smaller `(total, index)`.
+/// 1,189 grid cells per join, against 2,320 uncapped, and the join makes
+/// 4,682 candidate evaluations instead of 7,190. The head step visits the
+/// first layer in index order and skips a candidate whose `dis(p, s₁)`
+/// alone exceeds the best total, so the first transition runs only for
+/// the candidates it does not skip (123 of 136.5 per join on the pool).
+/// The cut and the caps keep the optimal route and the order of the kept
+/// items, so the result is the plain nested loop's, bit for bit, with
+/// ties broken toward the smaller `(total, index)`.
 pub fn chain_join_with<L: AsRef<[(Point, ObjectId)]>>(
     scratch: &mut JoinScratch,
     p: Point,
@@ -361,8 +345,10 @@ impl Reach {
 
 /// The cap of a chain-DP search from an item at computed distance `d`
 /// from `p`, on routes of total at most `total`: `total − d`, widened by
-/// a rounding margin. It is `+∞` when `d` overflows, since nothing bounds
-/// that distance's error, and when the difference is NaN (`+∞ − +∞`).
+/// a rounding margin so that it admits every suffix cost `σ` with
+/// `fl(d + σ) ≤ total`, ties included. It is `+∞` when `d` overflows,
+/// since nothing bounds that distance's error, and when the difference is
+/// NaN (`+∞ − +∞`).
 #[inline]
 fn search_cap(total: f64, d: f64) -> f64 {
     // The margin, with u = ε/2 and the distance error of `Reach::new`.
@@ -383,6 +369,17 @@ fn search_cap(total: f64, d: f64) -> f64 {
     // and adds 8u·total. The net 5u·total covers the first case's 2u, and
     // √MIN_POSITIVE = 2^-511 covers the absolute terms and an underflowed
     // product.
+    //
+    // Rounding is monotone, so fl(total − d) alone admits σ whenever
+    // d + σ ≤ total holds exactly. That holds in the second case, and in
+    // the first whenever fl(d + σ) < best: a d + σ ≥ best would round to
+    // at least the double best. So the margin only matters for a tie,
+    // fl(d + σ) = best < d + σ, and the head step, visiting layer 0 in
+    // index order, meets such a tie only at a higher index than best's,
+    // which loses it anyway. No answer of the join depends on the margin,
+    // then; it keeps the caps valid in any visit order, and the tests
+    // `search_cap_margin_covers_a_tie_at_the_best_total` and
+    // `search_cap_admits_every_suffix_within_its_total` hold it.
     let cap = (total - d) + total * (4.0 * f64::EPSILON) + f64::MIN_POSITIVE.sqrt();
     if d.is_finite() && !cap.is_nan() {
         cap
@@ -439,7 +436,6 @@ fn chain_dp(
         scratch.chain_next.push(Vec::new());
     }
     let JoinScratch {
-        s_order,
         grid,
         chain_cost,
         chain_next,
@@ -472,12 +468,11 @@ fn chain_dp(
         }
     }
 
-    // Head step from p, lazily: visit layer 0 in ascending dis(p, s) and
-    // stop once that distance alone exceeds the best total (every suffix
-    // cost is non-negative), running the first transition only for the
-    // items visited, each capped by the best total as well.
+    // Head step from p, lazily: visit layer 0 in index order and skip an
+    // item whose distance alone exceeds the best total (every suffix cost
+    // is non-negative), running the first transition only for the items
+    // visited, each capped by the best total as well.
     let first = &layers[0];
-    sort_by_dist_sq(s_order, p, first);
     let step = if k > 1 {
         Some(Transition::new(grid, &layers[1], &chain_cost[1]))
     } else {
@@ -485,11 +480,10 @@ fn chain_dp(
     };
     // (total, layer-0 index, its successor in layer 1)
     let mut best = (f64::INFINITY, u32::MAX, 0u32);
-    for &(_, j0) in s_order.iter() {
-        let pt = first[j0 as usize].0;
+    for (j0, &(pt, _)) in (0u32..).zip(first) {
         let d = p.dist(pt);
         if d > best.0 {
-            break;
+            continue;
         }
         work.evaluations += 1;
         let (suffix, next) = match &step {
@@ -677,14 +671,18 @@ struct CostGrid {
 }
 
 impl CostGrid {
-    /// Buckets `layer` (with suffix costs `cost`) into about `n / 2`
-    /// cells over its bounding box, shaped to its aspect ratio.
+    /// Buckets `layer` (with suffix costs `cost`) into about `n / 8`
+    /// cells over its bounding box, shaped to its aspect ratio. Capped
+    /// searches end within a few rings, so coarse cells pay: against
+    /// `n / 2` cells, a `city_k3` join tests 1,189 cells instead of
+    /// 3,104 and makes 4,682 candidate evaluations instead of 4,059, in
+    /// about 40 instead of 48 µs (`docs/PERF.md`).
     fn build(&mut self, layer: &[(Point, ObjectId)], cost: &[f64]) {
         let mut bbox = GridCell::EMPTY.bbox;
         for &(pt, _) in layer {
             bbox.expand(pt);
         }
-        let target = (layer.len() / 2).max(1);
+        let target = (layer.len() / 8).max(1);
         let (w, h) = (bbox.width(), bbox.height());
         let usable = |e: f64| e > 0.0 && e.is_finite();
         let (cols, rows) = match (usable(w), usable(h)) {
@@ -1116,6 +1114,32 @@ mod tests {
         }
 
         #[test]
+        fn search_cap_admits_every_suffix_within_its_total(
+            cases in prop::collection::vec(
+                (0u64..u64::MAX, -60i32..60, -60i32..60),
+                1..64,
+            ),
+        ) {
+            // A suffix cost σ whose route total fl(d + σ) is within the
+            // total, ties included, lies within the cap, across scales.
+            for (seed, d_exp, sigma_exp) in cases {
+                let mut rng = Mix(seed);
+                let d = rng.unit() * 2f64.powi(d_exp);
+                let sigma = rng.unit() * 2f64.powi(sigma_exp);
+                let total = d + sigma;
+                for t in [total, total.next_up()] {
+                    prop_assert!(
+                        sigma <= search_cap(t, d),
+                        "d {}, σ {}, total {}",
+                        d,
+                        sigma,
+                        t
+                    );
+                }
+            }
+        }
+
+        #[test]
         fn capped_grid_search_equals_the_capped_scan(
             cases in prop::collection::vec(
                 (0u64..u64::MAX, -600.0f64..1600.0, -600.0f64..1600.0),
@@ -1308,12 +1332,15 @@ mod tests {
 
     #[test]
     fn search_cap_margin_covers_a_tie_at_the_best_total() {
-        // Two open routes tie at the total 10: p → (4, 0) → (4, −6),
-        // visited first, and p → a → r through the lower first-layer
-        // index, whose suffix cost σ rounds d + σ down to 10. Computed
-        // without the margin, the second search's cap 10 − d falls one ulp
-        // short of σ, so that route would lose the tie it wins. Fifty
-        // decoys behind p send the search through the grid.
+        // Two open routes tie at the total 10: p → a → r through the lower
+        // first-layer index, whose suffix cost σ rounds d + σ down to 10,
+        // and p → (4, 0) → (4, −6). Computed without the margin, the cap
+        // 10 − d falls one ulp short of σ, so a search from a, capped at
+        // that total, would miss r, and a visit order that met the other
+        // route first would lose the tie. The head step visits a first,
+        // under the cut's cap, so the join must win the tie either way,
+        // and the cap itself must admit σ. Fifty decoys behind p send the
+        // search through the grid.
         let p = Point::ORIGIN;
         let (a, r) = ((5.0, 5.0), (7.928_932_188_134_525, 5.0));
         let first = pts(&[a, (4.0, 0.0)]);
@@ -1328,6 +1355,7 @@ mod tests {
         let (d, sigma) = (p.dist(first[0].0), first[0].0.dist(second[1].0));
         assert_eq!(d + sigma, 10.0);
         assert!(10.0 - d < sigma, "{} < {sigma}", 10.0 - d);
+        assert!(sigma <= search_cap(10.0, d), "the margin admits σ");
         let layers = [first, second];
         let want = reference_chain(p, &layers, false);
         let (route, total) = want.clone().expect("non-empty layers");
@@ -1395,11 +1423,12 @@ mod tests {
         ];
         let mut scratch = JoinScratch::default();
         // At k = 2 the greedy route's scan of both layers alone is 1/1,000
-        // of the nested loop. At k = 3 the capped searches test 1,685
-        // cells over the three queries (26 + 1,530 + 129); uncapped they
-        // tested 2,257 (36 + 2,078 + 143).
+        // of the nested loop. At k = 3 the capped searches test 829 cells
+        // over the three queries (7 + 772 + 50); uncapped they test 988
+        // (10 + 920 + 58). The evaluations come closest to their share at
+        // query 2: 7,220 against 7,274.
         for (layers, share, cell_bound) in [
-            (clustered_layers(0x7A11, 3), 1_100, 2_000),
+            (clustered_layers(0x7A11, 3), 1_100, 1_000),
             (clustered_layers(0x7A12, 2), 800, u64::MAX),
         ] {
             let k = layers.len();
