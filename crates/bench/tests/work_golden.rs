@@ -6,10 +6,13 @@
 //! estimate searches' prune hits, the largest peak queue, the sum of the
 //! filter candidates and of the route join's two work counters
 //! (candidate evaluations and grid cells tested) are written to
-//! `tests/golden/work.txt` and byte-compared. The pools mirror the
-//! benchmark's two engine workloads at a debug-friendly size: Hybrid-NN
-//! TNN over three clustered CITY-like channels, and over two uniform
-//! channels.
+//! `tests/golden/work.txt` and byte-compared. The first two pools mirror
+//! the benchmark's two engine workloads at a debug-friendly size:
+//! Hybrid-NN TNN over three clustered CITY-like channels, and over two
+//! uniform channels. Smaller pools over the same uniform channels then
+//! pin the other three algorithms and Hybrid-NN under the paper's
+//! dynamic ANN threshold (eq. 4, `factor = 1`); the Approximate-TNN line
+//! also counts the queries left without a route.
 //!
 //! A change that moves any count fails here and prints the full
 //! rendering; a change that means to move one updates the file in the
@@ -18,15 +21,18 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
-use tnn_core::{Algorithm, Query, QueryEngine};
+use tnn_core::{Algorithm, AnnMode, Query, QueryEngine, QueryKind};
 use tnn_datasets::{city_like, paper_region, uniform_points};
 use tnn_geom::Point;
 use tnn_rtree::{PackingAlgorithm, RTree};
 
 const GOLDEN: &str = include_str!("golden/work.txt");
 
-/// Queries per pool.
+/// Queries per pool of the two benchmark-shaped pools.
 const QUERIES: usize = 256;
+
+/// Queries per pool of the per-algorithm and ANN lines.
+const SMALL_QUERIES: usize = 64;
 
 /// Seed of channel 0's dataset, the benchmark's; channel `c` uses
 /// `DATA_SEED + c`.
@@ -61,12 +67,12 @@ impl Mix {
     }
 }
 
-/// `QUERIES` Hybrid-NN TNN queries at uniform points of the region, each
-/// issued at a random phase of every channel's cycle.
-fn pool(env: &MultiChannelEnv, seed: u64) -> Vec<Query> {
+/// `n` copies of `template` at uniform points of the region, each issued
+/// at a random phase of every channel's cycle.
+fn pool(env: &MultiChannelEnv, seed: u64, n: usize, template: &Query) -> Vec<Query> {
     let region = paper_region();
     let mut rng = Mix(seed);
-    (0..QUERIES)
+    (0..n)
         .map(|_| {
             let p = Point::new(
                 region.min.x + rng.unit() * region.width(),
@@ -77,25 +83,38 @@ fn pool(env: &MultiChannelEnv, seed: u64) -> Vec<Query> {
                 .iter()
                 .map(|c| rng.next() % c.layout().cycle_len().max(1))
                 .collect();
-            Query::tnn(p).algorithm(Algorithm::HybridNn).phases(&phases)
+            template.clone().at(p).phases(&phases)
         })
         .collect()
 }
 
-/// One line of per-pool sums.
-fn render_pool(out: &mut String, label: &str, env: MultiChannelEnv, seed: u64) {
-    let queries = pool(&env, seed);
+/// One line of per-pool sums over `n` queries shaped like `template`.
+fn render_pool(
+    out: &mut String,
+    label: &str,
+    env: MultiChannelEnv,
+    seed: u64,
+    n: usize,
+    template: &Query,
+) {
+    let queries = pool(&env, seed, n, template);
     let engine = QueryEngine::new(env);
     // A new engine's pool is empty, so this scratch is fresh and its join
     // counters sum over this pool alone.
     let mut scratch = engine.scratch();
     let (mut access, mut tune_in, mut node_visits) = (0, 0, 0);
     let (mut prune_hits, mut peak_queue, mut candidates) = (0, 0, 0);
+    let mut no_route = 0;
+    let exact = template.kind() != QueryKind::Tnn(Algorithm::ApproximateTnn);
     for query in &queries {
         let outcome = engine
             .run_with(query, &mut scratch)
             .expect("valid query over non-empty channels");
-        assert!(!outcome.failed(), "{label}: Hybrid-NN never fails");
+        assert!(
+            !exact || !outcome.failed(),
+            "{label}: an exact algorithm never fails"
+        );
+        no_route += usize::from(outcome.failed());
         access += outcome.access_time();
         tune_in += outcome.tune_in();
         node_visits += outcome.node_visits();
@@ -114,16 +133,52 @@ fn render_pool(out: &mut String, label: &str, env: MultiChannelEnv, seed: u64) {
         scratch.join().grid_cells_tested(),
     )
     .unwrap();
+    if !exact {
+        // Splice the count in before the newline: the exact lines keep
+        // their shape.
+        out.pop();
+        writeln!(out, " no_route={no_route}").unwrap();
+    }
 }
 
 fn render() -> String {
     let mut out = String::new();
+    let hybrid = Query::tnn(Point::ORIGIN).algorithm(Algorithm::HybridNn);
     let city = (0..3).map(|c| city_like(DATA_SEED + c)).collect();
-    render_pool(&mut out, "city_k3", env(city), 1);
-    let uniform = (0..2)
+    render_pool(&mut out, "city_k3", env(city), 1, QUERIES, &hybrid);
+    let uniform = env((0..2)
         .map(|c| uniform_points(10_000, &paper_region(), DATA_SEED + c))
-        .collect();
-    render_pool(&mut out, "uniform_k2", env(uniform), 2);
+        .collect());
+    render_pool(&mut out, "uniform_k2", uniform.clone(), 2, QUERIES, &hybrid);
+    // One shared seed, so the small pools ask the same questions and
+    // their lines compare algorithm against algorithm.
+    for (label, template) in [
+        (
+            "uniform_k2/window_based",
+            Query::tnn(Point::ORIGIN).algorithm(Algorithm::WindowBased),
+        ),
+        (
+            "uniform_k2/double_nn",
+            Query::tnn(Point::ORIGIN).algorithm(Algorithm::DoubleNn),
+        ),
+        (
+            "uniform_k2/approximate_tnn",
+            Query::tnn(Point::ORIGIN).algorithm(Algorithm::ApproximateTnn),
+        ),
+        (
+            "uniform_k2/hybrid_nn_dynamic_1",
+            hybrid.clone().ann(AnnMode::Dynamic { factor: 1.0 }),
+        ),
+    ] {
+        render_pool(
+            &mut out,
+            label,
+            uniform.clone(),
+            3,
+            SMALL_QUERIES,
+            &template,
+        );
+    }
     out
 }
 
