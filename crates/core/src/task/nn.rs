@@ -531,6 +531,7 @@ impl PruneContext<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::Arc;
     use tnn_broadcast::{BroadcastParams, Channel};
     use tnn_rtree::{PackingAlgorithm, RTree};
@@ -812,96 +813,125 @@ mod tests {
         }
     }
 
-    /// Drives a heap-backed and a linear-backed task in lock step through
-    /// an identical schedule (steps and switches) and asserts every
-    /// observable is byte-identical.
-    fn assert_lockstep_equal(
-        ch: &Channel,
-        mode: SearchMode,
-        ann: AnnMode,
-        start: u64,
-        switch_after: Option<(usize, SwitchKind)>,
-    ) {
-        let mut heap = NnSearchTask::new(ch, mode, ann, start);
-        let mut linear = LinearNnSearchTask::new(ch, mode, ann, start);
-        let mut steps = 0usize;
-        loop {
-            if let Some((after, kind)) = switch_after {
-                if steps == after {
-                    let at = heap.now();
-                    assert_eq!(at, linear.now());
-                    match kind {
-                        SwitchKind::Point(q) => {
-                            heap.switch_query_point(q, at);
-                            linear.switch_query_point(q, at);
-                        }
-                        SwitchKind::Transitive(p, r) => {
-                            heap.switch_to_transitive(p, r, at);
-                            linear.switch_to_transitive(p, r, at);
-                        }
+    /// One scheduled re-targeting: before step `at_step`, switch both
+    /// tasks at their clock plus `delay` slots.
+    #[derive(Debug, Clone, Copy)]
+    struct Switch {
+        at_step: usize,
+        delay: u64,
+        transitive: bool,
+        a: Point,
+        b: Point,
+    }
+
+    fn coords() -> impl Strategy<Value = (f64, f64)> {
+        (0.0f64..1000.0, 0.0f64..1000.0)
+    }
+
+    /// Up to three switches of either kind. Half of the delays are zero
+    /// (a switch at the task's own clock); the rest let parked entries
+    /// arriving before the switch time expire.
+    fn schedule() -> impl Strategy<Value = Vec<Switch>> {
+        prop::collection::vec(
+            (0usize..24, 0u64..128, 0u8..2, coords(), coords()).prop_map(
+                |(at_step, delay, kind, (ax, ay), (bx, by))| Switch {
+                    at_step,
+                    delay: delay.saturating_sub(64),
+                    transitive: kind == 1,
+                    a: Point::new(ax, ay),
+                    b: Point::new(bx, by),
+                },
+            ),
+            0..4,
+        )
+    }
+
+    proptest! {
+        /// The arrival heap is unobservable at the task seam: a heap-backed
+        /// and a `LinearQueue`-backed search, driven through the same
+        /// steps and switches, agree on every observable the algorithms
+        /// read, at every step. Point sets are random or tie-heavy
+        /// lattices (queries snapped to lattice midpoints), over every ANN
+        /// mode and both search modes.
+        #[test]
+        fn heap_and_linear_searches_step_in_lockstep(
+            raw in prop::collection::vec(coords(), 1..300),
+            lattice_side in prop::sample::select(vec![0usize, 0, 3, 6, 11, 17]),
+            page in prop::sample::select(vec![64usize, 128]),
+            (phase, start) in (0u64..5_000, 0u64..5_000),
+            (transitive, (qx, qy), (rx, ry)) in (0u8..2, coords(), coords()),
+            (ann_kind, factor, alpha) in (0u8..3, 0.0f64..2.0, 0.0f64..1.0),
+            mut switches in schedule(),
+        ) {
+            // A lattice spaced 10 apart; query points snap to multiples
+            // of 5 within its span, so equal bounds and arrivals abound.
+            let lattice = lattice_side > 0;
+            let pts: Vec<Point> = if lattice {
+                (0..lattice_side * lattice_side)
+                    .map(|i| {
+                        Point::new((i % lattice_side) as f64 * 10.0, (i / lattice_side) as f64 * 10.0)
+                    })
+                    .collect()
+            } else {
+                raw.iter().map(|&(x, y)| Point::new(x, y)).collect()
+            };
+            let place = |p: Point| {
+                if lattice {
+                    let span = lattice_side as f64 * 10.0 / 1000.0;
+                    Point::new((p.x * span / 5.0).round() * 5.0, (p.y * span / 5.0).round() * 5.0)
+                } else {
+                    p
+                }
+            };
+            for switch in &mut switches {
+                switch.a = place(switch.a);
+                switch.b = place(switch.b);
+            }
+            switches.sort_by_key(|s| s.at_step);
+            let params = BroadcastParams::new(page);
+            let tree = RTree::build(&pts, params.rtree_params(), PackingAlgorithm::Str).unwrap();
+            let ch = Channel::new(Arc::new(tree), params, phase);
+            let q = place(Point::new(qx, qy));
+            let mode = if transitive == 1 {
+                SearchMode::Transitive { p: q, r: place(Point::new(rx, ry)) }
+            } else {
+                SearchMode::Point { q }
+            };
+            let ann = match ann_kind {
+                0 => AnnMode::Exact,
+                1 => AnnMode::Dynamic { factor },
+                _ => AnnMode::Fixed { alpha },
+            };
+
+            let mut heap = NnSearchTask::new(&ch, mode, ann, start);
+            let mut linear = LinearNnSearchTask::new(&ch, mode, ann, start);
+            let mut pending = switches.iter().peekable();
+            let mut steps = 0usize;
+            loop {
+                while let Some(s) = pending.next_if(|s| s.at_step == steps) {
+                    let at = heap.now() + s.delay;
+                    if s.transitive {
+                        heap.switch_to_transitive(s.a, s.b, at);
+                        linear.switch_to_transitive(s.a, s.b, at);
+                    } else {
+                        heap.switch_query_point(s.a, at);
+                        linear.switch_query_point(s.a, at);
                     }
                 }
+                prop_assert_eq!(heap.next_arrival(), linear.next_arrival(), "step {}", steps);
+                prop_assert_eq!(heap.is_done(), linear.is_done(), "step {}", steps);
+                let downloaded = heap.step();
+                prop_assert_eq!(downloaded, linear.step(), "step {}", steps);
+                prop_assert_eq!(heap.now(), linear.now(), "step {}", steps);
+                prop_assert_eq!(heap.tuner(), linear.tuner(), "step {}", steps);
+                prop_assert_eq!(heap.best(), linear.best(), "step {}", steps);
+                prop_assert_eq!(heap.peak_memory(), linear.peak_memory(), "step {}", steps);
+                if downloaded.is_none() {
+                    break;
+                }
+                steps += 1;
             }
-            assert_eq!(
-                heap.next_arrival(),
-                linear.next_arrival(),
-                "after {steps} steps"
-            );
-            assert_eq!(heap.is_done(), linear.is_done());
-            let (a, b) = (heap.step(), linear.step());
-            assert_eq!(a, b, "divergent download at step {steps}");
-            assert_eq!(heap.now(), linear.now());
-            assert_eq!(heap.tuner().pages, linear.tuner().pages);
-            assert_eq!(heap.best(), linear.best());
-            assert_eq!(heap.peak_memory(), linear.peak_memory());
-            if a.is_none() {
-                break;
-            }
-            steps += 1;
-        }
-    }
-
-    #[derive(Clone, Copy)]
-    enum SwitchKind {
-        Point(Point),
-        Transitive(Point, Point),
-    }
-
-    #[test]
-    fn heap_and_linear_backends_trace_identically() {
-        let pts = grid(500);
-        let ch = channel(&pts, 23);
-        let p = Point::new(80.0, 90.0);
-        for ann in [
-            AnnMode::Exact,
-            AnnMode::Dynamic { factor: 1.0 },
-            AnnMode::Fixed { alpha: 0.3 },
-        ] {
-            assert_lockstep_equal(&ch, SearchMode::Point { q: p }, ann, 5, None);
-            assert_lockstep_equal(
-                &ch,
-                SearchMode::Transitive {
-                    p,
-                    r: Point::new(200.0, 10.0),
-                },
-                ann,
-                5,
-                None,
-            );
-            assert_lockstep_equal(
-                &ch,
-                SearchMode::Point { q: p },
-                ann,
-                0,
-                Some((3, SwitchKind::Point(Point::new(190.0, 200.0)))),
-            );
-            assert_lockstep_equal(
-                &ch,
-                SearchMode::Point { q: p },
-                ann,
-                0,
-                Some((2, SwitchKind::Transitive(p, Point::new(5.0, 210.0)))),
-            );
+            prop_assert_eq!(heap.parked_len(), linear.parked_len());
         }
     }
 }

@@ -285,6 +285,7 @@ impl CandidateQueue for LinearQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tnn_geom::Point;
 
     fn entry(arrival: u64, node: u32) -> QueueEntry {
@@ -377,5 +378,108 @@ mod tests {
         heap.clear();
         assert!(heap.is_empty());
         assert_eq!(heap.next_arrival(), None);
+    }
+
+    /// One operation of the queue-level lockstep property.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Push fresh `(arrival, score)` entries, then settle.
+        Push(Vec<(u64, f64)>),
+        /// Multiply the bound by a factor in `[0.5, 1)`, then settle.
+        Tighten(f64),
+        /// Pop the front, then settle.
+        Pop,
+        /// Realize every deferred decision, then start a new epoch as a
+        /// switch does: revive the parked entries arriving at or after
+        /// `at`, drop the rest, move the bound anywhere, settle.
+        Realize { at: u64, bound: f64 },
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (
+            0u8..8,
+            prop::collection::vec((0u64..40, 0.0f64..100.0), 1..6),
+            0.5f64..1.0,
+            (0u64..40, 0.0f64..120.0),
+        )
+            .prop_map(|(kind, fresh, factor, (at, bound))| match kind {
+                0..=2 => Op::Push(fresh),
+                3 | 4 => Op::Pop,
+                5 | 6 => Op::Tighten(factor),
+                _ => Op::Realize { at, bound },
+            })
+    }
+
+    /// An entry scoring `score`, carried as its MBR's `min.x`.
+    fn scored(arrival: u64, node: u32, score: f64) -> QueueEntry {
+        QueueEntry {
+            arrival,
+            node: NodeId(node),
+            mbr: Rect::new(Point::new(score, 0.0), Point::new(score + 1.0, 1.0)),
+        }
+    }
+
+    fn sorted(mut entries: Vec<QueueEntry>) -> Vec<QueueEntry> {
+        entries.sort_unstable_by_key(QueueEntry::key);
+        entries
+    }
+
+    fn held<Q: CandidateQueue>(q: &Q) -> Vec<QueueEntry> {
+        let mut entries = Vec::new();
+        q.for_each(&mut |e| entries.push(*e));
+        sorted(entries)
+    }
+
+    proptest! {
+        /// The lazy heap and the eager linear scan hold the same queue at
+        /// every observable point. Entries score in `[0, 100)` (carried
+        /// as their MBR's `min.x`) and are condemned above the bound,
+        /// which only tightens between `realize` calls, as in a search
+        /// between switches. Every popped entry and every post-settle
+        /// `next_arrival` agree, and so do `len` and the parked multiset
+        /// after each `realize`.
+        #[test]
+        fn heap_and_linear_queues_agree_under_a_tightening_bound(
+            ops in prop::collection::vec(op(), 1..60),
+        ) {
+            let mut heap = ArrivalHeap::default();
+            let mut linear = LinearQueue::default();
+            let (mut heap_parked, mut linear_parked) = (Vec::new(), Vec::new());
+            let mut bound = 100.0;
+            let mut next_node = 0u32;
+            for op in ops {
+                let mut condemn = |e: &QueueEntry| e.mbr.min.x > bound;
+                match op {
+                    Op::Push(fresh) => {
+                        for (arrival, score) in fresh {
+                            let e = scored(arrival, next_node, score);
+                            next_node += 1;
+                            heap.push(e);
+                            linear.push(e);
+                        }
+                    }
+                    Op::Pop => prop_assert_eq!(heap.pop_next(), linear.pop_next()),
+                    Op::Tighten(factor) => bound *= factor,
+                    Op::Realize { at, bound: next } => {
+                        heap.realize(&mut condemn, &mut heap_parked);
+                        linear.realize(&mut condemn, &mut linear_parked);
+                        prop_assert_eq!(heap.len(), linear.len());
+                        prop_assert_eq!(held(&heap), held(&linear));
+                        let parked = sorted(std::mem::take(&mut heap_parked));
+                        prop_assert_eq!(&parked, &sorted(std::mem::take(&mut linear_parked)));
+                        for e in parked.into_iter().filter(|e| e.arrival >= at) {
+                            heap.push(e);
+                            linear.push(e);
+                        }
+                        bound = next;
+                    }
+                }
+                let mut condemn = |e: &QueueEntry| e.mbr.min.x > bound;
+                heap.settle(&mut condemn, &mut heap_parked);
+                linear.settle(&mut condemn, &mut linear_parked);
+                prop_assert_eq!(heap.next_arrival(), linear.next_arrival());
+                prop_assert_eq!(heap.is_empty(), linear.is_empty());
+            }
+        }
     }
 }
