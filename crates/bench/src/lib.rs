@@ -5,9 +5,10 @@
 //! needs a target to hang the integration tests on.
 //!
 //! - engine ≡ the frozen two-channel pipeline (`engine_equivalence`);
-//! - heap-ordered ≡ linear-scan candidate queues (`linear_equivalence`;
-//!   this crate's dev-dependencies are the only place the
-//!   `linear-reference` feature is enabled);
+//! - the work counters of fixed query pools (`work_golden`), the
+//!   routes of fixed queries (`chain_join_golden`) and the shapes of
+//!   packed trees (`bulk_load_golden`), each byte-compared with a file
+//!   under `tests/golden/`;
 //! - serve, cache, faults, shards, updates and tracing ≡ the bare engine
 //!   (the other `*_equivalence` suites), plus the serving chaos smoke
 //!   and soaks (`serve_stress`);

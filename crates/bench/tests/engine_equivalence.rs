@@ -1,7 +1,7 @@
 //! The acceptance gate of the k-ary pipeline generalization: at `k = 2`
 //! the generalized core must be **byte-identical** to the paper's
 //! two-channel pipeline across all four algorithms, ANN modes, per-query
-//! phases, retrieval flags, and both queue backends.
+//! phases and retrieval flags.
 //!
 //! The reference is a *frozen* reimplementation of the pre-k-ary
 //! two-channel code path (the shape removed by the generalization),
@@ -14,10 +14,10 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv, Tuner};
-use tnn_core::task::{BroadcastNnSearch, NnScratch, WindowQueryTask, WindowScratch};
+use tnn_core::task::{NnScratch, NnSearchTask, WindowQueryTask, WindowScratch};
 use tnn_core::{
-    approximate_radius, Algorithm, AnnMode, ArrivalHeap, CandidateQueue, ChannelCost, LinearQueue,
-    Query, QueryEngine, QueryKind, QueryOutcome, RouteStop, SearchMode, TnnPair,
+    approximate_radius, Algorithm, AnnMode, ChannelCost, Query, QueryEngine, QueryKind,
+    QueryOutcome, RouteStop, SearchMode, TnnPair,
 };
 use tnn_geom::{Circle, Point};
 use tnn_rtree::{ObjectId, PackingAlgorithm, RTree};
@@ -47,10 +47,7 @@ fn pts_strategy(max: usize) -> impl Strategy<Value = Vec<Point>> {
 /// The frozen two-task event loop without re-targeting (Double-NN and
 /// the variant estimates): steps the earlier arrival, channel 0 winning
 /// ties, until both searches complete.
-fn frozen_run_parallel<Q: CandidateQueue>(
-    a: &mut BroadcastNnSearch<'_, Q>,
-    b: &mut BroadcastNnSearch<'_, Q>,
-) {
+fn frozen_run_parallel(a: &mut NnSearchTask<'_>, b: &mut NnSearchTask<'_>) {
     loop {
         match (a.next_arrival(), b.next_arrival()) {
             (None, None) => break,
@@ -81,12 +78,12 @@ struct FrozenEstimate {
 }
 
 /// The `(peak_queue, prune_hits)` reading of one completed search task.
-fn hop_stats<Q: CandidateQueue>(task: &BroadcastNnSearch<'_, Q>) -> (u64, u64) {
+fn hop_stats(task: &NnSearchTask<'_>) -> (u64, u64) {
     (task.peak_memory() as u64, task.parked_len() as u64)
 }
 
 /// The frozen two-channel estimate phase of each algorithm.
-fn frozen_estimate<Q: CandidateQueue>(
+fn frozen_estimate(
     env: &MultiChannelEnv,
     alg: Algorithm,
     p: Point,
@@ -95,7 +92,7 @@ fn frozen_estimate<Q: CandidateQueue>(
 ) -> FrozenEstimate {
     match alg {
         Algorithm::WindowBased => {
-            let mut nn1 = BroadcastNnSearch::<Q>::with_scratch(
+            let mut nn1 = NnSearchTask::with_scratch(
                 env.channel(0),
                 SearchMode::Point { q: p },
                 ann[0],
@@ -104,7 +101,7 @@ fn frozen_estimate<Q: CandidateQueue>(
             );
             let t1 = nn1.run_to_completion();
             let (s_pt, _, _) = nn1.best().expect("non-empty S");
-            let mut nn2 = BroadcastNnSearch::<Q>::with_scratch(
+            let mut nn2 = NnSearchTask::with_scratch(
                 env.channel(1),
                 SearchMode::Point { q: s_pt },
                 ann[1],
@@ -137,14 +134,14 @@ fn frozen_estimate<Q: CandidateQueue>(
             }
         }
         Algorithm::DoubleNn | Algorithm::HybridNn => {
-            let mut a = BroadcastNnSearch::<Q>::with_scratch(
+            let mut a = NnSearchTask::with_scratch(
                 env.channel(0),
                 SearchMode::Point { q: p },
                 ann[0],
                 issued_at,
                 &mut NnScratch::default(),
             );
-            let mut b = BroadcastNnSearch::<Q>::with_scratch(
+            let mut b = NnSearchTask::with_scratch(
                 env.channel(1),
                 SearchMode::Point { q: p },
                 ann[1],
@@ -243,7 +240,7 @@ fn frozen_join(
 
 /// The frozen filter + join + retrieve tail, emitting the expected
 /// engine outcome for a plain TNN query.
-fn frozen_tnn<Q: CandidateQueue>(
+fn frozen_tnn(
     env: &MultiChannelEnv,
     alg: Algorithm,
     p: Point,
@@ -251,7 +248,7 @@ fn frozen_tnn<Q: CandidateQueue>(
     ann: [AnnMode; 2],
     retrieve: bool,
 ) -> QueryOutcome {
-    let est = frozen_estimate::<Q>(env, alg, p, issued_at, ann);
+    let est = frozen_estimate(env, alg, p, issued_at, ann);
     let range = Circle::new(p, est.radius * (1.0 + 4.0 * f64::EPSILON));
 
     let mut w0 = WindowQueryTask::with_scratch(
@@ -398,7 +395,7 @@ fn frozen_variant_outcome(
 }
 
 /// Frozen two-channel order-free and round-trip pipelines.
-fn frozen_variant<Q: CandidateQueue>(
+fn frozen_variant(
     env: &MultiChannelEnv,
     kind: QueryKind,
     p: Point,
@@ -406,10 +403,10 @@ fn frozen_variant<Q: CandidateQueue>(
     retrieve: bool,
 ) -> QueryOutcome {
     // Double-NN estimate (no re-targeting).
-    let est = frozen_estimate::<Q>(env, Algorithm::DoubleNn, p, issued_at, [AnnMode::Exact; 2]);
+    let est = frozen_estimate(env, Algorithm::DoubleNn, p, issued_at, [AnnMode::Exact; 2]);
     // Recompute the two NN points (the frozen estimate only exposes the
     // radius): rerun the two searches — cheap and deterministic.
-    let mut a = BroadcastNnSearch::<Q>::with_scratch(
+    let mut a = NnSearchTask::with_scratch(
         env.channel(0),
         SearchMode::Point { q: p },
         AnnMode::Exact,
@@ -417,7 +414,7 @@ fn frozen_variant<Q: CandidateQueue>(
         &mut NnScratch::default(),
     );
     a.run_to_completion();
-    let mut b = BroadcastNnSearch::<Q>::with_scratch(
+    let mut b = NnSearchTask::with_scratch(
         env.channel(1),
         SearchMode::Point { q: p },
         AnnMode::Exact,
@@ -510,7 +507,7 @@ proptest! {
     /// Plain TNN at k = 2: the generalized engine must equal the frozen
     /// two-channel pipeline for every algorithm and ANN mode, with
     /// per-query phases riding the overlay on the engine side and a
-    /// rephased environment on the frozen side — on both queue backends.
+    /// rephased environment on the frozen side.
     #[test]
     fn engine_tnn_is_byte_identical_to_frozen_two_channel(
         s in pts_strategy(180),
@@ -523,13 +520,12 @@ proptest! {
     ) {
         let env = build_env(&[s, r], &[0, 0], 64);
         let engine = QueryEngine::new(env.clone());
-        let linear_engine = QueryEngine::<LinearQueue>::with_queue_backend(env.clone());
         let p = Point::new(qx, qy);
         let phases = [ph0, ph1];
         let rephased = env.with_phases(&phases);
         for alg in Algorithm::ALL {
             for ann in [AnnMode::Exact, AnnMode::Dynamic { factor: ann_factor }] {
-                let expect = frozen_tnn::<ArrivalHeap>(
+                let expect = frozen_tnn(
                     &rephased, alg, p, issued_at, [ann, ann], retrieve,
                 );
                 let query = Query::tnn(p)
@@ -540,19 +536,11 @@ proptest! {
                     .phases(&phases);
                 let got = engine.run(&query).unwrap();
                 prop_assert_eq!(&got, &expect, "{} / {:?}", alg.name(), ann);
-                // The linear-reference backend must agree bit-for-bit
-                // with its own frozen run too.
-                let linear_expect = frozen_tnn::<LinearQueue>(
-                    &rephased, alg, p, issued_at, [ann, ann], retrieve,
-                );
-                let linear = linear_engine.run(&query).unwrap();
-                prop_assert_eq!(&linear, &linear_expect, "linear {} / {:?}", alg.name(), ann);
             }
         }
     }
 
-    /// Order-free and round-trip variants at k = 2: engine == frozen, on
-    /// both queue backends.
+    /// Order-free and round-trip variants at k = 2: engine == frozen.
     #[test]
     fn engine_variants_are_byte_identical_to_frozen(
         s in pts_strategy(150),
@@ -563,7 +551,6 @@ proptest! {
     ) {
         let env = build_env(&[s, r], &[ph0, ph1], 64);
         let engine = QueryEngine::new(env.clone());
-        let linear_engine = QueryEngine::<LinearQueue>::with_queue_backend(env.clone());
         let p = Point::new(qx, qy);
 
         for kind in [QueryKind::OrderFree, QueryKind::RoundTrip] {
@@ -573,12 +560,9 @@ proptest! {
             }
             .issued_at(3)
             .retrieve_answer_objects(retrieve);
-            let expect = frozen_variant::<ArrivalHeap>(&env, kind, p, 3, retrieve);
+            let expect = frozen_variant(&env, kind, p, 3, retrieve);
             let got = engine.run(&query).unwrap();
             prop_assert_eq!(&got, &expect, "{:?}", kind);
-            let linear_expect = frozen_variant::<LinearQueue>(&env, kind, p, 3, retrieve);
-            let linear = linear_engine.run(&query).unwrap();
-            prop_assert_eq!(&linear, &linear_expect, "linear {:?}", kind);
         }
     }
 
@@ -643,7 +627,7 @@ fn pooled_scratch_and_frozen_agree_deterministically() {
         let query = Query::tnn(p).algorithm(alg).issued_at(i * 97);
         let pooled = engine.run(&query).unwrap();
         let direct = engine.run_with(&query, &mut scratch).unwrap();
-        let expect = frozen_tnn::<ArrivalHeap>(&env, alg, p, i * 97, [AnnMode::Exact; 2], true);
+        let expect = frozen_tnn(&env, alg, p, i * 97, [AnnMode::Exact; 2], true);
         assert_eq!(pooled, expect, "pooled vs frozen, query {i}");
         assert_eq!(direct, expect, "scratch vs frozen, query {i}");
     }

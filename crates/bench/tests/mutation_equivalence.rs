@@ -4,8 +4,8 @@
 //! [`DeltaOverlay`], the materialized tree must be **byte-identical**
 //! to a tree rebuilt from scratch over the same live set — and every
 //! query outcome over the updated environment must match the rebuilt
-//! environment exactly, across all four algorithms, k ∈ {2, 3, 4}
-//! channels, and both candidate-queue backends. Degenerate schedules
+//! environment exactly, across all four algorithms and k ∈ {2, 3, 4}
+//! channels. Degenerate schedules
 //! (delete-to-empty channels) must degrade to the engine's recoverable
 //! `EmptyChannel` error, identically on both sides.
 //!
@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
-use tnn_core::{Algorithm, CandidateQueue, LinearQueue, Query, QueryEngine};
+use tnn_core::{Algorithm, Query, QueryEngine};
 use tnn_geom::Point;
 use tnn_rtree::{DeltaOverlay, ObjectId, PackingAlgorithm, RTree, RTreeParams};
 use tnn_serve::{ServeConfig, Server, ShutdownMode};
@@ -121,13 +121,13 @@ fn query_mix(p: Point) -> Vec<Query> {
     queries
 }
 
-fn assert_envs_answer_identically<QB: CandidateQueue>(
+fn assert_envs_answer_identically(
     updated: &MultiChannelEnv,
     rebuilt: &MultiChannelEnv,
     queries: &[Query],
 ) {
-    let updated_engine = QueryEngine::<QB>::with_queue_backend(updated.clone());
-    let rebuilt_engine = QueryEngine::<QB>::with_queue_backend(rebuilt.clone());
+    let updated_engine = QueryEngine::new(updated.clone());
+    let rebuilt_engine = QueryEngine::new(rebuilt.clone());
     for query in queries {
         assert_eq!(
             updated_engine.run(query),
@@ -142,8 +142,7 @@ proptest! {
 
     /// Updated ≡ rebuilt, end to end: materialized overlays are
     /// byte-identical to from-scratch builds, and the environments over
-    /// them answer every query identically (answers *and* errors) on
-    /// both queue backends.
+    /// them answer every query identically (answers *and* errors).
     #[test]
     fn interleaved_schedules_equal_rebuild_from_scratch(
         channels in prop::collection::vec(channel_strategy(), 2..5),
@@ -181,10 +180,7 @@ proptest! {
         // fingerprint treat the two environments as the same data.
         prop_assert_eq!(updated_env.fingerprint(), rebuilt_env.fingerprint());
         let queries = query_mix(Point::new(qx, qy));
-        assert_envs_answer_identically::<tnn_core::ArrivalHeap>(
-            &updated_env, &rebuilt_env, &queries,
-        );
-        assert_envs_answer_identically::<LinearQueue>(&updated_env, &rebuilt_env, &queries);
+        assert_envs_answer_identically(&updated_env, &rebuilt_env, &queries);
     }
 
     /// Cache identity across epochs: prime a caching server, swap in a

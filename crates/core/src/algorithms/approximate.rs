@@ -163,7 +163,7 @@ mod tests {
         let run = crate::algorithms::run_query(
             &e,
             &Query::tnn(p).algorithm(Algorithm::ApproximateTnn),
-            &mut QueryScratch::<crate::ArrivalHeap>::default(),
+            &mut QueryScratch::default(),
         )
         .unwrap();
         let got = run.tnn_pair().expect("uniform data should succeed");
@@ -183,7 +183,7 @@ mod tests {
         let run = crate::algorithms::run_query(
             &e,
             &Query::tnn(p).algorithm(Algorithm::ApproximateTnn),
-            &mut QueryScratch::<crate::ArrivalHeap>::default(),
+            &mut QueryScratch::default(),
         )
         .unwrap();
         assert!(!run.failed(), "uniform data should succeed");
@@ -205,7 +205,7 @@ mod tests {
         let run = crate::algorithms::run_query(
             &e,
             &Query::tnn(p).algorithm(Algorithm::ApproximateTnn),
-            &mut QueryScratch::<crate::ArrivalHeap>::default(),
+            &mut QueryScratch::default(),
         )
         .unwrap();
         // The candidate sets are empty → the query fails outright.

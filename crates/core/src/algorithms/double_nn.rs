@@ -12,17 +12,16 @@
 //! `d = dis(p, s) + dis(s, r)` with `s = p.NN(S)`, `r = p.NN(R)`.
 
 use super::{harvest_searches, run_interleaved, spawn_parallel_searches, Estimate, QueryScratch};
-use crate::task::queue::CandidateQueue;
 use crate::{AnnSpec, TnnError};
 use tnn_broadcast::PhaseOverlay;
 use tnn_geom::Point;
 
-pub(crate) fn estimate<Q: CandidateQueue>(
+pub(crate) fn estimate(
     overlay: &PhaseOverlay<'_>,
     p: Point,
     issued_at: u64,
     ann: &AnnSpec,
-    scratch: &mut QueryScratch<Q>,
+    scratch: &mut QueryScratch,
 ) -> Result<Estimate, TnnError> {
     let k = overlay.len();
     let mut tasks = spawn_parallel_searches(overlay, p, issued_at, ann, scratch.nn_slice(k));

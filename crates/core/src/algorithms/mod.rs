@@ -23,13 +23,11 @@
 //!    (the chain DP over per-layer bucket grids, at every `k`);
 //! 5. **retrieve**: the answer objects' data pages.
 //!
-//! Every step is generic over the candidate-queue backend of the NN
-//! search tasks (see [`crate::task::queue`]): the default backend is the
-//! heap-ordered production queue, while a [`QueryScratch`] over the
-//! feature-gated `LinearQueue` drives the identical algorithm code over
-//! the paper-literal linear-scan reference for the equivalence gates.
-//! `filter_and_finish` builds the one [`QueryOutcome`] every query
-//! returns, straight from the merged route's stops.
+//! Every estimate search runs over the heap-ordered candidate queue (see
+//! [`crate::task::queue`], where the lockstep properties hold it to the
+//! paper-literal linear scan). `filter_and_finish` builds the one
+//! [`QueryOutcome`] every query returns, straight from the merged
+//! route's stops.
 //!
 //! Driven through [`crate::QueryEngine::run_with`] with a reused
 //! [`QueryScratch`], every growth-prone buffer (NN queues and parked
@@ -49,8 +47,7 @@ pub use approximate::{approximate_radius, approximate_radius_for_env};
 
 use crate::join::JoinScratch;
 use crate::merge::{merge_route_layers, RouteObjective};
-use crate::task::queue::{ArrivalHeap, CandidateQueue};
-use crate::task::{BroadcastNnSearch, NnScratch, WindowQueryTask, WindowScratch};
+use crate::task::{NnScratch, NnSearchTask, WindowQueryTask, WindowScratch};
 use crate::SearchMode;
 use crate::{Algorithm, AnnSpec, ChannelCost, Query, QueryKind, QueryOutcome, TnnError};
 use tnn_broadcast::{InlineVec, PhaseOverlay, Tuner};
@@ -87,9 +84,9 @@ pub(crate) struct HopStats {
 /// [`crate::QueryEngine::run_with`] allocate only small k-element
 /// transient vectors (see the module docs).
 #[derive(Debug, Default)]
-pub struct QueryScratch<Q: CandidateQueue = ArrivalHeap> {
+pub struct QueryScratch {
     /// Estimate-phase NN task buffers, one per channel.
-    pub(crate) nn: Vec<NnScratch<Q>>,
+    pub(crate) nn: Vec<NnScratch>,
     /// Filter-phase window query buffers, one per channel.
     pub(crate) window: Vec<WindowScratch>,
     /// Join working memory.
@@ -99,7 +96,7 @@ pub struct QueryScratch<Q: CandidateQueue = ArrivalHeap> {
     pub(crate) visit_orders: Vec<Vec<usize>>,
 }
 
-impl<Q: CandidateQueue> QueryScratch<Q> {
+impl QueryScratch {
     /// The join's working memory, read-only: its work counters
     /// ([`JoinScratch::chain_evaluations`],
     /// [`JoinScratch::grid_cells_tested`]) summed over every query run
@@ -120,7 +117,7 @@ impl<Q: CandidateQueue> QueryScratch<Q> {
 
     /// The first `k` NN scratches, mutably — one per estimate-phase
     /// search task.
-    pub(crate) fn nn_slice(&mut self, k: usize) -> &mut [NnScratch<Q>] {
+    pub(crate) fn nn_slice(&mut self, k: usize) -> &mut [NnScratch] {
         self.ensure_channels(k);
         &mut self.nn[..k]
     }
@@ -158,7 +155,7 @@ pub(crate) fn permutations(k: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// The queue-generic query pipeline behind every query kind, over a
+/// The query pipeline behind every query kind, over a
 /// [`PhaseOverlay`] — per-query phase randomization without cloning the
 /// environment. The query's kind selects the estimate algorithm and the
 /// [`RouteObjective`] (the filter radius and the join, see the module
@@ -171,10 +168,10 @@ pub(crate) fn permutations(k: usize) -> Vec<Vec<usize>> {
 /// # Errors
 /// [`TnnError::EmptyChannel`] when an estimate search ends without
 /// reaching any data point.
-pub(crate) fn run_query_overlay<Q: CandidateQueue>(
+pub(crate) fn run_query_overlay(
     overlay: &PhaseOverlay<'_>,
     query: &Query,
-    scratch: &mut QueryScratch<Q>,
+    scratch: &mut QueryScratch,
 ) -> Result<QueryOutcome, TnnError> {
     let (algorithm, objective) = match query.kind() {
         QueryKind::Tnn(algorithm) => (algorithm, RouteObjective::Chain),
@@ -269,12 +266,12 @@ pub(crate) fn chain_length(p: Point, pts: impl IntoIterator<Item = Point>) -> f6
 
 /// The filter, join and retrieve stages shared by every query kind, over
 /// `k ≥ 2` channels — the only builder of a [`QueryOutcome`].
-pub(crate) fn filter_and_finish<Q: CandidateQueue>(
+pub(crate) fn filter_and_finish(
     overlay: &PhaseOverlay<'_>,
     query: &Query,
     est: Estimate,
     objective: RouteObjective,
-    scratch: &mut QueryScratch<Q>,
+    scratch: &mut QueryScratch,
 ) -> QueryOutcome {
     let k = overlay.len();
     let (p, issued_at) = (query.point(), query.issue_slot());
@@ -373,14 +370,9 @@ pub(crate) fn filter_and_finish<Q: CandidateQueue>(
 ///
 /// `next_arrival` is an O(1) heap peek, so the interleaving loop adds
 /// only an O(k) scan per step.
-pub(crate) fn run_interleaved<Q: CandidateQueue>(
-    tasks: &mut [BroadcastNnSearch<'_, Q>],
-    mut on_completion: impl FnMut(
-        usize,
-        Option<(Point, ObjectId, f64)>,
-        u64,
-        &mut [BroadcastNnSearch<'_, Q>],
-    ),
+pub(crate) fn run_interleaved(
+    tasks: &mut [NnSearchTask<'_>],
+    mut on_completion: impl FnMut(usize, Option<(Point, ObjectId, f64)>, u64, &mut [NnSearchTask<'_>]),
 ) {
     loop {
         let mut next: Option<(u64, usize)> = None;
@@ -411,18 +403,18 @@ pub(crate) fn run_interleaved<Q: CandidateQueue>(
 /// channel (all `k` searches start "at the earliest opportunity", §4.1)
 /// for the caller to run through [`run_interleaved`] and pass back
 /// through [`harvest_searches`].
-pub(crate) fn spawn_parallel_searches<'a, Q: CandidateQueue>(
+pub(crate) fn spawn_parallel_searches<'a>(
     overlay: &PhaseOverlay<'a>,
     from: Point,
     issued_at: u64,
     ann: &AnnSpec,
-    scratch: &mut [NnScratch<Q>],
-) -> Vec<BroadcastNnSearch<'a, Q>> {
+    scratch: &mut [NnScratch],
+) -> Vec<NnSearchTask<'a>> {
     scratch
         .iter_mut()
         .enumerate()
         .map(|(i, nn_scratch)| {
-            BroadcastNnSearch::with_scratch(
+            NnSearchTask::with_scratch(
                 overlay.view(i),
                 SearchMode::Point { q: from },
                 ann.mode(i),
@@ -438,9 +430,9 @@ pub(crate) fn spawn_parallel_searches<'a, Q: CandidateQueue>(
 /// statistics — recycling the task buffers into `scratch`. Returns
 /// [`TnnError::EmptyChannel`] when a search ended without reaching any
 /// data point.
-pub(crate) fn harvest_searches<Q: CandidateQueue>(
-    tasks: Vec<BroadcastNnSearch<'_, Q>>,
-    scratch: &mut [NnScratch<Q>],
+pub(crate) fn harvest_searches(
+    tasks: Vec<NnSearchTask<'_>>,
+    scratch: &mut [NnScratch],
 ) -> Result<Estimate, TnnError> {
     let mut stops = StopVec::new();
     let mut tuners = TunerVec::new();
@@ -465,15 +457,15 @@ pub(crate) fn harvest_searches<Q: CandidateQueue>(
     })
 }
 
-/// Runs `query` over `env`'s own phases through a `Q`-backed engine — the
-/// single-query entry point of the core unit tests.
+/// Runs `query` over `env`'s own phases — the single-query entry point
+/// of the core unit tests.
 #[cfg(test)]
-pub(crate) fn run_query<Q: CandidateQueue>(
+pub(crate) fn run_query(
     env: &tnn_broadcast::MultiChannelEnv,
     query: &Query,
-    scratch: &mut QueryScratch<Q>,
+    scratch: &mut QueryScratch,
 ) -> Result<QueryOutcome, TnnError> {
-    crate::QueryEngine::<Q>::with_queue_backend(env.clone()).run_with(query, scratch)
+    crate::QueryEngine::new(env.clone()).run_with(query, scratch)
 }
 
 /// End-to-end tests of the order-free and round-trip query kinds.
@@ -482,18 +474,11 @@ mod variants {
     mod tests;
 }
 
-/// Property tests asserting the heap-ordered production queue and the
-/// paper-literal linear-scan reference produce **byte-identical**
-/// [`QueryOutcome`]s — same pages, same finish times, same answers —
-/// across all four algorithms, random datasets, phases, ANN modes,
-/// channel counts, and the arrival-tie / mid-flight-switch cases
-/// Hybrid-NN exercises.
+/// Degenerate inputs on every algorithm: empty channels error out, and
+/// single-point channels answer exactly.
 #[cfg(test)]
 mod equivalence_tests {
     use super::*;
-    use crate::task::queue::LinearQueue;
-    use crate::AnnMode;
-    use proptest::prelude::*;
     use std::sync::Arc;
     use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
     use tnn_rtree::{PackingAlgorithm, RTree};
@@ -509,128 +494,9 @@ mod equivalence_tests {
         MultiChannelEnv::new(trees, params, phases)
     }
 
-    fn pts_strategy(max: usize) -> impl Strategy<Value = Vec<Point>> {
-        prop::collection::vec(
-            (0.0f64..1000.0, 0.0f64..1000.0).prop_map(|(x, y)| Point::new(x, y)),
-            1..max,
-        )
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn heap_and_linear_runs_are_byte_identical(
-            s in pts_strategy(220),
-            r in pts_strategy(220),
-            (ph0, ph1) in (0u64..50_000, 0u64..50_000),
-            page in prop::sample::select(vec![64usize, 128]),
-            (qx, qy) in (-100.0f64..1100.0, -100.0f64..1100.0),
-            issued_at in 0u64..20_000,
-            ann_factor in 0.0f64..2.0,
-        ) {
-            let env = build_env(&[s, r], page, &[ph0, ph1]);
-            let p = Point::new(qx, qy);
-            let mut heap_scratch = QueryScratch::<ArrivalHeap>::default();
-            let mut linear_scratch = QueryScratch::<LinearQueue>::default();
-            for alg in Algorithm::ALL {
-                for ann in [AnnMode::Exact, AnnMode::Dynamic { factor: ann_factor }] {
-                    let query = Query::tnn(p)
-                        .algorithm(alg)
-                        .issued_at(issued_at)
-                        .ann_modes(&[ann, ann]);
-                    let heap_run = run_query(&env, &query, &mut heap_scratch).unwrap();
-                    let linear_run = run_query(&env, &query, &mut linear_scratch).unwrap();
-                    prop_assert_eq!(
-                        &heap_run, &linear_run,
-                        "divergent run for {} / {:?}", alg.name(), ann
-                    );
-                }
-            }
-        }
-
-        /// The same backend-equivalence gate over three and four channels
-        /// — the generalized event loop and the layered join must be as
-        /// backend-independent as the two-channel pipeline.
-        #[test]
-        fn heap_and_linear_agree_beyond_two_channels(
-            layers in prop::collection::vec(pts_strategy(140), 3..5),
-            phase_seed in 0u64..60_000,
-            (qx, qy) in (0.0f64..1000.0, 0.0f64..1000.0),
-            issued_at in 0u64..10_000,
-        ) {
-            let k = layers.len();
-            let phases: Vec<u64> =
-                (0..k as u64).map(|i| phase_seed.wrapping_mul(i * i + 1) % 40_000).collect();
-            let env = build_env(&layers, 64, &phases);
-            let p = Point::new(qx, qy);
-            let mut heap_scratch = QueryScratch::<ArrivalHeap>::default();
-            let mut linear_scratch = QueryScratch::<LinearQueue>::default();
-            for alg in Algorithm::ALL {
-                let query = Query::tnn(p).algorithm(alg).issued_at(issued_at);
-                let heap_run = run_query(&env, &query, &mut heap_scratch).unwrap();
-                let linear_run = run_query(&env, &query, &mut linear_scratch).unwrap();
-                prop_assert_eq!(&heap_run, &linear_run, "k={} {}", k, alg.name());
-            }
-        }
-
-        /// Small, highly symmetric grids force equal-bound tie cases; the
-        /// asymmetric sizes force both Hybrid switch directions.
-        #[test]
-        fn equivalence_on_tie_heavy_grids(
-            side in 2usize..7,
-            big in 150usize..400,
-            phase in 0u64..10_000,
-        ) {
-            let grid: Vec<Point> = (0..side * side)
-                .map(|i| Point::new((i % side) as f64 * 10.0, (i / side) as f64 * 10.0))
-                .collect();
-            let cloud: Vec<Point> = (0..big)
-                .map(|i| Point::new((i * 37 % 211) as f64, (i * 53 % 223) as f64))
-                .collect();
-            // Query at the exact grid center: equidistant candidates.
-            let p = Point::new((side - 1) as f64 * 5.0, (side - 1) as f64 * 5.0);
-            for (s, r) in [(&grid, &cloud), (&cloud, &grid)] {
-                let env = build_env(&[s.clone(), r.clone()], 64, &[phase, phase / 2]);
-                for alg in Algorithm::ALL {
-                    let query = Query::tnn(p).algorithm(alg).issued_at(3);
-                    let heap_run =
-                        run_query(&env, &query, &mut QueryScratch::<ArrivalHeap>::default())
-                            .unwrap();
-                    let linear_run =
-                        run_query(&env, &query, &mut QueryScratch::<LinearQueue>::default())
-                            .unwrap();
-                    prop_assert_eq!(&heap_run, &linear_run, "{}", alg.name());
-                }
-            }
-        }
-    }
-
-    /// The chained extension uses the same task machinery; spot-check the
-    /// heap path against the linear one through the public single-query
-    /// entry points.
-    #[test]
-    fn peak_memory_is_backend_independent() {
-        let pts: Vec<Point> = (0..800)
-            .map(|i| Point::new((i * 37 % 211) as f64, (i * 53 % 223) as f64))
-            .collect();
-        let params = BroadcastParams::new(64);
-        let tree = RTree::build(&pts, params.rtree_params(), PackingAlgorithm::Str).unwrap();
-        let ch = tnn_broadcast::Channel::new(Arc::new(tree), params, 9);
-        let q = Point::new(77.0, 133.0);
-        let mut heap =
-            crate::task::NnSearchTask::new(&ch, SearchMode::Point { q }, AnnMode::Exact, 2);
-        let mut linear =
-            crate::task::LinearNnSearchTask::new(&ch, SearchMode::Point { q }, AnnMode::Exact, 2);
-        heap.run_to_completion();
-        linear.run_to_completion();
-        assert_eq!(heap.peak_memory(), linear.peak_memory());
-        assert_eq!(heap.tuner().pages, linear.tuner().pages);
-    }
-
-    /// Empty channels error out on every algorithm and both backends —
-    /// the degenerate-input regression for the former
-    /// `expect("non-empty S")` panics.
+    /// Empty channels error out on every algorithm — the
+    /// degenerate-input regression for the former `expect("non-empty S")`
+    /// panics.
     #[test]
     fn empty_channels_error_on_all_algorithms_and_backends() {
         let params = BroadcastParams::new(64);
@@ -653,22 +519,13 @@ mod equivalence_tests {
             let p = Point::new(10.0, 10.0);
             for alg in Algorithm::ALL {
                 let query = Query::tnn(p).algorithm(alg);
-                let heap = run_query(&env, &query, &mut QueryScratch::<ArrivalHeap>::default());
+                let run = run_query(&env, &query, &mut QueryScratch::default());
                 assert_eq!(
-                    heap.unwrap_err(),
+                    run.unwrap_err(),
                     TnnError::EmptyChannel {
                         channel: expect_channel
                     },
-                    "heap backend, {}",
-                    alg.name()
-                );
-                let linear = run_query(&env, &query, &mut QueryScratch::<LinearQueue>::default());
-                assert_eq!(
-                    linear.unwrap_err(),
-                    TnnError::EmptyChannel {
-                        channel: expect_channel
-                    },
-                    "linear backend, {}",
+                    "{}",
                     alg.name()
                 );
             }
@@ -693,8 +550,7 @@ mod equivalence_tests {
                 let query = Query::tnn(Point::new(0.0, 0.0))
                     .algorithm(alg)
                     .issued_at(issued_at);
-                let run =
-                    run_query(&env, &query, &mut QueryScratch::<ArrivalHeap>::default()).unwrap();
+                let run = run_query(&env, &query, &mut QueryScratch::default()).unwrap();
                 let pair = run.tnn_pair().expect("single-point channels still answer");
                 let expect = Point::new(0.0, 0.0).dist(Point::new(10.0, 10.0)) + 10.0;
                 assert!((pair.dist - expect).abs() < 1e-9, "{}", alg.name());

@@ -9,18 +9,17 @@
 //! channels in parallel (the adaptation to simultaneous access).
 
 use super::{Bound, Estimate, HopStats, HopStatsVec, QueryScratch, StopVec, TunerVec};
-use crate::task::queue::CandidateQueue;
-use crate::task::BroadcastNnSearch;
+use crate::task::NnSearchTask;
 use crate::{AnnSpec, SearchMode, TnnError};
 use tnn_broadcast::PhaseOverlay;
 use tnn_geom::Point;
 
-pub(crate) fn estimate<Q: CandidateQueue>(
+pub(crate) fn estimate(
     overlay: &PhaseOverlay<'_>,
     p: Point,
     issued_at: u64,
     ann: &AnnSpec,
-    scratch: &mut QueryScratch<Q>,
+    scratch: &mut QueryScratch,
 ) -> Result<Estimate, TnnError> {
     let k = overlay.len();
     let mut tuners = TunerVec::new();
@@ -32,7 +31,7 @@ pub(crate) fn estimate<Q: CandidateQueue>(
     for (i, nn_scratch) in scratch.nn_slice(k).iter_mut().enumerate() {
         // Hop i: nᵢ = n_{i−1}.NN(Sᵢ), starting only after hop i−1
         // finished.
-        let mut task = BroadcastNnSearch::with_scratch(
+        let mut task = NnSearchTask::with_scratch(
             overlay.view(i),
             SearchMode::Point { q: from },
             ann.mode(i),

@@ -42,7 +42,6 @@
 //! batch runners that own one scratch per worker.
 
 use crate::algorithms::{run_query_overlay, QueryScratch};
-use crate::task::queue::{ArrivalHeap, CandidateQueue};
 use crate::{Algorithm, AnnMode, AnnSpec, ChannelCost, TnnError, TnnPair};
 use std::sync::Arc;
 use tnn_broadcast::{InlineVec, MultiChannelEnv, PhaseOverlay, PhaseVec};
@@ -426,10 +425,7 @@ impl QueryOutcome {
 const MAX_POOLED_SCRATCH: usize = 64;
 
 /// The unified query-execution engine over one shared multi-channel
-/// environment, generic over the candidate-queue backend (the default
-/// [`ArrivalHeap`] is the production backend; the equivalence gates
-/// instantiate the paper-literal linear reference through
-/// [`QueryEngine::with_queue_backend`]).
+/// environment.
 ///
 /// See [`Query`] for an end-to-end example. Cloning an engine is O(1)
 /// and shares the environment cell: clones (worker handles) observe
@@ -445,7 +441,7 @@ const MAX_POOLED_SCRATCH: usize = 64;
 /// count is fixed at construction — swaps must preserve it, mirroring
 /// how every admitted query was validated against it.
 #[derive(Debug)]
-pub struct QueryEngine<Q: CandidateQueue = ArrivalHeap> {
+pub struct QueryEngine {
     /// The current environment snapshot, shared across engine clones.
     /// Readers clone it out (O(1)) and never hold the guard across a
     /// query; `swap_env` is the only writer.
@@ -455,21 +451,12 @@ pub struct QueryEngine<Q: CandidateQueue = ArrivalHeap> {
     channels: usize,
     /// Recycled per-query buffers for the pooling [`QueryEngine::run`]
     /// path. `run_with` never touches this.
-    pool: OrderedMutex<Vec<QueryScratch<Q>>>,
+    pool: OrderedMutex<Vec<QueryScratch>>,
 }
 
 impl QueryEngine {
-    /// An engine over `env` with the production heap-ordered queue
-    /// backend.
+    /// An engine over `env`.
     pub fn new(env: MultiChannelEnv) -> Self {
-        QueryEngine::with_queue_backend(env)
-    }
-}
-
-impl<Q: CandidateQueue> QueryEngine<Q> {
-    /// An engine over `env` with an explicit candidate-queue backend
-    /// (backend equivalence gates; everyday code wants [`QueryEngine::new`]).
-    pub fn with_queue_backend(env: MultiChannelEnv) -> Self {
         let channels = env.len();
         QueryEngine {
             env: Arc::new(OrderedRwLock::new(LockRank::CoreEnvCell, env)),
@@ -552,7 +539,7 @@ impl<Q: CandidateQueue> QueryEngine<Q> {
     pub fn run_with(
         &self,
         query: &Query,
-        scratch: &mut QueryScratch<Q>,
+        scratch: &mut QueryScratch,
     ) -> Result<QueryOutcome, TnnError> {
         let env = self.env();
         self.run_on(&env, query, scratch)
@@ -573,7 +560,7 @@ impl<Q: CandidateQueue> QueryEngine<Q> {
         &self,
         env: &MultiChannelEnv,
         query: &Query,
-        scratch: &mut QueryScratch<Q>,
+        scratch: &mut QueryScratch,
     ) -> Result<QueryOutcome, TnnError> {
         query.validate(env)?;
         let overlay = match &query.phases {
@@ -589,13 +576,13 @@ impl<Q: CandidateQueue> QueryEngine<Q> {
     /// front, drive every query through [`QueryEngine::run_with`], and
     /// [`QueryEngine::recycle`] it on exit, so buffers grown by earlier
     /// queries keep amortizing across workers and server generations.
-    pub fn scratch(&self) -> QueryScratch<Q> {
+    pub fn scratch(&self) -> QueryScratch {
         self.pool.lock().pop().unwrap_or_default()
     }
 
     /// Returns a scratch drawn with [`QueryEngine::scratch`] to the pool
     /// (dropped silently once the pool cap is reached).
-    pub fn recycle(&self, scratch: QueryScratch<Q>) {
+    pub fn recycle(&self, scratch: QueryScratch) {
         let mut pool = self.pool.lock();
         if pool.len() < MAX_POOLED_SCRATCH {
             pool.push(scratch);
@@ -603,7 +590,7 @@ impl<Q: CandidateQueue> QueryEngine<Q> {
     }
 }
 
-impl<Q: CandidateQueue> Clone for QueryEngine<Q> {
+impl Clone for QueryEngine {
     fn clone(&self) -> Self {
         QueryEngine {
             // Clones share the cell, not just the snapshot: a swap on

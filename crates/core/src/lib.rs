@@ -93,7 +93,3 @@ pub use result::{ChannelCost, TnnPair};
 
 pub use algorithms::{approximate_radius, approximate_radius_for_env, QueryScratch};
 pub use join::{chain_join_with, chain_loop_join_with, JoinScratch};
-pub use task::{ArrivalHeap, CandidateQueue};
-
-#[cfg(feature = "linear-reference")]
-pub use task::LinearQueue;

@@ -7,8 +7,9 @@
 //! candidate R-tree nodes according to their arrival time, so that
 //! backtracking is avoided"). Both task types realize that priority queue
 //! as a binary min-heap keyed `(arrival, node id)`, giving O(1) peeks and
-//! O(log n) pops; see [`queue`] for the backends and the pruning
-//! discipline of the NN search.
+//! O(log n) pops; see [`queue`] for the NN search's queue, its lazy
+//! pruning discipline and the oracle the tests hold it to. The NN search
+//! task is the only type generic over that queue.
 
 mod nn;
 pub mod queue;
@@ -17,9 +18,3 @@ mod window;
 pub use nn::{BroadcastNnSearch, NnScratch, NnSearchTask};
 pub use queue::{ArrivalHeap, CandidateQueue, QueueEntry};
 pub use window::{WindowQueryTask, WindowScratch};
-
-#[cfg(any(test, feature = "linear-reference"))]
-pub use nn::LinearNnSearchTask;
-
-#[cfg(any(test, feature = "linear-reference"))]
-pub use queue::LinearQueue;

@@ -13,10 +13,11 @@
 //! ([`ArrivalHeap`]), so [`BroadcastNnSearch::next_arrival`] is O(1) and
 //! [`BroadcastNnSearch::step`] is O(log n) — the event loops interleaving
 //! searches over multiple channels peek every iteration, and batch
-//! simulations run millions of steps. The paper-literal `Vec`-scan queue
-//! is kept as `LinearNnSearchTask` (tests and the `linear-reference`
-//! feature only); the two must produce byte-identical traces, which
-//! the property tests below verify across all four algorithms.
+//! simulations run millions of steps. The task is the one type generic
+//! over the queue ([`CandidateQueue`]); every layer above runs the heap.
+//! Test builds also run it over the paper-literal `Vec`-scan queue, and
+//! the lockstep property below holds the two to identical observables at
+//! every step — so a whole query is queue-independent.
 //!
 //! ## Delayed pruning (paper §4.2.4)
 //!
@@ -63,14 +64,11 @@ use tnn_broadcast::{ChannelView, Tuner};
 use tnn_geom::Point;
 use tnn_rtree::{NodeId, ObjectId, RTree};
 
-#[cfg(any(test, feature = "linear-reference"))]
-use super::queue::LinearQueue;
-
-/// A broadcast nearest-neighbor search task on one channel, generic over
-/// the candidate-queue backend.
+/// A broadcast nearest-neighbor search task on one channel.
 ///
-/// Use the [`NnSearchTask`] alias (heap backend) unless you are
-/// explicitly comparing against the linear-scan reference. Drive it with
+/// Code outside the lockstep tests uses the [`NnSearchTask`] alias (the
+/// heap-ordered queue); the queue parameter exists so that those tests
+/// can run this same search code over the linear oracle. Drive it with
 /// `next_arrival` / `step` from an event loop that interleaves tasks over
 /// multiple channels in global time order; re-target it with
 /// [`BroadcastNnSearch::switch_query_point`] (Hybrid case 2) or
@@ -106,20 +104,14 @@ pub struct BroadcastNnSearch<'a, Q: CandidateQueue> {
     peak_memory: usize,
 }
 
-/// The production NN search task (heap-ordered candidate queue).
+/// The NN search task (heap-ordered candidate queue).
 pub type NnSearchTask<'a> = BroadcastNnSearch<'a, ArrivalHeap>;
-
-/// The paper-literal reference task (`Vec`-scan queue, O(n) per step).
-/// Exists only so the equivalence gates and property tests can compare
-/// against the pre-optimization behaviour.
-#[cfg(any(test, feature = "linear-reference"))]
-pub type LinearNnSearchTask<'a> = BroadcastNnSearch<'a, LinearQueue>;
 
 /// Reusable buffers for one [`BroadcastNnSearch`]: thread one through
 /// repeated searches (e.g. a query batch) to avoid re-allocating the
 /// queue and the parked list per query.
 #[derive(Debug, Default)]
-pub struct NnScratch<Q: CandidateQueue> {
+pub struct NnScratch<Q: CandidateQueue = ArrivalHeap> {
     queue: Q,
     parked: Vec<QueueEntry>,
 }
@@ -284,34 +276,19 @@ impl<'a, Q: CandidateQueue> BroadcastNnSearch<'a, Q> {
             }
             // Delayed pruning: every child is kept — queued or parked,
             // never dropped. The bound is final for this step (updated
-            // from all children above), so a backend that pre-filters
-            // pushes can park condemned children immediately; deferring
-            // the decision to the settling pass below is observationally
-            // identical. Either way nothing costs pages or time.
-            if Q::PREFILTERS_PUSHES {
-                let ctx = self.prune_context();
-                for c in children {
-                    let arrival = self.channel.next_node_arrival(c.child, self.now);
-                    let e = QueueEntry {
-                        arrival,
-                        node: c.child,
-                        mbr: c.mbr,
-                    };
-                    if ctx.condemns(&e) {
-                        self.parked.push(e);
-                    } else {
-                        self.queue.push(e);
-                    }
-                }
-            } else {
-                for c in children {
-                    let arrival = self.channel.next_node_arrival(c.child, self.now);
-                    self.queue.push(QueueEntry {
-                        arrival,
-                        node: c.child,
-                        mbr: c.mbr,
-                    });
-                }
+            // from all children above), so the queue may park condemned
+            // children at once; deferring the decision to the settling
+            // pass below is observationally identical. Either way nothing
+            // costs pages or time.
+            let ctx = self.prune_context();
+            for c in children {
+                let e = QueueEntry {
+                    arrival: self.channel.next_node_arrival(c.child, self.now),
+                    node: c.child,
+                    mbr: c.mbr,
+                };
+                self.queue
+                    .push_or_park(e, |e| ctx.condemns(e), &mut self.parked);
             }
         } else if let Some(points) = node.points() {
             // Scan the leaf for its best point, in objective space (point
@@ -531,6 +508,7 @@ impl PruneContext<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::queue::LinearQueue;
     use proptest::prelude::*;
     use std::sync::Arc;
     use tnn_broadcast::{BroadcastParams, Channel};
@@ -790,7 +768,7 @@ mod tests {
     fn scratch_reuse_is_equivalent_and_reuses_capacity() {
         let pts = grid(400);
         let ch = channel(&pts, 13);
-        let mut scratch = NnScratch::<ArrivalHeap>::default();
+        let mut scratch = NnScratch::default();
         for (qx, qy) in [(10.0, 10.0), (150.0, 80.0), (60.0, 200.0)] {
             let q = Point::new(qx, qy);
             let mut fresh = NnSearchTask::new(&ch, SearchMode::Point { q }, AnnMode::Exact, 7);
@@ -812,6 +790,9 @@ mod tests {
             reused.recycle(&mut scratch);
         }
     }
+
+    /// The search over the paper-literal oracle queue.
+    type LinearNnSearchTask<'a> = BroadcastNnSearch<'a, LinearQueue>;
 
     /// One scheduled re-targeting: before step `at_step`, switch both
     /// tasks at their clock plus `delay` slots.

@@ -1,25 +1,24 @@
-//! Candidate-queue backends for the broadcast NN search task.
+//! The candidate queue of the broadcast NN search task.
 //!
 //! The search processes candidates strictly in arrival order and parks —
 //! never drops — entries condemned by the current bound (delayed pruning,
-//! §4.2.4). Two interchangeable backends realize that discipline:
+//! §4.2.4). [`ArrivalHeap`] realizes that discipline: a binary min-heap
+//! keyed `(arrival, node id)` giving O(1) [`CandidateQueue::next_arrival`]
+//! peeks and O(log n) pops, with **lazy** pruning: only the heap front is
+//! tested against the bound. This is sound because between re-targeting
+//! switches the bound only tightens, so an entry condemnable now is still
+//! condemnable when it surfaces at the front; [`CandidateQueue::realize`]
+//! forces all deferred decisions right before a switch, where the bound
+//! changes non-monotonically.
 //!
-//! * [`ArrivalHeap`] — the production backend: a binary min-heap keyed
-//!   `(arrival, node id)` giving O(1) [`CandidateQueue::next_arrival`]
-//!   peeks and O(log n) pops, with **lazy** pruning: only the heap front
-//!   is tested against the bound. This is sound because between
-//!   re-targeting switches the bound only tightens, so an entry
-//!   condemnable now is still condemnable when it surfaces at the front;
-//!   [`CandidateQueue::realize`] forces all deferred decisions right
-//!   before a switch, where the bound changes non-monotonically.
-//! * `LinearQueue` — the paper-literal reference: a flat `Vec` with
-//!   O(n) scans per operation and **eager** pruning after every bound
-//!   update, exactly the pre-optimization behaviour. Compiled only for
-//!   tests and the `linear-reference` feature.
-//!
-//! Both backends must produce byte-identical search traces; the property
-//! tests in `crate::task::nn` assert this across all four algorithms.
-//! Node ids break (arrival, node) ordering ties deterministically,
+//! [`CandidateQueue`] is the seam the heap is checked at, and only the
+//! search task is generic over it. Test builds add `LinearQueue`, the
+//! paper-literal oracle: a flat `Vec` with O(n) scans per operation and
+//! **eager** pruning after every bound update. Two properties hold the
+//! heap to it: the one below drives both queues through random
+//! operation sequences, and the one in `crate::task::nn` steps a search
+//! over each in lockstep, comparing every observable the algorithms
+//! read. Node ids break (arrival, node) ordering ties deterministically,
 //! although arrivals of distinct nodes on one channel are in fact always
 //! distinct (one page per slot).
 
@@ -55,23 +54,19 @@ impl QueueEntry {
 /// `Send` is part of the contract so that scratch buffers (and the
 /// engines pooling them) can cross worker threads.
 pub trait CandidateQueue: Default + std::fmt::Debug + Send {
-    /// `true` when the search should evaluate the pruning predicate at
-    /// push time and divert condemned children straight to the parked
-    /// list (the bound is already final when a step pushes its children,
-    /// so this is observationally identical to parking them at the next
-    /// settle). Keeps the heap populated with near-viable entries only;
-    /// the linear reference leaves it `false` to reproduce the
-    /// pre-optimization cost model (full rescans) faithfully.
-    const PREFILTERS_PUSHES: bool;
-
-    /// `true` for the pre-optimization reference backend: harnesses that
-    /// A/B the hot path use this to reproduce the original cost model
-    /// faithfully (e.g. fresh buffer allocations per query instead of
-    /// scratch reuse). Never affects results, only costs.
-    const IS_REFERENCE: bool;
-
     /// Queues a candidate.
     fn push(&mut self, e: QueueEntry);
+
+    /// Queues a candidate, or parks it at once when `condemn` rejects
+    /// it. The caller's bound is final until the next
+    /// [`CandidateQueue::settle`], so parking now is observationally
+    /// identical to parking at that settle; a backend may do either.
+    fn push_or_park(
+        &mut self,
+        e: QueueEntry,
+        condemn: impl Fn(&QueueEntry) -> bool,
+        parked: &mut Vec<QueueEntry>,
+    );
 
     /// Arrival slot of the next downloadable candidate. Callers must have
     /// settled the queue (via [`CandidateQueue::settle`]) since the last
@@ -151,12 +146,25 @@ pub struct ArrivalHeap {
 }
 
 impl CandidateQueue for ArrivalHeap {
-    const PREFILTERS_PUSHES: bool = true;
-    const IS_REFERENCE: bool = false;
-
     #[inline]
     fn push(&mut self, e: QueueEntry) {
         self.heap.push(HeapSlot(e));
+    }
+
+    /// Parks a condemned entry instead of queueing it, which keeps the
+    /// heap to near-viable entries.
+    #[inline]
+    fn push_or_park(
+        &mut self,
+        e: QueueEntry,
+        condemn: impl Fn(&QueueEntry) -> bool,
+        parked: &mut Vec<QueueEntry>,
+    ) {
+        if condemn(&e) {
+            parked.push(e);
+        } else {
+            self.push(e);
+        }
     }
 
     #[inline]
@@ -217,22 +225,29 @@ impl CandidateQueue for ArrivalHeap {
     }
 }
 
-/// The paper-literal reference queue: flat `Vec`, O(n) scans, eager
-/// pruning — the exact pre-optimization behaviour, kept so the
-/// equivalence gates and property tests can compare against it.
-#[cfg(any(test, feature = "linear-reference"))]
+/// The paper-literal oracle queue: flat `Vec`, O(n) scans, eager
+/// pruning — the pre-optimization behaviour, kept for the lockstep
+/// properties only.
+#[cfg(test)]
 #[derive(Debug, Default)]
-pub struct LinearQueue {
+pub(crate) struct LinearQueue {
     entries: Vec<QueueEntry>,
 }
 
-#[cfg(any(test, feature = "linear-reference"))]
+#[cfg(test)]
 impl CandidateQueue for LinearQueue {
-    const PREFILTERS_PUSHES: bool = false;
-    const IS_REFERENCE: bool = true;
-
     fn push(&mut self, e: QueueEntry) {
         self.entries.push(e);
+    }
+
+    /// Always queues: the eager settle that follows decides every entry.
+    fn push_or_park(
+        &mut self,
+        e: QueueEntry,
+        _condemn: impl Fn(&QueueEntry) -> bool,
+        _parked: &mut Vec<QueueEntry>,
+    ) {
+        self.push(e);
     }
 
     fn next_arrival(&self) -> Option<u64> {
@@ -385,6 +400,9 @@ mod tests {
     enum Op {
         /// Push fresh `(arrival, score)` entries, then settle.
         Push(Vec<(u64, f64)>),
+        /// Offer fresh entries through `push_or_park` under the current
+        /// bound, as a search step offers a node's children, then settle.
+        PushOrPark(Vec<(u64, f64)>),
         /// Multiply the bound by a factor in `[0.5, 1)`, then settle.
         Tighten(f64),
         /// Pop the front, then settle.
@@ -397,15 +415,16 @@ mod tests {
 
     fn op() -> impl Strategy<Value = Op> {
         (
-            0u8..8,
+            0u8..10,
             prop::collection::vec((0u64..40, 0.0f64..100.0), 1..6),
             0.5f64..1.0,
             (0u64..40, 0.0f64..120.0),
         )
             .prop_map(|(kind, fresh, factor, (at, bound))| match kind {
-                0..=2 => Op::Push(fresh),
-                3 | 4 => Op::Pop,
-                5 | 6 => Op::Tighten(factor),
+                0 | 1 => Op::Push(fresh),
+                2..=4 => Op::PushOrPark(fresh),
+                5 | 6 => Op::Pop,
+                7 | 8 => Op::Tighten(factor),
                 _ => Op::Realize { at, bound },
             })
     }
@@ -456,6 +475,14 @@ mod tests {
                             next_node += 1;
                             heap.push(e);
                             linear.push(e);
+                        }
+                    }
+                    Op::PushOrPark(fresh) => {
+                        for (arrival, score) in fresh {
+                            let e = scored(arrival, next_node, score);
+                            next_node += 1;
+                            heap.push_or_park(e, condemn, &mut heap_parked);
+                            linear.push_or_park(e, condemn, &mut linear_parked);
                         }
                     }
                     Op::Pop => prop_assert_eq!(heap.pop_next(), linear.pop_next()),

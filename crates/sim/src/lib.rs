@@ -38,6 +38,3 @@ pub use metrics::BatchStats;
 pub use report::{format_table, write_csv, Table};
 pub use runner::{parse_positive, queries_per_batch, run_tnn_batch, BatchConfig};
 pub use workload::{Catalog, DatasetSpec};
-
-#[cfg(feature = "linear-reference")]
-pub use runner::run_batch_linear;

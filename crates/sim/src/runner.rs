@@ -20,8 +20,7 @@
 //! `with_phases` hot-path cost). Per-query
 //! metric samples are written into a pre-sized slot array and reduced
 //! **in query order**, making every [`BatchStats`] bit-identical for a
-//! fixed seed regardless of thread count or scheduling — which is also
-//! what lets the `linear-reference` A/B comparison demand exact equality.
+//! fixed seed regardless of thread count or scheduling.
 
 use crate::metrics::{QuerySample, StatsAccumulator};
 use crate::BatchStats;
@@ -30,7 +29,7 @@ use rand::{Rng, SeedableRng};
 use std::str::FromStr;
 use std::sync::Arc;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
-use tnn_core::{exact_chain_tnn, exact_tnn, CandidateQueue, Query, QueryEngine, QueryScratch};
+use tnn_core::{exact_chain_tnn, exact_tnn, Query, QueryEngine, QueryScratch};
 use tnn_geom::{Point, Rect};
 use tnn_rtree::RTree;
 
@@ -126,42 +125,16 @@ fn run_samples(queries: usize, run_chunk: impl Fn(usize, &mut [QuerySample]) + S
 /// reduction, so results are bit-identical in the seed regardless of
 /// thread count.
 pub fn run_tnn_batch(trees: &[Arc<RTree>], region: &Rect, cfg: &BatchConfig) -> BatchStats {
-    run_tnn_batch_impl::<tnn_core::ArrivalHeap>(trees, region, cfg)
-}
-
-/// [`run_tnn_batch`] over the paper-literal pre-optimization hot path:
-/// linear-scan candidate queues (O(n) per queue operation, eager purge
-/// rescans) and fresh per-query buffer allocations, exactly as the
-/// original implementation behaved. Identical workload and (by
-/// construction) identical [`BatchStats`]. Only for the
-/// `linear_equivalence` gate.
-#[cfg(feature = "linear-reference")]
-pub fn run_batch_linear(trees: &[Arc<RTree>], region: &Rect, cfg: &BatchConfig) -> BatchStats {
-    run_tnn_batch_impl::<tnn_core::LinearQueue>(trees, region, cfg)
-}
-
-fn run_tnn_batch_impl<Q: CandidateQueue>(
-    trees: &[Arc<RTree>],
-    region: &Rect,
-    cfg: &BatchConfig,
-) -> BatchStats {
-    let engine = QueryEngine::<Q>::with_queue_backend(MultiChannelEnv::new(
+    let engine = QueryEngine::new(MultiChannelEnv::new(
         trees.to_vec(),
         cfg.params,
         &vec![0; trees.len()],
     ));
     run_samples(cfg.queries, |first, chunk| {
-        // The production backend reuses one scratch per worker (zero
-        // buffer allocations per query); the linear reference allocates
-        // fresh buffers per query like the pre-optimization
-        // implementation did. Scratch handling is invisible to results
-        // either way.
-        let mut scratch = QueryScratch::<Q>::default();
+        // One scratch per worker: no buffer allocations per query.
+        let mut scratch = QueryScratch::default();
         let mut phases: Vec<u64> = Vec::with_capacity(engine.channels());
         for (j, slot) in chunk.iter_mut().enumerate() {
-            if Q::IS_REFERENCE {
-                scratch = QueryScratch::<Q>::default();
-            }
             *slot = run_one(
                 &engine,
                 region,
@@ -174,12 +147,12 @@ fn run_tnn_batch_impl<Q: CandidateQueue>(
     })
 }
 
-fn run_one<Q: CandidateQueue>(
-    engine: &QueryEngine<Q>,
+fn run_one(
+    engine: &QueryEngine,
     region: &Rect,
     cfg: &BatchConfig,
     query_index: u64,
-    scratch: &mut QueryScratch<Q>,
+    scratch: &mut QueryScratch,
     phases: &mut Vec<u64>,
 ) -> QuerySample {
     // Per-query randomness independent of the algorithm configuration, so
@@ -292,10 +265,6 @@ mod tests {
             assert_eq!(stats.fail_rate, 0.0, "{}", alg.name());
         }
     }
-
-    // The heap-vs-linear BatchStats equality gate lives in
-    // crates/bench/tests/linear_equivalence.rs, where the
-    // `linear-reference` feature is always enabled.
 
     #[test]
     fn k_channel_tnn_batches_run_and_are_deterministic() {
