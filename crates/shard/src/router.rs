@@ -82,36 +82,30 @@ pub struct ShardOutcome {
 struct Topology {
     env: MultiChannelEnv,
     plan: ShardPlan,
-    /// One server per shard, `None` for an ineligible shard (one missing
-    /// some channel's objects), which serves nothing. Emptied by
-    /// [`ShardRouter::shutdown`], which banks the servers' final stats
-    /// in the ledger first.
-    servers: Vec<Option<Server>>,
+    /// One server per eligible shard (a shard holding objects of every
+    /// channel), in ascending shard order; an ineligible shard serves
+    /// nothing and has no entry. Emptied by [`ShardRouter::shutdown`],
+    /// which banks the servers' final stats in the ledger first.
+    servers: Vec<ShardServer>,
     /// Set by [`ShardRouter::shutdown`]: the router refuses every query
     /// and swap from then on.
     shut: bool,
 }
 
-impl Topology {
-    /// Submits one sub-query to `shard`'s server.
-    fn submit(&self, shard: usize, query: &Query) -> Result<Ticket, TnnError> {
-        self.servers[shard]
-            .as_ref()
-            // Only eligible shards are scattered to, and each has a
-            // server; a missing one would be a spawn defect. Refuse the
-            // sub-query (callers count Err as scatter_rejected) rather
-            // than take the router thread down.
-            .ok_or(TnnError::Overloaded)?
-            .submit(query.clone())
-    }
+/// An eligible shard and the server answering its sub-queries.
+struct ShardServer {
+    shard: usize,
+    server: Server,
 }
 
 fn build_topology(env: MultiChannelEnv, config: &ShardConfig) -> Topology {
     let plan = ShardPlan::build(&env, config);
-    let servers = (0..plan.num_shards())
-        .map(|i| {
-            plan.is_eligible(i)
-                .then(|| Server::spawn(plan.shard_env(i).clone(), config.serve))
+    let servers = plan
+        .eligible_shards()
+        .iter()
+        .map(|&shard| ShardServer {
+            shard,
+            server: Server::spawn(plan.shard_env(shard).clone(), config.serve),
         })
         .collect();
     Topology {
@@ -271,8 +265,7 @@ impl ShardRouter {
         let retired: Vec<ServeStats> = old
             .servers
             .iter()
-            .flatten()
-            .map(|server| server.shutdown(ShutdownMode::Drain))
+            .map(|s| s.server.shutdown(ShutdownMode::Drain))
             .collect();
         let mut ledger = self.ledger.lock();
         ledger.serve.merge(&ServeStats::fold(&retired));
@@ -311,6 +304,9 @@ impl ShardRouter {
             ledger.queries - 1
         };
         let mut trace = self.recorder.as_ref().map(|_| QueryTrace::new(seq));
+        // The tally never books `scattered` or `scatter_rejected`: the
+        // shard servers' own ledgers count every submission, and
+        // `stats` reads both fields from them.
         let mut tally = ShardStats::default();
         let routed = self.route(&topology, query, &mut tally, &mut trace);
         self.ledger.lock().merge(&tally);
@@ -346,7 +342,7 @@ impl ShardRouter {
             let mut join = JoinScratch::default();
             let merged = merge_route_layers(&mut join, RouteObjective::Chain, p, &layers, None);
             return Ok(match merged {
-                Some(m) => outcome(kind, m, radius, tally, false),
+                Some(m) => outcome(kind, m, radius, 0, tally, false),
                 None => ShardOutcome {
                     kind,
                     route: Vec::new(),
@@ -367,28 +363,21 @@ impl ShardRouter {
 
         // -- Scatter: seed and tighten the transitive bound B ---------
         let mut bound = f64::INFINITY;
-        let eligible = topology.plan.eligible_shards();
-        if !eligible.is_empty() {
-            // The primary shard minimizes min_max_dist_sq to p — the
-            // classic R-tree guarantee that it *does* contain an object
-            // near p, so its sub-route seeds a tight bound.
-            #[expect(
-                clippy::expect_used,
-                reason = "min_by over `eligible`, which the enclosing `!eligible.is_empty()` guard proves non-empty"
-            )]
-            let primary = eligible
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    let da = shard_mbr(&topology.plan, a).min_max_dist_sq(p);
-                    let db = shard_mbr(&topology.plan, b).min_max_dist_sq(p);
-                    da.total_cmp(&db)
-                })
-                .expect("eligible is non-empty");
+        let mut scattered = 0;
+        // The primary shard minimizes min_max_dist_sq to p — the classic
+        // R-tree guarantee that it *does* contain an object near p, so
+        // its sub-route seeds a tight bound. `None` when no shard is
+        // eligible.
+        let primary = topology.servers.iter().min_by(|a, b| {
+            let da = shard_mbr(&topology.plan, a.shard).min_max_dist_sq(p);
+            let db = shard_mbr(&topology.plan, b.shard).min_max_dist_sq(p);
+            da.total_cmp(&db)
+        });
+        if let Some(primary) = primary {
             // The scatter wait is the primary sub-ticket's own
             // submission-to-resolution latency — this crate reads no
             // clock (R1), the shard server stamped it.
-            let primary_wait = scatter(topology, &[primary], query, &mut bound, tally, trace);
+            let primary_wait = scatter(&[primary], query, &mut bound, &mut scattered, tally, trace);
             if let (Some(t), Some(latency)) = (trace.as_mut(), primary_wait) {
                 t.span(SpanKind::ShardScatter, latency);
             }
@@ -398,19 +387,19 @@ impl ShardRouter {
             // concurrently across their shard servers; the waits fold
             // the bound down in ascending shard order.
             let prune_factor = if round_trip { 2.0 } else { 1.0 };
-            let survivors: Vec<usize> = eligible
+            let survivors: Vec<&ShardServer> = topology
+                .servers
                 .iter()
-                .copied()
-                .filter(|&s| s != primary)
-                .filter(|&s| {
-                    let far = shard_mbr(&topology.plan, s).min_dist(p) * prune_factor > bound;
+                .filter(|s| s.shard != primary.shard)
+                .filter(|s| {
+                    let far = shard_mbr(&topology.plan, s.shard).min_dist(p) * prune_factor > bound;
                     tally.scatter_pruned += u64::from(far);
                     !far
                 })
                 .collect();
             // Surviving sub-queries run concurrently, so the gather
             // wait is the *max* sub-ticket latency, not the sum.
-            let gather_wait = scatter(topology, &survivors, query, &mut bound, tally, trace);
+            let gather_wait = scatter(&survivors, query, &mut bound, &mut scattered, tally, trace);
             if let (Some(t), Some(wait)) = (trace.as_mut(), gather_wait) {
                 if !wait.is_zero() {
                     t.span(SpanKind::ShardGather, wait);
@@ -441,7 +430,7 @@ impl ShardRouter {
         // whatever thread runs the router.
         let merged =
             merge_route_layers(&mut join, objective, p, &layers, None).ok_or(TnnError::Internal)?;
-        Ok(outcome(kind, merged, radius, tally, fallback))
+        Ok(outcome(kind, merged, radius, scattered, tally, fallback))
     }
 
     /// Seals and records a router-level trace. Its total is the span
@@ -461,16 +450,18 @@ impl ShardRouter {
     /// servers' serving stats, read under one topology guard so a
     /// concurrent swap never counts a server twice or not at all. After
     /// shutdown no server is live and the snapshot stays frozen.
+    ///
+    /// The shard servers take submissions from the router only, so
+    /// `scattered` and `scatter_rejected` are the fold's `accepted` and
+    /// `rejected`: each server books an admission decision atomically,
+    /// and a snapshot taken mid-scatter conserves.
     pub fn stats(&self) -> ShardStats {
         let topology = self.topology.read();
-        let live: Vec<ServeStats> = topology
-            .servers
-            .iter()
-            .flatten()
-            .map(Server::stats)
-            .collect();
+        let live: Vec<ServeStats> = topology.servers.iter().map(|s| s.server.stats()).collect();
         let mut stats = self.ledger.lock().clone();
         stats.serve.merge(&ServeStats::fold(&live));
+        stats.scattered = stats.serve.accepted;
+        stats.scatter_rejected = stats.serve.rejected;
         stats
     }
 
@@ -485,8 +476,8 @@ impl ShardRouter {
         // server's backlog included).
         {
             let topology = self.topology.read();
-            for server in topology.servers.iter().flatten() {
-                server.shutdown(mode);
+            for s in &topology.servers {
+                s.server.shutdown(mode);
             }
         }
         // Then bank the fleet. The write guard waits those queries out,
@@ -498,8 +489,7 @@ impl ShardRouter {
             let stopped: Vec<ServeStats> = topology
                 .servers
                 .iter()
-                .flatten()
-                .map(|server| server.shutdown(mode))
+                .map(|s| s.server.shutdown(mode))
                 .collect();
             self.ledger.lock().serve.merge(&ServeStats::fold(&stopped));
             topology.servers.clear();
@@ -548,26 +538,23 @@ impl ShardRouter {
 
 /// Submits `query` to each of `shards`, then waits the admitted
 /// sub-tickets in shard order, folding each sub-route total down into
-/// `bound` and each sub-outcome into `trace`. Returns the slowest
-/// sub-ticket's latency, `None` when no sub-query was admitted.
+/// `bound` and each sub-outcome into `trace`, and counting admissions
+/// into `scattered`. Returns the slowest sub-ticket's latency, `None`
+/// when no sub-query was admitted.
 fn scatter(
-    topology: &Topology,
-    shards: &[usize],
+    shards: &[&ShardServer],
     query: &Query,
     bound: &mut f64,
+    scattered: &mut usize,
     tally: &mut ShardStats,
     trace: &mut Option<QueryTrace>,
 ) -> Option<Duration> {
-    let mut tickets = Vec::with_capacity(shards.len());
-    for &s in shards {
-        match topology.submit(s, query) {
-            Ok(ticket) => {
-                tally.scattered += 1;
-                tickets.push(ticket);
-            }
-            Err(_) => tally.scatter_rejected += 1,
-        }
-    }
+    // A refused sub-query is booked as rejected by its server alone.
+    let tickets: Vec<Ticket> = shards
+        .iter()
+        .filter_map(|s| s.server.submit(query.clone()).ok())
+        .collect();
+    *scattered += tickets.len();
     let mut slowest = None;
     for ticket in tickets {
         match ticket.wait() {
@@ -626,12 +613,13 @@ fn gather(
     layers
 }
 
-/// A scattered query's outcome; its scatter counts are the query's own
-/// tally.
+/// A scattered query's outcome: `scattered` sub-queries were admitted,
+/// and its prune count is the query's own tally.
 fn outcome(
     kind: QueryKind,
     merged: tnn_core::MergedRoute,
     radius: f64,
+    scattered: usize,
     tally: &ShardStats,
     fallback: bool,
 ) -> ShardOutcome {
@@ -640,7 +628,7 @@ fn outcome(
         total_dist: Some(merged.total_dist),
         route: merged.into_route(),
         search_radius: radius,
-        shards_scattered: tally.scattered as usize,
+        shards_scattered: scattered,
         shards_pruned: tally.scatter_pruned as usize,
         fallback,
     }
@@ -648,7 +636,7 @@ fn outcome(
 
 #[expect(
     clippy::expect_used,
-    reason = "only called with indices from eligible_shards(), whose cells have MBRs by construction"
+    reason = "only called with the shards of `Topology::servers`, the eligible ones, whose cells have MBRs by construction"
 )]
 fn shard_mbr(plan: &ShardPlan, shard: usize) -> tnn_geom::Rect {
     plan.mbr(shard).expect("eligible shards hold objects")
@@ -694,6 +682,7 @@ fn fold_sub_outcome(trace: &mut QueryTrace, outcome: &tnn_core::QueryOutcome) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use tnn_broadcast::BroadcastParams;
     use tnn_core::QueryEngine;
@@ -1113,6 +1102,40 @@ mod tests {
         }
     }
 
+    /// A snapshot taken while a query is mid-scatter conserves too: the
+    /// shard servers book a sub-query the moment they admit it, and
+    /// `stats` reads the router's scatter counters from those ledgers.
+    #[test]
+    fn snapshots_taken_mid_scatter_conserve() {
+        let router = ShardRouter::spawn(
+            sample_env(2),
+            ShardConfig::new().shards(4).serve(small_serve()),
+        );
+        let done = AtomicBool::new(false);
+        let mut scattered = 0;
+        let (snapshots, bad) = std::thread::scope(|scope| {
+            let watcher = scope.spawn(|| {
+                let (mut snapshots, mut bad) = (0u32, 0u32);
+                while !done.load(Ordering::Acquire) {
+                    snapshots += 1;
+                    bad += u32::from(!router.stats().conserved());
+                }
+                (snapshots, bad)
+            });
+            for i in 0..300u32 {
+                let p = Point::new(f64::from(i * 37 % 1000), f64::from(i * 53 % 1000));
+                scattered += router.run(&Query::order_free(p)).unwrap().shards_scattered;
+            }
+            done.store(true, Ordering::Release);
+            watcher.join().unwrap()
+        });
+        assert!(snapshots > 0);
+        assert_eq!(bad, 0, "{bad} of {snapshots} snapshots did not conserve");
+        let stats = router.shutdown(ShutdownMode::Drain);
+        assert!(stats.conserved(), "{stats:?}");
+        assert_eq!(stats.scattered, scattered as u64);
+    }
+
     #[test]
     fn swap_env_racing_shutdown_never_outlives_the_frozen_fold() {
         let env = sample_env(2);
@@ -1159,9 +1182,9 @@ mod tests {
             );
             assert_eq!(router.swap_env(nexts[0].clone()), Err(TnnError::Cancelled));
             let probe = Query::tnn(Point::new(1.0, 1.0));
-            for server in router.topology.read().servers.iter().flatten() {
+            for s in &router.topology.read().servers {
                 assert_eq!(
-                    server.submit(probe.clone()).err(),
+                    s.server.submit(probe.clone()).err(),
                     Some(TnnError::Cancelled),
                     "round {round}: a shard server outlived shutdown"
                 );

@@ -11,12 +11,16 @@ tnn_trace::stats! {
         /// Queries accepted by [`crate::ShardRouter::run`] (before
         /// validation; failed validations count too).
         pub queries: u64 => "tnn_shard_queries_total", "Queries accepted by the shard router",
-        /// Sub-queries admitted by shard servers during scatter.
+        /// Sub-queries admitted by shard servers during scatter. The
+        /// servers take submissions from the router only, so
+        /// [`crate::ShardRouter::stats`] reads it as
+        /// [`ServeStats::accepted`].
         pub scattered: u64 => "tnn_shard_scattered_total",
             "Sub-queries admitted by shard servers during scatter",
         /// Sub-queries a shard server refused at the door (full lane under
         /// `Backpressure::Reject`, or shutdown). The route is still exact —
-        /// a refused shard just cannot tighten the gather bound.
+        /// a refused shard just cannot tighten the gather bound. Read as
+        /// [`ServeStats::rejected`], like `scattered`.
         pub scatter_rejected: u64 => "tnn_shard_scatter_rejected_total",
             "Sub-queries refused at a shard server's door",
         /// Admitted sub-queries that resolved to an error (cancelled,
@@ -71,7 +75,9 @@ impl ShardStats {
     /// The sharded conservation invariant: the folded serving stats
     /// conserve tickets, every scatter submission the router made is
     /// accounted for by the shard servers
-    /// (`serve.submitted = scattered + scatter_rejected`), errored
+    /// (`serve.submitted = scattered + scatter_rejected`; a router
+    /// snapshot reads both terms from the fold, so this holds whenever
+    /// the fold conserves, mid-scatter included), errored
     /// sub-queries are a subset of admitted ones, fallbacks are a
     /// subset of queries, and servers retire only through environment
     /// swaps (`retired_replicas == 0 || env_swaps > 0`) — the folded
