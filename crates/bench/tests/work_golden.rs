@@ -122,7 +122,7 @@ fn render_pool(
         peak_queue = peak_queue.max(outcome.peak_queue());
         candidates += outcome.total_candidates();
     }
-    writeln!(
+    write!(
         out,
         "{label} queries={} access_pages={access} tune_in_pages={tune_in} \
          node_visits={node_visits} prune_hits={prune_hits} peak_queue_max={peak_queue} \
@@ -134,11 +134,9 @@ fn render_pool(
     )
     .unwrap();
     if !exact {
-        // Splice the count in before the newline: the exact lines keep
-        // their shape.
-        out.pop();
-        writeln!(out, " no_route={no_route}").unwrap();
+        write!(out, " no_route={no_route}").unwrap();
     }
+    out.push('\n');
 }
 
 fn render() -> String {
