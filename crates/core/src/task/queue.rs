@@ -455,8 +455,8 @@ mod tests {
         /// as their MBR's `min.x`) and are condemned above the bound,
         /// which only tightens between `realize` calls, as in a search
         /// between switches. Every popped entry and every post-settle
-        /// `next_arrival` agree, and so do `len` and the parked multiset
-        /// after each `realize`.
+        /// `next_arrival` agree, and so do `len`, the held entries and
+        /// the parked multiset after each `realize`.
         #[test]
         fn heap_and_linear_queues_agree_under_a_tightening_bound(
             ops in prop::collection::vec(op(), 1..60),
