@@ -69,13 +69,12 @@ fn assert_zero_plan_transparent(env: &MultiChannelEnv, queries: &[Query], worker
         env.clone(),
         ServeConfig::new()
             .workers(workers)
-            .queue_capacity(queries.len().max(1))
-            .batch_window(3),
+            .queue_capacity(queries.len().max(1)),
         FaultPlan::none(),
     );
-    let tickets = server.submit_batch(queries.to_vec());
+    let tickets: Vec<_> = queries.iter().map(|q| server.submit(q.clone())).collect();
     for ((ticket, expect), query) in tickets.into_iter().zip(&expect).zip(queries) {
-        let got = ticket.expect("capacity covers the batch").wait();
+        let got = ticket.expect("capacity covers every query").wait();
         assert_eq!(
             &got, expect,
             "zero-fault serve ≠ engine at workers={workers}, query={query:?}"

@@ -233,7 +233,6 @@ fn live_stack_renders_every_family_and_reconciles_traces() {
             .queue_capacity(2 * LIVE_QUERIES)
             .backpressure(Backpressure::Block)
             .cache(CacheConfig::new().capacity(LIVE_QUERIES))
-            .batch_window(8)
             .retry(RetryPolicy::new().max_attempts(4))
             .trace(TraceConfig::on()),
         FaultPlan::new(0xD0_5E).all_channels(2, ChannelFaults::NONE.drop_rate(60)),
@@ -243,8 +242,9 @@ fn live_stack_renders_every_family_and_reconciles_traces() {
         .chain(&qpoints)
         .map(|&p| Query::tnn(p).algorithm(Algorithm::HybridNn))
         .collect();
-    for ticket in server.submit_batch(workload) {
-        ticket
+    for query in workload {
+        server
+            .submit(query)
             .expect("Block admits everything")
             .wait()
             .expect("live queries are valid");

@@ -1,14 +1,13 @@
-//! The acceptance gate of the QoS layer: **cache ≡ engine** and
-//! **priority never reorders within a class**.
+//! The acceptance gate of the QoS layer: **cache ≡ engine**.
 //!
 //! For arbitrary query sets × all four algorithms × ANN modes ×
 //! per-query phases × k ∈ {2, 3, 4} channels, every outcome served from
 //! the result cache must be **byte-identical** to a fresh
 //! [`QueryEngine::run`] of the same [`Query`] — caching may
-//! short-circuit *work*, never change *answers*. The second gate pins
-//! the scheduling contract: for a single submitter, completion within a
-//! priority class is FIFO in submission order (strict-priority draining
-//! reorders *between* classes only).
+//! short-circuit *work*, never change *answers*. The scheduling
+//! contract (strict priority between classes, FIFO within one) is
+//! pinned in `tnn-serve`'s `server::tests`, which can queue a whole
+//! mixed-class set before the first pop.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -16,7 +15,7 @@ use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
 use tnn_core::{Algorithm, AnnMode, Query, QueryEngine};
 use tnn_geom::Point;
 use tnn_rtree::{PackingAlgorithm, RTree};
-use tnn_serve::{CacheConfig, Qos, ServeConfig, Server, ShutdownMode};
+use tnn_serve::{CacheConfig, ServeConfig, Server, ShutdownMode};
 
 fn build_env(layers: &[Vec<Point>], phases: &[u64]) -> MultiChannelEnv {
     let params = BroadcastParams::new(64);
@@ -70,22 +69,24 @@ fn assert_cache_hits_equal_engine(env: &MultiChannelEnv, queries: &[Query], work
         ServeConfig::new()
             .workers(workers)
             .queue_capacity(queries.len().max(1))
-            .cache(CacheConfig::new().capacity(4 * queries.len()))
-            .batch_window(3),
+            .cache(CacheConfig::new().capacity(4 * queries.len())),
     );
     // Prime: the first pass runs everything through the engine and
     // fills the cache (entries are key-distinct, so no pass-1 hits).
-    for ticket in server.submit_batch(queries.to_vec()) {
-        let _ = ticket.expect("capacity covers the batch").wait();
+    for query in queries {
+        let _ = server
+            .submit(query.clone())
+            .expect("capacity covers the pass")
+            .wait();
     }
     let primed = server.stats();
     assert_eq!(primed.cache_hits, 0, "pass 1 cannot hit a cold cache");
     // Repeat: every query must now be answered from the cache, with
     // bytes identical to an uncached engine run of the same query.
     let fresh_engine = QueryEngine::new(env.clone());
-    let tickets = server.submit_batch(queries.to_vec());
+    let tickets: Vec<_> = queries.iter().map(|q| server.submit(q.clone())).collect();
     for (ticket, query) in tickets.into_iter().zip(queries) {
-        let got = ticket.expect("capacity covers the batch").wait();
+        let got = ticket.expect("capacity covers the pass").wait();
         let fresh = fresh_engine.run(query);
         assert_eq!(
             got, fresh,
@@ -151,58 +152,6 @@ fn mid_env(k: usize) -> MultiChannelEnv {
     build_env(&layers, &phases)
 }
 
-/// For a single submitter, priority scheduling never reorders results
-/// *within* a class: one atomic mixed-class batch against one worker
-/// completes each class FIFO in submission order (and the classes
-/// themselves in strict priority order). One submission stamp plus
-/// resolver-stamped completions make latency order the completion
-/// order.
-#[test]
-fn within_class_completion_is_fifo_for_a_single_submitter() {
-    for k in [2usize, 3] {
-        let server = Server::spawn(
-            mid_env(k),
-            ServeConfig::new()
-                .workers(1)
-                .cache(CacheConfig::disabled())
-                .batch_window(5),
-        );
-        let class_of = |i: usize| match i % 3 {
-            0 => Qos::interactive(),
-            1 => Qos::batch(),
-            _ => Qos::background(),
-        };
-        let submissions: Vec<(Query, Qos)> = (0..90)
-            .map(|i| {
-                let p = Point::new(((i * 131) % 1000) as f64, ((i * 173) % 1000) as f64);
-                (Query::tnn(p), class_of(i))
-            })
-            .collect();
-        let tickets: Vec<_> = server
-            .submit_batch_qos(submissions)
-            .into_iter()
-            .map(|t| t.unwrap())
-            .collect();
-        let stats = server.shutdown(ShutdownMode::Drain);
-        assert_eq!(stats.completed, 90);
-        assert!(stats.conserved());
-        for class in 0..3usize {
-            let latencies: Vec<_> = tickets
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % 3 == class)
-                .map(|(_, t)| t.latency().expect("drained tickets are resolved"))
-                .collect();
-            for window in latencies.windows(2) {
-                assert!(
-                    window[0] <= window[1],
-                    "within-class completion reordered at k={k}, class {class}"
-                );
-            }
-        }
-    }
-}
-
 /// Priming through *different* workers and hitting through others never
 /// changes bytes either: many submitters prime and repeat a shared
 /// query set concurrently; every resolved outcome equals the engine's.
@@ -219,7 +168,7 @@ fn concurrent_priming_and_hitting_stays_byte_identical() {
         })
         .collect();
     let expect: Vec<_> = queries.iter().map(|q| engine.run(q).unwrap()).collect();
-    let server = Server::spawn(env, ServeConfig::new().workers(4).batch_window(4));
+    let server = Server::spawn(env, ServeConfig::new().workers(4));
     std::thread::scope(|scope| {
         for t in 0..4usize {
             let server = &server;

@@ -7,9 +7,9 @@
 //! [`QueryEngine::run`] of the same [`Query`] — concurrency may reorder
 //! *completion*, never *answers*. The cached k! permutation table of
 //! order-free queries under concurrent server workers is covered too.
-//! Serving runs the production engine only; the paper-literal queue
-//! backend is compared against it at the engine level
-//! (`engine_equivalence.rs`, `linear_equivalence.rs`).
+//! Serving runs the production engine only; the paper-literal linear
+//! queue is compared against the arrival heap inside the NN search task,
+//! by the two lockstep properties in `tnn_core::task`.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -78,12 +78,11 @@ fn assert_serve_equals_engine(
         ServeConfig::new()
             .workers(workers)
             .queue_capacity(queries.len().max(1))
-            .backpressure(policy)
-            .batch_window(3),
+            .backpressure(policy),
     );
-    let tickets = server.submit_batch(queries.to_vec());
+    let tickets: Vec<_> = queries.iter().map(|q| server.submit(q.clone())).collect();
     for ((ticket, expect), query) in tickets.into_iter().zip(&expect).zip(queries) {
-        let got = ticket.expect("capacity covers the whole batch").wait();
+        let got = ticket.expect("capacity covers every query").wait();
         assert_eq!(
             &got, expect,
             "serve ≠ engine at workers={workers}, policy={policy:?}, query={query:?}"
@@ -178,10 +177,9 @@ fn order_free_permutation_cache_is_stable_under_concurrency() {
             env.clone(),
             ServeConfig::new()
                 .workers(workers)
-                .queue_capacity(queries.len())
-                .batch_window(4),
+                .queue_capacity(queries.len()),
         );
-        let tickets = server.submit_batch(queries.clone());
+        let tickets: Vec<_> = queries.iter().map(|q| server.submit(q.clone())).collect();
         for (ticket, expect) in tickets.into_iter().zip(&expect) {
             let got = ticket.unwrap().wait().unwrap();
             assert_eq!(got.visit_order(), expect.visit_order(), "workers={workers}");

@@ -130,16 +130,15 @@ fn assert_trace_transparent(
             .queue_capacity(queries.len().max(1))
             .backpressure(Backpressure::Block)
             .cache(cache)
-            .batch_window(3)
     };
     let off = Server::spawn(env.clone(), config());
     let on = Server::spawn(env.clone(), config().trace(TraceConfig::on()));
     assert!(off.recorder().is_none(), "Off must not build a recorder");
-    let off_tickets = off.submit_batch(queries.to_vec());
-    let on_tickets = on.submit_batch(queries.to_vec());
+    let off_tickets: Vec<_> = queries.iter().map(|q| off.submit(q.clone())).collect();
+    let on_tickets: Vec<_> = queries.iter().map(|q| on.submit(q.clone())).collect();
     for ((off_t, on_t), query) in off_tickets.into_iter().zip(on_tickets).zip(queries) {
-        let want: Result<_, TnnError> = off_t.expect("capacity covers the batch").wait();
-        let got = on_t.expect("capacity covers the batch").wait();
+        let want: Result<_, TnnError> = off_t.expect("capacity covers every query").wait();
+        let got = on_t.expect("capacity covers every query").wait();
         assert_eq!(
             got, want,
             "traced ≠ untraced at workers={workers}, query={query:?}"
@@ -257,7 +256,6 @@ fn tracing_is_transparent_under_faults_and_flags_failed_and_retried_queries() {
             .queue_capacity(n as usize)
             .backpressure(Backpressure::Block)
             .cache(CacheConfig::disabled())
-            .batch_window(4)
             .retry(
                 RetryPolicy::new()
                     .max_attempts(max_attempts)
@@ -281,8 +279,8 @@ fn tracing_is_transparent_under_faults_and_flags_failed_and_retried_queries() {
             .algorithm(Algorithm::HybridNn)
         })
         .collect();
-    let off_tickets = off.submit_batch(queries.clone());
-    let on_tickets = on.submit_batch(queries);
+    let off_tickets: Vec<_> = queries.iter().map(|q| off.submit(q.clone())).collect();
+    let on_tickets: Vec<_> = queries.into_iter().map(|q| on.submit(q)).collect();
     let mut exhausted = 0;
     for (off_t, on_t) in off_tickets.into_iter().zip(on_tickets) {
         let got = on_t.unwrap().wait();

@@ -53,8 +53,7 @@ pub enum ShutdownMode {
 ///     .workers(4)
 ///     .queue_capacity(256)
 ///     .backpressure(Backpressure::Shed)
-///     .cache(CacheConfig::new().capacity(8192))
-///     .batch_window(32);
+///     .cache(CacheConfig::new().capacity(8192));
 /// assert_eq!(cfg.workers, 4);
 /// assert_eq!(cfg.queue_capacity, 256);
 /// ```
@@ -81,12 +80,6 @@ pub struct ServeConfig {
     /// ([`CacheConfig::disabled`]) for honest throughput measurements
     /// of repeated workloads.
     pub cache: CacheConfig,
-    /// Upper bound on jobs one worker pops per wake-up. Values above 1
-    /// amortize the queue lock and condvar traffic over micro-batches
-    /// under load while leaving latency untouched when the queue is
-    /// short (a worker never waits to fill a batch). Clamped to at
-    /// least 1.
-    pub batch_window: usize,
     /// How workers pace retries of recoverable tune-in failures
     /// ([`tnn_core::TnnError::ChannelUnavailable`]). Retries never
     /// outlive the submitter's deadline: the ladder re-checks it before
@@ -94,13 +87,6 @@ pub struct ServeConfig {
     /// A ladder that spends [`RetryPolicy::max_attempts`] fails closed:
     /// the ticket resolves with the last `ChannelUnavailable`.
     pub retry: RetryPolicy,
-    /// Upper bound on worker respawns, cumulative across the pool: a
-    /// worker whose serving round panics (an injected kill, or a bug
-    /// outside the per-job isolation) restarts in place until the pool
-    /// has spent this many restarts, after which the next death fails
-    /// the server closed (emergency cancel) — endless respawn would
-    /// mask a crash loop.
-    pub max_worker_restarts: u32,
     /// Cross-layer query tracing ([`TraceConfig::Off`] by default).
     /// When on, workers stamp per-query phase spans (admission wait,
     /// queue residency, cache probe, engine run, retry backoff) and a
@@ -116,8 +102,7 @@ pub struct ServeConfig {
 impl ServeConfig {
     /// The default configuration: one worker per available CPU, a
     /// 1024-slot lane per class, [`Backpressure::Block`], the default
-    /// result cache, a 16-job batch window, the default
-    /// [`RetryPolicy`], at most 32 worker restarts, and tracing off.
+    /// result cache, the default [`RetryPolicy`], and tracing off.
     pub fn new() -> Self {
         ServeConfig {
             workers: std::thread::available_parallelism()
@@ -126,9 +111,7 @@ impl ServeConfig {
             queue_capacity: 1024,
             backpressure: Backpressure::Block,
             cache: CacheConfig::new(),
-            batch_window: 16,
             retry: RetryPolicy::new(),
-            max_worker_restarts: 32,
             trace: TraceConfig::Off,
         }
     }
@@ -157,21 +140,9 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the per-wake-up micro-batch bound.
-    pub fn batch_window(mut self, window: usize) -> Self {
-        self.batch_window = window;
-        self
-    }
-
     /// Sets the retry pacing policy.
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = policy;
-        self
-    }
-
-    /// Sets the pool-wide worker-respawn bound.
-    pub fn max_worker_restarts(mut self, restarts: u32) -> Self {
-        self.max_worker_restarts = restarts;
         self
     }
 
@@ -201,17 +172,13 @@ mod tests {
             .queue_capacity(7)
             .backpressure(Backpressure::Shed)
             .cache(CacheConfig::disabled())
-            .batch_window(5)
             .retry(RetryPolicy::NONE.max_attempts(9))
-            .max_worker_restarts(2)
             .trace(TraceConfig::on());
         assert_eq!(cfg.workers, 3);
         assert_eq!(cfg.queue_capacity, 7);
         assert_eq!(cfg.backpressure, Backpressure::Shed);
         assert!(!cfg.cache.enabled);
-        assert_eq!(cfg.batch_window, 5);
         assert_eq!(cfg.retry.max_attempts, 9);
-        assert_eq!(cfg.max_worker_restarts, 2);
         assert!(cfg.trace.is_on());
         assert!(ServeConfig::new().workers >= 1);
         assert_eq!(ServeConfig::new().backpressure, Backpressure::Block);

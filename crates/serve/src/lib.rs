@@ -57,8 +57,8 @@
 //!   cached — injected engine panics resolve
 //!   [`tnn_core::TnnError::Internal`] behind the per-job panic boundary
 //!   that every server, faulted or not, runs its engine calls behind,
-//!   and killed workers respawn in place (bounded by
-//!   [`ServeConfig::max_worker_restarts`]). See `docs/ROBUSTNESS.md`.
+//!   and killed workers respawn in place (at most 32 restarts pool-wide;
+//!   the 33rd fails the server closed). See `docs/ROBUSTNESS.md`.
 //!
 //! ## Guarantees
 //!
@@ -67,8 +67,9 @@
 //! ticket is byte-identical to a direct [`tnn_core::QueryEngine::run`]
 //! of the same query. The property gates live in
 //! `crates/bench/tests/serve_equivalence.rs` (scheduling) and
-//! `crates/bench/tests/qos_equivalence.rs` (cache hits, within-class
-//! FIFO order). The ticket-conservation invariant
+//! `crates/bench/tests/qos_equivalence.rs` (cache hits); the in-crate
+//! `server::tests` pin strict priority and within-class FIFO order for
+//! everything queued before the first pop. The ticket-conservation invariant
 //! ([`ServeStats::conserved`] — per class, with every completion
 //! classified by exactly one cache outcome) holds on every snapshot.
 //! Its deterministic checks are `crates/bench/tests/stats_conservation.rs`

@@ -21,6 +21,21 @@ use tnn_qos::{Deadline, MultiLevelQueue, Priority, Qos, ResultCache};
 use tnn_trace::lock::{LockRank, OrderedMutex, OrderedMutexGuard};
 use tnn_trace::{FlightRecorder, LatencyHistogram, MetricsRegistry, QueryTrace, SpanKind};
 
+/// Upper bound on jobs one worker pops per wake-up. A window above 1
+/// amortizes the queue lock and condvar traffic over micro-batches under
+/// load, and a worker never waits to fill one, so a short queue pays no
+/// latency for it. `BENCH_pr5`'s grid of window × queue capacity showed
+/// a window of 1 paying a wake-up per job (`docs/PERF.md`), and 16 is
+/// the window every caller ran.
+const BATCH_WINDOW: usize = 16;
+
+/// Upper bound on worker respawns, cumulative across the pool: a worker
+/// whose serving round panics (an injected kill, or a bug outside the
+/// per-job isolation) restarts in place until the pool has spent this
+/// many restarts, and the next death fails the server closed (emergency
+/// cancel), since endless respawn would mask a crash loop.
+const MAX_WORKER_RESTARTS: u64 = 32;
+
 tnn_trace::stats! {
     /// Admission/completion counters of one priority class.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -139,9 +154,8 @@ tnn_trace::stats! {
         /// Total retry attempts over all classes.
         pub retried: u64,
         /// Worker serving rounds that panicked and respawned in place (an
-        /// injected kill, or a bug that escaped per-job isolation). Bounded
-        /// by [`ServeConfig::max_worker_restarts`]; beyond the bound the
-        /// server fails closed.
+        /// injected kill, or a bug that escaped per-job isolation). At most
+        /// 32 restarts pool-wide; the 33rd fails the server closed.
         pub worker_restarts: u64 => "tnn_serve_worker_restarts_total",
             "Worker serving rounds that panicked and respawned",
         /// The same counters split by priority class (cache counters and
@@ -181,7 +195,7 @@ impl ServeStats {
             // Class sums, checked by the `retotaled` comparison.
             retried: _,
             // Observability: the fail-closed bound on restarts is
-            // enforced by `max_worker_restarts` at respawn time.
+            // enforced by `MAX_WORKER_RESTARTS` at respawn time.
             worker_restarts: _,
             classes,
         } = *self;
@@ -285,7 +299,9 @@ impl Drop for Job {
         // not to scheduling, so the waiter sees `Internal` — every
         // deliberate resolution path settles first ([`Inner::settle`]),
         // making this a no-op there.
-        self.ticket.cell.resolve(Err(TnnError::Internal));
+        self.ticket
+            .cell
+            .resolve(Err(TnnError::Internal), Instant::now());
     }
 }
 
@@ -343,7 +359,10 @@ impl Inner {
     /// tally at dispatch. A completion also books its cache class and a
     /// latency sample. `trace` (worker-settled jobs under tracing) is
     /// stamped with the result and offered to the flight recorder once
-    /// the ticket resolved.
+    /// the ticket resolved. The clock is read once: the ticket's
+    /// resolution stamp, the latency sample and the trace's `total` are
+    /// the same instant, so the histogram and the trace report exactly
+    /// the [`Ticket::latency`] the client reads.
     fn settle(
         &self,
         stats: &mut ServeStats,
@@ -394,14 +413,14 @@ impl Inner {
                 Err(_) => t.errored = true,
             }
         }
-        ticket.cell.resolve(result);
+        let at = Instant::now();
+        ticket.cell.resolve(result, at);
+        let latency = at.saturating_duration_since(ticket.submitted_at);
         if completed {
-            stats.classes[class.index()]
-                .latency
-                .record(Instant::now().saturating_duration_since(ticket.submitted_at));
+            stats.classes[class.index()].latency.record(latency);
         }
         if let (Some(recorder), Some(mut trace)) = (&self.recorder, trace) {
-            trace.total = Instant::now().saturating_duration_since(ticket.submitted_at);
+            trace.total = latency;
             recorder.record(trace);
         }
     }
@@ -499,8 +518,8 @@ impl Server {
     /// `config.workers = 0` is allowed and means a *paused* server:
     /// submissions queue up (and backpressure applies) but nothing
     /// executes; [`Server::shutdown`] then resolves the backlog as
-    /// cancelled regardless of mode. `queue_capacity` and `batch_window`
-    /// are clamped to at least 1.
+    /// cancelled regardless of mode. `queue_capacity` is clamped to at
+    /// least 1.
     ///
     /// Every engine run sits behind a panic boundary: a panicking run
     /// resolves only its own ticket [`TnnError::Internal`], and the rest
@@ -529,7 +548,6 @@ impl Server {
         let engine = QueryEngine::new(env);
         let config = ServeConfig {
             queue_capacity: config.queue_capacity.max(1),
-            batch_window: config.batch_window.max(1),
             ..config
         };
         // Caching needs a k ≥ 2 environment: anything else errors on
@@ -662,73 +680,6 @@ impl Server {
         result
     }
 
-    /// Submits many queries under one queue-lock acquisition and default
-    /// QoS terms. See [`Server::submit_batch_qos`].
-    ///
-    /// # Panics
-    /// As [`Server::submit_with`] — every query is validated before the
-    /// first one is enqueued.
-    pub fn submit_batch(
-        &self,
-        queries: impl IntoIterator<Item = Query>,
-    ) -> Vec<Result<Ticket, TnnError>> {
-        self.submit_batch_qos(queries.into_iter().map(|query| (query, Qos::default())))
-    }
-
-    /// Submits many `(query, qos)` pairs under one queue-lock
-    /// acquisition, wakes the workers once, and returns one [`Ticket`]
-    /// result per query in order. Workers then drain the backlog in
-    /// micro-batches of up to [`ServeConfig::batch_window`] jobs per
-    /// wake-up, amortizing the wake/steal overhead that per-query
-    /// submission would pay `n` times. Front-ends whose inbound traffic
-    /// carries heterogeneous priorities and deadlines submit it here as
-    /// one batch.
-    ///
-    /// Per-query admission follows [`Server::submit_with`] exactly (a
-    /// [`Backpressure::Reject`] overflow rejects only the overflowing
-    /// queries). The whole batch is admitted atomically with respect to
-    /// the workers: no job of the batch starts executing before the
-    /// last one is enqueued (unless a [`Backpressure::Block`] wait has
-    /// to yield the lock mid-batch), so strict-priority draining applies
-    /// to the batch as a whole.
-    ///
-    /// # Panics
-    /// As [`Server::submit_with`] — every query is validated before the
-    /// first one is enqueued.
-    pub fn submit_batch_qos(
-        &self,
-        submissions: impl IntoIterator<Item = (Query, Qos)>,
-    ) -> Vec<Result<Ticket, TnnError>> {
-        let submissions: Vec<(Query, Qos)> = submissions.into_iter().collect();
-        for (query, _) in &submissions {
-            query.check_channels(self.engine.channels());
-        }
-        // Keys for the whole batch are derived before the lock — the
-        // batch-long critical section does no hashing or allocation.
-        let keys: Vec<Option<QueryKey>> = submissions
-            .iter()
-            .map(|(query, _)| self.derive_key(query))
-            .collect();
-        // One stamp for the whole batch, taken at entry: time spent
-        // blocked mid-batch counts toward the latency of every later
-        // query in it — the client handed them all over at this instant.
-        let submitted_at = Instant::now();
-        let mut out = Vec::with_capacity(submissions.len());
-        let mut state = self.inner.state.lock();
-        let mut admitted = false;
-        for ((query, qos), key) in submissions.into_iter().zip(keys) {
-            let (next, result, enqueued) = self.admit(state, query, key, qos, submitted_at);
-            state = next;
-            admitted |= enqueued;
-            out.push(result);
-        }
-        drop(state);
-        if admitted {
-            self.inner.work.notify_all();
-        }
-        out
-    }
-
     /// The query's cache identity, derived only when the cache exists
     /// (the spawn gate guarantees a cacheable `k ≥ 2` environment then).
     /// Stamped against the *current* environment snapshot: the key
@@ -744,11 +695,13 @@ impl Server {
     }
 
     /// Admission under the state lock: deadline check, cache probe,
-    /// backpressure, enqueue, ticket mint. Returns the (possibly
-    /// re-acquired, for `Block`) guard so batch submission stays under
-    /// one logical critical section, plus whether a job actually entered
-    /// the queue (cache hits and dead-on-arrival deadlines resolve
-    /// without one, so no worker wake-up is owed).
+    /// backpressure, enqueue, ticket mint. Returns the guard (re-acquired
+    /// after a `Block` wait), so a caller can admit several jobs under
+    /// one lock, plus whether a job actually entered the queue (cache
+    /// hits and dead-on-arrival deadlines resolve without one, so no
+    /// worker wake-up is owed). [`Server::submit_with`] admits one job
+    /// and wakes one worker; the in-crate tests hold the lock across
+    /// several admissions to queue them all before the first pop.
     ///
     /// The decision is booked in one step once it is made: `submitted`
     /// with `accepted`, or with the `rejected` the refusal settles. A
@@ -798,16 +751,11 @@ impl Server {
                 }
                 match self.inner.config.backpressure {
                     Backpressure::Block => {
-                        // A full lane means there is work: make sure a
-                        // worker is awake to drain it before sleeping on
-                        // the space condvar (a batched submitter
-                        // publishes its work notification only after the
-                        // whole batch). A deadline bounds the sleep — on
-                        // a wedged or paused server no space wake-up ever
-                        // comes, and the query must still resolve
+                        // A deadline bounds the sleep: on a wedged or
+                        // paused server no space wake-up ever comes, and
+                        // the query must still resolve
                         // `DeadlineExceeded` on time (checked at the top
                         // of the loop).
-                        self.inner.work.notify_all();
                         state = match qos.deadline.remaining(Instant::now()) {
                             Some(left) => state.wait_timeout(&self.inner.space, left).0,
                             None => state.wait(&self.inner.space),
@@ -1016,7 +964,7 @@ impl Drop for Server {
 /// tickets resolve [`TnnError::Internal`] through [`Job`]'s drop right
 /// after this, so an outcome **was** delivered — keeping
 /// [`ServeStats::conserved`] true and `in_flight` exact. The worker
-/// itself respawns (bounded by [`ServeConfig::max_worker_restarts`]);
+/// itself respawns (bounded by [`MAX_WORKER_RESTARTS`]);
 /// the server keeps serving.
 struct BatchGuard<'a> {
     inner: &'a Inner,
@@ -1068,7 +1016,7 @@ enum Executed {
 /// One worker thread: run serving rounds, and if a round unwinds (an
 /// injected worker kill, or a real bug that escaped the per-query
 /// isolation) respawn **in place** — the same OS thread re-enters the
-/// serving loop — up to [`ServeConfig::max_worker_restarts`] restarts
+/// serving loop — up to [`MAX_WORKER_RESTARTS`] restarts
 /// pool-wide. Beyond the bound the server assumes a crash loop and fails
 /// closed: emergency [`ShutdownMode::Cancel`] so submitters fail fast
 /// instead of feeding a dying pool.
@@ -1083,7 +1031,7 @@ fn worker_loop(inner: &Inner, engine: &QueryEngine) {
         // decide whether this pool is still healthy.
         let mut state = inner.state.lock();
         state.stats.worker_restarts += 1;
-        if state.stats.worker_restarts > u64::from(inner.config.max_worker_restarts) {
+        if state.stats.worker_restarts > MAX_WORKER_RESTARTS {
             if state.shutdown.is_none() {
                 state.shutdown = Some(ShutdownMode::Cancel);
             }
@@ -1097,7 +1045,7 @@ fn worker_loop(inner: &Inner, engine: &QueryEngine) {
 }
 
 /// The serving rounds of one worker: wait for jobs, pop a micro-batch of
-/// up to [`ServeConfig::batch_window`] in strict priority order, execute
+/// up to [`BATCH_WINDOW`] in strict priority order, execute
 /// it against a thread-local scratch (skipping jobs whose deadline
 /// passed while queued, filling the result cache with fresh answers),
 /// resolve each ticket, repeat until shutdown.
@@ -1105,7 +1053,7 @@ fn worker_loop(inner: &Inner, engine: &QueryEngine) {
 /// catches and respawns.
 fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
     let mut scratch = engine.scratch();
-    let mut local: Vec<Job> = Vec::with_capacity(inner.config.batch_window);
+    let mut local: Vec<Job> = Vec::with_capacity(BATCH_WINDOW);
     'serve: loop {
         {
             let mut state = inner.state.lock();
@@ -1122,7 +1070,7 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
                 }
                 state = state.wait(&inner.work);
             }
-            let n = inner.config.batch_window.min(state.queue.len());
+            let n = BATCH_WINDOW.min(state.queue.len());
             for _ in 0..n {
                 // `n` was clamped to the queue length under this same
                 // guard, so pop cannot come up dry — but a defect here
@@ -1206,9 +1154,8 @@ fn worker_rounds(inner: &Inner, engine: &QueryEngine) {
                 other => other.clone(),
             };
             // Second cache probe, at dequeue: duplicates that were still
-            // queued behind their first occurrence (an admission probe
-            // runs before any of them executes — batch admission even
-            // holds the queue lock across the whole batch) hit here
+            // queued behind their first occurrence (each missed its
+            // admission probe because none of them had run yet) hit here
             // instead of re-running the engine. A hit also skips the
             // fault schedule entirely: a cached answer needs no tune-in.
             // A keyless (or cacheless) job never consults the cache.
@@ -1371,16 +1318,50 @@ mod tests {
     use tnn_qos::CacheConfig;
     use tnn_rtree::{PackingAlgorithm, RTree};
 
-    fn env() -> MultiChannelEnv {
+    /// `k` uniform channels of 120 points (`k ≤ 3`).
+    fn env(k: usize) -> MultiChannelEnv {
         let params = BroadcastParams::new(64);
         let region = Rect::from_coords(0.0, 0.0, 1000.0, 1000.0);
-        let trees = (0..2)
+        let trees = (0..k as u64)
             .map(|i| {
                 let pts = tnn_datasets::uniform_points(120, &region, 0x150 + i);
                 Arc::new(RTree::build(&pts, params.rtree_params(), PackingAlgorithm::Str).unwrap())
             })
             .collect();
-        MultiChannelEnv::new(trees, params, &[3, 8])
+        MultiChannelEnv::new(trees, params, &[3, 8, 13][..k])
+    }
+
+    fn point(i: usize) -> Point {
+        Point::new(((i * 131) % 1000) as f64, ((i * 173) % 1000) as f64)
+    }
+
+    /// The three classes in turn, most urgent first.
+    fn class_of(i: usize) -> Qos {
+        [Qos::interactive(), Qos::batch(), Qos::background()][i % 3]
+    }
+
+    /// Admits every submission under one held state lock with one
+    /// submission stamp, then wakes the workers: everything is queued
+    /// before the first pop, and latency order is completion order.
+    /// Submissions must fit their lanes: a `Block` wait here would sleep
+    /// with no worker woken.
+    fn admit_all(server: &Server, submissions: Vec<(Query, Qos)>) -> Vec<Ticket> {
+        // Keys are derived before the lock, as `submit_with` does.
+        let keys: Vec<_> = submissions
+            .iter()
+            .map(|(query, _)| server.derive_key(query))
+            .collect();
+        let submitted_at = Instant::now();
+        let mut state = server.inner.state.lock();
+        let mut tickets = Vec::new();
+        for ((query, qos), key) in submissions.into_iter().zip(keys) {
+            let (next, ticket, _) = server.admit(state, query, key, qos, submitted_at);
+            state = next;
+            tickets.push(ticket.unwrap());
+        }
+        drop(state);
+        server.inner.work.notify_all();
+        tickets
     }
 
     /// A server without a fault plan catches a real engine panic per
@@ -1389,28 +1370,21 @@ mod tests {
     #[test]
     fn a_plain_server_isolates_a_real_engine_panic_per_job() {
         let server = Server::spawn(
-            env(),
-            ServeConfig::new()
-                .workers(1)
-                .batch_window(8)
-                .cache(CacheConfig::disabled()),
+            env(2),
+            ServeConfig::new().workers(1).cache(CacheConfig::disabled()),
         );
         let good = Query::tnn(Point::new(300.0, 400.0));
         // Three phases on a two-channel environment: `run_on` panics.
         // `submit` would refuse it on the caller's thread, so the test
-        // admits it directly.
+        // admits it directly, in one micro-batch with two good ones.
         let bad = good.clone().phases(&[0, 0, 0]);
-        // One lock for all three, so they land in one micro-batch.
-        let mut state = server.inner.state.lock();
-        let mut tickets = Vec::new();
-        for query in [good.clone(), bad, good.clone()] {
-            let (next, ticket, _) =
-                server.admit(state, query, None, Qos::default(), Instant::now());
-            state = next;
-            tickets.push(ticket.unwrap());
-        }
-        drop(state);
-        server.inner.work.notify_all();
+        let tickets = admit_all(
+            &server,
+            [good.clone(), bad, good.clone()]
+                .into_iter()
+                .map(|query| (query, Qos::default()))
+                .collect(),
+        );
         let answer = server.engine().run(&good);
         assert_eq!(tickets[1].wait(), Err(TnnError::Internal));
         assert_eq!(tickets[0].wait(), answer);
@@ -1419,5 +1393,145 @@ mod tests {
         assert_eq!(stats.worker_restarts, 0);
         assert_eq!(stats.completed, 3);
         assert!(stats.conserved(), "{stats:?}");
+    }
+
+    /// Everything queued before the first pop is served in strict
+    /// priority order, FIFO within a class. In that service order —
+    /// sorted by (class, submission index) — the completed tickets form
+    /// a prefix (a `Cancel` shutdown cuts the order, never inverts it)
+    /// and their latencies never fall. Cases: a background block
+    /// submitted ahead of an interactive one, and the three classes
+    /// interleaved at k = 2 and 3, under `Drain`; the interleaving again
+    /// under `Cancel`.
+    #[test]
+    fn jobs_queued_before_the_first_pop_complete_in_priority_then_fifo_order() {
+        let background_first: fn(usize) -> Qos =
+            |i| [Qos::background(), Qos::interactive()][usize::from(i >= 30)];
+        let cases = [
+            (2, background_first, ShutdownMode::Drain),
+            (2, class_of, ShutdownMode::Drain),
+            (3, class_of, ShutdownMode::Drain),
+            (2, class_of, ShutdownMode::Cancel),
+        ];
+        for (k, class, mode) in cases {
+            let server = Server::spawn(
+                env(k),
+                ServeConfig::new().workers(1).cache(CacheConfig::disabled()),
+            );
+            let submissions: Vec<_> = (0..60 + 30 * k)
+                .map(|i| (Query::tnn(point(i)), class(i)))
+                .collect();
+            let mut order: Vec<(usize, usize)> = submissions
+                .iter()
+                .enumerate()
+                .map(|(i, (_, qos))| (qos.priority.index(), i))
+                .collect();
+            order.sort_unstable();
+            let tickets = admit_all(&server, submissions);
+            // Let the worker pop a micro-batch first, so that a `Cancel`
+            // cuts the service order after a non-empty prefix.
+            let (_, first) = order[0];
+            assert!(tickets[first].wait().is_ok());
+            let stats = server.shutdown(mode);
+            assert!(stats.conserved(), "{stats:?}");
+            let mut cancelled = 0;
+            let mut last = Duration::ZERO;
+            for (class, i) in order {
+                match tickets[i].poll().expect("shutdown resolves everything") {
+                    Ok(_) => {
+                        assert_eq!(
+                            cancelled, 0,
+                            "job {i} (class {class}) ran after a more urgent or \
+                             older one was cancelled (k={k}, {mode:?})"
+                        );
+                        let latency = tickets[i].latency().unwrap();
+                        assert!(
+                            latency >= last,
+                            "job {i} (class {class}) completed out of priority \
+                             or FIFO order (k={k}, {mode:?})"
+                        );
+                        last = latency;
+                    }
+                    Err(TnnError::Cancelled) => cancelled += 1,
+                    Err(other) => panic!("unexpected outcome {other:?}"),
+                }
+            }
+            if mode == ShutdownMode::Drain {
+                assert_eq!(cancelled, 0, "drain completes everything");
+            }
+        }
+    }
+
+    /// Identical queries queued before the first pop run the engine once
+    /// on a one-worker server: all eight miss the admission probe (none
+    /// has run yet), the worker's first run fills the cache, and the
+    /// seven duplicates queued behind it hit the dequeue probe —
+    /// byte-identical answers, one engine run.
+    #[test]
+    fn identical_queued_misses_run_the_engine_once() {
+        let server = Server::spawn(env(2), ServeConfig::new().workers(1));
+        let query = Query::order_free(Point::new(250.0, 750.0)).issued_at(5);
+        let want = server.engine().run(&query).unwrap();
+        let tickets = admit_all(&server, vec![(query, Qos::default()); 8]);
+        for ticket in tickets {
+            assert_eq!(
+                ticket.wait().unwrap(),
+                want,
+                "same bytes for every duplicate"
+            );
+        }
+        let stats = server.shutdown(ShutdownMode::Drain);
+        assert_eq!(stats.cache_misses, 1, "one engine run for eight arrivals");
+        assert_eq!(stats.cache_hits, 7, "{stats:?}");
+        assert_eq!(stats.completed, 8);
+        assert!(stats.conserved(), "{stats:?}");
+    }
+
+    /// Each class's latency histogram holds exactly the latencies its
+    /// tickets report: one sample per completed ticket, with the same
+    /// sum at the histogram's microsecond grain. 300 submissions over
+    /// the three classes: 100 queries queued twice each before the
+    /// first pop (one miss and one dequeue hit per query), then each
+    /// submitted once more (admission hits).
+    #[test]
+    fn class_latency_histograms_record_the_ticket_latencies() {
+        let server = Server::spawn(env(2), ServeConfig::new().workers(1));
+        let query = |i: usize| Query::tnn(point(i % 100));
+        let twice: Vec<_> = (0..200).map(|i| (query(i), class_of(i))).collect();
+        let mut tickets: Vec<(Priority, Ticket)> = twice
+            .iter()
+            .map(|(_, qos)| qos.priority)
+            .zip(admit_all(&server, twice.clone()))
+            .collect();
+        for (_, ticket) in &tickets {
+            ticket.wait().unwrap();
+        }
+        for i in 200..300 {
+            let qos = class_of(i);
+            tickets.push((qos.priority, server.submit_with(query(i), qos).unwrap()));
+        }
+        let stats = server.shutdown(ShutdownMode::Drain);
+        // All 200 first-round jobs missed at admission, so one miss per
+        // query means 100 dequeue hits; the last 100 hit at admission.
+        assert_eq!((stats.cache_misses, stats.cache_hits), (100, 200));
+        for class in Priority::ALL {
+            let latencies: Vec<Duration> = tickets
+                .iter()
+                .filter(|(c, _)| *c == class)
+                .map(|(_, ticket)| ticket.latency().unwrap())
+                .collect();
+            let histogram = stats.class(class).latency;
+            assert_eq!(
+                histogram.count(),
+                latencies.len() as u64,
+                "{}",
+                class.name()
+            );
+            let micros = latencies
+                .iter()
+                .map(|l| Duration::from_micros(l.as_micros() as u64))
+                .sum::<Duration>();
+            assert_eq!(histogram.sum(), micros, "{}", class.name());
+        }
     }
 }

@@ -35,17 +35,16 @@ impl TicketCell {
         })
     }
 
-    /// Resolves the ticket. The queue discipline hands each admitted job
-    /// to exactly one resolver (a worker, the shedder, or the canceller),
-    /// so a second call can only happen on a logic error — it is ignored
-    /// rather than clobbering the outcome waiters already observed.
-    pub(crate) fn resolve(&self, result: Result<QueryOutcome, TnnError>) {
+    /// Resolves the ticket, stamped `at` (the resolver's one clock read,
+    /// which [`Ticket::latency`] reports). The queue discipline hands each
+    /// admitted job to exactly one resolver (a worker, the shedder, or the
+    /// canceller), so a second call can only happen on a logic error — it
+    /// is ignored rather than clobbering the outcome waiters already
+    /// observed.
+    pub(crate) fn resolve(&self, result: Result<QueryOutcome, TnnError>, at: Instant) {
         let mut state = self.state.lock();
         if matches!(*state, TicketState::Pending) {
-            *state = TicketState::Done {
-                result,
-                at: Instant::now(),
-            };
+            *state = TicketState::Done { result, at };
             self.done.notify_all();
         }
     }

@@ -111,29 +111,3 @@ fn swap_env_rejects_shape_changes() {
     );
     server.shutdown(ShutdownMode::Drain);
 }
-
-/// Identical queries admitted in one batch run the engine once on a
-/// one-worker server: all eight miss the admission probe (none has run
-/// yet), the worker's first run fills the cache, and the seven
-/// duplicates queued behind it hit the dequeue probe — byte-identical
-/// answers, one engine run.
-#[test]
-fn identical_queued_misses_run_the_engine_once() {
-    let env = env_seeded(2, 0xF11E);
-    let server = Server::spawn(env.clone(), ServeConfig::new().workers(1));
-    let query = Query::order_free(Point::new(250.0, 750.0)).issued_at(5);
-    let want = server.engine().run(&query).unwrap();
-
-    // One batch, one queue-lock acquisition: all eight are admitted
-    // before the worker can run any of them.
-    let tickets = server.submit_batch(std::iter::repeat_n(query, 8));
-    for ticket in tickets {
-        let outcome = ticket.unwrap().wait().unwrap();
-        assert_eq!(outcome, want, "every duplicate gets the same bytes");
-    }
-    let stats = server.shutdown(ShutdownMode::Drain);
-    assert_eq!(stats.cache_misses, 1, "one engine run for eight arrivals");
-    assert_eq!(stats.cache_hits, 7, "{stats:?}");
-    assert_eq!(stats.completed, 8);
-    assert!(stats.conserved(), "{stats:?}");
-}

@@ -112,37 +112,36 @@ fn worker_kill_respawns_in_place_and_keeps_serving() {
     assert!(stats.conserved());
 }
 
+/// A pool spends at most 32 worker restarts: 33 single jobs, each
+/// killed, are each admitted and resolved, and the 33rd restart fails
+/// the server closed.
 #[test]
 fn restart_bound_fails_the_server_closed() {
-    let server = Server::spawn_with_faults(
-        env(2),
-        ServeConfig::new().workers(1).max_worker_restarts(1),
-        FaultPlan::new(7).kill_at(0).kill_at(1),
-    );
-    let qs = queries(3);
-    assert_eq!(
-        server.submit(qs[0].clone()).unwrap().wait().unwrap_err(),
-        TnnError::Internal
-    );
-    assert_eq!(
-        server.submit(qs[1].clone()).unwrap().wait().unwrap_err(),
-        TnnError::Internal
-    );
-    // The second restart exceeds the bound: the pool declares a crash
-    // loop and fails closed. The ticket resolving (`Job::drop`) races
-    // the restart accounting by a hair, so spin briefly.
+    const BOUND: u64 = 32;
+    let plan = (0..=BOUND).fold(FaultPlan::new(7), FaultPlan::kill_at);
+    let server = Server::spawn_with_faults(env(2), ServeConfig::new().workers(1), plan);
+    let qs = queries(BOUND as usize + 2);
+    for query in &qs[..=BOUND as usize] {
+        assert_eq!(
+            server.submit(query.clone()).unwrap().wait().unwrap_err(),
+            TnnError::Internal
+        );
+    }
+    // Restart 33 exceeds the bound: the pool declares a crash loop and
+    // fails closed. The ticket resolving (`Job::drop`) races the
+    // restart accounting by a hair, so spin briefly.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while server.stats().worker_restarts < 2 {
+    while server.stats().worker_restarts <= BOUND {
         assert!(std::time::Instant::now() < deadline, "restart not counted");
         std::thread::yield_now();
     }
     assert_eq!(
-        server.submit(qs[2].clone()).unwrap_err(),
+        server.submit(qs[BOUND as usize + 1].clone()).unwrap_err(),
         TnnError::Cancelled,
         "a crash-looping server refuses new work instead of stranding it"
     );
     let stats = server.shutdown(ShutdownMode::Drain);
-    assert_eq!(stats.worker_restarts, 2);
+    assert_eq!(stats.worker_restarts, BOUND + 1);
     assert!(stats.conserved());
 }
 

@@ -69,15 +69,14 @@ fn pre_expired_deadline_resolves_at_admission() {
 fn deadline_expiring_in_queue_is_discarded_at_dequeue() {
     let server = Server::spawn(
         env(2),
-        ServeConfig::new()
-            .workers(1)
-            .cache(CacheConfig::disabled())
-            .batch_window(4),
+        ServeConfig::new().workers(1).cache(CacheConfig::disabled()),
     );
     // A wall of real work keeps the single worker busy for far longer
     // than the stamped deadline...
-    let wall = points(1000);
-    let wall_tickets = server.submit_batch(wall.into_iter().map(Query::tnn));
+    let wall_tickets: Vec<_> = points(1000)
+        .into_iter()
+        .map(|p| server.submit(Query::tnn(p)))
+        .collect();
     // ...so this query reliably expires while queued behind it.
     let doomed = server
         .submit_with(
@@ -313,57 +312,6 @@ fn disabled_cache_bypasses_everything() {
     assert_eq!(stats.cache_bypass, 2);
     assert_eq!(stats.cache_hits + stats.cache_misses, 0);
     assert!(stats.conserved());
-}
-
-/// Mixed-class batch admission is atomic with respect to the workers:
-/// with everything queued before the first pop, strict priority means
-/// every interactive job completes before any background one starts.
-#[test]
-fn strict_priority_never_inverts_across_an_atomic_batch() {
-    let server = Server::spawn(
-        env(2),
-        ServeConfig::new()
-            .workers(1)
-            .cache(CacheConfig::disabled())
-            .batch_window(4),
-    );
-    let pts = points(60);
-    let submissions: Vec<(Query, Qos)> = pts[..30]
-        .iter()
-        .map(|p| (Query::tnn(*p), Qos::background()))
-        .chain(
-            pts[30..]
-                .iter()
-                .map(|p| (Query::tnn(*p), Qos::interactive())),
-        )
-        .collect();
-    let tickets: Vec<_> = server
-        .submit_batch_qos(submissions)
-        .into_iter()
-        .map(|t| t.unwrap())
-        .collect();
-    let stats = server.shutdown(ShutdownMode::Drain);
-    assert_eq!(stats.completed, 60);
-    assert!(stats.conserved());
-    // One submission stamp for the whole batch, resolver-stamped
-    // completions: latency order is completion order.
-    let background_latencies: Vec<_> = tickets[..30].iter().map(|t| t.latency().unwrap()).collect();
-    let interactive_latencies: Vec<_> =
-        tickets[30..].iter().map(|t| t.latency().unwrap()).collect();
-    let last_interactive = interactive_latencies.iter().max().unwrap();
-    let first_background = background_latencies.iter().min().unwrap();
-    assert!(
-        last_interactive <= first_background,
-        "a background job completed before an interactive one \
-         (interactive max {last_interactive:?}, background min {first_background:?})"
-    );
-    // And within each class, completion stays FIFO in submission order.
-    for window in interactive_latencies.windows(2) {
-        assert!(window[0] <= window[1], "within-class order inverted");
-    }
-    for window in background_latencies.windows(2) {
-        assert!(window[0] <= window[1], "within-class order inverted");
-    }
 }
 
 /// Shutdown modes respect classes too: per-class conservation holds and

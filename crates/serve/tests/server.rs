@@ -203,8 +203,7 @@ fn block_policy_completes_everything_through_a_tiny_queue() {
         ServeConfig::new()
             .workers(1)
             .queue_capacity(2)
-            .backpressure(Backpressure::Block)
-            .batch_window(2),
+            .backpressure(Backpressure::Block),
     );
     let tickets: Vec<_> = points(40)
         .into_iter()
@@ -219,24 +218,6 @@ fn block_policy_completes_everything_through_a_tiny_queue() {
         (40, 40, 0)
     );
     assert!(stats.conserved());
-}
-
-#[test]
-fn submit_batch_matches_per_query_submission() {
-    let server = Server::spawn(env(3), ServeConfig::new().workers(2).batch_window(4));
-    let queries: Vec<Query> = points(12)
-        .into_iter()
-        .map(|p| Query::tnn(p).algorithm(Algorithm::DoubleNn))
-        .collect();
-    let expect: Vec<_> = queries
-        .iter()
-        .map(|q| server.engine().run(q).unwrap())
-        .collect();
-    let tickets = server.submit_batch(queries);
-    assert_eq!(tickets.len(), 12);
-    for (ticket, expect) in tickets.into_iter().zip(expect) {
-        assert_eq!(ticket.unwrap().wait().unwrap(), expect);
-    }
 }
 
 #[test]
@@ -263,11 +244,10 @@ fn dropped_ticket_does_not_leak_a_queue_slot() {
 
 #[test]
 fn drain_shutdown_finishes_the_backlog() {
-    let server = Server::spawn(env(2), ServeConfig::new().workers(1).batch_window(1));
-    let tickets: Vec<_> = server
-        .submit_batch(points(30).into_iter().map(Query::tnn))
+    let server = Server::spawn(env(2), ServeConfig::new().workers(1));
+    let tickets: Vec<_> = points(30)
         .into_iter()
-        .map(|t| t.unwrap())
+        .map(|p| server.submit(Query::tnn(p)).unwrap())
         .collect();
     let stats = server.shutdown(ShutdownMode::Drain);
     assert_eq!(stats.completed, 30);
@@ -280,11 +260,10 @@ fn drain_shutdown_finishes_the_backlog() {
 
 #[test]
 fn cancel_shutdown_resolves_every_ticket_deterministically() {
-    let server = Server::spawn(env(2), ServeConfig::new().workers(1).batch_window(1));
-    let tickets: Vec<_> = server
-        .submit_batch(points(50).into_iter().map(Query::tnn))
+    let server = Server::spawn(env(2), ServeConfig::new().workers(1));
+    let tickets: Vec<_> = points(50)
         .into_iter()
-        .map(|t| t.unwrap())
+        .map(|p| server.submit(Query::tnn(p)).unwrap())
         .collect();
     let stats = server.shutdown(ShutdownMode::Cancel);
     assert!(stats.conserved());
