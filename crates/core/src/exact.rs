@@ -1,7 +1,7 @@
 //! The exact TNN oracle: in-memory ground truth for correctness tests and
 //! the Table 3 fail-rate measurement.
 
-use crate::{chain_join, TnnPair};
+use crate::{merge_route_layers, JoinScratch, RouteObjective, TnnPair};
 use tnn_geom::Point;
 use tnn_rtree::{ObjectId, RTree};
 
@@ -38,7 +38,8 @@ pub fn exact_tnn(p: Point, s_tree: &RTree, r_tree: &RTree) -> TnnPair {
 /// Exact chained TNN over `k` in-memory trees (ground truth for the
 /// chained extension): minimizes `dis(p, s₁) + Σ dis(sᵢ, sᵢ₊₁)`.
 ///
-/// Materializes all layers and runs the chain join over them. Its bucket
+/// Materializes all layers and runs the engine's chain join over them
+/// ([`merge_route_layers`] under [`RouteObjective::Chain`]). Its bucket
 /// grids and lazy head step prune most pairs, but the worst case stays
 /// the nested loop's `O(Σ nᵢ·nᵢ₊₁)`, and every call materializes the
 /// whole datasets: an oracle for tests and sampled checks, not a query
@@ -48,7 +49,20 @@ pub fn exact_chain_tnn(p: Point, trees: &[&RTree]) -> (Vec<(Point, ObjectId)>, f
         .iter()
         .map(|t| t.objects_in_leaf_order().collect())
         .collect();
-    chain_join(p, &layers).expect("R-trees always hold at least one object")
+    let route = merge_route_layers(
+        &mut JoinScratch::default(),
+        RouteObjective::Chain,
+        p,
+        &layers,
+        None,
+    )
+    .expect("R-trees always hold at least one object");
+    let stops = route
+        .stops
+        .into_iter()
+        .map(|(pt, id, _)| (pt, id))
+        .collect();
+    (stops, route.total_dist)
 }
 
 #[cfg(test)]

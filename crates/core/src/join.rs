@@ -32,7 +32,7 @@ use tnn_rtree::ObjectId;
 /// off once the scan is long enough).
 const MAX_SCANNED_LAYER: usize = 48;
 
-/// Reusable buffers for [`chain_join_with`] and [`chain_loop_join_with`]:
+/// Reusable buffers for the route join ([`crate::merge_route_layers`]):
 /// the cheap route and cut layers, the bucket grid over a DP transition's
 /// downstream layer, and the DP's per-layer cost/backpointer tables, plus
 /// the join's work counters. One scratch serves every join of every `k`,
@@ -95,16 +95,9 @@ impl JoinScratch {
 ///
 /// Layers are anything slice-like (`Vec`s or borrowed `&[_]` hit lists),
 /// so the broadcast pipeline can join straight out of reused window-task
-/// buffers without copying them into owned vectors first.
-pub fn chain_join<L: AsRef<[(Point, ObjectId)]>>(
-    p: Point,
-    layers: &[L],
-) -> Option<(Vec<(Point, ObjectId)>, f64)> {
-    chain_join_with(&mut JoinScratch::default(), p, layers)
-}
-
-/// [`chain_join`] with caller-provided scratch buffers (zero allocations
-/// once the buffers have grown to the workload's candidate counts).
+/// buffers without copying them into owned vectors first. The caller's
+/// scratch buffers make it allocation-free once they have grown to the
+/// workload's candidate counts.
 ///
 /// The join first bounds the optimum by a cheap feasible route: the
 /// greedy chain from `p` (the nearest item of each layer in turn), then
@@ -136,7 +129,7 @@ pub fn chain_join<L: AsRef<[(Point, ObjectId)]>>(
 /// The cut and the caps keep the optimal route and the order of the kept
 /// items, so the result is the plain nested loop's, bit for bit, with
 /// ties broken toward the smaller `(total, index)`.
-pub fn chain_join_with<L: AsRef<[(Point, ObjectId)]>>(
+pub(crate) fn chain_join_with<L: AsRef<[(Point, ObjectId)]>>(
     scratch: &mut JoinScratch,
     p: Point,
     layers: &[L],
@@ -147,16 +140,9 @@ pub fn chain_join_with<L: AsRef<[(Point, ObjectId)]>>(
 /// The closed-tour join: minimizes
 /// `dis(p, s₁) + Σ dis(sᵢ, sᵢ₊₁) + dis(s_k, p)` — the round-trip TNN
 /// objective, folded as `dis(p, s₁) + (dis(s₁, s₂) + (… + dis(s_k, p)))`
-/// at every `k`. Returns `None` when any layer is empty.
-pub fn chain_loop_join<L: AsRef<[(Point, ObjectId)]>>(
-    p: Point,
-    layers: &[L],
-) -> Option<(Vec<(Point, ObjectId)>, f64)> {
-    chain_loop_join_with(&mut JoinScratch::default(), p, layers)
-}
-
-/// [`chain_loop_join`] with caller-provided scratch buffers.
-pub fn chain_loop_join_with<L: AsRef<[(Point, ObjectId)]>>(
+/// at every `k`, with caller-provided scratch buffers. Returns `None`
+/// when any layer is empty.
+pub(crate) fn chain_loop_join_with<L: AsRef<[(Point, ObjectId)]>>(
     scratch: &mut JoinScratch,
     p: Point,
     layers: &[L],
@@ -944,6 +930,22 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use tnn_geom::transitive_dist;
+
+    /// [`chain_join_with`] on fresh scratch buffers.
+    fn chain_join<L: AsRef<[(Point, ObjectId)]>>(
+        p: Point,
+        layers: &[L],
+    ) -> Option<(Vec<(Point, ObjectId)>, f64)> {
+        chain_join_with(&mut JoinScratch::default(), p, layers)
+    }
+
+    /// [`chain_loop_join_with`] on fresh scratch buffers.
+    fn chain_loop_join<L: AsRef<[(Point, ObjectId)]>>(
+        p: Point,
+        layers: &[L],
+    ) -> Option<(Vec<(Point, ObjectId)>, f64)> {
+        chain_loop_join_with(&mut JoinScratch::default(), p, layers)
+    }
 
     fn pts(coords: &[(f64, f64)]) -> Vec<(Point, ObjectId)> {
         coords

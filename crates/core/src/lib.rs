@@ -85,11 +85,10 @@ pub use config::{Algorithm, AnnSpec};
 pub use engine::{Query, QueryEngine, QueryKind, QueryOutcome, RouteStop, VisitOrder};
 pub use error::TnnError;
 pub use exact::{exact_chain_tnn, exact_tnn};
-pub use join::{chain_join, chain_loop_join};
 pub use key::QueryKey;
 pub use merge::{merge_route_layers, MergedRoute, RouteObjective};
 pub use mode::SearchMode;
 pub use result::{ChannelCost, TnnPair};
 
 pub use algorithms::{approximate_radius, approximate_radius_for_env, QueryScratch};
-pub use join::{chain_join_with, chain_loop_join_with, JoinScratch};
+pub use join::JoinScratch;
