@@ -49,14 +49,9 @@ pub fn exact_chain_tnn(p: Point, trees: &[&RTree]) -> (Vec<(Point, ObjectId)>, f
         .iter()
         .map(|t| t.objects_in_leaf_order().collect())
         .collect();
-    let route = merge_route_layers(
-        &mut JoinScratch::default(),
-        RouteObjective::Chain,
-        p,
-        &layers,
-        None,
-    )
-    .expect("R-trees always hold at least one object");
+    let mut join = JoinScratch::default();
+    let route = merge_route_layers(&mut join, RouteObjective::Chain, p, &layers, None)
+        .expect("R-trees always hold at least one object");
     let stops = route
         .stops
         .into_iter()
