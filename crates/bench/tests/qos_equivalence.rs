@@ -4,18 +4,22 @@
 //! per-query phases × k ∈ {2, 3, 4} channels, every outcome served from
 //! the result cache must be **byte-identical** to a fresh
 //! [`QueryEngine::run`] of the same [`Query`] — caching may
-//! short-circuit *work*, never change *answers*. The scheduling
-//! contract (strict priority between classes, FIFO within one) is
-//! pinned in `tnn-serve`'s `server::tests`, which can queue a whole
-//! mixed-class set before the first pop.
+//! short-circuit *work*, never change *answers*. The second gate pins
+//! the scheduling contract: for a single submitter, completion within a
+//! priority class is FIFO in submission order (strict-priority draining
+//! reorders *between* classes only).
 
+mod common;
+
+use common::queue_behind_a_busy_worker;
 use proptest::prelude::*;
 use std::sync::Arc;
+use std::time::Instant;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
 use tnn_core::{Algorithm, AnnMode, Query, QueryEngine};
 use tnn_geom::Point;
 use tnn_rtree::{PackingAlgorithm, RTree};
-use tnn_serve::{CacheConfig, ServeConfig, Server, ShutdownMode};
+use tnn_serve::{CacheConfig, Qos, ServeConfig, Server, ShutdownMode};
 
 fn build_env(layers: &[Vec<Point>], phases: &[u64]) -> MultiChannelEnv {
     let params = BroadcastParams::new(64);
@@ -150,6 +154,64 @@ fn mid_env(k: usize) -> MultiChannelEnv {
         .collect();
     let phases: Vec<u64> = (0..k as u64).map(|i| i * 11 + 3).collect();
     build_env(&layers, &phases)
+}
+
+/// For a single submitter, priority scheduling never reorders results
+/// *within* a class: a mixed-class set queued on one worker before its
+/// next pop completes each class FIFO in submission order (strict
+/// priority reorders the classes themselves). The instants just before
+/// and after each submission bracket the ticket's submission stamp, so
+/// its latency places its resolution within that bracket; a job counts
+/// as reordered only when it surely resolved after the next job of its
+/// class.
+#[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the submission brackets are real elapsed time"
+)]
+fn within_class_completion_is_fifo_for_a_single_submitter() {
+    for k in [2usize, 3] {
+        let class_of = |i: usize| match i % 3 {
+            0 => Qos::interactive(),
+            1 => Qos::batch(),
+            _ => Qos::background(),
+        };
+        let (server, tickets) = queue_behind_a_busy_worker(
+            &mid_env(k),
+            ServeConfig::new().cache(CacheConfig::disabled()),
+            |server| {
+                (0..90)
+                    .map(|i| {
+                        let p = Point::new(((i * 131) % 1000) as f64, ((i * 173) % 1000) as f64);
+                        let before = Instant::now();
+                        let ticket = server.submit_with(Query::tnn(p), class_of(i)).unwrap();
+                        (ticket, before, Instant::now())
+                    })
+                    .collect::<Vec<_>>()
+            },
+        );
+        let stats = server.shutdown(ShutdownMode::Drain);
+        assert_eq!(stats.completed, 90 + 1, "the 90 and the blocker");
+        assert!(stats.conserved());
+        for class in 0..3usize {
+            let resolved: Vec<_> = tickets
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| i % 3 == class)
+                .map(|(_, (ticket, before, after))| {
+                    let latency = ticket.latency().expect("drained tickets are resolved");
+                    (*before + latency, *after + latency)
+                })
+                .collect();
+            for window in resolved.windows(2) {
+                let ((earliest, _), (_, latest)) = (window[0], window[1]);
+                assert!(
+                    earliest <= latest,
+                    "within-class completion reordered at k={k}, class {class}"
+                );
+            }
+        }
+    }
 }
 
 /// Priming through *different* workers and hitting through others never

@@ -22,15 +22,17 @@
 //! drops, outages, engine panics, and scheduled worker kills —
 //! asserting the server keeps serving across respawns with zero lost
 //! tickets and the invariant exact in every mid-storm snapshot. The
-//! bounded chaos smoke runs in tier-1; the deterministic
-//! no-priority-inversion gate at `Drain` and `Cancel` lives in
-//! `tnn-serve`'s `server::tests`.
+//! deterministic no-priority-inversion gate and the bounded chaos smoke
+//! run in tier-1.
 
 #![expect(
     clippy::disallowed_methods,
     reason = "R1 covers non-test code; the soaks pace submitters and bound waits with real elapsed time"
 )]
 
+mod common;
+
+use common::queue_behind_a_busy_worker;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
@@ -606,4 +608,67 @@ fn chaos_smoke_bounded_storm_survives_kills_and_outages() {
         "lost tickets: {stats:?}"
     );
     assert!(stats.conserved(), "conservation violated: {stats:?}");
+}
+
+/// No priority inversion at shutdown — deterministic, so it runs in
+/// tier-1 too (not only the soak job). A mixed-class set queued on one
+/// worker before its next pop is popped in strict priority order;
+/// whichever mode lands, the set of jobs that *completed* must be a
+/// prefix of that order: a completed background job implies every
+/// interactive and batch job completed, and a completed batch job
+/// implies every interactive one did. Shutdown lands once the worker has
+/// served one job past the blocker, so under `Cancel` it has popped a
+/// micro-batch and the prefix is not empty.
+#[test]
+fn no_priority_inversion_at_drain_or_cancel() {
+    for mode in [ShutdownMode::Drain, ShutdownMode::Cancel] {
+        let class_of = |i: usize| match i / 20 {
+            0 => Qos::interactive(),
+            1 => Qos::batch(),
+            _ => Qos::background(),
+        };
+        let (server, tickets) =
+            queue_behind_a_busy_worker(&small_env(), ServeConfig::new(), |server| {
+                (0..60)
+                    .map(|i| {
+                        let p = Point::new(((i * 89) % 997) as f64, ((i * 139) % 983) as f64);
+                        server.submit_with(Query::tnn(p), class_of(i))
+                    })
+                    .collect::<Vec<_>>()
+            });
+        while server.stats().completed < 2 {
+            std::thread::yield_now();
+        }
+        let stats = server.shutdown(mode);
+        assert!(stats.conserved());
+        let mut completed = [0usize; 3];
+        let mut cancelled = [0usize; 3];
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            match ticket
+                .unwrap()
+                .poll()
+                .expect("shutdown resolves everything")
+            {
+                Ok(_) => completed[i / 20] += 1,
+                Err(TnnError::Cancelled) => cancelled[i / 20] += 1,
+                Err(other) => panic!("unexpected outcome {other:?}"),
+            }
+        }
+        if completed[2] > 0 {
+            assert_eq!(
+                (cancelled[0], cancelled[1]),
+                (0, 0),
+                "a background job ran while higher classes were cancelled ({mode:?})"
+            );
+        }
+        if completed[1] > 0 {
+            assert_eq!(
+                cancelled[0], 0,
+                "a batch job ran while interactive work was cancelled ({mode:?})"
+            );
+        }
+        if mode == ShutdownMode::Drain {
+            assert_eq!(completed, [20, 20, 20], "drain completes everything");
+        }
+    }
 }

@@ -67,11 +67,12 @@
 //! ticket is byte-identical to a direct [`tnn_core::QueryEngine::run`]
 //! of the same query. The property gates live in
 //! `crates/bench/tests/serve_equivalence.rs` (scheduling) and
-//! `crates/bench/tests/qos_equivalence.rs` (cache hits); the in-crate
-//! `server::tests` pin strict priority and within-class FIFO order for
-//! everything queued before the first pop. The ticket-conservation invariant
-//! ([`ServeStats::conserved`] — per class, with every completion
-//! classified by exactly one cache outcome) holds on every snapshot.
+//! `crates/bench/tests/qos_equivalence.rs` (cache hits, within-class
+//! FIFO order); the in-crate `server::tests` pin strict priority and
+//! within-class FIFO order for everything queued before the first pop.
+//! The ticket-conservation invariant ([`ServeStats::conserved`] — per
+//! class, with every completion classified by exactly one cache
+//! outcome) holds on every snapshot.
 //! Its deterministic checks are `crates/bench/tests/stats_conservation.rs`
 //! and `crates/serve/tests/server.rs::block_wait_keeps_every_snapshot_conserved`,
 //! which covers the window (a submitter waiting under

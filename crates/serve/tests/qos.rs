@@ -19,7 +19,10 @@ use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
 use tnn_core::{Query, TnnError};
 use tnn_geom::{Point, Rect};
 use tnn_rtree::{PackingAlgorithm, RTree};
-use tnn_serve::{Backpressure, CacheConfig, Priority, Qos, ServeConfig, Server, ShutdownMode};
+use tnn_serve::{
+    Backpressure, CacheConfig, ChannelFaults, FaultPlan, Priority, Qos, RetryPolicy, ServeConfig,
+    Server, ShutdownMode,
+};
 
 fn env(k: usize) -> MultiChannelEnv {
     let params = BroadcastParams::new(64);
@@ -312,6 +315,88 @@ fn disabled_cache_bypasses_everything() {
     assert_eq!(stats.cache_bypass, 2);
     assert_eq!(stats.cache_hits + stats.cache_misses, 0);
     assert!(stats.conserved());
+}
+
+/// Spawns a one-worker server over `env` and runs `submit` on it while
+/// the worker sleeps in a retry backoff on a blocker job (an outage
+/// darkens channel 0 for job 0 alone), so that everything `submit`
+/// admits is queued before the worker's next pop. The blocker is a
+/// batch-class query away from every submission point and completes
+/// with the rest. Should the blocker resolve before `submit` returns,
+/// the set-up starts over on a fresh server with twice the backoff.
+fn queue_behind_a_busy_worker<T>(
+    env: &MultiChannelEnv,
+    config: ServeConfig,
+    mut submit: impl FnMut(&Server) -> T,
+) -> (Server, T) {
+    let mut pause = Duration::from_millis(25);
+    for _ in 0..8 {
+        let plan = FaultPlan::new(0).channel(0, ChannelFaults::NONE.outage(u64::MAX, 1));
+        let retry = RetryPolicy::new().max_attempts(2).base(pause).cap(pause);
+        let server = Server::spawn_with_faults(env.clone(), config.workers(1).retry(retry), plan);
+        let blocker = server.submit(Query::tnn(Point::new(-1.0, -1.0))).unwrap();
+        while server.stats().in_flight == 0 {
+            std::thread::yield_now();
+        }
+        let submitted = submit(&server);
+        if !blocker.is_done() {
+            return (server, submitted);
+        }
+        server.shutdown(ShutdownMode::Drain);
+        pause *= 2;
+    }
+    panic!("the submissions never fitted inside the blocker's backoff");
+}
+
+/// Mixed-class submissions queued on one worker before its next pop
+/// keep strict priority: every interactive job completes before any
+/// background one starts. The instants just before and after each
+/// submission bracket the ticket's submission stamp, so its latency
+/// places its resolution within that bracket; an order counts as
+/// inverted only when the later job surely resolved first.
+#[test]
+fn strict_priority_never_inverts_across_an_atomic_batch() {
+    let pts = points(60);
+    let (server, tickets) = queue_behind_a_busy_worker(
+        &env(2),
+        ServeConfig::new().cache(CacheConfig::disabled()),
+        |server| {
+            let background = pts[..30].iter().map(|p| (p, Qos::background()));
+            let interactive = pts[30..].iter().map(|p| (p, Qos::interactive()));
+            background
+                .chain(interactive)
+                .map(|(p, qos)| {
+                    let before = Instant::now();
+                    let ticket = server.submit_with(Query::tnn(*p), qos).unwrap();
+                    (ticket, before, Instant::now())
+                })
+                .collect::<Vec<_>>()
+        },
+    );
+    let stats = server.shutdown(ShutdownMode::Drain);
+    assert_eq!(stats.completed, 60 + 1, "the 60 and the blocker");
+    assert!(stats.conserved());
+    // The earliest and the latest instant each ticket can have resolved.
+    let resolved: Vec<(Instant, Instant)> = tickets
+        .iter()
+        .map(|(ticket, before, after)| {
+            let latency = ticket.latency().unwrap();
+            (*before + latency, *after + latency)
+        })
+        .collect();
+    let (background, interactive) = resolved.split_at(30);
+    let last_interactive = interactive.iter().map(|r| r.0).max().unwrap();
+    let first_background = background.iter().map(|r| r.1).min().unwrap();
+    assert!(
+        last_interactive <= first_background,
+        "a background job completed before an interactive one"
+    );
+    // And within each class, completion stays FIFO in submission order.
+    for class in [background, interactive] {
+        for window in class.windows(2) {
+            assert!(window[0].0 <= window[1].1, "within-class order inverted");
+        }
+    }
 }
 
 /// Shutdown modes respect classes too: per-class conservation holds and
