@@ -857,6 +857,58 @@ mod tests {
         router.shutdown(ShutdownMode::Drain);
     }
 
+    /// With no eligible shard nothing scatters, so the gather bound is
+    /// the locally computed feasible route; the answer must still be the
+    /// engine's, bit for bit.
+    #[test]
+    fn fallback_route_reproduces_the_engine_when_no_shard_is_eligible() {
+        // Two shards cut the union region on y (`grid_dims(2)` is 1 × 2):
+        // channel 0 lies wholly below the cut, every other channel above
+        // it, so no shard holds objects of every channel.
+        let low = Rect::from_coords(0.0, 0.0, 1000.0, 300.0);
+        let high = Rect::from_coords(0.0, 700.0, 1000.0, 1000.0);
+        for k in [2usize, 3] {
+            let layers: Vec<Vec<Point>> = (0..k)
+                .map(|i| {
+                    let region = if i == 0 { &low } else { &high };
+                    uniform_points(90 + 20 * i, region, 0xFA11 + i as u64)
+                })
+                .collect();
+            let env = build_env(&layers);
+            let engine = QueryEngine::new(env.clone());
+            let router = ShardRouter::spawn(env, ShardConfig::new().shards(2).serve(small_serve()));
+            assert!(router.plan().eligible_shards().is_empty(), "k={k}");
+            for p in [Point::new(480.0, 520.0), Point::new(-90.0, 40.0)] {
+                let mut queries: Vec<Query> = Algorithm::ALL
+                    .iter()
+                    .map(|&alg| Query::tnn(p).algorithm(alg))
+                    .collect();
+                queries.push(Query::order_free(p));
+                queries.push(Query::round_trip(p));
+                for query in queries {
+                    let got = router.run(&query).unwrap();
+                    let want = engine.run(&query).unwrap();
+                    assert_eq!(got.route, want.route, "k={k} {query:?}");
+                    assert_eq!(
+                        got.total_dist.map(f64::to_bits),
+                        want.total_dist.map(f64::to_bits),
+                        "k={k} {query:?}"
+                    );
+                    let approximate = query.kind() == QueryKind::Tnn(Algorithm::ApproximateTnn);
+                    assert_eq!(got.fallback, !approximate, "k={k} {query:?}");
+                    assert_eq!(got.shards_scattered, 0, "k={k} {query:?}");
+                }
+            }
+            let stats = router.shutdown(ShutdownMode::Drain);
+            assert_eq!(
+                stats.fallbacks,
+                2 * (Algorithm::ALL.len() as u64 + 1),
+                "k={k}"
+            );
+            assert!(stats.conserved(), "{stats:?}");
+        }
+    }
+
     #[test]
     fn stats_account_for_every_scatter_submission() {
         let env = sample_env(2);
