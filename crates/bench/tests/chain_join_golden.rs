@@ -7,7 +7,7 @@
 //! filter candidate counts, its route's object ids (with channels) and
 //! the exact bits of its total in `tests/golden/chain_routes.txt`. The
 //! queries cover TNN, order-free and round trip at k = 2, Hybrid-NN TNN,
-//! order-free and round trip at k = 3, and the chained query at k = 4.
+//! order-free and round trip at k = 3, and a Double-NN chain at k = 4.
 //! Any change to the join that moves a route or a single bit of a total
 //! fails here.
 
@@ -70,7 +70,9 @@ fn render() -> String {
         }),
         ("order_free_k3", 3, Query::order_free),
         ("round_trip_k3", 3, Query::round_trip),
-        ("chain_k4", 4, Query::chain),
+        ("chain_k4", 4, |p| {
+            Query::tnn(p).algorithm(Algorithm::DoubleNn)
+        }),
     ];
     for (label, k, make) in runs {
         let engine = QueryEngine::new(city_env(k));

@@ -291,8 +291,8 @@ fn frozen_tnn(
     if retrieve {
         if let Some(pair) = &answer {
             let start = f0_end.max(f1_end);
-            let (done0, pages0) = env.channel(0).retrieve_object(pair.s.1, start);
-            let (done1, pages1) = env.channel(1).retrieve_object(pair.r.1, start);
+            let (done0, pages0) = env.channel(0).view().retrieve_object(pair.s.1, start);
+            let (done1, pages1) = env.channel(1).view().retrieve_object(pair.r.1, start);
             channels[0].retrieve_pages = pages0;
             channels[0].finish_time = channels[0].finish_time.max(done0);
             channels[1].retrieve_pages = pages1;
@@ -365,7 +365,7 @@ fn frozen_variant_outcome(
     }
     if retrieve {
         for &(_, object, ch) in &stops {
-            let (done, pages) = env.channel(ch).retrieve_object(object, filter_end);
+            let (done, pages) = env.channel(ch).view().retrieve_object(object, filter_end);
             channels[ch].retrieve_pages += pages;
             channels[ch].finish_time = channels[ch].finish_time.max(done);
         }
@@ -563,41 +563,6 @@ proptest! {
             let expect = frozen_variant(&env, kind, p, 3, retrieve);
             let got = engine.run(&query).unwrap();
             prop_assert_eq!(&got, &expect, "{:?}", kind);
-        }
-    }
-
-    /// Chained queries: `Query::chain` must be byte-identical to
-    /// `Query::tnn` with `Algorithm::DoubleNn` (modulo the kind label)
-    /// at every channel count.
-    #[test]
-    fn chain_kind_equals_double_nn_pipeline(
-        layers in prop::collection::vec(pts_strategy(120), 2..5),
-        phase_seed in 0u64..100_000,
-        (qx, qy) in (0.0f64..1000.0, 0.0f64..1000.0),
-        ann_factor in 0.0f64..1.5,
-    ) {
-        let k = layers.len();
-        let phases: Vec<u64> = (0..k as u64).map(|i| phase_seed.wrapping_mul(i + 1) % 60_000).collect();
-        let env = build_env(&layers, &vec![0; k], 64);
-        let engine = QueryEngine::new(env);
-        let p = Point::new(qx, qy);
-        for ann in [AnnMode::Exact, AnnMode::Dynamic { factor: ann_factor }] {
-            let chain = engine
-                .run(&Query::chain(p).ann(ann).issued_at(7).phases(&phases))
-                .unwrap();
-            let tnn = engine
-                .run(
-                    &Query::tnn(p)
-                        .algorithm(Algorithm::DoubleNn)
-                        .ann(ann)
-                        .issued_at(7)
-                        .phases(&phases),
-                )
-                .unwrap();
-            let mut relabeled = tnn;
-            relabeled.kind = QueryKind::Chain;
-            prop_assert_eq!(&chain, &relabeled, "k={} {:?}", k, ann);
-            prop_assert_eq!(chain.route.len(), k);
         }
     }
 }

@@ -42,7 +42,7 @@ fn pts_strategy(max: usize) -> impl Strategy<Value = Vec<Point>> {
     )
 }
 
-/// Every TNN algorithm plus the three variant kinds over one point.
+/// Every TNN algorithm plus the two variant kinds over one point.
 fn query_mix(p: Point, phases: &[u64], issued_at: u64) -> Vec<Query> {
     let mut queries = Vec::new();
     for alg in Algorithm::ALL {
@@ -54,7 +54,6 @@ fn query_mix(p: Point, phases: &[u64], issued_at: u64) -> Vec<Query> {
                 .issued_at(issued_at),
         );
     }
-    queries.push(Query::chain(p).issued_at(issued_at));
     queries.push(Query::order_free(p).issued_at(issued_at));
     queries.push(Query::round_trip(p).issued_at(issued_at).phases(phases));
     queries

@@ -109,13 +109,12 @@ fn dense_tree(points: &[Point]) -> RTree {
     }
 }
 
-/// Every TNN algorithm plus the three variant kinds over one point.
+/// Every TNN algorithm plus the two variant kinds over one point.
 fn query_mix(p: Point) -> Vec<Query> {
     let mut queries: Vec<Query> = Algorithm::ALL
         .iter()
         .map(|&alg| Query::tnn(p).algorithm(alg).issued_at(7))
         .collect();
-    queries.push(Query::chain(p).issued_at(7));
     queries.push(Query::order_free(p).issued_at(7));
     queries.push(Query::round_trip(p).issued_at(7));
     queries

@@ -40,7 +40,8 @@ fn pts_strategy(max: usize) -> impl Strategy<Value = Vec<Point>> {
 }
 
 /// The full request mix over one query point: every TNN algorithm under
-/// exact and dynamic ANN, plus the three variant kinds — with per-query
+/// exact and dynamic ANN, a phased Double-NN query and the two variant
+/// kinds — with per-query
 /// phases on half of them so both the overlay and the identity paths
 /// are cached. All entries are key-distinct, so a primed cache must hit
 /// every one of them.
@@ -58,7 +59,12 @@ fn query_mix(p: Point, k: usize, phases: &[u64], ann_factor: f64, issued_at: u64
                 .retrieve_answer_objects(false),
         );
     }
-    queries.push(Query::chain(p).issued_at(issued_at).phases(phases));
+    queries.push(
+        Query::tnn(p)
+            .algorithm(Algorithm::DoubleNn)
+            .issued_at(issued_at)
+            .phases(phases),
+    );
     queries.push(Query::order_free(p).issued_at(issued_at));
     queries.push(Query::round_trip(p).issued_at(issued_at).phases(phases));
     queries

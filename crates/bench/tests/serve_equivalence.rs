@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
-use tnn_core::{Algorithm, AnnMode, Query, QueryEngine, QueryScratch, TnnError};
+use tnn_core::{Algorithm, AnnMode, Query, QueryEngine, QueryOutcome, QueryScratch, TnnError};
 use tnn_geom::Point;
 use tnn_rtree::{PackingAlgorithm, RTree};
 use tnn_serve::{Backpressure, ServeConfig, Server, ShutdownMode};
@@ -38,7 +38,8 @@ fn pts_strategy(max: usize) -> impl Strategy<Value = Vec<Point>> {
 }
 
 /// The full request mix over one query point: every TNN algorithm under
-/// exact and dynamic ANN, plus the three variant kinds — with per-query
+/// exact and dynamic ANN, a phased Double-NN query and the two variant
+/// kinds — with per-query
 /// phases on half of them so both the overlay and the identity paths
 /// serve.
 fn query_mix(p: Point, k: usize, phases: &[u64], ann_factor: f64, issued_at: u64) -> Vec<Query> {
@@ -55,7 +56,12 @@ fn query_mix(p: Point, k: usize, phases: &[u64], ann_factor: f64, issued_at: u64
                 .retrieve_answer_objects(false),
         );
     }
-    queries.push(Query::chain(p).issued_at(issued_at).phases(phases));
+    queries.push(
+        Query::tnn(p)
+            .algorithm(Algorithm::DoubleNn)
+            .issued_at(issued_at)
+            .phases(phases),
+    );
     queries.push(Query::order_free(p).issued_at(issued_at));
     queries.push(Query::round_trip(p).issued_at(issued_at).phases(phases));
     queries
@@ -134,7 +140,7 @@ proptest! {
 
 /// Order-free queries cache the k! visit-order permutation table inside
 /// each worker's scratch. Many k = 4 order-free queries issued through
-/// concurrent server workers must return exactly the `visit_order()`s
+/// concurrent server workers must return exactly the visit orders
 /// (and full outcomes) of a single-threaded run that reuses one scratch
 /// across all queries — guarding the cached table against any future
 /// interior mutability or cross-thread sharing.
@@ -182,7 +188,8 @@ fn order_free_permutation_cache_is_stable_under_concurrency() {
         let tickets: Vec<_> = queries.iter().map(|q| server.submit(q.clone())).collect();
         for (ticket, expect) in tickets.into_iter().zip(&expect) {
             let got = ticket.unwrap().wait().unwrap();
-            assert_eq!(got.visit_order(), expect.visit_order(), "workers={workers}");
+            let first = |o: &QueryOutcome| o.route.first().map(|s| s.channel);
+            assert_eq!(first(&got), first(expect), "workers={workers}");
             assert_eq!(&got, expect, "workers={workers}");
         }
         let stats = server.shutdown(ShutdownMode::Drain);
@@ -206,7 +213,7 @@ fn query_errors_are_identical_through_the_server() {
     let server = Server::spawn(env, ServeConfig::new().workers(2));
     for query in [
         Query::tnn(Point::ORIGIN),
-        Query::chain(Point::ORIGIN),
+        Query::tnn(Point::ORIGIN).algorithm(Algorithm::DoubleNn),
         Query::order_free(Point::ORIGIN),
         Query::round_trip(Point::ORIGIN),
         Query::tnn(Point::new(f64::INFINITY, 0.0)),

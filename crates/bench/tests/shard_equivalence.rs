@@ -42,7 +42,7 @@ fn pts_strategy(max: usize) -> impl Strategy<Value = Vec<Point>> {
 
 /// Every query kind from one point: the four TNN algorithms (exact and
 /// dynamic-ANN — ANN may only grow the filter radius, never change the
-/// answer), plus the three variant kinds.
+/// answer), plus the two variant kinds.
 fn query_mix(p: Point, k: usize, ann_factor: f64, issued_at: u64) -> Vec<Query> {
     let dyn_modes = vec![AnnMode::Dynamic { factor: ann_factor }; k];
     let mut queries = Vec::new();
@@ -50,7 +50,6 @@ fn query_mix(p: Point, k: usize, ann_factor: f64, issued_at: u64) -> Vec<Query> 
         queries.push(Query::tnn(p).algorithm(alg).issued_at(issued_at));
         queries.push(Query::tnn(p).algorithm(alg).ann_modes(&dyn_modes));
     }
-    queries.push(Query::chain(p).issued_at(issued_at));
     queries.push(Query::order_free(p));
     queries.push(Query::round_trip(p).issued_at(issued_at));
     queries
@@ -133,7 +132,7 @@ fn validation_errors_match_the_engine_exactly() {
     let router = ShardRouter::spawn(env, ShardConfig::new().shards(4).serve(serve));
     for query in [
         Query::tnn(Point::new(5.0, 5.0)),
-        Query::chain(Point::new(5.0, 5.0)),
+        Query::tnn(Point::new(5.0, 5.0)).algorithm(Algorithm::DoubleNn),
         Query::order_free(Point::new(5.0, 5.0)),
         Query::round_trip(Point::new(5.0, 5.0)),
     ] {

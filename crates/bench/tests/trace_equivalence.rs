@@ -56,7 +56,7 @@ fn query_mix(p: Point, k: usize, phases: &[u64], ann_factor: f64) -> Vec<Query> 
                 .phases(phases),
         );
     }
-    queries.push(Query::chain(p).phases(phases));
+    queries.push(Query::tnn(p).algorithm(Algorithm::DoubleNn).phases(phases));
     queries.push(Query::order_free(p));
     queries.push(Query::round_trip(p).phases(phases));
     queries

@@ -117,34 +117,6 @@ impl Channel {
         self.phase
     }
 
-    /// Resolves a node id to its node (the client "downloading" the page).
-    #[inline]
-    pub fn node(&self, id: NodeId) -> &Node {
-        self.tree.node(id)
-    }
-
-    /// Next time `t ≥ now` at which `node`'s index page is on air.
-    #[inline]
-    pub fn next_node_arrival(&self, node: NodeId, now: u64) -> u64 {
-        self.layout.next_node_arrival(node, now, self.phase)
-    }
-
-    /// Next time `t ≥ now` at which the root index page is on air — the
-    /// client's initial probe target after issuing a query.
-    #[inline]
-    pub fn next_root_arrival(&self, now: u64) -> u64 {
-        self.next_node_arrival(NodeId::ROOT, now)
-    }
-
-    /// Simulates downloading all data pages of `object` starting at `now`:
-    /// returns `(finish_time, pages_downloaded)`. The pages of one object
-    /// are consecutive in the data segment but may straddle a fraction
-    /// boundary, in which case the client dozes through the interposed
-    /// index copy.
-    pub fn retrieve_object(&self, object: ObjectId, now: u64) -> (u64, u64) {
-        self.view().retrieve_object(object, now)
-    }
-
     /// A borrowed view of this channel under its own phase — the form the
     /// query tasks consume (see [`ChannelView`]).
     #[inline]
@@ -269,7 +241,9 @@ impl<'a> ChannelView<'a> {
 
     /// Simulates downloading all data pages of `object` starting at `now`
     /// under this view's phase: returns `(finish_time, pages_downloaded)`.
-    /// See [`Channel::retrieve_object`].
+    /// The pages of one object are consecutive in the data segment but may
+    /// straddle a fraction boundary, in which case the client dozes
+    /// through the interposed index copy.
     pub fn retrieve_object(&self, object: ObjectId, now: u64) -> (u64, u64) {
         let layout = &self.channel.layout;
         let pages = layout.pages_per_object();
@@ -307,7 +281,7 @@ mod tests {
         for node in [0u32, 1, 7, ch.tree().num_nodes() as u32 - 1] {
             let id = NodeId(node);
             for now in [0u64, 5, 100, 1000, 12345] {
-                let arr = ch.next_node_arrival(id, now);
+                let arr = ch.view().next_node_arrival(id, now);
                 assert!(arr >= now);
                 assert_eq!(
                     ch.page_at(arr),
@@ -365,7 +339,7 @@ mod tests {
     fn retrieve_object_downloads_all_pages() {
         let ch = channel(15, 3);
         let (_, object) = ch.tree().objects_in_leaf_order().next().unwrap();
-        let (finish, pages) = ch.retrieve_object(object, 0);
+        let (finish, pages) = ch.view().retrieve_object(object, 0);
         assert_eq!(pages, 16);
         assert!(finish >= 16);
         // Retrieval starting right at the object's first page is contiguous
@@ -373,7 +347,7 @@ mod tests {
         let first = ch
             .layout()
             .next_data_arrival(ch.layout().data_slot(object), 0, ch.phase());
-        let (finish2, _) = ch.retrieve_object(object, first);
+        let (finish2, _) = ch.view().retrieve_object(object, first);
         let straddles = (ch.layout().data_slot(object) / ch.layout().fraction_len())
             != ((ch.layout().data_slot(object) + 15) / ch.layout().fraction_len());
         if !straddles {
@@ -387,7 +361,7 @@ mod tests {
     fn root_arrival_within_one_bucket() {
         let ch = channel(100, 999);
         for now in [0u64, 17, 500, 100_000] {
-            let arr = ch.next_root_arrival(now);
+            let arr = ch.view().next_root_arrival(now);
             assert!(arr - now < ch.layout().bucket_len());
             assert_eq!(ch.page_at(arr), PageContent::IndexNode(NodeId::ROOT));
         }
@@ -403,19 +377,19 @@ mod tests {
             for node in [NodeId::ROOT, NodeId(1)] {
                 assert_eq!(
                     view.next_node_arrival(node, now),
-                    rephased.next_node_arrival(node, now)
+                    rephased.view().next_node_arrival(node, now)
                 );
             }
             assert_eq!(
                 view.retrieve_object(object, now),
-                rephased.retrieve_object(object, now)
+                rephased.view().retrieve_object(object, now)
             );
         }
-        // A view without an override behaves like the channel itself.
+        // A view without an override runs on the channel's own phase.
         assert_eq!(base.view().phase(), base.phase());
         assert_eq!(
             base.view().next_root_arrival(17),
-            base.next_root_arrival(17)
+            base.view_with_phase(base.phase()).next_root_arrival(17)
         );
     }
 

@@ -81,12 +81,6 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
             &self.spill
         }
     }
-
-    /// `true` while the elements still fit the inline buffer (diagnostic
-    /// for allocation-freedom assertions in tests).
-    pub fn is_inline(&self) -> bool {
-        self.len <= N
-    }
 }
 
 impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {
@@ -200,11 +194,6 @@ impl<'a> PhaseOverlay<'a> {
             None => channel.view(),
         }
     }
-
-    /// All channel views, in channel order.
-    pub fn views(&self) -> impl Iterator<Item = ChannelView<'a>> + '_ {
-        (0..self.len()).map(move |i| self.view(i))
-    }
 }
 
 #[cfg(test)]
@@ -221,10 +210,8 @@ mod tests {
         assert!(v.is_empty());
         v.push(5);
         v.push(6);
-        assert!(v.is_inline());
         assert_eq!(v.as_slice(), &[5, 6]);
         v.push(7);
-        assert!(!v.is_inline());
         assert_eq!(v.as_slice(), &[5, 6, 7]);
         assert_eq!(v[1], 6);
         let w: InlineVec<u64, 2> = InlineVec::from_slice(&[5, 6, 7]);
@@ -260,7 +247,6 @@ mod tests {
         assert_eq!(ov.len(), 2);
         assert_eq!(ov.view(0).phase(), 3);
         assert_eq!(ov.view(1).phase(), 99);
-        assert_eq!(ov.views().count(), 2);
     }
 
     #[test]
@@ -273,12 +259,12 @@ mod tests {
             for now in [0u64, 11, 777, 50_000] {
                 assert_eq!(
                     ov.view(i).next_root_arrival(now),
-                    cloned.channel(i).next_root_arrival(now),
+                    cloned.channel(i).view().next_root_arrival(now),
                     "channel {i} at {now}"
                 );
                 assert_eq!(
                     ov.view(i).next_node_arrival(NodeId(1), now),
-                    cloned.channel(i).next_node_arrival(NodeId(1), now)
+                    cloned.channel(i).view().next_node_arrival(NodeId(1), now)
                 );
             }
         }

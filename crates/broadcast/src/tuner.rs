@@ -29,17 +29,6 @@ impl Tuner {
         self.finish_time = Some(self.finish_time.map_or(done, |f| f.max(done)));
     }
 
-    /// Records the download of `pages` pages finishing at `finish`
-    /// (used for multi-page object retrievals).
-    #[inline]
-    pub fn download_span(&mut self, pages: u64, finish: u64) {
-        if pages == 0 {
-            return;
-        }
-        self.pages += pages;
-        self.finish_time = Some(self.finish_time.map_or(finish, |f| f.max(finish)));
-    }
-
     /// Merges another tuner's accounting into this one.
     pub fn merge(&mut self, other: &Tuner) {
         self.pages += other.pages;
@@ -63,16 +52,6 @@ mod tests {
         t.download(5); // out-of-order arrival must not move finish backwards
         assert_eq!(t.pages, 2);
         assert_eq!(t.finish_time, Some(11));
-    }
-
-    #[test]
-    fn download_span_zero_pages_is_noop() {
-        let mut t = Tuner::new();
-        t.download_span(0, 99);
-        assert_eq!(t, Tuner::new());
-        t.download_span(16, 40);
-        assert_eq!(t.pages, 16);
-        assert_eq!(t.finish_time, Some(40));
     }
 
     #[test]

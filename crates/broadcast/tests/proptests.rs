@@ -37,7 +37,7 @@ proptest! {
     #[test]
     fn node_arrival_is_first_on_air_slot((ch, now) in channel_strategy(), node_sel in 0usize..50) {
         let node = NodeId((node_sel % ch.tree().num_nodes()) as u32);
-        let arr = ch.next_node_arrival(node, now);
+        let arr = ch.view().next_node_arrival(node, now);
         prop_assert!(arr >= now);
         prop_assert!(arr - now < ch.layout().bucket_len());
         prop_assert_eq!(ch.page_at(arr), PageContent::IndexNode(node));
@@ -71,7 +71,7 @@ proptest! {
     fn object_retrieval_is_bounded((ch, now) in channel_strategy(), rank in 0usize..200) {
         let objects: Vec<_> = ch.tree().objects_in_leaf_order().collect();
         let (_, object) = objects[rank % objects.len()];
-        let (finish, pages) = ch.retrieve_object(object, now);
+        let (finish, pages) = ch.view().retrieve_object(object, now);
         prop_assert_eq!(pages, ch.layout().pages_per_object());
         prop_assert!(finish >= now);
         prop_assert!(finish - now <= 2 * ch.layout().cycle_len() + pages);
@@ -81,8 +81,8 @@ proptest! {
     /// exactly bucket_len.
     #[test]
     fn root_period_is_bucket((ch, now) in channel_strategy()) {
-        let a0 = ch.next_root_arrival(now);
-        let a1 = ch.next_root_arrival(a0 + 1);
+        let a0 = ch.view().next_root_arrival(now);
+        let a1 = ch.view().next_root_arrival(a0 + 1);
         prop_assert_eq!(a1 - a0, ch.layout().bucket_len());
     }
 }

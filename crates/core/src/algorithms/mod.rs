@@ -14,9 +14,9 @@
 //!    every channel; Approximate-TNN computes a radius locally;
 //! 2. **radius**: `Estimate::radius` turns the estimate into the filter
 //!    radius `d` for the query's [`RouteObjective`] — the feasible chain
-//!    for TNN and chained queries, its minimum over every visit order
-//!    for order-free queries, half the closed tour for round trips (the
-//!    §7 future-work variants);
+//!    for TNN queries, its minimum over every visit order for order-free
+//!    queries, half the closed tour for round trips (the §7 future-work
+//!    variants);
 //! 3. **filter**: window queries over `circle(p, d)` on every channel in
 //!    parallel;
 //! 4. **join**: [`crate::merge_route_layers`] under the same objective
@@ -46,10 +46,10 @@ mod window_based;
 pub use approximate::{approximate_radius, approximate_radius_for_env};
 
 use crate::join::JoinScratch;
-use crate::merge::{merge_route_layers, RouteObjective};
+use crate::merge::{merge_route_layers, pad_radius, RouteObjective};
 use crate::task::{NnScratch, NnSearchTask, WindowQueryTask, WindowScratch};
 use crate::SearchMode;
-use crate::{Algorithm, AnnSpec, ChannelCost, Query, QueryKind, QueryOutcome, TnnError};
+use crate::{Algorithm, AnnSpec, ChannelCost, Query, QueryOutcome, TnnError};
 use tnn_broadcast::{InlineVec, PhaseOverlay, Tuner};
 use tnn_geom::{Circle, Point};
 use tnn_rtree::ObjectId;
@@ -93,7 +93,7 @@ pub struct QueryScratch {
     pub(crate) join: JoinScratch,
     /// Cached visit-order permutation table for order-free queries
     /// (depends only on the channel count; rebuilt when it changes).
-    pub(crate) visit_orders: Vec<Vec<usize>>,
+    pub(crate) order_table: Vec<Vec<usize>>,
 }
 
 impl QueryScratch {
@@ -124,9 +124,9 @@ impl QueryScratch {
 
     /// Ensures the cached permutation table covers `0..k` (all `k!`
     /// visit orders, lexicographic, identity first).
-    pub(crate) fn ensure_visit_orders(&mut self, k: usize) {
-        if self.visit_orders.first().map(Vec::len) != Some(k) {
-            self.visit_orders = permutations(k);
+    pub(crate) fn ensure_order_table(&mut self, k: usize) {
+        if self.order_table.first().map(Vec::len) != Some(k) {
+            self.order_table = permutations(k);
         }
     }
 }
@@ -173,16 +173,11 @@ pub(crate) fn run_query_overlay(
     query: &Query,
     scratch: &mut QueryScratch,
 ) -> Result<QueryOutcome, TnnError> {
-    let (algorithm, objective) = match query.kind() {
-        QueryKind::Tnn(algorithm) => (algorithm, RouteObjective::Chain),
-        QueryKind::Chain => (Algorithm::DoubleNn, RouteObjective::Chain),
-        QueryKind::OrderFree => (Algorithm::DoubleNn, RouteObjective::OrderFree),
-        QueryKind::RoundTrip => (Algorithm::DoubleNn, RouteObjective::RoundTrip),
-    };
+    let (algorithm, objective) = RouteObjective::plan(query.kind());
     let k = overlay.len();
     scratch.ensure_channels(k);
     if objective == RouteObjective::OrderFree {
-        scratch.ensure_visit_orders(k);
+        scratch.ensure_order_table(k);
     }
     let (p, issued_at, ann) = (query.point(), query.issue_slot(), query.ann_spec());
     let est = match algorithm {
@@ -219,17 +214,11 @@ pub(crate) struct Estimate {
 
 impl Estimate {
     /// The filter radius `d` for `objective` — the one place an estimate
-    /// becomes a search range. Over feasible stops, Theorem 1
-    /// generalizes by the triangle inequality:
-    ///
-    /// * `Chain`: `d = dis(p, n₁) + Σ dis(nᵢ, nᵢ₊₁)` bounds the optimal
-    ///   total, and every member of the optimal route lies within that
-    ///   total of `p`;
-    /// * `OrderFree`: the same chain, minimized over the visit `orders`
-    ///   (the optimal route's prefix legs cover its members' distance
-    ///   from `p` in any order);
-    /// * `RoundTrip`: half the closed tour through the stops, since any
-    ///   tour through `x` is at least `2·dis(p, x)` long.
+    /// becomes a search range: [`RouteObjective::filter_radius`] of the
+    /// feasible route through the stops, in channel order, or for
+    /// `OrderFree` the shortest over the visit `orders` (the optimal
+    /// route's prefix legs cover its members' distance from `p` in any
+    /// order).
     ///
     /// An Approximate-TNN radius is returned as is; it proves nothing,
     /// which is why that algorithm can fail.
@@ -238,30 +227,16 @@ impl Estimate {
             Bound::Stops(stops) => stops,
             Bound::Radius(radius) => return *radius,
         };
-        match objective {
-            RouteObjective::Chain => chain_length(p, stops.iter().copied()),
-            RouteObjective::OrderFree => orders
+        let total = if objective == RouteObjective::OrderFree {
+            orders
                 .iter()
-                .map(|order| chain_length(p, order.iter().map(|&i| stops[i])))
-                .fold(f64::INFINITY, f64::min),
-            RouteObjective::RoundTrip => {
-                let last = stops.last().copied().unwrap_or(p);
-                (chain_length(p, stops.iter().copied()) + last.dist(p)) * 0.5
-            }
-        }
+                .map(|order| objective.route_total(p, order.iter().map(|&i| stops[i])))
+                .fold(f64::INFINITY, f64::min)
+        } else {
+            objective.route_total(p, stops.iter().copied())
+        };
+        objective.filter_radius(total)
     }
-}
-
-/// Length of the feasible chain `p → pts₀ → … → pts_{k−1}` — the
-/// generalized estimate radius `dis(p, n₁) + Σ dis(nᵢ, nᵢ₊₁)`.
-pub(crate) fn chain_length(p: Point, pts: impl IntoIterator<Item = Point>) -> f64 {
-    let mut total = 0.0;
-    let mut prev = p;
-    for pt in pts {
-        total += prev.dist(pt);
-        prev = pt;
-    }
-    total
 }
 
 /// The filter, join and retrieve stages shared by every query kind, over
@@ -280,14 +255,11 @@ pub(crate) fn filter_and_finish(
     let QueryScratch {
         window,
         join,
-        visit_orders,
+        order_table,
         ..
     } = scratch;
-    let radius = est.radius(p, objective, visit_orders);
-    // The search range is mathematically *closed*: the feasible route
-    // that produced the radius lies exactly on its boundary. Pad by a few
-    // ULPs so sqrt/square rounding cannot exclude boundary candidates.
-    let range = Circle::new(p, radius * (1.0 + 4.0 * f64::EPSILON));
+    let radius = est.radius(p, objective, order_table);
+    let range = Circle::new(p, pad_radius(radius));
 
     // Filter phase: window queries on every channel, in parallel (each
     // has its own timeline starting at the estimate end).
@@ -304,7 +276,7 @@ pub(crate) fn filter_and_finish(
     // grid-pruned chain DP, at every k.
     let layers: Vec<&[(Point, ObjectId)]> = windows.iter().map(|w| w.hits()).collect();
     let (total_dist, route) =
-        match merge_route_layers(join, objective, p, &layers, Some(visit_orders)) {
+        match merge_route_layers(join, objective, p, &layers, Some(order_table)) {
             Some(merged) => (Some(merged.total_dist), merged.into_route()),
             None => (None, Vec::new()),
         };

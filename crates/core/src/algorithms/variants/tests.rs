@@ -2,8 +2,8 @@
 //! paper's future-work items 2 and 3), which run the shared pipeline
 //! under their own [`crate::RouteObjective`].
 
-use crate::algorithms::{chain_length, permutations};
-use crate::{AnnMode, Query, QueryEngine, QueryOutcome, TnnError, VisitOrder};
+use crate::algorithms::permutations;
+use crate::{AnnMode, Query, QueryEngine, QueryOutcome, RouteObjective, TnnError};
 use std::sync::Arc;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
 use tnn_geom::Point;
@@ -47,7 +47,7 @@ fn round_trip(
 
 /// Forward length `p → stop₁ → … → stop_k` of an outcome's route.
 fn one_way(p: Point, run: &QueryOutcome) -> f64 {
-    chain_length(p, run.route.iter().map(|s| s.point))
+    RouteObjective::Chain.route_total(p, run.route.iter().map(|s| s.point))
 }
 
 fn env_k(layers: &[Vec<Point>], phases: &[u64]) -> MultiChannelEnv {
@@ -159,7 +159,6 @@ fn order_free_reports_consistent_order() {
     let e = env(&s, &r);
     let p = Point::new(0.0, 0.0);
     let run = order_free(&e, p, 0, AnnMode::Exact, false).unwrap();
-    assert_eq!(run.visit_order(), Some(VisitOrder::RFirst));
     assert_eq!(run.route[0].channel, 1);
     assert_eq!(run.route[1].channel, 0);
 }

@@ -130,7 +130,9 @@ mod tests {
             AnnMode::Dynamic { factor: 0.5 },
             AnnMode::Fixed { alpha: 0.1 },
         ];
-        let q = Query::chain(Point::ORIGIN).ann_modes(&modes);
+        let q = Query::tnn(Point::ORIGIN)
+            .algorithm(Algorithm::DoubleNn)
+            .ann_modes(&modes);
         assert_eq!(
             q.ann_spec(),
             &AnnSpec::PerChannel(InlineVec::from_slice(&modes))

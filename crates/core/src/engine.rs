@@ -2,8 +2,8 @@
 //! requests, and the [`QueryOutcome`] they all return.
 //!
 //! The engine treats the channel count `k` as a first-class parameter:
-//! every query kind — the four TNN algorithms, chained, order-free, and
-//! round-trip routes — runs over any `k ≥ 2`-channel environment, with
+//! every query kind — the four TNN algorithms, order-free and round-trip
+//! routes — runs over any `k ≥ 2`-channel environment, with
 //! the paper's two-channel pipeline reproduced bit-for-bit at `k = 2`:
 //!
 //! ```
@@ -54,14 +54,9 @@ use tnn_trace::lock::{LockRank, OrderedMutex, OrderedRwLock};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryKind {
     /// TNN in channel order (`p → s₁ → … → s_k`) under the given
-    /// algorithm.
+    /// algorithm — over `k > 2` channels, the chain of the paper's
+    /// future-work item 1.
     Tnn(Algorithm),
-    /// Chained TNN over all `k` channels in channel order (the paper's
-    /// future-work item 1) — an alias for the generalized
-    /// [`Algorithm::DoubleNn`] pipeline, kept as its own kind because the
-    /// chained workloads of the evaluation are configured by channel
-    /// count, not algorithm.
-    Chain,
     /// Order-free TNN: the shortest route visiting every channel's
     /// dataset in *any* order (future-work item 2).
     OrderFree,
@@ -70,20 +65,11 @@ pub enum QueryKind {
     RoundTrip,
 }
 
-/// Which dataset a two-channel order-free answer visits first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VisitOrder {
-    /// `p → s → r` (the plain TNN order).
-    SFirst,
-    /// `p → r → s` (the reversed order).
-    RFirst,
-}
-
 /// A builder-style query request: what to compute, from where, when, and
 /// under which per-channel knobs.
 ///
-/// Construct with [`Query::tnn`] / [`Query::chain`] /
-/// [`Query::order_free`] / [`Query::round_trip`], refine with the
+/// Construct with [`Query::tnn`] / [`Query::order_free`] /
+/// [`Query::round_trip`], refine with the
 /// builder methods, then hand to [`QueryEngine::run`]. Defaults: Hybrid-NN
 /// for plain TNN, exact (eNN) search on every channel, issue slot 0, the
 /// environment's own channel phases, and final answer-object retrieval
@@ -113,11 +99,6 @@ impl Query {
     /// A plain TNN query from `p` (defaults to [`Algorithm::HybridNn`]).
     pub fn tnn(p: Point) -> Self {
         Query::new(QueryKind::Tnn(Algorithm::HybridNn), p)
-    }
-
-    /// A chained TNN query from `p` over every channel in channel order.
-    pub fn chain(p: Point) -> Self {
-        Query::new(QueryKind::Chain, p)
     }
 
     /// An order-free TNN query from `p`.
@@ -308,7 +289,7 @@ pub struct QueryOutcome {
     /// The route stops in visit order (one per channel); empty when the
     /// query failed (possible only for [`Algorithm::ApproximateTnn`]).
     pub route: Vec<RouteStop>,
-    /// Total route length: transitive distance for TNN/chain/order-free,
+    /// Total route length: transitive distance for TNN/order-free,
     /// full loop length for round-trip. `None` when the query failed.
     pub total_dist: Option<f64>,
     /// The filter-phase search radius.
@@ -405,18 +386,6 @@ impl QueryOutcome {
             }),
             _ => None,
         }
-    }
-
-    /// Which dataset the route visits first (meaningful for order-free
-    /// queries; `None` when the query failed).
-    pub fn visit_order(&self) -> Option<VisitOrder> {
-        self.route.first().map(|stop| {
-            if stop.channel == 0 {
-                VisitOrder::SFirst
-            } else {
-                VisitOrder::RFirst
-            }
-        })
     }
 }
 
@@ -681,23 +650,6 @@ mod tests {
     }
 
     #[test]
-    fn chain_kind_is_generalized_double_nn() {
-        let env = build_env(&[cloud(60, 0), cloud(80, 7), cloud(50, 19)], &[3, 17, 91]);
-        let engine = QueryEngine::new(env);
-        let p = Point::new(150.0, 150.0);
-        let chain = engine.run(&Query::chain(p).issued_at(5)).unwrap();
-        let tnn = engine
-            .run(&Query::tnn(p).algorithm(Algorithm::DoubleNn).issued_at(5))
-            .unwrap();
-        assert_eq!(chain.kind, QueryKind::Chain);
-        let mut relabeled = tnn;
-        relabeled.kind = QueryKind::Chain;
-        assert_eq!(chain, relabeled);
-        assert_eq!(chain.route.len(), 3);
-        assert_eq!(chain.channels.len(), 3);
-    }
-
-    #[test]
     fn variants_run_at_two_and_three_channels() {
         for layers in [
             vec![cloud(90, 1), cloud(110, 8)],
@@ -709,7 +661,7 @@ mod tests {
             let p = Point::new(111.0, 55.0);
             let free = engine.run(&Query::order_free(p)).unwrap();
             assert_eq!(free.route.len(), k);
-            assert!(free.visit_order().is_some());
+            assert!(free.route.first().map(|s| s.channel).is_some());
 
             let tour = engine.run(&Query::round_trip(p)).unwrap();
             assert_eq!(tour.route.len(), k);
@@ -849,7 +801,7 @@ mod tests {
         let p = Point::ORIGIN;
         for query in [
             Query::tnn(p),
-            Query::chain(p),
+            Query::tnn(p).algorithm(Algorithm::DoubleNn),
             Query::order_free(p),
             Query::round_trip(p),
         ] {
@@ -869,11 +821,17 @@ mod tests {
         let env3 = build_env(&[cloud(20, 0), cloud(20, 3), cloud(20, 6)], &[0, 0, 0]);
         let engine = QueryEngine::new(env3);
         assert!(engine.run(&Query::tnn(p)).is_ok());
-        assert!(engine.run(&Query::chain(p)).is_ok());
+        assert!(engine
+            .run(&Query::tnn(p).algorithm(Algorithm::DoubleNn))
+            .is_ok());
         assert!(engine.run(&Query::order_free(p)).is_ok());
         assert!(engine.run(&Query::round_trip(p)).is_ok());
         assert!(matches!(
-            engine.run(&Query::chain(Point::new(f64::NAN, 0.0)).phases(&[0, 0, 0])),
+            engine.run(
+                &Query::tnn(Point::new(f64::NAN, 0.0))
+                    .algorithm(Algorithm::DoubleNn)
+                    .phases(&[0, 0, 0])
+            ),
             Err(TnnError::NonFiniteQuery)
         ));
     }
@@ -907,7 +865,7 @@ mod tests {
         let p = Point::ORIGIN;
         for query in [
             Query::tnn(p),
-            Query::chain(p),
+            Query::tnn(p).algorithm(Algorithm::DoubleNn),
             Query::order_free(p),
             Query::round_trip(p),
         ] {
@@ -945,7 +903,6 @@ mod tests {
             Query::tnn(p).algorithm(Algorithm::HybridNn),
             Query::tnn(p).algorithm(Algorithm::WindowBased),
             Query::tnn(p).algorithm(Algorithm::ApproximateTnn),
-            Query::chain(p),
             Query::order_free(p),
             Query::round_trip(p),
         ];
@@ -996,7 +953,7 @@ mod tests {
         let nan = Point::new(f64::NAN, 0.0);
         for query in [
             Query::tnn(nan),
-            Query::chain(nan),
+            Query::tnn(nan).algorithm(Algorithm::DoubleNn),
             Query::order_free(nan),
             Query::round_trip(nan),
         ] {
@@ -1096,7 +1053,10 @@ mod tests {
         assert_eq!(run.total_candidates(), 7);
         assert!(run.failed());
         assert!(run.tnn_pair().is_none());
-        assert!(run.visit_order().is_none(), "no route, no order");
+        assert!(
+            run.route.first().map(|s| s.channel).is_none(),
+            "no route, no order"
+        );
         assert_eq!(run.channels[0].total_pages(), 28);
     }
 
@@ -1120,19 +1080,10 @@ mod tests {
         run.route = vec![stop(1.0, 4, 0), stop(2.0, 9, 1)];
         run.total_dist = Some(2.0);
         assert!(run.tnn_pair().is_some());
-        for kind in [QueryKind::Chain, QueryKind::OrderFree, QueryKind::RoundTrip] {
+        for kind in [QueryKind::OrderFree, QueryKind::RoundTrip] {
             run.kind = kind;
             assert!(run.tnn_pair().is_none(), "{kind:?}");
         }
-    }
-
-    #[test]
-    fn visit_order_follows_the_first_stop() {
-        let mut run = sample_outcome();
-        run.route = vec![stop(1.0, 4, 0), stop(2.0, 9, 1)];
-        assert_eq!(run.visit_order(), Some(VisitOrder::SFirst));
-        run.route.reverse();
-        assert_eq!(run.visit_order(), Some(VisitOrder::RFirst));
     }
 
     /// The paper's §4.2.4 client-memory bound `(H−1)(M−1)`, observed

@@ -59,9 +59,8 @@ impl From<AnnMode> for AnnKey {
 /// phases to prove them equal.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct QueryKey {
-    /// The kind with its algorithm, so `Tnn(DoubleNn)` and `Chain` (the
-    /// same pipeline under a different label) key differently, as their
-    /// outcomes do.
+    /// The kind with its algorithm: every outcome reports its kind, so
+    /// two kinds never share a key.
     kind: QueryKind,
     point_bits: (u64, u64),
     issued_at: u64,
@@ -257,14 +256,12 @@ mod tests {
     fn kinds_key_differently_even_on_the_shared_pipeline() {
         let e = env(2);
         let p = Point::new(9.0, 9.0);
-        // Chain runs the Double-NN pipeline but reports QueryKind::Chain
-        // in its outcome, so the two must not share a cache entry.
+        // Every kind below estimates with Double-NN, but each reports its
+        // own kind and route, so no two may share a cache entry.
         let tnn = Query::tnn(p).algorithm(Algorithm::DoubleNn).cache_key(&e);
-        let chain = Query::chain(p).cache_key(&e);
         let free = Query::order_free(p).cache_key(&e);
         let tour = Query::round_trip(p).cache_key(&e);
-        assert_ne!(tnn, chain);
-        assert_ne!(chain, free);
+        assert_ne!(tnn, free);
         assert_ne!(free, tour);
     }
 
@@ -283,13 +280,15 @@ mod tests {
     fn at_changes_only_the_point() {
         let e = env(2);
         let q = Point::new(5.0, 6.0);
-        let template = Query::chain(Point::new(1.0, 2.0))
+        let template = Query::tnn(Point::new(1.0, 2.0))
+            .algorithm(Algorithm::DoubleNn)
             .issued_at(11)
             .ann_modes(&[AnnMode::Exact, AnnMode::Fixed { alpha: 0.3 }])
             .phases(&[4, 9])
             .retrieve_answer_objects(false);
         let moved = template.clone().at(q);
-        let built_at_q = Query::chain(q)
+        let built_at_q = Query::tnn(q)
+            .algorithm(Algorithm::DoubleNn)
             .issued_at(11)
             .ann_modes(&[AnnMode::Exact, AnnMode::Fixed { alpha: 0.3 }])
             .phases(&[4, 9])

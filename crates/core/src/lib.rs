@@ -45,9 +45,9 @@
 //!
 //! ## Extensions (the paper's future-work list, §7)
 //!
-//! * [`Query::chain`] — item 1: `k ≥ 2` datasets on `k` channels,
-//!   visited in category order (an alias for the generalized
-//!   [`Algorithm::DoubleNn`] pipeline);
+//! * item 1, `k ≥ 2` datasets on `k` channels visited in category
+//!   order, is plain [`Query::tnn`] over a `k`-channel environment (any
+//!   algorithm; the chained workloads use [`Algorithm::DoubleNn`]);
 //! * [`Query::order_free`] — item 2: the visiting order is not specified
 //!   (the shortest route over every visit order);
 //! * [`Query::round_trip`] — item 3: a complete tour returning to the
@@ -82,11 +82,11 @@ pub mod task;
 
 pub use ann::{dynamic_alpha, AnnMode};
 pub use config::{Algorithm, AnnSpec};
-pub use engine::{Query, QueryEngine, QueryKind, QueryOutcome, RouteStop, VisitOrder};
+pub use engine::{Query, QueryEngine, QueryKind, QueryOutcome, RouteStop};
 pub use error::TnnError;
 pub use exact::{exact_chain_tnn, exact_tnn};
 pub use key::QueryKey;
-pub use merge::{merge_route_layers, MergedRoute, RouteObjective};
+pub use merge::{merge_route_layers, pad_radius, MergedRoute, RouteObjective};
 pub use mode::SearchMode;
 pub use result::{ChannelCost, TnnPair};
 

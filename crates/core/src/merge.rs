@@ -24,7 +24,7 @@
 //! * [`RouteObjective::OrderFree`]: the winner is selected on the chain
 //!   DP's totals over every visit order (earlier orders win ties), then
 //!   the reported total is re-derived as the forward fold over the stops
-//!   — exactly the pipeline's `chain_length`.
+//!   — exactly [`RouteObjective::route_total`].
 //! * [`RouteObjective::RoundTrip`]: the closed-tour DP's backward fold,
 //!   `dis(p,s₁) + (dis(s₁,s₂) + (… + dis(s_k,p)))`
 //!   ([`chain_loop_join_with`]).
@@ -32,10 +32,21 @@
 //! Candidate-*order* dependence is confined to exact-tie breaking
 //! (identical `(total, index)` keys), which cannot occur for
 //! general-position inputs.
+//!
+//! ## Radius rules
+//!
+//! The rules that turn a feasible route into a search range live here
+//! too, beside the objective they depend on: [`RouteObjective::plan`]
+//! (which estimate and which objective a query kind runs),
+//! [`RouteObjective::route_total`] and [`RouteObjective::filter_radius`]
+//! (a feasible route's total and the radius it proves), and
+//! [`pad_radius`] (the floating-point guard on that radius). The
+//! pipeline's filter stage and the shard router's gather both call them,
+//! so their radii agree bit for bit.
 
-use crate::algorithms::{chain_length, permutations};
+use crate::algorithms::permutations;
 use crate::join::{chain_join_with, chain_loop_join_with, JoinScratch};
-use crate::RouteStop;
+use crate::{Algorithm, QueryKind, RouteStop};
 use tnn_geom::Point;
 use tnn_rtree::ObjectId;
 
@@ -46,13 +57,78 @@ use tnn_rtree::ObjectId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RouteObjective {
     /// Open route `p → s₁ → … → s_k` visiting the layers in order
-    /// ([`crate::QueryKind::Tnn`] and [`crate::QueryKind::Chain`]).
+    /// ([`crate::QueryKind::Tnn`], the chain over all `k` channels).
     Chain,
     /// Open route over the best of all `k!` layer visit orders
     /// ([`crate::QueryKind::OrderFree`]).
     OrderFree,
     /// Closed tour returning to `p` ([`crate::QueryKind::RoundTrip`]).
     RoundTrip,
+}
+
+impl RouteObjective {
+    /// The estimate algorithm and the objective a query of `kind` runs
+    /// under: a plain TNN query keeps its algorithm and the `Chain`
+    /// objective; the §7 extensions all estimate with Double-NN.
+    pub fn plan(kind: QueryKind) -> (Algorithm, RouteObjective) {
+        match kind {
+            QueryKind::Tnn(algorithm) => (algorithm, RouteObjective::Chain),
+            QueryKind::OrderFree => (Algorithm::DoubleNn, RouteObjective::OrderFree),
+            QueryKind::RoundTrip => (Algorithm::DoubleNn, RouteObjective::RoundTrip),
+        }
+    }
+
+    /// The total of the feasible route `p → stops₀ → … → stops_last`,
+    /// visited in the given order: the forward fold `dis(p, s₁) +
+    /// dis(s₁, s₂) + …`, plus the hop home `dis(s_last, p)` for
+    /// `RoundTrip`. Any such total bounds the optimum from above.
+    pub fn route_total(self, p: Point, stops: impl IntoIterator<Item = Point>) -> f64 {
+        let (mut total, mut last) = (0.0, p);
+        for stop in stops {
+            total += last.dist(stop);
+            last = stop;
+        }
+        if self == RouteObjective::RoundTrip {
+            total += last.dist(p);
+        }
+        total
+    }
+
+    /// The filter radius a feasible route total proves (Theorem 1,
+    /// generalized by the triangle inequality): every stop of an optimal
+    /// open route lies within `total` of `p`, and every stop of an
+    /// optimal tour within `total / 2`, since any tour through `x` is at
+    /// least `2·dis(p, x)` long.
+    pub fn filter_radius(self, total: f64) -> f64 {
+        total / self.legs_to_reach()
+    }
+
+    /// Whether a stop `dist` away from `p` lies beyond the reach of a
+    /// feasible route of `total` — no optimal route can visit it. The
+    /// test multiplies `dist` rather than comparing it with
+    /// [`RouteObjective::filter_radius`]: halving a subnormal total can
+    /// round, so the two forms can disagree there.
+    pub fn out_of_reach(self, dist: f64, total: f64) -> bool {
+        dist * self.legs_to_reach() > total
+    }
+
+    /// How many legs of a route through stop `x` each span at least
+    /// `dis(p, x)`: two for a tour (out and back), one for an open route.
+    fn legs_to_reach(self) -> f64 {
+        if self == RouteObjective::RoundTrip {
+            2.0
+        } else {
+            1.0
+        }
+    }
+}
+
+/// Pads a filter radius by a few ULPs. The search range is mathematically
+/// *closed*: the feasible route that produced the radius lies exactly on
+/// its boundary, so sqrt/square rounding must not exclude boundary
+/// candidates.
+pub fn pad_radius(radius: f64) -> f64 {
+    radius * (1.0 + 4.0 * f64::EPSILON)
 }
 
 /// A merged route: one stop per layer tagged with its layer index, in
@@ -120,7 +196,7 @@ pub fn merge_route_layers<L: AsRef<[(Point, ObjectId)]>>(
         }
         RouteObjective::OrderFree => {
             let stops = order_free_merge(join, p, layers, orders)?;
-            let total_dist = chain_length(p, stops.iter().map(|s| s.0));
+            let total_dist = objective.route_total(p, stops.iter().map(|s| s.0));
             Some(MergedRoute { stops, total_dist })
         }
     }
@@ -273,7 +349,9 @@ mod tests {
                 .expect("non-empty layers");
             assert_eq!(
                 got.total_dist.to_bits(),
-                chain_length(p, got.stops.iter().map(|s| s.0)).to_bits()
+                RouteObjective::Chain
+                    .route_total(p, got.stops.iter().map(|s| s.0))
+                    .to_bits()
             );
             let mut visited: Vec<usize> = got.stops.iter().map(|s| s.2).collect();
             visited.sort_unstable();
@@ -308,7 +386,7 @@ mod tests {
             let p = Point::new(120.0, 120.0);
             let got = merge_route_layers(&mut join, RouteObjective::RoundTrip, p, &layers, None)
                 .expect("non-empty layers");
-            let one_way = chain_length(p, got.stops.iter().map(|s| s.0));
+            let one_way = RouteObjective::Chain.route_total(p, got.stops.iter().map(|s| s.0));
             let back = got.stops.last().unwrap().0.dist(p);
             assert!((one_way + back - got.total_dist).abs() < 1e-9);
         }
@@ -390,7 +468,9 @@ mod tests {
             assert_eq!(got.stops, stops, "route");
             assert_eq!(
                 got.total_dist.to_bits(),
-                chain_length(p, stops.iter().map(|s| s.0)).to_bits(),
+                RouteObjective::Chain
+                    .route_total(p, stops.iter().map(|s| s.0))
+                    .to_bits(),
                 "total bits"
             );
         }

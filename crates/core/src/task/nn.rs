@@ -578,7 +578,7 @@ mod tests {
         let start = 123;
         let mut task = NnSearchTask::new(&ch, SearchMode::Point { q }, AnnMode::Exact, start);
         let finish = task.run_to_completion();
-        let root_arrival = ch.next_root_arrival(start);
+        let root_arrival = ch.view().next_root_arrival(start);
         assert!(finish <= root_arrival + ch.layout().index_len() + 1);
     }
 

@@ -206,7 +206,7 @@ mod tests {
         let start = 999;
         let mut task = WindowQueryTask::new(&ch, range, start);
         let finish = task.run_to_completion();
-        let root = ch.next_root_arrival(start);
+        let root = ch.view().next_root_arrival(start);
         assert!(finish <= root + ch.layout().index_len() + 1);
     }
 

@@ -77,18 +77,6 @@ impl Rect {
         Some(r)
     }
 
-    /// The smallest rectangle enclosing all rectangles of `rects`.
-    ///
-    /// Returns `None` for an empty slice.
-    pub fn bounding_rects(rects: &[Rect]) -> Option<Self> {
-        let mut it = rects.iter();
-        let mut acc = *it.next()?;
-        for r in it {
-            acc = acc.union(r);
-        }
-        Some(acc)
-    }
-
     /// Grows the rectangle (in place) to cover `p`.
     #[inline]
     pub fn expand(&mut self, p: Point) {

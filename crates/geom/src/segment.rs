@@ -66,12 +66,6 @@ impl Segment {
         self.at(self.project_param(p).clamp(0.0, 1.0))
     }
 
-    /// Distance from `p` to the segment.
-    #[inline]
-    pub fn dist_to_point(&self, p: Point) -> f64 {
-        p.dist(self.closest_point(p))
-    }
-
     /// Mirror image of `p` across the supporting line of the segment.
     ///
     /// For a degenerate segment the "line" is undefined; the point itself is

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 use tnn_broadcast::{BroadcastParams, MultiChannelEnv};
-use tnn_core::{Query, TnnError};
+use tnn_core::{Algorithm, Query, TnnError};
 use tnn_geom::{Point, Rect};
 use tnn_rtree::{PackingAlgorithm, RTree};
 use tnn_serve::{ServeConfig, Server, ShutdownMode};
@@ -86,7 +86,9 @@ fn post_swap_cache_hit_equals_fresh_run() {
     let next = advanced(&env, 0x5EED);
     server.swap_env(next.clone()).unwrap();
 
-    let query = Query::chain(Point::new(40.0, 900.0)).issued_at(3);
+    let query = Query::tnn(Point::new(40.0, 900.0))
+        .algorithm(Algorithm::DoubleNn)
+        .issued_at(3);
     let first = server.submit(query.clone()).unwrap().wait().unwrap();
     let hit = server.submit(query.clone()).unwrap().wait().unwrap();
     let fresh = tnn_core::QueryEngine::new(next).run(&query).unwrap();

@@ -69,7 +69,7 @@ fn served_outcomes_equal_direct_engine_runs() {
 fn wait_is_idempotent_and_poll_after_wait_returns_cache() {
     let server = Server::spawn(env(2), ServeConfig::new().workers(1));
     let ticket = server
-        .submit(Query::chain(Point::new(480.0, 520.0)))
+        .submit(Query::tnn(Point::new(480.0, 520.0)).algorithm(Algorithm::DoubleNn))
         .unwrap();
     let first = ticket.wait();
     // The double-wait footgun: a second wait (and a poll after wait)
@@ -90,7 +90,7 @@ fn wait_is_idempotent_and_poll_after_wait_returns_cache() {
         first.unwrap(),
         server
             .engine()
-            .run(&Query::chain(Point::new(480.0, 520.0)))
+            .run(&Query::tnn(Point::new(480.0, 520.0)).algorithm(Algorithm::DoubleNn))
             .unwrap()
     );
 }
@@ -351,7 +351,11 @@ fn phase_arity_panics_on_the_submitting_thread() {
 fn variant_queries_serve_like_tnn_ones() {
     let server = Server::spawn(env(3), ServeConfig::new().workers(2));
     for p in points(6) {
-        for query in [Query::order_free(p), Query::round_trip(p), Query::chain(p)] {
+        for query in [
+            Query::order_free(p),
+            Query::round_trip(p),
+            Query::tnn(p).algorithm(Algorithm::DoubleNn),
+        ] {
             let expect = server.engine().run(&query).unwrap();
             assert_eq!(server.submit(query).unwrap().wait().unwrap(), expect);
         }
@@ -367,7 +371,9 @@ fn stats_merge_preserves_conservation_and_sums_totals() {
     let server_b = Server::spawn(env(3), ServeConfig::new().workers(2));
     for p in points(12) {
         let _ = server_a.submit(Query::tnn(p)).unwrap();
-        let _ = server_b.submit(Query::chain(p)).unwrap();
+        let _ = server_b
+            .submit(Query::tnn(p).algorithm(Algorithm::DoubleNn))
+            .unwrap();
         let _ = server_b.submit(Query::round_trip(p)).unwrap();
     }
     let a = server_a.shutdown(ShutdownMode::Drain);

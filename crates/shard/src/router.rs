@@ -33,18 +33,14 @@ use crate::stats::ShardStats;
 use std::time::Duration;
 use tnn_broadcast::MultiChannelEnv;
 use tnn_core::{
-    approximate_radius_for_env, merge_route_layers, Algorithm, JoinScratch, Query, QueryKind,
-    RouteObjective, RouteStop, TnnError,
+    approximate_radius_for_env, merge_route_layers, pad_radius, Algorithm, JoinScratch,
+    MergedRoute, Query, QueryKind, RouteObjective, RouteStop, TnnError,
 };
 use tnn_geom::{Circle, Point};
 use tnn_rtree::ObjectId;
 use tnn_serve::{ServeStats, Server, ShutdownMode, Ticket};
 use tnn_trace::lock::{LockRank, OrderedMutex, OrderedRwLock};
 use tnn_trace::{FlightRecorder, MetricsRegistry, QueryTrace, SpanKind};
-
-/// The engine's own floating-point guard on filter radii — candidates at
-/// exactly the estimate distance must not be lost to rounding.
-const FP_PAD: f64 = 1.0 + 4.0 * f64::EPSILON;
 
 /// The result of one sharded query: the merged route (byte-identical to
 /// an unsharded [`tnn_core::QueryEngine::run`] of the same query) plus
@@ -328,6 +324,7 @@ impl ShardRouter {
         query.validate(&topology.env)?;
         let p = query.point();
         let kind = query.kind();
+        let (algorithm, objective) = RouteObjective::plan(kind);
 
         // Approximate-TNN's radius is a *global* density artifact (eq. 1
         // over the full region and cardinalities); shard sub-queries
@@ -336,30 +333,13 @@ impl ShardRouter {
         // unsharded run. So: no scatter — gather with exactly the
         // full-environment radius and join, reproducing the engine's
         // answer (including its failures) bit-for-bit.
-        if kind == QueryKind::Tnn(Algorithm::ApproximateTnn) {
-            let radius = approximate_radius_for_env(&topology.env) * FP_PAD;
+        if algorithm == Algorithm::ApproximateTnn {
+            let radius = pad_radius(approximate_radius_for_env(&topology.env));
             let layers = gather(topology, p, radius, tally);
             let mut join = JoinScratch::default();
-            let merged = merge_route_layers(&mut join, RouteObjective::Chain, p, &layers, None);
-            return Ok(match merged {
-                Some(m) => outcome(kind, m, radius, 0, tally, false),
-                None => ShardOutcome {
-                    kind,
-                    route: Vec::new(),
-                    total_dist: None,
-                    search_radius: radius,
-                    shards_scattered: 0,
-                    shards_pruned: 0,
-                    fallback: false,
-                },
-            });
+            let merged = merge_route_layers(&mut join, objective, p, &layers, None);
+            return Ok(outcome(kind, merged, radius, 0, tally, false));
         }
-
-        let (objective, round_trip) = match kind {
-            QueryKind::Tnn(_) | QueryKind::Chain => (RouteObjective::Chain, false),
-            QueryKind::OrderFree => (RouteObjective::OrderFree, false),
-            QueryKind::RoundTrip => (RouteObjective::RoundTrip, true),
-        };
 
         // -- Scatter: seed and tighten the transitive bound B ---------
         let mut bound = f64::INFINITY;
@@ -386,13 +366,13 @@ impl ShardRouter {
             // improve the route and are pruned. Survivors run
             // concurrently across their shard servers; the waits fold
             // the bound down in ascending shard order.
-            let prune_factor = if round_trip { 2.0 } else { 1.0 };
             let survivors: Vec<&ShardServer> = topology
                 .servers
                 .iter()
                 .filter(|s| s.shard != primary.shard)
                 .filter(|s| {
-                    let far = shard_mbr(&topology.plan, s.shard).min_dist(p) * prune_factor > bound;
+                    let far = objective
+                        .out_of_reach(shard_mbr(&topology.plan, s.shard).min_dist(p), bound);
                     tally.scatter_pruned += u64::from(far);
                     !far
                 })
@@ -411,17 +391,26 @@ impl ShardRouter {
             // No shard answered (no eligible shard, or every scatter was
             // refused): bound the gather with any feasible route,
             // computed locally — first object of each channel, walked in
-            // channel order. Correctness only needs *feasibility*.
+            // channel order (plus the hop home for tours). Correctness
+            // only needs *feasibility*.
             tally.fallbacks += 1;
-            bound = fallback_bound(&topology.env, p, round_trip);
+            let firsts = topology.env.channels().iter().map(|channel| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "Query::validate rejected empty channels before any query runs, so every tree yields an object"
+                )]
+                let (stop, _) = channel
+                    .tree()
+                    .objects_in_leaf_order()
+                    .next()
+                    .expect("validation rejected empty channels");
+                stop
+            });
+            bound = objective.route_total(p, firsts);
         }
 
         // -- Gather and merge -----------------------------------------
-        let radius = if round_trip {
-            bound * 0.5 * FP_PAD
-        } else {
-            bound * FP_PAD
-        };
+        let radius = pad_radius(objective.filter_radius(bound));
         let layers = gather(topology, p, radius, tally);
         let mut join = JoinScratch::default();
         // The gather bound comes from a feasible route, so every layer
@@ -430,7 +419,14 @@ impl ShardRouter {
         // whatever thread runs the router.
         let merged =
             merge_route_layers(&mut join, objective, p, &layers, None).ok_or(TnnError::Internal)?;
-        Ok(outcome(kind, merged, radius, scattered, tally, fallback))
+        Ok(outcome(
+            kind,
+            Some(merged),
+            radius,
+            scattered,
+            tally,
+            fallback,
+        ))
     }
 
     /// Seals and records a router-level trace. Its total is the span
@@ -613,20 +609,25 @@ fn gather(
     layers
 }
 
-/// A scattered query's outcome: `scattered` sub-queries were admitted,
-/// and its prune count is the query's own tally.
+/// A routed query's outcome: `scattered` sub-queries were admitted,
+/// and its prune count is the query's own tally. No merged route means
+/// the query failed.
 fn outcome(
     kind: QueryKind,
-    merged: tnn_core::MergedRoute,
+    merged: Option<MergedRoute>,
     radius: f64,
     scattered: usize,
     tally: &ShardStats,
     fallback: bool,
 ) -> ShardOutcome {
+    let (total_dist, route) = match merged {
+        Some(merged) => (Some(merged.total_dist), merged.into_route()),
+        None => (None, Vec::new()),
+    };
     ShardOutcome {
         kind,
-        total_dist: Some(merged.total_dist),
-        route: merged.into_route(),
+        total_dist,
+        route,
         search_radius: radius,
         shards_scattered: scattered,
         shards_pruned: tally.scatter_pruned as usize,
@@ -640,32 +641,6 @@ fn outcome(
 )]
 fn shard_mbr(plan: &ShardPlan, shard: usize) -> tnn_geom::Rect {
     plan.mbr(shard).expect("eligible shards hold objects")
-}
-
-/// A feasible route total computed without any index search: the
-/// first stored object of each channel, walked in channel order
-/// (plus the hop home for tours). Any feasible total is a valid
-/// gather bound.
-fn fallback_bound(env: &MultiChannelEnv, p: Point, round_trip: bool) -> f64 {
-    let mut total = 0.0;
-    let mut cursor = p;
-    for channel in env.channels() {
-        #[expect(
-            clippy::expect_used,
-            reason = "Query::validate rejected empty channels before any query runs, so every tree yields an object"
-        )]
-        let (stop, _) = channel
-            .tree()
-            .objects_in_leaf_order()
-            .next()
-            .expect("validation rejected empty channels");
-        total += cursor.dist(stop);
-        cursor = stop;
-    }
-    if round_trip {
-        total += cursor.dist(p);
-    }
-    total
 }
 
 /// Folds one scattered sub-outcome's engine counters into the
@@ -725,7 +700,6 @@ mod tests {
             .iter()
             .map(|&alg| Query::tnn(p).algorithm(alg))
             .collect();
-        queries.push(Query::chain(p));
         queries.push(Query::order_free(p));
         queries.push(Query::round_trip(p));
         queries
@@ -777,7 +751,7 @@ mod tests {
         let env2 = sample_env(2);
         let engine2 = QueryEngine::new(env2.clone());
         let router2 = ShardRouter::spawn(env2, ShardConfig::new().shards(2).serve(small_serve()));
-        let bad = Query::chain(Point::new(f64::NAN, 1.0));
+        let bad = Query::tnn(Point::new(f64::NAN, 1.0)).algorithm(Algorithm::DoubleNn);
         assert_eq!(
             router2.run(&bad).unwrap_err(),
             engine2.run(&bad).unwrap_err()
@@ -794,7 +768,7 @@ mod tests {
         let nan = Point::new(f64::NAN, 0.0);
         for query in [
             Query::tnn(nan),
-            Query::chain(nan),
+            Query::tnn(nan).algorithm(Algorithm::DoubleNn),
             Query::order_free(nan),
             Query::round_trip(nan),
         ] {

@@ -34,6 +34,7 @@ use tnn_rtree::{NodeId, PackingAlgorithm, RTree};
 /// the next bucket once the traversal jumps around the preorder layout.
 /// Returns `(access_pages, tune_in_pages)`.
 fn best_first_on_air(channel: &Channel, q: Point, start: u64) -> (u64, u64) {
+    let view = channel.view();
     let tree = channel.tree();
     let mut heap: Vec<(f64, NodeId)> = vec![(tree.bounding_rect().min_dist(q), NodeId::ROOT)];
     let mut best = f64::INFINITY;
@@ -50,10 +51,10 @@ fn best_first_on_air(channel: &Channel, q: Point, start: u64) -> (u64, u64) {
             continue; // pruned, no cost
         }
         // Random access is impossible: wait for the node's next arrival.
-        let arrival = channel.next_node_arrival(id, now);
+        let arrival = view.next_node_arrival(id, now);
         now = arrival + 1;
         pages += 1;
-        let node = channel.node(id);
+        let node = view.node(id);
         if let Some(children) = node.children() {
             for c in children {
                 heap.push((c.mbr.min_dist(q), c.child));
@@ -287,7 +288,7 @@ fn chained(ctx: &Context) -> Table {
             .collect();
         let cfg = BatchConfig {
             params,
-            query: Query::chain(Point::ORIGIN),
+            query: Query::tnn(Point::ORIGIN).algorithm(Algorithm::DoubleNn),
             queries: ctx.queries.min(300),
             seed: ctx.seed,
             check_oracle: false,
@@ -404,7 +405,7 @@ fn variants(ctx: &Context) -> Table {
         acc[2].0 += tour.total_dist.expect("exact");
         acc[2].1 += tour.access_time();
         acc[2].2 += tour.tune_in();
-        if free.visit_order() == Some(tnn_core::VisitOrder::RFirst) {
+        if free.route.first().map(|s| s.channel) == Some(1) {
             r_first += 1;
         }
     }

@@ -39,46 +39,25 @@ pub(crate) struct QuerySample {
     pub failed: bool,
 }
 
-/// Incremental accumulator for [`BatchStats`].
-#[derive(Debug, Clone, Default)]
-pub(crate) struct StatsAccumulator {
-    n: usize,
-    access: f64,
-    tune_in: f64,
-    tune_estimate: f64,
-    tune_filter: f64,
-    radius: f64,
-    candidates: f64,
-    no_answer: usize,
-    failed: usize,
-}
-
-impl StatsAccumulator {
-    /// Records one query's sample.
-    pub fn record_sample(&mut self, s: &QuerySample) {
-        self.n += 1;
-        self.access += s.access as f64;
-        self.tune_in += s.tune_in as f64;
-        self.tune_estimate += s.tune_estimate as f64;
-        self.tune_filter += s.tune_filter as f64;
-        self.radius += s.radius;
-        self.candidates += s.candidates as f64;
-        self.no_answer += usize::from(s.no_answer);
-        self.failed += usize::from(s.failed);
-    }
-
-    pub fn finish(self) -> BatchStats {
-        let n = self.n.max(1) as f64;
+impl BatchStats {
+    /// Averages one batch's samples, given in query order. Each mean is a
+    /// left fold from `+0.0` in that order, so it does not depend on the
+    /// thread count (`Iterator::sum` over `f64` starts at `-0.0` instead).
+    pub(crate) fn from_samples(samples: &[QuerySample]) -> BatchStats {
+        let n = samples.len().max(1) as f64;
+        let mean = |field: fn(&QuerySample) -> f64| {
+            samples.iter().fold(0.0, |total, s| total + field(s)) / n
+        };
         BatchStats {
-            queries: self.n,
-            mean_access: self.access / n,
-            mean_tune_in: self.tune_in / n,
-            mean_tune_estimate: self.tune_estimate / n,
-            mean_tune_filter: self.tune_filter / n,
-            mean_radius: self.radius / n,
-            mean_candidates: self.candidates / n,
-            no_answer_rate: self.no_answer as f64 / n,
-            fail_rate: self.failed as f64 / n,
+            queries: samples.len(),
+            mean_access: mean(|s| s.access as f64),
+            mean_tune_in: mean(|s| s.tune_in as f64),
+            mean_tune_estimate: mean(|s| s.tune_estimate as f64),
+            mean_tune_filter: mean(|s| s.tune_filter as f64),
+            mean_radius: mean(|s| s.radius),
+            mean_candidates: mean(|s| s.candidates as f64),
+            no_answer_rate: mean(|s| f64::from(u8::from(s.no_answer))),
+            fail_rate: mean(|s| f64::from(u8::from(s.failed))),
         }
     }
 }
@@ -89,28 +68,28 @@ mod tests {
 
     #[test]
     fn accumulator_averages() {
-        let mut acc = StatsAccumulator::default();
-        acc.record_sample(&QuerySample {
-            access: 100,
-            tune_in: 10,
-            tune_estimate: 4,
-            tune_filter: 6,
-            radius: 5.0,
-            candidates: 3,
-            no_answer: false,
-            failed: false,
-        });
-        acc.record_sample(&QuerySample {
-            access: 200,
-            tune_in: 20,
-            tune_estimate: 8,
-            tune_filter: 12,
-            radius: 15.0,
-            candidates: 5,
-            no_answer: true,
-            failed: true,
-        });
-        let stats = acc.finish();
+        let stats = BatchStats::from_samples(&[
+            QuerySample {
+                access: 100,
+                tune_in: 10,
+                tune_estimate: 4,
+                tune_filter: 6,
+                radius: 5.0,
+                candidates: 3,
+                no_answer: false,
+                failed: false,
+            },
+            QuerySample {
+                access: 200,
+                tune_in: 20,
+                tune_estimate: 8,
+                tune_filter: 12,
+                radius: 15.0,
+                candidates: 5,
+                no_answer: true,
+                failed: true,
+            },
+        ]);
         assert_eq!(stats.queries, 2);
         assert_eq!(stats.mean_access, 150.0);
         assert_eq!(stats.mean_tune_in, 15.0);
@@ -124,7 +103,7 @@ mod tests {
 
     #[test]
     fn empty_accumulator_is_safe() {
-        let stats = StatsAccumulator::default().finish();
+        let stats = BatchStats::from_samples(&[]);
         assert_eq!(stats.queries, 0);
         assert_eq!(stats.mean_access, 0.0);
     }

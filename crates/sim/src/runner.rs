@@ -22,7 +22,7 @@
 //! **in query order**, making every [`BatchStats`] bit-identical for a
 //! fixed seed regardless of thread count or scheduling.
 
-use crate::metrics::{QuerySample, StatsAccumulator};
+use crate::metrics::QuerySample;
 use crate::BatchStats;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -106,11 +106,7 @@ fn run_samples(queries: usize, run_chunk: impl Fn(usize, &mut [QuerySample]) + S
             scope.spawn(move || run_chunk(t * chunk_len, chunk));
         }
     });
-    let mut acc = StatsAccumulator::default();
-    for s in &samples {
-        acc.record_sample(s);
-    }
-    acc.finish()
+    BatchStats::from_samples(&samples)
 }
 
 /// Executes one batch of TNN queries over `k ≥ 2` trees, one broadcast
@@ -295,7 +291,7 @@ mod tests {
     fn chain_config(queries: usize, seed: u64) -> BatchConfig {
         BatchConfig {
             params: BroadcastParams::new(64),
-            query: Query::chain(Point::ORIGIN),
+            query: Query::tnn(Point::ORIGIN).algorithm(Algorithm::DoubleNn),
             queries,
             seed,
             check_oracle: false,

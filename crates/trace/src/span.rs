@@ -17,7 +17,9 @@ pub enum SpanKind {
     /// Admission-control work in `submit` before the job is enqueued
     /// (deadline check, cache probe, backpressure).
     AdmissionWait,
-    /// The admission-time result-cache probe alone.
+    /// The worker's dequeue-time result-cache probe alone. The
+    /// admission-time probe falls inside [`SpanKind::AdmissionWait`], and
+    /// a query answered by that probe is not traced at all.
     CacheProbe,
     /// Time spent queued between enqueue and a worker picking the job.
     QueueResidency,

@@ -1,5 +1,6 @@
 //! Chained TNN over more than two datasets — the paper's future-work
-//! item 1, served by the k-ary core pipeline (`Query::chain`):
+//! item 1, served by the k-ary core pipeline as a plain Double-NN
+//! `Query::tnn` over three channels:
 //! pharmacy → florist → restaurant, each category on its own broadcast
 //! channel, visited in order with minimum total walking distance.
 //!
@@ -43,7 +44,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One chained query over all three channels — the engine treats the
     // channel count as a first-class parameter.
-    let run = engine.run(&Query::chain(home).ann(AnnMode::Exact))?;
+    let run = engine.run(
+        &Query::tnn(home)
+            .algorithm(Algorithm::DoubleNn)
+            .ann(AnnMode::Exact),
+    )?;
     let total = run.total_dist.expect("chained estimates are feasible");
     println!(
         "\nbest route ({} stops, total {:.1} m, radius {:.1} m):",

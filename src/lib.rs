@@ -41,8 +41,8 @@
 //!
 //! Every query kind runs over any `k ≥ 2`-channel environment: the four
 //! TNN algorithms generalize to `k`-hop routes `p → s₁ → … → s_k` (the
-//! paper's chained future-work item, `Query::chain`, is the Double-NN
-//! pipeline under another name), as do order-free TNN
+//! paper's chained future-work item is plain `Query::tnn` over `k`
+//! channels), as do order-free TNN
 //! (`Query::order_free`, any visit order) and round-trip TNN
 //! (`Query::round_trip`, closed tour). Per-query knobs ride the builder:
 //! `.ann_modes(..)` for per-channel approximate-search pruning and

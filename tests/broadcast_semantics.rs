@@ -82,7 +82,7 @@ fn root_wait_is_bounded_by_one_bucket() {
     let pts = unif(-6.6, 25);
     let ch = channel(&pts, 123);
     for start in [0u64, 999, 12_345, 999_999] {
-        let arrival = ch.next_root_arrival(start);
+        let arrival = ch.view().next_root_arrival(start);
         assert!(arrival - start < ch.layout().bucket_len());
         assert_eq!(ch.page_at(arrival), PageContent::IndexNode(NodeId::ROOT));
     }
