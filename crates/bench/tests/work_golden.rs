@@ -4,8 +4,9 @@
 //! test pins the work itself: for two fixed query pools, the sums of the
 //! paper's page counters (access time, tune-in, index node visits), of the
 //! estimate searches' prune hits, the largest peak queue, the sum of the
-//! filter candidates and of the route join's two work counters
-//! (candidate evaluations and grid cells tested) are written to
+//! filter candidates, of the route join's two work counters
+//! (candidate evaluations and grid cells tested) and of the estimate
+//! searches' exact `MinTransDist` evaluations are written to
 //! `tests/golden/work.txt` and byte-compared. The first two pools mirror
 //! the benchmark's two engine workloads at a debug-friendly size:
 //! Hybrid-NN TNN over three clustered CITY-like channels, and over two
@@ -100,7 +101,7 @@ fn render_pool(
     let queries = pool(&env, seed, n, template);
     let engine = QueryEngine::new(env);
     // A new engine's pool is empty, so this scratch is fresh and its join
-    // counters sum over this pool alone.
+    // and estimate counters sum over this pool alone.
     let mut scratch = engine.scratch();
     let (mut access, mut tune_in, mut node_visits) = (0, 0, 0);
     let (mut prune_hits, mut peak_queue, mut candidates) = (0, 0, 0);
@@ -127,10 +128,11 @@ fn render_pool(
         "{label} queries={} access_pages={access} tune_in_pages={tune_in} \
          node_visits={node_visits} prune_hits={prune_hits} peak_queue_max={peak_queue} \
          candidates={candidates} join_evaluations={} \
-         grid_cells_tested={}",
+         grid_cells_tested={} transitive_lower_bounds={}",
         queries.len(),
         scratch.join().chain_evaluations(),
         scratch.join().grid_cells_tested(),
+        scratch.transitive_lower_bounds(),
     )
     .unwrap();
     if !exact {

@@ -105,6 +105,15 @@ impl QueryScratch {
         &self.join
     }
 
+    /// Exact `MinTransDist` evaluations of the estimate searches, summed
+    /// over every query run through this scratch
+    /// ([`NnScratch::transitive_lower_bounds`] over its channels): the
+    /// pruning work of Hybrid-NN's transitive searches, zero for the
+    /// other algorithms.
+    pub fn transitive_lower_bounds(&self) -> u64 {
+        self.nn.iter().map(NnScratch::transitive_lower_bounds).sum()
+    }
+
     /// Grows the per-channel buffers to at least `k` channels.
     pub(crate) fn ensure_channels(&mut self, k: usize) {
         while self.nn.len() < k {

@@ -102,6 +102,9 @@ pub struct BroadcastNnSearch<'a, Q: CandidateQueue> {
     /// Peak of queued + parked entries — the client-memory figure the
     /// paper bounds in §4.2.4 (see [`BroadcastNnSearch::peak_memory`]).
     peak_memory: usize,
+    /// Exact `MinTransDist` evaluations so far (see
+    /// [`BroadcastNnSearch::transitive_lower_bounds`]).
+    transitive_lower_bounds: u64,
 }
 
 /// The NN search task (heap-ordered candidate queue).
@@ -114,6 +117,16 @@ pub type NnSearchTask<'a> = BroadcastNnSearch<'a, ArrivalHeap>;
 pub struct NnScratch<Q: CandidateQueue = ArrivalHeap> {
     queue: Q,
     parked: Vec<QueueEntry>,
+    transitive_lower_bounds: u64,
+}
+
+impl<Q: CandidateQueue> NnScratch<Q> {
+    /// Exact `MinTransDist` evaluations of every search recycled into
+    /// this scratch so far: a host-independent count of the transitive
+    /// searches' pruning work.
+    pub fn transitive_lower_bounds(&self) -> u64 {
+        self.transitive_lower_bounds
+    }
 }
 
 impl<'a, Q: CandidateQueue> BroadcastNnSearch<'a, Q> {
@@ -164,14 +177,16 @@ impl<'a, Q: CandidateQueue> BroadcastNnSearch<'a, Q> {
             tuner: Tuner::new(),
             now: start,
             peak_memory: 1,
+            transitive_lower_bounds: 0,
         }
     }
 
     /// Returns the task's buffers to `scratch` for reuse by a later
-    /// search.
+    /// search, adding its work counter to the scratch's.
     pub fn recycle(self, scratch: &mut NnScratch<Q>) {
         scratch.queue = self.queue;
         scratch.parked = self.parked;
+        scratch.transitive_lower_bounds += self.transitive_lower_bounds;
         scratch.queue.clear();
         scratch.parked.clear();
     }
@@ -232,6 +247,13 @@ impl<'a, Q: CandidateQueue> BroadcastNnSearch<'a, Q> {
         self.peak_memory
     }
 
+    /// Exact `MinTransDist` evaluations this search has made: pruning
+    /// tests and anchor choices in transitive mode. Zero for a search
+    /// that never switches to the transitive metric.
+    pub fn transitive_lower_bounds(&self) -> u64 {
+        self.transitive_lower_bounds
+    }
+
     /// Number of entries currently parked by delayed pruning (§4.2.4):
     /// condemned but kept revivable for re-targeting switches. After a
     /// completed search this is the count of candidates pruning saved
@@ -264,15 +286,16 @@ impl<'a, Q: CandidateQueue> BroadcastNnSearch<'a, Q> {
             // no child tightened it, re-anchor to the most promising
             // child so the search provably reaches a data point.
             if self.source == Some(entry.node) {
-                let best_child = children
+                let mode = self.mode;
+                let (_, best_child) = children
                     .iter()
-                    .min_by(|a, b| {
-                        self.mode
-                            .lower_bound_objective(&a.mbr)
-                            .total_cmp(&self.mode.lower_bound_objective(&b.mbr))
-                    })
+                    .map(|c| (mode.lower_bound_objective(&c.mbr), c.child))
+                    .min_by(|a, b| a.0.total_cmp(&b.0))
                     .expect("packed nodes are non-empty");
-                self.source = Some(best_child.child);
+                self.source = Some(best_child);
+                if let SearchMode::Transitive { .. } = mode {
+                    self.transitive_lower_bounds += children.len() as u64;
+                }
             }
             // Delayed pruning: every child is kept — queued or parked,
             // never dropped. The bound is final for this step (updated
@@ -280,7 +303,7 @@ impl<'a, Q: CandidateQueue> BroadcastNnSearch<'a, Q> {
             // children at once; deferring the decision to the settling
             // pass below is observationally identical. Either way nothing
             // costs pages or time.
-            let ctx = self.prune_context();
+            let mut ctx = self.prune_context();
             for c in children {
                 let e = QueueEntry {
                     arrival: self.channel.next_node_arrival(c.child, self.now),
@@ -290,6 +313,7 @@ impl<'a, Q: CandidateQueue> BroadcastNnSearch<'a, Q> {
                 self.queue
                     .push_or_park(e, |e| ctx.condemns(e), &mut self.parked);
             }
+            self.transitive_lower_bounds += ctx.transitive_lower_bounds;
         } else if let Some(points) = node.points() {
             // Scan the leaf for its best point, in objective space (point
             // mode never touches a square root here).
@@ -374,18 +398,19 @@ impl<'a, Q: CandidateQueue> BroadcastNnSearch<'a, Q> {
             ann: self.ann,
             source: self.source,
             tree: channel.tree(),
+            transitive_lower_bounds: 0,
         }
     }
 
     /// Hands the pruning predicate to `apply` together with the queue and
-    /// the parked list, then refreshes the peak-memory counter.
+    /// the parked list, then refreshes the peak-memory and work counters.
     fn with_condemn(
         &mut self,
         apply: impl FnOnce(&mut Q, &mut dyn FnMut(&QueueEntry) -> bool, &mut Vec<QueueEntry>),
     ) {
-        let ctx = self.prune_context();
-        let mut condemn = move |e: &QueueEntry| ctx.condemns(e);
-        apply(&mut self.queue, &mut condemn, &mut self.parked);
+        let mut ctx = self.prune_context();
+        apply(&mut self.queue, &mut |e| ctx.condemns(e), &mut self.parked);
+        self.transitive_lower_bounds += ctx.transitive_lower_bounds;
         self.peak_memory = self.peak_memory.max(self.queue.len() + self.parked.len());
     }
 
@@ -479,14 +504,19 @@ struct PruneContext<'t> {
     /// The preserved anchor, exempt from pruning.
     source: Option<NodeId>,
     tree: &'t RTree,
+    /// Exact `MinTransDist` evaluations made through this context.
+    transitive_lower_bounds: u64,
 }
 
 impl PruneContext<'_> {
-    fn condemns(&self, e: &QueueEntry) -> bool {
+    fn condemns(&mut self, e: &QueueEntry) -> bool {
         if Some(e.node) == self.source {
             return false;
         }
         // Guaranteed pruning (eNN rule), in objective space.
+        if let SearchMode::Transitive { .. } = self.mode {
+            self.transitive_lower_bounds += 1;
+        }
         if self.mode.lower_bound_objective(&e.mbr) > self.upper {
             return true;
         }

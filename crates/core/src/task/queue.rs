@@ -64,7 +64,7 @@ pub trait CandidateQueue: Default + std::fmt::Debug + Send {
     fn push_or_park(
         &mut self,
         e: QueueEntry,
-        condemn: impl Fn(&QueueEntry) -> bool,
+        condemn: impl FnMut(&QueueEntry) -> bool,
         parked: &mut Vec<QueueEntry>,
     );
 
@@ -157,7 +157,7 @@ impl CandidateQueue for ArrivalHeap {
     fn push_or_park(
         &mut self,
         e: QueueEntry,
-        condemn: impl Fn(&QueueEntry) -> bool,
+        mut condemn: impl FnMut(&QueueEntry) -> bool,
         parked: &mut Vec<QueueEntry>,
     ) {
         if condemn(&e) {
@@ -244,7 +244,7 @@ impl CandidateQueue for LinearQueue {
     fn push_or_park(
         &mut self,
         e: QueueEntry,
-        _condemn: impl Fn(&QueueEntry) -> bool,
+        _condemn: impl FnMut(&QueueEntry) -> bool,
         _parked: &mut Vec<QueueEntry>,
     ) {
         self.push(e);
