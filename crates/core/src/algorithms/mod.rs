@@ -70,7 +70,9 @@ pub(crate) type StopVec = InlineVec<Point, 4>;
 /// surfaced on [`ChannelCost`] for observability.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct HopStats {
-    /// Peak queued + parked entries — the `(H−1)(M−1)`-bounded metric.
+    /// Peak queued + parked entries (see
+    /// [`crate::task::BroadcastNnSearch::peak_memory`]; not bounded by
+    /// the paper's `(H−1)(M−1)`).
     pub peak_queue: u64,
     /// Entries still parked (pruned by §4.2.4) when the search ended.
     pub prune_hits: u64,
@@ -106,12 +108,11 @@ impl QueryScratch {
     }
 
     /// Exact `MinTransDist` evaluations of the estimate searches, summed
-    /// over every query run through this scratch
-    /// ([`NnScratch::transitive_lower_bounds`] over its channels): the
-    /// pruning work of Hybrid-NN's transitive searches, zero for the
-    /// other algorithms.
+    /// over every channel and every query run through this scratch: a
+    /// host-independent count of the pruning work of Hybrid-NN's
+    /// transitive searches, zero for the other algorithms.
     pub fn transitive_lower_bounds(&self) -> u64 {
-        self.nn.iter().map(NnScratch::transitive_lower_bounds).sum()
+        self.nn.iter().map(|nn| nn.transitive_lower_bounds).sum()
     }
 
     /// Grows the per-channel buffers to at least `k` channels.

@@ -333,9 +333,10 @@ impl QueryOutcome {
     }
 
     /// Peak client-queue occupancy (live queue + delayed-pruning parked
-    /// list, max over channels) — the paper's `(H−1)(M−1)`-bounded
-    /// client-memory metric of §4.2.4. Zero for Approximate-TNN, which
-    /// runs no estimate searches.
+    /// list, max over channels), the client-memory figure of §4.2.4;
+    /// the parked list puts it above the paper's `(H−1)(M−1)` queue
+    /// bound (see [`ChannelCost::peak_queue`]). Zero for Approximate-TNN,
+    /// which runs no estimate searches.
     pub fn peak_queue(&self) -> u64 {
         self.channels
             .iter()

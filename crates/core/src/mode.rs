@@ -53,38 +53,6 @@ impl SearchMode {
         }
     }
 
-    /// Lower bound of the objective over all points inside `mbr`
-    /// (`MinDist` / `MinTransDist`); the pruning metric.
-    #[inline]
-    pub fn lower_bound(&self, mbr: &Rect) -> f64 {
-        match *self {
-            SearchMode::Point { q } => mbr.min_dist(q),
-            SearchMode::Transitive { p, r } => min_trans_dist(p, mbr, r),
-        }
-    }
-
-    /// Upper bound of the objective guaranteed to be achieved by some
-    /// data point inside a non-empty R-tree node bounded by `mbr`
-    /// (`MinMaxDist` / `MinMaxTransDist`, by the MBR face property).
-    #[inline]
-    pub fn safe_upper(&self, mbr: &Rect) -> f64 {
-        match *self {
-            SearchMode::Point { q } => mbr.min_max_dist(q),
-            SearchMode::Transitive { p, r } => min_max_trans_dist(p, mbr, r),
-        }
-    }
-
-    /// The objective at a concrete data point, as a real distance.
-    ///
-    /// Convenience wrapper over the objective-space family (the hot path
-    /// uses [`SearchMode::objective_at`] directly and converts once via
-    /// [`SearchMode::report`]); defined as the composition so the two can
-    /// never disagree.
-    #[inline]
-    pub fn point_objective(&self, x: Point) -> f64 {
-        self.report(self.objective_at(x))
-    }
-
     /// The objective at a data point in the mode's **objective space**:
     /// point mode works in squared distances (no square root on the hot
     /// path), transitive mode in plain distance sums. Values from the
@@ -98,7 +66,9 @@ impl SearchMode {
         }
     }
 
-    /// [`SearchMode::lower_bound`] in objective space.
+    /// Lower bound of the objective over all points inside `mbr`
+    /// (`MinDist` / `MinTransDist`), in objective space; the pruning
+    /// metric.
     #[inline]
     pub fn lower_bound_objective(&self, mbr: &Rect) -> f64 {
         match *self {
@@ -107,7 +77,10 @@ impl SearchMode {
         }
     }
 
-    /// [`SearchMode::safe_upper`] in objective space.
+    /// Upper bound of the objective guaranteed to be achieved by some
+    /// data point inside a non-empty R-tree node bounded by `mbr`
+    /// (`MinMaxDist` / `MinMaxTransDist`, by the MBR face property), in
+    /// objective space.
     #[inline]
     pub fn safe_upper_objective(&self, mbr: &Rect) -> f64 {
         match *self {
@@ -160,9 +133,11 @@ mod tests {
             q: Point::new(0.0, 0.0),
         };
         let mbr = Rect::from_coords(3.0, 0.0, 5.0, 2.0);
-        assert_eq!(mode.lower_bound(&mbr), 3.0);
-        assert!(mode.safe_upper(&mbr) >= mode.lower_bound(&mbr));
-        assert_eq!(mode.point_objective(Point::new(3.0, 4.0)), 5.0);
+        // Point mode works in squared distances; `report` takes the root.
+        assert_eq!(mode.lower_bound_objective(&mbr), 9.0);
+        assert!(mode.safe_upper_objective(&mbr) >= mode.lower_bound_objective(&mbr));
+        assert_eq!(mode.objective_at(Point::new(3.0, 4.0)), 25.0);
+        assert_eq!(mode.report(mode.objective_at(Point::new(3.0, 4.0))), 5.0);
     }
 
     #[test]
@@ -171,10 +146,12 @@ mod tests {
         let r = Point::new(10.0, 0.0);
         let mode = SearchMode::Transitive { p, r };
         let mbr = Rect::from_coords(4.0, -1.0, 6.0, 1.0);
-        // The straight segment p–r passes through the MBR.
-        assert_eq!(mode.lower_bound(&mbr), 10.0);
-        assert!(mode.safe_upper(&mbr) >= 10.0);
-        assert_eq!(mode.point_objective(Point::new(5.0, 0.0)), 10.0);
+        // The straight segment p–r passes through the MBR. Transitive
+        // mode works in plain distances, so `report` is the identity.
+        assert_eq!(mode.lower_bound_objective(&mbr), 10.0);
+        assert!(mode.safe_upper_objective(&mbr) >= 10.0);
+        assert_eq!(mode.objective_at(Point::new(5.0, 0.0)), 10.0);
+        assert_eq!(mode.report(10.0), 10.0);
     }
 
     #[test]

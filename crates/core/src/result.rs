@@ -27,8 +27,10 @@ pub struct ChannelCost {
     /// Completion slot of the last activity on this channel.
     pub finish_time: u64,
     /// Peak client-queue occupancy of this channel's estimate-phase NN
-    /// search (live queue + delayed-pruning parked list) — the paper's
-    /// `(H−1)(M−1)`-bounded memory metric, per hop.
+    /// search (live queue + delayed-pruning parked list), per hop. The
+    /// paper's §4.2.4 bounds the live queue alone by `(H−1)(M−1)`; the
+    /// parked list is outside that bound, so this count can exceed it
+    /// many times over.
     pub peak_queue: u64,
     /// Delayed-pruning hits during the estimate phase: entries parked
     /// (§4.2.4) instead of expanded, still parked when the search ended.

@@ -46,7 +46,9 @@
 //! search" (§5.1): from visited data points and the guaranteed
 //! `MinMaxDist` / `MinMaxTransDist` of seen child MBRs (§4.2.3, by the
 //! MBR face property). Guaranteed pruning compares `MinDist`-style lower
-//! bounds against it.
+//! bounds against it; in transitive mode the two-sqrt
+//! [`tnn_geom::min_trans_dist_floor`] is compared first, and the exact
+//! `MinTransDist` only when the floor does not prune.
 //!
 //! In ANN mode the same bound sizes the probabilistic search region: an
 //! entry is additionally pruned when the overlap between its MBR and the
@@ -61,7 +63,7 @@
 use super::queue::{ArrivalHeap, CandidateQueue, QueueEntry};
 use crate::{AnnMode, SearchMode};
 use tnn_broadcast::{ChannelView, Tuner};
-use tnn_geom::Point;
+use tnn_geom::{min_trans_dist_floor, Point};
 use tnn_rtree::{NodeId, ObjectId, RTree};
 
 /// A broadcast nearest-neighbor search task on one channel.
@@ -99,11 +101,11 @@ pub struct BroadcastNnSearch<'a, Q: CandidateQueue> {
     tuner: Tuner,
     /// Task-local clock: advanced by downloads only.
     now: u64,
-    /// Peak of queued + parked entries — the client-memory figure the
-    /// paper bounds in §4.2.4 (see [`BroadcastNnSearch::peak_memory`]).
+    /// Peak of queued + parked entries (see
+    /// [`BroadcastNnSearch::peak_memory`]).
     peak_memory: usize,
-    /// Exact `MinTransDist` evaluations so far (see
-    /// [`BroadcastNnSearch::transitive_lower_bounds`]).
+    /// Exact `MinTransDist` evaluations this search has made: pruning
+    /// tests and anchor choices in transitive mode.
     transitive_lower_bounds: u64,
 }
 
@@ -117,16 +119,9 @@ pub type NnSearchTask<'a> = BroadcastNnSearch<'a, ArrivalHeap>;
 pub struct NnScratch<Q: CandidateQueue = ArrivalHeap> {
     queue: Q,
     parked: Vec<QueueEntry>,
-    transitive_lower_bounds: u64,
-}
-
-impl<Q: CandidateQueue> NnScratch<Q> {
     /// Exact `MinTransDist` evaluations of every search recycled into
-    /// this scratch so far: a host-independent count of the transitive
-    /// searches' pruning work.
-    pub fn transitive_lower_bounds(&self) -> u64 {
-        self.transitive_lower_bounds
-    }
+    /// this scratch so far.
+    pub(crate) transitive_lower_bounds: u64,
 }
 
 impl<'a, Q: CandidateQueue> BroadcastNnSearch<'a, Q> {
@@ -230,28 +225,15 @@ impl<'a, Q: CandidateQueue> BroadcastNnSearch<'a, Q> {
         self.now
     }
 
-    /// Number of candidate entries currently queued (for the heap backend
-    /// this includes entries whose pruning decision is still deferred;
-    /// parked entries are not counted). For the client-memory figure the
-    /// paper bounds in §4.2.4 use [`BroadcastNnSearch::peak_memory`].
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Peak number of MBR entries held at once — queued **plus** parked,
-    /// since delayed pruning keeps condemned entries revivable — the
-    /// client-memory figure the paper bounds by `(H−1)·(M−1)` per level
-    /// in §4.2.4. Backend-independent: lazy and eager pruning only move
-    /// entries between the two sets.
+    /// since delayed pruning keeps condemned entries revivable. §4.2.4
+    /// bounds only the pending queue, by `(H−1)·(M−1)` entries; the
+    /// parked list is outside that bound, and on page-64 trees (`H = 8`,
+    /// `M = 3`) this sum has reached 124 entries, 8.9× the bound.
+    /// Backend-independent: lazy and eager pruning only move entries
+    /// between the two sets.
     pub fn peak_memory(&self) -> usize {
         self.peak_memory
-    }
-
-    /// Exact `MinTransDist` evaluations this search has made: pruning
-    /// tests and anchor choices in transitive mode. Zero for a search
-    /// that never switches to the transitive metric.
-    pub fn transitive_lower_bounds(&self) -> u64 {
-        self.transitive_lower_bounds
     }
 
     /// Number of entries currently parked by delayed pruning (§4.2.4):
@@ -513,8 +495,14 @@ impl PruneContext<'_> {
         if Some(e.node) == self.source {
             return false;
         }
-        // Guaranteed pruning (eNN rule), in objective space.
-        if let SearchMode::Transitive { .. } = self.mode {
+        // Guaranteed pruning (eNN rule), in objective space. In
+        // transitive mode the two-sqrt floor goes first: it never exceeds
+        // the computed MinTransDist, so it condemns only entries the
+        // exact test would, and saves that test for each of them.
+        if let SearchMode::Transitive { p, r } = self.mode {
+            if min_trans_dist_floor(p, &e.mbr, r) > self.upper {
+                return true;
+            }
             self.transitive_lower_bounds += 1;
         }
         if self.mode.lower_bound_objective(&e.mbr) > self.upper {
@@ -790,8 +778,10 @@ mod tests {
             "peak queued+parked {} vs paper bound {bound}",
             task.peak_memory()
         );
-        // The peak can never be below the final resting state.
-        assert!(task.peak_memory() >= task.queue_len());
+        // The peak can never be below the final resting state: an empty
+        // queue and the parked entries.
+        assert!(task.is_done());
+        assert!(task.peak_memory() >= task.parked_len());
     }
 
     #[test]

@@ -200,18 +200,19 @@ impl CandidateQueue for ArrivalHeap {
         condemn: &mut dyn FnMut(&QueueEntry) -> bool,
         parked: &mut Vec<QueueEntry>,
     ) {
-        // Rare (at most once per query, on a Hybrid switch): drain, split,
-        // re-heapify survivors in O(n).
-        let slots = std::mem::take(&mut self.heap).into_vec();
-        let mut keep = Vec::with_capacity(slots.len());
-        for slot in slots {
-            if condemn(&slot.0) {
+        // Rare (at most once per query, on a Hybrid switch): split the
+        // heap's own buffer in place, keeping the survivors in order, and
+        // re-heapify them in O(n) — no allocation, and the recycled
+        // capacity stays with the heap.
+        let mut slots = std::mem::take(&mut self.heap).into_vec();
+        slots.retain(|slot| {
+            let condemned = condemn(&slot.0);
+            if condemned {
                 parked.push(slot.0);
-            } else {
-                keep.push(slot);
             }
-        }
-        self.heap = BinaryHeap::from(keep);
+            !condemned
+        });
+        self.heap = BinaryHeap::from(slots);
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&QueueEntry)) {
@@ -372,6 +373,38 @@ mod tests {
         heap.realize(&mut condemn, &mut hp);
         assert_eq!(hp.len(), 1);
         assert_eq!(heap.len(), linear.len());
+    }
+
+    #[test]
+    fn realize_keeps_the_survivors_in_place() {
+        // Realizing filters the heap's buffer without reordering it and
+        // heapifies the survivors in that order: the heap a filtered copy
+        // would build, slot for slot, kept in the same buffer.
+        let mut heap = ArrivalHeap::default();
+        for (a, n) in [(9, 0), (4, 1), (12, 2), (1, 3), (7, 4), (3, 5), (10, 6)] {
+            heap.push(entry(a, n));
+        }
+        let condemned = |e: &QueueEntry| e.node.0.is_multiple_of(3);
+        let mut before = Vec::new();
+        heap.for_each(&mut |e| before.push(*e));
+        let survivors: Vec<HeapSlot> = before
+            .iter()
+            .filter(|e| !condemned(e))
+            .map(|&e| HeapSlot(e))
+            .collect();
+        let mut expect = Vec::new();
+        BinaryHeap::from(survivors)
+            .iter()
+            .for_each(|s| expect.push(s.0));
+        let capacity = heap.heap.capacity();
+        let mut parked = Vec::new();
+        heap.realize(&mut |e| condemned(e), &mut parked);
+        let mut after = Vec::new();
+        heap.for_each(&mut |e| after.push(*e));
+        assert_eq!(after, expect);
+        assert_eq!(heap.heap.capacity(), capacity);
+        let in_order: Vec<QueueEntry> = before.into_iter().filter(condemned).collect();
+        assert_eq!(parked, in_order);
     }
 
     #[test]

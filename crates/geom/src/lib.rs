@@ -11,7 +11,9 @@
 //! * the classical R-tree pruning metrics `MinDist` ([`Rect::min_dist`]) and
 //!   `MinMaxDist` ([`Rect::min_max_dist`]);
 //! * the paper's transitive metrics [`min_trans_dist`] (Definition 1),
-//!   [`max_dist`] (Definition 2) and [`min_max_trans_dist`] (Definition 3);
+//!   [`max_dist`] (Definition 2) and [`min_max_trans_dist`] (Definition 3),
+//!   plus [`min_trans_dist_floor`], a two-sqrt lower bound of the first
+//!   that a search tests before it;
 //! * exact circle–rectangle and ellipse–rectangle overlap areas
 //!   ([`circle_rect_overlap_area`], [`ellipse_rect_overlap_area`]) backing the
 //!   approximate-NN pruning heuristics of the paper's §5.
@@ -37,7 +39,9 @@ pub use overlap::{
 pub use point::Point;
 pub use rect::Rect;
 pub use segment::Segment;
-pub use transit::{max_dist, min_max_trans_dist, min_trans_dist, min_trans_dist_via_segment};
+pub use transit::{
+    max_dist, min_max_trans_dist, min_trans_dist, min_trans_dist_floor, min_trans_dist_via_segment,
+};
 
 /// Convenience alias: Euclidean distance between two points, the paper's
 /// `dis(p, s)`.

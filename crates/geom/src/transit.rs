@@ -37,6 +37,67 @@ pub fn min_trans_dist(p: Point, m: &Rect, r: Point) -> f64 {
     best
 }
 
+/// A cheap lower bound of [`min_trans_dist`]: `MinDist(p, M) +
+/// MinDist(r, M)` less a rounding margin, for two square roots where the
+/// exact metric takes up to nine, with a division per side.
+///
+/// Every point `s` of `M` has `dis(p, s) ≥ MinDist(p, M)` and
+/// `dis(s, r) ≥ MinDist(r, M)`, so the sum bounds the true minimum from
+/// below. The margin makes the result bound the *computed*
+/// `min_trans_dist(p, m, r)` as well, bit for bit, for finite inputs
+/// whose squared distances do not overflow: a search may test
+/// `floor > bound` first and skip the exact metric whenever it holds,
+/// without changing any pruning decision. A NaN or infinite input may
+/// give NaN or `−∞`, which never prunes.
+///
+/// A purely relative margin is not enough: the exact metric evaluates
+/// its objective at a side point `a + (b − a)·t`, which rounding can put
+/// about `u·S` outside the rectangle (`u = 2^-53`, `S` the largest
+/// coordinate magnitude of `p`, `r` and `m`), and that costs an absolute
+/// `2u·S` however small the distances are.
+pub fn min_trans_dist_floor(p: Point, m: &Rect, r: Point) -> f64 {
+    // Margin argument, with σ̂ the computed sum below, Mp and Mr the real
+    // MinDists and every `fl` rounding by at most u relative:
+    //
+    // 1. Each `min_dist` takes one clamp (exact), two differences, two
+    //    squares, a sum and a root, so it exceeds its real value by at
+    //    most (1+u)³, and σ̂ ≤ (1+u)⁴·(Mp + Mr).
+    // 2. `min_trans_dist` returns the minimum of computed values that are
+    //    each one of two kinds:
+    //    - `fl(fl|p−x| + fl|x−r|)` at a side point x = a + fl(b−a)·t,
+    //      t ∈ [0, 1]. The side's corners share one coordinate, which x
+    //      copies exactly; the other is off the side by at most
+    //      (2u + u²)·2S before the final rounding and u·S after it, i.e.
+    //      within 5.02u·S of the rectangle. The triangle inequality
+    //      through the rectangle's nearest point gives
+    //      |p−x| + |x−r| ≥ Mp + Mr − 10.04u·S, and the two distances and
+    //      their sum lose at most a factor (1−u)⁴.
+    //    - `fl|p−r|` once the Liang–Barsky clip has accepted. The clip's
+    //      t₀ satisfies every slab test against a ratio fl(q)/fl(d)
+    //      within 3.01u of the real one, with |q| ≤ 2S, so the real
+    //      segment point at t₀ lies within 6.02u·S of each slab, within
+    //      8.52u·S of the rectangle: |p−r| ≥ Mp + Mr − 17.04u·S, and the
+    //      computed distance loses at most (1−u)³. (The clip's quick
+    //      accepts, an endpoint inside the rectangle, are exact.)
+    //    So the computed value is at least
+    //    (1−u)⁴·(1+u)⁻⁴·σ̂ − 17.04u·S ≥ (1 − 8.01u)·σ̂ − 17.04u·S.
+    // 3. The floor below is σ̂·(1 − 16u) − 32u·S before its own three
+    //    roundings, which add at most 2u·σ̂ + 2u·32u·S. It is therefore
+    //    at most (1 − 14u)·σ̂ − 31.9u·S, under the bound of step 2 with
+    //    about 6u·σ̂ + 15u·S to spare. (1 − 8ε) is exact.
+    // 4. Subnormal intermediates add absolute errors of a few 2⁻¹⁰⁷⁴,
+    //    a few 2⁻⁵³⁷ after the roots; √MIN_POSITIVE = 2⁻⁵¹¹ covers them.
+    //
+    // The geom proptests hold the result to `min_trans_dist` with no
+    // tolerance, on random inputs and on large coordinates, tiny
+    // extents, near-coincident p and r and rectangles touching p–r.
+    let scale = [p.x, p.y, r.x, r.y, m.min.x, m.min.y, m.max.x, m.max.y]
+        .into_iter()
+        .fold(0.0, |s: f64, c| s.max(c.abs()));
+    let sum = m.min_dist(p) + m.min_dist(r);
+    sum * (1.0 - 8.0 * f64::EPSILON) - (16.0 * f64::EPSILON * scale + f64::MIN_POSITIVE.sqrt())
+}
+
 /// The minimum of `dis(p, s) + dis(s, r)` over points `s` of the segment.
 ///
 /// The objective restricted to the segment's supporting line is convex with

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use tnn_geom::{
     circle_rect_overlap_area, ellipse_rect_overlap_area, max_dist, min_max_trans_dist,
-    min_trans_dist, transitive_dist, Circle, Ellipse, Point, Rect, Segment,
+    min_trans_dist, min_trans_dist_floor, transitive_dist, Circle, Ellipse, Point, Rect, Segment,
 };
 
 fn point_strategy() -> impl Strategy<Value = Point> {
@@ -241,5 +241,91 @@ proptest! {
         let refl = seg.reflect(p);
         let on_line = seg.at(t);
         prop_assert!((on_line.dist(p) - on_line.dist(refl)).abs() < 1e-6);
+    }
+}
+
+/// One `(p, m, r)` case for the transitive floor, built from `draws` in
+/// `[-1, 1)`: a rectangle of sides up to `scale · extent` at a corner of
+/// coordinate magnitude up to `scale`, with `p` and `r` within
+/// `2 · scale · reach` of that corner, so small extents and reaches put
+/// lengths of a few ulps next to large coordinates. `kind` picks the
+/// shape: 0 anywhere in reach; 1 with `r` a millionth of the reach from
+/// `p`; 2 with `p` and `r` on a line through a boundary point of `m`, so
+/// that the segment touches it; 3 the same line pushed off the boundary
+/// by up to one extent, a near miss; 4 with `p` inside `m`.
+fn floor_case(
+    kind: u8,
+    (scale, extent, reach): (f64, f64, f64),
+    draws: &[f64],
+) -> (Point, Rect, Point) {
+    let c = Point::new(scale * draws[0], scale * draws[1]);
+    let spread = scale * extent;
+    let m = Rect::from_coords(
+        c.x,
+        c.y,
+        c.x + spread * draws[2].abs(),
+        c.y + spread * draws[3].abs(),
+    );
+    let near = |a: f64, b: f64| c + Point::new(a, b) * (2.0 * scale * reach);
+    let (p, r) = match kind {
+        0 => (near(draws[4], draws[5]), near(draws[6], draws[7])),
+        1 => {
+            let p = near(draws[4], draws[5]);
+            (
+                p,
+                p + Point::new(draws[6], draws[7]) * (scale * reach * 1e-6),
+            )
+        }
+        2 | 3 => {
+            // A boundary point: a corner or a point inside a side.
+            let t = draws[6].abs();
+            let side = m.sides()[(draws[7].abs() * 4.0) as usize % 4];
+            let mut x = side.at(if draws[7] < 0.0 { t } else { t.round() });
+            if kind == 3 {
+                x = x + Point::new(draws[2], draws[3]) * spread;
+            }
+            let out = near(draws[4], draws[5]) - x;
+            (x + out, x - out * draws[2].abs())
+        }
+        _ => (m.center(), near(draws[6], draws[7])),
+    };
+    (p, m, r)
+}
+
+proptest! {
+    /// The two-sqrt floor never exceeds the computed MinTransDist, with
+    /// no tolerance: a search tests it first and skips the exact metric
+    /// whenever it prunes, so any excess would change a pruning decision.
+    /// Half the cases are small and random; the rest span coordinates up
+    /// to 1e12 with extents and distances down to 1e-12 of them (extents
+    /// also zero), `r ≈ p`, segments touching or just missing the
+    /// rectangle, and `p` inside.
+    #[test]
+    fn min_trans_dist_floor_never_exceeds_min_trans_dist(
+        kind in 0u8..5,
+        scale in prop::sample::select(vec![1.0, 100.0, 1e3, 1e6, 1e9, 1e12]),
+        extent in prop::sample::select(vec![1.0, 0.1, 1e-3, 1e-6, 1e-9, 1e-12, 0.0]),
+        reach in prop::sample::select(vec![1.0, 1e-3, 1e-6, 1e-9, 1e-12]),
+        draws in prop::collection::vec(-1.0f64..1.0, 8..9),
+        (p, r, m) in (point_strategy(), point_strategy(), rect_strategy()),
+        random in 0u8..2,
+    ) {
+        let (p, m, r) = if random == 0 {
+            (p, m, r)
+        } else {
+            floor_case(kind, (scale, extent, reach), &draws)
+        };
+        let floor = min_trans_dist_floor(p, &m, r);
+        let exact = min_trans_dist(p, &m, r);
+        prop_assert!(
+            floor <= exact,
+            "floor {floor} > exact {exact} (p={p:?}, r={r:?}, m={m:?})"
+        );
+        // Not vacuous: within a few ulps of the MinDist sum it refines.
+        let sum = m.min_dist(p) + m.min_dist(r);
+        let magnitude = [p.x, p.y, r.x, r.y, m.min.x, m.min.y, m.max.x, m.max.y]
+            .into_iter()
+            .fold(0.0, |s: f64, c| s.max(c.abs()));
+        prop_assert!(floor >= sum - 1e-14 * (sum + magnitude) - 1e-150);
     }
 }

@@ -402,7 +402,7 @@ impl Inner {
         if let Some(t) = trace.as_mut() {
             // The engine's paper-native cost counters of a delivered
             // answer — tune-in pages, node visits, delayed-pruning hits,
-            // the `(H−1)(M−1)`-bounded peak queue.
+            // the peak queued + parked entries.
             match &result {
                 Ok(outcome) => {
                     t.node_visits = outcome.node_visits();

@@ -11,8 +11,8 @@
 //! * **Span/event model** — [`QueryTrace`] records stamped phases
 //!   ([`SpanKind`]: admission wait, cache probe, queue residency,
 //!   engine run, retry backoff, shard scatter/gather/merge) plus the engine's paper-native counters (node visits ≙
-//!   tune-in pages, delayed-pruning hits, the `(H−1)(M−1)`-bounded
-//!   peak queue length) threaded through `tnn_core::QueryOutcome`.
+//!   tune-in pages, delayed-pruning hits, the peak queued + parked
+//!   entry count) threaded through `tnn_core::QueryOutcome`.
 //! * **Metrics registry** — [`MetricsRegistry`] holds named counters,
 //!   gauges, and [`LatencyHistogram`]s and renders the Prometheus text
 //!   exposition format via [`MetricsRegistry::render_prometheus`];

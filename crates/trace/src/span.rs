@@ -65,7 +65,7 @@ pub struct Span {
 ///
 /// The counters mirror the paper's evaluation metrics — tune-in time
 /// (pages downloaded ≙ node visits), the delayed-pruning parked-entry
-/// count, and the `(H−1)(M−1)` client-memory peak — so a slow query can
+/// count, and the client-memory peak (§4.2.4) — so a slow query can
 /// be explained in the paper's own vocabulary, not just wall time.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryTrace {
@@ -83,8 +83,9 @@ pub struct QueryTrace {
     pub node_visits: u64,
     /// Delayed-pruning hits: entries parked instead of expanded (§4.2.4).
     pub prune_hits: u64,
-    /// Peak client queue length over all hops — the paper's
-    /// `(H−1)(M−1)`-bounded memory metric.
+    /// Peak queued + parked entries over all hops
+    /// (`tnn_core::QueryOutcome::peak_queue`; the parked list puts it
+    /// above the paper's `(H−1)(M−1)` queue bound).
     pub peak_queue: u64,
     /// Tune-in slots: total pages downloaded across channels.
     pub tune_in: u64,
