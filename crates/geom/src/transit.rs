@@ -39,7 +39,7 @@ pub fn min_trans_dist(p: Point, m: &Rect, r: Point) -> f64 {
 
 /// A cheap lower bound of [`min_trans_dist`]: `MinDist(p, M) +
 /// MinDist(r, M)` less a rounding margin, for two square roots where the
-/// exact metric takes up to nine, with a division per side.
+/// exact metric takes up to eight, with divisions on every side.
 ///
 /// Every point `s` of `M` has `dis(p, s) ≥ MinDist(p, M)` and
 /// `dis(s, r) ≥ MinDist(r, M)`, so the sum bounds the true minimum from
@@ -52,9 +52,9 @@ pub fn min_trans_dist(p: Point, m: &Rect, r: Point) -> f64 {
 ///
 /// A purely relative margin is not enough: the exact metric evaluates
 /// its objective at a side point `a + (b − a)·t`, which rounding can put
-/// about `u·S` outside the rectangle (`u = 2^-53`, `S` the largest
-/// coordinate magnitude of `p`, `r` and `m`), and that costs an absolute
-/// `2u·S` however small the distances are.
+/// a few `u·S` outside the rectangle (`u = 2^-53`, `S` the largest
+/// coordinate magnitude of `p`, `r` and `m`), and that costs up to twice
+/// as much, absolute, however small the distances are.
 pub fn min_trans_dist_floor(p: Point, m: &Rect, r: Point) -> f64 {
     // Margin argument, with σ̂ the computed sum below, Mp and Mr the real
     // MinDists and every `fl` rounding by at most u relative:
