@@ -242,27 +242,30 @@ impl<'a> ChannelView<'a> {
     /// Simulates downloading all data pages of `object` starting at `now`
     /// under this view's phase: returns `(finish_time, pages_downloaded)`.
     /// The pages of one object are consecutive in the data segment but may
-    /// straddle a fraction boundary, in which case the client dozes
-    /// through the interposed index copy.
+    /// straddle fraction boundaries, in which case the client dozes
+    /// through each interposed index copy.
+    ///
+    /// Only the first page's arrival needs the schedule arithmetic: each
+    /// later page follows one slot after its predecessor, plus an index
+    /// segment for every fraction boundary the object crosses.
     pub fn retrieve_object(&self, object: ObjectId, now: u64) -> (u64, u64) {
         let layout = &self.channel.layout;
         let pages = layout.pages_per_object();
         if pages == 0 {
             return (now, 0);
         }
-        let slot = layout.data_slot(object);
-        let mut t = now;
-        for k in 0..pages {
-            let arrival = layout.next_data_arrival(slot + k, t, self.phase);
-            t = arrival + 1; // the page occupies one slot
-        }
-        (t, pages)
+        let first = layout.data_slot(object);
+        let last = first + pages - 1;
+        let boundaries = last / layout.fraction_len() - first / layout.fraction_len();
+        let arrival = layout.next_data_arrival(first, now, self.phase);
+        (arrival + pages + boundaries * layout.index_len(), pages)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tnn_geom::Point;
     use tnn_rtree::PackingAlgorithm;
 
@@ -354,6 +357,51 @@ mod tests {
             assert_eq!(finish2, first + 16);
         } else {
             assert!(finish2 > first + 16);
+        }
+    }
+
+    /// The per-page schedule walk that [`ChannelView::retrieve_object`]
+    /// steps through: every page's next arrival from the slot after its
+    /// predecessor.
+    fn retrieve_page_by_page(view: ChannelView<'_>, object: ObjectId, now: u64) -> (u64, u64) {
+        let layout = view.layout();
+        let pages = layout.pages_per_object();
+        let slot = layout.data_slot(object);
+        let mut t = now;
+        for k in 0..pages {
+            t = layout.next_data_arrival(slot + k, t, view.phase()) + 1;
+        }
+        (t, pages)
+    }
+
+    proptest! {
+        /// Stepped retrieval equals the page-by-page walk, for every page
+        /// size, interleave factor (`m = 1` included), object size (empty
+        /// objects included), phase, start time and object. Small point
+        /// sets under large `m` give fractions shorter than an object, so
+        /// many objects straddle one or more fraction boundaries.
+        #[test]
+        fn stepped_retrieval_equals_the_page_by_page_walk(
+            n in 1usize..120,
+            page in prop::sample::select(vec![64usize, 128, 256, 512]),
+            interleave_m in 1u32..40,
+            data_content_bytes in prop::sample::select(vec![0usize, 1, 63, 64, 200, 1024, 4096]),
+            phase in 0u64..1_000_000,
+            now in 0u64..1_000_000,
+            pick in 0usize..1_000,
+        ) {
+            let params = BroadcastParams { page_capacity: page, interleave_m, data_content_bytes };
+            let pts: Vec<Point> = (0..n)
+                .map(|i| Point::new((i * 7 % 113) as f64, (i * 13 % 127) as f64))
+                .collect();
+            let tree = RTree::build(&pts, params.rtree_params(), PackingAlgorithm::Str).unwrap();
+            let ch = Channel::new(Arc::new(tree), params, phase);
+            let (_, object) = ch.tree().objects_in_leaf_order().nth(pick % n).unwrap();
+            let view = ch.view();
+            prop_assert_eq!(
+                view.retrieve_object(object, now),
+                retrieve_page_by_page(view, object, now)
+            );
         }
     }
 

@@ -23,7 +23,7 @@
 //!    (the chain DP over per-layer bucket grids, at every `k`);
 //! 5. **retrieve**: the answer objects' data pages.
 //!
-//! Every estimate search runs over the heap-ordered candidate queue (see
+//! Every estimate search runs over the arrival-sorted candidate stack (see
 //! [`crate::task::queue`], where the lockstep properties hold it to the
 //! paper-literal linear scan). `filter_and_finish` builds the one
 //! [`QueryOutcome`] every query returns, straight from the merged
@@ -34,9 +34,9 @@
 //! lists, window queues and hit lists, join order/cut/grid/DP tables,
 //! order-free permutation table) is recycled across queries; what
 //! remains per query is a handful of k-element transient vectors (the
-//! estimate task fan-out, the filter-task list, and the returned
-//! route/cost vectors). Per-query phase randomization goes through a
-//! [`PhaseOverlay`] without cloning the environment.
+//! estimate task fan-out, the filter-task list, the candidate counts,
+//! and the returned route/cost vectors). Per-query phase randomization
+//! goes through a [`PhaseOverlay`] without cloning the environment.
 
 mod approximate;
 mod double_nn;
@@ -284,7 +284,7 @@ pub(crate) fn filter_and_finish(
     let candidates: Vec<usize> = windows.iter().map(|w| w.hits().len()).collect();
     // Local join through the shared candidate-merge entry point: the
     // grid-pruned chain DP, at every k.
-    let layers: Vec<&[(Point, ObjectId)]> = windows.iter().map(|w| w.hits()).collect();
+    let layers: InlineVec<&[(Point, ObjectId)], 4> = windows.iter().map(|w| w.hits()).collect();
     let (total_dist, route) =
         match merge_route_layers(join, objective, p, &layers, Some(order_table)) {
             Some(merged) => (Some(merged.total_dist), merged.into_route()),
@@ -350,8 +350,8 @@ pub(crate) fn filter_and_finish(
 /// hops. `at` is the finishing task's clock, the global time of the
 /// switch.
 ///
-/// `next_arrival` is an O(1) heap peek, so the interleaving loop adds
-/// only an O(k) scan per step.
+/// `next_arrival` reads the top of a task's stack in O(1), so the
+/// interleaving loop adds only an O(k) scan per step.
 pub(crate) fn run_interleaved(
     tasks: &mut [NnSearchTask<'_>],
     mut on_completion: impl FnMut(usize, Option<(Point, ObjectId, f64)>, u64, &mut [NnSearchTask<'_>]),

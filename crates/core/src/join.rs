@@ -27,6 +27,9 @@
 use tnn_geom::{Point, Rect};
 use tnn_rtree::ObjectId;
 
+/// A joined route's stops, each tagged with its layer's index.
+pub(crate) type Stops = Vec<(Point, ObjectId, usize)>;
+
 /// The largest downstream layer a chain-DP transition scans linearly;
 /// a larger one is searched through the bucket grid (bucketing only pays
 /// off once the scan is long enough).
@@ -90,8 +93,8 @@ impl JoinScratch {
 /// `p → s₁ → … → s_k` with `sᵢ ∈ Cᵢ` of minimum total length, by dynamic
 /// programming backwards over the layers. At `k = 2` this is the paper's
 /// TNN join (Algorithm 1, lines 7–17); larger `k` is the chained-TNN
-/// generalization of its future work. Returns `None` when any layer is
-/// empty.
+/// generalization of its future work. Returns the stops in layer order,
+/// each tagged with its layer index, or `None` when any layer is empty.
 ///
 /// Layers are anything slice-like (`Vec`s or borrowed `&[_]` hit lists),
 /// so the broadcast pipeline can join straight out of reused window-task
@@ -133,7 +136,7 @@ pub(crate) fn chain_join_with<L: AsRef<[(Point, ObjectId)]>>(
     scratch: &mut JoinScratch,
     p: Point,
     layers: &[L],
-) -> Option<(Vec<(Point, ObjectId)>, f64)> {
+) -> Option<(Stops, f64)> {
     chain_join_core(scratch, p, layers, false)
 }
 
@@ -146,7 +149,7 @@ pub(crate) fn chain_loop_join_with<L: AsRef<[(Point, ObjectId)]>>(
     scratch: &mut JoinScratch,
     p: Point,
     layers: &[L],
-) -> Option<(Vec<(Point, ObjectId)>, f64)> {
+) -> Option<(Stops, f64)> {
     chain_join_core(scratch, p, layers, true)
 }
 
@@ -168,7 +171,7 @@ fn chain_join_core<L: AsRef<[(Point, ObjectId)]>>(
     p: Point,
     layers: &[L],
     close_tour: bool,
-) -> Option<(Vec<(Point, ObjectId)>, f64)> {
+) -> Option<(Stops, f64)> {
     if layers.is_empty() || layers.iter().any(|l| l.as_ref().is_empty()) {
         return None;
     }
@@ -413,7 +416,7 @@ fn chain_dp(
     layers: &[Vec<(Point, ObjectId)>],
     close_tour: bool,
     limit: f64,
-) -> (Vec<(Point, ObjectId)>, f64) {
+) -> (Stops, f64) {
     debug_assert!(layers.iter().all(|l| !l.is_empty()));
     let k = layers.len();
     // Grow the per-layer DP tables to k layers, reusing inner capacity.
@@ -484,9 +487,9 @@ fn chain_dp(
 
     let (total, j0, mut j) = best;
     let mut path = Vec::with_capacity(k);
-    path.push(first[j0 as usize]);
+    path.push((first[j0 as usize].0, first[j0 as usize].1, 0));
     for (i, layer) in layers.iter().enumerate().skip(1) {
-        path.push(layer[j as usize]);
+        path.push((layer[j as usize].0, layer[j as usize].1, i));
         if i + 1 < k {
             j = chain_next[i][j as usize];
         }
@@ -809,6 +812,7 @@ impl CostGrid {
 /// properties.
 #[cfg(test)]
 pub(crate) mod testkit {
+    use super::Stops;
     use tnn_geom::Point;
     use tnn_rtree::ObjectId;
 
@@ -819,7 +823,7 @@ pub(crate) mod testkit {
         p: Point,
         layers: &[Vec<(Point, ObjectId)>],
         close_tour: bool,
-    ) -> Option<(Vec<(Point, ObjectId)>, f64)> {
+    ) -> Option<(Stops, f64)> {
         if layers.is_empty() || layers.iter().any(Vec::is_empty) {
             return None;
         }
@@ -853,7 +857,8 @@ pub(crate) mod testkit {
         let (total, mut j) = best;
         let mut path = Vec::with_capacity(k);
         for (i, layer) in layers.iter().enumerate() {
-            path.push(layer[j]);
+            let (pt, object) = layer[j];
+            path.push((pt, object, i));
             if i + 1 < k {
                 j = next[i][j];
             }
@@ -914,8 +919,8 @@ pub(crate) mod testkit {
     }
 
     pub(crate) fn assert_same_route(
-        got: Option<(Vec<(Point, ObjectId)>, f64)>,
-        want: &Option<(Vec<(Point, ObjectId)>, f64)>,
+        got: Option<(Stops, f64)>,
+        want: &Option<(Stops, f64)>,
         what: &str,
     ) {
         let (got, want) = (got.expect(what), want.as_ref().expect(what));
@@ -932,10 +937,7 @@ mod tests {
     use tnn_geom::transitive_dist;
 
     /// [`chain_join_with`] on fresh scratch buffers.
-    fn chain_join<L: AsRef<[(Point, ObjectId)]>>(
-        p: Point,
-        layers: &[L],
-    ) -> Option<(Vec<(Point, ObjectId)>, f64)> {
+    fn chain_join<L: AsRef<[(Point, ObjectId)]>>(p: Point, layers: &[L]) -> Option<(Stops, f64)> {
         chain_join_with(&mut JoinScratch::default(), p, layers)
     }
 
@@ -943,7 +945,7 @@ mod tests {
     fn chain_loop_join<L: AsRef<[(Point, ObjectId)]>>(
         p: Point,
         layers: &[L],
-    ) -> Option<(Vec<(Point, ObjectId)>, f64)> {
+    ) -> Option<(Stops, f64)> {
         chain_loop_join_with(&mut JoinScratch::default(), p, layers)
     }
 
@@ -1291,7 +1293,10 @@ mod tests {
             let want = reference_chain(p, &layers, close_tour);
             let (route, got) = want.clone().expect("non-empty layers");
             assert_eq!(got, total, "case {i}: total");
-            let reach = route.iter().map(|&(pt, _)| p.dist(pt)).fold(0.0, f64::max);
+            let reach = route
+                .iter()
+                .map(|&(pt, _, _)| p.dist(pt))
+                .fold(0.0, f64::max);
             assert_eq!(reach, farthest, "case {i}: farthest stop");
             let joined = if close_tour {
                 chain_loop_join(p, &layers)
@@ -1320,7 +1325,7 @@ mod tests {
             let scale = if close_tour { 2.0 } else { 1.0 };
             let reach = route
                 .iter()
-                .map(|&(pt, _)| scale * p.dist(pt))
+                .map(|&(pt, _, _)| scale * p.dist(pt))
                 .fold(0.0, f64::max);
             assert!(reach > total, "{reach} > {total}");
             let joined = if close_tour {

@@ -45,7 +45,7 @@
 //! so their radii agree bit for bit.
 
 use crate::algorithms::permutations;
-use crate::join::{chain_join_with, chain_loop_join_with, JoinScratch};
+use crate::join::{chain_join_with, chain_loop_join_with, JoinScratch, Stops};
 use crate::{Algorithm, QueryKind, RouteStop};
 use tnn_geom::Point;
 use tnn_rtree::ObjectId;
@@ -184,15 +184,12 @@ pub fn merge_route_layers<L: AsRef<[(Point, ObjectId)]>>(
     }
     match objective {
         RouteObjective::Chain | RouteObjective::RoundTrip => {
-            let (path, total) = if objective == RouteObjective::Chain {
+            let (stops, total_dist) = if objective == RouteObjective::Chain {
                 chain_join_with(join, p, layers)?
             } else {
                 chain_loop_join_with(join, p, layers)?
             };
-            Some(MergedRoute {
-                stops: tag_in_layer_order(path),
-                total_dist: total,
-            })
+            Some(MergedRoute { stops, total_dist })
         }
         RouteObjective::OrderFree => {
             let stops = order_free_merge(join, p, layers, orders)?;
@@ -202,9 +199,9 @@ pub fn merge_route_layers<L: AsRef<[(Point, ObjectId)]>>(
     }
 }
 
-/// The best order-free candidate so far: total, layer-ordered stops,
-/// and the visit order that produced them.
-type BestOrder<'a> = (f64, Vec<(Point, ObjectId)>, &'a [usize]);
+/// The best order-free candidate so far: total, stops tagged with their
+/// position in the visit order, and that order.
+type BestOrder<'a> = (f64, Stops, &'a [usize]);
 
 /// Minimum-length route over all visit orders: every permutation goes
 /// through the chain join and earlier (lexicographic) orders win ties.
@@ -214,7 +211,7 @@ fn order_free_merge<L: AsRef<[(Point, ObjectId)]>>(
     p: Point,
     layers: &[L],
     orders: Option<&[Vec<usize>]>,
-) -> Option<Vec<(Point, ObjectId, usize)>> {
+) -> Option<Stops> {
     let k = layers.len();
     let computed;
     let orders: &[Vec<usize>] = match orders {
@@ -235,21 +232,11 @@ fn order_free_merge<L: AsRef<[(Point, ObjectId)]>>(
             }
         }
     }
-    let (_, path, order) = best?;
-    Some(
-        path.into_iter()
-            .zip(order)
-            .map(|((pt, object), &layer)| (pt, object, layer))
-            .collect(),
-    )
-}
-
-/// Tags a layer-ordered path with its layer indices.
-fn tag_in_layer_order(path: Vec<(Point, ObjectId)>) -> Vec<(Point, ObjectId, usize)> {
-    path.into_iter()
-        .enumerate()
-        .map(|(layer, (pt, object))| (pt, object, layer))
-        .collect()
+    let (_, mut stops, order) = best?;
+    for (stop, &layer) in stops.iter_mut().zip(order) {
+        stop.2 = layer;
+    }
+    Some(stops)
 }
 
 #[cfg(test)]
@@ -453,7 +440,7 @@ mod tests {
                     stops = path
                         .into_iter()
                         .zip(&order)
-                        .map(|((pt, object), &layer)| (pt, object, layer))
+                        .map(|((pt, object, _), &layer)| (pt, object, layer))
                         .collect();
                 }
             }

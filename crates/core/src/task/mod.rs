@@ -5,16 +5,16 @@
 //! processes them strictly in that order — the backtrack-free discipline
 //! the paper adopts in §2.2/§6 ("we maintain the priority queue of the
 //! candidate R-tree nodes according to their arrival time, so that
-//! backtracking is avoided"). Both task types realize that priority queue
-//! as a binary min-heap keyed `(arrival, node id)`, giving O(1) peeks and
-//! O(log n) pops; see [`queue`] for the NN search's queue, its lazy
-//! pruning discipline and the oracle the tests hold it to. The NN search
-//! task is the only type generic over that queue.
+//! backtracking is avoided"). The index is broadcast in preorder, so
+//! arrival order is preorder: the window query keeps a depth-first stack
+//! of node ids, and the NN search, the only task generic over its queue,
+//! a stack sorted by descending `(arrival, node id)` ([`queue`] has it,
+//! its lazy pruning and the oracle the tests hold it to).
 
 mod nn;
 pub mod queue;
 mod window;
 
 pub use nn::{BroadcastNnSearch, NnScratch, NnSearchTask};
-pub use queue::{ArrivalHeap, CandidateQueue, QueueEntry};
+pub use queue::{ArrivalStack, CandidateQueue, QueueEntry};
 pub use window::{WindowQueryTask, WindowScratch};

@@ -9,15 +9,15 @@
 //! index segment, so one search completes within a single segment pass —
 //! exactly why the paper broadcasts the tree depth-first.
 //!
-//! The candidate queue is a binary min-heap keyed `(arrival, node id)`
-//! ([`ArrivalHeap`]), so [`BroadcastNnSearch::next_arrival`] is O(1) and
-//! [`BroadcastNnSearch::step`] is O(log n) — the event loops interleaving
-//! searches over multiple channels peek every iteration, and batch
-//! simulations run millions of steps. The task is the one type generic
-//! over the queue ([`CandidateQueue`]); every layer above runs the heap.
-//! Test builds also run it over the paper-literal `Vec`-scan queue, and
-//! the lockstep property below holds the two to identical observables at
-//! every step — so a whole query is queue-independent.
+//! The candidate queue is the [`ArrivalStack`], so
+//! [`BroadcastNnSearch::next_arrival`] and [`BroadcastNnSearch::step`]'s
+//! pop are O(1) — the event loops interleaving searches over multiple
+//! channels peek every iteration, and batch simulations run millions of
+//! steps. The task is the one type generic over the queue
+//! ([`CandidateQueue`]); every layer above runs the stack. Test builds
+//! also run it over the paper-literal `Vec`-scan queue, and the lockstep
+//! property below holds the two to identical observables at every step —
+//! so a whole query is queue-independent.
 //!
 //! ## Delayed pruning (paper §4.2.4)
 //!
@@ -34,11 +34,11 @@
 //! the algorithm delays the pruning process"). Parked and pruned entries
 //! cost neither pages nor time.
 //!
-//! The heap backend exploits the same pop-time equivalence a second way:
+//! The stack backend exploits the same pop-time equivalence a second way:
 //! between switches the bound only tightens, so pruning decisions for
-//! entries buried in the heap are *deferred* until they surface at the
-//! front; immediately before a switch every deferred decision is realized
-//! under the old metric, restoring the exact eager-purge state.
+//! entries buried in the stack are *deferred* until they surface on top;
+//! immediately before a switch every deferred decision is realized under
+//! the old metric, restoring the exact eager-purge state.
 //!
 //! ## Bound maintenance
 //!
@@ -60,7 +60,7 @@
 //! preserved and visited"), which guarantees an ANN search always
 //! reaches a real data point.
 
-use super::queue::{ArrivalHeap, CandidateQueue, QueueEntry};
+use super::queue::{ArrivalStack, CandidateQueue, QueueEntry};
 use crate::{AnnMode, SearchMode};
 use tnn_broadcast::{ChannelView, Tuner};
 use tnn_geom::{min_trans_dist_floor, Point};
@@ -69,7 +69,7 @@ use tnn_rtree::{NodeId, ObjectId, RTree};
 /// A broadcast nearest-neighbor search task on one channel.
 ///
 /// Code outside the lockstep tests uses the [`NnSearchTask`] alias (the
-/// heap-ordered queue); the queue parameter exists so that those tests
+/// arrival-sorted stack); the queue parameter exists so that those tests
 /// can run this same search code over the linear oracle. Drive it with
 /// `next_arrival` / `step` from an event loop that interleaves tasks over
 /// multiple channels in global time order; re-target it with
@@ -81,6 +81,8 @@ pub struct BroadcastNnSearch<'a, Q: CandidateQueue> {
     mode: SearchMode,
     ann: AnnMode,
     queue: Q,
+    /// When the root is on air; node `id` follows `id` slots later.
+    root_arrival: u64,
     /// Entries condemned by the current metric but kept for possible
     /// revival by a re-targeting switch (delayed pruning, §4.2.4).
     parked: Vec<QueueEntry>,
@@ -109,14 +111,14 @@ pub struct BroadcastNnSearch<'a, Q: CandidateQueue> {
     transitive_lower_bounds: u64,
 }
 
-/// The NN search task (heap-ordered candidate queue).
-pub type NnSearchTask<'a> = BroadcastNnSearch<'a, ArrivalHeap>;
+/// The NN search task (arrival-sorted candidate stack).
+pub type NnSearchTask<'a> = BroadcastNnSearch<'a, ArrivalStack>;
 
 /// Reusable buffers for one [`BroadcastNnSearch`]: thread one through
 /// repeated searches (e.g. a query batch) to avoid re-allocating the
 /// queue and the parked list per query.
 #[derive(Debug, Default)]
-pub struct NnScratch<Q: CandidateQueue = ArrivalHeap> {
+pub struct NnScratch<Q: CandidateQueue = ArrivalStack> {
     queue: Q,
     parked: Vec<QueueEntry>,
     /// Exact `MinTransDist` evaluations of every search recycled into
@@ -164,6 +166,7 @@ impl<'a, Q: CandidateQueue> BroadcastNnSearch<'a, Q> {
             mode,
             ann,
             queue,
+            root_arrival,
             parked,
             best: None,
             best_value: f64::INFINITY,
@@ -194,11 +197,11 @@ impl<'a, Q: CandidateQueue> BroadcastNnSearch<'a, Q> {
     }
 
     /// Arrival time of the next candidate to download, or `None` when the
-    /// search is finished. O(1): the queue front is kept viable by the
-    /// settling pass after every bound update.
+    /// search is finished. O(1): the queue's next entry is kept viable by
+    /// the settling pass after every bound update.
     #[inline]
     pub fn next_arrival(&self) -> Option<u64> {
-        self.queue.next_arrival()
+        self.queue.last().map(|e| e.arrival)
     }
 
     /// The best data point found so far: `(point, object, objective)`,
@@ -248,7 +251,7 @@ impl<'a, Q: CandidateQueue> BroadcastNnSearch<'a, Q> {
     /// Downloads the next candidate node and processes it. Returns the
     /// arrival slot handled, or `None` when already done.
     pub fn step(&mut self) -> Option<u64> {
-        let entry = self.queue.pop_next()?;
+        let entry = self.queue.pop()?;
         self.now = entry.arrival + 1;
         self.tuner.download(entry.arrival);
 
@@ -288,10 +291,11 @@ impl<'a, Q: CandidateQueue> BroadcastNnSearch<'a, Q> {
             let mut ctx = self.prune_context();
             for c in children {
                 let e = QueueEntry {
-                    arrival: self.channel.next_node_arrival(c.child, self.now),
+                    arrival: self.root_arrival + u64::from(c.child.0),
                     node: c.child,
                     mbr: c.mbr,
                 };
+                debug_assert_eq!(e.arrival, self.channel.next_node_arrival(c.child, self.now));
                 self.queue
                     .push_or_park(e, |e| ctx.condemns(e), &mut self.parked);
             }
@@ -398,10 +402,10 @@ impl<'a, Q: CandidateQueue> BroadcastNnSearch<'a, Q> {
 
     /// Parks every queued entry that is provably (exact) or probably
     /// (ANN) useless under the current bound; the preserved anchor is
-    /// exempt. The heap backend defers decisions for non-front entries —
-    /// sound because the bound only tightens between switches. Parked
-    /// entries cost no pages and no time, and remain revivable by a later
-    /// switch.
+    /// exempt. The stack backend defers decisions for entries below the
+    /// top — sound because the bound only tightens between switches.
+    /// Parked entries cost no pages and no time, and remain revivable by
+    /// a later switch.
     fn settle(&mut self) {
         self.with_condemn(|queue, condemn, parked| queue.settle(condemn, parked));
     }
@@ -848,14 +852,14 @@ mod tests {
     }
 
     proptest! {
-        /// The arrival heap is unobservable at the task seam: a heap-backed
-        /// and a `LinearQueue`-backed search, driven through the same
-        /// steps and switches, agree on every observable the algorithms
-        /// read, at every step. Point sets are random or tie-heavy
+        /// The arrival stack is unobservable at the task seam: a
+        /// stack-backed and a `LinearQueue`-backed search, driven through
+        /// the same steps and switches, agree on every observable the
+        /// algorithms read, at every step. Point sets are random or tie-heavy
         /// lattices (queries snapped to lattice midpoints), over every ANN
         /// mode and both search modes.
         #[test]
-        fn heap_and_linear_searches_step_in_lockstep(
+        fn stack_and_linear_searches_step_in_lockstep(
             raw in prop::collection::vec(coords(), 1..300),
             lattice_side in prop::sample::select(vec![0usize, 0, 3, 6, 11, 17]),
             page in prop::sample::select(vec![64usize, 128]),
@@ -904,35 +908,35 @@ mod tests {
                 _ => AnnMode::Fixed { alpha },
             };
 
-            let mut heap = NnSearchTask::new(&ch, mode, ann, start);
+            let mut stack = NnSearchTask::new(&ch, mode, ann, start);
             let mut linear = LinearNnSearchTask::new(&ch, mode, ann, start);
             let mut pending = switches.iter().peekable();
             let mut steps = 0usize;
             loop {
                 while let Some(s) = pending.next_if(|s| s.at_step == steps) {
-                    let at = heap.now() + s.delay;
+                    let at = stack.now() + s.delay;
                     if s.transitive {
-                        heap.switch_to_transitive(s.a, s.b, at);
+                        stack.switch_to_transitive(s.a, s.b, at);
                         linear.switch_to_transitive(s.a, s.b, at);
                     } else {
-                        heap.switch_query_point(s.a, at);
+                        stack.switch_query_point(s.a, at);
                         linear.switch_query_point(s.a, at);
                     }
                 }
-                prop_assert_eq!(heap.next_arrival(), linear.next_arrival(), "step {}", steps);
-                prop_assert_eq!(heap.is_done(), linear.is_done(), "step {}", steps);
-                let downloaded = heap.step();
+                prop_assert_eq!(stack.next_arrival(), linear.next_arrival(), "step {}", steps);
+                prop_assert_eq!(stack.is_done(), linear.is_done(), "step {}", steps);
+                let downloaded = stack.step();
                 prop_assert_eq!(downloaded, linear.step(), "step {}", steps);
-                prop_assert_eq!(heap.now(), linear.now(), "step {}", steps);
-                prop_assert_eq!(heap.tuner(), linear.tuner(), "step {}", steps);
-                prop_assert_eq!(heap.best(), linear.best(), "step {}", steps);
-                prop_assert_eq!(heap.peak_memory(), linear.peak_memory(), "step {}", steps);
+                prop_assert_eq!(stack.now(), linear.now(), "step {}", steps);
+                prop_assert_eq!(stack.tuner(), linear.tuner(), "step {}", steps);
+                prop_assert_eq!(stack.best(), linear.best(), "step {}", steps);
+                prop_assert_eq!(stack.peak_memory(), linear.peak_memory(), "step {}", steps);
                 if downloaded.is_none() {
                     break;
                 }
                 steps += 1;
             }
-            prop_assert_eq!(heap.parked_len(), linear.parked_len());
+            prop_assert_eq!(stack.parked_len(), linear.parked_len());
         }
     }
 }

@@ -2,27 +2,33 @@
 //!
 //! The search processes candidates strictly in arrival order and parks —
 //! never drops — entries condemned by the current bound (delayed pruning,
-//! §4.2.4). [`ArrivalHeap`] realizes that discipline: a binary min-heap
-//! keyed `(arrival, node id)` giving O(1) [`CandidateQueue::next_arrival`]
-//! peeks and O(log n) pops, with **lazy** pruning: only the heap front is
-//! tested against the bound. This is sound because between re-targeting
-//! switches the bound only tightens, so an entry condemnable now is still
-//! condemnable when it surfaces at the front; [`CandidateQueue::realize`]
-//! forces all deferred decisions right before a switch, where the bound
-//! changes non-monotonically.
+//! §4.2.4). [`ArrivalStack`] realizes that discipline: a `Vec` kept
+//! sorted by descending `(arrival, node id)`, the next entry on top, with
+//! **lazy** pruning: only the top entry is tested against the bound. This
+//! is sound because between re-targeting switches the bound only
+//! tightens, so an entry condemnable now is still condemnable when it
+//! surfaces on top; [`CandidateQueue::realize`] forces all deferred
+//! decisions right before a switch, where the bound changes
+//! non-monotonically.
 //!
-//! [`CandidateQueue`] is the seam the heap is checked at, and only the
+//! The index is broadcast in preorder, so within a search every queued
+//! node arrives at `root arrival + node id`, and a popped node's children
+//! arrive after it but before every other node still held (their
+//! subtrees are disjoint from its own). A child's push therefore passes
+//! only its earlier siblings (a switch's revivals may go deeper), and
+//! [`CandidateQueue::pop`] and [`CandidateQueue::last`] are O(1).
+//!
+//! [`CandidateQueue`] is the seam the stack is checked at, and only the
 //! search task is generic over it. Test builds add `LinearQueue`, the
 //! paper-literal oracle: a flat `Vec` with O(n) scans per operation and
 //! **eager** pruning after every bound update. Two properties hold the
-//! heap to it: the one below drives both queues through random
+//! stack to it: the one below drives both queues through random
 //! operation sequences, and the one in `crate::task::nn` steps a search
 //! over each in lockstep, comparing every observable the algorithms
 //! read. Node ids break (arrival, node) ordering ties deterministically,
 //! although arrivals of distinct nodes on one channel are in fact always
 //! distinct (one page per slot).
 
-use std::collections::BinaryHeap;
 use tnn_geom::Rect;
 use tnn_rtree::NodeId;
 
@@ -47,7 +53,7 @@ impl QueueEntry {
 /// Storage discipline for the candidate queue of a broadcast NN search.
 ///
 /// Implementations may defer pruning decisions for entries that are not
-/// next in arrival order ([`ArrivalHeap`] does), relying on the caller's
+/// next in arrival order ([`ArrivalStack`] does), relying on the caller's
 /// guarantee that the condemnation predicate only grows between
 /// [`CandidateQueue::realize`] calls.
 ///
@@ -68,14 +74,15 @@ pub trait CandidateQueue: Default + std::fmt::Debug + Send {
         parked: &mut Vec<QueueEntry>,
     );
 
-    /// Arrival slot of the next downloadable candidate. Callers must have
-    /// settled the queue (via [`CandidateQueue::settle`]) since the last
-    /// bound change for the front to be guaranteed viable.
-    fn next_arrival(&self) -> Option<u64>;
+    /// The next downloadable candidate (minimal `(arrival, node id)`).
+    /// Callers must have settled the queue (via
+    /// [`CandidateQueue::settle`]) since the last bound change for it to
+    /// be guaranteed viable.
+    fn last(&self) -> Option<&QueueEntry>;
 
-    /// Removes and returns the next downloadable candidate (minimal
-    /// `(arrival, node id)`).
-    fn pop_next(&mut self) -> Option<QueueEntry>;
+    /// Removes and returns the next downloadable candidate, the one
+    /// [`CandidateQueue::last`] shows.
+    fn pop(&mut self) -> Option<QueueEntry>;
 
     /// Number of entries currently held (including, for lazy backends,
     /// entries whose pruning decision is still deferred).
@@ -88,7 +95,7 @@ pub trait CandidateQueue: Default + std::fmt::Debug + Send {
 
     /// Applies the pruning predicate after a bound update, moving
     /// condemned entries into `parked`. Lazy backends need only guarantee
-    /// that the *front* entry (the one [`CandidateQueue::pop_next`] would
+    /// that the *next* entry (the one [`CandidateQueue::pop`] would
     /// return) is not condemned.
     fn settle(
         &mut self,
@@ -113,46 +120,32 @@ pub trait CandidateQueue: Default + std::fmt::Debug + Send {
     fn clear(&mut self);
 }
 
-/// Min-heap slot: reversed `(arrival, node id)` order so that
-/// `BinaryHeap`'s max-top yields the earliest arrival.
-#[derive(Debug, Clone, Copy)]
-struct HeapSlot(QueueEntry);
-
-impl PartialEq for HeapSlot {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.key() == other.0.key()
-    }
-}
-
-impl Eq for HeapSlot {}
-
-impl PartialOrd for HeapSlot {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapSlot {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.0.key().cmp(&self.0.key())
-    }
-}
-
-/// The production candidate queue: binary min-heap over
-/// `(arrival, node id)` with lazily settled pruning (see module docs).
+/// The production candidate queue: a `Vec` sorted by descending
+/// `(arrival, node id)`, the next entry on top, with lazily settled
+/// pruning (see module docs).
 #[derive(Debug, Default)]
-pub struct ArrivalHeap {
-    heap: BinaryHeap<HeapSlot>,
+pub struct ArrivalStack {
+    entries: Vec<QueueEntry>,
 }
 
-impl CandidateQueue for ArrivalHeap {
+impl CandidateQueue for ArrivalStack {
+    /// Inserts below every entry that arrives earlier, scanning from the
+    /// top: in a preorder search that passes at most `fanout − 1` of
+    /// them (the pushed node's earlier siblings).
     #[inline]
     fn push(&mut self, e: QueueEntry) {
-        self.heap.push(HeapSlot(e));
+        let key = e.key();
+        let at = self
+            .entries
+            .iter()
+            .rposition(|held| held.key() > key)
+            .map_or(0, |i| i + 1);
+        self.entries.insert(at, e);
+        debug_assert!(self.entries.is_sorted_by(|a, b| a.key() >= b.key()));
     }
 
     /// Parks a condemned entry instead of queueing it, which keeps the
-    /// heap to near-viable entries.
+    /// stack to near-viable entries.
     #[inline]
     fn push_or_park(
         &mut self,
@@ -168,18 +161,18 @@ impl CandidateQueue for ArrivalHeap {
     }
 
     #[inline]
-    fn next_arrival(&self) -> Option<u64> {
-        self.heap.peek().map(|s| s.0.arrival)
+    fn last(&self) -> Option<&QueueEntry> {
+        self.entries.last()
     }
 
     #[inline]
-    fn pop_next(&mut self) -> Option<QueueEntry> {
-        self.heap.pop().map(|s| s.0)
+    fn pop(&mut self) -> Option<QueueEntry> {
+        self.entries.pop()
     }
 
     #[inline]
     fn len(&self) -> usize {
-        self.heap.len()
+        self.entries.len()
     }
 
     fn settle(
@@ -187,42 +180,37 @@ impl CandidateQueue for ArrivalHeap {
         condemn: &mut dyn FnMut(&QueueEntry) -> bool,
         parked: &mut Vec<QueueEntry>,
     ) {
-        while let Some(front) = self.heap.peek() {
-            if !condemn(&front.0) {
+        while let Some(&top) = self.entries.last() {
+            if !condemn(&top) {
                 break;
             }
-            parked.push(self.heap.pop().expect("peeked entry exists").0);
+            self.entries.pop();
+            parked.push(top);
         }
     }
 
+    /// Filters the stack in place: the survivors keep their order, and
+    /// the buffer its capacity.
     fn realize(
         &mut self,
         condemn: &mut dyn FnMut(&QueueEntry) -> bool,
         parked: &mut Vec<QueueEntry>,
     ) {
-        // Rare (at most once per query, on a Hybrid switch): split the
-        // heap's own buffer in place, keeping the survivors in order, and
-        // re-heapify them in O(n) — no allocation, and the recycled
-        // capacity stays with the heap.
-        let mut slots = std::mem::take(&mut self.heap).into_vec();
-        slots.retain(|slot| {
-            let condemned = condemn(&slot.0);
+        self.entries.retain(|e| {
+            let condemned = condemn(e);
             if condemned {
-                parked.push(slot.0);
+                parked.push(*e);
             }
             !condemned
         });
-        self.heap = BinaryHeap::from(slots);
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&QueueEntry)) {
-        for slot in self.heap.iter() {
-            f(&slot.0);
-        }
+        self.entries.iter().for_each(f);
     }
 
     fn clear(&mut self) {
-        self.heap.clear();
+        self.entries.clear();
     }
 }
 
@@ -251,11 +239,11 @@ impl CandidateQueue for LinearQueue {
         self.push(e);
     }
 
-    fn next_arrival(&self) -> Option<u64> {
-        self.entries.iter().map(|e| e.arrival).min()
+    fn last(&self) -> Option<&QueueEntry> {
+        self.entries.iter().min_by_key(|e| e.key())
     }
 
-    fn pop_next(&mut self) -> Option<QueueEntry> {
+    fn pop(&mut self) -> Option<QueueEntry> {
         let idx = self
             .entries
             .iter()
@@ -314,7 +302,7 @@ mod tests {
 
     fn drain_order<Q: CandidateQueue>(mut q: Q) -> Vec<(u64, u32)> {
         let mut out = Vec::new();
-        while let Some(e) = q.pop_next() {
+        while let Some(e) = q.pop() {
             out.push((e.arrival, e.node.0));
         }
         out
@@ -327,105 +315,97 @@ mod tests {
             vec![(1, 1)],
             vec![(2, 3), (2, 1), (2, 2)],
         ] {
-            let mut heap = ArrivalHeap::default();
+            let mut stack = ArrivalStack::default();
             let mut linear = LinearQueue::default();
             for &(a, n) in &seq {
-                heap.push(entry(a, n));
+                stack.push(entry(a, n));
                 linear.push(entry(a, n));
             }
             let mut expect = seq.clone();
             expect.sort_unstable();
-            assert_eq!(drain_order(heap), expect);
+            assert_eq!(drain_order(stack), expect);
             assert_eq!(drain_order(linear), expect);
         }
     }
 
     #[test]
-    fn heap_peek_matches_pop() {
-        let mut q = ArrivalHeap::default();
+    fn stack_last_matches_pop() {
+        let mut q = ArrivalStack::default();
         for (a, n) in [(8, 0), (2, 5), (4, 1)] {
             q.push(entry(a, n));
         }
-        while let Some(a) = q.next_arrival() {
-            assert_eq!(q.pop_next().unwrap().arrival, a);
+        while let Some(&next) = q.last() {
+            assert_eq!(q.pop(), Some(next));
         }
         assert!(q.is_empty());
     }
 
     #[test]
     fn settle_parks_lazily_vs_eagerly() {
-        // Condemn arrivals >= 10. The heap front (arrival 1) is viable, so
+        // Condemn arrivals >= 10. The top entry (arrival 1) is viable, so
         // the lazy backend parks nothing even though a condemned entry is
         // buried; the eager backend parks it immediately. `realize` brings
         // both to the same state.
-        let mut heap = ArrivalHeap::default();
+        let mut stack = ArrivalStack::default();
         let mut linear = LinearQueue::default();
         for (a, n) in [(1, 0), (15, 1), (3, 2)] {
-            heap.push(entry(a, n));
+            stack.push(entry(a, n));
             linear.push(entry(a, n));
         }
         let mut condemn = |e: &QueueEntry| e.arrival >= 10;
-        let (mut hp, mut lp) = (Vec::new(), Vec::new());
-        heap.settle(&mut condemn, &mut hp);
+        let (mut sp, mut lp) = (Vec::new(), Vec::new());
+        stack.settle(&mut condemn, &mut sp);
         linear.settle(&mut condemn, &mut lp);
-        assert!(hp.is_empty());
+        assert!(sp.is_empty());
         assert_eq!(lp.len(), 1);
-        heap.realize(&mut condemn, &mut hp);
-        assert_eq!(hp.len(), 1);
-        assert_eq!(heap.len(), linear.len());
+        stack.realize(&mut condemn, &mut sp);
+        assert_eq!(sp.len(), 1);
+        assert_eq!(stack.len(), linear.len());
     }
 
     #[test]
     fn realize_keeps_the_survivors_in_place() {
-        // Realizing filters the heap's buffer without reordering it and
-        // heapifies the survivors in that order: the heap a filtered copy
-        // would build, slot for slot, kept in the same buffer.
-        let mut heap = ArrivalHeap::default();
+        // Realizing filters the stack's buffer without reordering it: the
+        // survivors keep their order, the buffer keeps its capacity, and
+        // the condemned entries are parked in stack order.
+        let mut stack = ArrivalStack::default();
         for (a, n) in [(9, 0), (4, 1), (12, 2), (1, 3), (7, 4), (3, 5), (10, 6)] {
-            heap.push(entry(a, n));
+            stack.push(entry(a, n));
         }
         let condemned = |e: &QueueEntry| e.node.0.is_multiple_of(3);
         let mut before = Vec::new();
-        heap.for_each(&mut |e| before.push(*e));
-        let survivors: Vec<HeapSlot> = before
-            .iter()
-            .filter(|e| !condemned(e))
-            .map(|&e| HeapSlot(e))
-            .collect();
-        let mut expect = Vec::new();
-        BinaryHeap::from(survivors)
-            .iter()
-            .for_each(|s| expect.push(s.0));
-        let capacity = heap.heap.capacity();
+        stack.for_each(&mut |e| before.push(*e));
+        let capacity = stack.entries.capacity();
         let mut parked = Vec::new();
-        heap.realize(&mut |e| condemned(e), &mut parked);
+        stack.realize(&mut |e| condemned(e), &mut parked);
         let mut after = Vec::new();
-        heap.for_each(&mut |e| after.push(*e));
-        assert_eq!(after, expect);
-        assert_eq!(heap.heap.capacity(), capacity);
-        let in_order: Vec<QueueEntry> = before.into_iter().filter(condemned).collect();
-        assert_eq!(parked, in_order);
+        stack.for_each(&mut |e| after.push(*e));
+        let (doomed, survivors): (Vec<QueueEntry>, Vec<QueueEntry>) =
+            before.into_iter().partition(condemned);
+        assert_eq!(after, survivors);
+        assert_eq!(parked, doomed);
+        assert_eq!(stack.entries.capacity(), capacity);
     }
 
     #[test]
     fn settle_drains_condemned_front() {
-        let mut heap = ArrivalHeap::default();
+        let mut stack = ArrivalStack::default();
         for (a, n) in [(1, 0), (2, 1), (30, 2)] {
-            heap.push(entry(a, n));
+            stack.push(entry(a, n));
         }
         let mut parked = Vec::new();
-        heap.settle(&mut |e| e.arrival < 10, &mut parked);
+        stack.settle(&mut |e| e.arrival < 10, &mut parked);
         assert_eq!(parked.len(), 2);
-        assert_eq!(heap.next_arrival(), Some(30));
+        assert_eq!(stack.last().map(|e| e.arrival), Some(30));
     }
 
     #[test]
     fn clear_keeps_nothing() {
-        let mut heap = ArrivalHeap::default();
-        heap.push(entry(1, 1));
-        heap.clear();
-        assert!(heap.is_empty());
-        assert_eq!(heap.next_arrival(), None);
+        let mut stack = ArrivalStack::default();
+        stack.push(entry(1, 1));
+        stack.clear();
+        assert!(stack.is_empty());
+        assert_eq!(stack.last(), None);
     }
 
     /// One operation of the queue-level lockstep property.
@@ -483,20 +463,20 @@ mod tests {
     }
 
     proptest! {
-        /// The lazy heap and the eager linear scan hold the same queue at
+        /// The lazy stack and the eager linear scan hold the same queue at
         /// every observable point. Entries score in `[0, 100)` (carried
         /// as their MBR's `min.x`) and are condemned above the bound,
         /// which only tightens between `realize` calls, as in a search
         /// between switches. Every popped entry and every post-settle
-        /// `next_arrival` agree, and so do `len`, the held entries and
+        /// `last` entry agree, and so do `len`, the held entries and
         /// the parked multiset after each `realize`.
         #[test]
-        fn heap_and_linear_queues_agree_under_a_tightening_bound(
+        fn stack_and_linear_queues_agree_under_a_tightening_bound(
             ops in prop::collection::vec(op(), 1..60),
         ) {
-            let mut heap = ArrivalHeap::default();
+            let mut stack = ArrivalStack::default();
             let mut linear = LinearQueue::default();
-            let (mut heap_parked, mut linear_parked) = (Vec::new(), Vec::new());
+            let (mut stack_parked, mut linear_parked) = (Vec::new(), Vec::new());
             let mut bound = 100.0;
             let mut next_node = 0u32;
             for op in ops {
@@ -506,7 +486,7 @@ mod tests {
                         for (arrival, score) in fresh {
                             let e = scored(arrival, next_node, score);
                             next_node += 1;
-                            heap.push(e);
+                            stack.push(e);
                             linear.push(e);
                         }
                     }
@@ -514,31 +494,31 @@ mod tests {
                         for (arrival, score) in fresh {
                             let e = scored(arrival, next_node, score);
                             next_node += 1;
-                            heap.push_or_park(e, condemn, &mut heap_parked);
+                            stack.push_or_park(e, condemn, &mut stack_parked);
                             linear.push_or_park(e, condemn, &mut linear_parked);
                         }
                     }
-                    Op::Pop => prop_assert_eq!(heap.pop_next(), linear.pop_next()),
+                    Op::Pop => prop_assert_eq!(stack.pop(), linear.pop()),
                     Op::Tighten(factor) => bound *= factor,
                     Op::Realize { at, bound: next } => {
-                        heap.realize(&mut condemn, &mut heap_parked);
+                        stack.realize(&mut condemn, &mut stack_parked);
                         linear.realize(&mut condemn, &mut linear_parked);
-                        prop_assert_eq!(heap.len(), linear.len());
-                        prop_assert_eq!(held(&heap), held(&linear));
-                        let parked = sorted(std::mem::take(&mut heap_parked));
+                        prop_assert_eq!(stack.len(), linear.len());
+                        prop_assert_eq!(held(&stack), held(&linear));
+                        let parked = sorted(std::mem::take(&mut stack_parked));
                         prop_assert_eq!(&parked, &sorted(std::mem::take(&mut linear_parked)));
                         for e in parked.into_iter().filter(|e| e.arrival >= at) {
-                            heap.push(e);
+                            stack.push(e);
                             linear.push(e);
                         }
                         bound = next;
                     }
                 }
                 let mut condemn = |e: &QueueEntry| e.mbr.min.x > bound;
-                heap.settle(&mut condemn, &mut heap_parked);
+                stack.settle(&mut condemn, &mut stack_parked);
                 linear.settle(&mut condemn, &mut linear_parked);
-                prop_assert_eq!(heap.next_arrival(), linear.next_arrival());
-                prop_assert_eq!(heap.is_empty(), linear.is_empty());
+                prop_assert_eq!(stack.last(), linear.last());
+                prop_assert_eq!(stack.is_empty(), linear.is_empty());
             }
         }
     }

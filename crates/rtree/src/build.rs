@@ -93,17 +93,32 @@ fn pack_order(
             (order_key(c.x), order_key(c.y), i as u32)
         }
     }));
-    keys.sort_unstable();
     if algo == PackingAlgorithm::Str {
-        // √P vertical slabs of whole pages, each re-sorted by (y, x).
-        // A slab holds a whole number of groups, so cutting the slabbed
-        // order into `capacity` runs tiles every slab separately.
+        // √P vertical slabs of whole pages. A slab holds a whole number
+        // of groups, so cutting the slabbed order into `capacity` runs
+        // tiles every slab separately.
         let pages = keys.len().div_ceil(capacity);
-        let slab_size = (pages as f64).sqrt().ceil() as usize * capacity;
-        for slab in keys.chunks_mut(slab_size) {
-            slab.sort_unstable_by_key(|&(x, y, i)| (y, x, i));
-        }
+        slab_sort(keys, (pages as f64).sqrt().ceil() as usize * capacity);
+    } else {
+        keys.sort_unstable();
     }
+}
+
+/// Sorts each `slab_size` chunk of the (x, y)-sorted order of `keys` by
+/// (y, x). The (x, y) order only decides which keys share a slab, so the
+/// keys are split at the middle slab boundary by selection, recursively,
+/// not fully sorted. They are unique (the last field is an index), so
+/// every slab gets the members a full sort would give it.
+fn slab_sort(keys: &mut [PackKey], slab_size: usize) {
+    if keys.len() <= slab_size {
+        keys.sort_unstable_by_key(|&(x, y, i)| (y, x, i));
+        return;
+    }
+    let mid = keys.len().div_ceil(slab_size) / 2 * slab_size;
+    keys.select_nth_unstable(mid);
+    let (low, high) = keys.split_at_mut(mid);
+    slab_sort(low, slab_size);
+    slab_sort(high, slab_size);
 }
 
 /// Order of the discrete Hilbert curve used for Hilbert-sort packing.
