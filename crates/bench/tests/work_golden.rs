@@ -13,7 +13,10 @@
 //! uniform channels. Smaller pools over the same uniform channels then
 //! pin the other three algorithms and Hybrid-NN under the paper's
 //! dynamic ANN threshold (eq. 4, `factor = 1`); the Approximate-TNN line
-//! also counts the queries left without a route.
+//! also counts the queries left without a route. Smaller pools over the
+//! clustered channels pin the `k = 3` join under Window-Based and
+//! Double-NN and for order-free and round-trip queries, and a pool over
+//! four clustered channels pins the `k = 4` join.
 //!
 //! A change that moves any count fails here and prints the full
 //! rendering; a change that means to move one updates the file in the
@@ -144,8 +147,8 @@ fn render_pool(
 fn render() -> String {
     let mut out = String::new();
     let hybrid = Query::tnn(Point::ORIGIN).algorithm(Algorithm::HybridNn);
-    let city = (0..3).map(|c| city_like(DATA_SEED + c)).collect();
-    render_pool(&mut out, "city_k3", env(city), 1, QUERIES, &hybrid);
+    let city = env((0..3).map(|c| city_like(DATA_SEED + c)).collect());
+    render_pool(&mut out, "city_k3", city.clone(), 1, QUERIES, &hybrid);
     let uniform = env((0..2)
         .map(|c| uniform_points(10_000, &paper_region(), DATA_SEED + c))
         .collect());
@@ -179,6 +182,25 @@ fn render() -> String {
             &template,
         );
     }
+    // The other kinds of query over the clustered channels, again on one
+    // shared seed: the k-ary join's work at k = 3 under each algorithm
+    // and objective.
+    for (label, template) in [
+        (
+            "city_k3/window_based",
+            Query::tnn(Point::ORIGIN).algorithm(Algorithm::WindowBased),
+        ),
+        (
+            "city_k3/double_nn",
+            Query::tnn(Point::ORIGIN).algorithm(Algorithm::DoubleNn),
+        ),
+        ("city_k3/order_free", Query::order_free(Point::ORIGIN)),
+        ("city_k3/round_trip", Query::round_trip(Point::ORIGIN)),
+    ] {
+        render_pool(&mut out, label, city.clone(), 4, SMALL_QUERIES, &template);
+    }
+    let city_k4 = env((0..4).map(|c| city_like(DATA_SEED + c)).collect());
+    render_pool(&mut out, "city_k4", city_k4, 5, SMALL_QUERIES, &hybrid);
     out
 }
 
