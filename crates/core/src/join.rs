@@ -6,17 +6,19 @@
 //! `k = 2` included, for the open chain and the closed tour alike. It
 //! first cuts every layer to the items within a cheap feasible route's
 //! total of `p` (Theorem 1's argument, applied once more inside the join),
-//! then runs a dynamic program backwards over the cut layers. Each of its
+//! then runs a dynamic program over the cut layers. Each of its
 //! transitions is a weighted nearest-neighbor search
 //! (`min dis(q, s) + cost(s)`) over a bucket grid whose cells carry their
 //! points' bounding box and minimum suffix cost, and its head step visits
 //! the first layer in index order and skips an item whose `dis(p, s)`
 //! alone exceeds the best total — Algorithm 1's line-8 prune, for k
 //! layers. Every search is capped by the total it has to beat, so it too
-//! skips what cannot beat the best route, as Algorithm 1 does. Every
-//! prune compares a floating-point lower bound strictly against the best
-//! total, so the join returns exactly the nested loop's answer, ties and
-//! total bits included.
+//! skips what cannot beat the best route, as Algorithm 1 does, and an
+//! inner layer's suffix costs are computed only for the grid cells a
+//! search reaches under their lower bounds. Every prune compares a
+//! floating-point lower bound strictly against the best total, so the
+//! join returns exactly the nested loop's answer, ties and total bits
+//! included.
 //!
 //! The join runs on the client from already-downloaded data, and the paper
 //! explicitly neglects its computational cost; the acceleration only keeps
@@ -36,9 +38,8 @@ pub(crate) type Stops = Vec<(Point, ObjectId, usize)>;
 const MAX_SCANNED_LAYER: usize = 48;
 
 /// Reusable buffers for the route join ([`crate::merge_route_layers`]):
-/// the cheap route and cut layers, the bucket grid over a DP transition's
-/// downstream layer, and the DP's per-layer cost/backpointer tables, plus
-/// the join's work counters. One scratch serves every join of every `k`,
+/// the cheap route and cut layers and the DP's per-layer suffix costs,
+/// successors and bucket grids, plus the join's work counters. One scratch serves every join of every `k`,
 /// so a batch of queries performs no join allocations after the buffers
 /// have grown to the workload's candidate counts.
 #[derive(Debug, Default)]
@@ -48,12 +49,8 @@ pub struct JoinScratch {
     /// Each layer cut to the items within the cheap route's total of `p`,
     /// in their original order.
     cut: Vec<Vec<(Point, ObjectId)>>,
-    /// Bucket grid over the downstream layer of the current DP transition.
-    grid: CostGrid,
-    /// Suffix cost per layer item, one table per layer.
-    chain_cost: Vec<Vec<f64>>,
-    /// Best-successor backpointers, one table per layer.
-    chain_next: Vec<Vec<u32>>,
+    /// The DP's state, one per layer.
+    dp: Vec<DpLayer>,
     /// The join's work so far.
     work: JoinWork,
 }
@@ -111,8 +108,7 @@ impl JoinScratch {
 /// rounding, in their original order, and the DP runs over the cut
 /// layers. Over the perfbench `city_k3` query pool (seed 22: 4,096
 /// queries, one join each, 1,128 candidates per join on average) the cut
-/// keeps 539 of them (48%), and the DP runs 153 grid searches per join
-/// (`docs/PERF.md` has the timings).
+/// keeps 539 of them (48%).
 ///
 /// Each DP transition `cost(q) = min dis(q, s) + cost(s)` over a
 /// downstream layer of more than 48 candidates runs over a bucket grid
@@ -123,15 +119,24 @@ impl JoinScratch {
 /// rings plus the layer's minimum cost does. Its best total starts at a
 /// cap, the total a route through `q` may still spend past `q`: the
 /// bound less `dis(p, q)`, and in the head step also the best route's
-/// total so far less `dis(p, q)`. On the pool the capped searches test
-/// 1,189 grid cells per join, against 2,320 uncapped, and the join makes
-/// 4,682 candidate evaluations instead of 7,190. The head step visits the
-/// first layer in index order and skips a candidate whose `dis(p, s₁)`
-/// alone exceeds the best total, so the first transition runs only for
-/// the candidates it does not skip (123 of 136.5 per join on the pool).
-/// The cut and the caps keep the optimal route and the order of the kept
-/// items, so the result is the plain nested loop's, bit for bit, with
-/// ties broken toward the smaller `(total, index)`.
+/// total so far less `dis(p, q)`. The head step visits the first layer in
+/// index order and skips a candidate whose `dis(p, s₁)` alone exceeds the
+/// best total, so the first transition runs only for the candidates it
+/// does not skip (123 of 136.5 per join on the pool).
+///
+/// The suffix costs of a gridded inner layer (neither the first nor the
+/// last, and of more than 48 candidates) are computed on demand. Its
+/// cells start from a lower bound, the smallest box-to-box gap to a
+/// downstream cell plus that cell's bound, and a search that reaches a
+/// cell under its bound first forces the exact costs of the cell's items,
+/// each by its own capped search, then tests the cell again. On the pool
+/// this makes 3,757 candidate evaluations and tests 804 grid cells per
+/// join, the bound tests included, against 4,682 and 1,189 when every
+/// inner cost was computed up front (`docs/PERF.md`). The cut, the caps
+/// and the bounds keep the optimal route and the order of the kept items,
+/// and a forced cost is the one an up-front pass computes, so the result
+/// is the plain nested loop's, bit for bit, with ties broken toward the
+/// smaller `(total, index)` ([`chain_dp`] has the argument).
 pub(crate) fn chain_join_with<L: AsRef<[(Point, ObjectId)]>>(
     scratch: &mut JoinScratch,
     p: Point,
@@ -377,17 +382,27 @@ fn search_cap(total: f64, d: f64) -> f64 {
     }
 }
 
-/// The chain DP over non-empty layers: the backward suffix-cost pass,
-/// then the lazy head step from `p`. `close_tour` seeds the last layer's
-/// suffix costs with the return leg `dis(s_k, p)` instead of zero.
+/// The chain DP over non-empty layers: the suffix costs of layers
+/// `1 … k − 1`, then the lazy head step from `p`. `close_tour` seeds the
+/// last layer's suffix costs with the return leg `dis(s_k, p)` instead of
+/// zero.
+///
+/// The last layer's costs are known from the start, and a scanned inner
+/// layer (at most 48 items) gets each of its costs up front, by one search
+/// into the next layer. A gridded inner layer's costs are computed on
+/// demand ([`DpLayer`]): each of its grid cells starts from a lower bound
+/// of its items' suffix costs ([`CostGrid::bound_cells`]), and a search
+/// that reaches a cell under that bound first forces the exact costs of
+/// the cell's items, then re-tests the cell and scans it. A forced cost is
+/// a search into the next layer, itself on demand.
 ///
 /// Every search is capped ([`search_cap`]) by the total it has to beat.
-/// A backward search from `s` gets `limit − dis(p, s)`, where `limit` is
-/// the cut's [`Reach`] limit of the bound `B`. The head step's search
-/// from `s₁` gets the smaller of that and `best − dis(p, s₁)`, with
-/// `best` the running best total. A search that finds no total within
-/// its cap gives its item the cost `+∞` and no successor. The caps change
-/// no answer:
+/// The search that gives an item `s` past layer 0 its suffix cost gets
+/// `limit − dis(p, s)`, where `limit` is the cut's [`Reach`] limit of the
+/// bound `B`. The head step's search from `s₁` gets the smaller of that
+/// and `best − dis(p, s₁)`, with `best` the running best total. A search
+/// that finds no total within its cap gives its item the cost `+∞` and no
+/// successor. Neither the caps nor the on-demand costs change an answer:
 ///
 /// * Capped costs are never below the exact ones. The last layer's are
 ///   exact, and floating-point addition is monotone, so by induction
@@ -403,13 +418,22 @@ fn search_cap(total: f64, d: f64) -> f64 {
 /// * Raising the cost of an item off that route can only make it lose a
 ///   `(total, index)` comparison that it already lost, or tied at a
 ///   higher index.
+/// * A forced cost is the search an up-front pass would make, with the
+///   same cap, and it is memoized, so it is that pass's value whatever
+///   order the searches force it in. A search under cell bounds returns
+///   what it returns under the cells' exact minima. Rounding is
+///   monotone, so `fl(dis(q, box) + bound)` never exceeds
+///   `fl(dis(q, s) + cost(s))` for an item `s` of the cell: a cell skipped
+///   under its bound is one its exact minimum skips too, and the walk
+///   over rings, cut off by the smallest bound, ends no earlier.
 ///
 /// So the route and the total bits are those of the uncapped DP.
 ///
 /// Ties are broken toward the smaller `(total, index)` pair in every
 /// transition and in the head step, matching the plain nested-loop order
 /// — deterministic and independent of whether a transition scanned its
-/// layer or searched its grid, and of the order the cells were visited.
+/// layer or searched its grid, and of the order the cells were visited
+/// or forced.
 fn chain_dp(
     scratch: &mut JoinScratch,
     p: Point,
@@ -419,41 +443,55 @@ fn chain_dp(
 ) -> (Stops, f64) {
     debug_assert!(layers.iter().all(|l| !l.is_empty()));
     let k = layers.len();
-    // Grow the per-layer DP tables to k layers, reusing inner capacity.
-    while scratch.chain_cost.len() < k {
-        scratch.chain_cost.push(Vec::new());
-        scratch.chain_next.push(Vec::new());
+    // One DP layer per layer, reusing inner capacity (layer 0's is unused).
+    if scratch.dp.len() < k {
+        scratch.dp.resize_with(k, DpLayer::default);
     }
-    let JoinScratch {
-        grid,
-        chain_cost,
-        chain_next,
-        work,
-        ..
-    } = scratch;
+    let JoinScratch { dp, work, .. } = scratch;
+    let dp = &mut dp[..k];
+    let cut = Cut { p, limit };
 
-    // The last layer's suffix costs: the return leg, or nothing.
-    let last = &layers[k - 1];
-    let cost = &mut chain_cost[k - 1];
-    cost.clear();
-    if close_tour {
-        cost.extend(last.iter().map(|&(pt, _)| pt.dist(p)));
-    } else {
-        cost.resize(last.len(), 0.0);
-    }
-
-    // Backward DP over layers k−2 … 1: cost[i][j] is the best suffix
-    // length from layer i's item j. Layer 0 is left to the head step.
-    for i in (1..k - 1).rev() {
-        let (head, tail) = chain_cost.split_at_mut(i + 1);
-        let (cost_i, next_i) = (&mut head[i], &mut chain_next[i]);
-        let step = Transition::new(grid, &layers[i + 1], &tail[0]);
-        cost_i.clear();
-        next_i.clear();
-        for &(pt, _) in &layers[i] {
-            let (c, j) = step.nearest(pt, search_cap(limit, p.dist(pt)), work);
-            cost_i.push(c);
-            next_i.push(j);
+    // Layers k−1 … 1, back to front, so that each is set up over a
+    // downstream layer that already is. Layer 0 is left to the head step.
+    for i in (1..k).rev() {
+        let (head, below) = dp.split_at_mut(i + 1);
+        let (this, layer) = (&mut head[i], &layers[i]);
+        let gridded = layer.len() > MAX_SCANNED_LAYER;
+        this.cost.clear();
+        this.next.clear();
+        if i + 1 == k {
+            // The last layer's suffix costs: the return leg, or nothing.
+            if close_tour {
+                this.cost.extend(layer.iter().map(|&(pt, _)| pt.dist(p)));
+            } else {
+                this.cost.resize(layer.len(), 0.0);
+            }
+            if gridded {
+                this.grid.build(layer, Some(&this.cost));
+            }
+        } else if gridded {
+            this.next.resize(layer.len(), NO_SUCCESSOR);
+            this.grid.build(layer, None);
+            let (next_layer, next) = (&layers[i + 1], &below[0]);
+            if next_layer.len() > MAX_SCANNED_LAYER {
+                this.grid
+                    .bound_cells(|bbox| next.grid.box_bound(bbox, work));
+            } else {
+                this.grid.bound_cells(|bbox| {
+                    work.evaluations += next_layer.len() as u64;
+                    next_layer
+                        .iter()
+                        .zip(&next.cost)
+                        .map(|(&(pt, _), &cost)| bbox.min_dist(pt) + cost)
+                        .fold(f64::INFINITY, f64::min)
+                });
+            }
+        } else {
+            for &(pt, _) in layer {
+                let (c, j) = transition(&layers[i + 1..], below, cut, pt, cut.cap(pt), work);
+                this.cost.push(c);
+                this.next.push(j);
+            }
         }
     }
 
@@ -462,11 +500,6 @@ fn chain_dp(
     // is non-negative), running the first transition only for the items
     // visited, each capped by the best total as well.
     let first = &layers[0];
-    let step = if k > 1 {
-        Some(Transition::new(grid, &layers[1], &chain_cost[1]))
-    } else {
-        None
-    };
     // (total, layer-0 index, its successor in layer 1)
     let mut best = (f64::INFINITY, u32::MAX, 0u32);
     for (j0, &(pt, _)) in (0u32..).zip(first) {
@@ -475,9 +508,13 @@ fn chain_dp(
             continue;
         }
         work.evaluations += 1;
-        let (suffix, next) = match &step {
-            Some(step) => step.nearest(pt, search_cap(limit.min(best.0), d), work),
-            None => (chain_cost[0][j0 as usize], 0),
+        let (suffix, next) = if k > 1 {
+            let cap = search_cap(limit.min(best.0), d);
+            transition(&layers[1..], &mut dp[1..], cut, pt, cap, work)
+        } else if close_tour {
+            (pt.dist(p), 0)
+        } else {
+            (0.0, 0)
         };
         let total = d + suffix;
         if improves(total, j0, (best.0, best.1)) {
@@ -491,7 +528,7 @@ fn chain_dp(
     for (i, layer) in layers.iter().enumerate().skip(1) {
         path.push((layer[j as usize].0, layer[j as usize].1, i));
         if i + 1 < k {
-            j = chain_next[i][j as usize];
+            j = dp[i].next[j as usize];
         }
     }
     (path, total)
@@ -510,45 +547,84 @@ fn improves(total: f64, index: u32, best: (f64, u32)) -> bool {
 /// cap.
 const NO_SUCCESSOR: u32 = u32::MAX;
 
-/// One chain-DP transition into a downstream layer: answers
-/// `min dis(q, s) + cost(s)` by a linear scan of a small layer or a
-/// search of the bucket grid over a large one.
-enum Transition<'a> {
-    Scan(&'a [(Point, ObjectId)], &'a [f64]),
-    Grid(&'a CostGrid),
+/// The chain DP's state of one layer past the head, recycled in
+/// [`JoinScratch`]. A scanned or last layer holds its suffix costs in
+/// `cost`; a gridded inner layer holds them in its grid's items, forced
+/// cell by cell.
+#[derive(Debug, Default)]
+struct DpLayer {
+    /// Suffix cost per item, by layer index, of a scanned or last layer.
+    cost: Vec<f64>,
+    /// Best successor per item of an inner layer, by layer index
+    /// ([`NO_SUCCESSOR`] while a gridded layer's item is not forced, or
+    /// when its search found nothing within its cap).
+    next: Vec<u32>,
+    /// The bucket grid over a layer of more than [`MAX_SCANNED_LAYER`]
+    /// items.
+    grid: CostGrid,
 }
 
-impl<'a> Transition<'a> {
-    /// Prepares the transition into `layer` with suffix costs `cost`,
-    /// (re)building `grid` when the layer is large enough to need it.
-    fn new(grid: &'a mut CostGrid, layer: &'a [(Point, ObjectId)], cost: &'a [f64]) -> Self {
-        if layer.len() > MAX_SCANNED_LAYER {
-            grid.build(layer, cost);
-            Transition::Grid(grid)
-        } else {
-            Transition::Scan(layer, cost)
-        }
-    }
+/// The cut's bound on the routes from `p`, which caps the search that
+/// gives an item past layer 0 its suffix cost.
+#[derive(Clone, Copy)]
+struct Cut {
+    p: Point,
+    limit: f64,
+}
 
-    /// `(min total, its index)` for the upstream point `q` when that
-    /// total is at most `cap`, else `(+∞, NO_SUCCESSOR)` (so also for a
-    /// NaN cap); scan and grid answer alike. Counts the candidate distance
-    /// evaluations and grid cells tested into `work`.
-    fn nearest(&self, q: Point, cap: f64, work: &mut JoinWork) -> (f64, u32) {
-        let best = match self {
-            Transition::Scan(layer, cost) => {
-                work.evaluations += layer.len() as u64;
-                weighted_nearest_by_scan(layer, cost, q, cap)
-            }
-            Transition::Grid(grid) => grid.nearest(q, cap, work),
-        };
-        // The cap is no cost: an item whose search found nothing within
-        // it costs more, so it must not pass the cap on upstream.
-        if best.1 == NO_SUCCESSOR {
-            (f64::INFINITY, NO_SUCCESSOR)
-        } else {
-            best
-        }
+impl Cut {
+    /// The cap of the search from item `s`: [`search_cap`] of the limit
+    /// at `dis(p, s)`.
+    #[inline]
+    fn cap(self, s: Point) -> f64 {
+        search_cap(self.limit, self.p.dist(s))
+    }
+}
+
+/// One chain-DP transition from `q` into `layers[0]`, whose DP state is
+/// `dp[0]`, with the layers downstream of it in `layers[1..]` and
+/// `dp[1..]`: `(min dis(q, s) + cost(s), its index)` when that total is at
+/// most `cap`, else `(+∞, NO_SUCCESSOR)` (so also for a NaN cap). A layer
+/// of at most [`MAX_SCANNED_LAYER`] items is scanned; a larger one is
+/// searched through its grid, whose unforced cells get their items' costs
+/// by this same search one layer down, each under the [`Cut`]'s cap of
+/// its item. Counts the candidate distance evaluations and grid cells
+/// tested into `work`.
+fn transition(
+    layers: &[Vec<(Point, ObjectId)>],
+    dp: &mut [DpLayer],
+    cut: Cut,
+    q: Point,
+    cap: f64,
+    work: &mut JoinWork,
+) -> (f64, u32) {
+    let layer = &layers[0];
+    let (this, below) = dp.split_first_mut().expect("a DP layer per layer");
+    let best = if layer.len() > MAX_SCANNED_LAYER {
+        let DpLayer { next, grid, .. } = this;
+        // The last layer's cells are all exact, so only an inner layer's
+        // grid ever calls back here.
+        grid.nearest(q, cap, work, &mut |s, j, work| {
+            let (cost, succ) = transition(&layers[1..], below, cut, s, cut.cap(s), work);
+            next[j as usize] = succ;
+            cost
+        })
+    } else {
+        work.evaluations += layer.len() as u64;
+        weighted_nearest_by_scan(layer, &this.cost, q, cap)
+    };
+    found(best)
+}
+
+/// A search's answer as a suffix cost: the cap is no cost, so an item
+/// whose search found nothing within it costs more and must not pass the
+/// cap on upstream.
+#[inline]
+fn found(best: (f64, u32)) -> (f64, u32) {
+    if best.1 == NO_SUCCESSOR {
+        (f64::INFINITY, NO_SUCCESSOR)
+    } else {
+        best
     }
 }
 
@@ -621,12 +697,15 @@ impl GridAxis {
     }
 }
 
-/// One cell of a [`CostGrid`]: the bounding box of its points and their
-/// minimum suffix cost.
+/// One cell of a [`CostGrid`]: the bounding box of its points and the
+/// minimum of their suffix costs, or a lower bound on it until the cell
+/// is forced.
 #[derive(Debug, Clone, Copy)]
 struct GridCell {
     bbox: Rect,
     min_cost: f64,
+    /// Whether the items' costs, and so `min_cost`, are exact.
+    exact: bool,
 }
 
 impl GridCell {
@@ -637,12 +716,48 @@ impl GridCell {
             max: Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
         },
         min_cost: f64::INFINITY,
+        exact: true,
     };
 }
 
-/// A uniform bucket grid over one downstream layer of the chain DP, for
-/// weighted nearest-neighbor searches `min dis(q, s) + cost(s)`. Its
-/// buffers are reused from transition to transition.
+/// The cells a ring walk of a [`CostGrid`] visits around a query: ring 0
+/// is the block of cells `x.0 ..= x.1` by `y.0 ..= y.1` that the query's
+/// box overlaps, and ring `r` the cells `r` steps outside it.
+#[derive(Clone, Copy)]
+struct Rings {
+    cols: usize,
+    rows: usize,
+    x: (usize, usize),
+    y: (usize, usize),
+}
+
+impl Rings {
+    /// Calls `visit` on every cell of ring `r` inside the grid, row by
+    /// row.
+    #[inline]
+    fn visit(self, r: usize, mut visit: impl FnMut(usize)) {
+        let (cols, (x0, x1), (y0, y1)) = (self.cols, self.x, self.y);
+        let (left, right) = (x0.saturating_sub(r), (x1 + r).min(cols - 1));
+        for row in y0.saturating_sub(r)..=(y1 + r).min(self.rows - 1) {
+            if r == 0 || row + r == y0 || row == y1 + r {
+                for col in left..=right {
+                    visit(row * cols + col);
+                }
+            } else {
+                if x0 >= r {
+                    visit(row * cols + x0 - r);
+                }
+                if x1 + r < cols {
+                    visit(row * cols + x1 + r);
+                }
+            }
+        }
+    }
+}
+
+/// A uniform bucket grid over one layer of the chain DP, for weighted
+/// nearest-neighbor searches `min dis(q, s) + cost(s)` into it. Its
+/// buffers are reused from join to join.
 #[derive(Debug, Default)]
 struct CostGrid {
     x: GridAxis,
@@ -650,23 +765,27 @@ struct CostGrid {
     /// Counting-sort offsets: cell `c` holds `items[start[c]..start[c + 1]]`
     /// (cells numbered row by row).
     start: Vec<u32>,
-    /// `(point, suffix cost, layer index)`, grouped by cell.
+    /// `(point, suffix cost, layer index)`, grouped by cell; a cost is
+    /// meaningful once its cell is exact.
     items: Vec<(Point, f64, u32)>,
     cells: Vec<GridCell>,
     /// Each layer item's cell, the counting-sort key.
     cell_of: Vec<u32>,
-    /// The minimum suffix cost over the whole layer.
+    /// The minimum cell cost, a lower bound on every item's suffix cost.
     min_cost: f64,
 }
 
 impl CostGrid {
-    /// Buckets `layer` (with suffix costs `cost`) into about `n / 8`
-    /// cells over its bounding box, shaped to its aspect ratio. Capped
-    /// searches end within a few rings, so coarse cells pay: against
-    /// `n / 2` cells, a `city_k3` join tests 1,189 cells instead of
-    /// 3,104 and makes 4,682 candidate evaluations instead of 4,059, in
-    /// about 40 instead of 48 µs (`docs/PERF.md`).
-    fn build(&mut self, layer: &[(Point, ObjectId)], cost: &[f64]) {
+    /// Buckets `layer` into about `n / 8` cells over its bounding box,
+    /// shaped to its aspect ratio, with its items' suffix costs `cost`
+    /// when they are known; without them, every cell waits for
+    /// [`CostGrid::bound_cells`] and is forced on demand. Capped searches
+    /// end within a few rings, so coarse cells pay: against `n / 2`
+    /// cells, a `city_k3` join tested 1,189 cells instead of 3,104 and
+    /// made 4,682 candidate evaluations instead of 4,059, in about 40
+    /// instead of 48 µs, before inner costs were computed on demand
+    /// (`docs/PERF.md`).
+    fn build(&mut self, layer: &[(Point, ObjectId)], cost: Option<&[f64]>) {
         let mut bbox = GridCell::EMPTY.bbox;
         for &(pt, _) in layer {
             bbox.expand(pt);
@@ -711,90 +830,157 @@ impl CostGrid {
         self.min_cost = f64::INFINITY;
         for (j, (&(pt, _), &c)) in layer.iter().zip(&self.cell_of).enumerate() {
             let c = c as usize;
-            self.items[self.start[c] as usize] = (pt, cost[j], j as u32);
+            let item_cost = cost.map_or(f64::INFINITY, |cost| cost[j]);
+            self.items[self.start[c] as usize] = (pt, item_cost, j as u32);
             self.start[c] += 1;
             let cell = &mut self.cells[c];
             cell.bbox.expand(pt);
-            cell.min_cost = cell.min_cost.min(cost[j]);
-            self.min_cost = self.min_cost.min(cost[j]);
+            cell.min_cost = cell.min_cost.min(item_cost);
+            cell.exact = cost.is_some();
+            self.min_cost = self.min_cost.min(item_cost);
         }
         self.start.copy_within(0..n_cells, 1);
         self.start[0] = 0;
     }
 
+    fn is_empty(&self, c: usize) -> bool {
+        self.start[c] == self.start[c + 1]
+    }
+
+    /// Sets every non-empty cell's cost to `bound` of its box, a lower
+    /// bound on its items' suffix costs, and the grid's minimum to the
+    /// smallest of them.
+    fn bound_cells(&mut self, mut bound: impl FnMut(&Rect) -> f64) {
+        self.min_cost = f64::INFINITY;
+        for c in 0..self.cells.len() {
+            if !self.is_empty(c) {
+                let cell = &mut self.cells[c];
+                cell.min_cost = bound(&cell.bbox);
+                self.min_cost = self.min_cost.min(cell.min_cost);
+            }
+        }
+    }
+
+    /// The cells a ring walk around `query` visits.
+    fn rings(&self, query: &Rect) -> Rings {
+        Rings {
+            cols: self.x.len(),
+            rows: self.y.len(),
+            x: (self.x.slab(query.min.x), self.x.slab(query.max.x)),
+            y: (self.y.slab(query.min.y), self.y.slab(query.max.y)),
+        }
+    }
+
+    /// Whether ring `r` of `rings` around `query` may still hold a total
+    /// of at most `best`: ring 0 always, a later ring while it lies in the
+    /// grid and its distance from `query` plus the grid's minimum cost is
+    /// at most `best`.
+    #[inline]
+    fn ring_in_reach(&self, query: &Rect, rings: Rings, r: usize, best: f64) -> bool {
+        r == 0 || matches!(self.ring_bound(query, rings, r), Some(b) if b + self.min_cost <= best)
+    }
+
     /// `(min total, its index)` of `dis(q, s) + cost(s)` over the layer
     /// when that total is at most `cap`, else `(cap, NO_SUCCESSOR)`,
     /// walking rings of cells outward from `q`'s cell. The walk starts
-    /// from the cap as its best total, so a tight cap ends it early.
-    fn nearest(&self, q: Point, cap: f64, work: &mut JoinWork) -> (f64, u32) {
-        let (cols, rows) = (self.x.len(), self.y.len());
-        let (cx, cy) = (self.x.slab(q.x), self.y.slab(q.y));
+    /// from the cap as its best total, so a tight cap ends it early. A
+    /// cell that passes its test before it is exact gets its items' costs
+    /// from `force(point, layer index, work)` and is tested again.
+    fn nearest(
+        &mut self,
+        q: Point,
+        cap: f64,
+        work: &mut JoinWork,
+        force: &mut dyn FnMut(Point, u32, &mut JoinWork) -> f64,
+    ) -> (f64, u32) {
+        let query = Rect::point(q);
+        let rings = self.rings(&query);
         let mut best = (cap, NO_SUCCESSOR);
         for r in 0.. {
-            if r > 0 {
-                match self.ring_bound(q, cx, cy, r) {
-                    Some(bound) if bound + self.min_cost <= best.0 => {}
-                    _ => break,
-                }
+            if !self.ring_in_reach(&query, rings, r, best.0) {
+                break;
             }
-            let (x0, x1) = (cx.saturating_sub(r), (cx + r).min(cols - 1));
-            for row in cy.saturating_sub(r)..=(cy + r).min(rows - 1) {
-                if row + r == cy || row == cy + r {
-                    for col in x0..=x1 {
-                        self.scan_cell(row * cols + col, q, &mut best, work);
-                    }
-                } else {
-                    if cx >= r {
-                        self.scan_cell(row * cols + cx - r, q, &mut best, work);
-                    }
-                    if cx + r < cols {
-                        self.scan_cell(row * cols + cx + r, q, &mut best, work);
-                    }
-                }
-            }
+            rings.visit(r, |c| self.scan_cell(c, q, &mut best, work, force));
         }
         best
     }
 
-    /// A lower bound on `dis(q, s)` over every point `s` in the cells at
-    /// ring `r ≥ 1` or beyond around `(cx, cy)`, or `None` when no cell
-    /// lies there. Those points lie past one of the four slab boundaries
-    /// enclosing the inner rings, and the bound is the distance to the
-    /// nearest such boundary, taken with [`Point::dist`] to a point on it.
-    fn ring_bound(&self, q: Point, cx: usize, cy: usize, r: usize) -> Option<f64> {
+    /// A lower bound on `dis(s, t) + cost(t)` over every point `s` in
+    /// `query` and item `t` of the layer: the minimum over cells of
+    /// `dis(query, cell box) + cell cost`, by a ring walk outward from the
+    /// block of cells that `query` overlaps. Counts the cells tested into
+    /// `work`.
+    fn box_bound(&self, query: &Rect, work: &mut JoinWork) -> f64 {
+        let rings = self.rings(query);
+        let mut best = f64::INFINITY;
+        for r in 0.. {
+            if !self.ring_in_reach(query, rings, r, best) {
+                break;
+            }
+            rings.visit(r, |c| {
+                work.cells_tested += 1;
+                if !self.is_empty(c) {
+                    let cell = &self.cells[c];
+                    best = best.min(box_gap(query, &cell.bbox) + cell.min_cost);
+                }
+            });
+        }
+        best
+    }
+
+    /// A lower bound on `dis(s, t)` over every point `s` of `query` and
+    /// every point `t` in the cells at ring `r ≥ 1` of `rings` or beyond,
+    /// or `None` when no cell lies there. Those points lie past one of the
+    /// four slab boundaries enclosing the inner rings, and the bound is
+    /// the distance from `query` to the nearest such boundary, taken with
+    /// [`Point::dist`] to a point on it.
+    fn ring_bound(&self, query: &Rect, rings: Rings, r: usize) -> Option<f64> {
+        let (lo, hi) = (query.min, query.max);
         let mut bound: Option<f64> = None;
-        let mut side = |edge: Point| {
-            let d = q.dist(edge);
+        let mut side = |from: Point, edge: Point| {
+            let d = from.dist(edge);
             bound = Some(bound.map_or(d, |b| b.min(d)));
         };
-        if cx >= r {
-            side(Point::new(self.x.edges[cx - r], q.y));
+        if rings.x.0 >= r {
+            side(lo, Point::new(self.x.edges[rings.x.0 - r], lo.y));
         }
-        if cx + r < self.x.len() {
-            side(Point::new(self.x.edges[cx + r - 1], q.y));
+        if rings.x.1 + r < rings.cols {
+            side(hi, Point::new(self.x.edges[rings.x.1 + r - 1], hi.y));
         }
-        if cy >= r {
-            side(Point::new(q.x, self.y.edges[cy - r]));
+        if rings.y.0 >= r {
+            side(lo, Point::new(lo.x, self.y.edges[rings.y.0 - r]));
         }
-        if cy + r < self.y.len() {
-            side(Point::new(q.x, self.y.edges[cy + r - 1]));
+        if rings.y.1 + r < rings.rows {
+            side(hi, Point::new(hi.x, self.y.edges[rings.y.1 + r - 1]));
         }
         bound
     }
 
     /// Tests cell `c` and scans it into `best` unless
-    /// `dis(q, cell box) + cell min cost` already exceeds it (the box
+    /// `dis(q, cell box) + cell cost` already exceeds it (the box
     /// distance is [`Point::dist`] to the clamped point, so it never
-    /// exceeds a member's distance in floating point either).
+    /// exceeds a member's distance in floating point either). A cell that
+    /// passes before it is exact is forced first and tested again.
     #[inline]
-    fn scan_cell(&self, c: usize, q: Point, best: &mut (f64, u32), work: &mut JoinWork) {
+    fn scan_cell(
+        &mut self,
+        c: usize,
+        q: Point,
+        best: &mut (f64, u32),
+        work: &mut JoinWork,
+        force: &mut dyn FnMut(Point, u32, &mut JoinWork) -> f64,
+    ) {
         work.cells_tested += 1;
         let (a, b) = (self.start[c] as usize, self.start[c + 1] as usize);
-        let cell = &self.cells[c];
+        let cell = self.cells[c];
         if a == b || cell.min_cost > best.0 {
             return;
         }
-        if cell.bbox.min_dist(q) + cell.min_cost > best.0 {
+        let gap = cell.bbox.min_dist(q);
+        if gap + cell.min_cost > best.0 {
+            return;
+        }
+        if !cell.exact && gap + self.force(c, force, work) > best.0 {
             return;
         }
         work.evaluations += (b - a) as u64;
@@ -805,6 +991,48 @@ impl CostGrid {
             }
         }
     }
+
+    /// Gives the items of cell `c` their exact suffix costs through
+    /// `force` and returns their minimum, now the cell's exact cost.
+    #[cold]
+    fn force(
+        &mut self,
+        c: usize,
+        force: &mut dyn FnMut(Point, u32, &mut JoinWork) -> f64,
+        work: &mut JoinWork,
+    ) -> f64 {
+        let (a, b) = (self.start[c] as usize, self.start[c + 1] as usize);
+        let mut min_cost = f64::INFINITY;
+        for item in &mut self.items[a..b] {
+            item.1 = force(item.0, item.2, work);
+            min_cost = min_cost.min(item.1);
+        }
+        let cell = &mut self.cells[c];
+        cell.min_cost = min_cost;
+        cell.exact = true;
+        min_cost
+    }
+}
+
+/// The distance between two boxes, taken with [`Point::dist`] between a
+/// point of each that are closest on both axes. Rounding is monotone, so
+/// it never exceeds the computed distance between a point of one box and
+/// a point of the other.
+fn box_gap(a: &Rect, b: &Rect) -> f64 {
+    // The two coordinates, one from each box, closest on one axis (equal
+    // where the boxes overlap on it).
+    let axis = |a_lo: f64, a_hi: f64, b_lo: f64, b_hi: f64| {
+        if a_hi < b_lo {
+            (a_hi, b_lo)
+        } else if b_hi < a_lo {
+            (a_lo, b_hi)
+        } else {
+            (0.0, 0.0)
+        }
+    };
+    let (ax, bx) = axis(a.min.x, a.max.x, b.min.x, b.max.x);
+    let (ay, by) = axis(a.min.y, a.max.y, b.min.y, b.max.y);
+    Point::new(ax, ay).dist(Point::new(bx, by))
 }
 
 /// Test fixtures shared with the merge tests: the plain nested-loop
@@ -1118,6 +1346,47 @@ mod tests {
         }
 
         #[test]
+        fn on_demand_suffix_costs_equal_the_nested_loop_under_ties(
+            cases in prop::collection::vec((3usize..=4, 0u64..u64::MAX, 0u8..3), 1..3),
+        ) {
+            // Layer i holds more than MAX_SCANNED_LAYER points snapped to
+            // a 9 × 9 lattice of 3 by 4 steps at (60·i, 0): duplicates and
+            // exact route ties are common, the route runs from cluster to
+            // cluster, and the cut keeps every inner layer whole, so each
+            // inner layer's suffix costs are forced cell by cell. From a p
+            // far off along the clusters' line, the route is nearly
+            // straight: a route through any inner point other than the
+            // best is longer than the bound, so many forced searches find
+            // nothing within their cap. From a p far off to the side or
+            // on a lattice point, they mostly find their successor.
+            let mut scratch = JoinScratch::default();
+            for (k, seed, place) in cases {
+                let mut rng = Mix(seed);
+                let lattice = |rng: &mut Mix, i: u32| {
+                    Point::new(
+                        f64::from(i) * 60.0 + rng.below(9) as f64 * 3.0,
+                        rng.below(9) as f64 * 4.0,
+                    )
+                };
+                let layers: Vec<Vec<(Point, ObjectId)>> = (0..k as u32)
+                    .map(|i| {
+                        let n = (MAX_SCANNED_LAYER + 1) as u32 + rng.below(200) as u32;
+                        (0..n).map(|j| (lattice(&mut rng, i), ObjectId(i * 1000 + j))).collect()
+                    })
+                    .collect();
+                let p = match place {
+                    0 => lattice(&mut rng, 1),
+                    1 => Point::new(-1e4, 16.0),
+                    _ => Point::new(rng.unit() * 240.0, -2e4),
+                };
+                let open = reference_chain(p, &layers, false);
+                let tour = reference_chain(p, &layers, true);
+                assert_same_route(chain_join_with(&mut scratch, p, &layers), &open, "chain");
+                assert_same_route(chain_loop_join_with(&mut scratch, p, &layers), &tour, "tour");
+            }
+        }
+
+        #[test]
         fn search_cap_admits_every_suffix_within_its_total(
             cases in prop::collection::vec(
                 (0u64..u64::MAX, -60i32..60, -60i32..60),
@@ -1167,7 +1436,6 @@ mod tests {
                             _ => rng.unit() * 500.0,
                         });
                     }
-                    grid.build(&layer, &cost);
                     let exact = weighted_nearest_by_scan(&layer, &cost, q, f64::INFINITY);
                     let j = rng.below(n as u64) as usize;
                     let some = q.dist(layer[j].0) + cost[j];
@@ -1188,9 +1456,35 @@ mod tests {
                             (f64::INFINITY, NO_SUCCESSOR)
                         };
                         let mut work = JoinWork::default();
-                        let scan = Transition::Scan(&layer, &cost).nearest(q, cap, &mut work);
-                        let got = Transition::Grid(&grid).nearest(q, cap, &mut work);
-                        for (what, answer) in [("scan", scan), ("grid", got)] {
+                        let scan = found(weighted_nearest_by_scan(&layer, &cost, q, cap));
+                        // A grid built with its costs, and one whose cells
+                        // start from random lower bounds (a share of their
+                        // minimum cost, the points in a cell's box being
+                        // its own) and are forced on demand.
+                        grid.build(&layer, Some(&cost));
+                        let known = found(grid.nearest(q, cap, &mut work, &mut |_, _, _| {
+                            unreachable!("every cell is exact")
+                        }));
+                        grid.build(&layer, None);
+                        grid.bound_cells(|bbox| {
+                            let min_cost = layer
+                                .iter()
+                                .zip(&cost)
+                                .filter(|&(&(pt, _), _)| bbox.contains(pt))
+                                .fold(f64::INFINITY, |m, (_, &c)| m.min(c));
+                            match rng.below(3) {
+                                0 => 0.0,
+                                1 => min_cost,
+                                _ => min_cost * rng.unit(),
+                            }
+                        });
+                        let mut forced = 0;
+                        let on_demand = found(grid.nearest(q, cap, &mut work, &mut |_, j, _| {
+                            forced += 1;
+                            cost[j as usize]
+                        }));
+                        prop_assert!(forced <= n, "each item is forced at most once");
+                        for (what, answer) in [("scan", scan), ("grid", known), ("on demand", on_demand)] {
                             prop_assert_eq!(
                                 (answer.0.to_bits(), answer.1),
                                 (want.0.to_bits(), want.1),
@@ -1430,12 +1724,14 @@ mod tests {
         ];
         let mut scratch = JoinScratch::default();
         // At k = 2 the greedy route's scan of both layers alone is 1/1,000
-        // of the nested loop. At k = 3 the capped searches test 829 cells
-        // over the three queries (7 + 772 + 50); uncapped they test 988
+        // of the nested loop. At k = 3 the searches test 492 cells over
+        // the three queries (7 + 435 + 50), the tests of the inner layer's
+        // cell bounds included. Computing every inner suffix cost up front
+        // tested 829 (7 + 772 + 50), and uncapped searches 988
         // (10 + 920 + 58). The evaluations come closest to their share at
         // query 2: 7,220 against 7,274.
         for (layers, share, cell_bound) in [
-            (clustered_layers(0x7A11, 3), 1_100, 1_000),
+            (clustered_layers(0x7A11, 3), 1_100, 550),
             (clustered_layers(0x7A12, 2), 800, u64::MAX),
         ] {
             let k = layers.len();

@@ -11,13 +11,13 @@
 //!    algorithms.
 //! 5. **Fixed vs. dynamic α** — why eq. 4 beats the static threshold of
 //!    Lin et al. \[14\].
-//! 6. **Chained TNN** — cost scaling of the future-work generalization
-//!    over k = 2, 3, 4 channels.
-//! 7. **Channel count for the core algorithms** — the k-ary
+//! 6. **Channel count for the core algorithms** — the k-ary
 //!    generalization of Window-Based, Double-NN, and Hybrid-NN over
-//!    k = 2, 3, 4 channels (the chained estimate is Double-NN's; this
-//!    axis shows how the sequential Window-Based estimate and the
-//!    neighbor-hop re-targeting of Hybrid-NN scale with hops).
+//!    k = 2, 3, 4 channels, oracle-checked: how the sequential
+//!    Window-Based estimate, the parallel Double-NN fan-out and the
+//!    neighbor-hop re-targeting of Hybrid-NN scale with hops.
+//! 7. **Order-free and round-trip variants** — the future-work
+//!    objectives against plain TNN on the same workload.
 
 use super::{f1, Context};
 use crate::{run_tnn_batch, BatchConfig, DatasetSpec, Table};
@@ -271,39 +271,7 @@ fn alpha_policy(ctx: &Context) -> Table {
     table
 }
 
-/// Ablation 6: chained TNN over k channels (future-work extension).
-fn chained(ctx: &Context) -> Table {
-    let params = BroadcastParams::new(64);
-    let mut table = Table::new(
-        "Extension: chained TNN over k channels (UNIF(-5.4) per channel)",
-        &["k", "mean access [pages]", "mean tune-in [pages]"],
-    );
-    let region = paper_region();
-    for k in [2usize, 3, 4] {
-        let trees: Vec<Arc<RTree>> = (0..k)
-            .map(|i| {
-                let pts = tnn_datasets::unif(-5.4, 0x7000 + i as u64);
-                Arc::new(RTree::build(&pts, params.rtree_params(), PackingAlgorithm::Str).unwrap())
-            })
-            .collect();
-        let cfg = BatchConfig {
-            params,
-            query: Query::tnn(Point::ORIGIN).algorithm(Algorithm::DoubleNn),
-            queries: ctx.queries.min(300),
-            seed: ctx.seed,
-            check_oracle: false,
-        };
-        let stats = run_tnn_batch(&trees, &region, &cfg);
-        table.push_row(vec![
-            k.to_string(),
-            f1(stats.mean_access),
-            f1(stats.mean_tune_in),
-        ]);
-    }
-    table
-}
-
-/// Ablation 7: channel count for the core TNN algorithms — the k-ary
+/// Ablation 6: channel count for the core TNN algorithms — the k-ary
 /// generalization over k = 2, 3, 4 channels, exercising the sequential
 /// Window-Based hops, the parallel Double-NN fan-out, and Hybrid-NN's
 /// neighbor-hop re-targeting at every k (oracle-checked).
@@ -357,7 +325,7 @@ fn core_channel_count(ctx: &Context) -> Table {
     table
 }
 
-/// Ablation 8: the order-free and round-trip variants (future-work items
+/// Ablation 7: the order-free and round-trip variants (future-work items
 /// 2 and 3) against plain TNN on the same workload.
 fn variants(ctx: &Context) -> Table {
     use rand::{Rng, SeedableRng};
@@ -448,7 +416,6 @@ pub fn run(ctx: &Context) -> Vec<Table> {
         interleave(ctx),
         page_capacity(ctx),
         alpha_policy(ctx),
-        chained(ctx),
         core_channel_count(ctx),
         variants(ctx),
     ]

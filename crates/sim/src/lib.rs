@@ -15,7 +15,7 @@
 //! Run everything with `cargo run --release -p tnn-sim --bin
 //! all-experiments`, or only some experiments by naming them
 //! (`... --bin all-experiments -- fig9 table3`). The channel-count axis
-//! (k = 2, 3, 4, oracle-checked) is ablation 7 of `ablations`. Set
+//! (k = 2, 3, 4, oracle-checked) is ablation 6 of `ablations`. Set
 //! `TNN_QUERIES` (default 1000, the paper's count) and `TNN_SEED` to
 //! control batch size and reproducibility. Both must be positive
 //! integers: anything else stops the run (see [`parse_positive`]).
